@@ -4,19 +4,22 @@ system, by damped Newton iteration on a square nonlinear system.
 
 Delayed problems couple retarded (t - tau) and advanced (t + tau) values, so
 the full-horizon system is assembled at once rather than marching; the mesh
-is uniform per regime with a forced node at t2 - tau.  Jacobians are forward
-finite differences, re-factorized every iteration.  NonConvergence is a
-returned state (report.converged = False); a numerically singular Jacobian
-raises.
+is uniform per regime with a forced node at t2 - tau.  One collocation record
+serves both problems.  Its Jacobian, re-factorized every iteration, takes the
+exactly linear rows (continuity, history, terminal data) in closed form and
+the rest by forward differences, with columns grouped by a greedy colouring
+of the sparsity the delay and the integrand fix (Curtis, Powell & Reid 1974).
+NonConvergence is a returned state (report.converged = False); a numerically
+singular Jacobian raises.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import calculus
 from .dubois_reymond import cdur_residual, dr_residual
@@ -24,12 +27,8 @@ from .errors import SingularJacobian
 from .euler_lagrange import Classification, Regime, ResidualReport, classify, el_residual, \
     residual_grids
 from .optimal_control import PontryaginTriple, pmp_residuals
-from .problem import (
-    AugmentedSetup,
-    ControlProblem,
-    IsoperimetricProblem,
-    constraint_defect,
-)
+from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, Integrand, \
+    IsoperimetricProblem, constraint_defect
 from .trajectory import Grid, PolySegment, Trajectory, segments_from_callable
 
 __all__ = ["CollocationScheme", "SolveReport", "solve_el", "solve_pmp", "verify"]
@@ -74,89 +73,168 @@ class SolveReport:
         }
 
 
-def _regime_mesh(t1: float, split: float, t2: float, segments_per_regime: int) -> np.ndarray:
-    left = np.linspace(t1, split, segments_per_regime + 1)
-    right = np.linspace(split, t2, segments_per_regime + 1)
-    return np.concatenate([left, right[1:]])
+def _mesh(t1: float, t2: float, tau: float, nodes: int, colloc: int):
+    """Segments per regime, the edges of the uniform two-regime mesh split at
+    t2 - tau, and ``colloc`` Gauss collocation times per segment."""
+    per_regime = max(1, math.ceil(nodes / colloc))
+    edges = np.concatenate([np.linspace(t1, t2 - tau, per_regime + 1),
+                            np.linspace(t2 - tau, t2, per_regime + 1)[1:]])
+    gauss, _ = np.polynomial.legendre.leggauss(colloc)
+    times = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * gauss
+                            for a, b in zip(edges[:-1], edges[1:])])
+    return per_regime, edges, times
 
 
-def _gauss_points(a: float, b: float, count: int) -> np.ndarray:
-    nodes, _ = np.polynomial.legendre.leggauss(count)
-    return 0.5 * (a + b) + 0.5 * (b - a) * nodes
+def _row_reads(parts, layout: ArgLayout, argmap: dict, direct, terms) -> set:
+    """(unknown block, time shift) pairs a row type reads: ``direct`` ones plus,
+    per (partial block, shift) term, the argument blocks that partial of any
+    integrand in ``parts`` depends on (moving one from a generic point, up or
+    negative, changes the partial or makes it fail), mapped through ``argmap``
+    and shifted.  ``parts`` are probed apart, as in a weighted sum their
+    partials could cancel at the probe's weights."""
+    base = [0.61 + 0.137 * i for i in range(layout.size)]
+
+    def partial_at(F, block, arg, move):
+        values = list(base)
+        values[layout.block_slice(arg)] = [move(v) for v in base[layout.block_slice(arg)]]
+        try:
+            with np.errstate(all="ignore"):
+                out = np.asarray(calculus.partial(F, block, ArgVector(values, layout)), float)
+        except Exception:  # outside the integrand's domain: proves nothing, so "read"
+            return None
+        return out if np.all(np.isfinite(out)) else None
+
+    reads = set(direct)
+    for F in parts:
+        for block, shift in terms:
+            ref = partial_at(F, block, 1, float)  # at the generic point itself
+            for arg, (unknown, arg_shift) in argmap.items():
+                outs = (partial_at(F, block, arg, move)
+                        for move in (lambda v: 2 * v + 1, lambda v: -v))
+                if ref is None or any(out is None or not np.array_equal(out, ref) for out in outs):
+                    reads.add((unknown, arg_shift + shift))
+    return reads
 
 
-def _fit_segment_coeffs(fn_eval, a: float, b: float, degree: int, n: int) -> np.ndarray:
-    """Interpolate a guess onto one segment's shifted-monomial basis."""
-    k = np.arange(degree + 1)
-    mid = 0.5 * (a + b)
-    ts = mid + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))
-    ys = np.array([np.atleast_1d(fn_eval(t)) for t in ts])  # (deg+1, n)
-    return P.polyfit(ts - mid, ys, degree).T  # (n, deg+1)
+# a piecewise-polynomial unknown: components, coefficients per component and segment,
+# smoothness order, history segments before t1, derivative orders matched at knots
+_Block = namedtuple("_Block", "ncomp width m history matched", defaults=(1, (), 1))
 
 
-class _LinearRows:
-    """Matrix form of the exactly linear equations (continuity, history,
-    terminal data): residual = A x - c.  Projecting every Newton iterate onto
-    A x = c is what guarantees the boundary rows hold to 1e-10 regardless of
-    the convergence flag."""
+class _Collocation:
+    """One collocation system and its damped Newton driver.
 
-    def __init__(self, lin_residual, nx: int):
-        r0 = lin_residual(np.zeros(nx))
-        self.empty = r0.size == 0
-        if self.empty:
-            return
-        cols = np.empty((len(r0), nx))
-        unit = np.zeros(nx)
-        for i in range(nx):
-            unit[i] = 1.0
-            cols[:, i] = lin_residual(unit) - r0
-            unit[i] = 0.0
-        self.matrix = cols
-        self.rhs = -r0
-        self.pinv = np.linalg.pinv(cols)
+    Unknowns: each block's coefficients as (segment, component, power), then
+    the k multipliers.  Rows: ``nonlinear(trajs, lam)``, A x - c (continuity
+    at knots, then ``boundary``: (block, s, t, order) with that derivative's
+    value), then ``constraint(trajs)``.  ``rows``: per collocation row type,
+    its rows per point and the (block, shift) pairs it reads; ``reach``: how
+    far from t its stencils sample."""
+
+    def __init__(self, edges, blocks, k, nonlinear, constraint, boundary, rows, times,
+                 reach=0.0):
+        self.edges, self.blocks, self.k = edges, blocks, k
+        self.nonlinear, self.constraint = nonlinear, constraint
+        self.offsets = np.cumsum([0] + [(len(edges) - 1) * b.ncomp * b.width for b in blocks])
+        self.ncoef = int(self.offsets[-1])
+        lin = [self._evaluation(b, s, edges[s + 1], o) - self._evaluation(b, s + 1, edges[s + 1], o)
+               for s in range(len(edges) - 2) for b, blk in enumerate(blocks)
+               for o in range(blk.matched)]
+        values = [np.asarray(value, dtype=float).reshape(-1) for _, value in boundary]
+        self.A = np.vstack(lin + [self._evaluation(*where) for where, _ in boundary])
+        self.c = np.concatenate([np.zeros(len(self.A) - sum(map(len, values)))] + values)
+        self.pinv = np.linalg.pinv(self.A)
+        self.pattern = self._pattern(rows, times, reach)
+        # greedy colouring: a group holds coefficient columns sharing no row
+        dense = self.pattern.astype(float)
+        conflict = (dense.T @ dense) > 0
+        colour = np.full(self.ncoef, -1)
+        for col in range(self.ncoef):
+            used = colour[conflict[col]]
+            colour[col] = np.flatnonzero(~np.isin(np.arange(len(used) + 1), used))[0]
+        self.groups = [np.flatnonzero(colour == g) for g in range(colour.max() + 1)]
+
+    def _column(self, b: int, s: int) -> int:
+        return int(self.offsets[b]) + s * self.blocks[b].ncomp * self.blocks[b].width
+
+    def _evaluation(self, b: int, s: int, t: float, order: int) -> np.ndarray:
+        """x -> order-th derivative of block b on segment s at t, as a matrix."""
+        blk, start = self.blocks[b], self._column(b, s)
+        out = np.zeros((blk.ncomp, self.ncoef + self.k))
+        # d^order/dt^order (t - mid)^j, mid computed as PolySegment does
+        dt = t - 0.5 * (self.edges[s] + self.edges[s + 1])
+        basis = [math.perm(j, order) * dt ** max(j - order, 0) for j in range(blk.width)]
+        out[:, start:start + blk.ncomp * blk.width] = np.kron(np.eye(blk.ncomp), basis)
+        return out
+
+    def _pattern(self, rows, times: np.ndarray, reach: float) -> np.ndarray:
+        """Collocation rows x coefficient columns that may be nonzero: a row at
+        t reads its blocks on the segments meeting [t - reach, t + reach] +
+        shift, widened by roundoff so a point on a knot takes both neighbours."""
+        eps = 1e-9 * max(1.0, self.edges[-1] - self.edges[0])
+        parts = []
+        for count, reads in rows:
+            part = np.zeros((len(times), count, self.ncoef), bool)
+            for b, shift in reads:
+                first = np.searchsorted(self.edges[1:], times + (shift - reach - eps))
+                last = np.searchsorted(self.edges[:-1], times + (shift + reach + eps), "right")
+                for p, (lo, hi) in enumerate(zip(first, last)):
+                    part[p, :, self._column(b, lo):self._column(b, max(lo, hi))] = True
+            parts.append(part.reshape(-1, self.ncoef))
+        return np.vstack(parts)
+
+    def build(self, x: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
+        trajs = []
+        for b, blk in enumerate(self.blocks):
+            coeffs = x[self.offsets[b]:self.offsets[b + 1]].reshape(-1, blk.ncomp, blk.width)
+            segs = [PolySegment(a, e, c) for a, e, c in zip(self.edges, self.edges[1:], coeffs)]
+            trajs.append(Trajectory(blk.ncomp, blk.m, list(blk.history) + segs, validate=False))
+        return trajs, x[self.ncoef:]
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        trajs, lam = self.build(x)
+        parts = [self.nonlinear(trajs, lam), self.A @ x - self.c]
+        return np.concatenate(parts + ([self.constraint(trajs)] if self.k else []))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        if self.empty:
-            return x
-        defect = self.matrix @ x - self.rhs
-        if float(np.max(np.abs(defect))) <= 1e-13:
-            return x
-        return x - self.pinv @ defect
+        """Move x onto A x = c: the linear rows hold whether or not Newton converges."""
+        defect = self.A @ x - self.c
+        return x if float(np.max(np.abs(defect))) <= 1e-13 else x - self.pinv @ defect
 
-
-class _Newton:
-    """Damped Newton with forward-difference Jacobian on a square system;
-    iterates are projected onto the linear rows before every residual check."""
-
-    def __init__(self, residual, scheme: CollocationScheme, project=None):
-        self.residual = residual
-        self.scheme = scheme
-        self.project = project if project is not None else (lambda x: x)
-        self.condition = math.nan
-
-    def jacobian(self, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        jac = np.empty((len(r0), len(x)))
-        for i in range(len(x)):
-            h = 1e-7 * (1.0 + abs(x[i]))
+    def jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """A on the linear rows; elsewhere forward differences with step
+        1e-7 (1 + |x_i|), equal to differencing one column at a time."""
+        nl, top = self.pattern.shape[0], self.pattern.shape[0] + len(self.c)
+        h = 1e-7 * (1.0 + np.abs(x))
+        jac = np.zeros((len(r), len(x)))
+        jac[nl:top] = self.A
+        # coloured groups, then each multiplier (it reaches every collocation row)
+        for cols in self.groups + [[j] for j in range(self.ncoef, len(x))]:
             xp = x.copy()
-            xp[i] += h
-            jac[:, i] = (self.residual(xp) - r0) / h
+            xp[cols] += h[cols]
+            diff = (self.nonlinear(*self.build(xp)) - r[:nl])[:, None]
+            mask = self.pattern[:, cols] if cols[0] < self.ncoef else True
+            jac[:nl, cols] = np.where(mask, diff, 0.0) / h[cols]
+        for j in range(self.ncoef if self.k else 0):
+            xp = x.copy()
+            xp[j] += h[j]
+            jac[top:, j] = (self.constraint(self.build(xp)[0]) - r[top:]) / h[j]
         return jac
 
-    def run(self, x0: np.ndarray) -> tuple[np.ndarray, bool, int, float]:
-        scheme = self.scheme
-        x = self.project(x0.copy())
+    def _newton(self, x: np.ndarray, scheme: CollocationScheme):
+        """Damped Newton from x: (x, converged, iterations, norm, condition),
+        the condition being NaN when no Jacobian was factorized."""
+        x = self.project(x.copy())
         r = self.residual(x)
-        norm = float(np.max(np.abs(r)))
+        norm, condition = float(np.max(np.abs(r))), math.nan
         if norm <= scheme.tolerance:
-            return x, True, 0, norm
+            return x, True, 0, norm, condition
         for iteration in range(1, scheme.max_iterations + 1):
             jac = self.jacobian(x, r)
-            self.condition = float(np.linalg.cond(jac))
-            if not np.isfinite(self.condition) or self.condition > 1e12:
+            condition = float(np.linalg.cond(jac))
+            if not np.isfinite(condition) or condition > 1e12:
                 raise SingularJacobian(
-                    f"collocation Jacobian condition estimate {self.condition:.3e}",
-                    self.condition)
+                    f"collocation Jacobian condition estimate {condition:.3e}", condition)
             step = np.linalg.solve(jac, -r)
             alpha = scheme.initial_step
             while alpha >= scheme.min_step:
@@ -167,11 +245,28 @@ class _Newton:
                     break
                 alpha *= 0.5
             else:
-                return x, False, iteration, norm
+                return x, False, iteration, norm, condition
             x, r, norm = x_try, r_try, norm_try
             if norm <= scheme.tolerance:
-                return x, True, iteration, norm
-        return x, False, scheme.max_iterations, norm
+                return x, True, iteration, norm, condition
+        return x, False, scheme.max_iterations, norm, condition
+
+    def solve(self, x0: np.ndarray, scheme: CollocationScheme):
+        """Newton from x0, then from each multiplier start until one converges;
+        (trajectories, lambda, report) of that run, else of the run from x0."""
+        run = self._newton(x0, scheme)
+        if not run[1] and self.k:
+            retries = (self._newton(np.concatenate([x0[:self.ncoef], lam_start]), scheme)
+                       for lam_start in _lambda_starts(self.k))
+            run = next((retry for retry in retries if retry[1]), run)
+        x, converged, iterations, norm, condition = run
+        trajs, lam = self.build(x)
+        return trajs, lam, SolveReport(converged, iterations, norm, lam, condition)
+
+
+def _lambda_starts(k: int):
+    grids = np.meshgrid(*([np.array([-10.0, -1.0, 0.0, 1.0, 10.0])] * k), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,101 +285,54 @@ def solve_el(problem: IsoperimetricProblem, initial=None,
     to linear precision regardless of convergence.
     """
     scheme = scheme or CollocationScheme()
-    m, n, k = problem.m, problem.n, problem.k
+    record, x0 = _el_collocation(problem, initial, scheme)
+    (traj,), lam, report = record.solve(x0, scheme)
+    return traj, lam, report
+
+
+def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationScheme):
+    """The EL collocation record and its initial iterate: the supplied guess
+    interpolated segment-wise, else the line from the history endpoint to the
+    terminal value."""
+    m, n, k, tau, t1, t2 = problem.m, problem.n, problem.k, problem.tau, problem.t1, problem.t2
     degree = scheme.degree if scheme.degree is not None else 2 * m + 2
     colloc = degree + 1 - 2 * m
     if colloc < 1:
         raise ValueError(f"degree {degree} too low for m = {m}")
-    segments_per_regime = max(1, math.ceil(scheme.nodes / colloc))
-    edges = _regime_mesh(problem.t1, problem.t2 - problem.tau, problem.t2,
-                         segments_per_regime)
-    nseg = len(edges) - 1
-    ncoef = nseg * n * (degree + 1)
+    per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, colloc)
+    hist = problem.stitched_history(panels=max(2, per_regime))
+    boundary = [((0, 0, t1, order), hist[-1].eval(t1, order)) for order in range(m)]
+    if problem.boundary is not None:
+        boundary += [((0, len(edges) - 2, t2, order), problem.boundary[order])
+                     for order in range(m)]
+    # Lambda_i = d_{i+2} F at t + advanced d_{i+m+3} F at t + tau; current argument
+    # blocks hold q at that time, delayed ones tau before.  F = L - lam.g for any lam.
+    argmap = {b: (0, 0.0 if b <= m + 2 else -tau) for b in range(2, 2 * m + 4)}
+    terms = [(i + 2, 0.0) for i in range(m + 1)] + [(i + m + 3, tau) for i in range(m + 1)]
+    reads = _row_reads((problem.L, *problem.g), problem.layout, argmap, (), terms)
+    record = _Collocation(
+        edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)], k,
+        nonlinear=lambda trajs, lam: el_residual(
+            AugmentedSetup(problem, lam), trajs[0], colloc_ts).ravel(),
+        constraint=lambda trajs: constraint_defect(problem, trajs[0]),
+        boundary=boundary, rows=[(n, reads)], times=colloc_ts,
+        # a 5-point stencil samples at most four steps of the largest order away
+        reach=(calculus._WIDTH - 1) * calculus.default_step(problem.span, m))
 
-    hist_segments = problem.stitched_history(panels=max(2, segments_per_regime))
-    hist_end = hist_segments[-1]
-    colloc_ts = np.concatenate([
-        _gauss_points(a, b, colloc) for a, b in zip(edges[:-1], edges[1:])
-    ])
-
-    def build(x: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-        coeffs = x[:ncoef].reshape(nseg, n, degree + 1)
-        segs = list(hist_segments) + [
-            PolySegment(edges[s], edges[s + 1], coeffs[s]) for s in range(nseg)
-        ]
-        return Trajectory(n, m, segs, validate=False), x[ncoef:]
-
-    def lin_residual(x: np.ndarray) -> np.ndarray:
-        traj, _ = build(x)
-        segs = traj.segments[len(hist_segments):]
-        rows = []
-        for s in range(nseg - 1):
-            for order in range(2 * m):
-                rows.append(segs[s].eval(edges[s + 1], order)
-                            - segs[s + 1].eval(edges[s + 1], order))
-        for order in range(m):
-            rows.append(segs[0].eval(problem.t1, order)
-                        - hist_end.eval(problem.t1, order))
-        if problem.boundary is not None:
-            for order in range(m):
-                rows.append(segs[-1].eval(problem.t2, order) - problem.boundary[order])
-        return np.concatenate(rows) if rows else np.zeros(0)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        traj, lam = build(x)
-        setup = AugmentedSetup(problem, lam)
-        parts = [el_residual(setup, traj, colloc_ts).ravel(), lin_residual(x)]
-        if k:
-            parts.append(constraint_defect(problem, traj))
-        return np.concatenate(parts)
-
-    # initial iterate: supplied guess projected segment-wise, else the line
-    # from the history endpoint to the terminal value
     if initial is not None:
-        guess_traj, lam0 = initial
-        x0 = np.concatenate([
-            np.concatenate([
-                _fit_segment_coeffs(lambda t: guess_traj.eval(t, 0), a, b, degree, n).ravel()
-                for a, b in zip(edges[:-1], edges[1:])
-            ]),
-            np.atleast_1d(np.asarray(lam0, dtype=float)),
-        ])
+        guess, lam0 = initial[0].eval, initial[1]
     else:
-        q_left = np.atleast_1d(hist_end.eval(problem.t1, 0))
-        q_right = (problem.boundary[0] if problem.boundary is not None else q_left)
-        slope = (q_right - q_left) / problem.span
+        q_left = np.atleast_1d(hist[-1].eval(t1, 0))
+        q_right = problem.boundary[0] if problem.boundary is not None else q_left
+        slope, lam0 = (q_right - q_left) / problem.span, np.zeros(k)
 
-        def line(t):
-            return q_left + slope * (t - problem.t1)
+        def guess(t):
+            return q_left + slope * (t - t1)
 
-        x0 = np.concatenate([
-            np.concatenate([
-                _fit_segment_coeffs(line, a, b, degree, n).ravel()
-                for a, b in zip(edges[:-1], edges[1:])
-            ]),
-            np.zeros(k),
-        ])
-
-    rows = _LinearRows(lin_residual, len(x0))
-    newton = _Newton(residual, scheme, project=rows.project)
-    x, converged, iterations, norm = newton.run(x0)
-    if not converged and k:
-        for lam_start in _lambda_starts(k):
-            x_retry = x0.copy()
-            x_retry[ncoef:] = lam_start
-            x2, conv2, it2, norm2 = newton.run(x_retry)
-            if conv2:
-                x, converged, iterations, norm = x2, conv2, it2, norm2
-                break
-
-    traj, lam = build(x)
-    report = SolveReport(converged, iterations, norm, lam, newton.condition)
-    return traj, lam, report
-
-
-def _lambda_starts(k: int):
-    grids = np.meshgrid(*([np.array([-10.0, -1.0, 0.0, 1.0, 10.0])] * k), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    x0 = np.concatenate([seg.coeffs.ravel() for a, b in ((t1, t2 - tau), (t2 - tau, t2))
+                         for seg in segments_from_callable(guess, a, b, per_regime, degree)]
+                        + [np.atleast_1d(np.asarray(lam0, dtype=float))])
+    return record, x0
 
 
 # ---------------------------------------------------------------------------
@@ -297,89 +345,49 @@ def solve_pmp(cp: ControlProblem, scheme: CollocationScheme | None = None):
     otherwise p(t2) = 0.  Returns (PontryaginTriple, lambda, report).
     """
     scheme = scheme or CollocationScheme()
-    n, mc, k = cp.n, cp.mc, cp.k
+    record = _pmp_collocation(cp, scheme)
+    (q, p, u), lam, report = record.solve(np.zeros(record.ncoef + cp.k), scheme)
+    return PontryaginTriple(q=q, u=u, p=p), lam, report
+
+
+def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
+    """The Pontryagin collocation record; its unknown blocks are q, p, u."""
+    n, mc, k, tau, t1, t2 = cp.n, cp.mc, cp.k, cp.tau, cp.t1, cp.t2
     degree = scheme.degree if scheme.degree is not None else 3
-    colloc = degree  # first-order system: d Gauss points per degree-d segment
-    segments_per_regime = max(1, math.ceil(scheme.nodes / colloc))
-    edges = _regime_mesh(cp.t1, cp.t2 - cp.tau, cp.t2, segments_per_regime)
-    nseg = len(edges) - 1
+    # first-order system: d Gauss points per degree-d segment
+    per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, degree)
+    q_hist = [PolySegment(t1 - tau, t1, np.zeros((n, 1)))] if cp.history is None else \
+        segments_from_callable(cp.history, t1 - tau, t1, panels=max(2, per_regime), degree=3)
+    u_hist = segments_from_callable(cp.control_history or (lambda t: np.zeros(mc)),
+                                    t1 - tau, t1, panels=2, degree=2)
 
-    nq = nseg * n * (degree + 1)
-    npc = nseg * n * (degree + 1)
-    nu = nseg * mc * degree
-    ncoef = nq + npc + nu
+    Q, P, U = 0, 1, 2  # unknown blocks, in the order of the unknown vector
+    boundary = [((Q, 0, t1, 0), q_hist[-1].eval(t1, 0)),
+                ((Q, len(edges) - 2, t2, 0), cp.terminal_state) if cp.terminal_state is not None
+                else ((P, len(edges) - 2, t2, 0), np.zeros(n))]
+    # the rows of pmp_residuals (state qdot - d_p H; costate pdot + d_q H + advanced
+    # d_{q_tau} H; stationarity d_u H + advanced d_{u_tau} H) for H's terms L, g, p.phi
+    nsub, layout = 1 + 2 * (n + mc), ArgLayout.control(n, mc, k)
+    H = [Integrand(lambda v, f=f: f(v[:nsub])) for f in (cp.L, *cp.g)]
+    H += [Integrand(lambda v, i=i, f=f: v[nsub + i] * f(v[:nsub])) for i, f in enumerate(cp.phi)]
+    argmap = {2: (Q, 0.0), 3: (U, 0.0), 4: (Q, -tau), 5: (U, -tau), 6: (P, 0.0)}
+    rows = [(n, _row_reads(H, layout, argmap, {(Q, 0.0)}, [(6, 0.0)])),
+            (n, _row_reads(H, layout, argmap, {(P, 0.0)}, [(2, 0.0), (4, tau)])),
+            (mc, _row_reads(H, layout, argmap, (), [(3, 0.0), (5, tau)]))]
 
-    if cp.history is not None:
-        q_hist = segments_from_callable(cp.history, cp.t1 - cp.tau, cp.t1,
-                                        panels=max(2, segments_per_regime), degree=3)
-    else:
-        q_hist = [PolySegment(cp.t1 - cp.tau, cp.t1, np.zeros((n, 1)))]
-    u_hist_fn = cp.control_history if cp.control_history is not None else (
-        lambda t: np.zeros(mc))
-    u_hist = segments_from_callable(u_hist_fn, cp.t1 - cp.tau, cp.t1,
-                                    panels=2, degree=2)
+    def triple(trajs) -> PontryaginTriple:
+        return PontryaginTriple(q=trajs[Q], u=trajs[U], p=trajs[P])
 
-    colloc_ts = np.concatenate([
-        _gauss_points(a, b, colloc) for a, b in zip(edges[:-1], edges[1:])
-    ])
+    def nonlinear(trajs, lam):
+        res = pmp_residuals(cp, triple(trajs), lam, colloc_ts)
+        return np.concatenate([res.state.ravel(), res.costate.ravel(), res.stationarity.ravel()])
 
-    def build(x: np.ndarray):
-        qc = x[:nq].reshape(nseg, n, degree + 1)
-        pc = x[nq:nq + npc].reshape(nseg, n, degree + 1)
-        uc = x[nq + npc:ncoef].reshape(nseg, mc, degree)
-        q_segs = list(q_hist) + [PolySegment(edges[s], edges[s + 1], qc[s])
-                                 for s in range(nseg)]
-        p_segs = [PolySegment(edges[s], edges[s + 1], pc[s]) for s in range(nseg)]
-        u_segs = list(u_hist) + [PolySegment(edges[s], edges[s + 1], uc[s])
-                                 for s in range(nseg)]
-        triple = PontryaginTriple(
-            q=Trajectory(n, 1, q_segs, validate=False),
-            u=Trajectory(mc, 1, u_segs, validate=False),
-            p=Trajectory(n, 1, p_segs, validate=False),
-        )
-        return triple, x[ncoef:]
-
-    def lin_residual(x: np.ndarray) -> np.ndarray:
-        triple, _ = build(x)
-        q_segs = triple.q.segments[len(q_hist):]
-        p_segs = triple.p.segments
-        rows = []
-        for s in range(nseg - 1):
-            knot = edges[s + 1]
-            rows.append(q_segs[s].eval(knot, 0) - q_segs[s + 1].eval(knot, 0))
-            rows.append(p_segs[s].eval(knot, 0) - p_segs[s + 1].eval(knot, 0))
-        rows.append(q_segs[0].eval(cp.t1, 0) - q_hist[-1].eval(cp.t1, 0))
-        if cp.terminal_state is not None:
-            rows.append(q_segs[-1].eval(cp.t2, 0) - cp.terminal_state)
-        else:
-            rows.append(p_segs[-1].eval(cp.t2, 0))
-        return np.concatenate(rows)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        triple, lam = build(x)
-        res = pmp_residuals(cp, triple, lam, colloc_ts)
-        parts = [res.state.ravel(), res.costate.ravel(), res.stationarity.ravel(),
-                 lin_residual(x)]
-        if k:
-            parts.append(_control_constraint_defect(cp, triple))
-        return np.concatenate(parts)
-
-    x0 = np.zeros(ncoef + k)
-    rows = _LinearRows(lin_residual, len(x0))
-    newton = _Newton(residual, scheme, project=rows.project)
-    x, converged, iterations, norm = newton.run(x0)
-    if not converged and k:
-        for lam_start in _lambda_starts(k):
-            x_retry = x0.copy()
-            x_retry[ncoef:] = lam_start
-            x2, conv2, it2, norm2 = newton.run(x_retry)
-            if conv2:
-                x, converged, iterations, norm = x2, conv2, it2, norm2
-                break
-
-    triple, lam = build(x)
-    report = SolveReport(converged, iterations, norm, lam, newton.condition)
-    return triple, lam, report
+    return _Collocation(
+        edges, [_Block(n, degree + 1, 1, tuple(q_hist)), _Block(n, degree + 1),
+                _Block(mc, degree, 1, tuple(u_hist), 0)], k,
+        nonlinear=nonlinear,
+        constraint=lambda trajs: _control_constraint_defect(cp, triple(trajs)),
+        boundary=boundary, rows=rows, times=colloc_ts)
 
 
 def _control_constraint_defect(cp: ControlProblem, triple: PontryaginTriple) -> np.ndarray:

@@ -14,6 +14,7 @@ from delayvar.problem import (
     IsoperimetricProblem,
     integrand_from_expr,
 )
+from delayvar import solver
 from delayvar.solver import CollocationScheme, solve_el, solve_pmp, verify
 from delayvar.trajectory import PolySegment, Trajectory
 
@@ -176,6 +177,222 @@ class TestSolvePmp:
         assert not report.converged and report.iterations == 0
         # terminal and continuity rows still enforced linearly
         assert abs(triple.q.eval(1.0, 0)[0] - 1.0) <= 1e-10
+
+
+def _constrained_control():
+    return ControlProblem(
+        n=1, mc=1, tau=0.5, t1=0.0, t2=1.0,
+        L=Integrand(lambda v: v[2] * v[2], name="u^2"),
+        phi=(Integrand(lambda v: v[3] + v[2], name="q_tau + u"),),
+        g=(Integrand(lambda v: v[2], name="u"),), l=[1.0],
+        history=lambda t: np.zeros(1))
+
+
+def _cubic_m2():
+    return IsoperimetricProblem(
+        m=2, n=1, tau=0.4, t1=0.0, t2=1.0,
+        L=integrand_from_expr("qdd^2", 2, 1),
+        history=lambda t: np.array([t ** 3]),
+        boundary=[[1.0], [3.0]])
+
+
+def _delayed_m1():
+    """Delayed arguments in L and g, with tau = 0.3 against regimes of widths
+    0.7 and 0.3: rows couple to segments at t - tau and t + tau that the
+    shift does not map knot to knot."""
+    return IsoperimetricProblem(
+        m=1, n=1, tau=0.3, t1=0.0, t2=1.0,
+        L=integrand_from_expr("qd^2 + q*q_tau + qd*qd_tau", 1, 1),
+        g=(integrand_from_expr("q*q_tau", 1, 1),), l=[0.1],
+        history=lambda t: np.array([np.sin(t)]), boundary=[[0.5]])
+
+
+def _cancelling_m1(L="qd^2 + q*q_tau"):
+    """g's delayed term cancels L's in L - lam g at lam = 1, but not at the
+    start lam = 0, where the rows still read q(t - tau) and q(t + tau)."""
+    return IsoperimetricProblem(
+        m=1, n=1, tau=0.3, t1=0.0, t2=1.0,
+        L=integrand_from_expr(L, 1, 1), g=(integrand_from_expr("q*q_tau", 1, 1),), l=[0.1],
+        history=lambda t: np.array([np.sin(t)]), boundary=[[0.5]])
+
+
+def _classical_with_multiplier(lam):
+    """classical-iso with target l = lam / 24: q = 6 l t (1 - t), multiplier lam."""
+    l = lam / 24.0
+    problem = IsoperimetricProblem(
+        m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
+        L=integrand_from_expr("qd^2", 1, 1), g=(integrand_from_expr("q", 1, 1),), l=[l],
+        history=lambda t: np.array([6.0 * l * t * (1.0 - t)]), boundary=[[0.0]])
+    exact = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 6 * l, -6 * l]])])
+    return problem, exact
+
+
+def _el_record(problem, nodes):
+    scheme = CollocationScheme(nodes=nodes)
+    return solver._el_collocation(problem, None, scheme)
+
+
+def _pmp_record(cp, nodes):
+    record = solver._pmp_collocation(cp, CollocationScheme(nodes=nodes))
+    return record, np.zeros(record.ncoef + cp.k)
+
+
+def _probed_linear_rows(record, rows_at):
+    """The linear rows from segment evaluations at the knots, probed column by
+    column: an independent construction of (A, c).  ``rows_at`` gets each
+    block's mesh segments and its history segments."""
+    def lin(x):
+        trajs, _ = record.build(x)
+        own = [t.segments[len(b.history):] for t, b in zip(trajs, record.blocks)]
+        return np.concatenate(rows_at(own, [b.history for b in record.blocks]))
+
+    nx = record.ncoef + record.k
+    r0 = lin(np.zeros(nx))
+    cols = []
+    for i in range(nx):
+        unit = np.zeros(nx)
+        unit[i] = 1.0
+        cols.append(lin(unit) - r0)
+    return np.stack(cols, axis=1), -r0
+
+
+def _el_rows_at(problem):
+    def rows_at(own, histories):
+        (segs,), (hist,) = own, histories
+        rows = [segs[s].eval(segs[s].b, o) - segs[s + 1].eval(segs[s].b, o)
+                for s in range(len(segs) - 1) for o in range(2 * problem.m)]
+        rows += [segs[0].eval(problem.t1, o) - hist[-1].eval(problem.t1, o)
+                 for o in range(problem.m)]
+        rows += [segs[-1].eval(problem.t2, o) - problem.boundary[o] for o in range(problem.m)]
+        return rows
+    return rows_at
+
+
+def _pmp_rows_at(cp):
+    def rows_at(own, histories):
+        (q, p, _), q_hist = own, histories[0]
+        rows = []
+        for s in range(len(q) - 1):
+            rows += [q[s].eval(q[s].b, 0) - q[s + 1].eval(q[s].b, 0),
+                     p[s].eval(p[s].b, 0) - p[s + 1].eval(p[s].b, 0)]
+        rows.append(q[0].eval(cp.t1, 0) - q_hist[-1].eval(cp.t1, 0))
+        rows.append(q[-1].eval(cp.t2, 0) - cp.terminal_state if cp.terminal_state is not None
+                    else p[-1].eval(cp.t2, 0))
+        return rows
+    return rows_at
+
+
+def _dense_jacobian(record, x, r):
+    h = 1e-7 * (1.0 + np.abs(x))
+    jac = np.empty((len(r), len(x)))
+    for i in range(len(x)):
+        xp = x.copy()
+        xp[i] += h[i]
+        jac[:, i] = (record.residual(xp) - r) / h[i]
+    return jac
+
+
+_RECORDS = {
+    "classical-16": lambda: _el_record(_classical_with_multiplier(4.0)[0], 16),
+    "classical-64": lambda: _el_record(_classical_with_multiplier(4.0)[0], 64),
+    "cubic-m2": lambda: _el_record(_cubic_m2(), 18),
+    "delayed-m1": lambda: _el_record(_delayed_m1(), 9),
+    "cancelling-m1": lambda: _el_record(_cancelling_m1(), 9),
+    "cancelling-g-is-L": lambda: _el_record(_cancelling_m1("q*q_tau"), 9),
+    "lq-terminal": lambda: _pmp_record(_lq(terminal=[1.0]), 16),
+    "constrained-control": lambda: _pmp_record(_constrained_control(), 16),
+}
+
+
+class TestStructuredJacobian:
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_matches_dense_forward_differences(self, name):
+        record, x0 = _RECORDS[name]()
+        rng = np.random.default_rng(7)
+        nl, top = record.pattern.shape[0], record.pattern.shape[0] + len(record.c)
+        for x in (record.project(x0), record.project(x0 + 1e-2 * rng.standard_normal(len(x0)))):
+            r = record.residual(x)
+            dense = _dense_jacobian(record, x, r)
+            structured = record.jacobian(x, r)
+            for rows in (slice(0, nl), slice(top, None)):
+                scale = max(1.0, float(np.max(np.abs(dense[rows]), initial=0.0)))
+                assert np.max(np.abs(structured[rows] - dense[rows]), initial=0.0) <= 1e-12 * scale
+            assert np.array_equal(structured[nl:top], record.A)
+            # the geometric pattern holds every nonzero of the collocation block
+            assert np.all(record.pattern | (dense[:nl, :record.ncoef] == 0.0))
+
+    def test_colours_stay_few(self):
+        # coefficient columns per residual evaluation, far below the unknown count
+        for name, most in (("classical-64", 5), ("cubic-m2", 7), ("lq-terminal", 11)):
+            record, _ = _RECORDS[name]()
+            assert len(record.groups) <= most, name
+            assert sum(len(g) for g in record.groups) == record.ncoef
+
+    @pytest.mark.parametrize("name", ["classical-16", "cubic-m2", "lq-terminal"])
+    def test_closed_form_linear_rows_match_probed_evaluation(self, name):
+        record, _ = _RECORDS[name]()
+        if name == "lq-terminal":
+            rows_at = _pmp_rows_at(_lq(terminal=[1.0]))
+        else:
+            rows_at = _el_rows_at(_cubic_m2() if name == "cubic-m2"
+                                  else _classical_with_multiplier(4.0)[0])
+        A, c = _probed_linear_rows(record, rows_at)
+        assert A.shape == record.A.shape
+        assert np.max(np.abs(A - record.A)) <= 1e-13
+        assert np.max(np.abs(c - record.c)) <= 1e-13
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+class TestEvaluationBudget:
+    def test_el_classical_64(self, monkeypatch, classical_problem):
+        calls = _counting(monkeypatch, "el_residual")
+        _, _, report = solve_el(classical_problem, scheme=CollocationScheme(nodes=64))
+        assert report.converged and report.iterations == 2
+        assert len(calls) <= 40
+
+    def test_pmp_lq_terminal_48(self, monkeypatch):
+        calls = _counting(monkeypatch, "pmp_residuals")
+        _, _, report = solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48))
+        assert report.converged
+        assert len(calls) <= 40
+
+
+class TestReportedCondition:
+    def test_restart_converging_at_its_start_reports_no_condition(self):
+        # lambda = 10 is a restart value: the first run (from lambda = 3) fails
+        # after its one iteration, earlier restarts factorize Jacobians, and the
+        # lambda = 10 restart converges without one
+        problem, exact = _classical_with_multiplier(10.0)
+        _, lam, report = solve_el(problem, initial=(exact, [3.0]),
+                                  scheme=CollocationScheme(nodes=16, max_iterations=1,
+                                                           tolerance=1e-10))
+        assert report.converged and report.iterations == 0
+        assert lam[0] == 10.0
+        assert math.isnan(report.condition)
+        assert report.to_dict()["condition"] is None
+
+    def test_failed_restarts_report_the_first_run(self, monkeypatch):
+        problem, exact = _classical_with_multiplier(4.0)
+        scheme = CollocationScheme(nodes=16, max_iterations=1, tolerance=1e-13)
+        traj, lam, report = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
+        assert not report.converged
+        monkeypatch.setattr(solver, "_lambda_starts", lambda k: np.zeros((0, k)))
+        traj1, lam1, first = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
+        assert not first.converged
+        assert np.array_equal(lam, lam1)
+        assert report.residual_norm == first.residual_norm
+        assert report.condition == first.condition
 
 
 def test_lambda_multistart_grid():
