@@ -64,7 +64,6 @@ from .noether import (
     necessary_condition_defect,
     noether_quantity,
     rho,
-    rho_sequence,
 )
 from .optimal_control import (
     PmpResiduals,

@@ -22,8 +22,8 @@ import numpy as np
 from .dual import Dual, derivative_of
 from .errors import BlockOutOfRange, StencilCrossesBreakpoint
 
-__all__ = ["StencilConfig", "default_step", "total_derivative", "total_derivative_many",
-           "partial", "integrate", "derivative_in_parameter", "ParamDerivative", "fd_weights"]
+__all__ = ["StencilConfig", "default_step", "total_derivative", "total_derivative_many", "partial",
+           "sample", "integrate", "derivative_in_parameter", "ParamDerivative", "fd_weights"]
 
 _WIDTH = 5
 
@@ -201,15 +201,18 @@ def integrate(fn: Callable, a: float, b: float, breaks=()) -> float:
         half = 0.5 * (edges[1] - edges[0])
         nodes.append((mids[:, None] + half * _GL_NODES[None, :]).ravel())
         weights.append(np.tile(half * _GL_WEIGHTS, k))
-    ts = np.concatenate(nodes)
-    ws = np.concatenate(weights)
+    return float(np.concatenate(weights) @ sample(fn, np.concatenate(nodes)))
+
+
+def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
+    """fn on a time array in one call; per point if it rejects arrays or changes shape."""
     try:
-        vals = np.asarray(fn(ts), dtype=float)
-        if vals.shape != ts.shape:
-            raise TypeError
+        vals = np.array(fn(ts), dtype=float)
+        if vals.shape == ts.shape:
+            return vals
     except (TypeError, ValueError):
-        vals = np.array([float(fn(t)) for t in ts])
-    return float(ws @ vals)
+        pass
+    return np.array([float(fn(t)) for t in ts])
 
 
 class ParamDerivative(NamedTuple):

@@ -79,11 +79,11 @@ def _group_from_exprs(args, problem):
         raise DelayVarError(f"xi needs {problem.n} components, got {len(xi_asts)}")
 
     def eta(t, q):
-        return float(expr.bind_eval(eta_ast, binding, [t, *np.atleast_1d(q)]))
+        return expr.bind_eval(eta_ast, binding, [t, *q])
 
-    def xi(t, q):
-        flat = [t, *np.atleast_1d(q)]
-        return np.array([expr.bind_eval(a, binding, flat) for a in xi_asts], dtype=float)
+    def xi(t, q):  # constants broadcast to stack with varying components
+        return np.array([np.broadcast_to(expr.bind_eval(a, binding, [t, *q]), np.shape(t))
+                         for a in xi_asts], dtype=float)
 
     gauge = None
     if getattr(args, "gauge", None):
@@ -140,7 +140,7 @@ def cmd_conserved(args) -> int:
     group = _group_from_exprs(args, problem)
     grids = residual_grids(problem, traj, count=args.grid)
     report = constancy_report(
-        lambda t: noether_quantity(setup, group, traj, t, regime_of(problem, t)), grids)
+        lambda ts: noether_quantity(setup, group, traj, ts, regime_of(problem, ts)), grids)
     sup_cdur = float(np.max(np.abs(np.atleast_1d(
         cdur_residual(setup, traj, grids[Regime.FIRST].times)))))
     report.hypothesis_violated = sup_cdur > args.tol

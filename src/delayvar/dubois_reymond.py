@@ -24,8 +24,7 @@ from .euler_lagrange import (
 from .problem import AugmentedSetup, args_at, augmented_integrand
 from .trajectory import Trajectory
 
-__all__ = ["psi", "psi_values", "cdur_residual", "dr_quantity", "dr_residual",
-           "dr_quantity_map"]
+__all__ = ["psi", "psi_values", "cdur_residual", "dr_quantity", "dr_residual"]
 
 
 def _psi_core(F, problem, traj, j: int, ts: np.ndarray, regime: Regime,
@@ -95,15 +94,6 @@ def dr_quantity(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> f
     for j, psi_j in enumerate(psi_values(setup, traj, ts, regime), start=1):
         value = value - np.sum(psi_j * traj.eval(ts, j), axis=1)
     return float(value[0]) if scalar else value
-
-
-def dr_quantity_map(setup: AugmentedSetup, traj: Trajectory, regime: Regime):
-    """Vectorized t |-> dr_quantity for report sweeps."""
-
-    def fn(ts):
-        return dr_quantity(setup, traj, ts, regime)
-
-    return fn
 
 
 def dr_residual(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> float | np.ndarray:

@@ -28,7 +28,7 @@ from .trajectory import Grid, Trajectory
 
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
            "regime_interval", "smooth_breaks", "stencil_bounds", "stacked_partial_map",
-           "el_residual", "el_residual_grid", "el_integral_function", "el_integral_lhs",
+           "el_residual", "el_integral_function", "el_integral_lhs",
            "el_integral_defect", "classify", "residual_grids"]
 
 
@@ -42,9 +42,13 @@ class Classification(Enum):
     ABNORMAL = "abnormal"
 
 
-def regime_of(problem: IsoperimetricProblem, t: float) -> Regime:
-    """t = t2 - tau itself belongs to the second regime."""
-    return Regime.SECOND if t >= problem.t2 - problem.tau else Regime.FIRST
+def regime_of(problem: IsoperimetricProblem, t) -> Regime:
+    """Regime of a time or of times inside one regime (ValueError if they
+    straddle it); t = t2 - tau itself belongs to the second regime."""
+    second = np.asarray(t) >= problem.t2 - problem.tau
+    if np.any(second) != np.all(second):
+        raise ValueError("times lie in both regimes")
+    return Regime.SECOND if np.all(second) else Regime.FIRST
 
 
 def regime_interval(problem: IsoperimetricProblem, regime: Regime) -> tuple[float, float]:
@@ -118,13 +122,6 @@ def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
         if np.any(mask):
             out[mask] = _el_core(F, problem, traj, ts[mask], regime)
     return out[0] if scalar else out
-
-
-def el_residual_grid(setup: AugmentedSetup, traj: Trajectory, grid: Grid,
-                     regime: Regime) -> np.ndarray:
-    """Residuals over a regime-respecting grid, shape (npts, n)."""
-    return _el_core(augmented_integrand(setup), setup.problem, traj,
-                    np.asarray(grid.times), regime)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ the definition-level invariance check differentiates the transformed action in
 the group parameter numerically, so no symbolic variation calculus is needed.
 Group generators are extended by zero on [t1 - tau, t1).
 
-Generators are pointwise callables (t, q) with q of shape (n,); sweeps
-evaluate them over flattened stencil-node arrays internally.
+Each sweep calls eta(t, q) and xi(t, q) once, with t of shape (npts,) and q
+of shape (n, npts) (q[i] is component i); eta broadcasts to (npts,), xi to
+(n, npts), a 1-D xi of length n being a constant vector.  Generators that
+reject arrays or return a shape that does not broadcast are called per point.
 """
 
 from __future__ import annotations
@@ -35,19 +37,31 @@ from .problem import (
 )
 from .trajectory import Grid, Trajectory
 
-__all__ = ["rho", "rho_sequence", "invariance_defect", "necessary_condition_defect", "noether_quantity",
+__all__ = ["rho", "invariance_defect", "necessary_condition_defect", "noether_quantity",
            "ConstancyReport", "constancy_report"]
 
 
+def _on_points(generator, ts: np.ndarray, qs: np.ndarray, shape: tuple) -> np.ndarray:
+    """generator(t, q) over all points broadcast to ``shape`` ((npts,) or
+    (n, npts)): one array call, or one call per point when the generator
+    rejects arrays or returns a shape that does not broadcast."""
+    try:
+        out = np.asarray(generator(ts, qs.T), dtype=float)
+        if len(shape) == 2 and out.shape == shape[:1]:  # constant vector
+            out = out[:, None]
+        return np.broadcast_to(out, shape)
+    except (TypeError, ValueError):
+        cols = [np.asarray(generator(float(t), q), dtype=float) for t, q in zip(ts, qs)]
+        return np.stack(cols, axis=-1).reshape(shape)
+
+
 def _eta_many(group: TransformationGroup, traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    qs = np.atleast_2d(traj.eval(ts, 0))
-    return np.array([float(group.eta(float(t), q)) for t, q in zip(ts, qs)])
+    return _on_points(group.eta, ts, traj.eval(ts, 0), ts.shape)
 
 
 def _xi_many(group: TransformationGroup, traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    qs = np.atleast_2d(traj.eval(ts, 0))
-    return np.stack([np.atleast_1d(np.asarray(group.xi(float(t), q), dtype=float))
-                     for t, q in zip(ts, qs)])
+    """xi at every point; shape (npts, n)."""
+    return _on_points(group.xi, ts, traj.eval(ts, 0), (traj.n, len(ts))).T
 
 
 def _piece_bounds(traj: Trajectory, ts: np.ndarray, lo=None, hi=None):
@@ -76,30 +90,25 @@ def _rho_many(group, traj, i: int, ts: np.ndarray, los, his, h) -> np.ndarray:
     return d_prev - qi * _eta_dot_many(group, traj, ts, los, his, h)[:, None]
 
 
-def rho(group: TransformationGroup, traj: Trajectory, i: int, t: float) -> np.ndarray:
-    """Generator lift rho^i(t) along the trajectory; shape (n,)."""
+def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
+    """Generator lift rho^i along the trajectory at a time, shape (n,), or at
+    a time array, shape (npts, n)."""
     if not 0 <= i <= traj.m:
         raise IOutOfRange(f"i = {i} outside 0..{traj.m}")
-    ts = np.array([float(t)])
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     los, his = _piece_bounds(traj, ts)
     span = traj.domain[1] - traj.domain[0]
-    return _rho_many(group, traj, i, ts, los, his, calculus.default_step(span, 1))[0]
-
-
-def rho_sequence(group: TransformationGroup, traj: Trajectory):
-    """The lifts rho^0 .. rho^m as callables time -> R^n bound to (group,
-    trajectory)."""
-    return [lambda t, i=i: rho(group, traj, i, t) for i in range(traj.m + 1)]
+    out = _rho_many(group, traj, i, ts, los, his, calculus.default_step(span, 1))
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def _gauge_many(group: TransformationGroup, traj: Trajectory,
                 problem: IsoperimetricProblem, ts: np.ndarray) -> np.ndarray:
     if group.gauge is None:
         return np.zeros(len(ts))
-    out = np.asarray(group.gauge(args_at(traj, ts, problem.tau, problem.m).values),
-                     dtype=float)
     # constant gauge expressions evaluate to a scalar even for array slots
-    return np.broadcast_to(out, ts.shape) if out.ndim == 0 else out
+    values = args_at(traj, ts, problem.tau, problem.m).values
+    return np.broadcast_to(np.asarray(group.gauge(values), dtype=float), ts.shape)
 
 
 def _gauge_dot_many(group, traj, problem, ts, los, his) -> np.ndarray:
@@ -111,19 +120,19 @@ def _gauge_dot_many(group, traj, problem, ts, los, his) -> np.ndarray:
 
 
 def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
-                     t: float, regime: Regime) -> float:
-    """sum_j psi_j . rho^(j-1) + (F - sum_j psi_j . q^(j)) eta - gauge."""
+                     t, regime: Regime) -> float | np.ndarray:
+    """sum_j psi_j . rho^(j-1) + (F - sum_j psi_j . q^(j)) eta - gauge at a
+    time (a float) or at an array of times inside ``regime`` (an array)."""
     problem = setup.problem
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     F = augmented_integrand(setup)
-    ts = np.array([float(t)])
-    psis = [p[0] for p in psi_values(setup, traj, ts, regime)]
-    bracket = float(F(args_at(traj, t, problem.tau, problem.m).values))
-    lead = 0.0
-    for j, psi_j in enumerate(psis, start=1):
-        bracket -= float(psi_j @ np.atleast_1d(traj.eval(t, j)))
-        lead += float(psi_j @ rho(group, traj, j - 1, t))
-    eta = float(_eta_many(group, traj, ts)[0])
-    return lead + bracket * eta - float(_gauge_many(group, traj, problem, ts)[0])
+    bracket = np.asarray(F(args_at(traj, ts, problem.tau, problem.m).values), dtype=float)
+    lead = np.zeros(len(ts))
+    for j, psi_j in enumerate(psi_values(setup, traj, ts, regime), start=1):
+        bracket = bracket - np.sum(psi_j * traj.eval(ts, j), axis=1)
+        lead = lead + np.sum(psi_j * rho(group, traj, j - 1, ts), axis=1)
+    out = lead + bracket * _eta_many(group, traj, ts) - _gauge_many(group, traj, problem, ts)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +266,15 @@ class ConstancyReport:
 
 def constancy_report(quantity, grids: dict[Regime, Grid],
                      hypothesis_violated: bool = False) -> ConstancyReport:
-    """Sample a time -> real quantity per regime and report mean / max |C - mean|."""
+    """Sample a time -> real quantity per regime (one array call, else per
+    point) and report mean / max |C - mean|."""
     if not grids:
         raise EmptyGrid("constancy report needs at least one regime grid")
     means, devs, values = {}, {}, {}
     for regime, grid in grids.items():
-        samples = np.array([float(quantity(t)) for t in grid.times])
-        if samples.size == 0:
+        if len(grid.times) == 0:
             raise EmptyGrid(f"no samples in regime {regime}")
+        samples = calculus.sample(quantity, grid.times)
         mean = float(np.mean(samples))
         means[regime] = mean
         devs[regime] = float(np.max(np.abs(samples - mean)))

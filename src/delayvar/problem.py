@@ -214,9 +214,10 @@ class ControlProblem:
 class TransformationGroup:
     """Infinitesimal generators of an s-parameter transformation group.
 
-    For variational problems eta and xi take (t, q); for control problems
-    they take (t, q, u) and the optional varrho / varsigma act on the control
-    and costate.  The gauge term is an integrand over the problem's argument
+    For variational problems eta and xi take time arrays (t, q) as set out in
+    :mod:`delayvar.noether`; for control problems they stay pointwise in
+    (t, q, u) and the optional varrho / varsigma act on the control and
+    costate.  The gauge term is an integrand over the problem's argument
     layout (None means identically zero).
     """
 

@@ -99,7 +99,7 @@ def _example1_checks() -> list[Check]:
     setup = AugmentedSetup(problem, lam)
     grids = residual_grids(problem, traj)
     con = constancy_report(
-        lambda t: dr_quantity(setup, traj, t, regime_of(problem, t)), grids,
+        lambda ts: dr_quantity(setup, traj, ts, regime_of(problem, ts)), grids,
         hypothesis_violated=report.hypothesis_violated)
     out.append(Check("dr-quantity deviation (not gated)", con.max_deviation,
                      float("inf"), True, gated=False))
@@ -140,7 +140,7 @@ def _classical_checks() -> list[Check]:
     group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
     setup = AugmentedSetup(problem, lam)
     con = constancy_report(
-        lambda t: noether_quantity(setup, group, traj, t, regime_of(problem, t)),
+        lambda ts: noether_quantity(setup, group, traj, ts, regime_of(problem, ts)),
         residual_grids(problem, traj, count=60))
     out.append(Check("noether constancy deviation", con.max_deviation, 1e-6,
                      con.max_deviation <= 1e-6))

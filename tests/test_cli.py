@@ -106,6 +106,40 @@ class TestInvariance:
         assert abs(payload["invariance_defect"]) <= 1e-6
         assert payload["invariant_within_tol"] is True
 
+    def test_generators_evaluated_once_per_sweep(self, monkeypatch, capsys):
+        """Expression generators take whole time arrays: a few hundred
+        expression evaluations in all, not one per stencil node."""
+        from delayvar import expr
+
+        calls = []
+        original = expr.bind_eval
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(expr, "bind_eval", counted)
+        assert main(["invariance", "--example", "example1", "--eta", "1", "--xi", "0"]) == 0
+        capsys.readouterr()
+        assert 0 < len(calls) <= 500
+
+    def test_vector_xi_with_constant_component(self, tmp_path, capsys):
+        """xi = (1, q0) mixes a constant with a varying component.  Under
+        q -> (q0 + s, q1 + s q0) the action of d1q0^2 + d1q1^2 changes at the
+        rate int_0^1 2 q0' q1' dt = -2/3 for q0 = t - t^2, q1 = t^2."""
+        from delayvar.trajectory import PolySegment, Trajectory
+
+        problem = tmp_path / "vector.json"
+        problem.write_text(json.dumps({
+            "m": 1, "n": 2, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": "d1q0^2 + d1q1^2"}))
+        traj = tmp_path / "traj.json"
+        traj.write_text(Trajectory(2, 1, [PolySegment.from_monomial(
+            -0.5, 1.0, [[0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])]).to_json())
+        assert main(["invariance", "--problem", str(problem), "--trajectory", str(traj),
+                     "--eta", "0", "--xi", "1,q0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["invariance_defect"] == pytest.approx(-2.0 / 3.0, abs=1e-6)
+
 
 class TestSolve:
     def test_solve_classical_file(self, classical_file, tmp_path):

@@ -38,6 +38,13 @@ def test_regime_split_convention(ex1_problem):
     assert regime_of(ex1_problem, 1.5) is Regime.SECOND
 
 
+def test_regime_of_time_arrays(ex1_problem):
+    assert regime_of(ex1_problem, np.array([0.1, 0.99])) is Regime.FIRST
+    assert regime_of(ex1_problem, np.array([1.0, 1.9])) is Regime.SECOND
+    with pytest.raises(ValueError):
+        regime_of(ex1_problem, np.array([0.5, 1.5]))
+
+
 class TestDifferentialForm:
     def test_example1_second_regime(self, ex1_setup, ex1_traj):
         assert abs(el_residual(ex1_setup, ex1_traj, 1.5)[0]) <= 1e-7

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,79 @@ def test_m1_reduction_matches_direct_noether_form():
         assert general == pytest.approx(direct, abs=1e-10 * max(1.0, abs(direct)))
 
 
+def _gauge_case():
+    """L = qd under q -> q + s t with the gauge Phi = t (see test_nontrivial_gauge)."""
+    problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                   L=integrand_from_expr("qd", 1, 1))
+    traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0, 1.0]])])
+    group = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.array([t]),
+                                gauge=integrand_from_expr("t", 1, 1))
+    return AugmentedSetup(problem, []), group, traj
+
+
+def _rotation_case():
+    """n = 2 with the component-mixing generator of test_integration.py."""
+    L = integrand_from_expr("d1q0^2 + d1q1^2 + d0q0 * d0q1_tau", 1, 2)
+    problem = IsoperimetricProblem(m=1, n=2, tau=0.5, t1=0.0, t2=1.0, L=L)
+    traj = Trajectory(2, 1, [PolySegment.from_monomial(
+        -0.5, 1.0, [[0.0, 1.0, -1.0, 0.0], [0.5, 1.0, 0.0, 0.3]])])
+    group = TransformationGroup(eta=lambda t, q: t, xi=lambda t, q: np.array([q[1], -q[0]]))
+    return AugmentedSetup(problem, []), group, traj
+
+
+class TestArrayGenerators:
+    """Generators get t of shape (npts,) and q of shape (n, npts); sweeps
+    evaluate them once, and scalar-only generators still work."""
+
+    @pytest.mark.parametrize("case", ["example1-time-shift", "gauge", "rotation-n2"])
+    def test_quantity_over_grid_matches_pointwise(self, case, ex1_setup, ex1_traj):
+        if case == "example1-time-shift":
+            setup, group, traj = ex1_setup, TIME_SHIFT, ex1_traj
+        else:
+            setup, group, traj = _gauge_case() if case == "gauge" else _rotation_case()
+        grids = residual_grids(setup.problem, traj, count=40)
+        for regime, grid in grids.items():
+            swept = noether_quantity(setup, group, traj, grid.times, regime)
+            pointwise = [noether_quantity(setup, group, traj, float(t), regime)
+                         for t in grid.times]
+            assert all(isinstance(v, float) for v in pointwise)
+            pointwise = np.array(pointwise)
+            assert swept.shape == grid.times.shape
+            scale = max(1.0, float(np.max(np.abs(pointwise))))
+            assert np.max(np.abs(swept - pointwise)) <= 1e-12 * scale
+
+    def test_scalar_only_generator_goes_through_the_adapter(self, classical_setup,
+                                                            classical_traj):
+        def scalar_eta(t, q):
+            return math.cos(t)  # TypeError on arrays
+
+        def scalar_xi(t, q):
+            return np.array([0.3 * float(q[0]) * math.sin(t)])
+
+        def array_eta(t, q):
+            return np.array([math.cos(x) for x in t])
+
+        def array_xi(t, q):
+            return np.array([[0.3 * float(a) * math.sin(x) for x, a in zip(t, q[0])]])
+
+        with pytest.raises(TypeError):
+            scalar_eta(np.zeros(3), np.zeros((1, 3)))
+        scalar = TransformationGroup(eta=scalar_eta, xi=scalar_xi)
+        array = TransformationGroup(eta=array_eta, xi=array_xi)
+        expected = invariance_defect(classical_setup, array, classical_traj)
+        assert expected != 0.0
+        assert invariance_defect(classical_setup, scalar, classical_traj) == expected
+
+    def test_constant_vector_xi_on_two_points(self):
+        setup, _, traj = _rotation_case()
+        group = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.array([1.0, 2.0]))
+        ts = np.array([0.6, 0.8])  # npts == n: a 1-D xi is still per component
+        swept = noether_quantity(setup, group, traj, ts, Regime.SECOND)
+        pointwise = [noether_quantity(setup, group, traj, t, Regime.SECOND) for t in ts]
+        assert swept == pytest.approx(pointwise, abs=1e-12)
+        assert np.allclose(rho(group, traj, 0, 0.7), [1.0, 2.0])
+
+
 class TestConstancyReport:
     def test_constant_function(self):
         grids = {Regime.FIRST: Grid(np.linspace(0.1, 0.4, 7)),
@@ -198,3 +274,29 @@ class TestConstancyReport:
     def test_empty_grids_raise(self):
         with pytest.raises(EmptyGrid):
             constancy_report(lambda t: 1.0, {})
+
+    def test_empty_regime_raises_before_sampling(self):
+        def quantity(t):
+            raise AssertionError("quantity called on an empty regime")
+
+        with pytest.raises(EmptyGrid):
+            constancy_report(quantity, {Regime.FIRST: SimpleNamespace(times=np.zeros(0))})
+
+    def test_one_array_call_per_regime(self):
+        calls = []
+
+        def quantity(ts):
+            calls.append(np.shape(ts))
+            return 2.0 * ts
+
+        grids = {Regime.FIRST: Grid(np.linspace(0.1, 0.4, 7)),
+                 Regime.SECOND: Grid(np.linspace(0.6, 0.9, 5))}
+        report = constancy_report(quantity, grids)
+        assert calls == [(7,), (5,)]
+        assert report.deviations[Regime.SECOND] == pytest.approx(0.3, abs=1e-12)
+
+    def test_scalar_only_quantity(self):
+        grids = {Regime.SECOND: Grid(np.linspace(0.0, 1.0, 11))}
+        report = constancy_report(lambda t: math.sin(t), grids)
+        assert np.array_equal(report.values[Regime.SECOND],
+                              [math.sin(t) for t in grids[Regime.SECOND].times])
