@@ -13,6 +13,7 @@ residual sweeps are held to).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -55,12 +56,9 @@ def fd_weights(offsets, order: int) -> np.ndarray:
     return c[:, order]
 
 
-# weights for the 5-point stencil shifted by s nodes, s = -2 (fully left) .. 2
-_WEIGHTS = {
-    (order, s): fd_weights(np.arange(_WIDTH) - 2 + s, order)
-    for order in range(0, 5)
-    for s in range(-2, 3)
-}
+# _WEIGHTS[order, s + 2]: the 5-point stencil shifted by s nodes, s = -2 (fully left) .. 2
+_WEIGHTS = np.array([[fd_weights(np.arange(_WIDTH) - 2 + s, order) for s in range(-2, 3)]
+                     for order in range(_WIDTH)])
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,7 @@ def total_derivative_many(fn, ts, order: int, los, his, h: float) -> np.ndarray:
     # annihilate constants, and doing it explicitly makes that exact
     center = vals[np.arange(len(ts)), 2 - shift]
     vals = vals - center[:, None]
-    weights = np.stack([_WEIGHTS[(order, int(s))] for s in shift])  # (npts, 5)
+    weights = _WEIGHTS[order, shift + 2]  # (npts, 5)
     scale = h_eff ** (-order)
     extra = (1,) * (vals.ndim - 2)
     return np.sum(vals * (weights * scale[:, None]).reshape(weights.shape + extra), axis=1)
@@ -191,8 +189,15 @@ def integrate(fn: Callable, a: float, b: float, breaks=()) -> float:
     """
     if b <= a:
         return 0.0
-    pts = [a] + sorted(x for x in set(float(x) for x in breaks) if a < x < b) + [b]
-    target = (b - a) / 64.0
+    pts = (float(a), *sorted(x for x in set(float(x) for x in breaks) if a < x < b), float(b))
+    nodes, weights = _panel_rule(pts)
+    return float(weights @ sample(fn, nodes))
+
+
+@functools.lru_cache(maxsize=32)
+def _panel_rule(pts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the composite rule on panel points ``pts``."""
+    target = (pts[-1] - pts[0]) / 64.0
     nodes, weights = [], []
     for lo, hi in zip(pts[:-1], pts[1:]):
         k = max(1, math.ceil((hi - lo) / target - 1e-12))
@@ -201,7 +206,10 @@ def integrate(fn: Callable, a: float, b: float, breaks=()) -> float:
         half = 0.5 * (edges[1] - edges[0])
         nodes.append((mids[:, None] + half * _GL_NODES[None, :]).ravel())
         weights.append(np.tile(half * _GL_WEIGHTS, k))
-    return float(np.concatenate(weights) @ sample(fn, np.concatenate(nodes)))
+    rule = np.concatenate(nodes), np.concatenate(weights)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:

@@ -9,8 +9,6 @@ digits so runs are reproducible and diffable.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -19,7 +17,7 @@ import numpy as np
 from . import expr, registry
 from .dubois_reymond import cdur_residual, dr_quantity, dr_residual
 from .errors import DelayVarError
-from .euler_lagrange import Regime, regime_of, residual_grids
+from .euler_lagrange import Regime, csv_text, format_column, regime_of, residual_grids
 from .noether import constancy_report, invariance_defect, necessary_condition_defect, \
     noether_quantity
 from .problem import AugmentedSetup, Integrand, TransformationGroup, problem_from_json
@@ -103,17 +101,14 @@ def cmd_residuals(args) -> int:
     grids = residual_grids(problem, traj, count=args.grid)
     from .euler_lagrange import el_residual
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"el_{i}" for i in range(problem.n)]
-                    + ["dr_quantity", "dr_residual", "cdur"])
     sup = {"el": 0.0, "dr_residual": 0.0, "cdur": 0.0}
+    parts = []
     for regime in (Regime.FIRST, Regime.SECOND):
         ts = grids[regime].times
         el = el_residual(setup, traj, ts)
         drq = np.atleast_1d(dr_quantity(setup, traj, ts, regime))
         drr = np.atleast_1d(dr_residual(setup, traj, ts, regime))
-        cd = np.full(len(ts), np.nan)
+        cd = np.full(len(ts), np.nan)  # NaN (an empty cell) outside [t1, t2 - tau]
         in_cdur = ts <= problem.t2 - problem.tau
         if np.any(in_cdur):
             cd[in_cdur] = np.atleast_1d(cdur_residual(setup, traj, ts[in_cdur]))
@@ -121,11 +116,12 @@ def cmd_residuals(args) -> int:
         sup["dr_residual"] = max(sup["dr_residual"], float(np.max(np.abs(drr))))
         if np.any(in_cdur):
             sup["cdur"] = max(sup["cdur"], float(np.max(np.abs(cd[in_cdur]))))
-        for j, t in enumerate(ts):
-            row = [_fmt(t)] + [_fmt(v) for v in el[j]] + [_fmt(drq[j]), _fmt(drr[j])]
-            row.append("" if np.isnan(cd[j]) else _fmt(cd[j]))
-            writer.writerow(row)
-    _write_out(buf.getvalue(), args.out)
+        parts.append((ts, el, drq, drr, cd))
+    ts, el, drq, drr, cd = (np.concatenate(part) for part in zip(*parts))
+    cdur = ["" if gap else cell for cell, gap in zip(format_column(cd), np.isnan(cd).tolist())]
+    text = csv_text(["t"] + [f"el_{i}" for i in range(problem.n)]
+                    + ["dr_quantity", "dr_residual", "cdur"], [ts, *el.T, drq, drr, cdur])
+    _write_out(text, args.out)
     summary = json.dumps({"sup": sup, "grid": args.grid}, indent=2)
     if args.out not in (None, "-"):
         print(summary)
@@ -145,14 +141,12 @@ def cmd_conserved(args) -> int:
         cdur_residual(setup, traj, grids[Regime.FIRST].times)))))
     report.hypothesis_violated = sup_cdur > args.tol
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "regime", "C", "cdur_flag"])
-    flag = "1" if report.hypothesis_violated else "0"
-    for regime in (Regime.FIRST, Regime.SECOND):
-        for t, c in zip(report.grids[regime].times, report.values[regime]):
-            writer.writerow([_fmt(t), regime.value, _fmt(c), flag])
-    _write_out(buf.getvalue(), args.out)
+    regimes = (Regime.FIRST, Regime.SECOND)
+    ts = np.concatenate([report.grids[r].times for r in regimes])
+    names = [r.value for r in regimes for _ in report.grids[r].times]
+    flags = ["1" if report.hypothesis_violated else "0"] * len(ts)
+    values = np.concatenate([report.values[r] for r in regimes])
+    _write_out(csv_text(["t", "regime", "C", "cdur_flag"], [ts, names, values, flags]), args.out)
     summary = json.dumps({
         "mean": {r.value: report.means[r] for r in report.means},
         "deviation": {r.value: report.deviations[r] for r in report.deviations},

@@ -12,8 +12,6 @@ form, and the generalized momenta in the DuBois-Reymond module.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +27,7 @@ from .trajectory import Grid, Trajectory
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
            "regime_interval", "smooth_breaks", "stencil_bounds", "stacked_partial_map",
            "el_residual", "el_integral_function", "el_integral_lhs",
-           "el_integral_defect", "classify", "residual_grids"]
+           "el_integral_defect", "classify", "residual_grids", "format_column", "csv_text"]
 
 
 class Regime(Enum):
@@ -306,21 +304,15 @@ class ResidualReport:
         return out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        n = self.el_first.shape[1]
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["t", "regime"] + [f"el_{i}" for i in range(n)]
+        times = np.concatenate([self.times_first, self.times_second])
+        regimes = ["first"] * len(self.times_first) + ["second"] * len(self.times_second)
+        el = np.concatenate([self.el_first, self.el_second])
+        header = ["t", "regime"] + [f"el_{i}" for i in range(el.shape[1])]
+        columns = [times, regimes, *el.T]
         if self.dr_first is not None:
             header.append("dr_residual")
-        writer.writerow(header)
-        for name, ts, el, dr in (("first", self.times_first, self.el_first, self.dr_first),
-                                 ("second", self.times_second, self.el_second, self.dr_second)):
-            for j, t in enumerate(ts):
-                row = [f"{t:.17g}", name] + [f"{v:.17g}" for v in el[j]]
-                if dr is not None:
-                    row.append(f"{dr[j]:.17g}")
-                writer.writerow(row)
-        return buf.getvalue()
+            columns.append(np.concatenate([self.dr_first, self.dr_second]))
+        return csv_text(header, columns)
 
     def to_json(self) -> str:
         payload = {"sup": self.sup, "hypothesis_violated": self.hypothesis_violated}
@@ -329,3 +321,20 @@ class ResidualReport:
         if self.constraint_defect is not None:
             payload["constraint_defect"] = list(self.constraint_defect)
         return json.dumps(payload, indent=2)
+
+
+def format_column(values) -> list[str]:
+    """Each value at 17 significant digits, formatted in one call."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def csv_text(header: list[str], columns) -> str:
+    """CSV text: the header row, then row j holds entry j of every column.
+
+    A column is a list of str (written as given) or an array of numbers
+    (written by :func:`format_column`).  No cell needs CSV quoting: cells are
+    numbers, empty, or plain names.
+    """
+    cells = [col if isinstance(col, list) else format_column(col) for col in columns]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)])

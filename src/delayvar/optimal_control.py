@@ -16,7 +16,7 @@ import numpy as np
 from . import calculus
 from .dubois_reymond import psi_values
 from .errors import OutOfDomain, WrongOrder
-from .euler_lagrange import Regime
+from .euler_lagrange import Regime, csv_text
 from .problem import (
     ArgLayout,
     ArgVector,
@@ -135,29 +135,15 @@ def pmp_residuals(cp: ControlProblem, triple: PontryaginTriple, lam, t) -> PmpRe
 
 def pmp_residual_csv(cp: ControlProblem, triple: PontryaginTriple, lam, times) -> str:
     """CSV rows t, state residual, costate residual, stationarity residual, H."""
-    import csv
-    import io
-
     times = np.atleast_1d(np.asarray(times, dtype=float))
     res = pmp_residuals(cp, triple, lam, times)
     H = hamiltonian_integrand(cp)
     energies = np.broadcast_to(
         np.asarray(H(control_args_at(cp, triple, lam, times).values), dtype=float),
         times.shape)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"]
-                    + [f"state_{i}" for i in range(cp.n)]
-                    + [f"costate_{i}" for i in range(cp.n)]
-                    + [f"stationarity_{i}" for i in range(cp.mc)]
-                    + ["H"])
-    for j, t in enumerate(times):
-        writer.writerow([f"{t:.17g}"]
-                        + [f"{v:.17g}" for v in res.state[j]]
-                        + [f"{v:.17g}" for v in res.costate[j]]
-                        + [f"{v:.17g}" for v in res.stationarity[j]]
-                        + [f"{energies[j]:.17g}"])
-    return buf.getvalue()
+    header = (["t"] + [f"state_{i}" for i in range(cp.n)] + [f"costate_{i}" for i in range(cp.n)]
+              + [f"stationarity_{i}" for i in range(cp.mc)] + ["H"])
+    return csv_text(header, [times, *res.state.T, *res.costate.T, *res.stationarity.T, energies])
 
 
 def hamiltonian_noether_quantity(cp: ControlProblem, group: TransformationGroup,

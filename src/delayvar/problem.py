@@ -241,8 +241,7 @@ def args_at(traj: Trajectory, t, tau: float, m: int) -> ArgVector:
     t = np.asarray(t, dtype=float)
     values: list = [t if t.ndim else float(t)]
     for shift in (0.0, -tau):
-        for j in range(m + 1):
-            block = traj.eval(t + shift, j)
+        for block in traj.eval(t + shift, range(m + 1)):
             if t.ndim:
                 values.extend(block[..., i] for i in range(traj.n))
             else:

@@ -179,8 +179,8 @@ def _lq_checks() -> list[Check]:
     out.append(Check("pmp residual sup", res.sup, 1e-6, res.sup <= 1e-6))
     H = hamiltonian_integrand(cp)
 
-    def energy(t):
-        return float(H(control_args_at(cp, triple, lam, t).values))
+    def energy(ts):
+        return H(control_args_at(cp, triple, lam, ts).values)
 
     split = cp.t2 - cp.tau
     grids = {

@@ -2,9 +2,11 @@
 
 Paths are stored segment-by-segment in the monomial basis shifted to each
 segment midpoint (better conditioned than global monomials).  Evaluation at a
-knot uses the right-hand segment, except at the final endpoint where the last
-segment is used.  Trajectories are immutable after construction and evaluation
-is pure, so they are safe to share between threads.
+knot takes the right limit (the right-hand segment), except at the final
+endpoint where the last segment is used.  ``Trajectory.eval`` takes one
+derivative order or a sequence of them; a sequence shares one domain check,
+segment lookup and power table.  Trajectories are immutable after
+construction and evaluation is pure, so they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -91,23 +93,25 @@ class Trajectory:
         self.nonsmooth_knots = tuple(sorted(float(k) for k in nonsmooth_knots))
         if not self.segments:
             raise ValueError("trajectory needs at least one segment")
-        self._starts = np.array([s.a for s in self.segments])
-        self._bounds = np.append(self._starts, self.segments[-1].b)
+        self._knots = np.array([s.a for s in self.segments[1:]])  # interior segment starts
         self._mids = np.array([s.mid for s in self.segments])
+        self.max_degree = max(s.degree for s in self.segments)
         self._stacked_cache: dict[int, np.ndarray] = {}
         if validate:
             self.validate()
 
     def _stacked(self, order: int) -> np.ndarray:
-        """All segments' order-th derivative coefficients, zero-padded to a
-        common shape (nseg, n, K) for vectorized evaluation."""
+        """All segments' order-th derivative coefficients, zero-padded and
+        power-major: shape (max_degree + 1 - order, nseg, n)."""
         cached = self._stacked_cache.get(order)
         if cached is None:
-            per_seg = [s._dcoeffs(order) for s in self.segments]
-            width = max(c.shape[1] for c in per_seg)
-            cached = np.zeros((len(per_seg), self.n, width))
-            for i, c in enumerate(per_seg):
-                cached[i, :, : c.shape[1]] = c
+            if order == 0:
+                cached = np.zeros((self.max_degree + 1, len(self.segments), self.n))
+                for i, s in enumerate(self.segments):
+                    cached[: s.degree + 1, i] = s.coeffs.T
+            else:  # d/dx sum c_k x^k = sum (k + 1) c_(k+1) x^k, as in polyder
+                prev = self._stacked(order - 1)
+                cached = prev[1:] * np.arange(1.0, len(prev))[:, None, None]
             self._stacked_cache[order] = cached
         return cached
 
@@ -141,10 +145,6 @@ class Trajectory:
     def domain(self) -> tuple[float, float]:
         return self.segments[0].a, self.segments[-1].b
 
-    @property
-    def max_degree(self) -> int:
-        return max(s.degree for s in self.segments)
-
     def breakpoints(self) -> list[float]:
         """Sorted distinct segment boundaries, endpoints included."""
         pts = [s.a for s in self.segments] + [self.segments[-1].b]
@@ -154,27 +154,44 @@ class Trajectory:
                 out.append(p)
         return out
 
-    def _segment_index(self, t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._bounds, t, side="right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
+    def eval(self, t, order=0):
+        """order-th derivative of the active segment at t (right limit at knots).
 
-    def eval(self, t, order: int = 0) -> np.ndarray:
-        """order-th derivative of the active segment at t (right-limit at knots)."""
-        if order < 0 or order > self.max_degree:
-            raise OrderTooHigh(f"order {order} exceeds max segment degree {self.max_degree}")
-        scalar = np.isscalar(t) or np.ndim(t) == 0
+        ``order`` may also be a sequence of orders: the result is then a list
+        with one array per order, from one domain check, segment lookup and
+        power table.  Each array has shape t.shape + (n,) for scalar or 1-D t.
+        """
+        batched = np.ndim(order) > 0
+        orders = list(order) if batched else [order]
+        for o in orders:
+            if o < 0 or o > self.max_degree:
+                raise OrderTooHigh(f"order {o} exceeds max segment degree {self.max_degree}")
+        scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.domain
         slack = 1e-10 * max(1.0, hi - lo)
-        if np.any(t < lo - slack) or np.any(t > hi + slack):
+        if (t < lo - slack).any() or (t > hi + slack).any():
             bad = t[(t < lo - slack) | (t > hi + slack)][0]
             raise OutOfDomain(f"t = {bad} outside [{lo}, {hi}]")
-        t = np.clip(t, lo, hi)
-        idx = self._segment_index(t)
-        coeffs = self._stacked(order)  # (nseg, n, K)
-        powers = np.vander(t - self._mids[idx], coeffs.shape[2], increasing=True)
-        out = np.einsum("pnk,pk->pn", coeffs[idx], powers)
-        return out[0] if scalar else out
+        t = t.clip(lo, hi)
+        idx = np.searchsorted(self._knots, t, side="right")  # a knot goes right
+        x = t - self._mids[idx]
+        powers = np.empty((self.max_degree + 1 - min(orders, default=0), len(x)))
+        powers[0] = 1.0
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], x, out=powers[k])
+        outs = []
+        term = np.empty((len(x), self.n))
+        for o in orders:
+            table = self._stacked(o)  # (K, nseg, n)
+            # idx is in range by construction; mode="clip" skips the buffered copy
+            out = table[0].take(idx, axis=0, mode="clip")
+            for k in range(1, len(table)):
+                table[k].take(idx, axis=0, out=term, mode="clip")
+                term *= powers[k][:, None]
+                out += term
+            outs.append(out[0] if scalar else out)
+        return outs if batched else outs[0]
 
     def shifted_eval(self, t, order: int, shift: float) -> np.ndarray:
         """Delayed/advanced evaluation: identical to eval at t + shift."""

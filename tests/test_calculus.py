@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from delayvar import calculus
 from delayvar.calculus import (
     StencilConfig,
     default_step,
@@ -13,6 +14,7 @@ from delayvar.calculus import (
     integrate,
     partial,
     total_derivative,
+    total_derivative_many,
 )
 from delayvar.errors import BlockOutOfRange, StencilCrossesBreakpoint
 from delayvar.problem import ArgLayout, ArgVector, Integrand
@@ -57,6 +59,27 @@ class TestTotalDerivative:
     def test_constant_differentiates_to_exact_zero(self):
         cfg = StencilConfig(h=1e-4)
         assert total_derivative(lambda t: 5.0, 0.3, 1, cfg)[0] == 0.0
+
+
+def test_weight_table_rows_are_fd_weights():
+    for order in range(5):
+        for shift in range(-2, 3):
+            assert np.array_equal(calculus._WEIGHTS[order, shift + 2],
+                                  fd_weights(np.arange(5) - 2 + shift, order))
+
+
+def test_mixed_shift_call_equals_per_point_calls():
+    # points near both bounds take every placement from fully right to fully left
+    ts = np.array([0.0, 1e-3, 0.5, 1.0 - 1e-3, 1.0, 0.002, 0.998])
+    h = 1e-3
+    shifts = set(calculus._place(ts, 0.0, 1.0, h)[1].tolist())
+    assert shifts == {-2, -1, 0, 1, 2}
+    for order in (1, 2, 3):
+        batched = total_derivative_many(np.sin, ts, order, 0.0, 1.0, h)
+        single = [total_derivative_many(np.sin, [t], order, 0.0, 1.0, h)[0] for t in ts]
+        assert np.array_equal(batched, single)
+        exact = (np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))[order - 1](ts)
+        assert np.allclose(batched, exact, atol=1e-5)
 
 
 class TestPartial:
@@ -149,6 +172,23 @@ class TestIntegrate:
             return float(t)
 
         assert integrate(fn, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+    def test_cached_panel_rule_is_read_only_and_stable(self):
+        seen = []
+
+        def fn(t):
+            seen.append(t)
+            return np.cos(t)
+
+        first = integrate(fn, -0.3, 1.7, breaks=[0.2, 1.1])
+        assert integrate(fn, -0.3, 1.7, breaks=[1.1, 0.2, 0.2]) == first
+        assert seen[0] is seen[1]  # one cached node array for the same panels
+        nodes, weights = calculus._panel_rule((-0.3, 0.2, 1.1, 1.7))
+        assert nodes is seen[0]
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert first == pytest.approx(np.sin(1.7) - np.sin(-0.3), abs=1e-13)
+        assert calculus._panel_rule.cache_info().maxsize <= 64
 
 
 class TestParamDerivative:

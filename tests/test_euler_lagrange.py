@@ -12,6 +12,7 @@ from delayvar.euler_lagrange import (
     Classification,
     Regime,
     classify,
+    csv_text,
     el_integral_defect,
     el_integral_function,
     el_integral_lhs,
@@ -246,3 +247,15 @@ def test_report_serialization(ex1_problem, ex1_traj):
     assert len(lines) == 1 + len(report.times_first) + len(report.times_second)
     payload = report.to_json()
     assert '"el_first"' in payload and '"hypothesis_violated": true' in payload
+
+
+def test_csv_text_formats_like_17_digit_format():
+    values = np.array([0.1, -0.0, 1.0 / 3.0, 1e-300, -2.5e17, np.nan, np.inf, 7.0])
+    text = csv_text(["t", "name", "v"], [np.arange(8.0), ["a", "b", "", "d", "e", "f", "g", "h"],
+                                         values])
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows[0] == ["t", "name", "v"] and text.endswith("\n")
+    assert [r[2] for r in rows[1:]] == [f"{v:.17g}" for v in values]
+    assert rows[3][1] == "" and len(rows) == 9
+    assert csv_text(["a", "b"], [np.zeros(0), []]) == "a,b\n"
+

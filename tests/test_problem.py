@@ -11,6 +11,7 @@ from delayvar.problem import (
     AugmentedSetup,
     Integrand,
     IsoperimetricProblem,
+    args_at,
     augmented_integrand,
     constraint_defect,
     constraint_values,
@@ -41,6 +42,27 @@ def test_record_validation():
     with pytest.raises(ValueError, match="lambda"):
         AugmentedSetup(IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0, L=L),
                        [1.0])
+
+
+def test_args_at_evaluates_each_shift_once(ex1_traj, monkeypatch):
+    """The delayed jet takes one batched eval per shift: 2 calls, not 2(m+1)."""
+    calls = []
+    plain = Trajectory.eval
+
+    def counted(self, t, order=0):
+        calls.append(order)
+        return plain(self, t, order)
+
+    ts = np.array([1.2, 1.5, 1.9])
+    expected = [ts] + [plain(ex1_traj, ts + shift, j)[:, 0]
+                       for shift in (0.0, -1.0) for j in range(3)]
+    monkeypatch.setattr(Trajectory, "eval", counted)
+    values = args_at(ex1_traj, ts, 1.0, 2).values
+    assert len(calls) == 2
+    assert all(np.array_equal(v, e) for v, e in zip(values, expected))
+    scalar = args_at(ex1_traj, 1.5, 1.0, 2).values
+    assert len(calls) == 4 and all(isinstance(v, float) for v in scalar)
+    assert scalar == [v[1] for v in values]
 
 
 class TestAugmentedIntegrand:

@@ -44,3 +44,19 @@ def test_check_rows_format():
     name, value, threshold, status = checks[0].row()
     assert status in ("pass", "FAIL", "info")
     float(value), float(threshold)  # 17-digit reprs parse back
+
+
+def test_lq_energy_is_sampled_once_per_regime(monkeypatch):
+    """The Hamiltonian-constancy check evaluates H on each regime's grid in
+    one call, not once per grid point."""
+    calls = []
+    plain = registry.control_args_at
+
+    def counted(cp, triple, lam, t):
+        calls.append(np.size(t))
+        return plain(cp, triple, lam, t)
+
+    monkeypatch.setattr(registry, "control_args_at", counted)
+    checks = registry.get("autonomous-lq").checks()
+    assert all(c.passed for c in checks if c.gated)
+    assert len(calls) == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from delayvar.errors import EmptyGrid, OrderTooHigh, OutOfDomain
 from delayvar.trajectory import (
@@ -45,6 +46,63 @@ class TestEval:
         out = ex1_traj.eval(ts, 0)
         assert out.shape == (3, 1)
         assert np.allclose(out[:, 0], [-0.0625, 0.0625, -3.0625])
+
+
+def _mixed_degree_trajectory(m: int = 2) -> Trajectory:
+    """History of degree m + 2 next to mesh segments of degree 2m + 2 (n = 2);
+    the random mesh coefficients are not smooth, so validation is off."""
+    rng = np.random.default_rng(3)
+    hist = segments_from_callable(lambda t: np.array([np.sin(t), t ** 3]), -0.5, 0.0,
+                                  panels=2, degree=m + 2)
+    edges = np.linspace(0.0, 1.0, 4)
+    mesh = [PolySegment(a, b, rng.uniform(-2, 2, size=(2, 2 * m + 3)))
+            for a, b in zip(edges[:-1], edges[1:])]
+    return Trajectory(2, m, hist + mesh, validate=False)
+
+
+class TestBatchedEval:
+    def test_orders_match_single_order_and_segment_eval(self):
+        traj = _mixed_degree_trajectory()
+        segs = traj.segments
+        knots = [s.a for s in segs]
+        rng = np.random.default_rng(5)
+        ts = np.concatenate([rng.uniform(-0.5, 1.0, 40), knots, [traj.domain[1]]])
+        orders = range(traj.max_degree + 1)  # above the history's degree 4 too
+        batched = traj.eval(ts, orders)
+        assert len(batched) == len(orders)
+        for order, got in zip(orders, batched):
+            assert np.array_equal(got, traj.eval(ts, order))
+            # the active segment: right limit at knots, the last one at the end
+            active = [segs[i] for i in np.searchsorted(knots, ts, side="right") - 1]
+            expected = np.stack([s.eval(t, order) for s, t in zip(active, ts)])
+            scale = np.maximum(1.0, np.abs(expected))
+            assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+        assert np.all(batched[5][ts < 0.0] == 0.0)  # order 5 > history degree
+
+    def test_scalar_time(self):
+        traj = _mixed_degree_trajectory()
+        values = traj.eval(0.25, [0, 2, 6])
+        assert [v.shape for v in values] == [(2,)] * 3
+        for order, got in zip((0, 2, 6), values):
+            assert np.array_equal(got, traj.eval(np.array([0.25]), order)[0])
+
+    def test_stacked_equals_polyder_zero_padded(self):
+        traj = _mixed_degree_trajectory()
+        for order in range(traj.max_degree + 1):
+            width = traj.max_degree + 1 - order
+            expected = np.zeros((width, len(traj.segments), traj.n))
+            for i, seg in enumerate(traj.segments):
+                d = P.polyder(seg.coeffs.T, order)  # (degree + 1 - order, n)
+                expected[: len(d), i] = d
+            assert np.array_equal(traj._stacked(order), expected)
+
+    def test_batched_errors(self, ex1_traj):
+        with pytest.raises(OutOfDomain):
+            ex1_traj.eval(np.array([0.5, 2.5]), range(3))
+        with pytest.raises(OrderTooHigh):
+            ex1_traj.eval(0.5, [0, 1, 5])
+        with pytest.raises(OrderTooHigh):
+            ex1_traj.eval(0.5, [-1, 0])
 
 
 class TestShiftedEval:
