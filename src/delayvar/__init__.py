@@ -43,7 +43,7 @@ from .problem import (
     integrand_from_expr,
     problem_from_json,
 )
-from .calculus import StencilConfig, derivative_in_parameter, integrate, partial, total_derivative
+from .calculus import derivative_in_parameter, integrate, partial
 from .euler_lagrange import (
     Classification,
     PolynomialFit,

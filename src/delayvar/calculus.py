@@ -1,21 +1,22 @@
 """Differentiation and integration engine.
 
-Block partials of integrands (analytic > dual-number > finite difference),
-total time derivatives by 5-point stencils that never cross a regime bound or
-trajectory breakpoint, composite Gauss-Legendre quadrature, and the s = 0
-parameter derivative used by the invariance checks.
+Block partials of integrands (dual-number > finite difference), total time
+derivatives by 5-point stencils that never cross a regime bound or trajectory
+breakpoint, composite Gauss-Legendre quadrature, and the s = 0 parameter
+derivative used by the invariance checks.
 
-Stencil steps: callers pass the step through :class:`StencilConfig`.  The
-default for order-1 derivatives is span * 1e-4; order-2 stencils use 10x that
-(the roundoff floor eps*|f|/h^2 would otherwise dominate at the tolerances the
-residual sweeps are held to).
+Residuals, momenta and Noether lifts take each total derivative as one
+:func:`total_derivative_many` call on a function of time, never a stencil of
+stencils; only the definition-level invariance check nests them.  Steps come
+from :func:`default_step`: span * 1e-4 for order 1, and 10x more per further
+order (the roundoff floor eps*|f|/h^k would otherwise dominate at the
+tolerances the residual sweeps are held to).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,8 +24,8 @@ import numpy as np
 from .dual import Dual, derivative_of
 from .errors import BlockOutOfRange, StencilCrossesBreakpoint
 
-__all__ = ["StencilConfig", "default_step", "total_derivative", "total_derivative_many", "partial",
-           "sample", "integrate", "derivative_in_parameter", "ParamDerivative", "fd_weights"]
+__all__ = ["default_step", "total_derivative_many", "partial", "sample", "integrate",
+           "derivative_in_parameter", "ParamDerivative", "fd_weights"]
 
 _WIDTH = 5
 
@@ -59,19 +60,6 @@ def fd_weights(offsets, order: int) -> np.ndarray:
 # _WEIGHTS[order, s + 2]: the 5-point stencil shifted by s nodes, s = -2 (fully left) .. 2
 _WEIGHTS = np.array([[fd_weights(np.arange(_WIDTH) - 2 + s, order) for s in range(-2, 3)]
                      for order in range(_WIDTH)])
-
-
-@dataclass(frozen=True)
-class StencilConfig:
-    """Step size plus the regime bounds samples must not cross."""
-
-    h: float
-    lo: float = -math.inf
-    hi: float = math.inf
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("stencil step must be positive")
 
 
 def default_step(span: float, order: int = 1) -> float:
@@ -127,29 +115,18 @@ def total_derivative_many(fn, ts, order: int, los, his, h: float) -> np.ndarray:
     return np.sum(vals * (weights * scale[:, None]).reshape(weights.shape + extra), axis=1)
 
 
-def total_derivative(fn: Callable, t: float, order: int, cfg: StencilConfig) -> np.ndarray:
-    """Scalar-point total derivative; one-sided stencils are selected
-    automatically near the configured bounds."""
-
-    def fn_vec(times):
-        return np.stack([np.atleast_1d(np.asarray(fn(u), dtype=float)) for u in times])
-
-    return total_derivative_many(fn_vec, [t], order, [cfg.lo], [cfg.hi], cfg.h)[0]
-
-
 def partial(f, block: int, args) -> np.ndarray:
     """Gradient of integrand ``f`` with respect to one argument block.
 
-    Analytic partials win when the integrand carries them; otherwise a
-    dual-number forward pass; finite differences as the universal fallback.
+    A dual-number forward pass, exact for integrands built from arithmetic
+    and the toolkit's dual-aware functions; central finite differences for
+    callables that reject dual numbers.
     Returns shape (block_len,) for scalar argument slots, (block_len, npts)
     when slots hold arrays.
     """
     layout = args.layout
     if block < 1 or block > layout.nblocks:
         raise BlockOutOfRange(f"block {block} outside 1..{layout.nblocks}")
-    if getattr(f, "partial_fn", None) is not None:
-        return np.asarray(f.partial_fn(block, args.values))
     sl = layout.block_slice(block)
     if sl.start == sl.stop:
         return np.zeros(0)

@@ -6,6 +6,16 @@ lifts) is reported but never gates anything downstream: quantities are still
 evaluated when it fails, with hypothesis_violated set in reports, because part
 of this toolkit's job is auditing candidate trajectories that do not satisfy
 the hypothesis.
+
+The DuBois-Reymond residual is not differentiated numerically.  Along any
+piecewise-smooth path, differentiating F - sum_j psi_j . q^(j) with
+psi_(j-1) = Lambda_(j-1) - psi_j' telescopes to the identity
+
+    d/dt (F - sum_j psi_j . q^(j)) - d_1 F
+        = E(t) . q'(t) + cdur(t - tau) - [first regime] cdur(t),
+
+with E = psi_0 the Euler-Lagrange residual and cdur the hypothesis residual,
+so the residual costs one Euler-Lagrange evaluation and two hypothesis sums.
 """
 
 from __future__ import annotations
@@ -14,32 +24,11 @@ import numpy as np
 
 from . import calculus
 from .errors import JOutOfRange, OutOfDomain
-from .euler_lagrange import (
-    Regime,
-    regime_interval,
-    smooth_breaks,
-    stacked_partial_map,
-    stencil_bounds,
-)
+from .euler_lagrange import Regime, momentum
 from .problem import AugmentedSetup, args_at, augmented_integrand
 from .trajectory import Trajectory
 
 __all__ = ["psi", "psi_values", "cdur_residual", "dr_quantity", "dr_residual"]
-
-
-def _psi_core(F, problem, traj, j: int, ts: np.ndarray, regime: Regime,
-              los, his) -> np.ndarray:
-    """psi_j = sum_{i=0}^{m-j} (-1)^i d^i/dt^i Lambda_{i+j}; shape (npts, n)."""
-    total = np.zeros((len(ts), problem.n))
-    for i in range(problem.m - j + 1):
-        fn = stacked_partial_map(F, traj, problem.tau, problem.m, i + j, regime)
-        if i == 0:
-            term = fn(ts)
-        else:
-            term = calculus.total_derivative_many(
-                fn, ts, i, los, his, calculus.default_step(problem.span, i))
-        total += ((-1) ** i) * term
-    return total
 
 
 def psi_values(setup: AugmentedSetup, traj: Trajectory, ts, regime: Regime) -> list[np.ndarray]:
@@ -47,10 +36,7 @@ def psi_values(setup: AugmentedSetup, traj: Trajectory, ts, regime: Regime) -> l
     problem = setup.problem
     F = augmented_integrand(setup)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    lo, hi = regime_interval(problem, regime)
-    los, his = stencil_bounds(ts, smooth_breaks(problem, traj), lo, hi)
-    return [_psi_core(F, problem, traj, j, ts, regime, los, his)
-            for j in range(1, problem.m + 1)]
+    return [momentum(F, problem, traj, j, ts, regime) for j in range(1, problem.m + 1)]
 
 
 def psi(setup: AugmentedSetup, traj: Trajectory, j: int, t: float,
@@ -76,7 +62,8 @@ def cdur_residual(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndar
     F = augmented_integrand(setup)
     adv = args_at(traj, ts + problem.tau, problem.tau, problem.m)
     total = np.zeros(len(ts))
-    for j in range(problem.m + 1):
+    # derivatives past the trajectory's degree vanish
+    for j in range(min(problem.m, traj.max_degree - 1) + 1):
         grad = calculus.partial(F, j + problem.m + 3, adv)  # (n, npts)
         dq = traj.eval(ts, j + 1)  # (npts, n)
         total += np.sum(grad.T * dq, axis=1)
@@ -97,21 +84,14 @@ def dr_quantity(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> f
 
 
 def dr_residual(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> float | np.ndarray:
-    """d/dt (F - sum psi_j . q^(j)) - d_1 F; zero along trajectories that
-    satisfy the DuBois-Reymond condition."""
+    """d/dt (F - sum psi_j . q^(j)) - d_1 F, zero along trajectories that
+    satisfy the DuBois-Reymond condition; evaluated from the identity
+    E . q' + cdur(t - tau) - [first regime] cdur(t) (module docstring)."""
     problem = setup.problem
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    lo, hi = regime_interval(problem, regime)
-    los, his = stencil_bounds(ts, smooth_breaks(problem, traj), lo, hi)
-    # inner psi stencils need room around every outer node
-    margin = 2.2 * calculus.default_step(problem.span, max(1, problem.m - 1))
-    if problem.m > 1:
-        los, his = los + margin, his - margin
-    outer = calculus.total_derivative_many(
-        lambda u: dr_quantity(setup, traj, u, regime)[:, None],
-        ts, 1, los, his, calculus.default_step(problem.span, 1))[:, 0]
-    F = augmented_integrand(setup)
-    d1 = calculus.partial(F, 1, args_at(traj, ts, problem.tau, problem.m))[0]
-    out = outer - d1
+    E = momentum(augmented_integrand(setup), problem, traj, 0, ts, regime)
+    out = np.sum(E * traj.eval(ts, 1), axis=1) + cdur_residual(setup, traj, ts - problem.tau)
+    if regime is Regime.FIRST:
+        out -= cdur_residual(setup, traj, ts)
     return float(out[0]) if scalar else out

@@ -7,7 +7,8 @@ on the second regime [t2 - tau, t2] it does not.  The stacked partials
     Lambda_i(t) = d_{i+2} F[q](t)  (+ d_{i+m+3} F[q](t + tau) on the first regime)
 
 are the shared building block for the differential residual, the integral
-form, and the generalized momenta in the DuBois-Reymond module.
+form, and the generalized momenta psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j),
+of which the differential residual is psi_0 (:func:`momentum`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .trajectory import Grid, Trajectory
 
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
            "regime_interval", "smooth_breaks", "stencil_bounds", "stacked_partial_map",
-           "el_residual", "el_integral_function", "el_integral_lhs",
+           "momentum", "el_residual", "el_integral_function", "el_integral_lhs",
            "el_integral_defect", "classify", "residual_grids", "format_column", "csv_text"]
 
 
@@ -86,15 +87,15 @@ def stacked_partial_map(F: Integrand, traj: Trajectory, tau: float, m: int,
     return fn
 
 
-def _el_core(F: Integrand, problem: IsoperimetricProblem, traj: Trajectory,
+def momentum(F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, j: int,
              ts: np.ndarray, regime: Regime) -> np.ndarray:
-    """Sum_{i=0}^m (-1)^i d^i/dt^i Lambda_i at each grid time; (npts, n)."""
+    """psi_j = sum_{i=0}^{m-j} (-1)^i d^i/dt^i Lambda_{i+j} at times inside one
+    regime, shape (npts, n); psi_0 is the Euler-Lagrange residual of F."""
     lo, hi = regime_interval(problem, regime)
-    breaks = smooth_breaks(problem, traj)
-    los, his = stencil_bounds(ts, breaks, lo, hi)
+    los, his = stencil_bounds(ts, smooth_breaks(problem, traj), lo, hi)
     total = np.zeros((len(ts), problem.n))
-    for i in range(problem.m + 1):
-        fn = stacked_partial_map(F, traj, problem.tau, problem.m, i, regime)
+    for i in range(problem.m - j + 1):
+        fn = stacked_partial_map(F, traj, problem.tau, problem.m, i + j, regime)
         if i == 0:
             term = fn(ts)
         else:
@@ -118,7 +119,7 @@ def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
     second = ts >= problem.t2 - problem.tau
     for regime, mask in ((Regime.FIRST, ~second), (Regime.SECOND, second)):
         if np.any(mask):
-            out[mask] = _el_core(F, problem, traj, ts[mask], regime)
+            out[mask] = momentum(F, problem, traj, 0, ts[mask], regime)
     return out[0] if scalar else out
 
 
@@ -261,7 +262,7 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory,
     sup = 0.0
     for gj in problem.g:
         for regime, grid in grids.items():
-            res = _el_core(gj, problem, traj, np.asarray(grid.times), regime)
+            res = momentum(gj, problem, traj, 0, np.asarray(grid.times), regime)
             sup = max(sup, float(np.max(np.linalg.norm(res, axis=1))))
     if tol is None:
         tol = 1e-6 * (1.0 + sup)

@@ -1,10 +1,17 @@
 """Transformation-group machinery and Noether conserved quantities.
 
 The generator lift rho^0 = xi(t, q), rho^i = d/dt rho^(i-1) - q^(i) etadot
-feeds both the necessary condition of invariance and the conserved quantity;
-the definition-level invariance check differentiates the transformed action in
-the group parameter numerically, so no symbolic variation calculus is needed.
-Group generators are extended by zero on [t1 - tau, t1).
+feeds both the necessary condition of invariance and the conserved quantity.
+It is evaluated in its Leibniz form
+
+    rho^i = xi^(i) - sum_{k=1}^{i} C(i, k) q^(i+1-k) eta^(k),
+
+where xi^(k) and eta^(k) are total derivatives along the path, each order one
+5-point stencil shared by every lift, and the q derivatives are exact; a
+constant generator therefore lifts to exact zeros.  The definition-level
+invariance check differentiates the transformed action in the group parameter
+numerically, so no symbolic variation calculus is needed.  Group generators
+are extended by zero on [t1 - tau, t1).
 
 Each sweep calls eta(t, q) and xi(t, q) once, with t of shape (npts,) and q
 of shape (n, npts) (q[i] is component i); eta broadcasts to (npts,), xi to
@@ -14,6 +21,8 @@ reject arrays or return a shape that does not broadcast are called per point.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,18 +85,31 @@ def _eta_dot_many(group, traj, ts, los, his, h) -> np.ndarray:
         lambda u: _eta_many(group, traj, u)[:, None], ts, 1, los, his, h)[:, 0]
 
 
-def _rho_many(group, traj, i: int, ts: np.ndarray, los, his, h) -> np.ndarray:
-    """rho^i over a time array; shape (npts, n)."""
-    if i == 0:
-        return _xi_many(group, traj, ts)
+def _generators(group: TransformationGroup, traj: Trajectory, ts: np.ndarray) -> np.ndarray:
+    """xi and eta at every point side by side; shape (npts, n + 1)."""
+    qs = traj.eval(ts, 0)
+    xi = _on_points(group.xi, ts, qs, (traj.n, len(ts)))
+    eta = _on_points(group.eta, ts, qs, ts.shape)
+    return np.vstack([xi, eta[None]]).T
 
-    def prev(us):
-        plos, phis = _piece_bounds(traj, us)
-        return _rho_many(group, traj, i - 1, us, plos, phis, h)
 
-    d_prev = calculus.total_derivative_many(prev, ts, 1, los, his, h)
-    qi = np.atleast_2d(traj.eval(ts, i))
-    return d_prev - qi * _eta_dot_many(group, traj, ts, los, his, h)[:, None]
+def _lifts(group, traj, ts: np.ndarray, los, his, span: float, top: int):
+    """rho^0 .. rho^top, each (npts, n), and eta^(0) .. eta^(top), each (npts,),
+    by the Leibniz form; derivative order k of the generators is one stencil
+    with step default_step(span, k)."""
+    gens = functools.partial(_generators, group, traj)
+    derivs = [gens(ts)] + [
+        calculus.total_derivative_many(gens, ts, k, los, his, calculus.default_step(span, k))
+        for k in range(1, top + 1)]
+    etas = [d[:, -1] for d in derivs]
+    qs = traj.eval(ts, range(1, top + 1))  # q^(1) .. q^(top)
+    rhos = []
+    for i in range(top + 1):
+        lift = derivs[i][:, :-1]
+        for k in range(1, i + 1):
+            lift = lift - math.comb(i, k) * qs[i - k] * etas[k][:, None]
+        rhos.append(lift)
+    return rhos, etas
 
 
 def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
@@ -98,7 +120,7 @@ def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     los, his = _piece_bounds(traj, ts)
     span = traj.domain[1] - traj.domain[0]
-    out = _rho_many(group, traj, i, ts, los, his, calculus.default_step(span, 1))
+    out = _lifts(group, traj, ts, los, his, span, i)[0][i]
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -127,11 +149,14 @@ def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     F = augmented_integrand(setup)
     bracket = np.asarray(F(args_at(traj, ts, problem.tau, problem.m).values), dtype=float)
+    los, his = _piece_bounds(traj, ts)
+    rhos, etas = _lifts(group, traj, ts, los, his, traj.domain[1] - traj.domain[0],
+                        problem.m - 1)
     lead = np.zeros(len(ts))
     for j, psi_j in enumerate(psi_values(setup, traj, ts, regime), start=1):
         bracket = bracket - np.sum(psi_j * traj.eval(ts, j), axis=1)
-        lead = lead + np.sum(psi_j * rho(group, traj, j - 1, ts), axis=1)
-    out = lead + bracket * _eta_many(group, traj, ts) - _gauge_many(group, traj, problem, ts)
+        lead = lead + np.sum(psi_j * rhos[j - 1], axis=1)
+    out = lead + bracket * etas[0] - _gauge_many(group, traj, problem, ts)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -215,7 +240,6 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
     problem = setup.problem
     F = augmented_integrand(setup)
     m, tau = problem.m, problem.tau
-    h = calculus.default_step(problem.span, 1)
     breaks = smooth_breaks(problem, traj)
 
     def make_integrand(regime: Regime):
@@ -228,12 +252,11 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
             args = args_at(traj, ts, tau, m)
             d1 = calculus.partial(F, 1, args)[0]
             value = np.asarray(F(args.values), dtype=float)
+            rhos, etas = _lifts(group, traj, ts, los, his, problem.span, max(m, 1))
             total = (-_gauge_dot_many(group, traj, problem, ts, los, his)
-                     + d1 * _eta_many(group, traj, ts)
-                     + value * _eta_dot_many(group, traj, ts, los, his, h))
-            for i, lam_map in enumerate(maps):
-                total += np.sum(lam_map(ts) * _rho_many(group, traj, i, ts, los, his, h),
-                                axis=1)
+                     + d1 * etas[0] + value * etas[1])
+            for lam_map, lift in zip(maps, rhos):
+                total += np.sum(lam_map(ts) * lift, axis=1)
             return total
 
         return integrand

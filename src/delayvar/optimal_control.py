@@ -181,19 +181,6 @@ def second_order_noether_quantity(setup: AugmentedSetup, traj: Trajectory, t: fl
 # order reduction
 
 
-def _map_control_partial(partial_fn, n: int):
-    """Adapt a variational (m = 2) analytic partial to the control layout."""
-    if partial_fn is None:
-        return None
-    # control block -> variational blocks sharing the same flat slots
-    chain = {1: (1,), 2: (2, 3), 3: (4,), 4: (5, 6), 5: (7,)}
-
-    def mapped(block, values):
-        return np.concatenate([np.atleast_1d(partial_fn(b, values)) for b in chain[block]])
-
-    return mapped
-
-
 def reduce_to_control(problem: IsoperimetricProblem) -> ControlProblem:
     """Rewrite an m = 2 problem as a delayed control problem with state
     (q, qdot), control u = qddot, and chain dynamics phi = (q1, u).
@@ -212,15 +199,7 @@ def reduce_to_control(problem: IsoperimetricProblem) -> ControlProblem:
         def fn(values):
             return values[slot]
 
-        def partial_fn(block, values):
-            layout = ArgLayout((1, n_state, mc, n_state, mc))
-            sl = layout.block_slice(block)
-            grad = np.zeros(sl.stop - sl.start)
-            if sl.start <= slot < sl.stop:
-                grad[slot - sl.start] = 1.0
-            return grad
-
-        return Integrand(fn, partial_fn, name=f"chain_phi_{i}")
+        return Integrand(fn, name=f"chain_phi_{i}")
 
     history = control_history = None
     if problem.history is not None:
@@ -236,11 +215,9 @@ def reduce_to_control(problem: IsoperimetricProblem) -> ControlProblem:
     terminal = None if problem.boundary is None else problem.boundary.reshape(-1)
     return ControlProblem(
         n=n_state, mc=mc, tau=problem.tau, t1=problem.t1, t2=problem.t2,
-        L=Integrand(problem.L.fn, _map_control_partial(problem.L.partial_fn, n),
-                    name=problem.L.name),
+        L=problem.L,
         phi=tuple(phi_component(i) for i in range(n_state)),
-        g=tuple(Integrand(gj.fn, _map_control_partial(gj.partial_fn, n), name=gj.name)
-                for gj in problem.g),
+        g=problem.g,
         l=problem.l, history=history, control_history=control_history,
         terminal_state=terminal,
     )

@@ -73,15 +73,14 @@ class Integrand:
     """Scalar integrand over a flat argument vector.
 
     ``fn(values) -> value`` must be deterministic and should accept numpy
-    arrays (and the toolkit's dual numbers) in the slots; ``partial_fn(block,
-    values)`` optionally supplies analytic block gradients.
+    arrays (and the toolkit's dual numbers) in the slots; dual numbers give
+    its block gradients exactly (:func:`delayvar.calculus.partial`).
     """
 
-    __slots__ = ("fn", "partial_fn", "name")
+    __slots__ = ("fn", "name")
 
-    def __init__(self, fn: Callable, partial_fn: Callable | None = None, name: str = ""):
+    def __init__(self, fn: Callable, name: str = ""):
         self.fn = fn
-        self.partial_fn = partial_fn
         self.name = name or getattr(fn, "__name__", "integrand")
 
     def __call__(self, values):
@@ -250,7 +249,7 @@ def args_at(traj: Trajectory, t, tau: float, m: int) -> ArgVector:
 
 
 def augmented_integrand(setup: AugmentedSetup) -> Integrand:
-    """F = L - lam . g; analytic partials compose linearly when present."""
+    """F = L - lam . g."""
     L, gs, lam = setup.problem.L, setup.problem.g, setup.lam
     if not len(lam):
         return L
@@ -262,15 +261,7 @@ def augmented_integrand(setup: AugmentedSetup) -> Integrand:
                 out = out - lj * gj(values)
         return out
 
-    partial_fn = None
-    if L.partial_fn is not None and all(gj.partial_fn is not None for gj in gs):
-        def partial_fn(block, values):
-            out = np.asarray(L.partial_fn(block, values), dtype=float).copy()
-            for lj, gj in zip(lam, gs):
-                out -= lj * np.asarray(gj.partial_fn(block, values), dtype=float)
-            return out
-
-    return Integrand(fn, partial_fn, name=f"{L.name} - lam.g")
+    return Integrand(fn, name=f"{L.name} - lam.g")
 
 
 def _quadrature_breaks(problem: IsoperimetricProblem, traj: Trajectory) -> list[float]:

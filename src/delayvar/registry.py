@@ -151,19 +151,12 @@ def _lq_problem() -> ControlProblem:
     def L_fn(v):
         return v[2] * v[2]
 
-    def L_partial(block, v):
-        t = np.asarray(v[0], dtype=float)
-        zero = np.zeros(t.shape) if t.ndim else 0.0
-        grads = {1: [zero], 2: [zero], 3: [2.0 * np.asarray(v[2], dtype=float)],
-                 4: [zero], 5: [zero]}
-        return np.asarray(grads[block])
-
     def phi_fn(v):
         return v[3] + v[2]
 
     return ControlProblem(
         n=1, mc=1, tau=0.5, t1=0.0, t2=1.0,
-        L=Integrand(L_fn, L_partial, name="u^2"),
+        L=Integrand(L_fn, name="u^2"),
         phi=(Integrand(phi_fn, name="q_tau + u"),),
         history=lambda t: np.zeros(1),
     )

@@ -193,10 +193,6 @@ class Trajectory:
             outs.append(out[0] if scalar else out)
         return outs if batched else outs[0]
 
-    def shifted_eval(self, t, order: int, shift: float) -> np.ndarray:
-        """Delayed/advanced evaluation: identical to eval at t + shift."""
-        return self.eval(np.asarray(t, dtype=float) + shift, order)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:

@@ -105,9 +105,9 @@ def test_criterion_3_example1_classification(ex1_problem, ex1_traj):
     # far above any tolerance: a normal extremizer
     verdict = classify(ex1_problem, ex1_traj)
     grid = Grid.build(1.05, 1.95, 50, eps_knot=1e-3)
-    from delayvar.euler_lagrange import _el_core
+    from delayvar.euler_lagrange import momentum
 
-    g_res = _el_core(ex1_problem.g[0], ex1_problem, ex1_traj, grid.times, Regime.SECOND)
+    g_res = momentum(ex1_problem.g[0], ex1_problem, ex1_traj, 0, grid.times, Regime.SECOND)
     sup = float(np.max(np.abs(g_res)))
     ok = verdict is Classification.NORMAL and sup >= 24.0
     _report(3, ok, f"classification={verdict.value}, g-residual sup on (1,2)={sup:.6g} (>=24)")

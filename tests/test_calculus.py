@@ -7,13 +7,11 @@ import pytest
 
 from delayvar import calculus
 from delayvar.calculus import (
-    StencilConfig,
     default_step,
     derivative_in_parameter,
     fd_weights,
     integrate,
     partial,
-    total_derivative,
     total_derivative_many,
 )
 from delayvar.errors import BlockOutOfRange, StencilCrossesBreakpoint
@@ -26,39 +24,40 @@ def test_fd_weights_reproduce_classic_tables():
     assert np.allclose(fd_weights(np.arange(5), 1) * 12, [-25, 48, -36, 16, -3])
 
 
+INF = np.inf
+
+
 class TestTotalDerivative:
     def test_first_derivative(self):
-        cfg = StencilConfig(h=1e-4)
-        assert total_derivative(lambda t: t ** 2, 3.0, 1, cfg)[0] == pytest.approx(6.0, abs=1e-9)
+        got = total_derivative_many(lambda t: t ** 2, [3.0], 1, [-INF], [INF], 1e-4)[0]
+        assert got == pytest.approx(6.0, abs=1e-9)
 
     def test_second_derivative(self):
-        cfg = StencilConfig(h=1e-3)
-        assert total_derivative(lambda t: t ** 3, 2.0, 2, cfg)[0] == pytest.approx(12.0, abs=1e-7)
+        got = total_derivative_many(lambda t: t ** 3, [2.0], 2, [-INF], [INF], 1e-3)[0]
+        assert got == pytest.approx(12.0, abs=1e-7)
 
     def test_one_sided_near_bound(self):
-        cfg = StencilConfig(h=1e-3, lo=2.0, hi=3.0)
-        got = total_derivative(lambda t: t ** 3, 2.0, 1, cfg)[0]
+        got = total_derivative_many(lambda t: t ** 3, [2.0], 1, [2.0], [3.0], 1e-3)[0]
         assert got == pytest.approx(12.0, abs=1e-7)
 
     def test_polynomial_order1_accuracy(self):
         # degree <= 4 polynomials differentiate to 1e-8 absolute
         rng = np.random.default_rng(3)
-        cfg = StencilConfig(h=1e-4)
         for _ in range(20):
             c = rng.uniform(-1, 1, size=5)
             t0 = rng.uniform(-1, 1)
             dc = np.polyder(np.poly1d(c[::-1]))
-            got = total_derivative(lambda t: np.polyval(c[::-1], t), t0, 1, cfg)[0]
+            got = total_derivative_many(lambda t: np.polyval(c[::-1], t), [t0], 1,
+                                        [-INF], [INF], 1e-4)[0]
             assert abs(got - dc(t0)) <= 1e-8
 
     def test_no_room_raises(self):
-        cfg = StencilConfig(h=1e-4, lo=1.0, hi=1.0 + 1e-15)
         with pytest.raises(StencilCrossesBreakpoint):
-            total_derivative(lambda t: t, 1.0, 1, cfg)
+            total_derivative_many(lambda t: t, [1.0], 1, [1.0], [1.0 + 1e-15], 1e-4)
 
     def test_constant_differentiates_to_exact_zero(self):
-        cfg = StencilConfig(h=1e-4)
-        assert total_derivative(lambda t: 5.0, 0.3, 1, cfg)[0] == 0.0
+        got = total_derivative_many(lambda t: np.full_like(t, 5.0), [0.3], 1, [-INF], [INF], 1e-4)
+        assert got[0] == 0.0
 
 
 def test_weight_table_rows_are_fd_weights():
@@ -94,12 +93,6 @@ class TestPartial:
     def test_autonomous_time_partial_is_zero(self):
         f = Integrand(lambda v: v[1] * v[3], name="q*q_tau")
         assert partial(f, 1, self._args([0.7, 2.0, 0.0, 5.0, 0.0]))[0] == 0.0
-
-    def test_analytic_partial_wins(self):
-        f = Integrand(lambda v: v[2] ** 2,
-                      partial_fn=lambda block, v: np.array([123.0]),
-                      name="rigged")
-        assert partial(f, 3, self._args([0.0, 0.0, 3.0, 0.0, 0.0]))[0] == 123.0
 
     def test_block_out_of_range(self):
         f = Integrand(lambda v: v[1], name="q")

@@ -5,16 +5,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from delayvar import calculus
 from delayvar.dubois_reymond import cdur_residual, dr_quantity, dr_residual, psi
 from delayvar.errors import JOutOfRange, OutOfDomain
-from delayvar.euler_lagrange import Regime
+from delayvar.euler_lagrange import (
+    Regime,
+    regime_interval,
+    residual_grids,
+    smooth_breaks,
+    stencil_bounds,
+)
 from delayvar.problem import (
     AugmentedSetup,
     Integrand,
     IsoperimetricProblem,
+    args_at,
+    augmented_integrand,
     integrand_from_expr,
 )
+from delayvar.solver import verify
 from delayvar.trajectory import PolySegment, Trajectory
+
+
+def _line_setup():
+    """L = qd^2 along q = t (m = 1): an extremal of degree m."""
+    problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                   L=integrand_from_expr("qd^2", 1, 1))
+    traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
+    return AugmentedSetup(problem, []), traj
 
 
 class TestPsi:
@@ -81,6 +99,11 @@ class TestCdur:
         with pytest.raises(OutOfDomain):
             cdur_residual(ex1_setup, ex1_traj, 1.5)  # beyond t2 - tau
 
+    def test_trajectory_of_degree_m(self):
+        # q^(m+1) of a degree-m path is zero, not an evaluation error
+        setup, traj = _line_setup()
+        assert np.all(cdur_residual(setup, traj, np.array([-0.4, 0.0, 0.3])) == 0.0)
+
 
 class TestDrQuantity:
     def test_classical_line(self):
@@ -99,10 +122,7 @@ class TestDrQuantity:
 
 class TestDrResidual:
     def test_classical_line_vanishes(self):
-        problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
-                                       L=integrand_from_expr("qd^2", 1, 1))
-        traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
-        setup = AugmentedSetup(problem, [])
+        setup, traj = _line_setup()
         assert dr_residual(setup, traj, 0.7, Regime.SECOND) == pytest.approx(0.0, abs=1e-9)
 
     def test_embedded_classical_isoperimetric(self, classical_setup, classical_traj):
@@ -118,6 +138,44 @@ class TestDrResidual:
         value = dr_residual(ex1_setup, ex1_traj, 1.5, Regime.SECOND)
         assert value == pytest.approx(-576.0, abs=1e-3)
         assert abs(value) > 10.0
+
+    @pytest.mark.parametrize("count", [200, 20000])
+    def test_example1_closed_form(self, ex1_problem, ex1_setup, ex1_traj, count):
+        # d/dt of the DR bracket: 2304 t - 576 on (0, 1), -1152 t^2 + 1728 t - 576 on (1, 2)
+        exact = {Regime.FIRST: lambda t: 2304.0 * t - 576.0,
+                 Regime.SECOND: lambda t: -1152.0 * t ** 2 + 1728.0 * t - 576.0}
+        for regime, grid in residual_grids(ex1_problem, ex1_traj, count=count).items():
+            got = dr_residual(ex1_setup, ex1_traj, grid.times, regime)
+            assert np.max(np.abs(got - exact[regime](grid.times))) <= 3e-6
+
+    def test_matches_definition(self):
+        """The identity equals d/dt (F - psi_1 . q') - d_1 F by a stencil on a
+        nonlinear n = 2, m = 1 problem with explicit t, delayed terms and lam."""
+        L = integrand_from_expr(
+            "t * d1q0^2 + sin(d0q0) * d1q1_tau + d0q1 * d0q0_tau * d1q0"
+            " + exp(0.3 * t) * d1q1^2 + d1q0 * d1q0_tau", 1, 2)
+        g = integrand_from_expr("d0q0 * d1q1 + t * d0q1_tau^2", 1, 2)
+        problem = IsoperimetricProblem(m=1, n=2, tau=0.4, t1=0.0, t2=1.0, L=L, g=(g,), l=[0.0])
+        rng = np.random.default_rng(17)
+        traj = Trajectory(2, 1, [PolySegment(-0.4, 1.0, rng.uniform(-1, 1, size=(2, 6)))])
+        setup = AugmentedSetup(problem, [0.7])
+        F = augmented_integrand(setup)
+        breaks = smooth_breaks(problem, traj)
+        for regime, grid in residual_grids(problem, traj, count=60).items():
+            ts = grid.times
+            los, his = stencil_bounds(ts, breaks, *regime_interval(problem, regime))
+            rate = calculus.total_derivative_many(
+                lambda u: dr_quantity(setup, traj, u, regime), ts, 1, los, his,
+                calculus.default_step(problem.span, 1))
+            reference = rate - calculus.partial(F, 1, args_at(traj, ts, problem.tau, 1))[0]
+            got = dr_residual(setup, traj, ts, regime)
+            assert np.max(np.abs(got - reference)) <= 1e-8
+
+
+def test_verify_on_degree_m_extremal():
+    setup, traj = _line_setup()
+    report = verify(setup.problem, traj, [])
+    assert all(value == 0.0 for value in report.sup.values())
 
 
 def test_dr_linear_in_lambda(ex1_problem, ex1_traj):

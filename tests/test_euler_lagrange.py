@@ -97,9 +97,7 @@ def test_m2_integral_form_sign_convention(ex1_problem):
     setup = AugmentedSetup(ex1_problem, [0.3])
     fn = el_integral_function(setup, traj, Regime.SECOND)
     for t in (1.3, 1.6):
-        d2 = calculus.total_derivative(
-            lambda u: fn(np.array([u]))[0], t, 2,
-            calculus.StencilConfig(2e-3, 1.0, 2.0))
+        d2 = calculus.total_derivative_many(fn, [t], 2, [1.0], [2.0], 2e-3)[0]
         r = el_residual(setup, traj, t)
         assert d2[0] == pytest.approx(-r[0], abs=1e-4 * max(1.0, abs(r[0])))
 
@@ -146,9 +144,7 @@ class TestIntegralForm:
         smooth trajectory (m = 1 here: equal with the same sign)."""
         fn = el_integral_function(classical_setup, classical_traj, Regime.SECOND)
         for t in (0.6, 0.75, 0.9):
-            d = calculus.total_derivative(
-                lambda u: fn(np.array([u]))[0], t, 1,
-                calculus.StencilConfig(1e-4, 0.5, 1.0))
+            d = calculus.total_derivative_many(fn, [t], 1, [0.5], [1.0], 1e-4)[0]
             r = el_residual(classical_setup, classical_traj, t)
             assert d[0] == pytest.approx(r[0], abs=1e-7)
 

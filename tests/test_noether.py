@@ -44,6 +44,15 @@ class TestRho:
         group = TransformationGroup(eta=lambda t, q: t, xi=lambda t, q: np.zeros(1))
         assert rho(group, traj, 1, 1.0)[0] == pytest.approx(-2.0, abs=1e-8)
 
+    def test_leibniz_lift_closed_form(self):
+        # eta = t^2, xi = t q on q = t^3: rho^0 = t^4, rho^1 = 4t^3 - 3t^2 (2t),
+        # rho^2 = 12t^2 - 2 (6t)(2t) - 3t^2 (2)
+        traj = Trajectory(1, 2, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 0.0, 0.0, 1.0]])])
+        group = TransformationGroup(eta=lambda t, q: t ** 2, xi=lambda t, q: t * q)
+        ts = np.linspace(-0.45, 1.0, 30)
+        for i, exact in enumerate((ts ** 4, -2.0 * ts ** 3, -18.0 * ts ** 2)):
+            assert np.max(np.abs(rho(group, traj, i, ts)[:, 0] - exact)) <= 1e-9
+
     def test_i_out_of_range(self, ex1_traj):
         with pytest.raises(IOutOfRange):
             rho(TIME_SHIFT, ex1_traj, 3, 0.5)

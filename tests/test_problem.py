@@ -90,13 +90,6 @@ class TestAugmentedIntegrand:
             base = ex1_problem.L(args)
             assert f12 == pytest.approx(f1 + f2 - base, rel=1e-12, abs=1e-12)
 
-    def test_analytic_partials_compose(self):
-        L = Integrand(lambda v: v[1], lambda b, v: np.array([1.0 if b == 2 else 0.0]))
-        g = Integrand(lambda v: v[2], lambda b, v: np.array([1.0 if b == 3 else 0.0]))
-        problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
-                                       L=L, g=(g,), l=[0.0])
-        F = augmented_integrand(AugmentedSetup(problem, [2.0]))
-        assert F.partial_fn(3, [0.0] * 5)[0] == pytest.approx(-2.0)
 
 
 class TestFunctionalValue:

@@ -7,6 +7,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from delayvar.errors import EmptyGrid, OrderTooHigh, OutOfDomain
+from delayvar.problem import args_at
 from delayvar.trajectory import (
     Grid,
     PolySegment,
@@ -106,19 +107,23 @@ class TestBatchedEval:
 
 
 class TestShiftedEval:
+    """Delayed and advanced values are eval at the shifted time."""
+
     def test_delay_shift(self, ex1_traj):
-        assert ex1_traj.shifted_eval(1.5, 2, -1.0)[0] == pytest.approx(3.0, abs=1e-12)
+        assert ex1_traj.eval(1.5 - 1.0, 2)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_advance_shift(self, ex1_traj):
-        assert ex1_traj.shifted_eval(0.5, 2, 1.0)[0] == pytest.approx(-27.0, abs=1e-12)
+        assert ex1_traj.eval(0.5 + 1.0, 2)[0] == pytest.approx(-27.0, abs=1e-12)
 
     def test_zero_shift_is_eval(self, ex1_traj):
-        for t in (-0.3, 0.7, 1.9):
-            assert ex1_traj.shifted_eval(t, 1, 0.0) == pytest.approx(ex1_traj.eval(t, 1))
+        ts = np.array([-0.3, 0.7, 1.9])
+        swept = ex1_traj.eval(ts + 0.0, 1)
+        for t, row in zip(ts, swept):
+            assert row == pytest.approx(ex1_traj.eval(t, 1))
 
     def test_escaping_shift(self, ex1_traj):
         with pytest.raises(OutOfDomain):
-            ex1_traj.shifted_eval(1.5, 0, 1.0)
+            ex1_traj.eval(1.5 + 1.0, 0)
 
 
 class TestInvariants:
@@ -184,11 +189,13 @@ def test_eval_matches_analytic_differentiation():
 
 
 def test_shifted_eval_identity_property(ex1_traj):
+    """The delayed slots of args_at hold eval at t - tau (here tau = -s)."""
     rng = np.random.default_rng(11)
     for _ in range(50):
         s = rng.uniform(-1.0, 1.0)
         t = rng.uniform(max(-1.0, -1.0 - s), min(2.0, 2.0 - s))
-        assert ex1_traj.shifted_eval(t, 1, s) == pytest.approx(ex1_traj.eval(t + s, 1))
+        delayed_qd = args_at(ex1_traj, t, -s, 1).block(5)
+        assert delayed_qd == pytest.approx(ex1_traj.eval(t + s, 1))
 
 
 class TestJson:
