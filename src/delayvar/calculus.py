@@ -5,12 +5,12 @@ derivatives by 5-point stencils that never cross a regime bound or trajectory
 breakpoint, composite Gauss-Legendre quadrature, and the s = 0 parameter
 derivative used by the invariance checks.
 
-Residuals, momenta and Noether lifts take each total derivative as one
-:func:`total_derivative_many` call on a function of time, never a stencil of
-stencils; only the definition-level invariance check nests them.  Steps come
-from :func:`default_step`: span * 1e-4 for order 1, and 10x more per further
-order (the roundoff floor eps*|f|/h^k would otherwise dominate at the
-tolerances the residual sweeps are held to).
+A :class:`Stencil` places one order's nodes and weights the samples taken
+there; :func:`total_derivative_many` samples a map of several columns once,
+so the residual record of :mod:`delayvar.euler_lagrange` differentiates all
+its stacked partials of one order from one path evaluation.  Steps come from
+:func:`default_step`: span * 1e-4 for order 1, and 10x more per further order
+(the roundoff floor eps*|f|/h^k would otherwise dominate at the tolerances).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .dual import Dual, derivative_of
 from .errors import BlockOutOfRange, StencilCrossesBreakpoint
 
-__all__ = ["default_step", "total_derivative_many", "partial", "sample", "integrate",
+__all__ = ["default_step", "Stencil", "total_derivative_many", "partial", "sample", "integrate",
            "derivative_in_parameter", "ParamDerivative", "fd_weights"]
 
 _WIDTH = 5
@@ -67,24 +67,48 @@ def default_step(span: float, order: int = 1) -> float:
     return span * 1e-4 * (10.0 ** max(0, order - 1))
 
 
-def _place(ts, los, his, h):
-    """Per-point effective step and integer node shift keeping 5 nodes in bounds."""
-    ts = np.asarray(ts, dtype=float)
-    width = np.asarray(his, dtype=float) - np.asarray(los, dtype=float)
-    if np.any(width <= 0):
-        raise StencilCrossesBreakpoint("empty interval between breakpoints")
-    h_eff = np.minimum(h, width / _WIDTH)
-    tiny = 1e-13 * np.maximum(1.0, np.abs(ts))
-    if np.any(h_eff <= tiny):
-        raise StencilCrossesBreakpoint("no stencil fits between the surrounding breakpoints")
-    a = (ts - los) / h_eff
-    b = (his - ts) / h_eff
-    s_min = np.ceil(2.0 - a - 1e-12)
-    s_max = np.floor(b - 2.0 + 1e-12)
-    if np.any(s_min > s_max):
-        raise StencilCrossesBreakpoint("stencil placement failed near a breakpoint")
-    shift = np.clip(0.0, s_min, s_max).astype(int)
-    return h_eff, shift
+class Stencil:
+    """Order-``order`` 5-point stencils at ``ts``, each inside its point's [los, his]
+    (off-centre near the ends): ``apply`` turns samples at the flat ``nodes`` into
+    the derivatives at ts.  Order 0 is ts itself."""
+
+    def __init__(self, ts, order: int, los, his, h: float):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        self.order, self.nodes = order, ts
+        if order == 0:
+            return
+        if order >= _WIDTH:
+            raise StencilCrossesBreakpoint(f"5-point stencil cannot produce order {order}")
+        los = np.broadcast_to(np.asarray(los, dtype=float), ts.shape)
+        his = np.broadcast_to(np.asarray(his, dtype=float), ts.shape)
+        if np.any(his - los <= 0):
+            raise StencilCrossesBreakpoint("empty interval between breakpoints")
+        self._h = np.minimum(h, (his - los) / _WIDTH)
+        if np.any(self._h <= 1e-13 * np.maximum(1.0, np.abs(ts))):
+            raise StencilCrossesBreakpoint("no stencil fits between the surrounding breakpoints")
+        s_min = np.ceil(2.0 - (ts - los) / self._h - 1e-12)
+        s_max = np.floor((his - ts) / self._h - 2.0 + 1e-12)
+        if np.any(s_min > s_max):
+            raise StencilCrossesBreakpoint("stencil placement failed near a breakpoint")
+        self._shift = np.clip(0.0, s_min, s_max).astype(int)
+        self.nodes = (ts[:, None] + (np.arange(_WIDTH) - 2 + self._shift[:, None])
+                      * self._h[:, None]).ravel()
+
+    def apply(self, values) -> np.ndarray:
+        """Derivatives at ts from ``values`` of shape (len(nodes), ...)."""
+        values = np.asarray(values)
+        if self.order == 0:
+            return values
+        npts = len(self._shift)
+        vals = values.reshape((npts, _WIDTH) + values.shape[1:])
+        # subtract the on-point value (node index 2 - shift): derivative weights
+        # annihilate constants, and doing it explicitly makes that exact
+        center = vals[np.arange(npts), 2 - self._shift]
+        vals = vals - center[:, None]
+        weights = _WEIGHTS[self.order, self._shift + 2]  # (npts, 5)
+        scale = self._h ** (-self.order)
+        extra = (1,) * (vals.ndim - 2)
+        return np.sum(vals * (weights * scale[:, None]).reshape(weights.shape + extra), axis=1)
 
 
 def total_derivative_many(fn, ts, order: int, los, his, h: float) -> np.ndarray:
@@ -93,26 +117,8 @@ def total_derivative_many(fn, ts, order: int, los, his, h: float) -> np.ndarray:
     ``fn`` must accept a flat time array and return shape (npts, ...).  Bounds
     ``los``/``his`` give, per point, the interval the stencil may occupy.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    los = np.broadcast_to(np.asarray(los, dtype=float), ts.shape)
-    his = np.broadcast_to(np.asarray(his, dtype=float), ts.shape)
-    if order == 0:
-        return np.asarray(fn(ts))
-    if order >= _WIDTH:
-        raise StencilCrossesBreakpoint(f"5-point stencil cannot produce order {order}")
-    h_eff, shift = _place(ts, los, his, h)
-    offsets = np.arange(_WIDTH) - 2
-    nodes = ts[:, None] + (offsets[None, :] + shift[:, None]) * h_eff[:, None]
-    vals = np.asarray(fn(nodes.ravel()))
-    vals = vals.reshape(nodes.shape + vals.shape[1:])
-    # subtract the on-point value (node index 2 - shift): derivative weights
-    # annihilate constants, and doing it explicitly makes that exact
-    center = vals[np.arange(len(ts)), 2 - shift]
-    vals = vals - center[:, None]
-    weights = _WEIGHTS[order, shift + 2]  # (npts, 5)
-    scale = h_eff ** (-order)
-    extra = (1,) * (vals.ndim - 2)
-    return np.sum(vals * (weights * scale[:, None]).reshape(weights.shape + extra), axis=1)
+    stencil = Stencil(ts, order, los, his, h)
+    return stencil.apply(fn(stencil.nodes))
 
 
 def partial(f, block: int, args) -> np.ndarray:

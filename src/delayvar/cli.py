@@ -15,12 +15,14 @@ import sys
 import numpy as np
 
 from . import expr, registry
-from .dubois_reymond import cdur_residual, dr_quantity, dr_residual
+from .dubois_reymond import cdur_residual
 from .errors import DelayVarError
-from .euler_lagrange import Regime, csv_text, format_column, regime_of, residual_grids
+from .euler_lagrange import PathRecord, Regime, csv_text, format_column, regime_of, \
+    residual_grids
 from .noether import constancy_report, invariance_defect, necessary_condition_defect, \
     noether_quantity
-from .problem import AugmentedSetup, Integrand, TransformationGroup, problem_from_json
+from .problem import AugmentedSetup, Integrand, TransformationGroup, augmented_integrand, \
+    problem_from_json
 from .solver import CollocationScheme, solve_el, solve_pmp, verify
 from .trajectory import Trajectory
 
@@ -97,36 +99,25 @@ def _group_from_exprs(args, problem):
 
 def cmd_residuals(args) -> int:
     problem, traj, lam = _load_variational(args)
-    setup = AugmentedSetup(problem, lam)
+    F = augmented_integrand(AugmentedSetup(problem, lam))
     grids = residual_grids(problem, traj, count=args.grid)
-    from .euler_lagrange import el_residual
-
-    sup = {"el": 0.0, "dr_residual": 0.0, "cdur": 0.0}
     parts = []
     for regime in (Regime.FIRST, Regime.SECOND):
-        ts = grids[regime].times
-        el = el_residual(setup, traj, ts)
-        drq = np.atleast_1d(dr_quantity(setup, traj, ts, regime))
-        drr = np.atleast_1d(dr_residual(setup, traj, ts, regime))
-        cd = np.full(len(ts), np.nan)  # NaN (an empty cell) outside [t1, t2 - tau]
-        in_cdur = ts <= problem.t2 - problem.tau
-        if np.any(in_cdur):
-            cd[in_cdur] = np.atleast_1d(cdur_residual(setup, traj, ts[in_cdur]))
-        sup["el"] = max(sup["el"], float(np.max(np.linalg.norm(el, axis=1))))
-        sup["dr_residual"] = max(sup["dr_residual"], float(np.max(np.abs(drr))))
-        if np.any(in_cdur):
-            sup["cdur"] = max(sup["cdur"], float(np.max(np.abs(cd[in_cdur]))))
-        parts.append((ts, el, drq, drr, cd))
+        record = PathRecord(F, problem, traj, grids[regime].times, regime)
+        # cdur(t) is defined on [t1 - tau, t2 - tau]: an empty cell on the second regime
+        cd = record.cdur_advanced if regime is Regime.FIRST else np.full(len(record.ts), np.nan)
+        parts.append((record.ts, record.psi[0], record.dr_quantity, record.dr_residual, cd))
+        del record  # released before the next regime's sweep
     ts, el, drq, drr, cd = (np.concatenate(part) for part in zip(*parts))
+    sup = {"el": float(np.max(np.linalg.norm(el, axis=1))),
+           "dr_residual": float(np.max(np.abs(drr))),
+           "cdur": float(np.max(np.abs(parts[0][4])))}
     cdur = ["" if gap else cell for cell, gap in zip(format_column(cd), np.isnan(cd).tolist())]
     text = csv_text(["t"] + [f"el_{i}" for i in range(problem.n)]
                     + ["dr_quantity", "dr_residual", "cdur"], [ts, *el.T, drq, drr, cdur])
     _write_out(text, args.out)
-    summary = json.dumps({"sup": sup, "grid": args.grid}, indent=2)
-    if args.out not in (None, "-"):
-        print(summary)
-    elif args.json:
-        print(summary)
+    if args.out not in (None, "-") or args.json:
+        print(json.dumps({"sup": sup, "grid": args.grid}, indent=2))
     return 0
 
 

@@ -6,13 +6,15 @@ on the second regime [t2 - tau, t2] it does not.  The stacked partials
 
     Lambda_i(t) = d_{i+2} F[q](t)  (+ d_{i+m+3} F[q](t + tau) on the first regime)
 
-are the shared building block for the differential residual, the integral
-form, and the generalized momenta psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j),
-of which the differential residual is psi_0 (:func:`momentum`).
+and their rates come from one :class:`PathRecord` per (F, trajectory, regime,
+times): the differential residual E = psi_0, the momenta psi_j = sum_i (-1)^i
+d^i/dt^i Lambda_(i+j), the integral form, the DuBois-Reymond and Noether
+quantities all read from it, and its stencils are the one derivative provider.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -22,12 +24,13 @@ from numpy.polynomial import Chebyshev, Legendre, Polynomial
 
 from . import calculus
 from .errors import DegenerateGrid, NoConstraints
-from .problem import AugmentedSetup, Integrand, IsoperimetricProblem, args_at, augmented_integrand
+from .problem import AugmentedSetup, Integrand, IsoperimetricProblem, args_at, \
+    augmented_integrand, path_args
 from .trajectory import Grid, Trajectory
 
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
-           "regime_interval", "smooth_breaks", "stencil_bounds", "stacked_partial_map",
-           "momentum", "el_residual", "el_integral_function", "el_integral_lhs",
+           "regime_interval", "smooth_breaks", "stencil_bounds", "PathRecord", "el_residual",
+           "el_integral_function", "el_integral_lhs",
            "el_integral_defect", "classify", "residual_grids", "format_column", "csv_text"]
 
 
@@ -66,43 +69,121 @@ def smooth_breaks(problem: IsoperimetricProblem, traj: Trajectory) -> np.ndarray
 
 def stencil_bounds(ts, breaks: np.ndarray, lo: float, hi: float):
     """Per-point interval a stencil may occupy: between neighboring breaks,
-    clipped to the regime interval [lo, hi]."""
+    clipped to the regime interval [lo, hi].  A break takes the piece to its
+    left, except the first break, which takes the first piece."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     idx = np.searchsorted(breaks, ts)
+    idx = np.where(ts == breaks[0], 1, idx)
     below = np.where(idx > 0, breaks[np.maximum(idx - 1, 0)], -np.inf)
     above = np.where(idx < len(breaks), breaks[np.minimum(idx, len(breaks) - 1)], np.inf)
     return np.maximum(below, lo), np.minimum(above, hi)
 
 
-def stacked_partial_map(F: Integrand, traj: Trajectory, tau: float, m: int,
-                        index: int, regime: Regime):
-    """t |-> Lambda_index(t) as a vectorized map returning (npts, n)."""
+class PathRecord:
+    """F along a trajectory at times ``ts`` inside one regime: the one sweep
+    that every residual reads.
 
-    def fn(ts):
-        out = calculus.partial(F, index + 2, args_at(traj, ts, tau, m)).T
-        if regime is Regime.FIRST:
-            out = out + calculus.partial(F, index + m + 3, args_at(traj, ts + tau, tau, m)).T
+    For each order i >= 1 one stencil is placed over ts, the arguments at its
+    nodes (and at nodes + tau on the first regime) are built once, the block
+    partials that the momenta psi_j, j in ``momenta``, need are taken there,
+    and only the rates d^i/dt^i Lambda_k(ts) are kept.  ``along(nodes, args)``
+    is differentiated on the same stencils up to ``along_order`` (the Noether
+    generators).  Order 0 is ts itself: the record keeps q^(j)(ts) and
+    q^(j)(ts - tau) for j <= min(m + 1, degree) (higher ones vanish), and takes
+    each block partial there once for Lambda_k, F, d_1 F and the hypothesis sums.
+    """
+
+    def __init__(self, F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, ts,
+                 regime: Regime, momenta=None, along=None, along_order: int = 0):
+        m, n, tau = problem.m, problem.n, problem.tau
+        self.F, self.m, self.first = F, m, regime is Regime.FIRST
+        self.ts = ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        momenta = range(m + 1) if momenta is None else momenta
+        self._partials, self._rates, self.along = {}, {}, []
+        los, his = stencil_bounds(ts, smooth_breaks(problem, traj),
+                                  *regime_interval(problem, regime))
+        for i in range(1, max([m - j for j in momenta] + [along_order]) + 1):
+            ks, at_i = [i + j for j in momenta if i + j <= m], along if i <= along_order else None
+            rates = calculus.total_derivative_many(
+                functools.partial(self._sample, traj, tau, ks, at_i),
+                ts, i, los, his, calculus.default_step(problem.span, i))
+            self._rates.update({(i, k): rates[:, c * n:(c + 1) * n] for c, k in enumerate(ks)})
+            if at_i is not None:
+                self.along.append(rates[:, len(ks) * n:])
+        # order 0, kept: built after the other orders' node arrays are gone
+        top = min(m + 1, traj.max_degree)
+        self.q, self.q_delayed = (traj.eval(u, range(top + 1)) for u in (ts, ts - tau))
+        # argument vectors (at ts, at ts + tau), indexed by "advanced"
+        self._args = (path_args(ts, self.q[: m + 1], self.q_delayed[: m + 1]),
+                      args_at(traj, ts + tau, tau, m) if self.first else None)
+        if along is not None:
+            self.along.insert(0, along(ts, self._args[0]))
+        self.psi = {j: sum((-1) ** i * self.rate(i, i + j) for i in range(m - j + 1))
+                    for j in momenta}
+
+    def _sample(self, traj: Trajectory, tau: float, ks, along, nodes) -> np.ndarray:
+        """Lambda_k for k in ks, then ``along``, side by side at ``nodes``; the arguments
+        at the nodes, then at nodes + tau, are built once and dropped after their partials."""
+        args = args_at(traj, nodes, tau, self.m)
+        cols = [calculus.partial(self.F, k + 2, args).T for k in ks]
+        tail = [] if along is None else [along(nodes, args)]
+        del args
+        if self.first and ks:
+            adv = args_at(traj, nodes + tau, tau, self.m)
+            cols = [c + calculus.partial(self.F, k + self.m + 3, adv).T for c, k in zip(cols, ks)]
+        return np.column_stack(cols + tail)
+
+    def _partial(self, advanced: bool, block: int) -> np.ndarray:
+        """d_block F at ts, or at ts + tau if ``advanced``, taken once."""
+        if (advanced, block) not in self._partials:
+            self._partials[advanced, block] = calculus.partial(self.F, block, self._args[advanced])
+        return self._partials[advanced, block]
+
+    def rate(self, i: int, k: int) -> np.ndarray:
+        """d^i/dt^i Lambda_k at ts, shape (npts, n)."""
+        if i:
+            return self._rates[i, k]
+        out = self._partial(False, k + 2).T
+        if self.first:
+            out = out + self._partial(True, k + self.m + 3).T
         return out
 
-    return fn
+    @functools.cached_property
+    def value(self) -> np.ndarray:
+        """F[q](ts)."""
+        return np.broadcast_to(np.asarray(self.F(self._args[0].values), dtype=float),
+                               self.ts.shape)
 
+    @property
+    def d1(self) -> np.ndarray:
+        """d_1 F[q](ts), the explicit time dependence."""
+        return self._partial(False, 1)[0]
 
-def momentum(F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, j: int,
-             ts: np.ndarray, regime: Regime) -> np.ndarray:
-    """psi_j = sum_{i=0}^{m-j} (-1)^i d^i/dt^i Lambda_{i+j} at times inside one
-    regime, shape (npts, n); psi_0 is the Euler-Lagrange residual of F."""
-    lo, hi = regime_interval(problem, regime)
-    los, his = stencil_bounds(ts, smooth_breaks(problem, traj), lo, hi)
-    total = np.zeros((len(ts), problem.n))
-    for i in range(problem.m - j + 1):
-        fn = stacked_partial_map(F, traj, problem.tau, problem.m, i + j, regime)
-        if i == 0:
-            term = fn(ts)
-        else:
-            term = calculus.total_derivative_many(
-                fn, ts, i, los, his, calculus.default_step(problem.span, i))
-        total += ((-1) ** i) * term
-    return total
+    def _hypothesis(self, advanced: bool, qs) -> np.ndarray:
+        return sum((np.sum(self._partial(advanced, j + self.m + 3).T * qs[j + 1], axis=1)
+                    for j in range(len(qs) - 1)), np.zeros(len(self.ts)))
+
+    @functools.cached_property
+    def cdur_delayed(self) -> np.ndarray:
+        """The hypothesis residual at ts - tau, from the delayed-block partials at ts."""
+        return self._hypothesis(False, self.q_delayed)
+
+    @functools.cached_property
+    def cdur_advanced(self) -> np.ndarray:
+        """The hypothesis residual at ts (first regime), from the advanced partials."""
+        return self._hypothesis(True, self.q)
+
+    @functools.cached_property
+    def dr_quantity(self) -> np.ndarray:
+        """F - sum_j psi_j . q^(j)."""
+        return self.value - sum(np.sum(self.psi[j] * self.q[j], axis=1)
+                                for j in range(1, self.m + 1))
+
+    @functools.cached_property
+    def dr_residual(self) -> np.ndarray:
+        """E . q' + cdur(t - tau) - [first regime] cdur(t) (:mod:`delayvar.dubois_reymond`)."""
+        out = np.sum(self.psi[0] * self.q[1], axis=1) + self.cdur_delayed
+        return out - self.cdur_advanced if self.first else out
 
 
 def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
@@ -113,14 +194,13 @@ def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
     """
     problem = setup.problem
     F = augmented_integrand(setup)
-    scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty((len(ts), problem.n))
     second = ts >= problem.t2 - problem.tau
     for regime, mask in ((Regime.FIRST, ~second), (Regime.SECOND, second)):
         if np.any(mask):
-            out[mask] = momentum(F, problem, traj, 0, ts[mask], regime)
-    return out[0] if scalar else out
+            out[mask] = PathRecord(F, problem, traj, ts[mask], regime, momenta=(0,)).psi[0]
+    return out[0] if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +215,11 @@ class _PiecewiseCheb:
         self._edges = np.array([p[0] for p in pieces] + [pieces[-1][1]])
 
     @classmethod
-    def fit(cls, fn, lo: float, hi: float, inner_breaks, ncomp: int, deg: int = 24):
-        edges = [lo] + sorted(x for x in set(inner_breaks) if lo < x < hi) + [hi]
-        pieces = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            k = np.arange(deg + 1)
-            nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * (deg + 1)))
-            vals = np.asarray(fn(nodes))  # (deg+1, ncomp)
-            polys = [Chebyshev.fit(nodes, vals[:, c], deg, domain=[a, b])
-                     for c in range(ncomp)]
-            pieces.append((a, b, polys))
-        return cls(pieces)
+    def fit(cls, edges, nodes, vals):
+        """Fit ``vals`` (npieces, deg + 1, ncomp) at ``nodes``, piece by piece on ``edges``."""
+        return cls([(a, b, [Chebyshev.fit(x, v[:, c], len(x) - 1, domain=[a, b])
+                            for c in range(v.shape[1])])
+                    for a, b, x, v in zip(edges[:-1], edges[1:], nodes, vals)])
 
     def __call__(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -182,15 +256,16 @@ def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime
     reproduces the differential form up to the overall factor (-1)^(m-1).
     """
     problem = setup.problem
-    F = augmented_integrand(setup)
     lo, hi = regime_interval(problem, regime)
     base = problem.t2 - problem.tau
-    inner = smooth_breaks(problem, traj)
+    edges = np.array([lo, *(x for x in smooth_breaks(problem, traj) if lo < x < hi), hi])
+    cheb = np.cos(np.pi * (2 * np.arange(25) + 1) / 50)  # 25 Chebyshev nodes per piece
+    nodes = 0.5 * (edges[:-1, None] + edges[1:, None]) + 0.5 * np.diff(edges)[:, None] * cheb
+    record = PathRecord(augmented_integrand(setup), problem, traj, nodes.ravel(), regime,
+                        momenta=())
     terms = []
     for i in range(problem.m + 1):
-        level = _PiecewiseCheb.fit(
-            stacked_partial_map(F, traj, problem.tau, problem.m, i, regime),
-            lo, hi, inner, problem.n)
+        level = _PiecewiseCheb.fit(edges, nodes, record.rate(0, i).reshape(nodes.shape + (-1,)))
         for _ in range(problem.m - i):
             level = level.antiderivative(base)
         sign = -1.0 if i == problem.m else (-1.0) ** (problem.m - i - 1)
@@ -262,7 +337,7 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory,
     sup = 0.0
     for gj in problem.g:
         for regime, grid in grids.items():
-            res = momentum(gj, problem, traj, 0, np.asarray(grid.times), regime)
+            res = PathRecord(gj, problem, traj, grid.times, regime, momenta=(0,)).psi[0]
             sup = max(sup, float(np.max(np.linalg.norm(res, axis=1))))
     if tol is None:
         tol = 1e-6 * (1.0 + sup)

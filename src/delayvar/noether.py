@@ -28,22 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .dubois_reymond import psi_values
 from .errors import EmptyGrid, IOutOfRange, TransformEscapesDomain
-from .euler_lagrange import (
-    Regime,
-    regime_interval,
-    smooth_breaks,
-    stacked_partial_map,
-    stencil_bounds,
-)
-from .problem import (
-    AugmentedSetup,
-    IsoperimetricProblem,
-    TransformationGroup,
-    args_at,
-    augmented_integrand,
-)
+from .euler_lagrange import PathRecord, Regime, regime_interval, smooth_breaks, stencil_bounds
+from .problem import AugmentedSetup, TransformationGroup, args_at, augmented_integrand
 from .trajectory import Grid, Trajectory
 
 __all__ = ["rho", "invariance_defect", "necessary_condition_defect", "noether_quantity",
@@ -85,31 +72,25 @@ def _eta_dot_many(group, traj, ts, los, his, h) -> np.ndarray:
         lambda u: _eta_many(group, traj, u)[:, None], ts, 1, los, his, h)[:, 0]
 
 
-def _generators(group: TransformationGroup, traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """xi and eta at every point side by side; shape (npts, n + 1)."""
-    qs = traj.eval(ts, 0)
-    xi = _on_points(group.xi, ts, qs, (traj.n, len(ts)))
+def _generators(group: TransformationGroup, ts: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """xi and eta at every point side by side, q given as (npts, n); shape (npts, n + 1)."""
+    xi = _on_points(group.xi, ts, qs, (qs.shape[1], len(ts)))
     eta = _on_points(group.eta, ts, qs, ts.shape)
     return np.vstack([xi, eta[None]]).T
 
 
-def _lifts(group, traj, ts: np.ndarray, los, his, span: float, top: int):
-    """rho^0 .. rho^top, each (npts, n), and eta^(0) .. eta^(top), each (npts,),
-    by the Leibniz form; derivative order k of the generators is one stencil
-    with step default_step(span, k)."""
-    gens = functools.partial(_generators, group, traj)
-    derivs = [gens(ts)] + [
-        calculus.total_derivative_many(gens, ts, k, los, his, calculus.default_step(span, k))
-        for k in range(1, top + 1)]
-    etas = [d[:, -1] for d in derivs]
-    qs = traj.eval(ts, range(1, top + 1))  # q^(1) .. q^(top)
-    rhos = []
-    for i in range(top + 1):
-        lift = derivs[i][:, :-1]
-        for k in range(1, i + 1):
-            lift = lift - math.comb(i, k) * qs[i - k] * etas[k][:, None]
-        rhos.append(lift)
-    return rhos, etas
+def _along(group: TransformationGroup, ts: np.ndarray, args) -> np.ndarray:
+    """xi, eta and the gauge term at the points of ``args``, q read from them;
+    shape (npts, n + 2).  A :class:`PathRecord` differentiates it for the lifts."""
+    return np.column_stack([_generators(group, ts, args.block(2).T), _gauge(group, ts, args)])
+
+
+def _leibniz(derivs, qs, n: int):
+    """rho^0 .. rho^top, each (npts, n), from the generator derivatives
+    derivs[k] (xi^(k) in columns :n, eta^(k) in column n), k = 0..top, and the
+    path derivatives qs[j] = q^(j)."""
+    return [derivs[i][:, :n] - sum(math.comb(i, k) * qs[i + 1 - k] * derivs[k][:, n:n + 1]
+                                   for k in range(1, i + 1)) for i in range(len(derivs))]
 
 
 def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
@@ -120,24 +101,28 @@ def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     los, his = _piece_bounds(traj, ts)
     span = traj.domain[1] - traj.domain[0]
-    out = _lifts(group, traj, ts, los, his, span, i)[0][i]
+
+    def gens(us):
+        return _generators(group, us, traj.eval(us, 0))
+
+    derivs = [calculus.total_derivative_many(gens, ts, k, los, his, calculus.default_step(span, k))
+              for k in range(i + 1)]
+    out = _leibniz(derivs, traj.eval(ts, range(i + 1)), traj.n)[i]
     return out[0] if np.ndim(t) == 0 else out
 
 
-def _gauge_many(group: TransformationGroup, traj: Trajectory,
-                problem: IsoperimetricProblem, ts: np.ndarray) -> np.ndarray:
+def _gauge(group: TransformationGroup, ts: np.ndarray, args) -> np.ndarray:
     if group.gauge is None:
         return np.zeros(len(ts))
     # constant gauge expressions evaluate to a scalar even for array slots
-    values = args_at(traj, ts, problem.tau, problem.m).values
-    return np.broadcast_to(np.asarray(group.gauge(values), dtype=float), ts.shape)
+    return np.broadcast_to(np.asarray(group.gauge(args.values), dtype=float), ts.shape)
 
 
 def _gauge_dot_many(group, traj, problem, ts, los, his) -> np.ndarray:
     if group.gauge is None:
         return np.zeros(len(ts))
     return calculus.total_derivative_many(
-        lambda u: _gauge_many(group, traj, problem, u)[:, None],
+        lambda u: _gauge(group, u, args_at(traj, u, problem.tau, problem.m))[:, None],
         ts, 1, los, his, calculus.default_step(problem.span, 1))[:, 0]
 
 
@@ -146,17 +131,13 @@ def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
     """sum_j psi_j . rho^(j-1) + (F - sum_j psi_j . q^(j)) eta - gauge at a
     time (a float) or at an array of times inside ``regime`` (an array)."""
     problem = setup.problem
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    F = augmented_integrand(setup)
-    bracket = np.asarray(F(args_at(traj, ts, problem.tau, problem.m).values), dtype=float)
-    los, his = _piece_bounds(traj, ts)
-    rhos, etas = _lifts(group, traj, ts, los, his, traj.domain[1] - traj.domain[0],
-                        problem.m - 1)
-    lead = np.zeros(len(ts))
-    for j, psi_j in enumerate(psi_values(setup, traj, ts, regime), start=1):
-        bracket = bracket - np.sum(psi_j * traj.eval(ts, j), axis=1)
-        lead = lead + np.sum(psi_j * rhos[j - 1], axis=1)
-    out = lead + bracket * etas[0] - _gauge_many(group, traj, problem, ts)
+    m, n = problem.m, problem.n
+    record = PathRecord(augmented_integrand(setup), problem, traj, t, regime,
+                        momenta=range(1, m + 1), along=functools.partial(_along, group),
+                        along_order=m - 1)
+    rhos = _leibniz(record.along, record.q, n)
+    out = record.dr_quantity * record.along[0][:, n] - record.along[0][:, n + 1] + sum(
+        np.sum(record.psi[j] * lift, axis=1) for j, lift in enumerate(rhos, start=1))
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -239,33 +220,21 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
     functional is invariant up to the gauge term."""
     problem = setup.problem
     F = augmented_integrand(setup)
-    m, tau = problem.m, problem.tau
+    m, n = problem.m, problem.n
+
+    def integrand(ts, regime: Regime):
+        record = PathRecord(F, problem, traj, ts, regime, momenta=(),
+                            along=functools.partial(_along, group), along_order=max(m, 1))
+        gens, rates = record.along[0], record.along[1]
+        total = -rates[:, n + 1] + record.d1 * gens[:, n] + record.value * rates[:, n]
+        for k, lift in enumerate(_leibniz(record.along, record.q, n)[: m + 1]):
+            total += np.sum(record.rate(0, k) * lift, axis=1)
+        return total
+
     breaks = smooth_breaks(problem, traj)
-
-    def make_integrand(regime: Regime):
-        lo_r, hi_r = regime_interval(problem, regime)
-        maps = [stacked_partial_map(F, traj, tau, m, i, regime) for i in range(m + 1)]
-
-        def integrand(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            los, his = stencil_bounds(ts, breaks, lo_r, hi_r)
-            args = args_at(traj, ts, tau, m)
-            d1 = calculus.partial(F, 1, args)[0]
-            value = np.asarray(F(args.values), dtype=float)
-            rhos, etas = _lifts(group, traj, ts, los, his, problem.span, max(m, 1))
-            total = (-_gauge_dot_many(group, traj, problem, ts, los, his)
-                     + d1 * etas[0] + value * etas[1])
-            for lam_map, lift in zip(maps, rhos):
-                total += np.sum(lam_map(ts) * lift, axis=1)
-            return total
-
-        return integrand
-
-    out = []
-    for regime in (Regime.FIRST, Regime.SECOND):
-        lo_r, hi_r = regime_interval(problem, regime)
-        out.append(calculus.integrate(make_integrand(regime), lo_r, hi_r, breaks))
-    return out[0], out[1]
+    return tuple(calculus.integrate(functools.partial(integrand, regime=regime),
+                                    *regime_interval(problem, regime), breaks)
+                 for regime in (Regime.FIRST, Regime.SECOND))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .dubois_reymond import psi_values
 from .errors import OutOfDomain, WrongOrder
-from .euler_lagrange import Regime, csv_text
+from .euler_lagrange import PathRecord, Regime, csv_text
 from .problem import (
     ArgLayout,
     ArgVector,
@@ -25,7 +24,6 @@ from .problem import (
     Integrand,
     IsoperimetricProblem,
     TransformationGroup,
-    args_at,
     augmented_integrand,
 )
 from .trajectory import Trajectory
@@ -166,15 +164,12 @@ def second_order_noether_quantity(setup: AugmentedSetup, traj: Trajectory, t: fl
     problem = setup.problem
     if problem.m != 2:
         raise WrongOrder(f"second-order quantity needs m = 2, problem has m = {problem.m}")
-    F = augmented_integrand(setup)
-    psi1, psi2 = (p[0] for p in psi_values(setup, traj, [t], regime))
-    q = np.atleast_1d(traj.eval(t, 0))
-    qd = np.atleast_1d(traj.eval(t, 1))
-    qdd = np.atleast_1d(traj.eval(t, 2))
+    record = PathRecord(augmented_integrand(setup), problem, traj, [t], regime, momenta=(1, 2))
+    q, qd, qdd = (record.q[j][0] for j in range(3))
     xi0v = np.zeros(problem.n) if xi0 is None else np.atleast_1d(np.asarray(xi0(t, q), dtype=float))
     xi1v = np.zeros(problem.n) if xi1 is None else np.atleast_1d(np.asarray(xi1(t, q), dtype=float))
-    value = float(F(args_at(traj, t, problem.tau, problem.m).values))
-    return float(value * eta + psi1 @ (xi0v - qd * eta) + psi2 @ (xi1v - qdd * eta))
+    return float(record.value[0] * eta + record.psi[1][0] @ (xi0v - qd * eta)
+                 + record.psi[2][0] @ (xi1v - qdd * eta))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import OutOfDomain
 from .trajectory import Trajectory, segments_from_callable
 
 __all__ = ["ArgLayout", "ArgVector", "Integrand", "IsoperimetricProblem", "AugmentedSetup",
-           "ControlProblem", "TransformationGroup", "args_at", "augmented_integrand",
+           "ControlProblem", "TransformationGroup", "args_at", "path_args", "augmented_integrand",
            "functional_value", "constraint_values", "constraint_defect", "problem_from_json",
            "integrand_from_expr"]
 
@@ -94,14 +94,6 @@ def integrand_from_expr(text: str, m: int, n: int) -> Integrand:
     """Compile an expression over the variational argument names."""
     ast = expr.parse(text)
     return Integrand(expr.compiled(ast, expr.Binding(m, n)), name=text)
-
-
-def constant_integrand(value: float) -> Integrand:
-    def fn(values):
-        t = np.asarray(values[0], dtype=float)
-        return np.full(t.shape, value) if t.ndim else value
-
-    return Integrand(fn, name=f"const<{value}>")
 
 
 @dataclass(frozen=True)
@@ -236,16 +228,18 @@ def args_at(traj: Trajectory, t, tau: float, m: int) -> ArgVector:
 
     Vectorized: t may be an array, in which case every slot holds an array.
     """
-    layout = ArgLayout.variational(m, traj.n)
     t = np.asarray(t, dtype=float)
+    return path_args(t, traj.eval(t, range(m + 1)), traj.eval(t - tau, range(m + 1)))
+
+
+def path_args(t, current, delayed) -> ArgVector:
+    """[q]^m_tau(t) from the blocks q .. q^(m) at t (``current``) and at t - tau (``delayed``)."""
+    t = np.asarray(t, dtype=float)
+    n = np.shape(current[0])[-1]
     values: list = [t if t.ndim else float(t)]
-    for shift in (0.0, -tau):
-        for block in traj.eval(t + shift, range(m + 1)):
-            if t.ndim:
-                values.extend(block[..., i] for i in range(traj.n))
-            else:
-                values.extend(float(x) for x in np.atleast_1d(block))
-    return ArgVector(values, layout)
+    for block in (*current, *delayed):
+        values.extend(block[..., i] if t.ndim else float(block[i]) for i in range(n))
+    return ArgVector(values, ArgLayout.variational(len(current) - 1, n))
 
 
 def augmented_integrand(setup: AugmentedSetup) -> Integrand:

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .dubois_reymond import cdur_residual, dr_residual
 from .errors import SingularJacobian
-from .euler_lagrange import Classification, Regime, ResidualReport, classify, el_residual, \
-    residual_grids
+from .euler_lagrange import Classification, PathRecord, Regime, ResidualReport, classify, \
+    el_residual, residual_grids
 from .optimal_control import PontryaginTriple, pmp_residuals
 from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, Integrand, \
-    IsoperimetricProblem, constraint_defect
-from .trajectory import Grid, PolySegment, Trajectory, segments_from_callable
+    IsoperimetricProblem, augmented_integrand, constraint_defect
+from .trajectory import PolySegment, Trajectory, segments_from_callable
 
 __all__ = ["CollocationScheme", "SolveReport", "solve_el", "solve_pmp", "verify"]
 
@@ -423,30 +422,20 @@ def verify(problem: IsoperimetricProblem, traj: Trajectory, lam,
     The hypothesis flag never gates anything: quantities are evaluated and
     reported even when the advanced-term hypothesis fails.
     """
-    setup = AugmentedSetup(problem, lam)
+    F = augmented_integrand(AugmentedSetup(problem, lam))
     grids = residual_grids(problem, traj, count=grid_count)
-    first, second = grids[Regime.FIRST], grids[Regime.SECOND]
-    el_first = el_residual(setup, traj, first.times)
-    el_second = el_residual(setup, traj, second.times)
-    dr_first = np.atleast_1d(dr_residual(setup, traj, first.times, Regime.FIRST))
-    dr_second = np.atleast_1d(dr_residual(setup, traj, second.times, Regime.SECOND))
+    def sweep(regime):  # one record per regime, released before the next is built
+        record = PathRecord(F, problem, traj, grids[regime].times, regime, momenta=(0,))
+        return record.ts, record.psi[0], record.dr_residual, record.cdur_delayed
 
-    base = np.asarray(traj.breakpoints())
-    cdur_exclude = np.unique(np.concatenate([base, base - problem.tau]))
-    cdur_grid = Grid.build(problem.t1 - problem.tau, problem.t2 - problem.tau,
-                           grid_count, exclude=cdur_exclude,
-                           eps_knot=first.eps_knot)
-    cdur = np.atleast_1d(cdur_residual(setup, traj, cdur_grid.times))
-
+    (ts1, el1, dr1, cdur1), (ts2, el2, dr2, cdur2) = map(sweep, (Regime.FIRST, Regime.SECOND))
+    # cdur(t - tau) over both regimes covers the hypothesis domain [t1 - tau, t2 - tau]
+    cdur = np.concatenate([cdur1, cdur2])
     defect = constraint_defect(problem, traj) if problem.k else np.zeros(0)
-    abnormal = None
-    if problem.k:
-        abnormal = classify(problem, traj) is Classification.ABNORMAL
+    abnormal = classify(problem, traj) is Classification.ABNORMAL if problem.k else None
     return ResidualReport(
-        times_first=first.times, times_second=second.times,
-        el_first=el_first, el_second=el_second,
-        dr_first=dr_first, dr_second=dr_second,
-        cdur_times=cdur_grid.times, cdur=cdur,
+        times_first=ts1, times_second=ts2, el_first=el1, el_second=el2,
+        dr_first=dr1, dr_second=dr2, cdur_times=np.concatenate([ts1, ts2]) - problem.tau, cdur=cdur,
         constraint_defect=defect,
         hypothesis_violated=bool(np.max(np.abs(cdur)) > tol),
         abnormal=abnormal,

@@ -105,9 +105,10 @@ def test_criterion_3_example1_classification(ex1_problem, ex1_traj):
     # far above any tolerance: a normal extremizer
     verdict = classify(ex1_problem, ex1_traj)
     grid = Grid.build(1.05, 1.95, 50, eps_knot=1e-3)
-    from delayvar.euler_lagrange import momentum
+    from delayvar.euler_lagrange import PathRecord
 
-    g_res = momentum(ex1_problem.g[0], ex1_problem, ex1_traj, 0, grid.times, Regime.SECOND)
+    g_res = PathRecord(ex1_problem.g[0], ex1_problem, ex1_traj, grid.times, Regime.SECOND,
+                       momenta=(0,)).psi[0]
     sup = float(np.max(np.abs(g_res)))
     ok = verdict is Classification.NORMAL and sup >= 24.0
     _report(3, ok, f"classification={verdict.value}, g-residual sup on (1,2)={sup:.6g} (>=24)")

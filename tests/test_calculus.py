@@ -71,7 +71,7 @@ def test_mixed_shift_call_equals_per_point_calls():
     # points near both bounds take every placement from fully right to fully left
     ts = np.array([0.0, 1e-3, 0.5, 1.0 - 1e-3, 1.0, 0.002, 0.998])
     h = 1e-3
-    shifts = set(calculus._place(ts, 0.0, 1.0, h)[1].tolist())
+    shifts = set(calculus.Stencil(ts, 1, 0.0, 1.0, h)._shift.tolist())
     assert shifts == {-2, -1, 0, 1, 2}
     for order in (1, 2, 3):
         batched = total_derivative_many(np.sin, ts, order, 0.0, 1.0, h)

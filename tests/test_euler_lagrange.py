@@ -77,16 +77,15 @@ class TestDifferentialForm:
 def test_stacked_partial_and_its_rate(ex1_setup, ex1_traj):
     """d4F = 2(qdd + qdd_tau) = -48 at t = 1.5; its time derivative on (1, 2)
     is the constant -48 (the map is -24(2t - 1))."""
-    from delayvar.euler_lagrange import stacked_partial_map
+    from delayvar.euler_lagrange import PathRecord
     from delayvar.problem import augmented_integrand
 
     F = augmented_integrand(ex1_setup)
     args = args_at(ex1_traj, 1.5, 1.0, 2)
     assert calculus.partial(F, 4, args)[0] == pytest.approx(-48.0, abs=1e-9)
-    fn = stacked_partial_map(F, ex1_traj, 1.0, 2, 2, Regime.SECOND)
-    d = calculus.total_derivative_many(lambda u: fn(u), [1.5], 1,
-                                       [1.0], [2.0], calculus.default_step(2.0, 1))
-    assert d[0, 0] == pytest.approx(-48.0, abs=1e-7)
+    record = PathRecord(F, ex1_setup.problem, ex1_traj, [1.5], Regime.SECOND)
+    assert record.rate(0, 2)[0, 0] == pytest.approx(-48.0, abs=1e-9)
+    assert record.rate(1, 2)[0, 0] == pytest.approx(-48.0, abs=1e-7)
 
 
 def test_m2_integral_form_sign_convention(ex1_problem):

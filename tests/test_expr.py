@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delayvar.errors import (
     DerivativeOrderTooHigh,
@@ -120,6 +121,9 @@ def test_round_trip_property(ast):
     assert parse(to_str(ast)) == ast
 
 
+_ULPS = 4
+
+
 def _reference_eval(node, env):
     """Independent recursive evaluator over a name -> value environment."""
     if isinstance(node, Num):
@@ -129,14 +133,21 @@ def _reference_eval(node, env):
     if isinstance(node, Neg):
         return -_reference_eval(node.operand, env)
     if isinstance(node, Call):
-        return getattr(math, node.fn if node.fn != "abs" else "fabs")(
-            _reference_eval(node.arg, env))
+        x = _reference_eval(node.arg, env)
+        if node.fn in ("sin", "cos"):
+            # sin and cos move by up to |x| times the relative error of x: past
+            # this size, the few ulps by which two evaluators may compute x
+            # (numpy's exp and math.exp differ by one at exp(34.6)) take the
+            # result outside the 1e-12 bound, whichever evaluator is right
+            assume(abs(x) * _ULPS * sys.float_info.epsilon <= 1e-12)
+        return getattr(math, node.fn if node.fn != "abs" else "fabs")(x)
     a = _reference_eval(node.left, env)
     b = _reference_eval(node.right, env)
     return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[node.op]
 
 
 @settings(max_examples=300, deadline=None)
+@example(Neg(Call("sin", Call("exp", Num(34.599289892693456)))), [0.0] * 5)
 @given(_asts(3), st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
                           min_size=5, max_size=5))
 def test_agrees_with_reference_evaluator(ast, values):

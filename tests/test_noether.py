@@ -53,6 +53,13 @@ class TestRho:
         for i, exact in enumerate((ts ** 4, -2.0 * ts ** 3, -18.0 * ts ** 2)):
             assert np.max(np.abs(rho(group, traj, i, ts)[:, 0] - exact)) <= 1e-9
 
+    def test_lift_at_the_left_end_of_the_domain(self):
+        # the stencil takes the first piece at t = domain[0], as the last at domain[1]
+        traj = Trajectory(1, 2, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 0.0, 0.0, 1.0]])])
+        group = TransformationGroup(eta=lambda t, q: t ** 2, xi=lambda t, q: t * q)
+        assert rho(group, traj, 1, -0.5)[0] == pytest.approx(0.25, abs=1e-9)  # -2 t^3
+        assert rho(group, traj, 1, 1.0)[0] == pytest.approx(-2.0, abs=1e-9)
+
     def test_i_out_of_range(self, ex1_traj):
         with pytest.raises(IOutOfRange):
             rho(TIME_SHIFT, ex1_traj, 3, 0.5)

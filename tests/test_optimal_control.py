@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from delayvar.dubois_reymond import psi_values
 from delayvar.errors import WrongOrder
-from delayvar.euler_lagrange import Regime
+from delayvar.euler_lagrange import PathRecord, Regime
 from delayvar.noether import noether_quantity
 from delayvar.optimal_control import (
     PontryaginTriple,
@@ -27,6 +26,7 @@ from delayvar.problem import (
     Integrand,
     TransformationGroup,
     args_at,
+    augmented_integrand,
     integrand_from_expr,
 )
 from delayvar.trajectory import PolySegment, Trajectory
@@ -249,7 +249,9 @@ class TestReduceToControl:
         cp = reduce_to_control(ex1_setup.problem)
         H = hamiltonian_integrand(cp)
         for t in (1.2, 1.55, 1.85):
-            psi1, psi2 = (p[0] for p in psi_values(ex1_setup, ex1_traj, [t], Regime.SECOND))
+            record = PathRecord(augmented_integrand(ex1_setup), ex1_setup.problem, ex1_traj, [t],
+                                Regime.SECOND, momenta=(1, 2))
+            psi1, psi2 = record.psi[1][0], record.psi[2][0]
             q = float(ex1_traj.eval(t, 0)[0])
             qd = float(ex1_traj.eval(t, 1)[0])
             qdd = float(ex1_traj.eval(t, 2)[0])

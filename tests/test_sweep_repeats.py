@@ -1,0 +1,61 @@
+"""One sweep per regime: no path evaluation is repeated within a call.
+
+Every residual reads the same record of path values, so within one
+``verify`` or one ``delayvar residuals`` run the trajectory is never asked
+twice for the same derivative orders at the same times.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stdout
+
+import numpy as np
+
+from delayvar import cli
+from delayvar.registry import get
+from delayvar.solver import verify
+from delayvar.trajectory import Trajectory
+
+
+def _count_repeats(monkeypatch, call) -> tuple[int, int]:
+    """(repeated, total) point-orders over the Trajectory.eval calls of call()."""
+    original = Trajectory.eval
+    seen: set = set()
+    kept = []  # keeps evaluated trajectories alive, so their ids stay unique
+    counts = [0, 0]
+
+    def counting(self, t, order=0):
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        orders = tuple(int(o) for o in np.atleast_1d(order))
+        key = (id(self), times.tobytes(), orders)
+        points = times.size * len(orders)
+        counts[1] += points
+        if key in seen:
+            counts[0] += points
+        seen.add(key)
+        kept.append(self)
+        return original(self, t, order)
+
+    monkeypatch.setattr(Trajectory, "eval", counting)
+    call()
+    return counts[0], counts[1]
+
+
+def test_verify_evaluates_each_point_once(monkeypatch):
+    entry = get("example1")
+    problem, traj = entry.build(), entry.trajectory()
+    repeated, total = _count_repeats(
+        monkeypatch, lambda: verify(problem, traj, entry.lam, grid_count=200))
+    assert total > 0
+    assert repeated == 0
+
+
+def test_residuals_command_evaluates_each_point_once(monkeypatch):
+    def run():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["residuals", "--example", "example1", "--grid", "200"]) == 0
+
+    repeated, total = _count_repeats(monkeypatch, run)
+    assert total > 0
+    assert repeated == 0
