@@ -1,16 +1,16 @@
 """Differentiation and integration engine.
 
-Block partials of integrands (dual-number > finite difference), total time
-derivatives by 5-point stencils that never cross a regime bound or trajectory
-breakpoint, composite Gauss-Legendre quadrature, and the s = 0 parameter
-derivative used by the invariance checks.
+Block partials of integrands (an order-1 jet > finite difference), time
+derivatives along a path, composite Gauss-Legendre quadrature, and the s = 0
+parameter derivative by Richardson extrapolation.
 
-A :class:`Stencil` places one order's nodes and weights the samples taken
-there; :func:`total_derivative_many` samples a map of several columns once,
-so the residual record of :mod:`delayvar.euler_lagrange` differentiates all
-its stacked partials of one order from one path evaluation.  Steps come from
-:func:`default_step`: span * 1e-4 for order 1, and 10x more per further order
-(the roundoff floor eps*|f|/h^k would otherwise dominate at the tolerances).
+:func:`path_derivatives` is the one provider of time derivatives along a
+path: one call of a map on the time as a Taylor jet (:mod:`delayvar.jet`)
+gives d^0 .. d^K/dt^K exactly, block partials of jet arguments being jets
+too.  Only maps that reject jets fall back to 5-point stencils that never
+cross a regime bound or trajectory breakpoint (a :class:`Stencil` places one
+order's nodes and weights the samples), with steps from :func:`default_step`:
+span * 1e-4 for order 1, and 10x more per further order.
 """
 
 from __future__ import annotations
@@ -21,40 +21,21 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dual import Dual, derivative_of
+from . import jet
 from .errors import BlockOutOfRange, StencilCrossesBreakpoint
 
-__all__ = ["default_step", "Stencil", "total_derivative_many", "partial", "sample", "integrate",
-           "derivative_in_parameter", "ParamDerivative", "fd_weights"]
+__all__ = ["default_step", "Stencil", "total_derivative_many", "path_derivatives", "partial",
+           "sample", "integrate", "derivative_in_parameter", "ParamDerivative", "fd_weights"]
 
 _WIDTH = 5
 
 
 def fd_weights(offsets, order: int) -> np.ndarray:
-    """Finite-difference weights at x = 0 for nodes ``offsets`` (Fornberg)."""
+    """Finite-difference weights at x = 0 for nodes ``offsets``: the moment
+    conditions sum_j w_j x_j^i = order! [i = order], i < len(offsets)."""
     x = np.asarray(offsets, dtype=float)
-    npts = len(x)
-    c = np.zeros((npts, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, npts):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
+    return np.linalg.solve(np.vander(x, increasing=True).T,
+                           np.eye(len(x))[order] * math.factorial(order))
 
 
 # _WEIGHTS[order, s + 2]: the 5-point stencil shifted by s nodes, s = -2 (fully left) .. 2
@@ -121,14 +102,35 @@ def total_derivative_many(fn, ts, order: int, los, his, h: float) -> np.ndarray:
     return stencil.apply(fn(stencil.nodes))
 
 
-def partial(f, block: int, args) -> np.ndarray:
+def path_derivatives(fn, ts, order: int, fallback) -> np.ndarray:
+    """d^0 .. d^order/dt^order of a map along a path at ``ts``; shape
+    (order + 1, npts, ...).
+
+    ``fn(t)`` is called once with t the time jet of ``order`` at ts and returns
+    a jet whose coefficients have shape (npts, ...), or a plain array, which
+    is constant in t.  A map that rejects jets (TypeError) is called on
+    stencil nodes instead, once per order, inside the per-point intervals and
+    for the time span that ``fallback()`` returns as (los, his, span).
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    try:
+        coeffs = jet.coefficients(fn(jet.variable(ts, order)), order)
+    except TypeError:
+        los, his, span = fallback()
+        return np.stack([total_derivative_many(fn, ts, i, los, his, default_step(span, i))
+                         for i in range(order + 1)])
+    scale = [float(math.factorial(i)) for i in range(order + 1)]
+    return coeffs * np.reshape(scale, (-1,) + (1,) * (coeffs.ndim - 1))
+
+
+def partial(f, block: int, args):
     """Gradient of integrand ``f`` with respect to one argument block.
 
-    A dual-number forward pass, exact for integrands built from arithmetic
-    and the toolkit's dual-aware functions; central finite differences for
-    callables that reject dual numbers.
-    Returns shape (block_len,) for scalar argument slots, (block_len, npts)
-    when slots hold arrays.
+    The slots seeded one at a time by an order-1 jet: exact for integrands
+    built from arithmetic and the jet-aware functions; central finite
+    differences for callables that reject jets.  Shape (block_len,) for
+    scalar slots, (block_len, npts) for array slots, and a jet in t of that
+    shape for jet slots (where a callable rejecting jets raises TypeError).
     """
     layout = args.layout
     if block < 1 or block > layout.nblocks:
@@ -137,19 +139,23 @@ def partial(f, block: int, args) -> np.ndarray:
     if sl.start == sl.stop:
         return np.zeros(0)
     values = args.values
+    level = 1 + max([v.level for v in values if type(v) is jet.Jet], default=-1)
+    like = jet.value_of(values[sl.start])
     try:
-        return np.stack([_dual_slot(f, values, i) for i in range(sl.start, sl.stop)])
+        return jet.stack([_seeded_slot(f, values, i, level) for i in range(sl.start, sl.stop)],
+                         like)
     except TypeError:
         return np.stack([_fd_slot(f, values, i) for i in range(sl.start, sl.stop)])
 
 
-def _dual_slot(f, values, i):
-    v = values[i]
+def _seeded_slot(f, values, i, level: int):
+    """d f / d values[i]: the epsilon-coefficient of f with slot i seeded by an
+    order-1 jet of ``level`` (above every jet in the slots); 0 when f never
+    touched the seed."""
     seeded = list(values)
-    seed = np.ones_like(np.asarray(v, dtype=float)) if np.ndim(v) else 1.0
-    seeded[i] = Dual(v, seed)
+    seeded[i] = jet.Jet([values[i], 1.0], level)
     out = f(seeded)
-    return np.asarray(derivative_of(out, like=v), dtype=float)
+    return out.c[1] if isinstance(out, jet.Jet) and out.level == level and out.order else 0.0
 
 
 def _fd_slot(f, values, i):
@@ -164,17 +170,19 @@ def _fd_slot(f, values, i):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def integrate(fn: Callable, a: float, b: float, breaks=()) -> float:
+def integrate(fn: Callable, a: float, b: float, breaks=()):
     """Composite 8-node Gauss-Legendre over panels split at ``breaks``.
 
     Panels never straddle a break and are at most (b - a)/64 wide; exact to
-    roundoff for piecewise polynomials of degree <= 15.
+    roundoff for piecewise polynomials of degree <= 15.  A float, or an array
+    of shape (k,) when fn returns shape (npts, k).
     """
     if b <= a:
         return 0.0
     pts = (float(a), *sorted(x for x in set(float(x) for x in breaks) if a < x < b), float(b))
     nodes, weights = _panel_rule(pts)
-    return float(weights @ sample(fn, nodes))
+    out = weights @ sample(fn, nodes)
+    return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=32)
@@ -196,10 +204,11 @@ def _panel_rule(pts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """fn on a time array in one call; per point if it rejects arrays or changes shape."""
+    """fn on a time array in one call (shape (npts,) or (npts, k)); per point if
+    it rejects arrays or does not keep the points' axis."""
     try:
         vals = np.array(fn(ts), dtype=float)
-        if vals.shape == ts.shape:
+        if vals.shape[:1] == ts.shape:
             return vals
     except (TypeError, ValueError):
         pass

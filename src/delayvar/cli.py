@@ -81,9 +81,8 @@ def _group_from_exprs(args, problem):
     def eta(t, q):
         return expr.bind_eval(eta_ast, binding, [t, *q])
 
-    def xi(t, q):  # constants broadcast to stack with varying components
-        return np.array([np.broadcast_to(expr.bind_eval(a, binding, [t, *q]), np.shape(t))
-                         for a in xi_asts], dtype=float)
+    def xi(t, q):  # one entry per component; constants broadcast against the others
+        return [expr.bind_eval(a, binding, [t, *q]) for a in xi_asts]
 
     gauge = None
     if getattr(args, "gauge", None):

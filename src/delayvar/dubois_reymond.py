@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import calculus
 from .errors import JOutOfRange, OutOfDomain
-from .euler_lagrange import PathRecord, Regime
-from .problem import AugmentedSetup, args_at, augmented_integrand
+from .euler_lagrange import PathRecord, Regime, per_regime
+from .problem import AugmentedSetup, augmented_integrand
 from .trajectory import Trajectory
 
 __all__ = ["psi", "cdur_residual", "dr_quantity", "dr_residual"]
@@ -45,19 +44,16 @@ def cdur_residual(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndar
     """Advanced-term hypothesis residual
     sum_{j=0}^m d_{j+m+3} F[q](t + tau) . q^(j+1)(t); zero means the
     DuBois-Reymond / Noether hypothesis holds at t.  A :class:`PathRecord`
-    gives it on its regime grids (``cdur_advanced``, ``cdur_delayed``)."""
-    problem = setup.problem
-    m, tau = problem.m, problem.tau
+    gives it on its regime grids (``cdur_advanced``, ``cdur_delayed``); here it
+    is the delayed-block sum of the records at t + tau."""
+    problem, F, tau = setup.problem, augmented_integrand(setup), setup.problem.tau
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     lo, hi, slack = problem.t1 - tau, problem.t2 - tau, 1e-10 * max(1.0, problem.span)
     if np.any(ts < lo - slack) or np.any(ts > hi + slack):
         raise OutOfDomain(f"hypothesis residual is defined on [{lo}, {hi}]")
-    F, adv = augmented_integrand(setup), args_at(traj, ts + tau, tau, m)
-    total = np.zeros(len(ts))
-    # derivatives past the trajectory's degree vanish
-    for j, dq in enumerate(traj.eval(ts, range(1, min(m + 1, traj.max_degree) + 1))):
-        total += np.sum(calculus.partial(F, j + m + 3, adv).T * dq, axis=1)
-    return float(total[0]) if np.ndim(t) == 0 else total
+    out = per_regime(problem, lambda us, regime: PathRecord(
+        F, problem, traj, us, regime, momenta=()).cdur_delayed, ts + tau)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def dr_quantity(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> float | np.ndarray:

@@ -9,7 +9,9 @@ on the second regime [t2 - tau, t2] it does not.  The stacked partials
 and their rates come from one :class:`PathRecord` per (F, trajectory, regime,
 times): the differential residual E = psi_0, the momenta psi_j = sum_i (-1)^i
 d^i/dt^i Lambda_(i+j), the integral form, the DuBois-Reymond and Noether
-quantities all read from it, and its stencils are the one derivative provider.
+quantities all read from it.  It takes every rate from one forward pass of
+Taylor jets (:func:`delayvar.calculus.path_derivatives`), exact to roundoff,
+so residuals of exact extremals sit at roundoff.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import Chebyshev, Legendre, Polynomial
 
-from . import calculus
+from . import calculus, jet
 from .errors import DegenerateGrid, NoConstraints
-from .problem import AugmentedSetup, Integrand, IsoperimetricProblem, args_at, \
-    augmented_integrand, path_args
+from .problem import AugmentedSetup, Integrand, IsoperimetricProblem, augmented_integrand, \
+    path_args
 from .trajectory import Grid, Trajectory
 
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
-           "regime_interval", "smooth_breaks", "stencil_bounds", "PathRecord", "el_residual",
-           "el_integral_function", "el_integral_lhs",
+           "regime_interval", "smooth_breaks", "stencil_bounds", "PathRecord", "per_regime",
+           "el_residual", "el_integral_function", "el_integral_lhs",
            "el_integral_defect", "classify", "residual_grids", "format_column", "csv_text"]
 
 
@@ -83,70 +85,90 @@ class PathRecord:
     """F along a trajectory at times ``ts`` inside one regime: the one sweep
     that every residual reads.
 
-    For each order i >= 1 one stencil is placed over ts, the arguments at its
-    nodes (and at nodes + tau on the first regime) are built once, the block
-    partials that the momenta psi_j, j in ``momenta``, need are taken there,
-    and only the rates d^i/dt^i Lambda_k(ts) are kept.  ``along(nodes, args)``
-    is differentiated on the same stencils up to ``along_order`` (the Noether
-    generators).  Order 0 is ts itself: the record keeps q^(j)(ts) and
-    q^(j)(ts - tau) for j <= min(m + 1, degree) (higher ones vanish), and takes
-    each block partial there once for Lambda_k, F, d_1 F and the hypothesis sums.
+    The path is evaluated once at ts, at ts - tau and (first regime) at
+    ts + tau, and q^(j)(ts), q^(j)(ts - tau) are kept (zero past the degree).
+    One call of the derivative provider on their jets gives d^i/dt^i
+    Lambda_k(ts) for k >= min(momenta) and i up to the highest rate that the
+    momenta psi_j, j in ``momenta``, need, and the rates of ``along(args)``
+    (the Noether generators) up to ``along_order``.  Order-0 quantities are
+    constant terms: the block partials at ts, F, d_1 F and the hypothesis sums
+    are taken once each, when asked.  A point at the domain's right end is a
+    left limit, and so is its delayed argument.
     """
 
     def __init__(self, F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, ts,
                  regime: Regime, momenta=None, along=None, along_order: int = 0):
-        m, n, tau = problem.m, problem.n, problem.tau
-        self.F, self.m, self.first = F, m, regime is Regime.FIRST
+        m, tau = problem.m, problem.tau
+        self.F, self.m, self.n, self.first = F, m, problem.n, regime is Regime.FIRST
+        self.traj, self.tau, self._along = traj, tau, along
         self.ts = ts = np.atleast_1d(np.asarray(ts, dtype=float))
         momenta = range(m + 1) if momenta is None else momenta
-        self._partials, self._rates, self.along = {}, {}, []
-        los, his = stencil_bounds(ts, smooth_breaks(problem, traj),
-                                  *regime_interval(problem, regime))
-        for i in range(1, max([m - j for j in momenta] + [along_order]) + 1):
-            ks, at_i = [i + j for j in momenta if i + j <= m], along if i <= along_order else None
-            rates = calculus.total_derivative_many(
-                functools.partial(self._sample, traj, tau, ks, at_i),
-                ts, i, los, his, calculus.default_step(problem.span, i))
-            self._rates.update({(i, k): rates[:, c * n:(c + 1) * n] for c, k in enumerate(ks)})
-            if at_i is not None:
-                self.along.append(rates[:, len(ks) * n:])
-        # order 0, kept: built after the other orders' node arrays are gone
-        top = min(m + 1, traj.max_degree)
-        self.q, self.q_delayed = (traj.eval(u, range(top + 1)) for u in (ts, ts - tau))
-        # argument vectors (at ts, at ts + tau), indexed by "advanced"
-        self._args = (path_args(ts, self.q[: m + 1], self.q_delayed[: m + 1]),
-                      args_at(traj, ts + tau, tau, m) if self.first else None)
-        if along is not None:
-            self.along.insert(0, along(ts, self._args[0]))
-        self.psi = {j: sum((-1) ** i * self.rate(i, i + j) for i in range(m - j + 1))
-                    for j in momenta}
+        order = max([m - j for j in momenta] + [along_order])
+        self._momenta, self._ks = tuple(momenta), range(min(momenta, default=m + 1), m + 1)
+        count = m + 1 + max(order, 1)
+        self._paths = [traj.derivatives(ts, count),
+                       traj.derivatives(ts - tau, count, left=ts >= traj.domain[1])]
+        if self.first:
+            self._paths.append(traj.derivatives(ts + tau, count))
+        self.q, self.q_delayed = self._paths[:2]
+        self._args = self._arguments(ts, self._paths)
+        self._partials, self.along = {}, []
+        if not self._ks and along is None:
+            return
+        rates = calculus.path_derivatives(
+            self._sample, ts, order, lambda: (*stencil_bounds(
+                ts, smooth_breaks(problem, traj), *regime_interval(problem, regime)),
+                problem.span))
+        self._rates = rates[:, :, :len(self._ks) * self.n]
+        self.along = list(rates[:along_order + 1, :, len(self._ks) * self.n:])
 
-    def _sample(self, traj: Trajectory, tau: float, ks, along, nodes) -> np.ndarray:
-        """Lambda_k for k in ks, then ``along``, side by side at ``nodes``; the arguments
-        at the nodes, then at nodes + tau, are built once and dropped after their partials."""
-        args = args_at(traj, nodes, tau, self.m)
-        cols = [calculus.partial(self.F, k + 2, args).T for k in ks]
-        tail = [] if along is None else [along(nodes, args)]
-        del args
-        if self.first and ks:
-            adv = args_at(traj, nodes + tau, tau, self.m)
-            cols = [c + calculus.partial(self.F, k + self.m + 3, adv).T for c, k in zip(cols, ks)]
-        return np.column_stack(cols + tail)
+    def _arguments(self, t, paths):
+        """Argument vectors at t and (first regime) at t + tau from the path
+        blocks at t, t - tau and t + tau."""
+        current = path_args(t, paths[0][: self.m + 1], paths[1][: self.m + 1])
+        if not self.first:
+            return current, None
+        return current, path_args(t + self.tau, paths[2][: self.m + 1], paths[0][: self.m + 1])
 
-    def _partial(self, advanced: bool, block: int) -> np.ndarray:
-        """d_block F at ts, or at ts + tau if ``advanced``, taken once."""
+    def _sample(self, t):
+        """Lambda_k for k in ks, then ``along``, side by side: at the time jet t
+        (its constant term is ts) from jets of the kept path values, or at
+        stencil nodes t, where the path is evaluated."""
+        if isinstance(t, jet.Jet):
+            paths = [jet.path(p, self.m + 1, t.order) for p in self._paths]
+        else:
+            paths = [self.traj.derivatives(u, self.m + 1)
+                     for u in (t, t - self.tau, t + self.tau)[:len(self._paths)]]
+        current, advanced = self._arguments(t, paths)
+        cols = [calculus.partial(self.F, k + 2, current).T for k in self._ks]
+        if self.first:
+            cols = [col + calculus.partial(self.F, k + self.m + 3, advanced).T
+                    for col, k in zip(cols, self._ks)]
+        if self._along is not None:
+            cols.append(self._along(current))
+        return jet.hstack(cols)
+
+    def block_partial(self, block: int, advanced: bool = False) -> np.ndarray:
+        """d_block F at ts, or at ts + tau if ``advanced``, taken once; shape (len, npts)."""
         if (advanced, block) not in self._partials:
             self._partials[advanced, block] = calculus.partial(self.F, block, self._args[advanced])
         return self._partials[advanced, block]
 
     def rate(self, i: int, k: int) -> np.ndarray:
-        """d^i/dt^i Lambda_k at ts, shape (npts, n)."""
-        if i:
-            return self._rates[i, k]
-        out = self._partial(False, k + 2).T
+        """d^i/dt^i Lambda_k at ts, shape (npts, n); order 0 for any k."""
+        if k in self._ks:
+            c = (k - self._ks.start) * self.n
+            return self._rates[i, :, c:c + self.n]
+        out = self.block_partial(k + 2).T
         if self.first:
-            out = out + self._partial(True, k + self.m + 3).T
+            out = out + self.block_partial(k + self.m + 3, advanced=True).T
         return out
+
+    @functools.cached_property
+    def psi(self) -> dict:
+        """The momenta psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j), j in ``momenta``."""
+        return {j: sum((-1) ** i * self.rate(i, i + j) for i in range(self.m - j + 1))
+                for j in self._momenta}
 
     @functools.cached_property
     def value(self) -> np.ndarray:
@@ -157,11 +179,13 @@ class PathRecord:
     @property
     def d1(self) -> np.ndarray:
         """d_1 F[q](ts), the explicit time dependence."""
-        return self._partial(False, 1)[0]
+        return self.block_partial(1)[0]
 
     def _hypothesis(self, advanced: bool, qs) -> np.ndarray:
-        return sum((np.sum(self._partial(advanced, j + self.m + 3).T * qs[j + 1], axis=1)
-                    for j in range(len(qs) - 1)), np.zeros(len(self.ts)))
+        # terms past the trajectory's degree vanish
+        return sum((np.sum(self.block_partial(j + self.m + 3, advanced).T * qs[j + 1], axis=1)
+                    for j in range(min(self.m + 1, self.traj.max_degree))),
+                   np.zeros(len(self.ts)))
 
     @functools.cached_property
     def cdur_delayed(self) -> np.ndarray:
@@ -186,21 +210,27 @@ class PathRecord:
         return out - self.cdur_advanced if self.first else out
 
 
+def per_regime(problem: IsoperimetricProblem, fn, t, shape: tuple = ()) -> np.ndarray:
+    """fn(times, regime) at the times t, each regime's points in one call;
+    one row of ``shape`` per time, a scalar t giving one row."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((len(ts),) + shape)
+    second = ts >= problem.t2 - problem.tau
+    for regime, mask in ((Regime.FIRST, ~second), (Regime.SECOND, second)):
+        if np.any(mask):
+            out[mask] = fn(ts[mask], regime)
+    return out[0] if np.ndim(t) == 0 else out
+
+
 def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
     """Differential-form Euler-Lagrange residual of F = L - lam.g at t.
 
     Zero along extremals.  Accepts scalar t (returns shape (n,)) or an array
     (returns (npts, n)); regimes are resolved per point.
     """
-    problem = setup.problem
-    F = augmented_integrand(setup)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((len(ts), problem.n))
-    second = ts >= problem.t2 - problem.tau
-    for regime, mask in ((Regime.FIRST, ~second), (Regime.SECOND, second)):
-        if np.any(mask):
-            out[mask] = PathRecord(F, problem, traj, ts[mask], regime, momenta=(0,)).psi[0]
-    return out[0] if np.ndim(t) == 0 else out
+    problem, F = setup.problem, augmented_integrand(setup)
+    return per_regime(problem, lambda ts, regime: PathRecord(
+        F, problem, traj, ts, regime, momenta=(0,)).psi[0], t, (problem.n,))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +388,9 @@ class ResidualReport:
     el_second: np.ndarray
     dr_first: np.ndarray | None = None
     dr_second: np.ndarray | None = None
+    dr_quantity_first: np.ndarray | None = None  # F - sum_j psi_j . q^(j) on the grids
+    dr_quantity_second: np.ndarray | None = None
+    functional: float | None = None  # J, from the quadrature of the constraint defects
     cdur_times: np.ndarray | None = None
     cdur: np.ndarray | None = None
     constraint_defect: np.ndarray | None = None

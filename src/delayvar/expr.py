@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual
+from . import jet
 from .errors import (
     DerivativeOrderTooHigh,
     EvaluationDomain,
@@ -305,8 +305,8 @@ class TableBinding:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_FN = {"sin": dual.sin, "cos": dual.cos, "exp": dual.exp, "log": dual.log,
-       "sqrt": dual.sqrt, "abs": dual.fabs}
+_FN = {"sin": jet.sin, "cos": jet.cos, "exp": jet.exp, "log": jet.log,
+       "sqrt": jet.sqrt, "abs": jet.fabs}
 
 
 def _ev(node: Ast, binding, args):
@@ -333,13 +333,13 @@ def _ev(node: Ast, binding, args):
 
 
 def bind_eval(node: Ast, binding, args):
-    """Evaluate over a flat argument sequence (floats, arrays, or duals)."""
+    """Evaluate over a flat argument sequence (floats, arrays, or jets)."""
     try:
         with np.errstate(all="ignore"):
             result = _ev(node, binding, args)
     except ZeroDivisionError as err:
         raise EvaluationDomain(str(err)) from None
-    check = dual.value_of(result)
+    check = jet.value_of(result)
     if not np.all(np.isfinite(check)):
         raise EvaluationDomain(f"expression evaluated to a non-finite value: {check!r}")
     return result

@@ -1,0 +1,253 @@
+"""Truncated Taylor series (jets) for forward-mode differentiation.
+
+A :class:`Jet` holds the Taylor coefficients c_0 .. c_K (the k-th derivative
+over k!) of a quantity in one variable.  Coefficients are floats, numpy
+arrays (one series per point) or jets in an inner variable, so jets nest: an
+order-1 jet over jets in t is a dual number whose derivative part is itself a
+jet in t.  ``level`` tells the variables apart; a jet meeting one of a lower
+level treats it as a constant.  Arithmetic uses Cauchy products, integer
+powers by products, and the standard recurrences for / sqrt exp log sin cos
+(Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13), other powers
+going through exp and log; so integrands built from arithmetic and the math
+functions below, which expression integrands call, are jet-capable.  numpy refuses to convert a jet: callables built on numpy
+ufuncs or ``float`` reject jets with TypeError.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
+
+__all__ = ["Jet", "variable", "path", "value_of", "coefficients", "stack", "hstack",
+           "sin", "cos", "exp", "log", "sqrt", "fabs"]
+
+
+def _defer(method):
+    """Binary operator: the outer jet's reflected operator runs when ``other``
+    is a jet of a higher level (Python skips it for operands of one type);
+    ``peer`` says whether other is a jet of this level."""
+    name = method.__name__.replace("__", "__r", 1)
+
+    def run(self, other):
+        if isinstance(other, Jet) and other.level > self.level:
+            return getattr(other, name)(self)
+        return method(self, other, isinstance(other, Jet) and other.level == self.level)
+
+    run.__name__ = method.__name__
+    return run
+
+
+class Jet:
+    __slots__ = ("c", "level")
+    __array_ufunc__ = None  # an ndarray on the left defers to the reflected operator
+
+    def __init__(self, c, level: int = 0):
+        self.c, self.level = c if type(c) is list else list(c), level
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a jet is not an array")
+
+    def __repr__(self):
+        return f"Jet({self.c!r}, level={self.level})"
+
+    @property
+    def order(self) -> int:
+        return len(self.c) - 1
+
+    def _new(self, c) -> "Jet":
+        return Jet(c, self.level)
+
+    # indexing acts on the coefficient arrays (components, points)
+    def __getitem__(self, key):
+        return self._new(c[key] for c in self.c)
+
+    def __iter__(self):
+        return (self[i] for i in range(np.shape(value_of(self))[0]))
+
+    @property
+    def T(self) -> "Jet":
+        return self._new(np.transpose(c) for c in self.c)
+
+    @_defer
+    def __add__(self, other, peer):
+        if peer:
+            return self._new([a + b for a, b in zip(self.c, other.c)])
+        return self._new([self.c[0] + other] + self.c[1:])
+
+    __radd__ = __add__  # other is a constant here
+
+    @_defer
+    def __sub__(self, other, peer):
+        if peer:
+            return self._new([a - b for a, b in zip(self.c, other.c)])
+        return self._new([self.c[0] - other] + self.c[1:])
+
+    def __rsub__(self, other):
+        return self._new([other - self.c[0]] + [-a for a in self.c[1:]])
+
+    def __neg__(self):
+        return self._new([-a for a in self.c])
+
+    @_defer
+    def __mul__(self, other, peer):
+        if not peer:
+            return self._new([a * other for a in self.c])
+        return self._new([_dot(self.c, other.c, k) for k in range(min(len(self.c), len(other.c)))])
+
+    __rmul__ = __mul__
+
+    @_defer
+    def __truediv__(self, other, peer):
+        if not peer:
+            return self._new([a / other for a in self.c])
+        return self._new(_divide(self.c, other.c))
+
+    def __rtruediv__(self, other):
+        return self._new(_divide([other] + [0.0] * self.order, self.c))
+
+    @_defer
+    def __pow__(self, other, peer):
+        if not peer and not isinstance(other, Jet) and np.ndim(other) == 0 \
+                and float(other).is_integer():
+            return _integer_power(self, int(other))
+        return exp(other * log(self))  # x^y = exp(y log x); needs x > 0
+
+    def __rpow__(self, other):
+        return exp(self * log(other))
+
+
+# comparisons act on values (used e.g. for domain checks)
+for _op in ("lt", "le", "gt", "ge"):
+    setattr(Jet, f"__{_op}__", lambda self, other, op=getattr(operator, _op):
+            op(value_of(self), value_of(other)))
+
+
+def _dot(a, b, k: int, start: int = 0):
+    """sum_{j=start..k} a_j b_(k-j)."""
+    out = a[start] * b[k - start]
+    for j in range(start + 1, k + 1):
+        out = out + a[j] * b[k - j]
+    return out
+
+
+def _divide(a, b) -> list:
+    """Coefficients of a / b: c_k = (a_k - sum_{j=1..k} b_j c_(k-j)) / b_0."""
+    c = [a[0] / b[0]]
+    for k in range(1, min(len(a), len(b))):
+        c.append((a[k] - _dot(b, c, k, 1)) / b[0])
+    return c
+
+
+def _integer_power(x: Jet, k: int) -> Jet:
+    """x^k by products: exact at x = 0, where exp(k log x) is not."""
+    if k < 0:
+        return 1.0 / _integer_power(x, -k)
+    out = x * 0.0 + 1.0 if k == 0 else x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+def variable(ts, order: int) -> Jet:
+    """The independent variable at ts as a jet of ``order``: ts + h."""
+    ts = np.asarray(ts, dtype=float)
+    return Jet([ts, np.ones_like(ts)][: order + 1] + [np.zeros_like(ts)] * (order - 1))
+
+
+def path(derivs, count: int, order: int) -> list[Jet]:
+    """Jets of ``order`` of q, q', ..., q^(count - 1) from derivs[j] = q^(j)
+    (count + order entries): block j has coefficients q^(j + r) / r!."""
+    return [Jet([derivs[j + r] / math.factorial(r) if r > 1 else derivs[j + r]
+                 for r in range(order + 1)]) for j in range(count)]
+
+
+def value_of(x):
+    """Constant term of a possibly nested jet; anything else as it is."""
+    while isinstance(x, Jet):
+        x = x.c[0]
+    return x
+
+
+def coefficients(x, order: int) -> np.ndarray:
+    """Coefficients 0..order of x (a jet in t, or a constant) on a new first
+    axis, broadcast to one shape and zero past the series.  The items of a
+    list or tuple are broadcast together and stacked on the second axis."""
+    if isinstance(x, (list, tuple)):
+        parts = np.broadcast_arrays(*(np.moveaxis(coefficients(v, order), 0, -1) for v in x))
+        return np.moveaxis(np.stack(parts), -1, 0)
+    terms = x.c[: order + 1] if isinstance(x, Jet) else [x]
+    terms = list(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in terms)))
+    return np.stack(terms + [np.zeros_like(terms[0])] * (order + 1 - len(terms)))
+
+
+def _order(items) -> int:
+    orders = [len(v.c) - 1 for v in items if type(v) is Jet]
+    return max(orders) if orders else -1
+
+
+def stack(items, like=0.0):
+    """np.stack of the items, scalars taking the shape of ``like``; a jet,
+    stacked order by order and broadcast together, if any item is one."""
+    order = _order(items)
+    if order < 0:
+        return np.stack([np.asarray(v, dtype=float) if np.ndim(v) else np.full(np.shape(like), v)
+                         for v in items])
+    return Jet(coefficients([like, *items], order)[:, 1:])
+
+
+def hstack(blocks):
+    """np.column_stack of (npts,) or (npts, w) blocks; a jet if any block is one."""
+    order = _order(blocks)
+    if order < 0:
+        return np.column_stack(blocks)
+    parts = [coefficients(b, order) for b in blocks]
+    return Jet(np.concatenate([p if p.ndim == 3 else p[..., None] for p in parts], axis=2))
+
+
+def _sincos(x: Jet) -> tuple[Jet, Jet]:
+    a, s, c = x.c, [sin(x.c[0])], [cos(x.c[0])]
+    for k in range(1, len(a)):
+        s.append(sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
+        c.append(-sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k)
+    return x._new(s), x._new(c)
+
+
+def sin(x):
+    return _sincos(x)[0] if isinstance(x, Jet) else np.sin(x)
+
+
+def cos(x):
+    return _sincos(x)[1] if isinstance(x, Jet) else np.cos(x)
+
+
+def exp(x):
+    if not isinstance(x, Jet):
+        return np.exp(x)
+    a, e = x.c, [exp(x.c[0])]
+    for k in range(1, len(a)):
+        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return x._new(e)
+
+
+def log(x):
+    if not isinstance(x, Jet):
+        return np.log(x)
+    a, out = x.c, [log(x.c[0])]
+    for k in range(1, len(a)):
+        out.append((a[k] - sum(j * out[j] * a[k - j] for j in range(1, k)) / k) / a[0])
+    return x._new(out)
+
+
+def sqrt(x):
+    if not isinstance(x, Jet):
+        return np.sqrt(x)
+    a, s = x.c, [sqrt(x.c[0])]
+    for k in range(1, len(a)):
+        s.append((a[k] - sum(s[j] * s[k - j] for j in range(1, k))) / (2.0 * s[0]))
+    return x._new(s)
+
+
+def fabs(x):
+    return x * np.sign(value_of(x)) if isinstance(x, Jet) else np.abs(x)

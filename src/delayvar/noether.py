@@ -1,22 +1,26 @@
 """Transformation-group machinery and Noether conserved quantities.
 
 The generator lift rho^0 = xi(t, q), rho^i = d/dt rho^(i-1) - q^(i) etadot
-feeds both the necessary condition of invariance and the conserved quantity.
-It is evaluated in its Leibniz form
+feeds the necessary condition of invariance, the invariance check and the
+conserved quantity.  It is evaluated in its Leibniz form
 
     rho^i = xi^(i) - sum_{k=1}^{i} C(i, k) q^(i+1-k) eta^(k),
 
-where xi^(k) and eta^(k) are total derivatives along the path, each order one
-5-point stencil shared by every lift, and the q derivatives are exact; a
-constant generator therefore lifts to exact zeros.  The definition-level
-invariance check differentiates the transformed action in the group parameter
-numerically, so no symbolic variation calculus is needed.  Group generators
-are extended by zero on [t1 - tau, t1).
+where xi^(k) and eta^(k) are total derivatives along the path, all orders
+from one pass of the generators over Taylor jets
+(:func:`delayvar.calculus.path_derivatives`), and the q derivatives are
+exact; a constant generator therefore lifts to exact zeros.  The
+definition-level invariance check is the s-derivative at s = 0 of the
+transformed action, taken in closed form from the block partials and the
+lifts, so no symbolic variation calculus is needed.  Group generators are
+extended by zero on [t1 - tau, t1).
 
 Each sweep calls eta(t, q) and xi(t, q) once, with t of shape (npts,) and q
-of shape (n, npts) (q[i] is component i); eta broadcasts to (npts,), xi to
-(n, npts), a 1-D xi of length n being a constant vector.  Generators that
-reject arrays or return a shape that does not broadcast are called per point.
+of shape (n, npts) (q[i] is component i), or with t the time jet and q the
+path's jet of that shape; eta broadcasts to (npts,), xi to (n, npts), a 1-D
+xi of length n being a constant vector.  Generators that reject jets are
+differentiated by stencils, and generators that reject arrays or return a
+shape that does not broadcast are called per point.
 """
 
 from __future__ import annotations
@@ -27,62 +31,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calculus
+from . import calculus, jet
 from .errors import EmptyGrid, IOutOfRange, TransformEscapesDomain
-from .euler_lagrange import PathRecord, Regime, regime_interval, smooth_breaks, stencil_bounds
-from .problem import AugmentedSetup, TransformationGroup, args_at, augmented_integrand
+from .euler_lagrange import PathRecord, Regime, per_regime, regime_interval, smooth_breaks, \
+    stencil_bounds
+from .problem import AugmentedSetup, TransformationGroup, augmented_integrand
 from .trajectory import Grid, Trajectory
 
 __all__ = ["rho", "invariance_defect", "necessary_condition_defect", "noether_quantity",
            "ConstancyReport", "constancy_report"]
 
 
-def _on_points(generator, ts: np.ndarray, qs: np.ndarray, shape: tuple) -> np.ndarray:
+def _on_points(generator, ts, qs, shape: tuple):
     """generator(t, q) over all points broadcast to ``shape`` ((npts,) or
-    (n, npts)): one array call, or one call per point when the generator
-    rejects arrays or returns a shape that does not broadcast."""
+    (n, npts)), q given as (npts, n): one call, a jet when t is the time jet,
+    or, on arrays, one call per point when the generator rejects arrays or
+    returns a shape that does not broadcast."""
+    order = ts.order if isinstance(ts, jet.Jet) else 0
     try:
-        out = np.asarray(generator(ts, qs.T), dtype=float)
-        if len(shape) == 2 and out.shape == shape[:1]:  # constant vector
-            out = out[:, None]
-        return np.broadcast_to(out, shape)
+        out = jet.coefficients(generator(ts, qs.T), order)
+        if len(shape) == 2 and out.shape[1:] == shape[:1]:  # constant vector
+            out = out[..., None]
+        out = np.moveaxis(np.broadcast_to(np.moveaxis(out, 0, -1), shape + (order + 1,)), -1, 0)
     except (TypeError, ValueError):
+        if isinstance(ts, jet.Jet):
+            raise TypeError("the generator rejects jets") from None
         cols = [np.asarray(generator(float(t), q), dtype=float) for t, q in zip(ts, qs)]
         return np.stack(cols, axis=-1).reshape(shape)
+    return jet.Jet(out) if isinstance(ts, jet.Jet) else out[0]
 
 
-def _eta_many(group: TransformationGroup, traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    return _on_points(group.eta, ts, traj.eval(ts, 0), ts.shape)
-
-
-def _xi_many(group: TransformationGroup, traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """xi at every point; shape (npts, n)."""
-    return _on_points(group.xi, ts, traj.eval(ts, 0), (traj.n, len(ts))).T
-
-
-def _piece_bounds(traj: Trajectory, ts: np.ndarray, lo=None, hi=None):
-    """Per-point smooth piece of the trajectory, optionally clipped."""
-    breaks = np.asarray(traj.breakpoints())
-    dlo, dhi = traj.domain
-    return stencil_bounds(ts, breaks, dlo if lo is None else lo, dhi if hi is None else hi)
-
-
-def _eta_dot_many(group, traj, ts, los, his, h) -> np.ndarray:
-    return calculus.total_derivative_many(
-        lambda u: _eta_many(group, traj, u)[:, None], ts, 1, los, his, h)[:, 0]
-
-
-def _generators(group: TransformationGroup, ts: np.ndarray, qs: np.ndarray) -> np.ndarray:
+def _generators(group: TransformationGroup, ts, qs):
     """xi and eta at every point side by side, q given as (npts, n); shape (npts, n + 1)."""
-    xi = _on_points(group.xi, ts, qs, (qs.shape[1], len(ts)))
-    eta = _on_points(group.eta, ts, qs, ts.shape)
-    return np.vstack([xi, eta[None]]).T
+    npts, n = np.shape(jet.value_of(qs))
+    return jet.hstack([_on_points(group.xi, ts, qs, (n, npts)).T,
+                       _on_points(group.eta, ts, qs, (npts,))])
 
 
-def _along(group: TransformationGroup, ts: np.ndarray, args) -> np.ndarray:
-    """xi, eta and the gauge term at the points of ``args``, q read from them;
-    shape (npts, n + 2).  A :class:`PathRecord` differentiates it for the lifts."""
-    return np.column_stack([_generators(group, ts, args.block(2).T), _gauge(group, ts, args)])
+def _along(group: TransformationGroup, args):
+    """xi, eta and the gauge term at the points of ``args``, t and q read from
+    them; shape (npts, n + 2).  A :class:`PathRecord` differentiates it for the lifts."""
+    ts, n = args.values[0], args.layout.blocks[1]
+    # a constant gauge expression evaluates to a scalar: 0 t broadcasts it
+    gauge = 0.0 * ts + (0.0 if group.gauge is None else group.gauge(args.values))
+    return jet.hstack([_generators(group, ts, jet.hstack(args.values[1:n + 1])), gauge])
 
 
 def _leibniz(derivs, qs, n: int):
@@ -93,37 +85,28 @@ def _leibniz(derivs, qs, n: int):
                                    for k in range(1, i + 1)) for i in range(len(derivs))]
 
 
+def _lifts(group: TransformationGroup, traj: Trajectory, ts: np.ndarray, qs, order: int,
+           breaks, lo: float, hi: float) -> list[np.ndarray]:
+    """rho^0 .. rho^order at ts from the path values qs[j] = q^(j)(ts), j <= order;
+    stencils for generators that reject jets stay between ``breaks`` inside [lo, hi]."""
+    def gens(u):  # the generators at the time jet at ts, or at stencil nodes
+        q = jet.path(qs, 1, u.order)[0] if isinstance(u, jet.Jet) else traj.eval(u, 0)
+        return _generators(group, u, q)
+
+    derivs = calculus.path_derivatives(gens, ts, order, lambda: (
+        *stencil_bounds(ts, breaks, lo, hi), traj.domain[1] - traj.domain[0]))
+    return _leibniz(derivs, qs, traj.n)
+
+
 def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
     """Generator lift rho^i along the trajectory at a time, shape (n,), or at
     a time array, shape (npts, n)."""
     if not 0 <= i <= traj.m:
         raise IOutOfRange(f"i = {i} outside 0..{traj.m}")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    los, his = _piece_bounds(traj, ts)
-    span = traj.domain[1] - traj.domain[0]
-
-    def gens(us):
-        return _generators(group, us, traj.eval(us, 0))
-
-    derivs = [calculus.total_derivative_many(gens, ts, k, los, his, calculus.default_step(span, k))
-              for k in range(i + 1)]
-    out = _leibniz(derivs, traj.eval(ts, range(i + 1)), traj.n)[i]
+    out = _lifts(group, traj, ts, traj.derivatives(ts, i + 1), i,
+                 np.asarray(traj.breakpoints()), *traj.domain)[i]
     return out[0] if np.ndim(t) == 0 else out
-
-
-def _gauge(group: TransformationGroup, ts: np.ndarray, args) -> np.ndarray:
-    if group.gauge is None:
-        return np.zeros(len(ts))
-    # constant gauge expressions evaluate to a scalar even for array slots
-    return np.broadcast_to(np.asarray(group.gauge(args.values), dtype=float), ts.shape)
-
-
-def _gauge_dot_many(group, traj, problem, ts, los, his) -> np.ndarray:
-    if group.gauge is None:
-        return np.zeros(len(ts))
-    return calculus.total_derivative_many(
-        lambda u: _gauge(group, u, args_at(traj, u, problem.tau, problem.m))[:, None],
-        ts, 1, los, his, calculus.default_step(problem.span, 1))[:, 0]
 
 
 def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
@@ -145,73 +128,50 @@ def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
 # invariance
 
 
-def _transformed_blocks(group, traj, problem, j: int, ts: np.ndarray, s: float,
-                        h: float) -> np.ndarray:
-    """j-th derivative of the transformed path at parameters ts for group
-    parameter s; generators vanish (and stencils stop) left of t1."""
-    active = ts >= problem.t1
-    out = np.atleast_2d(traj.eval(ts, j)).copy()
-    if not np.any(active):
-        return out
-    ta = ts[active]
-    if j == 0:
-        out[active] += s * _xi_many(group, traj, ta)
-        return out
-    los, his = _piece_bounds(traj, ta, lo=problem.t1)  # zero-extension wall at t1
-
-    def prev(us):
-        return _transformed_blocks(group, traj, problem, j - 1, us, s, h)
-
-    d_prev = calculus.total_derivative_many(prev, ta, 1, los, his, h)
-    denom = 1.0 + s * _eta_dot_many(group, traj, ta, los, his, h)
-    out[active] = d_prev / denom[:, None]
-    return out
+def _group_record(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
+                  ts: np.ndarray, regime: Regime):
+    """The record at ts with the generators' rates up to order max(m, 1), the
+    lifts rho^0 .. rho^m there, and d_1 F eta + F eta' - (gauge)'."""
+    problem = setup.problem
+    m, n = problem.m, problem.n
+    record = PathRecord(augmented_integrand(setup), problem, traj, ts, regime, momenta=(),
+                        along=functools.partial(_along, group), along_order=max(m, 1))
+    gens, rates = record.along[0], record.along[1]
+    base = record.d1 * gens[:, n] + record.value * rates[:, n] - rates[:, n + 1]
+    return record, _leibniz(record.along, record.q, n)[: m + 1], base
 
 
 def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
                       interval: tuple[float, float] | None = None) -> float:
-    """d/ds at s = 0 of the transformed action minus the gauge allowance.
+    """d/ds at s = 0 of the transformed action minus the gauge allowance:
 
-    Near zero means the functional is invariant under the group on that
-    interval (up to the gauge term).
+        int_a^b [d_1 F eta + sum_j d_(j+2) F . rho^j(t) + sum_j d_(j+m+3) F . rho^j(t - tau)
+                 + F eta' - (gauge)'] dt,
+
+    with rho^j(t - tau) = 0 left of t1.  Near zero means the functional is
+    invariant under the group on that interval (up to the gauge term).
     """
     problem = setup.problem
     a, b = interval if interval is not None else (problem.t1, problem.t2)
     slack = 1e-9 * max(1.0, problem.span)
     if a < problem.t1 - slack or b > problem.t2 + slack:
         raise TransformEscapesDomain(f"interval [{a}, {b}] leaves [{problem.t1}, {problem.t2}]")
-    F = augmented_integrand(setup)
     m, tau = problem.m, problem.tau
-    h = calculus.default_step(problem.span, 1)
-    base = np.asarray(traj.breakpoints())
-    breaks = np.unique(np.concatenate([
-        base, base + tau, base - tau,
-        [problem.t2 - tau, problem.t1 + tau],
-    ]))
+    breaks = np.unique(np.append(smooth_breaks(problem, traj), problem.t1 + tau))
 
-    def transformed_action(s: float) -> float:
-        def integrand(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            eta = _eta_many(group, traj, ts)
-            values: list = [ts + s * eta]
-            for shift in (0.0, -tau):
-                for j in range(m + 1):
-                    block = _transformed_blocks(group, traj, problem, j, ts + shift, s, h)
-                    values.extend(block[:, i] for i in range(problem.n))
-            los, his = stencil_bounds(ts, breaks, problem.t1, problem.t2)
-            jac = 1.0 + s * _eta_dot_many(group, traj, ts, los, his, h)
-            return np.asarray(F(values), dtype=float) * jac
+    def integrand(ts, regime):
+        record, lifts, total = _group_record(setup, group, traj, ts, regime)
+        for j in range(m + 1):
+            total += np.sum(record.block_partial(j + 2).T * lifts[j], axis=1)
+        past = ts - tau >= problem.t1  # the lifts vanish left of t1
+        if np.any(past):
+            delayed = _lifts(group, traj, ts[past] - tau, [q[past] for q in record.q_delayed], m,
+                             breaks, problem.t1, problem.t2)
+            for j in range(m + 1):
+                total[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
+        return total
 
-        return calculus.integrate(integrand, a, b, breaks)
-
-    action_rate = calculus.derivative_in_parameter(transformed_action).value
-
-    def gauge_rate(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        los, his = stencil_bounds(ts, breaks, *traj.domain)
-        return _gauge_dot_many(group, traj, problem, ts, los, his)
-
-    return action_rate - calculus.integrate(gauge_rate, a, b, breaks)
+    return calculus.integrate(functools.partial(per_regime, problem, integrand), a, b, breaks)
 
 
 def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup,
@@ -219,15 +179,10 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
     """The two regime integrals of the invariance lemma; both vanish when the
     functional is invariant up to the gauge term."""
     problem = setup.problem
-    F = augmented_integrand(setup)
-    m, n = problem.m, problem.n
 
     def integrand(ts, regime: Regime):
-        record = PathRecord(F, problem, traj, ts, regime, momenta=(),
-                            along=functools.partial(_along, group), along_order=max(m, 1))
-        gens, rates = record.along[0], record.along[1]
-        total = -rates[:, n + 1] + record.d1 * gens[:, n] + record.value * rates[:, n]
-        for k, lift in enumerate(_leibniz(record.along, record.q, n)[: m + 1]):
+        record, lifts, total = _group_record(setup, group, traj, ts, regime)
+        for k, lift in enumerate(lifts):
             total += np.sum(record.rate(0, k) * lift, axis=1)
         return total
 

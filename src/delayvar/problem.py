@@ -16,14 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import calculus, expr
+from . import calculus, expr, jet
 from .errors import OutOfDomain
 from .trajectory import Trajectory, segments_from_callable
 
 __all__ = ["ArgLayout", "ArgVector", "Integrand", "IsoperimetricProblem", "AugmentedSetup",
            "ControlProblem", "TransformationGroup", "args_at", "path_args", "augmented_integrand",
-           "functional_value", "constraint_values", "constraint_defect", "problem_from_json",
-           "integrand_from_expr"]
+           "integrals", "functional_value", "constraint_values", "constraint_defect",
+           "problem_from_json", "integrand_from_expr"]
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,11 @@ class Integrand:
     """Scalar integrand over a flat argument vector.
 
     ``fn(values) -> value`` must be deterministic and should accept numpy
-    arrays (and the toolkit's dual numbers) in the slots; dual numbers give
-    its block gradients exactly (:func:`delayvar.calculus.partial`).
+    arrays and the toolkit's Taylor jets (:mod:`delayvar.jet`) in the slots,
+    as arithmetic and the jet-aware math functions do: jets give its block
+    gradients and their time derivatives along a path exactly
+    (:func:`delayvar.calculus.partial`).  A callable that rejects jets is
+    differentiated by finite differences and stencils instead.
     """
 
     __slots__ = ("fn", "name")
@@ -233,12 +236,15 @@ def args_at(traj: Trajectory, t, tau: float, m: int) -> ArgVector:
 
 
 def path_args(t, current, delayed) -> ArgVector:
-    """[q]^m_tau(t) from the blocks q .. q^(m) at t (``current``) and at t - tau (``delayed``)."""
-    t = np.asarray(t, dtype=float)
-    n = np.shape(current[0])[-1]
-    values: list = [t if t.ndim else float(t)]
+    """[q]^m_tau(t) from the blocks q .. q^(m) at t (``current``) and at t - tau
+    (``delayed``): arrays, or jets in t (:func:`delayvar.jet.path`) with t the
+    time jet."""
+    t = t if isinstance(t, jet.Jet) else np.asarray(t, dtype=float)
+    scalar = np.ndim(jet.value_of(t)) == 0
+    n = np.shape(jet.value_of(current[0]))[-1]
+    values: list = [float(t) if scalar else t]
     for block in (*current, *delayed):
-        values.extend(block[..., i] if t.ndim else float(block[i]) for i in range(n))
+        values.extend(float(block[i]) if scalar else block[..., i] for i in range(n))
     return ArgVector(values, ArgLayout.variational(len(current) - 1, n))
 
 
@@ -275,31 +281,29 @@ def _check_coverage(problem: IsoperimetricProblem, traj: Trajectory) -> None:
         )
 
 
-def path_value_function(integrand: Integrand, traj: Trajectory, tau: float, m: int):
-    """t |-> integrand([q]^m_tau(t)), accepting scalar or array t."""
+def integrals(problem: IsoperimetricProblem, traj: Trajectory, integrands) -> np.ndarray:
+    """int_{t1}^{t2} f[q]^m_tau(t) dt for each integrand f, by panel quadrature
+    split at breaks, from one path evaluation per set of nodes."""
+    _check_coverage(problem, traj)
+    if not integrands:
+        return np.zeros(0)
 
     def fn(ts):
-        return np.asarray(integrand(args_at(traj, ts, tau, m).values), dtype=float)
+        values = args_at(traj, ts, problem.tau, problem.m).values
+        return np.column_stack([np.broadcast_to(np.asarray(f(values), dtype=float), ts.shape)
+                                for f in integrands])
 
-    return fn
+    return calculus.integrate(fn, problem.t1, problem.t2, _quadrature_breaks(problem, traj))
 
 
 def functional_value(problem: IsoperimetricProblem, traj: Trajectory) -> float:
-    """J = int_{t1}^{t2} L[q]^m_tau(t) dt by panel quadrature split at breaks."""
-    _check_coverage(problem, traj)
-    fn = path_value_function(problem.L, traj, problem.tau, problem.m)
-    return calculus.integrate(fn, problem.t1, problem.t2, _quadrature_breaks(problem, traj))
+    """J = int_{t1}^{t2} L[q]^m_tau(t) dt."""
+    return float(integrals(problem, traj, [problem.L])[0])
 
 
 def constraint_values(problem: IsoperimetricProblem, traj: Trajectory) -> np.ndarray:
     """I_j = int g_j dt for every constraint integrand."""
-    _check_coverage(problem, traj)
-    breaks = _quadrature_breaks(problem, traj)
-    return np.array([
-        calculus.integrate(path_value_function(gj, traj, problem.tau, problem.m),
-                           problem.t1, problem.t2, breaks)
-        for gj in problem.g
-    ])
+    return integrals(problem, traj, problem.g)
 
 
 def constraint_defect(problem: IsoperimetricProblem, traj: Trajectory) -> np.ndarray:

@@ -154,8 +154,9 @@ class Trajectory:
                 out.append(p)
         return out
 
-    def eval(self, t, order=0):
-        """order-th derivative of the active segment at t (right limit at knots).
+    def eval(self, t, order=0, left=False):
+        """order-th derivative of the active segment at t (right limit at knots,
+        left limit where the bool or per-point mask ``left`` is set).
 
         ``order`` may also be a sequence of orders: the result is then a list
         with one array per order, from one domain check, segment lookup and
@@ -175,6 +176,8 @@ class Trajectory:
             raise OutOfDomain(f"t = {bad} outside [{lo}, {hi}]")
         t = t.clip(lo, hi)
         idx = np.searchsorted(self._knots, t, side="right")  # a knot goes right
+        if np.any(left):
+            idx = np.where(left, np.searchsorted(self._knots, t, side="left"), idx)
         x = t - self._mids[idx]
         powers = np.empty((self.max_degree + 1 - min(orders, default=0), len(x)))
         powers[0] = 1.0
@@ -192,6 +195,11 @@ class Trajectory:
                 out += term
             outs.append(out[0] if scalar else out)
         return outs if batched else outs[0]
+
+    def derivatives(self, t, count: int, left=False) -> list[np.ndarray]:
+        """q, q', ..., q^(count - 1) at t from one :meth:`eval`, zero past the degree."""
+        out = self.eval(t, range(min(count, self.max_degree + 1)), left)
+        return out + [np.zeros_like(out[0])] * (count - len(out))
 
     # -- serialization ------------------------------------------------------
 

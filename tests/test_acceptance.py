@@ -83,9 +83,9 @@ def test_criterion_1_example1_el_extremality(ex1_problem, ex1_setup, ex1_traj):
     sups = {regime: float(np.max(np.abs(el_residual(ex1_setup, ex1_traj, grid.times))))
             for regime, grid in grids.items()}
     elapsed = time.perf_counter() - start
-    ok = all(s <= 1e-7 for s in sups.values()) and elapsed < 1.0
+    ok = all(s <= 1e-10 for s in sups.values()) and elapsed < 1.0
     _report(1, ok, f"el sup first={sups[Regime.FIRST]:.3e} "
-                   f"second={sups[Regime.SECOND]:.3e} (<=1e-7), {elapsed:.3f}s (<1s)")
+                   f"second={sups[Regime.SECOND]:.3e} (<=1e-10), {elapsed:.3f}s (<1s)")
 
 
 def test_criterion_2_example1_functionals(ex1_problem, ex1_traj, closed_form_functionals):

@@ -102,17 +102,18 @@ class TestPartial:
     def test_fd_fallback_for_opaque_callables(self):
         import math
 
-        f = Integrand(lambda v: math.sin(v[1]), name="math.sin(q)")  # rejects duals
+        f = Integrand(lambda v: math.sin(v[1]), name="math.sin(q)")  # rejects jets
         got = partial(f, 2, self._args([0.0, 0.3, 0.0, 0.0, 0.0]))
         assert got[0] == pytest.approx(np.cos(0.3), abs=1e-6)
 
     def test_dual_matches_fd_on_random_integrands(self):
-        """Finite differences vs duals to 1e-6 relative on random arguments."""
+        """Finite differences vs order-1 jets (the dual-number case) to 1e-6
+        relative on random arguments."""
         import math
 
         rng = np.random.default_rng(5)
         layout = ArgLayout.variational(1, 1)
-        from delayvar import dual as dmath
+        from delayvar import jet as dmath
 
         smooth = Integrand(lambda v: dmath.sin(v[1]) * v[2] + dmath.exp(v[3] * 0.3) + v[0] * v[4],
                            name="smooth")

@@ -30,6 +30,7 @@ from delayvar.problem import (
     augmented_integrand,
     integrand_from_expr,
 )
+from delayvar.solver import verify
 from delayvar.trajectory import Grid, PolySegment, Trajectory
 
 
@@ -48,16 +49,42 @@ def test_regime_of_time_arrays(ex1_problem):
 
 class TestDifferentialForm:
     def test_example1_second_regime(self, ex1_setup, ex1_traj):
-        assert abs(el_residual(ex1_setup, ex1_traj, 1.5)[0]) <= 1e-7
+        assert abs(el_residual(ex1_setup, ex1_traj, 1.5)[0]) <= 1e-10
 
     def test_example1_first_regime(self, ex1_setup, ex1_traj):
-        assert abs(el_residual(ex1_setup, ex1_traj, 0.5)[0]) <= 1e-7
+        assert abs(el_residual(ex1_setup, ex1_traj, 0.5)[0]) <= 1e-10
 
     def test_example1_full_sweep(self, ex1_problem, ex1_setup, ex1_traj):
         grids = residual_grids(ex1_problem, ex1_traj, count=200)
         for grid in grids.values():
             res = el_residual(ex1_setup, ex1_traj, grid.times)
-            assert np.max(np.abs(res)) <= 1e-7
+            assert np.max(np.abs(res)) <= 1e-10
+
+    @pytest.mark.parametrize("count", [200, 20000])
+    def test_example1_verify_is_exact(self, ex1_problem, ex1_traj, count):
+        """The rates are Taylor coefficients, not stencils: the exact extremal
+        leaves roundoff only, on coarse and fine grids alike."""
+        sup = verify(ex1_problem, ex1_traj, [0.0], grid_count=count).sup
+        assert sup["el_first"] <= 1e-10 and sup["el_second"] <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
+    def test_example1_at_t1_the_regime_wall_and_t2(self, ex1_setup, ex1_traj, t):
+        """Knots and ends, where no stencil fits: right limits at t1 and at the
+        wall t2 - tau = 1 (the nonsmooth knot), left limits at t2, where the
+        delayed argument sits on that knot too."""
+        assert abs(el_residual(ex1_setup, ex1_traj, t)[0]) <= 1e-10
+
+    def test_fifth_order_extremal(self):
+        """L = (q^(5))^2 has the Euler-Lagrange residual -2 q^(10), zero on
+        q = t^9: rates of order five, past any 5-point stencil."""
+        problem = IsoperimetricProblem(m=5, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                       L=integrand_from_expr("d5q0^2", 5, 1))
+        coeffs = [[0.0] * 9 + [1.0]]
+        traj = Trajectory(1, 5, [PolySegment.from_monomial(-0.5, 1.0, coeffs)])
+        ts = np.linspace(0.0, 1.0, 41)
+        scale = np.max(np.abs(2.0 * traj.eval(ts, 5)))  # the size of Lambda_5
+        res = el_residual(AugmentedSetup(problem, []), traj, ts)
+        assert np.max(np.abs(res)) <= 1e-9 * scale
 
     def test_classical_line_is_extremal(self):
         problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,

@@ -103,10 +103,7 @@ def cubic_m2_problem():
 
 class TestSecondOrderSolve:
     def test_recovers_cubic(self, cubic_m2_problem):
-        # order-2 stencil roundoff floors the residual near 5e-9, so the
-        # tolerance sits above it; solution accuracy is unaffected
-        traj, lam, report = solve_el(cubic_m2_problem,
-                                     scheme=CollocationScheme(nodes=18, tolerance=1e-7))
+        traj, lam, report = solve_el(cubic_m2_problem, scheme=CollocationScheme(nodes=18))
         assert report.converged
         ts = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - ts ** 3)) <= 1e-8
@@ -114,14 +111,13 @@ class TestSecondOrderSolve:
         assert abs(traj.eval(0.0, 1)[0]) <= 1e-9
 
     def test_solution_passes_residual_sweep(self, cubic_m2_problem):
-        traj, lam, report = solve_el(cubic_m2_problem,
-                                     scheme=CollocationScheme(nodes=18, tolerance=1e-7))
+        traj, lam, report = solve_el(cubic_m2_problem, scheme=CollocationScheme(nodes=18))
         setup = AugmentedSetup(cubic_m2_problem, lam)
         grids = residual_grids(cubic_m2_problem, traj, count=80)
         for regime, grid in grids.items():
-            assert np.max(np.abs(el_residual(setup, traj, grid.times))) <= 1e-6
+            assert np.max(np.abs(el_residual(setup, traj, grid.times))) <= 1e-9
             drr = np.atleast_1d(dr_residual(setup, traj, grid.times, regime))
-            assert np.max(np.abs(drr)) <= 1e-5
+            assert np.max(np.abs(drr)) <= 1e-9
 
     def test_control_route_agrees(self, cubic_m2_problem):
         """Reduce to the chain control form and solve the Pontryagin system:

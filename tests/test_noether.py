@@ -80,6 +80,14 @@ class TestInvarianceDefect:
             history=ex1_problem.history, boundary=ex1_problem.boundary)
         defect = invariance_defect(AugmentedSetup(problem, [0.0]), TIME_SHIFT, ex1_traj)
         assert abs(defect) >= 0.1
+        # the action rate is int d_1 F dt = int (qdd + qdd_tau)^2 dt = J = 672
+        assert defect == pytest.approx(672.0, abs=1e-9)
+
+    def test_example1_state_shift_is_exact(self, ex1_setup, ex1_traj):
+        """(qdd + qdd_tau)^2 reads neither q nor q_tau, and a constant xi lifts
+        to exact zeros: the defect is zero, not a stencil's remainder."""
+        shift = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.ones(1))
+        assert abs(invariance_defect(ex1_setup, shift, ex1_traj)) <= 1e-12
 
     def test_subinterval(self, ex1_setup, ex1_traj):
         assert abs(invariance_defect(ex1_setup, TIME_SHIFT, ex1_traj, (0.25, 1.75))) <= 1e-6
@@ -93,7 +101,7 @@ class TestInvarianceDefect:
         setup = AugmentedSetup(classical_problem, [0.0])
         shift = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.ones(1),
                                     gauge=integrand_from_expr("0", 1, 1))
-        assert abs(invariance_defect(setup, shift, classical_traj)) <= 1e-8
+        assert abs(invariance_defect(setup, shift, classical_traj)) <= 1e-12
 
     def test_nontrivial_gauge(self):
         """L = qd under q -> q + s t has action rate int d/ds (qd + s) = b - a,

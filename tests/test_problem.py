@@ -117,9 +117,11 @@ class TestFunctionalValue:
     def test_additive_over_splits(self, ex1_problem, ex1_traj):
         """Adding interior breakpoints must not change the value (1e-10)."""
         from delayvar import calculus
-        from delayvar.problem import path_value_function, _quadrature_breaks
+        from delayvar.problem import _quadrature_breaks, args_at
 
-        fn = path_value_function(ex1_problem.L, ex1_traj, 1.0, 2)
+        def fn(ts):
+            return np.asarray(ex1_problem.L(args_at(ex1_traj, ts, 1.0, 2).values), dtype=float)
+
         breaks = _quadrature_breaks(ex1_problem, ex1_traj)
         base = calculus.integrate(fn, 0.0, 2.0, breaks)
         more = calculus.integrate(fn, 0.0, 2.0, sorted(set(breaks) | {0.37, 1.61, 0.9}))

@@ -25,17 +25,18 @@ def _count_repeats(monkeypatch, call) -> tuple[int, int]:
     kept = []  # keeps evaluated trajectories alive, so their ids stay unique
     counts = [0, 0]
 
-    def counting(self, t, order=0):
+    def counting(self, t, order=0, left=False):
         times = np.atleast_1d(np.asarray(t, dtype=float))
         orders = tuple(int(o) for o in np.atleast_1d(order))
-        key = (id(self), times.tobytes(), orders)
+        sides = np.broadcast_to(np.asarray(left, dtype=bool), times.shape).tobytes()
+        key = (id(self), times.tobytes(), orders, sides)
         points = times.size * len(orders)
         counts[1] += points
         if key in seen:
             counts[0] += points
         seen.add(key)
         kept.append(self)
-        return original(self, t, order)
+        return original(self, t, order, left)
 
     monkeypatch.setattr(Trajectory, "eval", counting)
     call()
@@ -55,6 +56,18 @@ def test_residuals_command_evaluates_each_point_once(monkeypatch):
     def run():
         with redirect_stdout(io.StringIO()):
             assert cli.main(["residuals", "--example", "example1", "--grid", "200"]) == 0
+
+    repeated, total = _count_repeats(monkeypatch, run)
+    assert total > 0
+    assert repeated == 0
+
+
+def test_verify_command_evaluates_each_point_once(monkeypatch):
+    """``delayvar verify example1`` reads the classification, the functionals
+    and the DuBois-Reymond quantity from the sweeps ``verify`` already made."""
+    def run():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "example1"]) == 0
 
     repeated, total = _count_repeats(monkeypatch, run)
     assert total > 0
