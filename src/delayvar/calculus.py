@@ -25,7 +25,8 @@ from . import jet
 from .errors import BlockOutOfRange, StencilCrossesBreakpoint
 
 __all__ = ["default_step", "Stencil", "total_derivative_many", "path_derivatives", "partial",
-           "sample", "integrate", "derivative_in_parameter", "ParamDerivative", "fd_weights"]
+           "sample", "panel_rule", "integrate", "derivative_in_parameter", "ParamDerivative",
+           "fd_weights"]
 
 _WIDTH = 5
 
@@ -179,10 +180,16 @@ def integrate(fn: Callable, a: float, b: float, breaks=()):
     """
     if b <= a:
         return 0.0
-    pts = (float(a), *sorted(x for x in set(float(x) for x in breaks) if a < x < b), float(b))
-    nodes, weights = _panel_rule(pts)
+    nodes, weights = panel_rule(a, b, breaks)
     out = weights @ sample(fn, nodes)
     return float(out) if out.ndim == 0 else out
+
+
+def panel_rule(a: float, b: float, breaks=()) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of :func:`integrate`'s rule on [a, b] (a < b)
+    split at ``breaks``."""
+    return _panel_rule((float(a), *sorted(x for x in set(float(x) for x in breaks) if a < x < b),
+                        float(b)))
 
 
 @functools.lru_cache(maxsize=32)

@@ -6,9 +6,10 @@ Delayed problems couple retarded (t - tau) and advanced (t + tau) values, so
 the full-horizon system is assembled at once rather than marching; the mesh
 is uniform per regime with a forced node at t2 - tau.  One collocation record
 serves both problems.  Its Jacobian, re-factorized every iteration, takes the
-exactly linear rows (continuity, history, terminal data) in closed form and
-the rest by forward differences, with columns grouped by a greedy colouring
-of the sparsity the delay and the integrand fix (Curtis, Powell & Reid 1974).
+exactly linear rows (continuity, history, terminal data) in closed form, the
+isoperimetric rows by the chain rule through the basis, and the collocation
+rows by forward differences, with columns grouped by a greedy colouring of
+the sparsity the delay and the integrand fix (Curtis, Powell & Reid 1974).
 NonConvergence is a returned state (report.converged = False); a numerically
 singular Jacobian raises.
 """
@@ -25,9 +26,9 @@ from . import calculus
 from .errors import SingularJacobian
 from .euler_lagrange import Classification, PathRecord, Regime, ResidualReport, classify, \
     el_residual, residual_grids
-from .optimal_control import PontryaginTriple, pmp_residuals
+from .optimal_control import PontryaginTriple, control_args_at, pmp_residuals
 from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, Integrand, \
-    IsoperimetricProblem, augmented_integrand, constraint_defect, integrals
+    IsoperimetricProblem, args_at, augmented_integrand, integrals
 from .trajectory import PolySegment, Trajectory, segments_from_callable
 
 __all__ = ["CollocationScheme", "SolveReport", "solve_el", "solve_pmp", "verify"]
@@ -37,14 +38,11 @@ __all__ = ["CollocationScheme", "SolveReport", "solve_el", "solve_pmp", "verify"
 class CollocationScheme:
     """Collocation mesh and Newton parameters.
 
-    ``nodes`` is the collocation-node count per regime; the basis degree
-    defaults to 2m + 2 for variational problems and 3 for control problems.
+    ``nodes`` is the collocation-node count per regime; the basis degree is
+    2m + 2 for variational problems and 3 for control problems.
     """
 
     nodes: int = 64
-    degree: int | None = None
-    initial_step: float = 1.0
-    min_step: float = 1e-6
     max_iterations: int = 50
     tolerance: float = 1e-9
 
@@ -89,7 +87,8 @@ def _row_reads(parts, layout: ArgLayout, argmap: dict, direct, terms) -> set:
     per (partial block, shift) term, the argument blocks that partial of any
     integrand in ``parts`` depends on (moving one from a generic point, up or
     negative, changes the partial or makes it fail), mapped through ``argmap``
-    and shifted.  ``parts`` are probed apart, as in a weighted sum their
+    ({argument block: (unknown block, derivative order, time shift)}) and
+    shifted.  ``parts`` are probed apart, as in a weighted sum their
     partials could cancel at the probe's weights."""
     base = [0.61 + 0.137 * i for i in range(layout.size)]
 
@@ -107,7 +106,7 @@ def _row_reads(parts, layout: ArgLayout, argmap: dict, direct, terms) -> set:
     for F in parts:
         for block, shift in terms:
             ref = partial_at(F, block, 1, float)  # at the generic point itself
-            for arg, (unknown, arg_shift) in argmap.items():
+            for arg, (unknown, _, arg_shift) in argmap.items():
                 outs = (partial_at(F, block, arg, move)
                         for move in (lambda v: 2 * v + 1, lambda v: -v))
                 if ref is None or any(out is None or not np.array_equal(out, ref) for out in outs):
@@ -124,16 +123,16 @@ class _Collocation:
     """One collocation system and its damped Newton driver.
 
     Unknowns: each block's coefficients as (segment, component, power), then
-    the k multipliers.  Rows: ``nonlinear(trajs, lam)``, A x - c (continuity
+    one multiplier per g.  Rows: ``nonlinear(trajs, lam)``, A x - c (continuity
     at knots, then ``boundary``: (block, s, t, order) with that derivative's
-    value), then ``constraint(trajs)``.  ``rows``: per collocation row type,
-    its rows per point and the (block, shift) pairs it reads; ``reach``: how
-    far from t its stencils sample."""
+    value), then int g(args(trajs, t)) dt - l, ``argmap`` as for _row_reads.
+    ``rows``: per collocation row type, its rows per point and the (block,
+    shift) pairs it reads; ``reach``: how far from t its stencils sample."""
 
-    def __init__(self, edges, blocks, k, nonlinear, constraint, boundary, rows, times,
+    def __init__(self, edges, blocks, nonlinear, boundary, rows, times, g, l, args, argmap,
                  reach=0.0):
-        self.edges, self.blocks, self.k = edges, blocks, k
-        self.nonlinear, self.constraint = nonlinear, constraint
+        self.edges, self.blocks, self.k = edges, blocks, len(g)
+        self.nonlinear, self.g, self.l, self.args, self.argmap = nonlinear, g, l, args, argmap
         self.offsets = np.cumsum([0] + [(len(edges) - 1) * b.ncomp * b.width for b in blocks])
         self.ncoef = int(self.offsets[-1])
         lin = [self._evaluation(b, s, edges[s + 1], o) - self._evaluation(b, s + 1, edges[s + 1], o)
@@ -143,6 +142,11 @@ class _Collocation:
         self.A = np.vstack(lin + [self._evaluation(*where) for where, _ in boundary])
         self.c = np.concatenate([np.zeros(len(self.A) - sum(map(len, values)))] + values)
         self.pinv = np.linalg.pinv(self.A)
+        # the rule integrate uses on the paths' breakpoints and their images under
+        # the argument shifts, so the constraint rows equal an integrate of g
+        breaks = {seg.a for blk in blocks for seg in blk.history} | set(edges)
+        self.nodes, self.weights = calculus.panel_rule(
+            edges[0], edges[-1], {x - shift for x in breaks for _, _, shift in argmap.values()})
         self.pattern = self._pattern(rows, times, reach)
         # greedy colouring: a group holds coefficient columns sharing no row
         dense = self.pattern.astype(float)
@@ -153,17 +157,22 @@ class _Collocation:
             colour[col] = np.flatnonzero(~np.isin(np.arange(len(used) + 1), used))[0]
         self.groups = [np.flatnonzero(colour == g) for g in range(colour.max() + 1)]
 
-    def _column(self, b: int, s: int) -> int:
-        return int(self.offsets[b]) + s * self.blocks[b].ncomp * self.blocks[b].width
+    def _column(self, b: int, s):
+        return self.offsets[b] + s * self.blocks[b].ncomp * self.blocks[b].width
+
+    def _basis(self, b: int, s, t, order: int) -> np.ndarray:
+        """d^order/dt^order (t - mid)^j on block b's segments s, j < its width,
+        mid computed as PolySegment does; shape t.shape + (width,)."""
+        dt = np.asarray(t - 0.5 * (self.edges[s] + self.edges[s + 1]))[..., None]
+        j = np.arange(self.blocks[b].width)
+        return np.array([math.perm(i, order) for i in j]) * dt ** np.maximum(j - order, 0)
 
     def _evaluation(self, b: int, s: int, t: float, order: int) -> np.ndarray:
         """x -> order-th derivative of block b on segment s at t, as a matrix."""
         blk, start = self.blocks[b], self._column(b, s)
         out = np.zeros((blk.ncomp, self.ncoef + self.k))
-        # d^order/dt^order (t - mid)^j, mid computed as PolySegment does
-        dt = t - 0.5 * (self.edges[s] + self.edges[s + 1])
-        basis = [math.perm(j, order) * dt ** max(j - order, 0) for j in range(blk.width)]
-        out[:, start:start + blk.ncomp * blk.width] = np.kron(np.eye(blk.ncomp), basis)
+        out[:, start:start + blk.ncomp * blk.width] = np.kron(np.eye(blk.ncomp),
+                                                              self._basis(b, s, t, order))
         return out
 
     def _pattern(self, rows, times: np.ndarray, reach: float) -> np.ndarray:
@@ -193,7 +202,12 @@ class _Collocation:
     def residual(self, x: np.ndarray) -> np.ndarray:
         trajs, lam = self.build(x)
         parts = [self.nonlinear(trajs, lam), self.A @ x - self.c]
-        return np.concatenate(parts + ([self.constraint(trajs)] if self.k else []))
+        if self.k:  # as problem.integrals assembles the integrand columns
+            values = self.args(trajs, self.nodes).values
+            parts.append(self.weights @ np.column_stack(
+                [np.broadcast_to(np.asarray(gj(values), dtype=float), self.nodes.shape)
+                 for gj in self.g]) - self.l)
+        return np.concatenate(parts)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Move x onto A x = c: the linear rows hold whether or not Newton converges."""
@@ -201,8 +215,8 @@ class _Collocation:
         return x if float(np.max(np.abs(defect))) <= 1e-13 else x - self.pinv @ defect
 
     def jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """A on the linear rows; elsewhere forward differences with step
-        1e-7 (1 + |x_i|), equal to differencing one column at a time."""
+        """A on the linear rows, the constraint rows by the chain rule, and forward
+        differences elsewhere, step 1e-7 (1 + |x_i|), as if column by column."""
         nl, top = self.pattern.shape[0], self.pattern.shape[0] + len(self.c)
         h = 1e-7 * (1.0 + np.abs(x))
         jac = np.zeros((len(r), len(x)))
@@ -214,58 +228,55 @@ class _Collocation:
             diff = (self.nonlinear(*self.build(xp)) - r[:nl])[:, None]
             mask = self.pattern[:, cols] if cols[0] < self.ncoef else True
             jac[:nl, cols] = np.where(mask, diff, 0.0) / h[cols]
-        for j in range(self.ncoef if self.k else 0):
-            xp = x.copy()
-            xp[j] += h[j]
-            jac[top:, j] = (self.constraint(self.build(xp)[0]) - r[top:]) / h[j]
+        if self.k:
+            self._constraint_rows(self.build(x)[0], jac[top:])
         return jac
 
-    def _newton(self, x: np.ndarray, scheme: CollocationScheme):
-        """Damped Newton from x: (x, converged, iterations, norm, condition),
-        the condition being NaN when no Jacobian was factorized."""
-        x = self.project(x.copy())
+    def _constraint_rows(self, trajs, out: np.ndarray) -> None:
+        """Add d/dx int g to ``out``: per argument block, g's weighted partials at
+        the nodes times the basis of the segment each shifted node falls in
+        (right limit at knots, as Trajectory.eval; none on the history)."""
+        args = self.args(trajs, self.nodes)
+        for arg, (b, order, shift) in self.argmap.items():
+            blk, ts = self.blocks[b], self.nodes + shift
+            on_mesh = ts >= self.edges[0]
+            seg = np.searchsorted(self.edges[1:-1], ts[on_mesh], side="right")
+            partials = np.stack([np.broadcast_to(  # (k, ncomp, nodes on the mesh)
+                np.reshape(calculus.partial(gj, arg, args), (blk.ncomp, -1)),
+                (blk.ncomp, len(ts)))[:, on_mesh] for gj in self.g])
+            cols = (self._column(b, seg)[None, :, None] + np.arange(blk.width)
+                    + blk.width * np.arange(blk.ncomp)[:, None, None])
+            np.add.at(out, (slice(None), cols), (partials * self.weights[on_mesh])[..., None]
+                      * self._basis(b, seg, ts[on_mesh], order))
+
+    def solve(self, x0: np.ndarray, scheme: CollocationScheme):
+        """Damped Newton from x0: (trajectories, lambda, report), the report's
+        condition NaN when no Jacobian was factorized."""
+        x = self.project(x0.copy())
         r = self.residual(x)
-        norm, condition = float(np.max(np.abs(r))), math.nan
-        if norm <= scheme.tolerance:
-            return x, True, 0, norm, condition
-        for iteration in range(1, scheme.max_iterations + 1):
+        norm, condition, iterations = float(np.max(np.abs(r))), math.nan, 0
+        while norm > scheme.tolerance and iterations < scheme.max_iterations:
+            iterations += 1
             jac = self.jacobian(x, r)
             condition = float(np.linalg.cond(jac))
             if not np.isfinite(condition) or condition > 1e12:
                 raise SingularJacobian(
                     f"collocation Jacobian condition estimate {condition:.3e}", condition)
             step = np.linalg.solve(jac, -r)
-            alpha = scheme.initial_step
-            while alpha >= scheme.min_step:
+            alpha = 1.0
+            while alpha >= 1e-6:
                 x_try = self.project(x + alpha * step)
                 r_try = self.residual(x_try)
                 norm_try = float(np.max(np.abs(r_try)))
                 if norm_try <= (1.0 - 1e-4 * alpha) * norm or norm_try <= scheme.tolerance:
                     break
                 alpha *= 0.5
-            else:
-                return x, False, iteration, norm, condition
+            else:  # the line search stalled
+                break
             x, r, norm = x_try, r_try, norm_try
-            if norm <= scheme.tolerance:
-                return x, True, iteration, norm, condition
-        return x, False, scheme.max_iterations, norm, condition
-
-    def solve(self, x0: np.ndarray, scheme: CollocationScheme):
-        """Newton from x0, then from each multiplier start until one converges;
-        (trajectories, lambda, report) of that run, else of the run from x0."""
-        run = self._newton(x0, scheme)
-        if not run[1] and self.k:
-            retries = (self._newton(np.concatenate([x0[:self.ncoef], lam_start]), scheme)
-                       for lam_start in _lambda_starts(self.k))
-            run = next((retry for retry in retries if retry[1]), run)
-        x, converged, iterations, norm, condition = run
         trajs, lam = self.build(x)
-        return trajs, lam, SolveReport(converged, iterations, norm, lam, condition)
-
-
-def _lambda_starts(k: int):
-    grids = np.meshgrid(*([np.array([-10.0, -1.0, 0.0, 1.0, 10.0])] * k), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+        return trajs, lam, SolveReport(norm <= scheme.tolerance, iterations, norm, lam,
+                                       condition)
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +305,25 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
     interpolated segment-wise, else the line from the history endpoint to the
     terminal value."""
     m, n, k, tau, t1, t2 = problem.m, problem.n, problem.k, problem.tau, problem.t1, problem.t2
-    degree = scheme.degree if scheme.degree is not None else 2 * m + 2
-    colloc = degree + 1 - 2 * m
-    if colloc < 1:
-        raise ValueError(f"degree {degree} too low for m = {m}")
-    per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, colloc)
+    degree = 2 * m + 2  # 2m + 3 coefficients, 2m fixed by the knot rows: 3 Gauss points
+    per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, 3)
     hist = problem.stitched_history(panels=max(2, per_regime))
     boundary = [((0, 0, t1, order), hist[-1].eval(t1, order)) for order in range(m)]
     if problem.boundary is not None:
         boundary += [((0, len(edges) - 2, t2, order), problem.boundary[order])
                      for order in range(m)]
     # Lambda_i = d_{i+2} F at t + advanced d_{i+m+3} F at t + tau; current argument
-    # blocks hold q at that time, delayed ones tau before.  F = L - lam.g for any lam.
-    argmap = {b: (0, 0.0 if b <= m + 2 else -tau) for b in range(2, 2 * m + 4)}
+    # blocks hold q^(i) at that time, delayed ones tau before.  F = L - lam.g for any lam.
+    argmap = {b: (0, (b - 2) % (m + 1), 0.0 if b <= m + 2 else -tau)
+              for b in range(2, 2 * m + 4)}
     terms = [(i + 2, 0.0) for i in range(m + 1)] + [(i + m + 3, tau) for i in range(m + 1)]
     reads = _row_reads((problem.L, *problem.g), problem.layout, argmap, (), terms)
     record = _Collocation(
-        edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)], k,
+        edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)],
         nonlinear=lambda trajs, lam: el_residual(
             AugmentedSetup(problem, lam), trajs[0], colloc_ts).ravel(),
-        constraint=lambda trajs: constraint_defect(problem, trajs[0]),
-        boundary=boundary, rows=[(n, reads)], times=colloc_ts,
+        boundary=boundary, rows=[(n, reads)], times=colloc_ts, g=problem.g, l=problem.l,
+        args=lambda trajs, ts: args_at(trajs[0], ts, tau, m), argmap=argmap,
         # a 5-point stencil samples at most four steps of the largest order away
         reach=(calculus._WIDTH - 1) * calculus.default_step(problem.span, m))
 
@@ -351,8 +360,8 @@ def solve_pmp(cp: ControlProblem, scheme: CollocationScheme | None = None):
 
 def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
     """The Pontryagin collocation record; its unknown blocks are q, p, u."""
-    n, mc, k, tau, t1, t2 = cp.n, cp.mc, cp.k, cp.tau, cp.t1, cp.t2
-    degree = scheme.degree if scheme.degree is not None else 3
+    n, mc, tau, t1, t2 = cp.n, cp.mc, cp.tau, cp.t1, cp.t2
+    degree = 3
     # first-order system: d Gauss points per degree-d segment
     per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, degree)
     q_hist = [PolySegment(t1 - tau, t1, np.zeros((n, 1)))] if cp.history is None else \
@@ -366,16 +375,20 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
                 else ((P, len(edges) - 2, t2, 0), np.zeros(n))]
     # the rows of pmp_residuals (state qdot - d_p H; costate pdot + d_q H + advanced
     # d_{q_tau} H; stationarity d_u H + advanced d_{u_tau} H) for H's terms L, g, p.phi
-    nsub, layout = 1 + 2 * (n + mc), ArgLayout.control(n, mc, k)
+    nsub, layout = 1 + 2 * (n + mc), ArgLayout.control(n, mc, cp.k)
     H = [Integrand(lambda v, f=f: f(v[:nsub])) for f in (cp.L, *cp.g)]
     H += [Integrand(lambda v, i=i, f=f: v[nsub + i] * f(v[:nsub])) for i, f in enumerate(cp.phi)]
-    argmap = {2: (Q, 0.0), 3: (U, 0.0), 4: (Q, -tau), 5: (U, -tau), 6: (P, 0.0)}
-    rows = [(n, _row_reads(H, layout, argmap, {(Q, 0.0)}, [(6, 0.0)])),
-            (n, _row_reads(H, layout, argmap, {(P, 0.0)}, [(2, 0.0), (4, tau)])),
-            (mc, _row_reads(H, layout, argmap, (), [(3, 0.0), (5, tau)]))]
+    argmap = {2: (Q, 0, 0.0), 3: (U, 0, 0.0), 4: (Q, 0, -tau), 5: (U, 0, -tau)}  # of L, g, phi
+    h_argmap = {**argmap, 6: (P, 0, 0.0)}
+    rows = [(n, _row_reads(H, layout, h_argmap, {(Q, 0.0)}, [(6, 0.0)])),
+            (n, _row_reads(H, layout, h_argmap, {(P, 0.0)}, [(2, 0.0), (4, tau)])),
+            (mc, _row_reads(H, layout, h_argmap, (), [(3, 0.0), (5, tau)]))]
 
     def triple(trajs) -> PontryaginTriple:
         return PontryaginTriple(q=trajs[Q], u=trajs[U], p=trajs[P])
+
+    def args(trajs, ts) -> ArgVector:  # (t; q; u; q_tau; u_tau)
+        return ArgVector(control_args_at(cp, triple(trajs), (), ts).values[:nsub], cp.layout)
 
     def nonlinear(trajs, lam):
         res = pmp_residuals(cp, triple(trajs), lam, colloc_ts)
@@ -383,31 +396,9 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
 
     return _Collocation(
         edges, [_Block(n, degree + 1, 1, tuple(q_hist)), _Block(n, degree + 1),
-                _Block(mc, degree, 1, tuple(u_hist), 0)], k,
-        nonlinear=nonlinear,
-        constraint=lambda trajs: _control_constraint_defect(cp, triple(trajs)),
-        boundary=boundary, rows=rows, times=colloc_ts)
-
-
-def _control_constraint_defect(cp: ControlProblem, triple: PontryaginTriple) -> np.ndarray:
-    breaks = set(triple.q.breakpoints()) | set(triple.u.breakpoints())
-    breaks |= {b + cp.tau for b in breaks} | {cp.t2 - cp.tau}
-
-    def sub_values(ts):
-        values = [ts]
-        for traj in (triple.q, triple.u):
-            block = traj.eval(ts, 0)
-            values.extend(block[..., i] for i in range(block.shape[-1]))
-        for traj in (triple.q, triple.u):
-            block = traj.eval(ts - cp.tau, 0)
-            values.extend(block[..., i] for i in range(block.shape[-1]))
-        return values
-
-    out = np.empty(cp.k)
-    for j, gj in enumerate(cp.g):
-        out[j] = calculus.integrate(lambda ts: np.asarray(gj(sub_values(ts)), dtype=float),
-                                    cp.t1, cp.t2, sorted(breaks)) - cp.l[j]
-    return out
+                _Block(mc, degree, 1, tuple(u_hist), 0)],
+        nonlinear=nonlinear, boundary=boundary, rows=rows, times=colloc_ts, g=cp.g, l=cp.l,
+        args=args, argmap=argmap)
 
 
 # ---------------------------------------------------------------------------

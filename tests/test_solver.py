@@ -3,6 +3,7 @@ aggregate verification report."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from delayvar.problem import (
     ControlProblem,
     Integrand,
     IsoperimetricProblem,
+    constraint_defect,
     integrand_from_expr,
 )
 from delayvar import solver
@@ -63,6 +65,16 @@ class TestSolveEl:
             history=lambda t: np.array([t * (1 - t)]), boundary=[[0.0]])
         with pytest.raises(SingularJacobian):
             solve_el(problem, scheme=CollocationScheme(nodes=16))
+
+    def test_constraint_rejecting_jets(self, classical_problem):
+        # its constraint rows take calculus.partial's finite-difference fallback
+        g = Integrand(lambda v: np.asarray(v[1], dtype=float), name="q as array")
+        problem = dataclasses.replace(classical_problem, g=(g,))
+        traj, lam, report = solve_el(problem, scheme=CollocationScheme(nodes=64))
+        assert report.converged
+        assert abs(lam[0] - 4.0) <= 1e-5
+        ts = np.linspace(0.0, 1.0, 201)
+        assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - ts * (1 - ts))) <= 1e-5
 
     def test_deterministic(self, classical_problem):
         out1 = solve_el(classical_problem, scheme=CollocationScheme(nodes=24))
@@ -292,6 +304,19 @@ def _dense_jacobian(record, x, r):
     return jac
 
 
+def _dense_central_jacobian(record, x):
+    """Central differences with step 1e-2 (1 + |x_i|): exact to roundoff on rows
+    at most quadratic in x, as every constraint of _RECORDS is (q, q q_tau, u)."""
+    h = 1e-2 * (1.0 + np.abs(x))
+    cols = []
+    for i in range(len(x)):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        cols.append((record.residual(xp) - record.residual(xm)) / (2.0 * h[i]))
+    return np.stack(cols, axis=1)
+
+
 _RECORDS = {
     "classical-16": lambda: _el_record(_classical_with_multiplier(4.0)[0], 16),
     "classical-64": lambda: _el_record(_classical_with_multiplier(4.0)[0], 64),
@@ -314,12 +339,46 @@ class TestStructuredJacobian:
             r = record.residual(x)
             dense = _dense_jacobian(record, x, r)
             structured = record.jacobian(x, r)
-            for rows in (slice(0, nl), slice(top, None)):
-                scale = max(1.0, float(np.max(np.abs(dense[rows]), initial=0.0)))
-                assert np.max(np.abs(structured[rows] - dense[rows]), initial=0.0) <= 1e-12 * scale
+            # the isoperimetric rows are exact, so they meet a reference without
+            # the forward differences' roundoff
+            central = _dense_central_jacobian(record, x) if record.k else dense
+            for rows, reference in ((slice(0, nl), dense), (slice(top, None), central)):
+                scale = max(1.0, float(np.max(np.abs(reference[rows]), initial=0.0)))
+                assert (np.max(np.abs(structured[rows] - reference[rows]), initial=0.0)
+                        <= 1e-12 * scale)
             assert np.array_equal(structured[nl:top], record.A)
             # the geometric pattern holds every nonzero of the collocation block
             assert np.all(record.pattern | (dense[:nl, :record.ncoef] == 0.0))
+
+    @pytest.mark.parametrize("problem, nodes", [
+        (_classical_with_multiplier(4.0)[0], 64), (_delayed_m1(), 9), (_cancelling_m1(), 9),
+        (_cancelling_m1("q*q_tau"), 9)], ids=["classical-64", "delayed-m1", "cancelling-m1",
+                                             "cancelling-g-is-L"])
+    def test_constraint_rows_are_the_constraint_defect(self, problem, nodes):
+        record, x0 = _el_record(problem, nodes)
+        top = record.pattern.shape[0] + len(record.c)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            x = record.project(x0 + 1e-1 * rng.standard_normal(len(x0)))
+            (traj,), _ = record.build(x)
+            assert np.array_equal(record.residual(x)[top:], constraint_defect(problem, traj))
+
+    def test_jacobian_builds_one_path_per_evaluation(self, monkeypatch):
+        # one per colour group and multiplier column, and one for the constraint
+        # rows: none per coefficient column
+        record, x0 = _RECORDS["classical-64"]()
+        x = record.project(x0)
+        r = record.residual(x)
+        built = []
+        init = Trajectory.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trajectory, "__init__", counted)
+        record.jacobian(x, r)
+        assert len(built) <= len(record.groups) + record.k + 1
 
     def test_colours_stay_few(self):
         # coefficient columns per residual evaluation, far below the unknown count
@@ -358,7 +417,9 @@ class TestEvaluationBudget:
     def test_el_classical_64(self, monkeypatch, classical_problem):
         calls = _counting(monkeypatch, "el_residual")
         _, _, report = solve_el(classical_problem, scheme=CollocationScheme(nodes=64))
-        assert report.converged and report.iterations == 2
+        # exact constraint rows: the collocation columns' forward differences
+        # alone leave the first step within tolerance
+        assert report.converged and report.iterations == 1
         assert len(calls) <= 40
 
     def test_pmp_lq_terminal_48(self, monkeypatch):
@@ -369,39 +430,20 @@ class TestEvaluationBudget:
 
 
 class TestReportedCondition:
-    def test_restart_converging_at_its_start_reports_no_condition(self):
-        # lambda = 10 is a restart value: the first run (from lambda = 3) fails
-        # after its one iteration, earlier restarts factorize Jacobians, and the
-        # lambda = 10 restart converges without one
+    def test_converging_at_its_start_reports_no_condition(self):
         problem, exact = _classical_with_multiplier(10.0)
-        _, lam, report = solve_el(problem, initial=(exact, [3.0]),
-                                  scheme=CollocationScheme(nodes=16, max_iterations=1,
-                                                           tolerance=1e-10))
+        _, lam, report = solve_el(problem, initial=(exact, [10.0]),
+                                  scheme=CollocationScheme(nodes=16, tolerance=1e-10))
         assert report.converged and report.iterations == 0
         assert lam[0] == 10.0
         assert math.isnan(report.condition)
         assert report.to_dict()["condition"] is None
 
-    def test_failed_restarts_report_the_first_run(self, monkeypatch):
+    def test_failed_solve_reports_nonconvergence(self):
         problem, exact = _classical_with_multiplier(4.0)
         scheme = CollocationScheme(nodes=16, max_iterations=1, tolerance=1e-13)
-        traj, lam, report = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
-        assert not report.converged
-        monkeypatch.setattr(solver, "_lambda_starts", lambda k: np.zeros((0, k)))
-        traj1, lam1, first = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
-        assert not first.converged
-        assert np.array_equal(lam, lam1)
-        assert report.residual_norm == first.residual_norm
-        assert report.condition == first.condition
-
-
-def test_lambda_multistart_grid():
-    from delayvar.solver import _lambda_starts
-
-    starts = _lambda_starts(2)
-    assert starts.shape == (25, 2)
-    rows = {tuple(r) for r in starts.tolist()}
-    assert (0.0, 0.0) in rows and (-10.0, 10.0) in rows and len(rows) == 25
+        _, _, report = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
+        assert not report.converged and report.iterations == 1
 
 
 class TestVerify:
