@@ -4,8 +4,10 @@ Represents candidate trajectories as piecewise polynomials, evaluates the
 delayed Euler-Lagrange, DuBois-Reymond, and Pontryagin residuals together
 with Noether conserved quantities along them, verifies invariance under
 transformation groups, and solves the delayed boundary-value problems by
-global collocation.
+global collocation.  It never prints; it logs to the ``delayvar`` logger.
 """
+
+import logging
 
 from .errors import (
     BlockOutOfRange,
@@ -76,5 +78,7 @@ from .optimal_control import (
     second_order_noether_quantity,
 )
 from .solver import CollocationScheme, SolveReport, solve_el, solve_pmp, verify
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Differentiation and integration engine.
 
-Block partials of integrands (an order-1 jet > finite difference), time
-derivatives along a path, composite Gauss-Legendre quadrature, and the s = 0
-parameter derivative by Richardson extrapolation.
+Block partials of integrands (an order-1 jet > finite difference) and their
+second partials, time derivatives along a path, composite Gauss-Legendre
+quadrature, and the s = 0 parameter derivative by Richardson extrapolation.
 
 :func:`path_derivatives` is the one provider of time derivatives along a
 path: one call of a map on the time as a Taylor jet (:mod:`delayvar.jet`)
@@ -10,12 +10,14 @@ gives d^0 .. d^K/dt^K exactly, block partials of jet arguments being jets
 too.  Only maps that reject jets fall back to 5-point stencils that never
 cross a regime bound or trajectory breakpoint (a :class:`Stencil` places one
 order's nodes and weights the samples), with steps from :func:`default_step`:
-span * 1e-4 for order 1, and 10x more per further order.
+span * 1e-4 for order 1, and 10x more per further order.  Each fallback
+logs the TypeError that caused it at DEBUG level.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from typing import Callable, NamedTuple
 
@@ -25,10 +27,11 @@ from . import jet
 from .errors import BlockOutOfRange, StencilCrossesBreakpoint
 
 __all__ = ["default_step", "Stencil", "total_derivative_many", "path_derivatives", "partial",
-           "sample", "panel_rule", "integrate", "derivative_in_parameter", "ParamDerivative",
-           "fd_weights"]
+           "second_partials", "sample", "panel_rule", "integrate", "derivative_in_parameter",
+           "ParamDerivative", "fd_weights"]
 
 _WIDTH = 5
+_log = logging.getLogger(__name__)
 
 
 def fd_weights(offsets, order: int) -> np.ndarray:
@@ -116,7 +119,8 @@ def path_derivatives(fn, ts, order: int, fallback) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     try:
         coeffs = jet.coefficients(fn(jet.variable(ts, order)), order)
-    except TypeError:
+    except TypeError as exc:
+        _log.debug("path_derivatives: %r rejects jets (%s); 5-point stencils", fn, exc)
         los, his, span = fallback()
         return np.stack([total_derivative_many(fn, ts, i, los, his, default_step(span, i))
                          for i in range(order + 1)])
@@ -139,24 +143,46 @@ def partial(f, block: int, args):
     sl = layout.block_slice(block)
     if sl.start == sl.stop:
         return np.zeros(0)
-    values = args.values
-    level = 1 + max([v.level for v in values if type(v) is jet.Jet], default=-1)
-    like = jet.value_of(values[sl.start])
+    values, like = args.values, jet.value_of(args.values[sl.start])
     try:
-        return jet.stack([_seeded_slot(f, values, i, level) for i in range(sl.start, sl.stop)],
-                         like)
-    except TypeError:
+        slots = [_seeded(f, values, (i,)) for i in range(sl.start, sl.stop)]
+    except TypeError as exc:
+        _log.debug("partial: %r rejects jets (%s); central differences", f, exc)
         return np.stack([_fd_slot(f, values, i) for i in range(sl.start, sl.stop)])
+    return jet.stack([0.0 if d is None else d for d in slots], like)
 
 
-def _seeded_slot(f, values, i, level: int):
-    """d f / d values[i]: the epsilon-coefficient of f with slot i seeded by an
-    order-1 jet of ``level`` (above every jet in the slots); 0 when f never
-    touched the seed."""
+def second_partials(f, k: int, b: int, args, order: int = 0) -> np.ndarray:
+    """Taylor coefficients 0 .. order in t of the block d_b d_k f along a path,
+    slots holding time jets of at least ``order`` (or arrays, for order 0);
+    shape (order + 1, len_k, len_b, npts).  Each slot pair is seeded by two
+    nested order-1 jets; a callable that rejects jets raises TypeError."""
+    layout, values = args.layout, args.values
+    ks, bs = layout.block_slice(k), layout.block_slice(b)
+    pairs = [_seeded(f, values, (i, j)) for i in range(ks.start, ks.stop)
+             for j in range(bs.start, bs.stop)]
+    shape = (order + 1, layout.blocks[k - 1], layout.blocks[b - 1])
+    if all(d is None for d in pairs):
+        return np.zeros(shape + np.shape(jet.value_of(values[0])))
+    coeffs = jet.coefficients([values[0], *(0.0 if d is None else d for d in pairs)],
+                              order)[:, 1:]
+    return coeffs.reshape(shape + coeffs.shape[-1:])
+
+
+def _seeded(f, values, slots):
+    """Mixed partial of f in the ``slots`` (which may repeat), each seeded by an
+    order-1 jet a level above the last and every jet in the values; None when
+    f never touched every seed."""
+    level = 1 + max([v.level for v in values if type(v) is jet.Jet], default=-1)
     seeded = list(values)
-    seeded[i] = jet.Jet([values[i], 1.0], level)
+    for depth, i in enumerate(slots):
+        seeded[i] = jet.Jet([seeded[i], 1.0], level + depth)
     out = f(seeded)
-    return out.c[1] if isinstance(out, jet.Jet) and out.level == level and out.order else 0.0
+    for depth in reversed(range(len(slots))):
+        if not (isinstance(out, jet.Jet) and out.level == level + depth and out.order):
+            return None
+        out = out.c[1]
+    return out
 
 
 def _fd_slot(f, values, i):

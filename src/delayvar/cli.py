@@ -15,12 +15,11 @@ import sys
 import numpy as np
 
 from . import expr, registry
-from .dubois_reymond import cdur_residual
 from .errors import DelayVarError
 from .euler_lagrange import PathRecord, Regime, csv_text, format_column, regime_of, \
     residual_grids
 from .noether import constancy_report, invariance_defect, necessary_condition_defect, \
-    noether_quantity
+    noether_sweep
 from .problem import AugmentedSetup, Integrand, TransformationGroup, augmented_integrand, \
     problem_from_json
 from .solver import CollocationScheme, solve_el, solve_pmp, verify
@@ -125,11 +124,17 @@ def cmd_conserved(args) -> int:
     setup = AugmentedSetup(problem, lam)
     group = _group_from_exprs(args, problem)
     grids = residual_grids(problem, traj, count=args.grid)
-    report = constancy_report(
-        lambda ts: noether_quantity(setup, group, traj, ts, regime_of(problem, ts)), grids)
-    sup_cdur = float(np.max(np.abs(np.atleast_1d(
-        cdur_residual(setup, traj, grids[Regime.FIRST].times)))))
-    report.hypothesis_violated = sup_cdur > args.tol
+    cdur = []  # the hypothesis residual, from the first regime's records
+
+    def quantity(ts):
+        regime = regime_of(problem, ts)
+        values, record = noether_sweep(setup, group, traj, ts, regime)
+        if regime is Regime.FIRST:
+            cdur.append(record.cdur_advanced)
+        return values
+
+    report = constancy_report(quantity, grids)
+    report.hypothesis_violated = float(np.max(np.abs(np.concatenate(cdur)))) > args.tol
 
     regimes = (Regime.FIRST, Regime.SECOND)
     ts = np.concatenate([report.grids[r].times for r in regimes])

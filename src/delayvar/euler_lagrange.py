@@ -85,12 +85,13 @@ class PathRecord:
     """F along a trajectory at times ``ts`` inside one regime: the one sweep
     that every residual reads.
 
-    The path is evaluated once at ts, at ts - tau and (first regime) at
-    ts + tau, and q^(j)(ts), q^(j)(ts - tau) are kept (zero past the degree).
-    One call of the derivative provider on their jets gives d^i/dt^i
-    Lambda_k(ts) for k >= min(momenta) and i up to the highest rate that the
-    momenta psi_j, j in ``momenta``, need, and the rates of ``along(args)``
-    (the Noether generators) up to ``along_order``.  Order-0 quantities are
+    The path is evaluated once at ts, at ts - tau and, when the advanced
+    arguments are read, (first regime) at ts + tau; q^(j)(ts), q^(j)(ts - tau)
+    are kept (zero past the degree).  One call of the derivative provider on
+    their jets gives d^i/dt^i Lambda_k(ts) for k >= min(momenta) and i up to
+    the highest rate that the momenta psi_j, j in ``momenta``, need, and the
+    rates of ``along(args)`` (the Noether generators) up to ``along_order``,
+    which also bounds :meth:`argument_jets`.  Order-0 quantities are
     constant terms: the block partials at ts, F, d_1 F and the hypothesis sums
     are taken once each, when asked.  A point at the domain's right end is a
     left limit, and so is its delayed argument.
@@ -105,13 +106,10 @@ class PathRecord:
         momenta = range(m + 1) if momenta is None else momenta
         order = max([m - j for j in momenta] + [along_order])
         self._momenta, self._ks = tuple(momenta), range(min(momenta, default=m + 1), m + 1)
-        count = m + 1 + max(order, 1)
-        self._paths = [traj.derivatives(ts, count),
-                       traj.derivatives(ts - tau, count, left=ts >= traj.domain[1])]
-        if self.first:
-            self._paths.append(traj.derivatives(ts + tau, count))
-        self.q, self.q_delayed = self._paths[:2]
-        self._args = self._arguments(ts, self._paths)
+        self._count = m + 1 + max(order, 1)
+        self.q = traj.derivatives(ts, self._count)
+        self.q_delayed = traj.derivatives(ts - tau, self._count, left=ts >= traj.domain[1])
+        self._current = path_args(ts, self.q[: m + 1], self.q_delayed[: m + 1])
         self._partials, self.along = {}, []
         if not self._ks and along is None:
             return
@@ -122,26 +120,37 @@ class PathRecord:
         self._rates = rates[:, :, :len(self._ks) * self.n]
         self.along = list(rates[:along_order + 1, :, len(self._ks) * self.n:])
 
-    def _arguments(self, t, paths):
-        """Argument vectors at t and (first regime) at t + tau from the path
-        blocks at t, t - tau and t + tau."""
+    @functools.cached_property
+    def _advanced(self):
+        """The path at ts + tau and the argument vector there (first regime)."""
+        path = self.traj.derivatives(self.ts + self.tau, self._count)
+        return path, path_args(self.ts + self.tau, path[: self.m + 1], self.q[: self.m + 1])
+
+    def _arguments(self, t, advanced: bool):
+        """Argument vectors at t and, if ``advanced``, at t + tau: from the kept
+        path values if t is the time jet at ts, else at the stencil nodes t."""
+        if isinstance(t, jet.Jet):
+            kept = (self.q, self.q_delayed) + ((self._advanced[0],) if advanced else ())
+            paths = [jet.path(p, self.m + 1, t.order) for p in kept]
+        else:
+            paths = [self.traj.derivatives(u, self.m + 1)
+                     for u in (t, t - self.tau, t + self.tau)[:2 + advanced]]
         current = path_args(t, paths[0][: self.m + 1], paths[1][: self.m + 1])
-        if not self.first:
+        if not advanced:
             return current, None
         return current, path_args(t + self.tau, paths[2][: self.m + 1], paths[0][: self.m + 1])
 
+    def argument_jets(self, order: int):
+        """Argument vectors at ts and (first regime) at ts + tau, else None,
+        with jets in t of ``order`` (at most ``along_order``) in their slots."""
+        return self._arguments(jet.variable(self.ts, order), self.first)
+
     def _sample(self, t):
-        """Lambda_k for k in ks, then ``along``, side by side: at the time jet t
-        (its constant term is ts) from jets of the kept path values, or at
-        stencil nodes t, where the path is evaluated."""
-        if isinstance(t, jet.Jet):
-            paths = [jet.path(p, self.m + 1, t.order) for p in self._paths]
-        else:
-            paths = [self.traj.derivatives(u, self.m + 1)
-                     for u in (t, t - self.tau, t + self.tau)[:len(self._paths)]]
-        current, advanced = self._arguments(t, paths)
+        """Lambda_k for k in ks, then ``along``, side by side, at the time jet
+        t or at stencil nodes t."""
+        current, advanced = self._arguments(t, self.first and bool(self._ks))
         cols = [calculus.partial(self.F, k + 2, current).T for k in self._ks]
-        if self.first:
+        if advanced is not None:
             cols = [col + calculus.partial(self.F, k + self.m + 3, advanced).T
                     for col, k in zip(cols, self._ks)]
         if self._along is not None:
@@ -151,7 +160,8 @@ class PathRecord:
     def block_partial(self, block: int, advanced: bool = False) -> np.ndarray:
         """d_block F at ts, or at ts + tau if ``advanced``, taken once; shape (len, npts)."""
         if (advanced, block) not in self._partials:
-            self._partials[advanced, block] = calculus.partial(self.F, block, self._args[advanced])
+            args = self._advanced[1] if advanced else self._current
+            self._partials[advanced, block] = calculus.partial(self.F, block, args)
         return self._partials[advanced, block]
 
     def rate(self, i: int, k: int) -> np.ndarray:
@@ -173,7 +183,7 @@ class PathRecord:
     @functools.cached_property
     def value(self) -> np.ndarray:
         """F[q](ts)."""
-        return np.broadcast_to(np.asarray(self.F(self._args[0].values), dtype=float),
+        return np.broadcast_to(np.asarray(self.F(self._current.values), dtype=float),
                                self.ts.shape)
 
     @property

@@ -39,7 +39,7 @@ from .problem import AugmentedSetup, TransformationGroup, augmented_integrand
 from .trajectory import Grid, Trajectory
 
 __all__ = ["rho", "invariance_defect", "necessary_condition_defect", "noether_quantity",
-           "ConstancyReport", "constancy_report"]
+           "noether_sweep", "ConstancyReport", "constancy_report"]
 
 
 def _on_points(generator, ts, qs, shape: tuple):
@@ -113,6 +113,14 @@ def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
                      t, regime: Regime) -> float | np.ndarray:
     """sum_j psi_j . rho^(j-1) + (F - sum_j psi_j . q^(j)) eta - gauge at a
     time (a float) or at an array of times inside ``regime`` (an array)."""
+    out, _ = noether_sweep(setup, group, traj, t, regime)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
+                  t, regime: Regime) -> tuple[np.ndarray, PathRecord]:
+    """The Noether quantity at the times t inside ``regime``, shape (npts,),
+    and the record it reads (its ``cdur_advanced`` on the first regime)."""
     problem = setup.problem
     m, n = problem.m, problem.n
     record = PathRecord(augmented_integrand(setup), problem, traj, t, regime,
@@ -121,7 +129,7 @@ def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
     rhos = _leibniz(record.along, record.q, n)
     out = record.dr_quantity * record.along[0][:, n] - record.along[0][:, n + 1] + sum(
         np.sum(record.psi[j] * lift, axis=1) for j, lift in enumerate(rhos, start=1))
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return out, record
 
 
 # ---------------------------------------------------------------------------

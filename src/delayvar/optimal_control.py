@@ -68,25 +68,10 @@ def control_args_at(cp: ControlProblem, triple: PontryaginTriple, lam, t) -> Arg
     """(t, q(t), u(t), q(t-tau), u(t-tau), p(t), lam) with array support."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     t = np.asarray(t, dtype=float)
-    layout = ArgLayout.control(cp.n, cp.mc, len(lam))
-    values: list = [t if t.ndim else float(t)]
-
-    def extend(block):
-        if t.ndim:
-            values.extend(block[..., i] for i in range(block.shape[-1]))
-        else:
-            values.extend(float(x) for x in np.atleast_1d(block))
-
-    extend(triple.q.eval(t, 0))
-    extend(triple.u.eval(t, 0))
-    extend(triple.q.eval(t - cp.tau, 0))
-    extend(triple.u.eval(t - cp.tau, 0))
-    extend(triple.p.eval(t, 0))
-    if t.ndim:
-        values.extend(np.full(t.shape, lj) for lj in lam)
-    else:
-        values.extend(float(lj) for lj in lam)
-    return ArgVector(values, layout)
+    q, u, p = triple.q, triple.u, triple.p
+    blocks = [q.eval(t, 0), u.eval(t, 0), q.eval(t - cp.tau, 0), u.eval(t - cp.tau, 0),
+              p.eval(t, 0), np.broadcast_to(lam, t.shape + lam.shape)]
+    return ArgVector.from_blocks(t, blocks, ArgLayout.control(cp.n, cp.mc, len(lam)))
 
 
 def hamiltonian(cp: ControlProblem, args: ArgVector) -> float | np.ndarray:

@@ -65,6 +65,15 @@ class ArgVector:
         if len(self.values) != layout.size:
             raise ValueError(f"{len(self.values)} values for a layout of size {layout.size}")
 
+    @classmethod
+    def from_blocks(cls, t, blocks, layout: ArgLayout) -> "ArgVector":
+        """t, then each component of each block as one slot: floats at a scalar
+        time, else the blocks' arrays (or jets in t) along their last axis."""
+        scalar = np.ndim(jet.value_of(t)) == 0
+        return cls([float(t) if scalar else t] + [
+            float(b[i]) if scalar else b[..., i]
+            for b in blocks for i in range(np.shape(jet.value_of(b))[-1])], layout)
+
     def block(self, b: int) -> np.ndarray:
         return np.asarray(self.values[self.layout.block_slice(b)])
 
@@ -240,12 +249,9 @@ def path_args(t, current, delayed) -> ArgVector:
     (``delayed``): arrays, or jets in t (:func:`delayvar.jet.path`) with t the
     time jet."""
     t = t if isinstance(t, jet.Jet) else np.asarray(t, dtype=float)
-    scalar = np.ndim(jet.value_of(t)) == 0
     n = np.shape(jet.value_of(current[0]))[-1]
-    values: list = [float(t) if scalar else t]
-    for block in (*current, *delayed):
-        values.extend(float(block[i]) if scalar else block[..., i] for i in range(n))
-    return ArgVector(values, ArgLayout.variational(len(current) - 1, n))
+    layout = ArgLayout.variational(len(current) - 1, n)
+    return ArgVector.from_blocks(t, (*current, *delayed), layout)
 
 
 def augmented_integrand(setup: AugmentedSetup) -> Integrand:

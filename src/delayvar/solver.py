@@ -6,16 +6,20 @@ Delayed problems couple retarded (t - tau) and advanced (t + tau) values, so
 the full-horizon system is assembled at once rather than marching; the mesh
 is uniform per regime with a forced node at t2 - tau.  One collocation record
 serves both problems.  Its Jacobian, re-factorized every iteration, takes the
-exactly linear rows (continuity, history, terminal data) in closed form, the
-isoperimetric rows by the chain rule through the basis, and the collocation
-rows by forward differences, with columns grouped by a greedy colouring of
-the sparsity the delay and the integrand fix (Curtis, Powell & Reid 1974).
+exactly linear rows (continuity, history, terminal data) in closed form and
+every other row by the chain rule through the basis: the collocation rows
+from blocks of second partials of the integrand along the path, Taylor jets
+in t seeded twice (Griewank & Walther, *Evaluating Derivatives*, ch. 13),
+and the isoperimetric rows from the partials of g at the quadrature nodes.
+Only an integrand that rejects jets has its collocation rows differenced.
 NonConvergence is a returned state (report.converged = False); a numerically
 singular Jacobian raises.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -26,12 +30,15 @@ from . import calculus
 from .errors import SingularJacobian
 from .euler_lagrange import Classification, PathRecord, Regime, ResidualReport, classify, \
     el_residual, residual_grids
-from .optimal_control import PontryaginTriple, control_args_at, pmp_residuals
-from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, Integrand, \
+from .optimal_control import PontryaginTriple, control_args_at, hamiltonian_integrand, \
+    pmp_residuals
+from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, \
     IsoperimetricProblem, args_at, augmented_integrand, integrals
 from .trajectory import PolySegment, Trajectory, segments_from_callable
 
 __all__ = ["CollocationScheme", "SolveReport", "solve_el", "solve_pmp", "verify"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -82,59 +89,38 @@ def _mesh(t1: float, t2: float, tau: float, nodes: int, colloc: int):
     return per_regime, edges, times
 
 
-def _row_reads(parts, layout: ArgLayout, argmap: dict, direct, terms) -> set:
-    """(unknown block, time shift) pairs a row type reads: ``direct`` ones plus,
-    per (partial block, shift) term, the argument blocks that partial of any
-    integrand in ``parts`` depends on (moving one from a generic point, up or
-    negative, changes the partial or makes it fail), mapped through ``argmap``
-    ({argument block: (unknown block, derivative order, time shift)}) and
-    shifted.  ``parts`` are probed apart, as in a weighted sum their
-    partials could cancel at the probe's weights."""
-    base = [0.61 + 0.137 * i for i in range(layout.size)]
-
-    def partial_at(F, block, arg, move):
-        values = list(base)
-        values[layout.block_slice(arg)] = [move(v) for v in base[layout.block_slice(arg)]]
-        try:
-            with np.errstate(all="ignore"):
-                out = np.asarray(calculus.partial(F, block, ArgVector(values, layout)), float)
-        except Exception:  # outside the integrand's domain: proves nothing, so "read"
-            return None
-        return out if np.all(np.isfinite(out)) else None
-
-    reads = set(direct)
-    for F in parts:
-        for block, shift in terms:
-            ref = partial_at(F, block, 1, float)  # at the generic point itself
-            for arg, (unknown, _, arg_shift) in argmap.items():
-                outs = (partial_at(F, block, arg, move)
-                        for move in (lambda v: 2 * v + 1, lambda v: -v))
-                if ref is None or any(out is None or not np.array_equal(out, ref) for out in outs):
-                    reads.add((unknown, arg_shift + shift))
-    return reads
-
-
 # a piecewise-polynomial unknown: components, coefficients per component and segment,
 # smoothness order, history segments before t1, derivative orders matched at knots
 _Block = namedtuple("_Block", "ncomp width m history matched", defaults=(1, (), 1))
+
+# a collocation row type: ``count`` rows per point, the sum over ``terms`` (sign, k,
+# shift, i) of sign d^i/dt^i d_k F at t + shift (tau: first regime only) and over
+# ``direct`` (sign, unknown block, order) of sign times that derivative of the unknown
+_Rows = namedtuple("_Rows", "count terms direct", defaults=((),))
 
 
 class _Collocation:
     """One collocation system and its damped Newton driver.
 
     Unknowns: each block's coefficients as (segment, component, power), then
-    one multiplier per g.  Rows: ``nonlinear(trajs, lam)``, A x - c (continuity
-    at knots, then ``boundary``: (block, s, t, order) with that derivative's
-    value), then int g(args(trajs, t)) dt - l, ``argmap`` as for _row_reads.
-    ``rows``: per collocation row type, its rows per point and the (block,
-    shift) pairs it reads; ``reach``: how far from t its stencils sample."""
+    one multiplier per g.  Rows: ``nonlinear(trajs, lam)``, which are the
+    ``rows`` types in turn, point-major at the collocation ``times``; A x - c
+    (continuity at knots, then ``boundary``: (block, s, t, order) with that
+    derivative's value); int g(args(trajs, t)) dt - l.  ``argmap``: {argument
+    block of F or g: (unknown block, derivative order, time shift)}.
+    ``at(trajs, lam, ts, regime)`` maps an order to F's argument vectors at
+    the points ts of one regime and at ts + tau (None on the second regime),
+    with time jets of that order and lam as F's last block.
+    """
 
-    def __init__(self, edges, blocks, nonlinear, boundary, rows, times, g, l, args, argmap,
-                 reach=0.0):
+    def __init__(self, edges, blocks, nonlinear, boundary, F, rows, at, times, g, l, args,
+                 argmap):
         self.edges, self.blocks, self.k = edges, blocks, len(g)
         self.nonlinear, self.g, self.l, self.args, self.argmap = nonlinear, g, l, args, argmap
+        self.F, self.rows, self.at, self.times = F, rows, at, times
         self.offsets = np.cumsum([0] + [(len(edges) - 1) * b.ncomp * b.width for b in blocks])
         self.ncoef = int(self.offsets[-1])
+        self.nl = len(times) * sum(row.count for row in rows)
         lin = [self._evaluation(b, s, edges[s + 1], o) - self._evaluation(b, s + 1, edges[s + 1], o)
                for s in range(len(edges) - 2) for b, blk in enumerate(blocks)
                for o in range(blk.matched)]
@@ -147,15 +133,6 @@ class _Collocation:
         breaks = {seg.a for blk in blocks for seg in blk.history} | set(edges)
         self.nodes, self.weights = calculus.panel_rule(
             edges[0], edges[-1], {x - shift for x in breaks for _, _, shift in argmap.values()})
-        self.pattern = self._pattern(rows, times, reach)
-        # greedy colouring: a group holds coefficient columns sharing no row
-        dense = self.pattern.astype(float)
-        conflict = (dense.T @ dense) > 0
-        colour = np.full(self.ncoef, -1)
-        for col in range(self.ncoef):
-            used = colour[conflict[col]]
-            colour[col] = np.flatnonzero(~np.isin(np.arange(len(used) + 1), used))[0]
-        self.groups = [np.flatnonzero(colour == g) for g in range(colour.max() + 1)]
 
     def _column(self, b: int, s):
         return self.offsets[b] + s * self.blocks[b].ncomp * self.blocks[b].width
@@ -175,21 +152,18 @@ class _Collocation:
                                                               self._basis(b, s, t, order))
         return out
 
-    def _pattern(self, rows, times: np.ndarray, reach: float) -> np.ndarray:
-        """Collocation rows x coefficient columns that may be nonzero: a row at
-        t reads its blocks on the segments meeting [t - reach, t + reach] +
-        shift, widened by roundoff so a point on a knot takes both neighbours."""
-        eps = 1e-9 * max(1.0, self.edges[-1] - self.edges[0])
-        parts = []
-        for count, reads in rows:
-            part = np.zeros((len(times), count, self.ncoef), bool)
-            for b, shift in reads:
-                first = np.searchsorted(self.edges[1:], times + (shift - reach - eps))
-                last = np.searchsorted(self.edges[:-1], times + (shift + reach + eps), "right")
-                for p, (lo, hi) in enumerate(zip(first, last)):
-                    part[p, :, self._column(b, lo):self._column(b, max(lo, hi))] = True
-            parts.append(part.reshape(-1, self.ncoef))
-        return np.vstack(parts)
+    def _scatter(self, out: np.ndarray, rows: np.ndarray, b: int, ts: np.ndarray, order: int,
+                 values: np.ndarray) -> None:
+        """Add values[r, c, p] times the order-th derivative of block b's
+        component c at ts[p] to out[rows[r, p]]: through the basis of the
+        segment ts[p] falls in (right limit at knots, as Trajectory.eval;
+        nothing on the history)."""
+        blk, on_mesh = self.blocks[b], ts >= self.edges[0]
+        seg = np.searchsorted(self.edges[1:-1], ts[on_mesh], side="right")
+        cols = (self._column(b, seg)[None, :, None] + np.arange(blk.width)
+                + blk.width * np.arange(blk.ncomp)[:, None, None])  # (ncomp, points, width)
+        np.add.at(out, (rows[:, None, on_mesh, None], cols[None]),
+                  values[..., on_mesh, None] * self._basis(b, seg, ts[on_mesh], order))
 
     def build(self, x: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
         trajs = []
@@ -215,39 +189,70 @@ class _Collocation:
         return x if float(np.max(np.abs(defect))) <= 1e-13 else x - self.pinv @ defect
 
     def jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """A on the linear rows, the constraint rows by the chain rule, and forward
-        differences elsewhere, step 1e-7 (1 + |x_i|), as if column by column."""
-        nl, top = self.pattern.shape[0], self.pattern.shape[0] + len(self.c)
-        h = 1e-7 * (1.0 + np.abs(x))
+        """A on the linear rows and every other row by the chain rule through
+        the basis; for an F that rejects jets, the collocation rows by forward
+        differences, step 1e-7 (1 + |x_i|), one column at a time."""
+        top = self.nl + len(self.c)
         jac = np.zeros((len(r), len(x)))
-        jac[nl:top] = self.A
-        # coloured groups, then each multiplier (it reaches every collocation row)
-        for cols in self.groups + [[j] for j in range(self.ncoef, len(x))]:
-            xp = x.copy()
-            xp[cols] += h[cols]
-            diff = (self.nonlinear(*self.build(xp)) - r[:nl])[:, None]
-            mask = self.pattern[:, cols] if cols[0] < self.ncoef else True
-            jac[:nl, cols] = np.where(mask, diff, 0.0) / h[cols]
+        jac[self.nl:top] = self.A
+        trajs, lam = self.build(x)
+        try:
+            self._collocation_rows(trajs, lam, jac)
+        except TypeError as exc:
+            _log.debug("jacobian: F rejects jets (%s); forward differences", exc)
+            h = 1e-7 * (1.0 + np.abs(x))
+            for i in range(len(x)):
+                xp = x.copy()
+                xp[i] += h[i]
+                jac[:self.nl, i] = (self.nonlinear(*self.build(xp)) - r[:self.nl]) / h[i]
         if self.k:
-            self._constraint_rows(self.build(x)[0], jac[top:])
+            self._constraint_rows(trajs, jac, top)
         return jac
 
-    def _constraint_rows(self, trajs, out: np.ndarray) -> None:
-        """Add d/dx int g to ``out``: per argument block, g's weighted partials at
-        the nodes times the basis of the segment each shifted node falls in
-        (right limit at knots, as Trajectory.eval; none on the history)."""
+    def _constraint_rows(self, trajs, out: np.ndarray, top: int) -> None:
+        """Add d/dx int g to out[top:]: per argument block of g, its weighted
+        partials at the nodes times that block's basis."""
         args = self.args(trajs, self.nodes)
+        rows = np.broadcast_to(top + np.arange(self.k)[:, None], (self.k, len(self.nodes)))
         for arg, (b, order, shift) in self.argmap.items():
-            blk, ts = self.blocks[b], self.nodes + shift
-            on_mesh = ts >= self.edges[0]
-            seg = np.searchsorted(self.edges[1:-1], ts[on_mesh], side="right")
-            partials = np.stack([np.broadcast_to(  # (k, ncomp, nodes on the mesh)
-                np.reshape(calculus.partial(gj, arg, args), (blk.ncomp, -1)),
-                (blk.ncomp, len(ts)))[:, on_mesh] for gj in self.g])
-            cols = (self._column(b, seg)[None, :, None] + np.arange(blk.width)
-                    + blk.width * np.arange(blk.ncomp)[:, None, None])
-            np.add.at(out, (slice(None), cols), (partials * self.weights[on_mesh])[..., None]
-                      * self._basis(b, seg, ts[on_mesh], order))
+            if arg > args.layout.nblocks:  # F reads it, g does not
+                continue
+            ncomp = self.blocks[b].ncomp
+            partials = np.stack([np.broadcast_to(np.reshape(  # (k, ncomp, nodes)
+                calculus.partial(gj, arg, args), (ncomp, -1)), (ncomp, len(self.nodes)))
+                for gj in self.g])
+            self._scatter(out, rows, b, self.nodes + shift, order, partials * self.weights)
+
+    def _collocation_rows(self, trajs, lam, out: np.ndarray) -> None:
+        """Add d/dx of each term d^i/dt^i d_k F: sum_b sum_r i!/(i - r)! c_r times
+        block b's basis, its order raised by i - r, at t + shift + b's shift,
+        c_r the t^r coefficient of d_b d_k F; the multiplier columns take
+        d^i/dt^i d_lam d_k F."""
+        # the second regime starts at the middle edge, t2 - tau, as in per_regime
+        second = self.times >= self.edges[(len(self.edges) - 1) // 2]
+        for regime, pts in ((Regime.FIRST, np.flatnonzero(~second)),
+                            (Regime.SECOND, np.flatnonzero(second))):
+            ts, start = self.times[pts], 0
+            at = self.at(trajs, lam, ts, regime)
+            for rows in self.rows:
+                index = start + rows.count * pts + np.arange(rows.count)[:, None]  # (count, pts)
+                start += rows.count * len(self.times)
+                for sign, b, order in rows.direct:
+                    self._scatter(out, index, b, ts, order,
+                                  sign * np.eye(rows.count)[..., None] * np.ones(len(ts)))
+                for sign, k, shift, i in rows.terms:
+                    args = at(i)[shift > 0]
+                    if args is None:  # no advanced term on the second regime
+                        continue
+                    for arg, (b, order, arg_shift) in self.argmap.items():
+                        hess = calculus.second_partials(self.F, k, arg, args, i)
+                        for r in np.flatnonzero(np.any(hess, axis=(1, 2, 3))):  # skip zero blocks
+                            self._scatter(out, index, b, ts + (shift + arg_shift), order + i - r,
+                                          sign * math.perm(i, r) * hess[r])
+                    if self.k:
+                        out[index[:, None], self.ncoef + np.arange(self.k)[:, None]] += \
+                            sign * math.factorial(i) * calculus.second_partials(
+                                self.F, k, args.layout.nblocks, args, i)[i]
 
     def solve(self, x0: np.ndarray, scheme: CollocationScheme):
         """Damped Newton from x0: (trajectories, lambda, report), the report's
@@ -312,20 +317,31 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
     if problem.boundary is not None:
         boundary += [((0, len(edges) - 2, t2, order), problem.boundary[order])
                      for order in range(m)]
-    # Lambda_i = d_{i+2} F at t + advanced d_{i+m+3} F at t + tau; current argument
-    # blocks hold q^(i) at that time, delayed ones tau before.  F = L - lam.g for any lam.
+    # E = sum_i (-1)^i d^i/dt^i Lambda_i, Lambda_i = d_{i+2} F at t + advanced d_{i+m+3} F
+    # at t + tau; current argument blocks hold q^(i) at that time, delayed ones tau before
     argmap = {b: (0, (b - 2) % (m + 1), 0.0 if b <= m + 2 else -tau)
               for b in range(2, 2 * m + 4)}
-    terms = [(i + 2, 0.0) for i in range(m + 1)] + [(i + m + 3, tau) for i in range(m + 1)]
-    reads = _row_reads((problem.L, *problem.g), problem.layout, argmap, (), terms)
+    terms = [((-1) ** i, i + first, shift, i) for i in range(m + 1)
+             for first, shift in ((2, 0.0), (m + 3, tau))]
+    size = problem.layout.size
+
+    def lagrangian(v):  # F = L - lam . g, the multipliers a last argument block
+        args = v[:size]
+        return sum((-v[size + j] * gj(args) for j, gj in enumerate(problem.g)), problem.L(args))
+
+    def at(trajs, lam, ts, regime):
+        record = PathRecord(problem.L, problem, trajs[0], ts, regime, momenta=(), along_order=m)
+        return functools.cache(lambda order: [
+            a and ArgVector(a.values + list(lam), ArgLayout(a.layout.blocks + (k,)))
+            for a in record.argument_jets(order)])
+
     record = _Collocation(
         edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)],
         nonlinear=lambda trajs, lam: el_residual(
             AugmentedSetup(problem, lam), trajs[0], colloc_ts).ravel(),
-        boundary=boundary, rows=[(n, reads)], times=colloc_ts, g=problem.g, l=problem.l,
-        args=lambda trajs, ts: args_at(trajs[0], ts, tau, m), argmap=argmap,
-        # a 5-point stencil samples at most four steps of the largest order away
-        reach=(calculus._WIDTH - 1) * calculus.default_step(problem.span, m))
+        boundary=boundary, F=lagrangian, rows=[_Rows(n, terms)], at=at,
+        times=colloc_ts, g=problem.g, l=problem.l,
+        args=lambda trajs, ts: args_at(trajs[0], ts, tau, m), argmap=argmap)
 
     if initial is not None:
         guess, lam0 = initial[0].eval, initial[1]
@@ -373,16 +389,13 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
     boundary = [((Q, 0, t1, 0), q_hist[-1].eval(t1, 0)),
                 ((Q, len(edges) - 2, t2, 0), cp.terminal_state) if cp.terminal_state is not None
                 else ((P, len(edges) - 2, t2, 0), np.zeros(n))]
-    # the rows of pmp_residuals (state qdot - d_p H; costate pdot + d_q H + advanced
-    # d_{q_tau} H; stationarity d_u H + advanced d_{u_tau} H) for H's terms L, g, p.phi
-    nsub, layout = 1 + 2 * (n + mc), ArgLayout.control(n, mc, cp.k)
-    H = [Integrand(lambda v, f=f: f(v[:nsub])) for f in (cp.L, *cp.g)]
-    H += [Integrand(lambda v, i=i, f=f: v[nsub + i] * f(v[:nsub])) for i, f in enumerate(cp.phi)]
+    # the rows of pmp_residuals: state qdot - d_p H; costate pdot + d_q H + advanced
+    # d_{q_tau} H; stationarity d_u H + advanced d_{u_tau} H, H with lam its block 7
+    rows = [_Rows(n, [(-1.0, 6, 0.0, 0)], [(1.0, Q, 1)]),
+            _Rows(n, [(1.0, 2, 0.0, 0), (1.0, 4, tau, 0)], [(1.0, P, 1)]),
+            _Rows(mc, [(1.0, 3, 0.0, 0), (1.0, 5, tau, 0)])]
     argmap = {2: (Q, 0, 0.0), 3: (U, 0, 0.0), 4: (Q, 0, -tau), 5: (U, 0, -tau)}  # of L, g, phi
-    h_argmap = {**argmap, 6: (P, 0, 0.0)}
-    rows = [(n, _row_reads(H, layout, h_argmap, {(Q, 0.0)}, [(6, 0.0)])),
-            (n, _row_reads(H, layout, h_argmap, {(P, 0.0)}, [(2, 0.0), (4, tau)])),
-            (mc, _row_reads(H, layout, h_argmap, (), [(3, 0.0), (5, tau)]))]
+    nsub = 1 + 2 * (n + mc)
 
     def triple(trajs) -> PontryaginTriple:
         return PontryaginTriple(q=trajs[Q], u=trajs[U], p=trajs[P])
@@ -394,11 +407,17 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
         res = pmp_residuals(cp, triple(trajs), lam, colloc_ts)
         return np.concatenate([res.state.ravel(), res.costate.ravel(), res.stationarity.ravel()])
 
+    def at(trajs, lam, ts, regime):  # order 0: the rows take no time derivatives
+        args = (control_args_at(cp, triple(trajs), lam, ts), control_args_at(
+            cp, triple(trajs), lam, ts + tau) if regime is Regime.FIRST else None)
+        return lambda order: args
+
     return _Collocation(
         edges, [_Block(n, degree + 1, 1, tuple(q_hist)), _Block(n, degree + 1),
                 _Block(mc, degree, 1, tuple(u_hist), 0)],
-        nonlinear=nonlinear, boundary=boundary, rows=rows, times=colloc_ts, g=cp.g, l=cp.l,
-        args=args, argmap=argmap)
+        nonlinear=nonlinear, boundary=boundary, F=hamiltonian_integrand(cp), rows=rows,
+        at=at, times=colloc_ts, g=cp.g, l=cp.l, args=args,
+        argmap={**argmap, 6: (P, 0, 0.0)})
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ class PolySegment:
     ``coeffs`` has shape (n, degree+1), one coefficient row per state component.
     """
 
-    __slots__ = ("a", "b", "coeffs", "mid", "_dcache")
+    __slots__ = ("a", "b", "coeffs", "mid")
 
     def __init__(self, a: float, b: float, coeffs):
         if not a < b:
@@ -38,7 +38,6 @@ class PolySegment:
         self.b = float(b)
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         self.mid = 0.5 * (self.a + self.b)
-        self._dcache: dict[int, np.ndarray] = {0: self.coeffs}
 
     @property
     def n(self) -> int:
@@ -59,23 +58,12 @@ class PolySegment:
             shifted[:, k] = P.polyval(mid, P.polyder(coeffs.T, k)) / math.factorial(k)
         return cls(a, b, shifted)
 
-    def _dcoeffs(self, order: int) -> np.ndarray:
-        cached = self._dcache.get(order)
-        if cached is None:
-            cached = P.polyder(self.coeffs.T, order).T
-            if cached.size == 0:
-                cached = np.zeros((self.n, 1))
-            self._dcache[order] = cached
-        return cached
-
     def eval(self, t, order: int = 0) -> np.ndarray:
         """order-th derivative at t (scalar or array); shape t.shape + (n,)."""
         t = np.asarray(t, dtype=float)
         if order > self.degree:
             return np.zeros(t.shape + (self.n,))
-        c = self._dcoeffs(order)
-        out = P.polyval(t - self.mid, c.T)  # shape (n,) + t.shape
-        return np.moveaxis(out, 0, -1)
+        return np.moveaxis(P.polyval(t - self.mid, P.polyder(self.coeffs.T, order)), 0, -1)
 
 
 class Trajectory:
@@ -146,13 +134,8 @@ class Trajectory:
         return self.segments[0].a, self.segments[-1].b
 
     def breakpoints(self) -> list[float]:
-        """Sorted distinct segment boundaries, endpoints included."""
-        pts = [s.a for s in self.segments] + [self.segments[-1].b]
-        out = [pts[0]]
-        for p in pts[1:]:
-            if p != out[-1]:
-                out.append(p)
-        return out
+        """Segment boundaries in increasing order, endpoints included."""
+        return [s.a for s in self.segments] + [self.segments[-1].b]
 
     def eval(self, t, order=0, left=False):
         """order-th derivative of the active segment at t (right limit at knots,

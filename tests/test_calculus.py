@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
-from delayvar import calculus
+from delayvar import calculus, jet
 from delayvar.calculus import (
     default_step,
     derivative_in_parameter,
@@ -201,3 +203,54 @@ class TestParamDerivative:
 def test_default_step_scales_with_order():
     assert default_step(2.0, 1) == pytest.approx(2e-4)
     assert default_step(2.0, 2) == pytest.approx(2e-3)
+
+
+def test_second_partials_along_a_path():
+    # f = q^2 qd + t q along q = t^2: d_q d_q f = 2 qd = 4t, d_q d_qd f = 2 q = 2t^2,
+    # d_qd d_qd f = 0 and d_t d_q f = 1
+    ts = np.array([0.2, 0.7])
+    t = jet.variable(ts, 2)
+    args = ArgVector([t, t * t, 2.0 * t, 0.0 * t, 0.0 * t], ArgLayout.variational(1, 1))
+
+    def f(v):
+        return v[1] * v[1] * v[2] + v[0] * v[1]
+
+    zero, one = 0 * ts, 1 + 0 * ts  # Taylor coefficients: d^r/dt^r over r!
+    for k, b, expected in ((2, 2, [4 * ts, 4 * one, zero]), (2, 3, [2 * ts ** 2, 4 * ts, 2 * one]),
+                           (3, 2, [2 * ts ** 2, 4 * ts, 2 * one]), (3, 3, [zero] * 3),
+                           (1, 2, [one, zero, zero])):
+        got = calculus.second_partials(f, k, b, args, 2)
+        assert got.shape == (3, 1, 1, 2)
+        assert np.allclose(got[:, 0, 0], expected, rtol=0, atol=1e-14), (k, b)
+
+
+class TestFallbackLogging:
+    """A switch to finite differences or stencils logs one DEBUG record on the
+    delayvar logger, carrying the TypeError that caused it."""
+
+    def test_partial(self, caplog):
+        f = Integrand(lambda v: np.asarray(v[1], dtype=float) ** 2, name="q^2 on arrays")
+        args = ArgVector([0.0, 0.3, 0.0, 0.0, 0.0], ArgLayout.variational(1, 1))
+        with caplog.at_level(logging.DEBUG, logger="delayvar"):
+            got = partial(f, 2, args)
+        assert got[0] == pytest.approx(0.6, abs=1e-6)
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("delayvar.calculus", logging.DEBUG)]
+        assert "a jet is not an array" in caplog.records[0].getMessage()
+
+    def test_path_derivatives(self, caplog):
+        ts = np.array([0.3, 0.5])
+        with caplog.at_level(logging.DEBUG, logger="delayvar"):
+            out = calculus.path_derivatives(lambda t: np.asarray(t, dtype=float) ** 2, ts, 1,
+                                            lambda: (0.0, 1.0, 1.0))
+        assert np.allclose(out[1], 2 * ts, atol=1e-6)
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("delayvar.calculus", logging.DEBUG)]
+        assert "a jet is not an array" in caplog.records[0].getMessage()
+
+    def test_jet_capable_maps_log_nothing(self, caplog):
+        args = ArgVector([0.0, 0.3, 0.0, 0.0, 0.0], ArgLayout.variational(1, 1))
+        with caplog.at_level(logging.DEBUG, logger="delayvar"):
+            partial(Integrand(lambda v: v[1] * v[1]), 2, args)
+            calculus.path_derivatives(lambda t: t * t, np.array([0.3]), 1, None)
+        assert not caplog.records

@@ -4,6 +4,7 @@ aggregate verification report."""
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -208,6 +209,15 @@ def _cubic_m2():
         boundary=[[1.0], [3.0]])
 
 
+def _constrained_m2():
+    """m = 2, cubic in the path, with a constraint in q', q'' and q'(t - tau):
+    the rows take second time derivatives of second partials that vary in t,
+    d_q'' d_q'' F = 2 + 2 q' and d_lam d_q'' F = -(q' + q'_tau), and stay
+    quadratic in the unknowns."""
+    return dataclasses.replace(_cubic_m2(), L=integrand_from_expr("qdd^2 + qd*qdd^2", 2, 1),
+                               g=(integrand_from_expr("(qd + qd_tau)*qdd", 2, 1),), l=[0.5])
+
+
 def _delayed_m1():
     """Delayed arguments in L and g, with tau = 0.3 against regimes of widths
     0.7 and 0.3: rows couple to segments at t - tau and t + tau that the
@@ -294,19 +304,9 @@ def _pmp_rows_at(cp):
     return rows_at
 
 
-def _dense_jacobian(record, x, r):
-    h = 1e-7 * (1.0 + np.abs(x))
-    jac = np.empty((len(r), len(x)))
-    for i in range(len(x)):
-        xp = x.copy()
-        xp[i] += h[i]
-        jac[:, i] = (record.residual(xp) - r) / h[i]
-    return jac
-
-
 def _dense_central_jacobian(record, x):
     """Central differences with step 1e-2 (1 + |x_i|): exact to roundoff on rows
-    at most quadratic in x, as every constraint of _RECORDS is (q, q q_tau, u)."""
+    at most quadratic in x, as every row of _RECORDS is."""
     h = 1e-2 * (1.0 + np.abs(x))
     cols = []
     for i in range(len(x)):
@@ -321,6 +321,7 @@ _RECORDS = {
     "classical-16": lambda: _el_record(_classical_with_multiplier(4.0)[0], 16),
     "classical-64": lambda: _el_record(_classical_with_multiplier(4.0)[0], 64),
     "cubic-m2": lambda: _el_record(_cubic_m2(), 18),
+    "constrained-m2": lambda: _el_record(_constrained_m2(), 12),
     "delayed-m1": lambda: _el_record(_delayed_m1(), 9),
     "cancelling-m1": lambda: _el_record(_cancelling_m1(), 9),
     "cancelling-g-is-L": lambda: _el_record(_cancelling_m1("q*q_tau"), 9),
@@ -332,23 +333,21 @@ _RECORDS = {
 class TestStructuredJacobian:
     @pytest.mark.parametrize("name", sorted(_RECORDS))
     def test_matches_dense_forward_differences(self, name):
+        # the reference is a dense central difference, exact to roundoff on
+        # these records, so the exact rows meet it without forward-difference
+        # roundoff
         record, x0 = _RECORDS[name]()
         rng = np.random.default_rng(7)
-        nl, top = record.pattern.shape[0], record.pattern.shape[0] + len(record.c)
+        nl, top = record.nl, record.nl + len(record.c)
         for x in (record.project(x0), record.project(x0 + 1e-2 * rng.standard_normal(len(x0)))):
             r = record.residual(x)
-            dense = _dense_jacobian(record, x, r)
+            central = _dense_central_jacobian(record, x)
             structured = record.jacobian(x, r)
-            # the isoperimetric rows are exact, so they meet a reference without
-            # the forward differences' roundoff
-            central = _dense_central_jacobian(record, x) if record.k else dense
-            for rows, reference in ((slice(0, nl), dense), (slice(top, None), central)):
-                scale = max(1.0, float(np.max(np.abs(reference[rows]), initial=0.0)))
-                assert (np.max(np.abs(structured[rows] - reference[rows]), initial=0.0)
+            for rows in (slice(0, nl), slice(top, None)):
+                scale = max(1.0, float(np.max(np.abs(central[rows]), initial=0.0)))
+                assert (np.max(np.abs(structured[rows] - central[rows]), initial=0.0)
                         <= 1e-12 * scale)
             assert np.array_equal(structured[nl:top], record.A)
-            # the geometric pattern holds every nonzero of the collocation block
-            assert np.all(record.pattern | (dense[:nl, :record.ncoef] == 0.0))
 
     @pytest.mark.parametrize("problem, nodes", [
         (_classical_with_multiplier(4.0)[0], 64), (_delayed_m1(), 9), (_cancelling_m1(), 9),
@@ -356,7 +355,7 @@ class TestStructuredJacobian:
                                              "cancelling-g-is-L"])
     def test_constraint_rows_are_the_constraint_defect(self, problem, nodes):
         record, x0 = _el_record(problem, nodes)
-        top = record.pattern.shape[0] + len(record.c)
+        top = record.nl + len(record.c)
         rng = np.random.default_rng(3)
         for _ in range(3):
             x = record.project(x0 + 1e-1 * rng.standard_normal(len(x0)))
@@ -364,8 +363,7 @@ class TestStructuredJacobian:
             assert np.array_equal(record.residual(x)[top:], constraint_defect(problem, traj))
 
     def test_jacobian_builds_one_path_per_evaluation(self, monkeypatch):
-        # one per colour group and multiplier column, and one for the constraint
-        # rows: none per coefficient column
+        # the path at x itself: none per column
         record, x0 = _RECORDS["classical-64"]()
         x = record.project(x0)
         r = record.residual(x)
@@ -378,14 +376,34 @@ class TestStructuredJacobian:
 
         monkeypatch.setattr(Trajectory, "__init__", counted)
         record.jacobian(x, r)
-        assert len(built) <= len(record.groups) + record.k + 1
+        assert len(built) == len(record.blocks) == 1
 
-    def test_colours_stay_few(self):
-        # coefficient columns per residual evaluation, far below the unknown count
-        for name, most in (("classical-64", 5), ("cubic-m2", 7), ("lq-terminal", 11)):
-            record, _ = _RECORDS[name]()
-            assert len(record.groups) <= most, name
-            assert sum(len(g) for g in record.groups) == record.ncoef
+    def test_evaluates_no_residual_per_column(self):
+        # every column is exact, so the residual is never evaluated
+        for name in sorted(_RECORDS):
+            record, x0 = _RECORDS[name]()
+            x = record.project(x0)
+            r = record.residual(x)
+            calls = []
+            for attr in ("nonlinear", "residual"):
+                setattr(record, attr, lambda *args, f=getattr(record, attr):
+                        calls.append(1) or f(*args))
+            record.jacobian(x, r)
+            assert not calls, name
+
+    def test_opaque_integrand_logs_its_fallback(self, caplog, classical_problem):
+        g = Integrand(lambda v: np.asarray(v[1], dtype=float), name="q as array")
+        record, x0 = _el_record(dataclasses.replace(classical_problem, g=(g,)), 8)
+        x = record.project(x0)
+        r = record.residual(x)
+        with caplog.at_level(logging.DEBUG, logger="delayvar"):
+            jac = record.jacobian(x, r)
+        logged = [rec for rec in caplog.records if rec.name == "delayvar.solver"]
+        assert len(logged) == 1 and logged[0].levelno == logging.DEBUG
+        assert "a jet is not an array" in logged[0].getMessage()
+        scale = np.max(np.abs(jac[:record.nl]))
+        reference = _dense_central_jacobian(record, x)[:record.nl]
+        assert np.max(np.abs(jac[:record.nl] - reference)) <= 1e-6 * scale
 
     @pytest.mark.parametrize("name", ["classical-16", "cubic-m2", "lq-terminal"])
     def test_closed_form_linear_rows_match_probed_evaluation(self, name):
@@ -414,19 +432,26 @@ def _counting(monkeypatch, name):
 
 
 class TestEvaluationBudget:
+    # problems linear in their unknowns: the exact Jacobian's first step
+    # converges, with one residual at the start and one in the line search
     def test_el_classical_64(self, monkeypatch, classical_problem):
         calls = _counting(monkeypatch, "el_residual")
         _, _, report = solve_el(classical_problem, scheme=CollocationScheme(nodes=64))
-        # exact constraint rows: the collocation columns' forward differences
-        # alone leave the first step within tolerance
         assert report.converged and report.iterations == 1
-        assert len(calls) <= 40
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-9])
+    def test_el_cubic_m2(self, monkeypatch, tol):
+        calls = _counting(monkeypatch, "el_residual")
+        _, _, report = solve_el(_cubic_m2(), scheme=CollocationScheme(nodes=18, tolerance=tol))
+        assert report.converged and report.iterations == 1
+        assert len(calls) <= 2
 
     def test_pmp_lq_terminal_48(self, monkeypatch):
         calls = _counting(monkeypatch, "pmp_residuals")
         _, _, report = solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48))
-        assert report.converged
-        assert len(calls) <= 40
+        assert report.converged and report.iterations == 1
+        assert len(calls) <= 2
 
 
 class TestReportedCondition:
@@ -440,10 +465,14 @@ class TestReportedCondition:
         assert report.to_dict()["condition"] is None
 
     def test_failed_solve_reports_nonconvergence(self):
+        # a quartic term makes the rows nonlinear in q: one exact Newton step
+        # from the quadratic's solution does not reach the tolerance
         problem, exact = _classical_with_multiplier(4.0)
+        problem = dataclasses.replace(problem, L=integrand_from_expr("qd^2 + q^4", 1, 1))
         scheme = CollocationScheme(nodes=16, max_iterations=1, tolerance=1e-13)
         _, _, report = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
         assert not report.converged and report.iterations == 1
+        assert report.residual_norm > 1e-13
 
 
 class TestVerify:

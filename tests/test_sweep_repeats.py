@@ -1,8 +1,9 @@
 """One sweep per regime: no path evaluation is repeated within a call.
 
 Every residual reads the same record of path values, so within one
-``verify`` or one ``delayvar residuals`` run the trajectory is never asked
-twice for the same derivative orders at the same times.
+``verify``, one ``delayvar residuals`` or one ``delayvar conserved`` run the
+trajectory is never asked twice for the same derivative orders at the same
+times, nor for values that nothing reads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from delayvar import cli
+from delayvar.noether import invariance_defect
+from delayvar.problem import AugmentedSetup, TransformationGroup
 from delayvar.registry import get
 from delayvar.solver import verify
 from delayvar.trajectory import Trajectory
@@ -72,3 +75,30 @@ def test_verify_command_evaluates_each_point_once(monkeypatch):
     repeated, total = _count_repeats(monkeypatch, run)
     assert total > 0
     assert repeated == 0
+
+
+def test_conserved_command_evaluates_each_point_once(monkeypatch):
+    """``delayvar conserved`` reads the hypothesis residual from the first
+    regime's Noether records instead of sweeping the path at t + tau again."""
+    def run():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["conserved", "--example", "example1", "--eta", "1",
+                             "--xi", "0"]) == 0
+
+    repeated, total = _count_repeats(monkeypatch, run)
+    assert total > 0
+    assert repeated == 0
+
+
+def test_invariance_defect_evaluates_no_unread_advanced_path(monkeypatch):
+    """The invariance integrand reads no argument at t + tau, so its records
+    evaluate the path at t and t - tau only: 5 120 point-orders for example1
+    under the time shift, where evaluating t + tau on the first regime too
+    made 6 400."""
+    entry = get("example1")
+    problem, traj = entry.build(), entry.trajectory()
+    group = TransformationGroup(eta=lambda t, q: 1.0 + 0.0 * t, xi=lambda t, q: 0.0 * q)
+    repeated, total = _count_repeats(monkeypatch, lambda: invariance_defect(
+        AugmentedSetup(problem, entry.lam), group, traj))
+    assert repeated == 0
+    assert 0 < total <= 5120
