@@ -186,20 +186,12 @@ def cmd_solve(args) -> int:
         kind = "variational"
     if kind == "control":
         triple, lam, report = solve_pmp(problem, scheme=scheme)
-        payload = {
-            "state": json.loads(triple.q.to_json()),
-            "control": json.loads(triple.u.to_json()),
-            "costate": json.loads(triple.p.to_json()),
-            "lambda": [float(v) for v in lam],
-            "report": report.to_dict(),
-        }
+        paths = {"state": triple.q, "control": triple.u, "costate": triple.p}
     else:
         traj, lam, report = solve_el(problem, scheme=scheme)
-        payload = {
-            "trajectory": json.loads(traj.to_json()),
-            "lambda": [float(v) for v in lam],
-            "report": report.to_dict(),
-        }
+        paths = {"trajectory": traj}
+    payload = {**{key: json.loads(path.to_json()) for key, path in paths.items()},
+               "lambda": [float(v) for v in lam], "report": report.to_dict()}
     _write_out(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if report.converged else 3
 

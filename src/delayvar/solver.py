@@ -5,12 +5,12 @@ system, by damped Newton iteration on a square nonlinear system.
 Delayed problems couple retarded (t - tau) and advanced (t + tau) values, so
 the full-horizon system is assembled at once rather than marching; the mesh
 is uniform per regime with a forced node at t2 - tau.  One collocation record
-serves both problems.  Its Jacobian, re-factorized every iteration, takes the
-exactly linear rows (continuity, history, terminal data) in closed form and
-every other row by the chain rule through the basis: the collocation rows
-from blocks of second partials of the integrand along the path, Taylor jets
-in t seeded twice (Griewank & Walther, *Evaluating Derivatives*, ch. 13),
-and the isoperimetric rows from the partials of g at the quadrature nodes.
+serves both problems.  Its Jacobian, re-factorized every iteration, takes
+every row through one scatter of the basis: the exactly linear rows
+(continuity, history, terminal data) as they are, the collocation rows from
+blocks of second partials of the integrand along the path, Taylor jets in t
+seeded twice (Griewank & Walther, *Evaluating Derivatives*, ch. 13), and the
+isoperimetric rows from the partials of g at the quadrature nodes.
 Only an integrand that rejects jets has its collocation rows differenced.
 NonConvergence is a returned state (report.converged = False); a numerically
 singular Jacobian raises.
@@ -65,10 +65,12 @@ class SolveReport:
     residual_norm: float
     lam: np.ndarray
     condition: float
+    reason: str  # "converged", "max-iterations" or "line-search-stall"
 
     def to_dict(self) -> dict:
         return {
             "converged": self.converged,
+            "reason": self.reason,
             "iterations": self.iterations,
             "residual_norm": self.residual_norm,
             "lambda": [float(v) for v in np.atleast_1d(self.lam)],
@@ -84,8 +86,8 @@ def _mesh(t1: float, t2: float, tau: float, nodes: int, colloc: int):
     edges = np.concatenate([np.linspace(t1, t2 - tau, per_regime + 1),
                             np.linspace(t2 - tau, t2, per_regime + 1)[1:]])
     gauss, _ = np.polynomial.legendre.leggauss(colloc)
-    times = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * gauss
-                            for a, b in zip(edges[:-1], edges[1:])])
+    times = (0.5 * (edges[:-1] + edges[1:])[:, None]
+             + 0.5 * np.diff(edges)[:, None] * gauss).ravel()
     return per_regime, edges, times
 
 
@@ -105,7 +107,7 @@ class _Collocation:
     Unknowns: each block's coefficients as (segment, component, power), then
     one multiplier per g.  Rows: ``nonlinear(trajs, lam)``, which are the
     ``rows`` types in turn, point-major at the collocation ``times``; A x - c
-    (continuity at knots, then ``boundary``: (block, s, t, order) with that
+    (continuity at knots, then ``boundary``: (block, t, order) with that
     derivative's value); int g(args(trajs, t)) dt - l.  ``argmap``: {argument
     block of F or g: (unknown block, derivative order, time shift)}.
     ``at(trajs, lam, ts, regime)`` maps an order to F's argument vectors at
@@ -121,21 +123,27 @@ class _Collocation:
         self.offsets = np.cumsum([0] + [(len(edges) - 1) * b.ncomp * b.width for b in blocks])
         self.ncoef = int(self.offsets[-1])
         self.nl = len(times) * sum(row.count for row in rows)
-        lin = [self._evaluation(b, s, edges[s + 1], o) - self._evaluation(b, s + 1, edges[s + 1], o)
-               for s in range(len(edges) - 2) for b, blk in enumerate(blocks)
-               for o in range(blk.matched)]
         values = [np.asarray(value, dtype=float).reshape(-1) for _, value in boundary]
-        self.A = np.vstack(lin + [self._evaluation(*where) for where, _ in boundary])
-        self.c = np.concatenate([np.zeros(len(self.A) - sum(map(len, values)))] + values)
-        self.pinv = np.linalg.pinv(self.A)
+        knots, per_knot = edges[1:-1], sum(blk.ncomp * blk.matched for blk in blocks)
+        self.c = np.concatenate([np.zeros(per_knot * len(knots))] + values)
+        self.A, start = np.zeros((len(self.c), self.ncoef + self.k)), 0
+        # per knot, each (block, order) in turn: ncomp rows of +1 times that
+        # derivative on the knot's left segment and -1 times it on the right
+        left = np.arange(2 * len(knots)) < len(knots)
+        for b, order in [(b, o) for b, blk in enumerate(blocks) for o in range(blk.matched)]:
+            rows = start + per_knot * np.arange(len(knots)) + np.arange(blocks[b].ncomp)[:, None]
+            self._scatter(self.A, np.tile(rows, 2), b, np.tile(knots, 2), order,
+                          np.eye(blocks[b].ncomp)[..., None] * np.where(left, 1.0, -1.0), left)
+            start += blocks[b].ncomp
+        for ((b, t, order), _), value, start in zip(boundary, values, np.cumsum(
+                [per_knot * len(knots)] + [len(v) for v in values])):
+            self._scatter(self.A, start + np.arange(len(value))[:, None], b, np.array([t]), order,
+                          np.eye(len(value))[..., None])
         # the rule integrate uses on the paths' breakpoints and their images under
         # the argument shifts, so the constraint rows equal an integrate of g
         breaks = {seg.a for blk in blocks for seg in blk.history} | set(edges)
         self.nodes, self.weights = calculus.panel_rule(
             edges[0], edges[-1], {x - shift for x in breaks for _, _, shift in argmap.values()})
-
-    def _column(self, b: int, s):
-        return self.offsets[b] + s * self.blocks[b].ncomp * self.blocks[b].width
 
     def _basis(self, b: int, s, t, order: int) -> np.ndarray:
         """d^order/dt^order (t - mid)^j on block b's segments s, j < its width,
@@ -144,24 +152,18 @@ class _Collocation:
         j = np.arange(self.blocks[b].width)
         return np.array([math.perm(i, order) for i in j]) * dt ** np.maximum(j - order, 0)
 
-    def _evaluation(self, b: int, s: int, t: float, order: int) -> np.ndarray:
-        """x -> order-th derivative of block b on segment s at t, as a matrix."""
-        blk, start = self.blocks[b], self._column(b, s)
-        out = np.zeros((blk.ncomp, self.ncoef + self.k))
-        out[:, start:start + blk.ncomp * blk.width] = np.kron(np.eye(blk.ncomp),
-                                                              self._basis(b, s, t, order))
-        return out
-
     def _scatter(self, out: np.ndarray, rows: np.ndarray, b: int, ts: np.ndarray, order: int,
-                 values: np.ndarray) -> None:
+                 values: np.ndarray, left=False) -> None:
         """Add values[r, c, p] times the order-th derivative of block b's
-        component c at ts[p] to out[rows[r, p]]: through the basis of the
-        segment ts[p] falls in (right limit at knots, as Trajectory.eval;
-        nothing on the history)."""
+        component c at ts[p] to out[rows[r, p]], through the basis of the segment
+        ts[p] falls in: at knots the right one, or the left where the bool or
+        per-point mask ``left`` is set, as Trajectory.eval; nothing on the history."""
         blk, on_mesh = self.blocks[b], ts >= self.edges[0]
-        seg = np.searchsorted(self.edges[1:-1], ts[on_mesh], side="right")
-        cols = (self._column(b, seg)[None, :, None] + np.arange(blk.width)
-                + blk.width * np.arange(blk.ncomp)[:, None, None])  # (ncomp, points, width)
+        seg = np.where(left, np.searchsorted(self.edges[1:-1], ts, side="left"),
+                       np.searchsorted(self.edges[1:-1], ts, side="right"))[on_mesh]
+        # columns (ncomp, points, width): on segment seg, component c, power j
+        cols = (self.offsets[b] + blk.ncomp * blk.width * seg[None, :, None]
+                + blk.width * np.arange(blk.ncomp)[:, None, None] + np.arange(blk.width))
         np.add.at(out, (rows[:, None, on_mesh, None], cols[None]),
                   values[..., on_mesh, None] * self._basis(b, seg, ts[on_mesh], order))
 
@@ -182,6 +184,10 @@ class _Collocation:
                 [np.broadcast_to(np.asarray(gj(values), dtype=float), self.nodes.shape)
                  for gj in self.g]) - self.l)
         return np.concatenate(parts)
+
+    @functools.cached_property  # built the first time a start violates A x = c
+    def pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.A)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Move x onto A x = c: the linear rows hold whether or not Newton converges."""
@@ -260,6 +266,7 @@ class _Collocation:
         x = self.project(x0.copy())
         r = self.residual(x)
         norm, condition, iterations = float(np.max(np.abs(r))), math.nan, 0
+        reason = "max-iterations"
         while norm > scheme.tolerance and iterations < scheme.max_iterations:
             iterations += 1
             jac = self.jacobian(x, r)
@@ -276,12 +283,14 @@ class _Collocation:
                 if norm_try <= (1.0 - 1e-4 * alpha) * norm or norm_try <= scheme.tolerance:
                     break
                 alpha *= 0.5
-            else:  # the line search stalled
+            else:  # no step length down to 1e-6 decreased the residual
+                reason = "line-search-stall"
                 break
             x, r, norm = x_try, r_try, norm_try
         trajs, lam = self.build(x)
-        return trajs, lam, SolveReport(norm <= scheme.tolerance, iterations, norm, lam,
-                                       condition)
+        reason = "converged" if norm <= scheme.tolerance else reason
+        return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, condition,
+                                       reason)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +322,9 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
     degree = 2 * m + 2  # 2m + 3 coefficients, 2m fixed by the knot rows: 3 Gauss points
     per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, 3)
     hist = problem.stitched_history(panels=max(2, per_regime))
-    boundary = [((0, 0, t1, order), hist[-1].eval(t1, order)) for order in range(m)]
+    boundary = [((0, t1, order), hist[-1].eval(t1, order)) for order in range(m)]
     if problem.boundary is not None:
-        boundary += [((0, len(edges) - 2, t2, order), problem.boundary[order])
-                     for order in range(m)]
+        boundary += [((0, t2, order), problem.boundary[order]) for order in range(m)]
     # E = sum_i (-1)^i d^i/dt^i Lambda_i, Lambda_i = d_{i+2} F at t + advanced d_{i+m+3} F
     # at t + tau; current argument blocks hold q^(i) at that time, delayed ones tau before
     argmap = {b: (0, (b - 2) % (m + 1), 0.0 if b <= m + 2 else -tau)
@@ -386,9 +394,9 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
                                     t1 - tau, t1, panels=2, degree=2)
 
     Q, P, U = 0, 1, 2  # unknown blocks, in the order of the unknown vector
-    boundary = [((Q, 0, t1, 0), q_hist[-1].eval(t1, 0)),
-                ((Q, len(edges) - 2, t2, 0), cp.terminal_state) if cp.terminal_state is not None
-                else ((P, len(edges) - 2, t2, 0), np.zeros(n))]
+    boundary = [((Q, t1, 0), q_hist[-1].eval(t1, 0)),
+                ((Q, t2, 0), cp.terminal_state) if cp.terminal_state is not None
+                else ((P, t2, 0), np.zeros(n))]
     # the rows of pmp_residuals: state qdot - d_p H; costate pdot + d_q H + advanced
     # d_{q_tau} H; stationarity d_u H + advanced d_{u_tau} H, H with lam its block 7
     rows = [_Rows(n, [(-1.0, 6, 0.0, 0)], [(1.0, Q, 1)]),

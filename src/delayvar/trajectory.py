@@ -205,22 +205,22 @@ class Trajectory:
 
 
 def segments_from_callable(fn, a: float, b: float, panels: int = 4, degree: int = 4):
-    """Sample a callable at Chebyshev points and interpolate per panel.
-
-    Used to stitch closed-form history functions into polynomial segments.
-    Returns a list of :class:`PolySegment`.
+    """Interpolate a callable at the degree + 1 Chebyshev points of each of
+    ``panels`` equal panels of [a, b], calling it once per point with a scalar t
+    (it returns a scalar or an n-vector), so polynomials of degree <= ``degree``
+    are reproduced exactly: closed-form histories as a list of :class:`PolySegment`.
+    All panels share one inverse Vandermonde matrix on the nodes in (-1, 1); a
+    panel's coefficients in powers of (t - mid) are its row times half^-j.
     """
     edges = np.linspace(a, b, panels + 1)
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     k = np.arange(degree + 1)
-    nodes01 = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))  # Chebyshev, in (-1, 1)
-    segments = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ts = mid + half * nodes01
-        ys = np.array([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts])
-        coeffs = P.polyfit(ts - mid, ys, degree)  # (degree+1, n)
-        segments.append(PolySegment(lo, hi, coeffs.T))
-    return segments
+    nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))  # Chebyshev, in (-1, 1)
+    ts = mids[:, None] + halves[:, None] * nodes  # (panels, degree + 1)
+    ys = np.array([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts.ravel()])
+    coeffs = (np.linalg.inv(np.vander(nodes, increasing=True)) @ ys.reshape(panels, degree + 1, -1)
+              / halves[:, None, None] ** k[:, None])  # (panels, degree + 1, n)
+    return [PolySegment(lo, hi, c.T) for lo, hi, c in zip(edges[:-1], edges[1:], coeffs)]
 
 
 def example1_trajectory() -> Trajectory:

@@ -148,6 +148,7 @@ class TestSolve:
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["report"]["converged"] is True
+        assert payload["report"]["reason"] == "converged"
         assert payload["lambda"][0] == pytest.approx(4.0, abs=1e-5)
         from delayvar.trajectory import Trajectory
 
@@ -155,8 +156,10 @@ class TestSolve:
         assert traj.eval(0.5, 0)[0] == pytest.approx(0.25, abs=1e-6)
 
     def test_maxiter_zero_exits_3(self, classical_file, tmp_path):
+        out = tmp_path / "sol.json"
         assert main(["solve", "--problem", classical_file, "--maxiter", "0",
-                     "--out", str(tmp_path / "sol.json")]) == 3
+                     "--out", str(out)]) == 3
+        assert json.loads(out.read_text())["report"]["reason"] == "max-iterations"
 
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

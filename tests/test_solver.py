@@ -475,6 +475,64 @@ class TestReportedCondition:
         assert report.residual_norm > 1e-13
 
 
+class TestSolveReason:
+    def test_default_solve_converges(self, classical_problem):
+        _, _, report = solve_el(classical_problem)
+        assert report.converged and report.reason == "converged"
+        assert report.to_dict()["reason"] == "converged"
+
+    @pytest.mark.parametrize("max_iterations", [0, 1])
+    def test_iteration_cap(self, max_iterations):
+        # the problem of test_failed_solve_reports_nonconvergence
+        problem, exact = _classical_with_multiplier(4.0)
+        problem = dataclasses.replace(problem, L=integrand_from_expr("qd^2 + q^4", 1, 1))
+        scheme = CollocationScheme(nodes=16, max_iterations=max_iterations, tolerance=1e-13)
+        _, _, report = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
+        assert not report.converged and report.iterations == max_iterations
+        assert report.reason == "max-iterations"
+
+    def test_tolerance_below_roundoff_stalls(self):
+        # residual rows of size 1e6 settle at a roundoff floor near 1e-11, so
+        # no step length can take them below 1e-13
+        problem, _ = _classical_with_multiplier(1e6)
+        _, lam, report = solve_el(problem, scheme=CollocationScheme(nodes=16, tolerance=1e-13))
+        assert not report.converged and report.reason == "line-search-stall"
+        assert 1e-13 < report.residual_norm <= 1e-9
+        assert abs(lam[0] - 1e6) <= 1e-3
+        assert report.to_dict()["reason"] == "line-search-stall"
+
+
+def _count_linalg(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestLinearAlgebraCalls:
+    # the min-norm projector (an SVD) is built only when a start violates the
+    # linear rows; the condition estimate is one SVD per Newton iteration
+    @pytest.mark.parametrize("case, most", [("classical-64", 0), ("cubic-m2", 1),
+                                            ("lq-48", 1)])
+    def test_projector_only_when_a_start_needs_it(self, monkeypatch, classical_problem, case,
+                                                  most):
+        solve = {
+            "classical-64": lambda: solve_el(classical_problem,
+                                             scheme=CollocationScheme(nodes=64)),
+            "cubic-m2": lambda: solve_el(_cubic_m2(),
+                                         scheme=CollocationScheme(nodes=18, tolerance=1e-7)),
+            "lq-48": lambda: solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48)),
+        }[case]
+        calls = _count_linalg(monkeypatch, "pinv", "cond")
+        _, _, report = solve()
+        assert report.converged
+        assert calls["pinv"] <= most
+        assert calls["cond"] == report.iterations == 1
+
+
 class TestVerify:
     def test_example1_report(self, ex1_problem, ex1_traj):
         report = verify(ex1_problem, ex1_traj, [0.0])

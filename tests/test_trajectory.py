@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -220,6 +222,47 @@ class TestHistoryStitching:
     def test_transcendental_history_is_accurate(self):
         segs = segments_from_callable(lambda t: np.array([np.sin(t)]), -1.0, 0.0,
                                       panels=4, degree=6)
+        traj = Trajectory(1, 1, segs, validate=False)
+        ts = np.linspace(-1.0, 0.0, 23)
+        assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - np.sin(ts))) < 1e-8
+
+    @pytest.mark.parametrize("degree", [2, 4, 6])
+    def test_reproduces_polynomials_up_to_its_degree(self, degree):
+        rng = np.random.default_rng(11)
+        coeffs = rng.uniform(-2, 2, size=(2, degree + 1))
+        coeffs[1, degree // 2 + 1:] = 0.0  # a second component of lower degree
+
+        def fn(t):
+            return P.polyval(t, coeffs.T)
+
+        segs = segments_from_callable(fn, -0.5, 1.7, panels=22, degree=degree)
+        assert len(segs) == 22 and all(seg.coeffs.shape == (2, degree + 1) for seg in segs)
+        traj = Trajectory(2, 1, segs, validate=False)
+        ts = np.linspace(-0.5, 1.7, 301)
+        # exact up to roundoff, which order j amplifies by about half^-j = 20^j
+        for order, bound in ((0, 1e-14), (1, 1e-12)):
+            exact = P.polyval(ts, P.polyder(coeffs.T, order)).T
+            assert np.max(np.abs(traj.eval(ts, order) - exact)) <= bound * float(
+                np.max(np.abs(exact))), order
+
+    def test_matches_per_panel_polyfit(self):
+        # the reference: one least-squares fit of that degree per panel, at the
+        # panel's Chebyshev points
+        a, b, panels, degree = -1.0, 0.0, 5, 6
+        segs = segments_from_callable(np.sin, a, b, panels=panels, degree=degree)
+        k = np.arange(degree + 1)
+        nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))
+        edges = np.linspace(a, b, panels + 1)
+        for seg, lo, hi in zip(segs, edges[:-1], edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            ts = mid + half * nodes
+            reference = PolySegment(lo, hi, P.polyfit(ts - mid, np.sin(ts), degree)[None])
+            grid = np.linspace(lo, hi, 41)
+            scale = float(np.max(np.abs(reference.eval(grid))))
+            assert np.max(np.abs(seg.eval(grid) - reference.eval(grid))) <= 1e-13 * scale
+
+    def test_scalar_only_callable(self):
+        segs = segments_from_callable(math.sin, -1.0, 0.0, panels=4, degree=6)
         traj = Trajectory(1, 1, segs, validate=False)
         ts = np.linspace(-1.0, 0.0, 23)
         assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - np.sin(ts))) < 1e-8
