@@ -48,7 +48,10 @@ class NoConstraints(DelayVarError):
 
 
 class SingularJacobian(DelayVarError):
-    """The collocation Jacobian is numerically singular (cond > 1e12)."""
+    """The collocation Jacobian is numerically singular: its 2-norm condition
+    number exceeds 1e12, or LAPACK met an exactly zero pivot (condition inf).
+    The solver certifies kappa_2 <= kappa_F = ||J||_F ||J^-1||_F from its
+    solve and computes the exact kappa_2 only when kappa_F exceeds 1e12."""
 
     def __init__(self, message: str, condition: float | None = None):
         super().__init__(message)

@@ -13,7 +13,11 @@ seeded twice (Griewank & Walther, *Evaluating Derivatives*, ch. 13), and the
 isoperimetric rows from the partials of g at the quadrature nodes.
 Only an integrand that rejects jets has its collocation rows differenced.
 NonConvergence is a returned state (report.converged = False); a numerically
-singular Jacobian raises.
+singular Jacobian raises.  The one factorization per Newton iteration is a
+solve on [-r | I]: the step, and J^-1 for the certificate
+kappa_F = ||J||_F ||J^-1||_F >= kappa_2 (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 15); the exact kappa_2, an SVD, runs only when
+kappa_F exceeds the 1e12 gate.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import functools
 import logging
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,8 +68,14 @@ class SolveReport:
     iterations: int
     residual_norm: float
     lam: np.ndarray
-    condition: float
     reason: str  # "converged", "max-iterations" or "line-search-stall"
+    jacobian: np.ndarray | None = field(default=None, repr=False)  # the last one factorized
+
+    @functools.cached_property
+    def condition(self) -> float:
+        """kappa_2 of the last Jacobian factorized, computed on first read; NaN
+        when none was."""
+        return math.nan if self.jacobian is None else float(np.linalg.cond(self.jacobian))
 
     def to_dict(self) -> dict:
         return {
@@ -186,13 +196,16 @@ class _Collocation:
         return np.concatenate(parts)
 
     @functools.cached_property  # built the first time a start violates A x = c
-    def pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.A)
+    def correction(self) -> np.ndarray:
+        """Q R^-T from the reduced QR A^T = Q R: times A x - c, the min-norm
+        move onto A x = c, as A has full row rank."""
+        q, r = np.linalg.qr(self.A.T)
+        return q @ np.linalg.inv(r).T
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Move x onto A x = c: the linear rows hold whether or not Newton converges."""
         defect = self.A @ x - self.c
-        return x if float(np.max(np.abs(defect))) <= 1e-13 else x - self.pinv @ defect
+        return x if float(np.max(np.abs(defect))) <= 1e-13 else x - self.correction @ defect
 
     def jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """A on the linear rows and every other row by the chain rule through
@@ -261,20 +274,16 @@ class _Collocation:
                                 self.F, k, args.layout.nblocks, args, i)[i]
 
     def solve(self, x0: np.ndarray, scheme: CollocationScheme):
-        """Damped Newton from x0: (trajectories, lambda, report), the report's
-        condition NaN when no Jacobian was factorized."""
+        """Damped Newton from x0: (trajectories, lambda, report), each step one
+        ``_newton_step``; the report keeps the last Jacobian for its condition."""
         x = self.project(x0.copy())
         r = self.residual(x)
-        norm, condition, iterations = float(np.max(np.abs(r))), math.nan, 0
+        norm, jac, iterations = float(np.max(np.abs(r))), None, 0
         reason = "max-iterations"
         while norm > scheme.tolerance and iterations < scheme.max_iterations:
             iterations += 1
             jac = self.jacobian(x, r)
-            condition = float(np.linalg.cond(jac))
-            if not np.isfinite(condition) or condition > 1e12:
-                raise SingularJacobian(
-                    f"collocation Jacobian condition estimate {condition:.3e}", condition)
-            step = np.linalg.solve(jac, -r)
+            step, _ = _newton_step(jac, r)
             alpha = 1.0
             while alpha >= 1e-6:
                 x_try = self.project(x + alpha * step)
@@ -289,8 +298,30 @@ class _Collocation:
             x, r, norm = x_try, r_try, norm_try
         trajs, lam = self.build(x)
         reason = "converged" if norm <= scheme.tolerance else reason
-        return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, condition,
-                                       reason)
+        return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, reason, jac)
+
+
+def _newton_step(jac: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Newton step -J^-1 r and a condition bound that passed the 1e12 gate,
+    from one ``np.linalg.solve`` on [-r | I]: kappa_F = ||J||_F ||J^-1||_F, or
+    the exact kappa_2 when kappa_F exceeds 1e12 or is not finite.  Raises
+    SingularJacobian when the bound fails or J is exactly singular."""
+    n = len(r)
+    rhs = np.zeros((n, n + 1))
+    rhs[:, 0] = -r
+    rhs.reshape(-1)[1::n + 2] = 1.0  # the identity in columns 1..n
+    try:
+        sol = np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"collocation Jacobian is singular ({exc})", math.inf) from exc
+    step, inverse = sol[:, 0].copy(), sol[:, 1:]
+    bound = math.sqrt(np.einsum("ij,ij->", jac, jac)) * math.sqrt(
+        np.einsum("ij,ij->", inverse, inverse))
+    if not math.isfinite(bound) or bound > 1e12:
+        bound = float(np.linalg.cond(jac))
+        if not math.isfinite(bound) or bound > 1e12:
+            raise SingularJacobian(f"collocation Jacobian condition {bound:.3e}", bound)
+    return step, bound
 
 
 # ---------------------------------------------------------------------------

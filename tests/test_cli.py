@@ -166,6 +166,19 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", "--problem", str(bad)]) == 2
 
+    def test_singular_jacobian_exits_2(self, tmp_path, capsys):
+        # the same constraint twice: the Jacobian has two equal rows, and
+        # np.linalg.solve's LinAlgError surfaces as SingularJacobian
+        problem = tmp_path / "duplicated.json"
+        problem.write_text(json.dumps({
+            "m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": "qd^2",
+            "g": ["q", "q"], "l": [1 / 6, 1 / 6], "history": "t * (1 - t)",
+            "boundary": {"q": [0.0]}}))
+        assert main(["solve", "--problem", str(problem), "--nodes", "16", "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: collocation Jacobian is singular")
+        assert "Traceback" not in err
+
     def test_solve_control_example(self, tmp_path):
         out = tmp_path / "lq.json"
         assert main(["solve", "--example", "autonomous-lq", "--nodes", "16",

@@ -349,6 +349,15 @@ class TestStructuredJacobian:
                         <= 1e-12 * scale)
             assert np.array_equal(structured[nl:top], record.A)
 
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_projector_is_the_min_norm_correction(self, name):
+        # Q R^-T from the QR of A^T is the pseudo-inverse of a full-row-rank A
+        record, x0 = _RECORDS[name]()
+        reference = np.linalg.pinv(record.A)
+        assert np.max(np.abs(record.correction - reference)) <= 1e-12 * np.max(np.abs(reference))
+        x = record.project(x0 + 1e-1 * np.random.default_rng(5).standard_normal(len(x0)))
+        assert np.max(np.abs(record.A @ x - record.c)) <= 1e-12
+
     @pytest.mark.parametrize("problem, nodes", [
         (_classical_with_multiplier(4.0)[0], 64), (_delayed_m1(), 9), (_cancelling_m1(), 9),
         (_cancelling_m1("q*q_tau"), 9)], ids=["classical-64", "delayed-m1", "cancelling-m1",
@@ -464,6 +473,26 @@ class TestReportedCondition:
         assert math.isnan(report.condition)
         assert report.to_dict()["condition"] is None
 
+    @pytest.mark.parametrize("case", ["classical-64", "lq-48"])
+    def test_condition_of_the_final_jacobian(self, monkeypatch, classical_problem, case):
+        # both converge in one iteration, so the final Jacobian is the one at
+        # the projected start
+        if case == "classical-64":
+            scheme = CollocationScheme(nodes=64)
+            record, x0 = solver._el_collocation(classical_problem, None, scheme)
+        else:
+            scheme = CollocationScheme(nodes=48)
+            record = solver._pmp_collocation(_lq(terminal=[1.0]), scheme)
+            x0 = np.zeros(record.ncoef + record.k)
+        x = record.project(x0.copy())
+        expected = float(np.linalg.cond(record.jacobian(x, record.residual(x))))
+        _, _, report = _benchmark_solve(case, classical_problem)()
+        calls = _count_linalg(monkeypatch, "cond")
+        assert report.iterations == 1
+        assert report.condition == expected
+        assert report.to_dict()["condition"] == expected
+        assert calls["cond"] == 1  # computed on first read, then kept
+
     def test_failed_solve_reports_nonconvergence(self):
         # a quartic term makes the rows nonlinear in q: one exact Newton step
         # from the quadratic's solution does not reach the tolerance
@@ -512,25 +541,71 @@ def _count_linalg(monkeypatch, *names):
     return calls
 
 
+def _benchmark_solve(case, classical_problem):
+    return {
+        "classical-64": lambda: solve_el(classical_problem, scheme=CollocationScheme(nodes=64)),
+        "cubic-m2": lambda: solve_el(_cubic_m2(),
+                                     scheme=CollocationScheme(nodes=18, tolerance=1e-7)),
+        "lq-48": lambda: solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48)),
+    }[case]
+
+
 class TestLinearAlgebraCalls:
-    # the min-norm projector (an SVD) is built only when a start violates the
-    # linear rows; the condition estimate is one SVD per Newton iteration
+    # one np.linalg.solve per Newton iteration is the only factorization: no
+    # condition SVD, and the projector's reduced QR only when a start violates
+    # the linear rows
     @pytest.mark.parametrize("case, most", [("classical-64", 0), ("cubic-m2", 1),
                                             ("lq-48", 1)])
     def test_projector_only_when_a_start_needs_it(self, monkeypatch, classical_problem, case,
                                                   most):
-        solve = {
-            "classical-64": lambda: solve_el(classical_problem,
-                                             scheme=CollocationScheme(nodes=64)),
-            "cubic-m2": lambda: solve_el(_cubic_m2(),
-                                         scheme=CollocationScheme(nodes=18, tolerance=1e-7)),
-            "lq-48": lambda: solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48)),
-        }[case]
-        calls = _count_linalg(monkeypatch, "pinv", "cond")
+        solve = _benchmark_solve(case, classical_problem)
+        calls = _count_linalg(monkeypatch, "pinv", "cond", "solve", "qr")
         _, _, report = solve()
-        assert report.converged
-        assert calls["pinv"] <= most
-        assert calls["cond"] == report.iterations == 1
+        assert report.converged and report.iterations == 1
+        assert calls["cond"] == calls["pinv"] == 0
+        assert calls["solve"] == report.iterations
+        assert calls["qr"] <= most
+
+
+class TestNewtonStep:
+    @staticmethod
+    def _step(monkeypatch, jac):
+        calls = _count_linalg(monkeypatch, "cond", "solve")
+        r = np.linspace(-1.0, 1.0, len(jac))
+        step, bound = solver._newton_step(jac, r)
+        return step, bound, calls, r
+
+    def test_well_conditioned_runs_no_svd(self, monkeypatch):
+        jac = np.random.default_rng(0).standard_normal((60, 60)) + 20.0 * np.eye(60)
+        step, bound, calls, r = self._step(monkeypatch, jac)
+        assert calls == {"cond": 0, "solve": 1}
+        assert np.max(np.abs(jac @ step + r)) <= 1e-13
+        assert np.linalg.cond(jac) <= bound <= 1e12
+
+    def test_loose_certificate_falls_back_to_the_exact_condition(self, monkeypatch):
+        # kappa_2 = 10^11.5 passes the gate, kappa_F = sqrt(99 + 10^23) ~ 3e12 does not
+        jac = np.diag(np.r_[np.ones(99), 10.0 ** -11.5])
+        step, bound, calls, r = self._step(monkeypatch, jac)
+        assert calls == {"cond": 1, "solve": 1}
+        assert bound == pytest.approx(10.0 ** 11.5, rel=1e-12)
+        assert np.allclose(step, -r / np.diag(jac), rtol=1e-14, atol=0.0)
+
+    def test_near_singular_raises(self, monkeypatch):
+        from delayvar.errors import SingularJacobian
+
+        with pytest.raises(SingularJacobian) as info:
+            self._step(monkeypatch, np.diag(np.r_[np.ones(99), 1e-13]))
+        assert info.value.condition == pytest.approx(1e13, rel=1e-12)
+
+    def test_exactly_singular_raises_singular_jacobian(self, monkeypatch):
+        from delayvar.errors import SingularJacobian
+
+        jac = np.random.default_rng(1).standard_normal((30, 30))
+        jac[7] = 0.0
+        with pytest.raises(SingularJacobian) as info:
+            self._step(monkeypatch, jac)
+        assert info.value.condition == math.inf
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestVerify:
