@@ -4,10 +4,8 @@ Represents candidate trajectories as piecewise polynomials, evaluates the
 delayed Euler-Lagrange, DuBois-Reymond, and Pontryagin residuals together
 with Noether conserved quantities along them, verifies invariance under
 transformation groups, and solves the delayed boundary-value problems by
-global collocation.  It never prints; it logs to the ``delayvar`` logger.
+global collocation.  It never prints.
 """
-
-import logging
 
 from .errors import (
     BlockOutOfRange,
@@ -20,6 +18,7 @@ from .errors import (
     IOutOfRange,
     JOutOfRange,
     NoConstraints,
+    NotJetCapable,
     OrderTooHigh,
     OutOfDomain,
     SingularJacobian,
@@ -78,7 +77,5 @@ from .optimal_control import (
     second_order_noether_quantity,
 )
 from .solver import CollocationScheme, SolveReport, solve_el, solve_pmp, verify
-
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

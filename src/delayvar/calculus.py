@@ -1,37 +1,31 @@
 """Differentiation and integration engine.
 
-Block partials of integrands (an order-1 jet > finite difference) and their
-second partials, time derivatives along a path, composite Gauss-Legendre
-quadrature, and the s = 0 parameter derivative by Richardson extrapolation.
-
-:func:`path_derivatives` is the one provider of time derivatives along a
-path: one call of a map on the time as a Taylor jet (:mod:`delayvar.jet`)
-gives d^0 .. d^K/dt^K exactly, block partials of jet arguments being jets
-too.  Only maps that reject jets fall back to 5-point stencils that never
-cross a regime bound or trajectory breakpoint (a :class:`Stencil` places one
-order's nodes and weights the samples), with steps from :func:`default_step`:
-span * 1e-4 for order 1, and 10x more per further order.  Each fallback
-logs the TypeError that caused it at DEBUG level.
+Block partials of integrands and their second partials, time derivatives
+along a path (:func:`path_derivatives`: one call of a map on the time jet
+gives d^0 .. d^K/dt^K exactly) and the s = 0 parameter derivative, all from
+Taylor jets (:mod:`delayvar.jet`), the only way a user callable is
+differentiated: one that rejects jets raises NotJetCapable (:func:`jet_call`).
+Also composite Gauss-Legendre quadrature, and the 5-point stencils
+(:class:`Stencil`, steps from :func:`default_step`) that no differentiation
+uses: they are the independent finite-difference reference for the tests.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import jet
-from .errors import BlockOutOfRange, StencilCrossesBreakpoint
+from .errors import BlockOutOfRange, NotJetCapable, StencilCrossesBreakpoint
 
-__all__ = ["default_step", "Stencil", "total_derivative_many", "path_derivatives", "partial",
-           "second_partials", "sample", "panel_rule", "integrate", "derivative_in_parameter",
-           "ParamDerivative", "fd_weights"]
+__all__ = ["default_step", "Stencil", "total_derivative_many", "jet_call", "path_derivatives",
+           "partial", "second_partials", "sample", "panel_rule", "integrate",
+           "derivative_in_parameter", "fd_weights"]
 
 _WIDTH = 5
-_log = logging.getLogger(__name__)
 
 
 def fd_weights(offsets, order: int) -> np.ndarray:
@@ -106,36 +100,36 @@ def total_derivative_many(fn, ts, order: int, los, his, h: float) -> np.ndarray:
     return stencil.apply(fn(stencil.nodes))
 
 
-def path_derivatives(fn, ts, order: int, fallback) -> np.ndarray:
+def jet_call(fn, *args):
+    """fn(*args) for a user callable given jets; its TypeError, the sign of
+    one that rejects jets, raised as NotJetCapable naming it."""
+    try:
+        return fn(*args)
+    except TypeError as exc:
+        raise NotJetCapable(f"{fn!r} rejects Taylor jets ({exc}); write it with arithmetic, "
+                            "the delayvar.jet functions or numpy ufuncs") from exc
+
+
+def path_derivatives(fn, ts, order: int) -> np.ndarray:
     """d^0 .. d^order/dt^order of a map along a path at ``ts``; shape
     (order + 1, npts, ...).
 
     ``fn(t)`` is called once with t the time jet of ``order`` at ts and returns
-    a jet whose coefficients have shape (npts, ...), or a plain array, which
-    is constant in t.  A map that rejects jets (TypeError) is called on
-    stencil nodes instead, once per order, inside the per-point intervals and
-    for the time span that ``fallback()`` returns as (los, his, span).
+    a jet whose coefficients have shape (npts, ...), an array of such jets, or
+    a plain array, which is constant in t.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    try:
-        coeffs = jet.coefficients(fn(jet.variable(ts, order)), order)
-    except TypeError as exc:
-        _log.debug("path_derivatives: %r rejects jets (%s); 5-point stencils", fn, exc)
-        los, his, span = fallback()
-        return np.stack([total_derivative_many(fn, ts, i, los, his, default_step(span, i))
-                         for i in range(order + 1)])
+    coeffs = jet.coefficients(jet_call(fn, jet.variable(ts, order)), order)
     scale = [float(math.factorial(i)) for i in range(order + 1)]
     return coeffs * np.reshape(scale, (-1,) + (1,) * (coeffs.ndim - 1))
 
 
 def partial(f, block: int, args):
-    """Gradient of integrand ``f`` with respect to one argument block.
-
-    The slots seeded one at a time by an order-1 jet: exact for integrands
-    built from arithmetic and the jet-aware functions; central finite
-    differences for callables that reject jets.  Shape (block_len,) for
-    scalar slots, (block_len, npts) for array slots, and a jet in t of that
-    shape for jet slots (where a callable rejecting jets raises TypeError).
+    """Gradient of integrand ``f`` with respect to one argument block, its
+    slots seeded one at a time by an order-1 jet: exact for integrands built
+    from arithmetic, the jet-aware functions and their numpy ufuncs.  Shape
+    (block_len,) for scalar slots, (block_len, npts) for array slots, and a
+    jet in t of that shape for jet slots; NotJetCapable if f rejects jets.
     """
     layout = args.layout
     if block < 1 or block > layout.nblocks:
@@ -143,20 +137,15 @@ def partial(f, block: int, args):
     sl = layout.block_slice(block)
     if sl.start == sl.stop:
         return np.zeros(0)
-    values, like = args.values, jet.value_of(args.values[sl.start])
-    try:
-        slots = [_seeded(f, values, (i,)) for i in range(sl.start, sl.stop)]
-    except TypeError as exc:
-        _log.debug("partial: %r rejects jets (%s); central differences", f, exc)
-        return np.stack([_fd_slot(f, values, i) for i in range(sl.start, sl.stop)])
-    return jet.stack([0.0 if d is None else d for d in slots], like)
+    slots = [_seeded(f, args.values, (i,)) for i in range(sl.start, sl.stop)]
+    return jet.stack([0.0 if d is None else d for d in slots], jet.value_of(args.values[sl.start]))
 
 
 def second_partials(f, k: int, b: int, args, order: int = 0) -> np.ndarray:
     """Taylor coefficients 0 .. order in t of the block d_b d_k f along a path,
     slots holding time jets of at least ``order`` (or arrays, for order 0);
     shape (order + 1, len_k, len_b, npts).  Each slot pair is seeded by two
-    nested order-1 jets; a callable that rejects jets raises TypeError."""
+    nested order-1 jets; a callable that rejects jets raises NotJetCapable."""
     layout, values = args.layout, args.values
     ks, bs = layout.block_slice(k), layout.block_slice(b)
     pairs = [_seeded(f, values, (i, j)) for i in range(ks.start, ks.stop)
@@ -172,26 +161,19 @@ def second_partials(f, k: int, b: int, args, order: int = 0) -> np.ndarray:
 def _seeded(f, values, slots):
     """Mixed partial of f in the ``slots`` (which may repeat), each seeded by an
     order-1 jet a level above the last and every jet in the values; None when
-    f never touched every seed."""
+    f never touched every seed, NotJetCapable for an array of jets."""
     level = 1 + max([v.level for v in values if type(v) is jet.Jet], default=-1)
     seeded = list(values)
     for depth, i in enumerate(slots):
         seeded[i] = jet.Jet([seeded[i], 1.0], level + depth)
-    out = f(seeded)
+    out = jet_call(f, seeded)
+    if isinstance(out, np.ndarray) and out.dtype == object:
+        raise NotJetCapable(f"{f!r} returns an array of jets, not one value per point")
     for depth in reversed(range(len(slots))):
         if not (isinstance(out, jet.Jet) and out.level == level + depth and out.order):
             return None
         out = out.c[1]
     return out
-
-
-def _fd_slot(f, values, i):
-    v = np.asarray(values[i], dtype=float)
-    h = np.maximum(1e-6, 1e-6 * np.abs(v))
-    up, dn = list(values), list(values)
-    up[i] = v + h
-    dn[i] = v - h
-    return (np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float)) / (2.0 * h)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -248,16 +230,6 @@ def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     return np.array([float(fn(t)) for t in ts])
 
 
-class ParamDerivative(NamedTuple):
-    value: float
-    error: float
-
-
-def derivative_in_parameter(fn: Callable[[float], float]) -> ParamDerivative:
-    """d/ds at s = 0 by central differences with Richardson extrapolation
-    over h in {1e-3, 5e-4}; carries an error estimate."""
-    h = 1e-3
-    d1 = (fn(h) - fn(-h)) / (2.0 * h)
-    d2 = (fn(h / 2) - fn(-h / 2)) / h
-    value = (4.0 * d2 - d1) / 3.0
-    return ParamDerivative(value, abs(value - d2))
+def derivative_in_parameter(fn: Callable) -> float:
+    """d/ds fn(s) at s = 0, from one call on the order-1 jet in s."""
+    return float(jet.coefficients(jet_call(fn, jet.variable(0.0, 1)), 1)[1])

@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: residuals, conserved, invariance, solve, verify, list.
-Exit codes: 0 success, 1 gated verification failure, 2 invalid input,
-3 solver non-convergence.  All numbers are printed with 17 significant
-digits so runs are reproducible and diffable.
+Exit codes: 0 success, 1 gated verification failure, 2 invalid input (bad
+files and flags, caught where they are read) or a DelayVarError, 3 solver
+non-convergence; any other exception keeps its traceback.  All numbers are
+printed with 17 significant digits so runs are reproducible and diffable.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -32,16 +34,32 @@ def _fmt(x) -> str:
     return FMT.format(float(x))
 
 
+@contextlib.contextmanager
+def _user_input():
+    """Bad files and flags: their OSError, KeyError or ValueError as a DelayVarError."""
+    try:
+        yield
+    except (OSError, KeyError, ValueError) as err:
+        raise DelayVarError(str(err)) from err
+
+
+def _read(path: str, parse):
+    """parse(the text of the file at ``path``), as user input."""
+    with _user_input(), open(path, encoding="utf-8") as handle:
+        return parse(handle.read())
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with _user_input(), open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
 def _load_variational(args):
-    """Resolve (problem, trajectory, lam) from --example / --problem flags."""
+    """Resolve (setup, trajectory) from the --example / --problem, --trajectory
+    and --lambda flags."""
     if args.example:
         entry = registry.get(args.example)
         if entry.kind != "variational":
@@ -50,19 +68,19 @@ def _load_variational(args):
         traj = entry.trajectory() if entry.trajectory else None
         lam = np.asarray(entry.lam, dtype=float)
     else:
-        with open(args.problem, encoding="utf-8") as handle:
-            problem = problem_from_json(handle.read())
+        problem = _read(args.problem, problem_from_json)
         traj, lam = None, np.zeros(problem.k)
     if getattr(args, "trajectory", None):
-        with open(args.trajectory, encoding="utf-8") as handle:
-            traj = Trajectory.from_json(handle.read())
-    if getattr(args, "lam", None) is not None:
-        lam = np.asarray([float(v) for v in args.lam.split(",") if v.strip() != ""],
-                         dtype=float)
+        traj = _read(args.trajectory, Trajectory.from_json)
+    with _user_input():
+        if getattr(args, "lam", None) is not None:
+            lam = np.asarray([float(v) for v in args.lam.split(",") if v.strip() != ""],
+                             dtype=float)
+        setup = AugmentedSetup(problem, lam)
     if traj is None:
         raise DelayVarError("no trajectory: pass --trajectory FILE or use an example "
                             "that ships one")
-    return problem, traj, lam
+    return setup, traj
 
 
 def _group_from_exprs(args, problem):
@@ -96,8 +114,8 @@ def _group_from_exprs(args, problem):
 
 
 def cmd_residuals(args) -> int:
-    problem, traj, lam = _load_variational(args)
-    F = augmented_integrand(AugmentedSetup(problem, lam))
+    setup, traj = _load_variational(args)
+    problem, F = setup.problem, augmented_integrand(setup)
     grids = residual_grids(problem, traj, count=args.grid)
     parts = []
     for regime in (Regime.FIRST, Regime.SECOND):
@@ -120,8 +138,8 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_conserved(args) -> int:
-    problem, traj, lam = _load_variational(args)
-    setup = AugmentedSetup(problem, lam)
+    setup, traj = _load_variational(args)
+    problem = setup.problem
     group = _group_from_exprs(args, problem)
     grids = residual_grids(problem, traj, count=args.grid)
     cdur = []  # the hypothesis residual, from the first regime's records
@@ -153,9 +171,8 @@ def cmd_conserved(args) -> int:
 
 
 def cmd_invariance(args) -> int:
-    problem, traj, lam = _load_variational(args)
-    setup = AugmentedSetup(problem, lam)
-    group = _group_from_exprs(args, problem)
+    setup, traj = _load_variational(args)
+    group = _group_from_exprs(args, setup.problem)
     defect = invariance_defect(setup, group, traj)
     nc1, nc2 = necessary_condition_defect(setup, group, traj)
     payload = {
@@ -174,16 +191,17 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    scheme = CollocationScheme(nodes=args.nodes, tolerance=args.tol,
-                               max_iterations=args.maxiter)
+    with _user_input():
+        scheme = CollocationScheme(nodes=args.nodes, tolerance=args.tol,
+                                   max_iterations=args.maxiter)
     if args.example:
         entry = registry.get(args.example)
         problem = entry.build()
         kind = entry.kind
     else:
-        with open(args.problem, encoding="utf-8") as handle:
-            problem = problem_from_json(handle.read())
-        kind = "variational"
+        problem, kind = _read(args.problem, problem_from_json), "variational"
+    if kind == "variational" and problem.history is None:
+        raise DelayVarError("problem has no history function")
     if kind == "control":
         triple, lam, report = solve_pmp(problem, scheme=scheme)
         paths = {"state": triple.q, "control": triple.u, "costate": triple.p}
@@ -299,7 +317,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (DelayVarError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except DelayVarError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,12 @@ class StencilCrossesBreakpoint(DelayVarError):
     """No finite-difference stencil fits between the surrounding breakpoints."""
 
 
+class NotJetCapable(DelayVarError):
+    """A user callable rejected the Taylor jets it is differentiated on (its
+    TypeError is the ``__cause__``) or returned an array of jets; no TypeError
+    or ValueError, so no per-point adapter retries the call."""
+
+
 class JOutOfRange(DelayVarError):
     """A generalized-momentum index j is outside 1..m."""
 

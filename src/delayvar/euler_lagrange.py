@@ -70,9 +70,9 @@ def smooth_breaks(problem: IsoperimetricProblem, traj: Trajectory) -> np.ndarray
 
 
 def stencil_bounds(ts, breaks: np.ndarray, lo: float, hi: float):
-    """Per-point interval a stencil may occupy: between neighboring breaks,
-    clipped to the regime interval [lo, hi].  A break takes the piece to its
-    left, except the first break, which takes the first piece."""
+    """Per-point interval a reference stencil may occupy: between neighboring
+    breaks, clipped to the regime interval [lo, hi].  A break takes the piece
+    to its left, except the first break, which takes the first piece."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     idx = np.searchsorted(breaks, ts)
     idx = np.where(ts == breaks[0], 1, idx)
@@ -113,10 +113,7 @@ class PathRecord:
         self._partials, self.along = {}, []
         if not self._ks and along is None:
             return
-        rates = calculus.path_derivatives(
-            self._sample, ts, order, lambda: (*stencil_bounds(
-                ts, smooth_breaks(problem, traj), *regime_interval(problem, regime)),
-                problem.span))
+        rates = calculus.path_derivatives(self._sample, ts, order)
         self._rates = rates[:, :, :len(self._ks) * self.n]
         self.along = list(rates[:along_order + 1, :, len(self._ks) * self.n:])
 
@@ -127,14 +124,10 @@ class PathRecord:
         return path, path_args(self.ts + self.tau, path[: self.m + 1], self.q[: self.m + 1])
 
     def _arguments(self, t, advanced: bool):
-        """Argument vectors at t and, if ``advanced``, at t + tau: from the kept
-        path values if t is the time jet at ts, else at the stencil nodes t."""
-        if isinstance(t, jet.Jet):
-            kept = (self.q, self.q_delayed) + ((self._advanced[0],) if advanced else ())
-            paths = [jet.path(p, self.m + 1, t.order) for p in kept]
-        else:
-            paths = [self.traj.derivatives(u, self.m + 1)
-                     for u in (t, t - self.tau, t + self.tau)[:2 + advanced]]
+        """Argument vectors at the time jet t at ts and, if ``advanced``, at
+        t + tau, from the kept path values."""
+        kept = (self.q, self.q_delayed) + ((self._advanced[0],) if advanced else ())
+        paths = [jet.path(p, self.m + 1, t.order) for p in kept]
         current = path_args(t, paths[0][: self.m + 1], paths[1][: self.m + 1])
         if not advanced:
             return current, None
@@ -146,8 +139,7 @@ class PathRecord:
         return self._arguments(jet.variable(self.ts, order), self.first)
 
     def _sample(self, t):
-        """Lambda_k for k in ks, then ``along``, side by side, at the time jet
-        t or at stencil nodes t."""
+        """Lambda_k for k in ks, then ``along``, side by side, at the time jet t."""
         current, advanced = self._arguments(t, self.first and bool(self._ks))
         cols = [calculus.partial(self.F, k + 2, current).T for k in self._ks]
         if advanced is not None:

@@ -8,9 +8,10 @@ jet in t.  ``level`` tells the variables apart; a jet meeting one of a lower
 level treats it as a constant.  Arithmetic uses Cauchy products, integer
 powers by products, and the standard recurrences for / sqrt exp log sin cos
 (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13), other powers
-going through exp and log; so integrands built from arithmetic and the math
-functions below, which expression integrands call, are jet-capable.  numpy refuses to convert a jet: callables built on numpy
-ufuncs or ``float`` reject jets with TypeError.
+going through exp and log.  numpy ufuncs of arithmetic, comparison and the
+functions below run the jet's own, and ``np.array`` of jets is an object
+array that :func:`coefficients` reads, so maps written with either are
+jet-capable; ``float``, ``math`` and float-typed arrays raise TypeError.
 """
 
 from __future__ import annotations
@@ -41,13 +42,34 @@ def _defer(method):
 
 class Jet:
     __slots__ = ("c", "level")
-    __array_ufunc__ = None  # an ndarray on the left defers to the reflected operator
 
     def __init__(self, c, level: int = 0):
         self.c, self.level = c if type(c) is list else list(c), level
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """NEP 13: a mapped ufunc, called plainly, runs the jet's operation (the
+        reflected one for an ndarray on the left: ``operator`` would recurse);
+        numpy raises TypeError for the rest, an object array on the left too."""
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _UNARY:
+            return _UNARY[ufunc](inputs[0])
+        if ufunc not in _BINARY:
+            return NotImplemented
+        (forward, reflected), (left, right) = _BINARY[ufunc], inputs
+        if isinstance(left, Jet):
+            return getattr(left, forward)(right)
+        if type(left) is np.ndarray and left.dtype == object:
+            return NotImplemented
+        return getattr(right, reflected)(left)
+
     def __array__(self, dtype=None, copy=None):
-        raise TypeError("a jet is not an array")
+        """A 0-d object array holding the jet; TypeError for a numeric dtype."""
+        if dtype is not None and np.dtype(dtype) != object:
+            raise TypeError("a jet is not an array of numbers")
+        out = np.empty((), dtype=object)
+        out[()] = self
+        return out
 
     def __repr__(self):
         return f"Jet({self.c!r}, level={self.level})"
@@ -173,7 +195,10 @@ def value_of(x):
 def coefficients(x, order: int) -> np.ndarray:
     """Coefficients 0..order of x (a jet in t, or a constant) on a new first
     axis, broadcast to one shape and zero past the series.  The items of a
-    list or tuple are broadcast together and stacked on the second axis."""
+    list or tuple, or of an object array of jets, are broadcast together and
+    stacked on the second axis."""
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        x = x.tolist()
     if isinstance(x, (list, tuple)):
         parts = np.broadcast_arrays(*(np.moveaxis(coefficients(v, order), 0, -1) for v in x))
         return np.moveaxis(np.stack(parts), -1, 0)
@@ -251,3 +276,13 @@ def sqrt(x):
 
 def fabs(x):
     return x * np.sign(value_of(x)) if isinstance(x, Jet) else np.abs(x)
+
+
+# the ufuncs a jet runs itself: one-argument ones, and (operator, reflected operator)
+_UNARY = {np.negative: operator.neg, np.sin: sin, np.cos: cos, np.exp: exp, np.log: log,
+          np.sqrt: sqrt, np.absolute: fabs}
+_BINARY = {np.add: ("__add__", "__radd__"), np.subtract: ("__sub__", "__rsub__"),
+           np.multiply: ("__mul__", "__rmul__"), np.true_divide: ("__truediv__", "__rtruediv__"),
+           np.power: ("__pow__", "__rpow__"), np.less: ("__lt__", "__gt__"),
+           np.less_equal: ("__le__", "__ge__"), np.greater: ("__gt__", "__lt__"),
+           np.greater_equal: ("__ge__", "__le__")}

@@ -18,9 +18,9 @@ extended by zero on [t1 - tau, t1).
 Each sweep calls eta(t, q) and xi(t, q) once, with t of shape (npts,) and q
 of shape (n, npts) (q[i] is component i), or with t the time jet and q the
 path's jet of that shape; eta broadcasts to (npts,), xi to (n, npts), a 1-D
-xi of length n being a constant vector.  Generators that reject jets are
-differentiated by stencils, and generators that reject arrays or return a
-shape that does not broadcast are called per point.
+xi of length n being a constant vector.  numpy ufuncs and ``np.array`` carry
+jets (``xi = lambda t, q: np.array([q[1], -q[0]])``); a generator that
+rejects them (``math.cos``) raises NotJetCapable.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ import numpy as np
 
 from . import calculus, jet
 from .errors import EmptyGrid, IOutOfRange, TransformEscapesDomain
-from .euler_lagrange import PathRecord, Regime, per_regime, regime_interval, smooth_breaks, \
-    stencil_bounds
+from .euler_lagrange import PathRecord, Regime, per_regime, regime_interval, smooth_breaks
 from .problem import AugmentedSetup, TransformationGroup, augmented_integrand
 from .trajectory import Grid, Trajectory
 
@@ -43,22 +42,13 @@ __all__ = ["rho", "invariance_defect", "necessary_condition_defect", "noether_qu
 
 
 def _on_points(generator, ts, qs, shape: tuple):
-    """generator(t, q) over all points broadcast to ``shape`` ((npts,) or
-    (n, npts)), q given as (npts, n): one call, a jet when t is the time jet,
-    or, on arrays, one call per point when the generator rejects arrays or
-    returns a shape that does not broadcast."""
-    order = ts.order if isinstance(ts, jet.Jet) else 0
-    try:
-        out = jet.coefficients(generator(ts, qs.T), order)
-        if len(shape) == 2 and out.shape[1:] == shape[:1]:  # constant vector
-            out = out[..., None]
-        out = np.moveaxis(np.broadcast_to(np.moveaxis(out, 0, -1), shape + (order + 1,)), -1, 0)
-    except (TypeError, ValueError):
-        if isinstance(ts, jet.Jet):
-            raise TypeError("the generator rejects jets") from None
-        cols = [np.asarray(generator(float(t), q), dtype=float) for t, q in zip(ts, qs)]
-        return np.stack(cols, axis=-1).reshape(shape)
-    return jet.Jet(out) if isinstance(ts, jet.Jet) else out[0]
+    """generator(t, q) at the time jet ts and the path's jet qs, given as
+    (npts, n), in one call: a jet broadcast to ``shape`` ((npts,) or (n, npts))."""
+    out = jet.coefficients(calculus.jet_call(generator, ts, qs.T), ts.order)
+    if len(shape) == 2 and out.shape[1:] == shape[:1]:  # constant vector
+        out = out[..., None]
+    return jet.Jet(np.moveaxis(np.broadcast_to(np.moveaxis(out, 0, -1), shape + (ts.order + 1,)),
+                               -1, 0))
 
 
 def _generators(group: TransformationGroup, ts, qs):
@@ -85,16 +75,11 @@ def _leibniz(derivs, qs, n: int):
                                    for k in range(1, i + 1)) for i in range(len(derivs))]
 
 
-def _lifts(group: TransformationGroup, traj: Trajectory, ts: np.ndarray, qs, order: int,
-           breaks, lo: float, hi: float) -> list[np.ndarray]:
-    """rho^0 .. rho^order at ts from the path values qs[j] = q^(j)(ts), j <= order;
-    stencils for generators that reject jets stay between ``breaks`` inside [lo, hi]."""
-    def gens(u):  # the generators at the time jet at ts, or at stencil nodes
-        q = jet.path(qs, 1, u.order)[0] if isinstance(u, jet.Jet) else traj.eval(u, 0)
-        return _generators(group, u, q)
-
-    derivs = calculus.path_derivatives(gens, ts, order, lambda: (
-        *stencil_bounds(ts, breaks, lo, hi), traj.domain[1] - traj.domain[0]))
+def _lifts(group: TransformationGroup, traj: Trajectory, ts: np.ndarray, qs,
+           order: int) -> list[np.ndarray]:
+    """rho^0 .. rho^order at ts from the path values qs[j] = q^(j)(ts), j <= order."""
+    derivs = calculus.path_derivatives(
+        lambda u: _generators(group, u, jet.path(qs, 1, u.order)[0]), ts, order)
     return _leibniz(derivs, qs, traj.n)
 
 
@@ -104,8 +89,7 @@ def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
     if not 0 <= i <= traj.m:
         raise IOutOfRange(f"i = {i} outside 0..{traj.m}")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _lifts(group, traj, ts, traj.derivatives(ts, i + 1), i,
-                 np.asarray(traj.breakpoints()), *traj.domain)[i]
+    out = _lifts(group, traj, ts, traj.derivatives(ts, i + 1), i)[i]
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -173,8 +157,7 @@ def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: T
             total += np.sum(record.block_partial(j + 2).T * lifts[j], axis=1)
         past = ts - tau >= problem.t1  # the lifts vanish left of t1
         if np.any(past):
-            delayed = _lifts(group, traj, ts[past] - tau, [q[past] for q in record.q_delayed], m,
-                             breaks, problem.t1, problem.t2)
+            delayed = _lifts(group, traj, ts[past] - tau, [q[past] for q in record.q_delayed], m)
             for j in range(m + 1):
                 total[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
         return total

@@ -81,12 +81,11 @@ class ArgVector:
 class Integrand:
     """Scalar integrand over a flat argument vector.
 
-    ``fn(values) -> value`` must be deterministic and should accept numpy
-    arrays and the toolkit's Taylor jets (:mod:`delayvar.jet`) in the slots,
-    as arithmetic and the jet-aware math functions do: jets give its block
-    gradients and their time derivatives along a path exactly
-    (:func:`delayvar.calculus.partial`).  A callable that rejects jets is
-    differentiated by finite differences and stencils instead.
+    ``fn(values) -> value`` must be deterministic and accept numpy arrays and
+    the toolkit's Taylor jets (:mod:`delayvar.jet`) in the slots, as
+    arithmetic, the jet-aware math functions and their numpy ufuncs do: jets
+    give its block gradients and their time derivatives along a path exactly
+    (:func:`delayvar.calculus.partial`); one that rejects them raises NotJetCapable.
     """
 
     __slots__ = ("fn", "name")

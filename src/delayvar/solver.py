@@ -10,8 +10,8 @@ every row through one scatter of the basis: the exactly linear rows
 (continuity, history, terminal data) as they are, the collocation rows from
 blocks of second partials of the integrand along the path, Taylor jets in t
 seeded twice (Griewank & Walther, *Evaluating Derivatives*, ch. 13), and the
-isoperimetric rows from the partials of g at the quadrature nodes.
-Only an integrand that rejects jets has its collocation rows differenced.
+isoperimetric rows from the partials of g at the quadrature nodes; an
+integrand or constraint that rejects jets raises NotJetCapable.
 NonConvergence is a returned state (report.converged = False); a numerically
 singular Jacobian raises.  The one factorization per Newton iteration is a
 solve on [-r | I]: the step, and J^-1 for the certificate
@@ -23,7 +23,6 @@ kappa_F exceeds the 1e12 gate.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -41,8 +40,6 @@ from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, \
 from .trajectory import PolySegment, Trajectory, segments_from_callable
 
 __all__ = ["CollocationScheme", "SolveReport", "solve_el", "solve_pmp", "verify"]
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -209,21 +206,12 @@ class _Collocation:
 
     def jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """A on the linear rows and every other row by the chain rule through
-        the basis; for an F that rejects jets, the collocation rows by forward
-        differences, step 1e-7 (1 + |x_i|), one column at a time."""
+        the basis."""
         top = self.nl + len(self.c)
         jac = np.zeros((len(r), len(x)))
         jac[self.nl:top] = self.A
         trajs, lam = self.build(x)
-        try:
-            self._collocation_rows(trajs, lam, jac)
-        except TypeError as exc:
-            _log.debug("jacobian: F rejects jets (%s); forward differences", exc)
-            h = 1e-7 * (1.0 + np.abs(x))
-            for i in range(len(x)):
-                xp = x.copy()
-                xp[i] += h[i]
-                jac[:self.nl, i] = (self.nonlinear(*self.build(xp)) - r[:self.nl]) / h[i]
+        self._collocation_rows(trajs, lam, jac)
         if self.k:
             self._constraint_rows(trajs, jac, top)
         return jac

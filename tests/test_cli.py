@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from delayvar import cli
 from delayvar.cli import main
 
 CLASSICAL_JSON = """{
@@ -178,6 +179,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: collocation Jacobian is singular")
         assert "Traceback" not in err
+
+    def test_internal_error_keeps_its_traceback(self, classical_file, monkeypatch):
+        """Only bad files and flags exit 2: a ValueError past the input
+        boundary is a bug and propagates out of main."""
+        def broken(problem, scheme=None):
+            raise ValueError("a bug inside the solver")
+
+        monkeypatch.setattr(cli, "solve_el", broken)
+        with pytest.raises(ValueError, match="a bug inside the solver"):
+            main(["solve", "--problem", classical_file])
 
     def test_solve_control_example(self, tmp_path):
         out = tmp_path / "lq.json"

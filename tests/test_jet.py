@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 from contextlib import redirect_stdout
@@ -10,10 +11,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from delayvar import calculus, cli, jet
+from delayvar import calculus, cli, jet, solver
+from delayvar.errors import NotJetCapable
 from delayvar.euler_lagrange import el_residual
-from delayvar.problem import AugmentedSetup, Integrand, IsoperimetricProblem
-from delayvar.solver import verify
+from delayvar.noether import invariance_defect, rho
+from delayvar.problem import ArgLayout, ArgVector, AugmentedSetup, Integrand, \
+    IsoperimetricProblem, TransformationGroup, integrand_from_expr
+from delayvar.solver import CollocationScheme, verify
+from delayvar.trajectory import PolySegment, Trajectory
 
 
 def _no_stencils(*args, **kwargs):
@@ -59,32 +64,43 @@ def test_provider_reads_derivatives_off_one_call():
         return t ** 3
 
     ts = np.array([-1.0, 0.5, 2.0])
-    got = calculus.path_derivatives(cube, ts, 4, _no_stencils)
+    got = calculus.path_derivatives(cube, ts, 4)
     assert len(calls) == 1
     assert np.allclose(got, [ts ** 3, 3 * ts ** 2, 6 * ts, 6 + 0 * ts, 0 * ts], atol=1e-14)
     # a map that ignores its argument is constant in t
-    const = calculus.path_derivatives(lambda t: np.full(3, 2.0), ts, 2, _no_stencils)
+    const = calculus.path_derivatives(lambda t: np.full(3, 2.0), ts, 2)
     assert np.array_equal(const, [[2.0] * 3, [0.0] * 3, [0.0] * 3])
 
 
 def test_provider_falls_back_to_stencils_for_opaque_maps():
+    """A map that rejects jets gets no stencils: it raises NotJetCapable, and
+    its numpy twin is exact."""
     ts = np.array([0.3, 0.6])
 
     def opaque(t):
-        return np.array([math.sin(x) for x in t])  # iterating a jet fails
+        return np.array([math.sin(x) for x in t])  # math.sin rejects the jets
 
-    got = calculus.path_derivatives(opaque, ts, 2, lambda: (0.0, 1.0, 1.0))
-    assert np.allclose(got, [np.sin(ts), np.cos(ts), -np.sin(ts)], atol=1e-6)
+    with pytest.raises(NotJetCapable, match="opaque") as info:
+        calculus.path_derivatives(opaque, ts, 2)
+    assert isinstance(info.value.__cause__, TypeError)
+    got = calculus.path_derivatives(np.sin, ts, 2)
+    assert np.array_equal(got, [np.sin(ts), np.cos(ts), -np.sin(ts)])
 
 
 def test_opaque_integrand_takes_the_stencils(ex1_traj):
-    """An integrand that rejects jets still gets its EL residual, from finite
-    differences inside stencils: about 2e-2 here, against terms of size 100,
-    where the expression integrand gives 0."""
+    """An integrand that rejects jets gets no stencils: it raises
+    NotJetCapable, and its numpy twin gets the expression integrand's exact
+    EL residual."""
     opaque = Integrand(lambda v: np.square(np.asarray(v[3] + v[6], dtype=float)))
     problem = IsoperimetricProblem(m=2, n=1, tau=1.0, t1=0.0, t2=2.0, L=opaque)
-    res = el_residual(AugmentedSetup(problem, []), ex1_traj, np.array([0.3, 1.4]))
-    assert 0.0 < np.max(np.abs(res)) <= 5e-2
+    ts = np.array([0.3, 1.4])
+    with pytest.raises(NotJetCapable):
+        el_residual(AugmentedSetup(problem, []), ex1_traj, ts)
+    twin = Integrand(lambda v: np.power(v[3] + v[6], 2))
+    res = el_residual(AugmentedSetup(dataclasses.replace(problem, L=twin), []), ex1_traj, ts)
+    expression = IsoperimetricProblem(m=2, n=1, tau=1.0, t1=0.0, t2=2.0,
+                                      L=integrand_from_expr("(qdd + qdd_tau)^2", 2, 1))
+    assert np.array_equal(res, el_residual(AugmentedSetup(expression, []), ex1_traj, ts))
 
 
 def test_expression_maps_never_reach_the_stencils(monkeypatch, ex1_problem, ex1_traj):
@@ -94,3 +110,103 @@ def test_expression_maps_never_reach_the_stencils(monkeypatch, ex1_problem, ex1_
         for argv in (["invariance", "--example", "example1", "--eta", "t", "--xi", "q * t"],
                      ["conserved", "--example", "example1", "--eta", "1", "--xi", "q"]):
             assert cli.main(argv) == 0
+
+
+# ---------------------------------------------------------------------------
+# numpy carries jets
+
+
+def _twin(sin, exp):
+    """qd^2 + sin(q) exp(0.3 q_tau) + t qd_tau over the m = 1, n = 1 layout,
+    built from the given sin and exp."""
+    return Integrand(lambda v: v[2] * v[2] + sin(v[1]) * exp(0.3 * v[3]) + v[0] * v[4])
+
+
+NUMPY, JET = _twin(np.sin, np.exp), _twin(jet.sin, jet.exp)
+
+
+def test_numpy_ufunc_integrand_equals_its_jet_twin_bit_for_bit(classical_problem,
+                                                               classical_traj):
+    layout = ArgLayout.variational(1, 1)
+    for values in ([0.4, -0.7, 1.3, 0.2, -0.5],
+                   [np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 1.0, 4), np.ones(4),
+                    np.full(4, 0.5), np.zeros(4)]):
+        args = ArgVector(values, layout)
+        for block in range(1, 6):
+            assert np.array_equal(calculus.partial(NUMPY, block, args),
+                                  calculus.partial(JET, block, args))
+    t = jet.variable(np.array([0.2, 0.7]), 2)
+    args = ArgVector([t, jet.sin(t), 2.0 * t, t * t, 0.0 * t + 1.0], layout)
+    for k in range(1, 6):
+        for b in range(1, 6):
+            assert np.array_equal(calculus.second_partials(NUMPY, k, b, args, 2),
+                                  calculus.second_partials(JET, k, b, args, 2))
+    ts = np.linspace(0.05, 0.95, 7)
+    numpy_problem, jet_problem = (dataclasses.replace(classical_problem, L=L, g=(g,))
+                                  for L, g in ((NUMPY, Integrand(lambda v: np.exp(v[1]))),
+                                               (JET, Integrand(lambda v: jet.exp(v[1])))))
+    assert np.array_equal(el_residual(AugmentedSetup(numpy_problem, [0.5]), classical_traj, ts),
+                          el_residual(AugmentedSetup(jet_problem, [0.5]), classical_traj, ts))
+    jacobians = []
+    for problem in (numpy_problem, jet_problem):
+        record, x0 = solver._el_collocation(problem, None, CollocationScheme(nodes=8))
+        x = record.project(x0)
+        jacobians.append(record.jacobian(x, record.residual(x)))
+    assert np.array_equal(*jacobians)
+
+
+def test_ndarray_on_the_left_compares_values():
+    x = jet.variable(np.array([0.3, 0.3, 0.3]), 2)
+    left = np.array([0.1, 0.3, 0.5])
+    assert (left < x).tolist() == [True, False, False]
+    assert (left <= x).tolist() == [True, True, False]
+    assert (left > x).tolist() == [False, False, True]
+    assert (left >= x).tolist() == [False, True, True]
+
+
+def test_unmapped_ufuncs_and_out_arguments_raise_type_error():
+    x = jet.variable(np.array([0.3, 0.6]), 1)
+    for call in (lambda: np.floor(x), lambda: np.add(x, 1.0, out=np.zeros(2)),
+                 lambda: np.add.reduce(x), lambda: np.array([x, x]) * x):
+        with pytest.raises(TypeError):
+            call()
+    assert np.array_equal(jet.coefficients(np.add(x, 1.0), 1), [[1.3, 1.6], [1.0, 1.0]])
+
+
+def test_array_of_jets_generator_gives_the_exact_lift():
+    """xi = np.array([q[1], -q[0]]) holds jets in an object array: its lift is
+    (q1', -q0') exactly, with no stencil."""
+    traj = Trajectory(2, 1, [PolySegment.from_monomial(
+        -0.5, 1.0, [[0.0, 1.0, -1.0, 0.0], [0.5, 1.0, 0.0, 0.3]])])
+    group = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.array([q[1], -q[0]]))
+    ts = np.linspace(0.0, 1.0, 9)
+    qd = traj.eval(ts, 1)
+    assert np.array_equal(rho(group, traj, 1, ts), np.column_stack([qd[:, 1], -qd[:, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# NotJetCapable
+
+
+def test_math_generator_raises_after_one_call(classical_setup, classical_traj):
+    """No per-point retry through calculus.sample: the one generator call
+    that met a jet raises, naming the generator and chaining its TypeError."""
+    calls = []
+
+    def cos_eta(t, q):
+        calls.append(t)
+        return math.cos(t)
+
+    group = TransformationGroup(eta=cos_eta, xi=lambda t, q: 0.0)
+    with pytest.raises(NotJetCapable, match="cos_eta") as info:
+        invariance_defect(classical_setup, group, classical_traj)
+    assert len(calls) == 1
+    assert isinstance(info.value.__cause__, TypeError)
+    assert not isinstance(info.value, (TypeError, ValueError))
+
+
+def test_array_of_jets_integrand_is_not_a_zero_partial():
+    f = Integrand(lambda v: np.array([v[1]]) ** 2, name="[q]^2")
+    args = ArgVector([0.0, 0.3, 0.0, 0.0, 0.0], ArgLayout.variational(1, 1))
+    with pytest.raises(NotJetCapable, match=r"\[q\]\^2"):
+        calculus.partial(f, 2, args)
