@@ -1,8 +1,9 @@
 """Differentiation and integration engine.
 
-Block partials of integrands and their second partials, time derivatives
-along a path (:func:`path_derivatives`: one call of a map on the time jet
-gives d^0 .. d^K/dt^K exactly) and the s = 0 parameter derivative, all from
+Block partials of integrands, their Hessian along a path (:func:`hessian`:
+one call on nested jets seeding every slot at once), time derivatives along
+a path (:func:`path_derivatives`: one call of a map on the time jet gives
+d^0 .. d^K/dt^K exactly) and the s = 0 parameter derivative, all from
 Taylor jets (:mod:`delayvar.jet`), the only way a user callable is
 differentiated: one that rejects jets raises NotJetCapable (:func:`jet_call`).
 Also composite Gauss-Legendre quadrature, and the 5-point stencils
@@ -22,7 +23,7 @@ from . import jet
 from .errors import BlockOutOfRange, NotJetCapable, StencilCrossesBreakpoint
 
 __all__ = ["default_step", "Stencil", "total_derivative_many", "jet_call", "path_derivatives",
-           "partial", "second_partials", "sample", "panel_rule", "integrate",
+           "partial", "hessian", "sample", "panel_rule", "integrate",
            "derivative_in_parameter", "fd_weights"]
 
 _WIDTH = 5
@@ -137,39 +138,39 @@ def partial(f, block: int, args):
     sl = layout.block_slice(block)
     if sl.start == sl.stop:
         return np.zeros(0)
-    slots = [_seeded(f, args.values, (i,)) for i in range(sl.start, sl.stop)]
+    slots = [_seeded(f, args.values, [{i: 1.0}]) for i in range(sl.start, sl.stop)]
     return jet.stack([0.0 if d is None else d for d in slots], jet.value_of(args.values[sl.start]))
 
 
-def second_partials(f, k: int, b: int, args, order: int = 0) -> np.ndarray:
-    """Taylor coefficients 0 .. order in t of the block d_b d_k f along a path,
-    slots holding time jets of at least ``order`` (or arrays, for order 0);
-    shape (order + 1, len_k, len_b, npts).  Each slot pair is seeded by two
-    nested order-1 jets; a callable that rejects jets raises NotJetCapable."""
-    layout, values = args.layout, args.values
-    ks, bs = layout.block_slice(k), layout.block_slice(b)
-    pairs = [_seeded(f, values, (i, j)) for i in range(ks.start, ks.stop)
-             for j in range(bs.start, bs.stop)]
-    shape = (order + 1, layout.blocks[k - 1], layout.blocks[b - 1])
-    if all(d is None for d in pairs):
-        return np.zeros(shape + np.shape(jet.value_of(values[0])))
-    coeffs = jet.coefficients([values[0], *(0.0 if d is None else d for d in pairs)],
-                              order)[:, 1:]
-    return coeffs.reshape(shape + coeffs.shape[-1:])
+def hessian(f, args, order: int = 0) -> np.ndarray:
+    """Taylor coefficients 0 .. order in t of f's Hessian along a path, slots
+    holding time jets of at least ``order`` (or arrays, for order 0); shape
+    (order + 1, slots, slots, npts), [r, k, b] the t^r coefficient of d_b d_k f.
+    One evaluation on two nested order-1 jets in vector mode (Griewank &
+    Walther, *Evaluating Derivatives*, 3.1): each level seeds every slot at
+    once, slot i's epsilon coefficient row i of an identity matrix shaped to
+    broadcast ahead of the points axis; NotJetCapable if f rejects jets."""
+    size, pts = len(args.values), np.shape(jet.value_of(args.values[0]))
+    eye = np.eye(size).reshape((size, size) + (1,) * len(pts))
+    out = _seeded(f, args.values, [dict(enumerate(eye[:, :, None])), dict(enumerate(eye))])
+    shape = (order + 1, size, size) + pts
+    return np.zeros(shape) if out is None else np.broadcast_to(jet.coefficients(out, order), shape)
 
 
-def _seeded(f, values, slots):
-    """Mixed partial of f in the ``slots`` (which may repeat), each seeded by an
-    order-1 jet a level above the last and every jet in the values; None when
-    f never touched every seed, NotJetCapable for an array of jets."""
+def _seeded(f, values, seeds):
+    """Mixed partial of f in one seed per level: seeds[d] maps slots to the
+    epsilon coefficients of their order-1 jets d levels above every jet in the
+    values; None when f never touched every level, NotJetCapable for an array
+    of jets."""
     level = 1 + max([v.level for v in values if type(v) is jet.Jet], default=-1)
     seeded = list(values)
-    for depth, i in enumerate(slots):
-        seeded[i] = jet.Jet([seeded[i], 1.0], level + depth)
+    for depth, level_seeds in enumerate(seeds):
+        for i, eps in level_seeds.items():
+            seeded[i] = jet.Jet([seeded[i], eps], level + depth)
     out = jet_call(f, seeded)
     if isinstance(out, np.ndarray) and out.dtype == object:
         raise NotJetCapable(f"{f!r} returns an array of jets, not one value per point")
-    for depth in reversed(range(len(slots))):
+    for depth in reversed(range(len(seeds))):
         if not (isinstance(out, jet.Jet) and out.level == level + depth and out.order):
             return None
         out = out.c[1]

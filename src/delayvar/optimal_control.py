@@ -51,14 +51,14 @@ def hamiltonian_integrand(cp: ControlProblem) -> Integrand:
     n, mc, k = cp.n, cp.mc, cp.k
     nsub = 1 + 2 * (n + mc)
 
-    def fn(values):
+    def fn(values):  # a callable rejecting jets is named, not this wrapper
         sub = values[:nsub]
-        out = cp.L(sub)
+        out = calculus.jet_call(cp.L, sub)
         for j in range(k):
             lam_j = values[nsub + n + j]
-            out = out - lam_j * cp.g[j](sub)
+            out = out - lam_j * calculus.jet_call(cp.g[j], sub)
         for i in range(n):
-            out = out + values[nsub + i] * cp.phi[i](sub)
+            out = out + values[nsub + i] * calculus.jet_call(cp.phi[i], sub)
         return out
 
     return Integrand(fn, name="hamiltonian")

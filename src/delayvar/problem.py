@@ -259,11 +259,11 @@ def augmented_integrand(setup: AugmentedSetup) -> Integrand:
     if not len(lam):
         return L
 
-    def fn(values):
-        out = L(values)
+    def fn(values):  # a callable rejecting jets is named, not this wrapper
+        out = calculus.jet_call(L, values)
         for lj, gj in zip(lam, gs):
             if lj != 0.0:
-                out = out - lj * gj(values)
+                out = out - lj * calculus.jet_call(gj, values)
         return out
 
     return Integrand(fn, name=f"{L.name} - lam.g")

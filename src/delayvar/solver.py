@@ -8,10 +8,11 @@ is uniform per regime with a forced node at t2 - tau.  One collocation record
 serves both problems.  Its Jacobian, re-factorized every iteration, takes
 every row through one scatter of the basis: the exactly linear rows
 (continuity, history, terminal data) as they are, the collocation rows from
-blocks of second partials of the integrand along the path, Taylor jets in t
-seeded twice (Griewank & Walther, *Evaluating Derivatives*, ch. 13), and the
+blocks of the integrand's Hessian along the path, one evaluation per
+argument vector on Taylor jets in t under two levels of vector-mode seeds
+(Griewank & Walther, *Evaluating Derivatives*, 3.1 and ch. 13), and the
 isoperimetric rows from the partials of g at the quadrature nodes; an
-integrand or constraint that rejects jets raises NotJetCapable.
+integrand or constraint that rejects jets raises NotJetCapable naming it.
 NonConvergence is a returned state (report.converged = False); a numerically
 singular Jacobian raises.  The one factorization per Newton iteration is a
 solve on [-r | I]: the step, and J^-1 for the certificate
@@ -117,9 +118,9 @@ class _Collocation:
     (continuity at knots, then ``boundary``: (block, t, order) with that
     derivative's value); int g(args(trajs, t)) dt - l.  ``argmap``: {argument
     block of F or g: (unknown block, derivative order, time shift)}.
-    ``at(trajs, lam, ts, regime)`` maps an order to F's argument vectors at
-    the points ts of one regime and at ts + tau (None on the second regime),
-    with time jets of that order and lam as F's last block.
+    ``at(trajs, lam, ts, regime, order)``: F's argument vectors at the points
+    ts of one regime and at ts + tau (None on the second regime), with time
+    jets of that order and lam as F's last block.
     """
 
     def __init__(self, edges, blocks, nonlinear, boundary, F, rows, at, times, g, l, args,
@@ -234,13 +235,18 @@ class _Collocation:
         """Add d/dx of each term d^i/dt^i d_k F: sum_b sum_r i!/(i - r)! c_r times
         block b's basis, its order raised by i - r, at t + shift + b's shift,
         c_r the t^r coefficient of d_b d_k F; the multiplier columns take
-        d^i/dt^i d_lam d_k F."""
+        d^i/dt^i d_lam d_k F.  F's Hessian is taken once per argument vector,
+        at the highest term order; a term reads its first i + 1 coefficients."""
+        highest = max(i for rows in self.rows for *_, i in rows.terms)
         # the second regime starts at the middle edge, t2 - tau, as in per_regime
         second = self.times >= self.edges[(len(self.edges) - 1) // 2]
         for regime, pts in ((Regime.FIRST, np.flatnonzero(~second)),
                             (Regime.SECOND, np.flatnonzero(second))):
             ts, start = self.times[pts], 0
-            at = self.at(trajs, lam, ts, regime)
+            vectors = self.at(trajs, lam, ts, regime, highest)
+            hessians = [a and calculus.hessian(self.F, a, highest) for a in vectors]
+            layout = vectors[0].layout
+            multipliers = layout.block_slice(layout.nblocks)
             for rows in self.rows:
                 index = start + rows.count * pts + np.arange(rows.count)[:, None]  # (count, pts)
                 start += rows.count * len(self.times)
@@ -248,18 +254,18 @@ class _Collocation:
                     self._scatter(out, index, b, ts, order,
                                   sign * np.eye(rows.count)[..., None] * np.ones(len(ts)))
                 for sign, k, shift, i in rows.terms:
-                    args = at(i)[shift > 0]
-                    if args is None:  # no advanced term on the second regime
+                    if hessians[shift > 0] is None:  # no advanced term on the second regime
                         continue
+                    hess = hessians[shift > 0][:i + 1, layout.block_slice(k)]
+                    touched = np.any(hess, axis=(1, 3))  # (i + 1, slots): skip zero blocks
                     for arg, (b, order, arg_shift) in self.argmap.items():
-                        hess = calculus.second_partials(self.F, k, arg, args, i)
-                        for r in np.flatnonzero(np.any(hess, axis=(1, 2, 3))):  # skip zero blocks
+                        cols = layout.block_slice(arg)
+                        for r in np.flatnonzero(np.any(touched[:, cols], axis=1)):
                             self._scatter(out, index, b, ts + (shift + arg_shift), order + i - r,
-                                          sign * math.perm(i, r) * hess[r])
+                                          sign * math.perm(i, r) * hess[r, :, cols])
                     if self.k:
                         out[index[:, None], self.ncoef + np.arange(self.k)[:, None]] += \
-                            sign * math.factorial(i) * calculus.second_partials(
-                                self.F, k, args.layout.nblocks, args, i)[i]
+                            sign * math.factorial(i) * hess[i, :, multipliers]
 
     def solve(self, x0: np.ndarray, scheme: CollocationScheme):
         """Damped Newton from x0: (trajectories, lambda, report), each step one
@@ -354,13 +360,14 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
 
     def lagrangian(v):  # F = L - lam . g, the multipliers a last argument block
         args = v[:size]
-        return sum((-v[size + j] * gj(args) for j, gj in enumerate(problem.g)), problem.L(args))
+        return sum((-v[size + j] * calculus.jet_call(gj, args) for j, gj in enumerate(problem.g)),
+                   calculus.jet_call(problem.L, args))
 
-    def at(trajs, lam, ts, regime):
-        record = PathRecord(problem.L, problem, trajs[0], ts, regime, momenta=(), along_order=m)
-        return functools.cache(lambda order: [
-            a and ArgVector(a.values + list(lam), ArgLayout(a.layout.blocks + (k,)))
-            for a in record.argument_jets(order)])
+    def at(trajs, lam, ts, regime, order):
+        record = PathRecord(problem.L, problem, trajs[0], ts, regime, momenta=(),
+                            along_order=order)
+        return [a and ArgVector(a.values + list(lam), ArgLayout(a.layout.blocks + (k,)))
+                for a in record.argument_jets(order)]
 
     record = _Collocation(
         edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)],
@@ -434,10 +441,9 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
         res = pmp_residuals(cp, triple(trajs), lam, colloc_ts)
         return np.concatenate([res.state.ravel(), res.costate.ravel(), res.stationarity.ravel()])
 
-    def at(trajs, lam, ts, regime):  # order 0: the rows take no time derivatives
-        args = (control_args_at(cp, triple(trajs), lam, ts), control_args_at(
+    def at(trajs, lam, ts, regime, order):  # order 0: the rows take no time derivatives
+        return (control_args_at(cp, triple(trajs), lam, ts), control_args_at(
             cp, triple(trajs), lam, ts + tau) if regime is Regime.FIRST else None)
-        return lambda order: args
 
     return _Collocation(
         edges, [_Block(n, degree + 1, 1, tuple(q_hist)), _Block(n, degree + 1),

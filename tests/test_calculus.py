@@ -206,9 +206,9 @@ def test_default_step_scales_with_order():
     assert default_step(2.0, 2) == pytest.approx(2e-3)
 
 
-def test_second_partials_along_a_path():
+def test_hessian_along_a_path():
     # f = q^2 qd + t q along q = t^2: d_q d_q f = 2 qd = 4t, d_q d_qd f = 2 q = 2t^2,
-    # d_qd d_qd f = 0 and d_t d_q f = 1
+    # d_qd d_qd f = 0 and d_t d_q f = 1; every other slot pair is zero
     ts = np.array([0.2, 0.7])
     t = jet.variable(ts, 2)
     args = ArgVector([t, t * t, 2.0 * t, 0.0 * t, 0.0 * t], ArgLayout.variational(1, 1))
@@ -217,12 +217,25 @@ def test_second_partials_along_a_path():
         return v[1] * v[1] * v[2] + v[0] * v[1]
 
     zero, one = 0 * ts, 1 + 0 * ts  # Taylor coefficients: d^r/dt^r over r!
-    for k, b, expected in ((2, 2, [4 * ts, 4 * one, zero]), (2, 3, [2 * ts ** 2, 4 * ts, 2 * one]),
-                           (3, 2, [2 * ts ** 2, 4 * ts, 2 * one]), (3, 3, [zero] * 3),
-                           (1, 2, [one, zero, zero])):
-        got = calculus.second_partials(f, k, b, args, 2)
-        assert got.shape == (3, 1, 1, 2)
-        assert np.allclose(got[:, 0, 0], expected, rtol=0, atol=1e-14), (k, b)
+    expected = np.zeros((3, 5, 5, 2))
+    for k, b, coeffs in ((2, 2, [4 * ts, 4 * one, zero]), (2, 3, [2 * ts ** 2, 4 * ts, 2 * one]),
+                         (1, 2, [one, zero, zero])):
+        expected[:, k - 1, b - 1] = expected[:, b - 1, k - 1] = coeffs
+    got = calculus.hessian(f, args, 2)
+    assert got.shape == (3, 5, 5, 2)
+    assert np.allclose(got, expected, rtol=0, atol=1e-14)
+    assert np.max(np.abs(got - np.swapaxes(got, 1, 2))) <= 1e-14  # d_b d_k f = d_k d_b f
+
+
+def test_hessian_of_scalar_slots_and_untouched_maps():
+    args = ArgVector([0.5, 0.3, -2.0, 0.0, 0.0], ArgLayout.variational(1, 1))
+    got = calculus.hessian(lambda v: v[1] * v[2] + v[0], args)
+    assert got.shape == (1, 5, 5)
+    assert got[0, 1, 2] == got[0, 2, 1] == 1.0 and np.count_nonzero(got) == 2
+    assert np.array_equal(calculus.hessian(lambda v: 3.0, args, 1), np.zeros((2, 5, 5)))
+    assert np.array_equal(calculus.hessian(lambda v: 2.0 * v[1], args), np.zeros((1, 5, 5)))
+    with pytest.raises(NotJetCapable, match="array of jets"):
+        calculus.hessian(lambda v: np.array([v[1], v[2]]) ** 2, args)
 
 
 class TestFallbackLogging:

@@ -72,7 +72,7 @@ class TestSolveEl:
         """A constraint that rejects jets raises NotJetCapable, with no
         finite-difference rows; its numpy twin solves to the exact answer."""
         g = Integrand(lambda v: np.asarray(v[1], dtype=float), name="q as array")
-        with pytest.raises(NotJetCapable) as info:
+        with pytest.raises(NotJetCapable, match="q as array") as info:
             solve_el(dataclasses.replace(classical_problem, g=(g,)),
                      scheme=CollocationScheme(nodes=64))
         assert isinstance(info.value.__cause__, TypeError)
@@ -190,6 +190,19 @@ class TestSolvePmp:
         ts = np.linspace(0.0, 1.0, 21)
         assert np.max(np.abs(triple.u.eval(ts, 0)[:, 0] - 1.0)) <= 1e-8
         assert np.max(np.abs(triple.p.eval(ts, 0))) <= 1e-8
+
+    def test_dynamics_rejecting_jets(self):
+        """A phi that rejects jets raises NotJetCapable naming that phi, not
+        the Hamiltonian wrapping it; its numpy twin solves."""
+        phi = Integrand(lambda v: np.asarray(v[3] + v[2], dtype=float), name="q_tau + u as array")
+        with pytest.raises(NotJetCapable, match="q_tau \\+ u as array") as info:
+            solve_pmp(dataclasses.replace(_lq(terminal=[1.0]), phi=(phi,)),
+                      scheme=CollocationScheme(nodes=16))
+        assert isinstance(info.value.__cause__, TypeError)
+        twin = Integrand(lambda v: np.add(v[3], v[2]), name="q_tau + u by a ufunc")
+        _, _, report = solve_pmp(dataclasses.replace(_lq(terminal=[1.0]), phi=(twin,)),
+                                 scheme=CollocationScheme(nodes=16))
+        assert report.converged
 
     def test_zero_iterations(self):
         triple, lam, report = solve_pmp(_lq(terminal=[1.0]),
@@ -343,13 +356,19 @@ class TestStructuredJacobian:
         # the reference is a dense central difference, exact to roundoff on
         # these records, so the exact rows meet it without forward-difference
         # roundoff
+        # F's Hessian comes from one nested evaluation per argument vector:
+        # the current ones on both regimes and the advanced one on the first
         record, x0 = _RECORDS[name]()
         rng = np.random.default_rng(7)
         nl, top = record.nl, record.nl + len(record.c)
+        F, calls = record.F, []
+        record.F = lambda v: calls.append(1) or F(v)
         for x in (record.project(x0), record.project(x0 + 1e-2 * rng.standard_normal(len(x0)))):
             r = record.residual(x)
             central = _dense_central_jacobian(record, x)
+            calls.clear()
             structured = record.jacobian(x, r)
+            assert len(calls) <= 3
             for rows in (slice(0, nl), slice(top, None)):
                 scale = max(1.0, float(np.max(np.abs(central[rows]), initial=0.0)))
                 assert (np.max(np.abs(structured[rows] - central[rows]), initial=0.0)
