@@ -180,17 +180,19 @@ def _seeded(f, values, seeds):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def integrate(fn: Callable, a: float, b: float, breaks=()):
+def integrate(fn: Callable, a: float, b: float, breaks=(), vectorized: bool = False):
     """Composite 8-node Gauss-Legendre over panels split at ``breaks``.
 
     Panels never straddle a break and are at most (b - a)/64 wide; exact to
     roundoff for piecewise polynomials of degree <= 15.  A float, or an array
-    of shape (k,) when fn returns shape (npts, k).
+    of shape (k,) when fn returns shape (npts, k).  fn is sampled as
+    :func:`sample` does, or, when ``vectorized``, called once on every node,
+    so that its failure propagates at once.
     """
     if b <= a:
         return 0.0
     nodes, weights = panel_rule(a, b, breaks)
-    out = weights @ sample(fn, nodes)
+    out = weights @ (np.asarray(fn(nodes), dtype=float) if vectorized else sample(fn, nodes))
     return float(out) if out.ndim == 0 else out
 
 

@@ -162,7 +162,8 @@ def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: T
                 total[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
         return total
 
-    return calculus.integrate(functools.partial(per_regime, problem, integrand), a, b, breaks)
+    return calculus.integrate(functools.partial(per_regime, problem, integrand), a, b, breaks,
+                              vectorized=True)
 
 
 def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup,
@@ -179,7 +180,7 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
 
     breaks = smooth_breaks(problem, traj)
     return tuple(calculus.integrate(functools.partial(integrand, regime=regime),
-                                    *regime_interval(problem, regime), breaks)
+                                    *regime_interval(problem, regime), breaks, vectorized=True)
                  for regime in (Regime.FIRST, Regime.SECOND))
 
 

@@ -298,7 +298,8 @@ def integrals(problem: IsoperimetricProblem, traj: Trajectory, integrands) -> np
         return np.column_stack([np.broadcast_to(np.asarray(f(values), dtype=float), ts.shape)
                                 for f in integrands])
 
-    return calculus.integrate(fn, problem.t1, problem.t2, _quadrature_breaks(problem, traj))
+    return calculus.integrate(fn, problem.t1, problem.t2, _quadrature_breaks(problem, traj),
+                              vectorized=True)
 
 
 def functional_value(problem: IsoperimetricProblem, traj: Trajectory) -> float:

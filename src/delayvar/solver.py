@@ -14,11 +14,11 @@ argument vector on Taylor jets in t under two levels of vector-mode seeds
 isoperimetric rows from the partials of g at the quadrature nodes; an
 integrand or constraint that rejects jets raises NotJetCapable naming it.
 NonConvergence is a returned state (report.converged = False); a numerically
-singular Jacobian raises.  The one factorization per Newton iteration is a
-solve on [-r | I]: the step, and J^-1 for the certificate
-kappa_F = ||J||_F ||J^-1||_F >= kappa_2 (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 15); the exact kappa_2, an SVD, runs only when
-kappa_F exceeds the 1e12 gate.
+singular Jacobian raises.  Each Newton iteration is one single-column solve
+for the step and one Cholesky factorization of J^T J less a shift, whose
+success certifies kappa_2 <= 1e12 without J^-1 (Rump, *BIT* 46 (2006);
+Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.5); the
+exact kappa_2, an SVD, runs only when that certificate fails.
 """
 
 from __future__ import annotations
@@ -158,7 +158,9 @@ class _Collocation:
         mid computed as PolySegment does; shape t.shape + (width,)."""
         dt = np.asarray(t - 0.5 * (self.edges[s] + self.edges[s + 1]))[..., None]
         j = np.arange(self.blocks[b].width)
-        return np.array([math.perm(i, order) for i in j]) * dt ** np.maximum(j - order, 0)
+        # dt^max(j - order, 0) as a running product: 1 up to j = order, then dt, dt^2, ...
+        powers = np.cumprod(np.where(j > order, dt, 1.0), axis=-1)
+        return np.array([math.perm(i, order) for i in j]) * powers
 
     def _scatter(self, out: np.ndarray, rows: np.ndarray, b: int, ts: np.ndarray, order: int,
                  values: np.ndarray, left=False) -> None:
@@ -174,6 +176,16 @@ class _Collocation:
                 + blk.width * np.arange(blk.ncomp)[:, None, None] + np.arange(blk.width))
         np.add.at(out, (rows[:, None, on_mesh, None], cols[None]),
                   values[..., on_mesh, None] * self._basis(b, seg, ts[on_mesh], order))
+
+    def interpolate(self, guesses, lam) -> np.ndarray:
+        """Unknowns from a start: each block's guess(t) interpolated on the mesh
+        segments of each regime in turn, then the multipliers lam."""
+        mid = (len(self.edges) - 1) // 2  # the second regime starts at edges[mid], t2 - tau
+        return np.concatenate(
+            [seg.coeffs.ravel() for guess, blk in zip(guesses, self.blocks)
+             for a, b in ((self.edges[0], self.edges[mid]), (self.edges[mid], self.edges[-1]))
+             for seg in segments_from_callable(guess, a, b, mid, blk.width - 1)]
+            + [np.atleast_1d(np.asarray(lam, dtype=float))])
 
     def build(self, x: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
         trajs = []
@@ -295,25 +307,69 @@ class _Collocation:
         return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, reason, jac)
 
 
+_U = np.finfo(float).eps / 2  # unit roundoff
+_ETA = float(np.finfo(float).smallest_subnormal)
+_OUT = 1.0 + 2.0 ** -40  # above the rounding of the few scalar operations in a bound
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
 def _newton_step(jac: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
-    """The Newton step -J^-1 r and a condition bound that passed the 1e12 gate,
-    from one ``np.linalg.solve`` on [-r | I]: kappa_F = ||J||_F ||J^-1||_F, or
-    the exact kappa_2 when kappa_F exceeds 1e12 or is not finite.  Raises
-    SingularJacobian when the bound fails or J is exactly singular."""
+    """The Newton step -J^-1 r from one single-column ``np.linalg.solve``, and a
+    bound on kappa_2(J) that passed the 1e12 gate: the one a Cholesky
+    factorization of J^T J - s I certifies (Rump, "Verification of positive
+    definiteness", *BIT* 46 (2006) 433-452), or the exact kappa_2 (an SVD) when
+    that factorization fails or its bound exceeds 1e12 or is not finite.
+    Raises SingularJacobian when the exact kappa_2 exceeds 1e12 too, or the
+    solve meets an exactly zero pivot.
+
+    The certificate, u the unit roundoff and gamma_k = k u / (1 - k u).  Let
+    G = fl(J^T J), T an upper bound on ||J||_F^2 (and on trace G and on
+    trace H below), H = fl(G - s I) and R^T R the Cholesky factorization of H,
+    if it runs to completion.  Then lambda_min(J^T J) >= s - E, E the sum of
+      forming G:     ||G - J^T J||_2 <= gamma_n || |J|^T |J| ||_2 <= gamma_n T;
+      the diagonal:  ||H - (G - s I)||_2 = max_i |fl(G_ii - s) - (G_ii - s)|
+                     <= u max_i G_ii <= u T, as every H_ii > 0;
+      Cholesky:      ||R^T R - H||_2 <= gamma_(n+1) ||R||_F^2
+                     <= gamma_(n+1) / (1 - gamma_(n+1)) trace(H),
+    the last from |R^T R - H| <= gamma_(n+1) |R^T| |R| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, Thm 10.5) and ||R||_F^2 = trace(R^T R),
+    taken twice to cover LAPACK's blocked potrf.  As R^T R is semidefinite,
+    lambda_min(H) >= -||R^T R - H||_2, and Weyl's inequality carries that
+    through the diagonal and G to J^T J.  So sigma_min^2 >= s - E and
+    kappa_2 <= ||J||_F / sigma_min <= sqrt(T / (s - E)).
+
+    Every quantity is inflated the way that loosens the bound: T is
+    fl(trace G) times 1 + 3 gamma_(n+1), above 1 / (1 - gamma_n)^2, and E
+    the terms above; for gradual underflow (eta the least subnormal) T adds
+    n^2 eta and E adds 8 (n + 2)^2 (1 + T) eta; T, E and the bound are then
+    raised by 1 + 2^-40.  The shift s = 2 E depends on n, u and T alone, so
+    the certified floor s - E is s / 2 and the bound is about
+    1 / sqrt(3 gamma_n): kappa_2 <= 3e6 at n = 352.  A Jacobian nearer
+    singular than that cannot pass the factorization and takes the SVD.
+    """
     n = len(r)
-    rhs = np.zeros((n, n + 1))
-    rhs[:, 0] = -r
-    rhs.reshape(-1)[1::n + 2] = 1.0  # the identity in columns 1..n
     try:
-        sol = np.linalg.solve(jac, rhs)
+        step = np.linalg.solve(jac, -r)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"collocation Jacobian is singular ({exc})", math.inf) from exc
-    step, inverse = sol[:, 0].copy(), sol[:, 1:]
-    bound = math.sqrt(np.einsum("ij,ij->", jac, jac)) * math.sqrt(
-        np.einsum("ij,ij->", inverse, inverse))
-    if not math.isfinite(bound) or bound > 1e12:
+    gram = jac.T @ jac
+    norm2 = (float(np.trace(gram)) * (1.0 + 3.0 * _gamma(n + 1)) + n * n * _ETA) * _OUT
+    error = ((_gamma(n) + _U + 2.0 * _gamma(n + 1) / (1.0 - _gamma(n + 1))) * norm2
+             + 8.0 * (n + 2) ** 2 * (1.0 + norm2) * _ETA) * _OUT
+    shift, bound = 2.0 * error, math.inf
+    if math.isfinite(shift):
+        gram.flat[::n + 1] -= shift
+        try:
+            np.linalg.cholesky(gram)
+            bound = math.sqrt(norm2 / (shift - error)) * _OUT
+        except np.linalg.LinAlgError:
+            pass
+    if not bound <= 1e12:
         bound = float(np.linalg.cond(jac))
-        if not math.isfinite(bound) or bound > 1e12:
+        if not bound <= 1e12:
             raise SingularJacobian(f"collocation Jacobian condition {bound:.3e}", bound)
     return step, bound
 
@@ -387,24 +443,28 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
         def guess(t):
             return q_left + slope * (t - t1)
 
-    x0 = np.concatenate([seg.coeffs.ravel() for a, b in ((t1, t2 - tau), (t2 - tau, t2))
-                         for seg in segments_from_callable(guess, a, b, per_regime, degree)]
-                        + [np.atleast_1d(np.asarray(lam0, dtype=float))])
-    return record, x0
+    return record, record.interpolate([guess], lam0)
 
 
 # ---------------------------------------------------------------------------
 # delayed Pontryagin system
 
 
-def solve_pmp(cp: ControlProblem, scheme: CollocationScheme | None = None):
+def solve_pmp(cp: ControlProblem, initial=None, scheme: CollocationScheme | None = None):
     """Solve the delayed Hamiltonian system q-p-u (+ multipliers) by
     collocation.  Terminal policy: fixed q(t2) when the problem supplies one,
-    otherwise p(t2) = 0.  Returns (PontryaginTriple, lambda, report).
+    otherwise p(t2) = 0.  ``initial``: a (PontryaginTriple, lambda) guess,
+    interpolated segment-wise, else zero; either start is projected onto the
+    linear rows.  Returns (PontryaginTriple, lambda, report).
     """
     scheme = scheme or CollocationScheme()
     record = _pmp_collocation(cp, scheme)
-    (q, p, u), lam, report = record.solve(np.zeros(record.ncoef + cp.k), scheme)
+    if initial is None:
+        x0 = np.zeros(record.ncoef + cp.k)
+    else:
+        guess, lam0 = initial
+        x0 = record.interpolate([guess.q.eval, guess.p.eval, guess.u.eval], lam0)
+    (q, p, u), lam, report = record.solve(x0, scheme)
     return PontryaginTriple(q=q, u=u, p=p), lam, report
 
 

@@ -169,6 +169,18 @@ class TestIntegrate:
 
         assert integrate(fn, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_vectorized_integrand_is_called_once(self):
+        # its failure propagates at once, with no per-point retry
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.zeros((3, 2)) + t  # does not broadcast over the nodes
+
+        with pytest.raises(ValueError):
+            integrate(fn, 0.0, 1.0, vectorized=True)
+        assert len(calls) == 1
+        assert integrate(np.cos, 0.0, 1.0, vectorized=True) == integrate(np.cos, 0.0, 1.0)
 
     def test_cached_panel_rule_is_read_only_and_stable(self):
         seen = []

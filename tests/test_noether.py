@@ -268,6 +268,22 @@ class TestArrayGenerators:
         with pytest.raises(NotJetCapable, match="scalar_xi"):
             invariance_defect(classical_setup, scalar, classical_traj)
 
+    @pytest.mark.parametrize("defect", [invariance_defect, necessary_condition_defect])
+    def test_generator_that_does_not_broadcast_is_called_once(self, classical_setup,
+                                                              classical_traj, defect):
+        """xi of three components with n = 1: the one integrand evaluation on
+        every quadrature node fails, and no per-point retry calls xi again."""
+        calls = []
+
+        def xi(t, q):
+            calls.append(t)
+            return np.zeros(3)
+
+        with pytest.raises(ValueError):
+            defect(classical_setup, TransformationGroup(eta=lambda t, q: 0.0, xi=xi),
+                   classical_traj)
+        assert len(calls) == 1
+
     def test_constant_vector_xi_on_two_points(self):
         setup, _, traj = _rotation_case()
         group = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.array([1.0, 2.0]))

@@ -204,6 +204,31 @@ class TestSolvePmp:
                                  scheme=CollocationScheme(nodes=16))
         assert report.converged
 
+    def test_start_at_solution_converges_immediately(self):
+        scheme = CollocationScheme(nodes=48)
+        triple, lam, _ = solve_pmp(_lq(terminal=[1.0]), scheme=scheme)
+        again, _, report = solve_pmp(_lq(terminal=[1.0]), initial=(triple, lam), scheme=scheme)
+        assert report.converged and report.iterations == 0
+        ts = np.linspace(0.0, 1.0, 41)
+        for name in ("q", "p", "u"):
+            assert np.max(np.abs(getattr(again, name).eval(ts, 0)
+                                 - getattr(triple, name).eval(ts, 0))) <= 1e-12, name
+
+    def test_perturbed_start_converges_to_the_same_multiplier(self):
+        cp, scheme = _constrained_control(), CollocationScheme(nodes=16)
+        triple, lam, _ = solve_pmp(cp, scheme=scheme)
+
+        def scaled(traj, factor):
+            # the history scaled too leaves a jump at t1: the start need not be smooth
+            return Trajectory(traj.n, traj.m, [PolySegment(seg.a, seg.b, factor * seg.coeffs)
+                                               for seg in traj.segments], validate=False)
+
+        start = (dataclasses.replace(triple, u=scaled(triple.u, 1.3), p=scaled(triple.p, 0.7)),
+                 lam + 0.5)
+        _, again, report = solve_pmp(cp, initial=start, scheme=scheme)
+        assert report.converged and report.iterations >= 1
+        assert abs(again[0] - lam[0]) <= 1e-12
+
     def test_zero_iterations(self):
         triple, lam, report = solve_pmp(_lq(terminal=[1.0]),
                                         scheme=CollocationScheme(nodes=16, max_iterations=0))
@@ -374,6 +399,25 @@ class TestStructuredJacobian:
                 assert (np.max(np.abs(structured[rows] - central[rows]), initial=0.0)
                         <= 1e-12 * scale)
             assert np.array_equal(structured[nl:top], record.A)
+
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_basis_recurrence_matches_powers(self, monkeypatch, name):
+        # the basis takes dt^j by a running product: every entry of A and of
+        # the Jacobian is within 1e-15 of its row's scale from the one with dt ** j
+        def powers(self, b, s, t, order):
+            dt = np.asarray(t - 0.5 * (self.edges[s] + self.edges[s + 1]))[..., None]
+            j = np.arange(self.blocks[b].width)
+            return np.array([math.perm(i, order) for i in j]) * dt ** np.maximum(j - order, 0)
+
+        record, x0 = _RECORDS[name]()
+        x = record.project(x0 + 1e-2 * np.random.default_rng(11).standard_normal(len(x0)))
+        jac = record.jacobian(x, record.residual(x))
+        monkeypatch.setattr(solver._Collocation, "_basis", powers)
+        reference, _ = _RECORDS[name]()
+        expected = reference.jacobian(x, reference.residual(x))
+        for got, want in ((record.A, reference.A), (jac, expected)):
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("name", sorted(_RECORDS))
     def test_projector_is_the_min_norm_correction(self, name):
@@ -576,9 +620,9 @@ def _benchmark_solve(case, classical_problem):
 
 
 class TestLinearAlgebraCalls:
-    # one np.linalg.solve per Newton iteration is the only factorization: no
-    # condition SVD, and the projector's reduced QR only when a start violates
-    # the linear rows
+    # per Newton iteration one single-column np.linalg.solve and one Cholesky
+    # certificate of the condition: no condition SVD, and the projector's
+    # reduced QR only when a start violates the linear rows
     @pytest.mark.parametrize("case, most", [("classical-64", 0), ("cubic-m2", 1),
                                             ("lq-48", 1)])
     def test_projector_only_when_a_start_needs_it(self, monkeypatch, classical_problem, case,
@@ -590,6 +634,36 @@ class TestLinearAlgebraCalls:
         assert calls["cond"] == calls["pinv"] == 0
         assert calls["solve"] == report.iterations
         assert calls["qr"] <= most
+
+    @pytest.mark.parametrize("case", ["classical-64", "cubic-m2", "lq-48"])
+    def test_one_column_solve_and_one_cholesky_per_iteration(self, monkeypatch,
+                                                             classical_problem, case):
+        solve = _benchmark_solve(case, classical_problem)
+        calls = _count_linalg(monkeypatch, "cond", "cholesky")
+        shapes, original = [], np.linalg.solve
+
+        def recorded(a, b):
+            shapes.append((np.shape(a), np.shape(b)))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        _, _, report = solve()
+        assert report.converged and report.iterations == 1
+        assert calls == {"cond": 0, "cholesky": report.iterations}
+        assert len(shapes) == report.iterations
+        assert all(b == a[:1] for a, b in shapes)  # the step's column, no identity
+
+
+def _with_condition(kind, n, kappa, rng):
+    """An n x n matrix of condition about kappa: singular values log-spaced
+    between orthogonal factors, rows graded over kappa, or diag(1 .. 1, 1/kappa)."""
+    if kind == "random":
+        left, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (left * np.logspace(0.0, -np.log10(kappa), n)) @ right.T
+    if kind == "row-graded":
+        return np.logspace(0.0, -np.log10(kappa), n)[:, None] * rng.standard_normal((n, n))
+    return np.diag(np.r_[np.ones(n - 1), 1.0 / kappa])
 
 
 class TestNewtonStep:
@@ -631,6 +705,29 @@ class TestNewtonStep:
             self._step(monkeypatch, jac)
         assert info.value.condition == math.inf
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("n", [5, 30, 100, 352])
+    @pytest.mark.parametrize("kind", ["random", "row-graded", "diagonal"])
+    def test_certified_bound_is_above_the_exact_condition(self, monkeypatch, kind, n):
+        # a bound returned without the SVD is a bound on kappa_2, for every
+        # condition from 1 to 1e14; the well-conditioned ones take no SVD
+        from delayvar.errors import SingularJacobian
+
+        rng = np.random.default_rng(n)
+        exact = np.linalg.cond
+        calls = _count_linalg(monkeypatch, "cond")
+        certified, kappas = [], 10.0 ** np.arange(0.0, 14.5, 0.5)
+        for kappa in kappas:
+            jac = _with_condition(kind, n, kappa, rng)
+            before = calls["cond"]
+            try:
+                _, bound = solver._newton_step(jac, np.ones(n))
+            except SingularJacobian:
+                continue
+            if calls["cond"] == before:
+                certified.append(kappa)
+                assert bound >= exact(jac), (kind, n, kappa)
+        assert certified[:2] == list(kappas[:2])
 
 
 class TestVerify:
