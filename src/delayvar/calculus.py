@@ -6,9 +6,10 @@ a path (:func:`path_derivatives`: one call of a map on the time jet gives
 d^0 .. d^K/dt^K exactly) and the s = 0 parameter derivative, all from
 Taylor jets (:mod:`delayvar.jet`), the only way a user callable is
 differentiated: one that rejects jets raises NotJetCapable (:func:`jet_call`).
-Also composite Gauss-Legendre quadrature, and the 5-point stencils
-(:class:`Stencil`, steps from :func:`default_step`) that no differentiation
-uses: they are the independent finite-difference reference for the tests.
+Also composite Gauss-Legendre quadrature, its integrand called once on the
+array of every node, and the 5-point stencils (:class:`Stencil`, steps from
+:func:`default_step`) that no differentiation uses: they are the independent
+finite-difference reference for the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import jet
 from .errors import BlockOutOfRange, NotJetCapable, StencilCrossesBreakpoint
 
 __all__ = ["default_step", "Stencil", "total_derivative_many", "jet_call", "path_derivatives",
-           "partial", "hessian", "sample", "panel_rule", "integrate",
+           "partial", "hessian", "panel_rule", "integrate",
            "derivative_in_parameter", "fd_weights"]
 
 _WIDTH = 5
@@ -92,7 +93,7 @@ class Stencil:
 
 
 def total_derivative_many(fn, ts, order: int, los, his, h: float) -> np.ndarray:
-    """order-th time derivative of ``fn`` at each of ``ts`` (vectorized).
+    """order-th time derivative of ``fn`` at each of ``ts``, in one call of fn.
 
     ``fn`` must accept a flat time array and return shape (npts, ...).  Bounds
     ``los``/``his`` give, per point, the interval the stencil may occupy.
@@ -180,19 +181,18 @@ def _seeded(f, values, seeds):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def integrate(fn: Callable, a: float, b: float, breaks=(), vectorized: bool = False):
+def integrate(fn: Callable, a: float, b: float, breaks=()):
     """Composite 8-node Gauss-Legendre over panels split at ``breaks``.
 
     Panels never straddle a break and are at most (b - a)/64 wide; exact to
-    roundoff for piecewise polynomials of degree <= 15.  A float, or an array
-    of shape (k,) when fn returns shape (npts, k).  fn is sampled as
-    :func:`sample` does, or, when ``vectorized``, called once on every node,
-    so that its failure propagates at once.
+    roundoff for piecewise polynomials of degree <= 15.  fn is called once,
+    on the array of every node, and returns shape (npts,) or (npts, k); the
+    result is a float or an array of shape (k,).
     """
     if b <= a:
         return 0.0
     nodes, weights = panel_rule(a, b, breaks)
-    out = weights @ (np.asarray(fn(nodes), dtype=float) if vectorized else sample(fn, nodes))
+    out = weights @ np.asarray(fn(nodes), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -219,18 +219,6 @@ def _panel_rule(pts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     for arr in rule:
         arr.flags.writeable = False
     return rule
-
-
-def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """fn on a time array in one call (shape (npts,) or (npts, k)); per point if
-    it rejects arrays or does not keep the points' axis."""
-    try:
-        vals = np.array(fn(ts), dtype=float)
-        if vals.shape[:1] == ts.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(t)) for t in ts])
 
 
 def derivative_in_parameter(fn: Callable) -> float:

@@ -25,8 +25,8 @@ class StencilCrossesBreakpoint(DelayVarError):
 
 class NotJetCapable(DelayVarError):
     """A user callable rejected the Taylor jets it is differentiated on (its
-    TypeError is the ``__cause__``) or returned an array of jets; no TypeError
-    or ValueError, so no per-point adapter retries the call."""
+    TypeError is the ``__cause__``) or returned an array of jets.  It is not a
+    TypeError, so a wrapping call passes it on rather than renaming it."""
 
 
 class JOutOfRange(DelayVarError):
@@ -56,8 +56,9 @@ class NoConstraints(DelayVarError):
 class SingularJacobian(DelayVarError):
     """The collocation Jacobian is numerically singular: its 2-norm condition
     number exceeds 1e12, or LAPACK met an exactly zero pivot (condition inf).
-    The solver certifies kappa_2 <= kappa_F = ||J||_F ||J^-1||_F from its
-    solve and computes the exact kappa_2 only when kappa_F exceeds 1e12."""
+    The solver certifies kappa_2 <= 1e12 by a Cholesky factorization of
+    J^T J - s I, s a shift covering its rounding, and computes the exact
+    kappa_2 only when that factorization fails or its bound exceeds 1e12."""
 
     def __init__(self, message: str, condition: float | None = None):
         super().__init__(message)

@@ -281,7 +281,7 @@ class _PiecewiseCheb:
 
 
 def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime):
-    """The integral-form left-hand side as a vectorized callable on the regime.
+    """The integral-form left-hand side as a callable of the regime's time array.
 
     Nested integrals all start at t2 - tau.  The i = m term is the bare
     integrand with sign -1, the convention under which applying d^m/dt^m
@@ -359,10 +359,10 @@ def residual_grids(problem: IsoperimetricProblem, traj: Trajectory, count: int =
     }
 
 
-def classify(problem: IsoperimetricProblem, traj: Trajectory,
-             tol: float | None = None) -> Classification:
+def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
     """Abnormal iff the constraint integrands themselves satisfy the delayed
-    Euler-Lagrange equations along the trajectory."""
+    Euler-Lagrange equations along the trajectory: their residual sup is at
+    most 1e-6 (1 + sup)."""
     if problem.k == 0:
         raise NoConstraints("classification needs at least one constraint")
     grids = residual_grids(problem, traj, count=100)
@@ -371,9 +371,7 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory,
         for regime, grid in grids.items():
             res = PathRecord(gj, problem, traj, grid.times, regime, momenta=(0,)).psi[0]
             sup = max(sup, float(np.max(np.linalg.norm(res, axis=1))))
-    if tol is None:
-        tol = 1e-6 * (1.0 + sup)
-    return Classification.ABNORMAL if sup <= tol else Classification.NORMAL
+    return Classification.ABNORMAL if sup <= 1e-6 * (1.0 + sup) else Classification.NORMAL
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,7 @@ def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: T
                 total[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
         return total
 
-    return calculus.integrate(functools.partial(per_regime, problem, integrand), a, b, breaks,
-                              vectorized=True)
+    return calculus.integrate(functools.partial(per_regime, problem, integrand), a, b, breaks)
 
 
 def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup,
@@ -180,7 +179,7 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
 
     breaks = smooth_breaks(problem, traj)
     return tuple(calculus.integrate(functools.partial(integrand, regime=regime),
-                                    *regime_interval(problem, regime), breaks, vectorized=True)
+                                    *regime_interval(problem, regime), breaks)
                  for regime in (Regime.FIRST, Regime.SECOND))
 
 
@@ -203,19 +202,20 @@ class ConstancyReport:
         return max(self.deviations.values())
 
 
-def constancy_report(quantity, grids: dict[Regime, Grid],
-                     hypothesis_violated: bool = False) -> ConstancyReport:
-    """Sample a time -> real quantity per regime (one array call, else per
-    point) and report mean / max |C - mean|."""
+def constancy_report(quantity, grids: dict[Regime, Grid]) -> ConstancyReport:
+    """Mean and max |C - mean| per regime of a would-be constant C, called once
+    on each regime's time array (a scalar broadcasts); ``hypothesis_violated``
+    starts False for the caller to set."""
     if not grids:
         raise EmptyGrid("constancy report needs at least one regime grid")
     means, devs, values = {}, {}, {}
     for regime, grid in grids.items():
         if len(grid.times) == 0:
             raise EmptyGrid(f"no samples in regime {regime}")
-        samples = calculus.sample(quantity, grid.times)
+        samples = np.asarray(quantity(grid.times), dtype=float)
+        samples = np.array(np.broadcast_to(samples, grid.times.shape))  # writable, its own
         mean = float(np.mean(samples))
         means[regime] = mean
         devs[regime] = float(np.max(np.abs(samples - mean)))
         values[regime] = samples
-    return ConstancyReport(means, devs, values, dict(grids), hypothesis_violated)
+    return ConstancyReport(means, devs, values, dict(grids))

@@ -185,12 +185,11 @@ def reduce_to_control(problem: IsoperimetricProblem) -> ControlProblem:
     if problem.history is not None:
         hist_traj = Trajectory(n, 1, problem.stitched_history(), validate=False)
 
-        def history(t):
-            return np.concatenate([np.atleast_1d(hist_traj.eval(t, 0)),
-                                   np.atleast_1d(hist_traj.eval(t, 1))])
+        def history(t):  # (q, qdot) components first
+            return np.concatenate(hist_traj.eval(t, [0, 1]), axis=-1).T
 
         def control_history(t):
-            return np.atleast_1d(hist_traj.eval(t, 2))
+            return hist_traj.eval(t, 2).T
 
     terminal = None if problem.boundary is None else problem.boundary.reshape(-1)
     return ControlProblem(

@@ -119,6 +119,8 @@ class IsoperimetricProblem:
     L: Integrand
     g: tuple[Integrand, ...] = ()
     l: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # q on [t1 - tau, t1]: called once on a time array, its value read components
+    # first, (n, npts), as segments_from_callable reads it
     history: Callable | None = None
     boundary: np.ndarray | None = None  # rows i = 0..m-1: q^(i)(t2)
 
@@ -151,7 +153,7 @@ class IsoperimetricProblem:
         """History callable interpolated into polynomial segments on [t1-tau, t1]."""
         if self.history is None:
             raise ValueError("problem has no history function")
-        return segments_from_callable(self.history, self.t1 - self.tau, self.t1,
+        return segments_from_callable(self.history, self.n, self.t1 - self.tau, self.t1,
                                       panels=panels, degree=self.m + 2)
 
 
@@ -182,6 +184,8 @@ class ControlProblem:
     phi: tuple[Integrand, ...]
     g: tuple[Integrand, ...] = ()
     l: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # q and u on [t1 - tau, t1]: each called once on a time array, its value read
+    # components first, (n, npts) and (mc, npts), as segments_from_callable reads it
     history: Callable | None = None
     control_history: Callable | None = None
     terminal_state: np.ndarray | None = None  # fixed q(t2); None => p(t2) = 0
@@ -237,7 +241,7 @@ class TransformationGroup:
 def args_at(traj: Trajectory, t, tau: float, m: int) -> ArgVector:
     """[q]^m_tau(t): current and delayed derivative blocks along a trajectory.
 
-    Vectorized: t may be an array, in which case every slot holds an array.
+    t may be an array, in which case every slot holds an array.
     """
     t = np.asarray(t, dtype=float)
     return path_args(t, traj.eval(t, range(m + 1)), traj.eval(t - tau, range(m + 1)))
@@ -298,8 +302,7 @@ def integrals(problem: IsoperimetricProblem, traj: Trajectory, integrands) -> np
         return np.column_stack([np.broadcast_to(np.asarray(f(values), dtype=float), ts.shape)
                                 for f in integrands])
 
-    return calculus.integrate(fn, problem.t1, problem.t2, _quadrature_breaks(problem, traj),
-                              vectorized=True)
+    return calculus.integrate(fn, problem.t1, problem.t2, _quadrature_breaks(problem, traj))
 
 
 def functional_value(problem: IsoperimetricProblem, traj: Trajectory) -> float:
@@ -324,8 +327,9 @@ def _history_from_exprs(texts: Sequence[str]):
     asts = [expr.parse(s) for s in texts]
     binding = expr.TableBinding({"t": 0})
 
-    def history(t):
-        return np.array([expr.bind_eval(a, binding, [t]) for a in asts], dtype=float)
+    def history(t):  # components first; constants broadcast against the others
+        return np.array(np.broadcast_arrays(*[expr.bind_eval(a, binding, [t]) for a in asts]),
+                        dtype=float)
 
     return history
 

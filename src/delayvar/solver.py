@@ -178,13 +178,14 @@ class _Collocation:
                   values[..., on_mesh, None] * self._basis(b, seg, ts[on_mesh], order))
 
     def interpolate(self, guesses, lam) -> np.ndarray:
-        """Unknowns from a start: each block's guess(t) interpolated on the mesh
-        segments of each regime in turn, then the multipliers lam."""
+        """Unknowns from a start: each block's guess, a callable of the time
+        array read as :func:`segments_from_callable` does, interpolated on the
+        mesh segments of each regime in turn, then the multipliers lam."""
         mid = (len(self.edges) - 1) // 2  # the second regime starts at edges[mid], t2 - tau
         return np.concatenate(
             [seg.coeffs.ravel() for guess, blk in zip(guesses, self.blocks)
              for a, b in ((self.edges[0], self.edges[mid]), (self.edges[mid], self.edges[-1]))
-             for seg in segments_from_callable(guess, a, b, mid, blk.width - 1)]
+             for seg in segments_from_callable(guess, blk.ncomp, a, b, mid, blk.width - 1)]
             + [np.atleast_1d(np.asarray(lam, dtype=float))])
 
     def build(self, x: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
@@ -434,16 +435,11 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
         args=lambda trajs, ts: args_at(trajs[0], ts, tau, m), argmap=argmap)
 
     if initial is not None:
-        guess, lam0 = initial[0].eval, initial[1]
-    else:
-        q_left = np.atleast_1d(hist[-1].eval(t1, 0))
-        q_right = problem.boundary[0] if problem.boundary is not None else q_left
-        slope, lam0 = (q_right - q_left) / problem.span, np.zeros(k)
-
-        def guess(t):
-            return q_left + slope * (t - t1)
-
-    return record, record.interpolate([guess], lam0)
+        return record, record.interpolate([lambda t: initial[0].eval(t).T], initial[1])
+    q_left = hist[-1].eval(t1, 0)[:, None]
+    q_right = q_left if problem.boundary is None else problem.boundary[0][:, None]
+    slope = (q_right - q_left) / problem.span
+    return record, record.interpolate([lambda t: q_left + slope * (t - t1)], np.zeros(k))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +459,8 @@ def solve_pmp(cp: ControlProblem, initial=None, scheme: CollocationScheme | None
         x0 = np.zeros(record.ncoef + cp.k)
     else:
         guess, lam0 = initial
-        x0 = record.interpolate([guess.q.eval, guess.p.eval, guess.u.eval], lam0)
+        x0 = record.interpolate([lambda t, path=path: path.eval(t).T
+                                 for path in (guess.q, guess.p, guess.u)], lam0)
     (q, p, u), lam, report = record.solve(x0, scheme)
     return PontryaginTriple(q=q, u=u, p=p), lam, report
 
@@ -475,8 +472,8 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
     # first-order system: d Gauss points per degree-d segment
     per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, degree)
     q_hist = [PolySegment(t1 - tau, t1, np.zeros((n, 1)))] if cp.history is None else \
-        segments_from_callable(cp.history, t1 - tau, t1, panels=max(2, per_regime), degree=3)
-    u_hist = segments_from_callable(cp.control_history or (lambda t: np.zeros(mc)),
+        segments_from_callable(cp.history, n, t1 - tau, t1, panels=max(2, per_regime), degree=3)
+    u_hist = segments_from_callable(cp.control_history or (lambda t: 0.0), mc,
                                     t1 - tau, t1, panels=2, degree=2)
 
     Q, P, U = 0, 1, 2  # unknown blocks, in the order of the unknown vector
@@ -518,9 +515,10 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
 
 
 def verify(problem: IsoperimetricProblem, traj: Trajectory, lam,
-           tol: float = 1e-6, grid_count: int = 200) -> ResidualReport:
+           grid_count: int = 200) -> ResidualReport:
     """Sup-norms of every necessary-condition residual over regime-respecting
-    grids, with the hypothesis and abnormality flags.
+    grids, with the hypothesis flag (the cdur sup above 1e-6) and the
+    abnormality flag.
 
     The hypothesis flag never gates anything: quantities are evaluated and
     reported even when the advanced-term hypothesis fails.
@@ -543,6 +541,6 @@ def verify(problem: IsoperimetricProblem, traj: Trajectory, lam,
         dr_first=dr1, dr_second=dr2, dr_quantity_first=drq1, dr_quantity_second=drq2,
         functional=float(values[0]), cdur_times=np.concatenate([ts1, ts2]) - problem.tau,
         cdur=cdur, constraint_defect=values[1:] - problem.l,
-        hypothesis_violated=bool(np.max(np.abs(cdur)) > tol),
+        hypothesis_violated=bool(np.max(np.abs(cdur)) > 1e-6),
         abnormal=abnormal,
     )

@@ -204,11 +204,13 @@ class Trajectory:
         return cls(record["n"], record["m"], segments, record.get("nonsmooth_knots", ()))
 
 
-def segments_from_callable(fn, a: float, b: float, panels: int = 4, degree: int = 4):
-    """Interpolate a callable at the degree + 1 Chebyshev points of each of
-    ``panels`` equal panels of [a, b], calling it once per point with a scalar t
-    (it returns a scalar or an n-vector), so polynomials of degree <= ``degree``
-    are reproduced exactly: closed-form histories as a list of :class:`PolySegment`.
+def segments_from_callable(fn, n: int, a: float, b: float, panels: int = 4, degree: int = 4):
+    """Interpolate an n-component callable of time at the degree + 1 Chebyshev
+    points of each of ``panels`` equal panels of [a, b], so polynomials of
+    degree <= ``degree`` are reproduced exactly: closed-form histories as a list
+    of :class:`PolySegment`.  ``fn`` is called once, on the array of every node,
+    its value read components first, broadcast to (n, npts): a 1-D value of
+    length n is a constant vector, a points-first (npts, n) one a ValueError.
     All panels share one inverse Vandermonde matrix on the nodes in (-1, 1); a
     panel's coefficients in powers of (t - mid) are its row times half^-j.
     """
@@ -216,9 +218,16 @@ def segments_from_callable(fn, a: float, b: float, panels: int = 4, degree: int 
     mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     k = np.arange(degree + 1)
     nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))  # Chebyshev, in (-1, 1)
-    ts = mids[:, None] + halves[:, None] * nodes  # (panels, degree + 1)
-    ys = np.array([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in ts.ravel()])
-    coeffs = (np.linalg.inv(np.vander(nodes, increasing=True)) @ ys.reshape(panels, degree + 1, -1)
+    ts = (mids[:, None] + halves[:, None] * nodes).ravel()  # panel-major
+    ys = np.asarray(fn(ts), dtype=float)
+    if ys.shape == (n,):  # constant vector
+        ys = ys[:, None]
+    try:
+        ys = np.broadcast_to(ys, (n, len(ts))).T
+    except ValueError:
+        raise ValueError(f"{fn!r} returned shape {ys.shape} on {len(ts)} times; expected "
+                         f"components first, ({n}, {len(ts)})") from None
+    coeffs = (np.linalg.inv(np.vander(nodes, increasing=True)) @ ys.reshape(panels, degree + 1, n)
               / halves[:, None, None] ** k[:, None])  # (panels, degree + 1, n)
     return [PolySegment(lo, hi, c.T) for lo, hi, c in zip(edges[:-1], edges[1:], coeffs)]
 

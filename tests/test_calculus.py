@@ -159,17 +159,19 @@ class TestIntegrate:
         got = integrate(np.abs, -1.0, 1.0, breaks=[0.0])
         assert got == pytest.approx(1.0, abs=1e-12)
 
-    def test_scalar_fallback(self):
-        # non-vectorizable integrand goes through the scalar loop
+    def test_scalar_only_integrand_raises(self):
+        # a scalar-only integrand raises its own TypeError at its one call
+        calls = []
+
         def fn(t):
-            assert np.ndim(t) == 0 or np.ndim(t) > 0  # accepts either; force list failure
-            if np.ndim(t):
-                raise TypeError("scalar only")
-            return float(t)
+            calls.append(t)
+            return math.cos(t)
 
-        assert integrate(fn, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(TypeError):
+            integrate(fn, 0.0, 1.0)
+        assert len(calls) == 1 and np.shape(calls[0]) == (64 * 8,)
 
-    def test_vectorized_integrand_is_called_once(self):
+    def test_integrand_is_called_once(self):
         # its failure propagates at once, with no per-point retry
         calls = []
 
@@ -178,9 +180,12 @@ class TestIntegrate:
             return np.zeros((3, 2)) + t  # does not broadcast over the nodes
 
         with pytest.raises(ValueError):
-            integrate(fn, 0.0, 1.0, vectorized=True)
+            integrate(fn, 0.0, 1.0)
         assert len(calls) == 1
-        assert integrate(np.cos, 0.0, 1.0, vectorized=True) == integrate(np.cos, 0.0, 1.0)
+        calls.clear()
+        assert integrate(lambda t: calls.append(t) or np.cos(t), 0.0, 1.0) == pytest.approx(
+            math.sin(1.0), abs=1e-15)
+        assert len(calls) == 1
 
     def test_cached_panel_rule_is_read_only_and_stable(self):
         seen = []

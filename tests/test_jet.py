@@ -188,8 +188,8 @@ def test_array_of_jets_generator_gives_the_exact_lift():
 
 
 def test_math_generator_raises_after_one_call(classical_setup, classical_traj):
-    """No per-point retry through calculus.sample: the one generator call
-    that met a jet raises, naming the generator and chaining its TypeError."""
+    """No per-point retry: the one generator call that met a jet raises,
+    naming the generator and chaining its TypeError."""
     calls = []
 
     def cos_eta(t, q):

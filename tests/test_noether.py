@@ -245,9 +245,8 @@ class TestArrayGenerators:
 
     def test_scalar_only_generator_goes_through_the_adapter(self, classical_setup,
                                                             classical_traj):
-        """A scalar-only generator meets jets and raises NotJetCapable, which
-        calculus.sample's per-point adapter does not retry; its numpy twin
-        gives the defect."""
+        """A scalar-only generator meets jets and raises NotJetCapable at its
+        one call, with no per-point retry; its numpy twin gives the defect."""
         def scalar_eta(t, q):
             return math.cos(t)  # TypeError on arrays and jets
 
@@ -339,7 +338,20 @@ class TestConstancyReport:
         assert report.deviations[Regime.SECOND] == pytest.approx(0.3, abs=1e-12)
 
     def test_scalar_only_quantity(self):
+        # called once on the regime's time array, a scalar-only quantity raises
+        # its own TypeError there: no per-point retry
+        calls = []
+
+        def quantity(t):
+            calls.append(t)
+            return math.sin(t)
+
         grids = {Regime.SECOND: Grid(np.linspace(0.0, 1.0, 11))}
-        report = constancy_report(lambda t: math.sin(t), grids)
-        assert np.array_equal(report.values[Regime.SECOND],
-                              [math.sin(t) for t in grids[Regime.SECOND].times])
+        with pytest.raises(TypeError):
+            constancy_report(quantity, grids)
+        assert len(calls) == 1 and np.shape(calls[0]) == (11,)
+
+    def test_points_first_quantity_raises(self):
+        grids = {Regime.SECOND: Grid(np.linspace(0.0, 1.0, 11))}
+        with pytest.raises(ValueError):
+            constancy_report(lambda t: t[:, None], grids)

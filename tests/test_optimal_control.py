@@ -24,6 +24,7 @@ from delayvar.problem import (
     AugmentedSetup,
     ControlProblem,
     Integrand,
+    IsoperimetricProblem,
     TransformationGroup,
     args_at,
     augmented_integrand,
@@ -239,6 +240,21 @@ class TestReduceToControl:
         assert np.allclose(cp.history(-0.5), [-0.0625, 0.5])   # -t^4, -4t^3
         assert cp.control_history(-0.5)[0] == pytest.approx(-3.0, abs=1e-9)  # -12 t^2
 
+    def test_histories_match_q_and_its_derivatives(self):
+        # n = 2: the state history is (q0, q1, q0', q1'), components first, and
+        # the control history (q0'', q1''), on a whole time array
+        problem = IsoperimetricProblem(
+            m=2, n=2, tau=1.0, t1=0.0, t2=2.0, L=integrand_from_expr("d2q0^2 + d2q1^2", 2, 2),
+            history=lambda t: np.array([-t ** 4, 2.0 * t ** 3 - t]))
+        cp = reduce_to_control(problem)
+        ts = np.linspace(-1.0, 0.0, 23)
+        q = np.array([-ts ** 4, 2.0 * ts ** 3 - ts])
+        qd = np.array([-4.0 * ts ** 3, 6.0 * ts ** 2 - 1.0])
+        qdd = np.array([-12.0 * ts ** 2, 12.0 * ts])
+        assert cp.history(ts).shape == (4, 23) and cp.control_history(ts).shape == (2, 23)
+        assert np.max(np.abs(cp.history(ts) - np.vstack([q, qd]))) <= 1e-12
+        assert np.max(np.abs(cp.control_history(ts) - qdd)) <= 1e-12
+
     def test_wrong_order(self, classical_problem):
         with pytest.raises(WrongOrder):
             reduce_to_control(classical_problem)
@@ -287,7 +303,7 @@ class TestReduceToControl:
             n=1, mc=1, tau=0.5, t1=0.0, t2=1.0,
             L=Integrand(problem.L.fn, name="reindexed"),
             phi=(Integrand(lambda v: v[2], name="u"),),
-            history=lambda t: np.atleast_1d(traj.eval(t, 0)))
+            history=lambda t: traj.eval(t, 0).T)
         u_traj = Trajectory(1, 1, [PolySegment(-0.5, 1.0, (coeffs[:, 1:]
                                                            * np.arange(1, 4)))])
         for t in (0.1, 0.3, 0.45):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,12 @@ from delayvar.problem import (
     integrand_from_expr,
     problem_from_json,
 )
+from delayvar.solver import solve_el
 from delayvar.trajectory import PolySegment, Trajectory
 
 from conftest import EX1_I, EX1_J
+
+DATA = Path(__file__).parent / "problems"
 
 
 def test_layout_slots():
@@ -170,6 +175,18 @@ class TestProblemFiles:
         assert problem.boundary[0, 0] == 0.0
         args = [0.0, 0.0, 3.0, 0.0, 0.0]
         assert problem.L(args) == 9.0
+
+    def test_two_component_history_with_a_constant_component(self):
+        # history ["t * (1 - t)", "0"]: the constant component broadcasts
+        # against the other on a time array
+        problem = problem_from_json((DATA / "classical_two_component.json").read_text())
+        ts = np.linspace(-0.5, 0.0, 5)
+        assert np.array_equal(problem.history(ts), [ts * (1 - ts), np.zeros(5)])
+        traj, lam, report = solve_el(problem)
+        assert report.converged and abs(lam[0] - 4.0) <= 1e-12
+        ts = np.linspace(-0.5, 1.0, 61)
+        assert np.max(np.abs(traj.eval(ts)[:, 1])) <= 1e-15
+        assert np.max(np.abs(traj.eval(ts)[:, 0] - ts * (1 - ts))) <= 1e-12
 
     def test_m2_boundary_keys(self):
         text = """

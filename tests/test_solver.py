@@ -17,7 +17,7 @@ from delayvar.problem import (
     constraint_defect,
     integrand_from_expr,
 )
-from delayvar import solver
+from delayvar import problem as problem_module, solver
 from delayvar.errors import NotJetCapable
 from delayvar.solver import CollocationScheme, solve_el, solve_pmp, verify
 from delayvar.trajectory import PolySegment, Trajectory
@@ -213,6 +213,24 @@ class TestSolvePmp:
         for name in ("q", "p", "u"):
             assert np.max(np.abs(getattr(again, name).eval(ts, 0)
                                  - getattr(triple, name).eval(ts, 0))) <= 1e-12, name
+
+    def test_warm_start_calls_each_guess_once_per_regime(self, monkeypatch):
+        scheme = CollocationScheme(nodes=48)
+        triple, lam, _ = solve_pmp(_lq(terminal=[1.0]), scheme=scheme)
+        guesses, calls = {id(triple.q): "q", id(triple.p): "p", id(triple.u): "u"}, []
+        plain = Trajectory.eval
+
+        def counted(traj, t, order=0, left=False):
+            if id(traj) in guesses:
+                calls.append((guesses[id(traj)], np.shape(t)))
+            return plain(traj, t, order, left)
+
+        monkeypatch.setattr(Trajectory, "eval", counted)
+        _, _, report = solve_pmp(_lq(terminal=[1.0]), initial=(triple, lam), scheme=scheme)
+        assert report.converged and report.iterations == 0
+        # 16 segments per regime, 4 (q, p) or 3 (u) Chebyshev nodes each
+        assert calls == [(name, (16 * width,)) for name, width in
+                         (("q", 4), ("q", 4), ("p", 4), ("p", 4), ("u", 3), ("u", 3))]
 
     def test_perturbed_start_converges_to_the_same_multiplier(self):
         cp, scheme = _constrained_control(), CollocationScheme(nodes=16)
@@ -530,6 +548,24 @@ class TestEvaluationBudget:
         _, _, report = solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48))
         assert report.converged and report.iterations == 1
         assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("case, expected", [("classical-64", 3), ("cubic-m2", 3), ("lq-48", 2)])
+def test_histories_and_start_are_called_once_each(monkeypatch, classical_problem, case,
+                                                   expected):
+    # EL: the history, then the straight-line start once per regime; PMP: the
+    # state and the (default zero) control history, from a zero start
+    calls = []
+    plain = solver.segments_from_callable
+
+    def counted(fn, *args, **kwargs):
+        return plain(lambda t: calls.append(np.shape(t)) or fn(t), *args, **kwargs)
+
+    for module in (solver, problem_module):  # the starts, and stitched_history
+        monkeypatch.setattr(module, "segments_from_callable", counted)
+    _, _, report = _benchmark_solve(case, classical_problem)()
+    assert report.converged
+    assert len(calls) == expected and all(len(shape) == 1 for shape in calls)
 
 
 class TestReportedCondition:

@@ -55,7 +55,7 @@ def _mixed_degree_trajectory(m: int = 2) -> Trajectory:
     """History of degree m + 2 next to mesh segments of degree 2m + 2 (n = 2);
     the random mesh coefficients are not smooth, so validation is off."""
     rng = np.random.default_rng(3)
-    hist = segments_from_callable(lambda t: np.array([np.sin(t), t ** 3]), -0.5, 0.0,
+    hist = segments_from_callable(lambda t: np.array([np.sin(t), t ** 3]), 2, -0.5, 0.0,
                                   panels=2, degree=m + 2)
     edges = np.linspace(0.0, 1.0, 4)
     mesh = [PolySegment(a, b, rng.uniform(-2, 2, size=(2, 2 * m + 3)))
@@ -212,7 +212,7 @@ class TestJson:
 
 class TestHistoryStitching:
     def test_polynomial_history_is_exact(self):
-        segs = segments_from_callable(lambda t: np.array([t * (1 - t)]), -0.5, 0.0,
+        segs = segments_from_callable(lambda t: np.array([t * (1 - t)]), 1, -0.5, 0.0,
                                       panels=3, degree=3)
         traj = Trajectory(1, 1, segs, validate=False)
         ts = np.linspace(-0.5, 0.0, 17)
@@ -220,7 +220,7 @@ class TestHistoryStitching:
         assert np.allclose(traj.eval(ts, 1)[:, 0], 1 - 2 * ts, atol=1e-10)
 
     def test_transcendental_history_is_accurate(self):
-        segs = segments_from_callable(lambda t: np.array([np.sin(t)]), -1.0, 0.0,
+        segs = segments_from_callable(lambda t: np.array([np.sin(t)]), 1, -1.0, 0.0,
                                       panels=4, degree=6)
         traj = Trajectory(1, 1, segs, validate=False)
         ts = np.linspace(-1.0, 0.0, 23)
@@ -235,7 +235,7 @@ class TestHistoryStitching:
         def fn(t):
             return P.polyval(t, coeffs.T)
 
-        segs = segments_from_callable(fn, -0.5, 1.7, panels=22, degree=degree)
+        segs = segments_from_callable(fn, 2, -0.5, 1.7, panels=22, degree=degree)
         assert len(segs) == 22 and all(seg.coeffs.shape == (2, degree + 1) for seg in segs)
         traj = Trajectory(2, 1, segs, validate=False)
         ts = np.linspace(-0.5, 1.7, 301)
@@ -249,7 +249,7 @@ class TestHistoryStitching:
         # the reference: one least-squares fit of that degree per panel, at the
         # panel's Chebyshev points
         a, b, panels, degree = -1.0, 0.0, 5, 6
-        segs = segments_from_callable(np.sin, a, b, panels=panels, degree=degree)
+        segs = segments_from_callable(np.sin, 1, a, b, panels=panels, degree=degree)
         k = np.arange(degree + 1)
         nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))
         edges = np.linspace(a, b, panels + 1)
@@ -262,10 +262,56 @@ class TestHistoryStitching:
             assert np.max(np.abs(seg.eval(grid) - reference.eval(grid))) <= 1e-13 * scale
 
     def test_scalar_only_callable(self):
-        segs = segments_from_callable(math.sin, -1.0, 0.0, panels=4, degree=6)
-        traj = Trajectory(1, 1, segs, validate=False)
-        ts = np.linspace(-1.0, 0.0, 23)
-        assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - np.sin(ts))) < 1e-8
+        # called once on the node array, a scalar-only callable raises its own
+        # TypeError there: no per-point retry
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return math.sin(t)
+
+        with pytest.raises(TypeError):
+            segments_from_callable(fn, 1, -1.0, 0.0, panels=4, degree=6)
+        assert len(calls) == 1
+
+    def test_one_call_on_the_node_array(self):
+        calls = []
+
+        def fn(t):
+            calls.append(np.array(t))
+            return np.array([t * (1 - t), 2.0 * t])
+
+        segs = segments_from_callable(fn, 2, -0.5, 1.0, panels=3, degree=4)
+        assert len(calls) == 1 and calls[0].shape == (15,)
+        # the nodes: each panel's five Chebyshev points, panel by panel
+        edges = np.linspace(-0.5, 1.0, 4)
+        per_panel = calls[0].reshape(3, 5)
+        assert np.all((per_panel > edges[:-1, None]) & (per_panel < edges[1:, None]))
+        ts = np.linspace(-0.5, 1.0, 31)
+        traj = Trajectory(2, 1, segs, validate=False)
+        assert np.allclose(traj.eval(ts), np.column_stack([ts * (1 - ts), 2.0 * ts]),
+                           atol=1e-13)
+
+    @pytest.mark.parametrize("n, value, expected", [
+        (1, lambda t: t ** 2, lambda ts: ts[None] ** 2),          # (npts,) for n = 1
+        (2, lambda t: np.array([t, -t]), lambda ts: np.array([ts, -ts])),  # (n, npts)
+        (2, lambda t: np.array([1.5, -2.0]), lambda ts: np.array([[1.5], [-2.0]]) + 0 * ts),
+        (3, lambda t: 0.25, lambda ts: np.full((3, len(ts)), 0.25)),  # a scalar constant
+        (1, lambda t: np.array([3.0]), lambda ts: np.full((1, len(ts)), 3.0)),
+    ])
+    def test_value_shapes(self, n, value, expected):
+        segs = segments_from_callable(value, n, 0.0, 1.0, panels=2, degree=3)
+        assert all(seg.coeffs.shape == (n, 4) for seg in segs)
+        ts = np.linspace(0.0, 1.0, 17)
+        got = Trajectory(n, 1, segs, validate=False).eval(ts).T
+        assert np.allclose(got, expected(ts), atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_points_first_value_raises(self, n):
+        # (npts, n), (npts, 1) included, is not read as n components
+        with pytest.raises(ValueError, match="components first"):
+            segments_from_callable(lambda t: np.column_stack([t] * n), n, 0.0, 1.0,
+                                   panels=2, degree=3)
 
 
 class TestGrid:
