@@ -15,12 +15,11 @@ transformed action, taken in closed form from the block partials and the
 lifts, so no symbolic variation calculus is needed.  Group generators are
 extended by zero on [t1 - tau, t1).
 
-Each sweep calls eta(t, q) and xi(t, q) once, with t of shape (npts,) and q
-of shape (n, npts) (q[i] is component i), or with t the time jet and q the
-path's jet of that shape; eta broadcasts to (npts,), xi to (n, npts), a 1-D
-xi of length n being a constant vector.  numpy ufuncs and ``np.array`` carry
-jets (``xi = lambda t, q: np.array([q[1], -q[0]])``); a generator that
-rejects them (``math.cos``) raises NotJetCapable.
+Each sweep calls eta(t, q) and xi(t, q) once, under the contract of
+:class:`delayvar.problem.TransformationGroup`, with t the time jet and q the
+path's jet of shape (n, npts) (q[i] is component i).  numpy ufuncs and
+``np.array`` carry jets (``xi = lambda t, q: np.array([q[1], -q[0]])``); a
+generator that rejects them (``math.cos``) raises NotJetCapable.
 """
 
 from __future__ import annotations
@@ -41,21 +40,25 @@ __all__ = ["rho", "invariance_defect", "necessary_condition_defect", "noether_qu
            "noether_sweep", "ConstancyReport", "constancy_report"]
 
 
-def _on_points(generator, ts, qs, shape: tuple):
-    """generator(t, q) at the time jet ts and the path's jet qs, given as
-    (npts, n), in one call: a jet broadcast to ``shape`` ((npts,) or (n, npts))."""
-    out = jet.coefficients(calculus.jet_call(generator, ts, qs.T), ts.order)
+def _on_points(generator, shape: tuple, t, *blocks):
+    """generator(t, *blocks) in one call, the blocks (arrays, or with t the time jet the
+    path's jets) given points first: broadcast to ``shape``, a jet when t is one."""
+    args, is_jet = (t, *(b.T for b in blocks)), isinstance(t, jet.Jet)
+    order = t.order if is_jet else 0
+    out = jet.coefficients(calculus.jet_call(generator, *args) if is_jet else generator(*args),
+                           order)
     if len(shape) == 2 and out.shape[1:] == shape[:1]:  # constant vector
         out = out[..., None]
-    return jet.Jet(np.moveaxis(np.broadcast_to(np.moveaxis(out, 0, -1), shape + (ts.order + 1,)),
-                               -1, 0))
+    out = np.moveaxis(np.broadcast_to(np.moveaxis(out, 0, -1), shape + (order + 1,)), -1, 0)
+    return jet.Jet(out) if is_jet else out[0]
 
 
-def _generators(group: TransformationGroup, ts, qs):
-    """xi and eta at every point side by side, q given as (npts, n); shape (npts, n + 1)."""
-    npts, n = np.shape(jet.value_of(qs))
-    return jet.hstack([_on_points(group.xi, ts, qs, (n, npts)).T,
-                       _on_points(group.eta, ts, qs, (npts,))])
+def _generators(group: TransformationGroup, t, *blocks):
+    """xi and eta at every point side by side, shape (npts, n + 1), from q
+    (and, for a control problem, u) given points first."""
+    npts, n = np.shape(jet.value_of(blocks[0]))
+    return jet.hstack([_on_points(group.xi, (n, npts), t, *blocks).T,
+                       _on_points(group.eta, (npts,), t, *blocks)])
 
 
 def _along(group: TransformationGroup, args):

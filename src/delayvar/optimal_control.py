@@ -1,6 +1,8 @@
 """Delayed optimal-control layer: Hamiltonian, Pontryagin residuals, the
-Hamiltonian-form conserved quantity, the second-order corollary quantity, and
-the order-reduction map from m = 2 variational problems to control form.
+Hamiltonian-form and the second-order corollary conserved quantities (at a
+time or a time array, each generator called once on arrays under the contract
+of :class:`delayvar.problem.TransformationGroup`), and the order-reduction map
+from m = 2 variational problems to control form.
 
 Hamiltonian argument order is (t; q; u; q_tau; u_tau; p; lambda); the p-block
 partial recovers the velocity map, so all Pontryagin conditions are plain
@@ -9,6 +11,7 @@ block partials of one integrand.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +19,7 @@ import numpy as np
 from . import calculus
 from .errors import OutOfDomain, WrongOrder
 from .euler_lagrange import PathRecord, Regime, csv_text
+from .noether import _generators, _on_points
 from .problem import (
     ArgLayout,
     ArgVector,
@@ -120,41 +124,40 @@ def pmp_residual_csv(cp: ControlProblem, triple: PontryaginTriple, lam, times) -
     """CSV rows t, state residual, costate residual, stationarity residual, H."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     res = pmp_residuals(cp, triple, lam, times)
-    H = hamiltonian_integrand(cp)
-    energies = np.broadcast_to(
-        np.asarray(H(control_args_at(cp, triple, lam, times).values), dtype=float),
-        times.shape)
+    energies = np.broadcast_to(hamiltonian(cp, control_args_at(cp, triple, lam, times)),
+                               times.shape)
     header = (["t"] + [f"state_{i}" for i in range(cp.n)] + [f"costate_{i}" for i in range(cp.n)]
               + [f"stationarity_{i}" for i in range(cp.mc)] + ["H"])
     return csv_text(header, [times, *res.state.T, *res.costate.T, *res.stationarity.T, energies])
 
 
 def hamiltonian_noether_quantity(cp: ControlProblem, group: TransformationGroup,
-                                 triple: PontryaginTriple, lam, t: float) -> float:
-    """-p . xi(t, q, u) + H . eta(t, q, u); one expression on both regimes."""
-    q = np.atleast_1d(triple.q.eval(t, 0))
-    u = np.atleast_1d(triple.u.eval(t, 0))
-    p = np.atleast_1d(triple.p.eval(t, 0))
-    args = control_args_at(cp, triple, lam, t)
-    value = float(hamiltonian_integrand(cp)(args.values))
-    xi = np.atleast_1d(np.asarray(group.xi(t, q, u), dtype=float))
-    return float(-p @ xi + value * float(group.eta(t, q, u)))
+                                 triple: PontryaginTriple, lam, t) -> float | np.ndarray:
+    """-p . xi(t, q, u) + H eta(t, q, u), one expression on both regimes, at a
+    time (a float) or at an array of times (an array): one argument vector,
+    one H call and one call of each generator."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    args = control_args_at(cp, triple, lam, ts)
+    gens = _generators(group, ts, args.block(2).T, args.block(3).T)
+    out = hamiltonian(cp, args) * gens[:, cp.n] - np.sum(args.block(6).T * gens[:, :cp.n], axis=1)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def second_order_noether_quantity(setup: AugmentedSetup, traj: Trajectory, t: float,
+def second_order_noether_quantity(setup: AugmentedSetup, traj: Trajectory, t,
                                   regime: Regime, eta: float,
-                                  xi0=None, xi1=None) -> float:
+                                  xi0=None, xi1=None) -> float | np.ndarray:
     """Second-order conserved quantity F eta + psi_1 . (xi0 - qdot eta)
-    + psi_2 . (xi1 - qddot eta); the time generator is the constant eta."""
+    + psi_2 . (xi1 - qddot eta) at a time (a float) or at the times inside
+    ``regime`` (an array); eta is a constant, xi0 and xi1 (None: zero) take (t, q)."""
     problem = setup.problem
     if problem.m != 2:
         raise WrongOrder(f"second-order quantity needs m = 2, problem has m = {problem.m}")
-    record = PathRecord(augmented_integrand(setup), problem, traj, [t], regime, momenta=(1, 2))
-    q, qd, qdd = (record.q[j][0] for j in range(3))
-    xi0v = np.zeros(problem.n) if xi0 is None else np.atleast_1d(np.asarray(xi0(t, q), dtype=float))
-    xi1v = np.zeros(problem.n) if xi1 is None else np.atleast_1d(np.asarray(xi1(t, q), dtype=float))
-    return float(record.value[0] * eta + record.psi[1][0] @ (xi0v - qd * eta)
-                 + record.psi[2][0] @ (xi1v - qdd * eta))
+    record = PathRecord(augmented_integrand(setup), problem, traj, t, regime, momenta=(1, 2))
+    out, shape = record.value * eta, record.q[0].T.shape
+    for j, xi in ((1, xi0), (2, xi1)):
+        gen = 0.0 if xi is None else _on_points(xi, shape, record.ts, record.q[0]).T
+        out = out + np.sum(record.psi[j] * (gen - eta * record.q[j]), axis=1)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +176,6 @@ def reduce_to_control(problem: IsoperimetricProblem) -> ControlProblem:
     n = problem.n
     n_state, mc = 2 * n, n
 
-    def phi_component(i: int) -> Integrand:
-        slot = 1 + n + i if i < n else 1 + 2 * n + (i - n)
-
-        def fn(values):
-            return values[slot]
-
-        return Integrand(fn, name=f"chain_phi_{i}")
-
     history = control_history = None
     if problem.history is not None:
         hist_traj = Trajectory(n, 1, problem.stitched_history(), validate=False)
@@ -195,7 +190,9 @@ def reduce_to_control(problem: IsoperimetricProblem) -> ControlProblem:
     return ControlProblem(
         n=n_state, mc=mc, tau=problem.tau, t1=problem.t1, t2=problem.t2,
         L=problem.L,
-        phi=tuple(phi_component(i) for i in range(n_state)),
+        # qdot_i is (q, qdot)'s slot 1 + n + i, and so is u_(i - n) for i >= n
+        phi=tuple(Integrand(operator.itemgetter(1 + n + i), name=f"chain_phi_{i}")
+                  for i in range(n_state)),
         g=problem.g,
         l=problem.l, history=history, control_history=control_history,
         terminal_state=terminal,

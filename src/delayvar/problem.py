@@ -220,18 +220,17 @@ class ControlProblem:
 class TransformationGroup:
     """Infinitesimal generators of an s-parameter transformation group.
 
-    For variational problems eta and xi take time arrays (t, q) as set out in
-    :mod:`delayvar.noether`; for control problems they stay pointwise in
-    (t, q, u) and the optional varrho / varsigma act on the control and
-    costate.  The gauge term is an integrand over the problem's argument
-    layout (None means identically zero).
+    eta and xi are each called once per sweep, with t of shape (npts,), q of
+    shape (n, npts) and, for a control problem, u of shape (mc, npts) (or the
+    time jet and the path's jets of those shapes, see :mod:`delayvar.noether`);
+    eta broadcasts to (npts,) and xi to (n, npts), a 1-D xi of length n being
+    a constant vector.  The gauge term is an integrand over the problem's
+    argument layout (None means identically zero).
     """
 
     eta: Callable
     xi: Callable
     gauge: Integrand | None = None
-    varrho: Callable | None = None
-    varsigma: Callable | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ isoperimetric defect.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .euler_lagrange import Regime, regime_of, residual_grids
 from .noether import constancy_report, noether_quantity
-from .optimal_control import control_args_at, hamiltonian_integrand, pmp_residuals
+from .optimal_control import hamiltonian_noether_quantity, pmp_residuals
 from .problem import (
     AugmentedSetup,
     ControlProblem,
@@ -161,18 +162,15 @@ def _lq_checks() -> list[Check]:
                       exclude=np.asarray(triple.q.breakpoints()), eps_knot=1e-3)
     res = pmp_residuals(cp, triple, lam, grid.times)
     out.append(Check("pmp residual sup", res.sup, 1e-6, res.sup <= 1e-6))
-    H = hamiltonian_integrand(cp)
-
-    def energy(ts):
-        return H(control_args_at(cp, triple, lam, ts).values)
-
+    shift = TransformationGroup(eta=lambda t, q, u: 1.0, xi=lambda t, q, u: np.zeros(1))
     split = cp.t2 - cp.tau
     grids = {
         Regime.FIRST: Grid(grid.times[grid.times < split], 1e-3),
         Regime.SECOND: Grid(grid.times[grid.times > split], 1e-3),
     }
-    con = constancy_report(energy, grids)
-    # one expression on both regimes: deviation measured around the global mean
+    con = constancy_report(
+        functools.partial(hamiltonian_noether_quantity, cp, shift, triple, lam), grids)
+    # the energy H, one expression on both regimes: deviation measured around the global mean
     overall = np.concatenate([con.values[r] for r in con.values])
     dev = float(np.max(np.abs(overall - np.mean(overall))))
     out.append(Check("hamiltonian constancy deviation", dev, 1e-5, dev <= 1e-5))

@@ -219,11 +219,13 @@ def segments_from_callable(fn, n: int, a: float, b: float, panels: int = 4, degr
     k = np.arange(degree + 1)
     nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))  # Chebyshev, in (-1, 1)
     ts = (mids[:, None] + halves[:, None] * nodes).ravel()  # panel-major
+    if len(ts) == n:  # an (n, n) value reads both ways: one more time, its value dropped
+        ts = np.append(ts, a)
     ys = np.asarray(fn(ts), dtype=float)
     if ys.shape == (n,):  # constant vector
         ys = ys[:, None]
     try:
-        ys = np.broadcast_to(ys, (n, len(ts))).T
+        ys = np.broadcast_to(ys, (n, len(ts))).T[:panels * (degree + 1)]
     except ValueError:
         raise ValueError(f"{fn!r} returned shape {ys.shape} on {len(ts)} times; expected "
                          f"components first, ({n}, {len(ts)})") from None

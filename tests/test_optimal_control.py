@@ -153,7 +153,8 @@ class TestHamiltonianNoether:
         group = TransformationGroup(eta=lambda t, q, u: 1.0,
                                     xi=lambda t, q, u: np.zeros(1))
         ts = np.linspace(0.03, 0.97, 41)
-        values = [hamiltonian_noether_quantity(cp, group, triple, lam, t) for t in ts]
+        values = hamiltonian_noether_quantity(cp, group, triple, lam, ts)
+        assert values.shape == ts.shape
         assert np.max(np.abs(values - np.mean(values))) <= 1e-5
 
     def test_energy_drift_recorded_for_genuinely_delayed_extremal(self):
@@ -167,9 +168,9 @@ class TestHamiltonianNoether:
         triple, lam, report = solve_pmp(cp, scheme=CollocationScheme(nodes=32))
         assert report.converged
         ts = np.linspace(0.55, 0.95, 21)
-        H = hamiltonian_integrand(cp)
-        values = np.array([float(H(control_args_at(cp, triple, lam, t).values))
-                           for t in ts])
+        shift = TransformationGroup(eta=lambda t, q, u: 1.0,
+                                    xi=lambda t, q, u: np.zeros(1))
+        values = hamiltonian_noether_quantity(cp, shift, triple, lam, ts)
         c = -48.0 / 31.0
         qdel = triple.q.eval(ts - 0.5, 0)[:, 0]
         assert np.allclose(values, -c * c / 4 + c * qdel, atol=1e-8)
@@ -202,13 +203,57 @@ class TestSecondOrderQuantity:
             eta_c, beta = (float(x) for x in rng.uniform(-1, 1, size=2))
             group = TransformationGroup(eta=lambda t, q: eta_c,
                                         xi=lambda t, q, beta=beta: beta * q)
-            t = float(rng.uniform(1.05, 1.95))
-            general = noether_quantity(ex1_setup, group, ex1_traj, t, Regime.SECOND)
+            ts = rng.uniform(1.05, 1.95, size=5)
+            general = noether_quantity(ex1_setup, group, ex1_traj, ts, Regime.SECOND)
             corollary = second_order_noether_quantity(
-                ex1_setup, ex1_traj, t, Regime.SECOND, eta=eta_c,
+                ex1_setup, ex1_traj, ts, Regime.SECOND, eta=eta_c,
                 xi0=lambda u, q, beta=beta: beta * q,
-                xi1=lambda u, q, group=group: rho(group, ex1_traj, 1, u))
-            assert corollary == pytest.approx(general, abs=1e-8 * max(1.0, abs(general)))
+                xi1=lambda u, q, group=group: rho(group, ex1_traj, 1, u).T)  # (n, npts)
+            assert corollary.shape == ts.shape
+            assert np.all(np.abs(corollary - general) <= 1e-8 * np.maximum(1.0, np.abs(general)))
+
+
+def test_both_quantities_take_arrays_with_one_call_per_generator(monkeypatch, ex1_setup,
+                                                                   ex1_traj):
+    """Both control quantities over a grid: one call of each generator
+    (one record for the corollary), and the pointwise values to 1e-12."""
+    from delayvar import optimal_control
+    from delayvar.solver import CollocationScheme, solve_pmp
+
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    cp = _lq_problem(terminal=[1.0])
+    triple, lam, report = solve_pmp(cp, scheme=CollocationScheme(nodes=32))
+    assert report.converged
+    group = TransformationGroup(
+        eta=counted("eta", lambda t, q, u: 1.0 + 0.5 * t * u[0]),
+        xi=counted("xi", lambda t, q, u: 0.3 * q - u))
+    ts = np.linspace(0.03, 0.97, 41)
+    pointwise = [hamiltonian_noether_quantity(cp, group, triple, lam, float(t)) for t in ts]
+    assert all(isinstance(v, float) for v in pointwise)
+    calls.clear()
+    swept = hamiltonian_noether_quantity(cp, group, triple, lam, ts)
+    assert sorted(calls) == ["eta", "xi"]
+    assert np.all(np.abs(swept - pointwise) <= 1e-12 * np.abs(pointwise))
+
+    records = []
+    plain = optimal_control.PathRecord
+    monkeypatch.setattr(optimal_control, "PathRecord",
+                        lambda *args, **kwargs: records.append(1) or plain(*args, **kwargs))
+    xi0 = counted("xi0", lambda t, q: 0.7 * q)
+    xi1 = counted("xi1", lambda t, q: np.array([t * q[0]]))
+    ts = np.linspace(1.05, 1.95, 37)
+    pointwise = [second_order_noether_quantity(ex1_setup, ex1_traj, float(t), Regime.SECOND,
+                                               eta=0.4, xi0=xi0, xi1=xi1) for t in ts]
+    assert all(isinstance(v, float) for v in pointwise)
+    calls.clear(), records.clear()
+    swept = second_order_noether_quantity(ex1_setup, ex1_traj, ts, Regime.SECOND,
+                                          eta=0.4, xi0=xi0, xi1=xi1)
+    assert sorted(calls) == ["xi0", "xi1"] and len(records) == 1
+    assert np.all(np.abs(swept - pointwise) <= 1e-12 * np.abs(pointwise))
 
 
 class TestReduceToControl:
@@ -264,23 +309,17 @@ class TestReduceToControl:
         conserved quantity -p.xi + H eta equals the second-order quantity."""
         cp = reduce_to_control(ex1_setup.problem)
         H = hamiltonian_integrand(cp)
-        for t in (1.2, 1.55, 1.85):
-            record = PathRecord(augmented_integrand(ex1_setup), ex1_setup.problem, ex1_traj, [t],
-                                Regime.SECOND, momenta=(1, 2))
-            psi1, psi2 = record.psi[1][0], record.psi[2][0]
-            q = float(ex1_traj.eval(t, 0)[0])
-            qd = float(ex1_traj.eval(t, 1)[0])
-            qdd = float(ex1_traj.eval(t, 2)[0])
-            qt = float(ex1_traj.eval(t - 1.0, 0)[0])
-            qdt = float(ex1_traj.eval(t - 1.0, 1)[0])
-            qddt = float(ex1_traj.eval(t - 1.0, 2)[0])
-            values = [t, q, qd, qdd, qt, qdt, qddt,
-                      -float(psi1[0]), -float(psi2[0]), 0.0]  # p0, p1, lambda
-            layout = ArgLayout((1, 2, 1, 2, 1, 2, 1))
-            energy = float(H(values))
-            variational = second_order_noether_quantity(ex1_setup, ex1_traj, t,
-                                                        Regime.SECOND, eta=1.0)
-            assert energy == pytest.approx(variational, abs=1e-8 * max(1.0, abs(variational)))
+        ts = np.array([1.2, 1.55, 1.85])
+        record = PathRecord(augmented_integrand(ex1_setup), ex1_setup.problem, ex1_traj, ts,
+                            Regime.SECOND, momenta=(1, 2))
+        current = [v[:, 0] for v in ex1_traj.eval(ts, [0, 1, 2])]
+        delayed = [v[:, 0] for v in ex1_traj.eval(ts - 1.0, [0, 1, 2])]
+        values = [ts, *current, *delayed,
+                  -record.psi[1][:, 0], -record.psi[2][:, 0], 0.0 * ts]  # p0, p1, lambda
+        energy = H(values)
+        variational = second_order_noether_quantity(ex1_setup, ex1_traj, ts,
+                                                    Regime.SECOND, eta=1.0)
+        assert np.all(np.abs(energy - variational) <= 1e-8 * np.maximum(1.0, np.abs(variational)))
 
     def test_m1_momentum_identity(self):
         """For phi = u the stationarity residual vanishes exactly when

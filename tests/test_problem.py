@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from delayvar.problem import (
     AugmentedSetup,
     Integrand,
     IsoperimetricProblem,
+    TransformationGroup,
     args_at,
     augmented_integrand,
     constraint_defect,
@@ -201,3 +203,8 @@ class TestProblemFiles:
         segs = classical_problem.stitched_history()
         hist = Trajectory(1, 1, segs, validate=False)
         assert hist.eval(0.0, 1)[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_transformation_group_fields():
+    # the generators and the gauge term; nothing else to set or to read
+    assert [f.name for f in dataclasses.fields(TransformationGroup)] == ["eta", "xi", "gauge"]

@@ -48,15 +48,15 @@ def test_check_rows_format():
 
 def test_lq_energy_is_sampled_once_per_regime(monkeypatch):
     """The Hamiltonian-constancy check evaluates H on each regime's grid in
-    one call, not once per grid point."""
+    one call, not once per grid point: the Noether quantity of the time shift."""
     calls = []
-    plain = registry.control_args_at
+    plain = registry.hamiltonian_noether_quantity
 
-    def counted(cp, triple, lam, t):
+    def counted(cp, group, triple, lam, t):
         calls.append(np.size(t))
-        return plain(cp, triple, lam, t)
+        return plain(cp, group, triple, lam, t)
 
-    monkeypatch.setattr(registry, "control_args_at", counted)
+    monkeypatch.setattr(registry, "hamiltonian_noether_quantity", counted)
     checks = registry.get("autonomous-lq").checks()
     assert all(c.passed for c in checks if c.gated)
-    assert len(calls) == 2
+    assert len(calls) == 2 and min(calls) > 1

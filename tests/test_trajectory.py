@@ -313,6 +313,23 @@ class TestHistoryStitching:
             segments_from_callable(lambda t: np.column_stack([t] * n), n, 0.0, 1.0,
                                    panels=2, degree=3)
 
+    def test_as_many_nodes_as_components(self):
+        # a control history with mc = 6 on the solver's 2 panels of 3 nodes:
+        # six nodes for six components, so one more time goes with the call
+        calls = []
+
+        def components(t):
+            calls.append(np.shape(t))
+            return np.array([k * t for k in range(1, 7)])
+
+        with pytest.raises(ValueError, match="components first"):
+            segments_from_callable(lambda t: components(t).T, 6, 0.0, 1.0, panels=2, degree=2)
+        segs = segments_from_callable(components, 6, 0.0, 1.0, panels=2, degree=2)
+        assert calls == [(7,), (7,)]
+        ts = np.linspace(0.0, 1.0, 9)
+        got = Trajectory(6, 1, segs, validate=False).eval(ts)
+        assert np.allclose(got, np.outer(ts, np.arange(1, 7)), atol=1e-14)
+
 
 class TestGrid:
     def test_build_excludes_neighborhoods(self):
