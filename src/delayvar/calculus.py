@@ -1,10 +1,10 @@
 """Differentiation and integration engine.
 
-Block partials of integrands, their Hessian along a path (:func:`hessian`:
-one call on nested jets seeding every slot at once), time derivatives along
-a path (:func:`path_derivatives`: one call of a map on the time jet gives
-d^0 .. d^K/dt^K exactly) and the s = 0 parameter derivative, all from
-Taylor jets (:mod:`delayvar.jet`), the only way a user callable is
+Block partials of integrands, their gradient and Hessian along a path
+(:func:`derivatives`: one call on jets seeding every slot at once), time
+derivatives along a path (:func:`path_derivatives`: one call of a map on the
+time jet gives d^0 .. d^K/dt^K exactly) and the s = 0 parameter derivative,
+all from Taylor jets (:mod:`delayvar.jet`), the only way a user callable is
 differentiated: one that rejects jets raises NotJetCapable (:func:`jet_call`).
 Also composite Gauss-Legendre quadrature, its integrand called once on the
 array of every node, and the 5-point stencils (:class:`Stencil`, steps from
@@ -24,7 +24,7 @@ from . import jet
 from .errors import BlockOutOfRange, NotJetCapable, StencilCrossesBreakpoint
 
 __all__ = ["default_step", "Stencil", "total_derivative_many", "jet_call", "path_derivatives",
-           "partial", "hessian", "panel_rule", "integrate",
+           "partial", "derivatives", "panel_rule", "integrate",
            "derivative_in_parameter", "fd_weights"]
 
 _WIDTH = 5
@@ -139,30 +139,33 @@ def partial(f, block: int, args):
     sl = layout.block_slice(block)
     if sl.start == sl.stop:
         return np.zeros(0)
-    slots = [_seeded(f, args.values, [{i: 1.0}]) for i in range(sl.start, sl.stop)]
+    slots = [_split(*_seeded(f, args.values, [{i: 1.0}]))[1] for i in range(sl.start, sl.stop)]
     return jet.stack([0.0 if d is None else d for d in slots], jet.value_of(args.values[sl.start]))
 
 
-def hessian(f, args, order: int = 0) -> np.ndarray:
-    """Taylor coefficients 0 .. order in t of f's Hessian along a path, slots
-    holding time jets of at least ``order`` (or arrays, for order 0); shape
-    (order + 1, slots, slots, npts), [r, k, b] the t^r coefficient of d_b d_k f.
-    One evaluation on two nested order-1 jets in vector mode (Griewank &
-    Walther, *Evaluating Derivatives*, 3.1): each level seeds every slot at
-    once, slot i's epsilon coefficient row i of an identity matrix shaped to
-    broadcast ahead of the points axis; NotJetCapable if f rejects jets."""
+def derivatives(f, args, order: int = 0, levels: int = 1) -> list[np.ndarray]:
+    """Taylor coefficients 0 .. order in t of f, its gradient and (levels = 2)
+    its Hessian along a path, slots holding time jets of at least ``order``
+    (or arrays, at order 0); shapes (order + 1,) + (slots,) * j + (npts,),
+    [r, k, b] the t^r coefficient of d_b d_k f.  One evaluation on ``levels``
+    nested order-1 jets in vector mode (Griewank & Walther, *Evaluating
+    Derivatives*, 3.1): at each, slot i's epsilon coefficient is row i of an
+    identity matrix, an inner level's on an earlier axis; NotJetCapable if f
+    rejects jets."""
     size, pts = len(args.values), np.shape(jet.value_of(args.values[0]))
-    eye = np.eye(size).reshape((size, size) + (1,) * len(pts))
-    out = _seeded(f, args.values, [dict(enumerate(eye[:, :, None])), dict(enumerate(eye))])
-    shape = (order + 1, size, size) + pts
-    return np.zeros(shape) if out is None else np.broadcast_to(jet.coefficients(out, order), shape)
+    out, level = _seeded(f, args.values, [
+        dict(enumerate(np.eye(size).reshape((size, size) + (1,) * (levels - d - 1 + len(pts)))))
+        for d in range(levels)])
+    head, tail = _split(out, level + levels - 1)
+    found = [head, tail] if levels == 1 else [_split(head, level)[0], *_split(tail, level)]
+    return [np.zeros(shape) if x is None else np.broadcast_to(jet.coefficients(x, order), shape)
+            for x, shape in zip(found, [(order + 1,) + (size,) * j + pts for j in range(3)])]
 
 
 def _seeded(f, values, seeds):
-    """Mixed partial of f in one seed per level: seeds[d] maps slots to the
-    epsilon coefficients of their order-1 jets d levels above every jet in the
-    values; None when f never touched every level, NotJetCapable for an array
-    of jets."""
+    """f on the values under order-1 jets d levels above every jet in them,
+    seeds[d] mapping slots to their epsilon coefficients there: the output and
+    the innermost seed level; NotJetCapable for an array of jets."""
     level = 1 + max([v.level for v in values if type(v) is jet.Jet], default=-1)
     seeded = list(values)
     for depth, level_seeds in enumerate(seeds):
@@ -171,11 +174,14 @@ def _seeded(f, values, seeds):
     out = jet_call(f, seeded)
     if isinstance(out, np.ndarray) and out.dtype == object:
         raise NotJetCapable(f"{f!r} returns an array of jets, not one value per point")
-    for depth in reversed(range(len(seeds))):
-        if not (isinstance(out, jet.Jet) and out.level == level + depth and out.order):
-            return None
-        out = out.c[1]
-    return out
+    return out, level
+
+
+def _split(x, level: int):
+    """x's value and epsilon term (None: zero) in the jet variable of ``level``."""
+    if isinstance(x, jet.Jet) and x.level == level:
+        return x.c[0], (x.c[1] if x.order else None)
+    return x, None
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

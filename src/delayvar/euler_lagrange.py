@@ -90,11 +90,10 @@ class PathRecord:
     are kept (zero past the degree).  One call of the derivative provider on
     their jets gives d^i/dt^i Lambda_k(ts) for k >= min(momenta) and i up to
     the highest rate that the momenta psi_j, j in ``momenta``, need, and the
-    rates of ``along(args)`` (the Noether generators) up to ``along_order``,
-    which also bounds :meth:`argument_jets`.  Order-0 quantities are
-    constant terms: the block partials at ts, F, d_1 F and the hypothesis sums
-    are taken once each, when asked.  A point at the domain's right end is a
-    left limit, and so is its delayed argument.
+    rates of ``along(args)`` (the Noether generators) up to ``along_order``.
+    Order-0 quantities are constant terms: the block partials at ts, F,
+    d_1 F and the hypothesis sums are taken once each, when asked.  A point
+    at the domain's right end is a left limit, and so is its delayed argument.
     """
 
     def __init__(self, F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, ts,
@@ -123,30 +122,19 @@ class PathRecord:
         path = self.traj.derivatives(self.ts + self.tau, self._count)
         return path, path_args(self.ts + self.tau, path[: self.m + 1], self.q[: self.m + 1])
 
-    def _arguments(self, t, advanced: bool):
-        """Argument vectors at the time jet t at ts and, if ``advanced``, at
-        t + tau, from the kept path values."""
-        kept = (self.q, self.q_delayed) + ((self._advanced[0],) if advanced else ())
-        paths = [jet.path(p, self.m + 1, t.order) for p in kept]
-        current = path_args(t, paths[0][: self.m + 1], paths[1][: self.m + 1])
-        if not advanced:
-            return current, None
-        return current, path_args(t + self.tau, paths[2][: self.m + 1], paths[0][: self.m + 1])
-
-    def argument_jets(self, order: int):
-        """Argument vectors at ts and (first regime) at ts + tau, else None,
-        with jets in t of ``order`` (at most ``along_order``) in their slots."""
-        return self._arguments(jet.variable(self.ts, order), self.first)
-
     def _sample(self, t):
-        """Lambda_k for k in ks, then ``along``, side by side, at the time jet t."""
-        current, advanced = self._arguments(t, self.first and bool(self._ks))
-        cols = [calculus.partial(self.F, k + 2, current).T for k in self._ks]
-        if advanced is not None:
+        """Lambda_k for k in ks, then ``along``, side by side, at the time jet t,
+        from the kept path values (at t + tau too on the first regime)."""
+        current, delayed = (jet.path(p, self.m + 1, t.order) for p in (self.q, self.q_delayed))
+        args = path_args(t, current, delayed)
+        cols = [calculus.partial(self.F, k + 2, args).T for k in self._ks]
+        if self.first and self._ks:
+            advanced = path_args(t + self.tau, jet.path(self._advanced[0], self.m + 1, t.order),
+                                 current)
             cols = [col + calculus.partial(self.F, k + self.m + 3, advanced).T
                     for col, k in zip(cols, self._ks)]
         if self._along is not None:
-            cols.append(self._along(current))
+            cols.append(self._along(args))
         return jet.hstack(cols)
 
     def block_partial(self, block: int, advanced: bool = False) -> np.ndarray:
@@ -411,17 +399,6 @@ class ResidualReport:
         if self.constraint_defect is not None:
             out["constraint_defect"] = float(np.max(np.abs(self.constraint_defect), initial=0.0))
         return out
-
-    def to_csv(self) -> str:
-        times = np.concatenate([self.times_first, self.times_second])
-        regimes = ["first"] * len(self.times_first) + ["second"] * len(self.times_second)
-        el = np.concatenate([self.el_first, self.el_second])
-        header = ["t", "regime"] + [f"el_{i}" for i in range(el.shape[1])]
-        columns = [times, regimes, *el.T]
-        if self.dr_first is not None:
-            header.append("dr_residual")
-            columns.append(np.concatenate([self.dr_first, self.dr_second]))
-        return csv_text(header, columns)
 
     def to_json(self) -> str:
         payload = {"sup": self.sup, "hypothesis_violated": self.hypothesis_violated}

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calculus
 from .errors import OutOfDomain, WrongOrder
-from .euler_lagrange import PathRecord, Regime, csv_text
+from .euler_lagrange import PathRecord, Regime
 from .noether import _generators, _on_points
 from .problem import (
     ArgLayout,
@@ -33,7 +33,7 @@ from .problem import (
 from .trajectory import Trajectory
 
 __all__ = ["PontryaginTriple", "PmpResiduals", "hamiltonian_integrand", "control_args_at",
-           "hamiltonian", "pmp_residuals", "pmp_residual_csv",
+           "hamiltonian", "pmp_residuals",
            "hamiltonian_noether_quantity", "second_order_noether_quantity",
            "reduce_to_control"]
 
@@ -118,17 +118,6 @@ def pmp_residuals(cp: ControlProblem, triple: PontryaginTriple, lam, t) -> PmpRe
     if scalar:
         return PmpResiduals(state[0], costate[0], stationarity[0])
     return PmpResiduals(state, costate, stationarity)
-
-
-def pmp_residual_csv(cp: ControlProblem, triple: PontryaginTriple, lam, times) -> str:
-    """CSV rows t, state residual, costate residual, stationarity residual, H."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    res = pmp_residuals(cp, triple, lam, times)
-    energies = np.broadcast_to(hamiltonian(cp, control_args_at(cp, triple, lam, times)),
-                               times.shape)
-    header = (["t"] + [f"state_{i}" for i in range(cp.n)] + [f"costate_{i}" for i in range(cp.n)]
-              + [f"stationarity_{i}" for i in range(cp.mc)] + ["H"])
-    return csv_text(header, [times, *res.state.T, *res.costate.T, *res.stationarity.T, energies])
 
 
 def hamiltonian_noether_quantity(cp: ControlProblem, group: TransformationGroup,

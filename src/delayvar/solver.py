@@ -4,21 +4,21 @@ system, by damped Newton iteration on a square nonlinear system.
 
 Delayed problems couple retarded (t - tau) and advanced (t + tau) values, so
 the full-horizon system is assembled at once rather than marching; the mesh
-is uniform per regime with a forced node at t2 - tau.  One collocation record
-serves both problems.  Its Jacobian, re-factorized every iteration, takes
-every row through one scatter of the basis: the exactly linear rows
-(continuity, history, terminal data) as they are, the collocation rows from
-blocks of the integrand's Hessian along the path, one evaluation per
-argument vector on Taylor jets in t under two levels of vector-mode seeds
-(Griewank & Walther, *Evaluating Derivatives*, 3.1 and ch. 13), and the
-isoperimetric rows from the partials of g at the quadrature nodes; an
-integrand or constraint that rejects jets raises NotJetCapable naming it.
-NonConvergence is a returned state (report.converged = False); a numerically
-singular Jacobian raises.  Each Newton iteration is one single-column solve
-for the step and one Cholesky factorization of J^T J less a shift, whose
-success certifies kappa_2 <= 1e12 without J^-1 (Rump, *BIT* 46 (2006);
-Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.5); the
-exact kappa_2, an SVD, runs only when that certificate fails.
+is uniform per regime with a forced node at t2 - tau.  One collocation record,
+described by data, serves both problems.  Every path sample it reads is fixed
+at set-up, so affine in the unknowns, B x + h, and one row table gives the
+residual and its Jacobian from one evaluation: the linear rows (continuity,
+history, terminal data) as they are, the collocation rows from the
+integrand's gradient along the path and its Hessian, nested in the same jets
+in t under vector-mode seeds (Griewank & Walther, *Evaluating Derivatives*,
+3.1 and ch. 13), the isoperimetric rows from g and its partials at the
+quadrature nodes.  A callable that rejects jets raises NotJetCapable naming
+it.  NonConvergence is a returned state (report.converged = False); a
+numerically singular Jacobian raises.  Each Newton iteration is one
+single-column solve for the step and one Cholesky factorization of J^T J
+less a shift, whose success certifies kappa_2 <= 1e12 without J^-1 (Rump,
+*BIT* 46 (2006); Higham, *Accuracy and Stability of Numerical Algorithms*,
+Thm 10.5); the exact kappa_2, an SVD, runs only when that certificate fails.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import calculus
+from . import calculus, jet
 from .errors import SingularJacobian
 from .euler_lagrange import Classification, PathRecord, Regime, ResidualReport, classify, \
-    el_residual, residual_grids
-from .optimal_control import PontryaginTriple, control_args_at, hamiltonian_integrand, \
-    pmp_residuals
+    residual_grids
+from .optimal_control import PontryaginTriple, hamiltonian_integrand
 from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, \
-    IsoperimetricProblem, args_at, augmented_integrand, integrals
+    IsoperimetricProblem, augmented_integrand, integrals
 from .trajectory import PolySegment, Trajectory, segments_from_callable
 
 __all__ = ["CollocationScheme", "SolveReport", "solve_el", "solve_pmp", "verify"]
@@ -110,24 +109,23 @@ _Rows = namedtuple("_Rows", "count terms direct", defaults=((),))
 
 
 class _Collocation:
-    """One collocation system and its damped Newton driver.
+    """One collocation system and its damped Newton driver, described by data.
 
     Unknowns: each block's coefficients as (segment, component, power), then
-    one multiplier per g.  Rows: ``nonlinear(trajs, lam)``, which are the
-    ``rows`` types in turn, point-major at the collocation ``times``; A x - c
-    (continuity at knots, then ``boundary``: (block, t, order) with that
-    derivative's value); int g(args(trajs, t)) dt - l.  ``argmap``: {argument
-    block of F or g: (unknown block, derivative order, time shift)}.
-    ``at(trajs, lam, ts, regime, order)``: F's argument vectors at the points
-    ts of one regime and at ts + tau (None on the second regime), with time
-    jets of that order and lam as F's last block.
+    one multiplier per g.  F and each g read t, the ``argmap`` blocks in turn
+    ({argument block 2, 3, ...: (unknown block, derivative order, time
+    shift)}), then the multipliers.  Rows: the ``rows`` types in turn,
+    point-major at the collocation ``times``; A x - c (continuity at knots,
+    then ``boundary``: (block, t, order) with that derivative's value);
+    int g dt - l.  Every path sample a row reads is fixed here, so it is
+    B x + h: B by its nonzeros (``_sample``), h the path at x = 0, the history
+    left of the mesh and zero on it.
     """
 
-    def __init__(self, edges, blocks, nonlinear, boundary, F, rows, at, times, g, l, args,
-                 argmap):
+    def __init__(self, edges, blocks, boundary, F, rows, times, g, l, argmap):
         self.edges, self.blocks, self.k = edges, blocks, len(g)
-        self.nonlinear, self.g, self.l, self.args, self.argmap = nonlinear, g, l, args, argmap
-        self.F, self.rows, self.at, self.times = F, rows, at, times
+        self.F, self.rows, self.times, self.g, self.l, self.argmap = F, rows, times, g, l, argmap
+        self.layout = ArgLayout((1, *(blocks[b].ncomp for b, _, _ in argmap.values()), self.k))
         self.offsets = np.cumsum([0] + [(len(edges) - 1) * b.ncomp * b.width for b in blocks])
         self.ncoef = int(self.offsets[-1])
         self.nl = len(times) * sum(row.count for row in rows)
@@ -137,21 +135,32 @@ class _Collocation:
         self.A, start = np.zeros((len(self.c), self.ncoef + self.k)), 0
         # per knot, each (block, order) in turn: ncomp rows of +1 times that
         # derivative on the knot's left segment and -1 times it on the right
-        left = np.arange(2 * len(knots)) < len(knots)
+        twice, left = np.tile(knots, 2), np.arange(2 * len(knots)) < len(knots)
         for b, order in [(b, o) for b, blk in enumerate(blocks) for o in range(blk.matched)]:
-            rows = start + per_knot * np.arange(len(knots)) + np.arange(blocks[b].ncomp)[:, None]
-            self._scatter(self.A, np.tile(rows, 2), b, np.tile(knots, 2), order,
-                          np.eye(blocks[b].ncomp)[..., None] * np.where(left, 1.0, -1.0), left)
+            index = start + per_knot * np.arange(len(knots)) + np.arange(blocks[b].ncomp)[:, None]
+            self._scatter(self.A, np.tile(index, 2), self._sample(b, twice, [order], left),
+                          np.eye(blocks[b].ncomp)[..., None] * np.where(left, 1.0, -1.0))
             start += blocks[b].ncomp
         for ((b, t, order), _), value, start in zip(boundary, values, np.cumsum(
                 [per_knot * len(knots)] + [len(v) for v in values])):
-            self._scatter(self.A, start + np.arange(len(value))[:, None], b, np.array([t]), order,
-                          np.eye(len(value))[..., None])
+            self._scatter(self.A, start + np.arange(len(value))[:, None],
+                          self._sample(b, np.array([t]), [order]), np.eye(len(value))[..., None])
         # the rule integrate uses on the paths' breakpoints and their images under
         # the argument shifts, so the constraint rows equal an integrate of g
         breaks = {seg.a for blk in blocks for seg in blk.history} | set(edges)
         self.nodes, self.weights = calculus.panel_rule(
             edges[0], edges[-1], {x - shift for x in breaks for _, _, shift in argmap.values()})
+        # the samples: per regime, the argument vectors at t and (first regime)
+        # t + tau and the direct terms; at the nodes, g's; h from the path at 0
+        self._zero, _ = self.build(np.zeros(self.ncoef + self.k))
+        self.order = max(i for row in rows for *_, i in row.terms)  # of the time jets
+        second = times >= edges[(len(edges) - 1) // 2]  # the second regime starts at t2 - tau
+        direct = {(b, o, 0.0) for row in rows for _, b, o in row.direct}
+        first = sorted({t[2] for row in rows for t in row.terms})  # 0 and the advanced shift
+        self.regimes = [(pts, shifts, self._samples(times[pts], shifts, self.order, direct))
+                        for pts, shifts in ((np.flatnonzero(~second), first),
+                                            (np.flatnonzero(second), [0.0]))]
+        self.at_nodes = self._samples(self.nodes, [0.0], 0) if self.k else {}
 
     def _basis(self, b: int, s, t, order: int) -> np.ndarray:
         """d^order/dt^order (t - mid)^j on block b's segments s, j < its width,
@@ -162,20 +171,44 @@ class _Collocation:
         powers = np.cumprod(np.where(j > order, dt, 1.0), axis=-1)
         return np.array([math.perm(i, order) for i in j]) * powers
 
-    def _scatter(self, out: np.ndarray, rows: np.ndarray, b: int, ts: np.ndarray, order: int,
-                 values: np.ndarray, left=False) -> None:
-        """Add values[r, c, p] times the order-th derivative of block b's
-        component c at ts[p] to out[rows[r, p]], through the basis of the segment
-        ts[p] falls in: at knots the right one, or the left where the bool or
-        per-point mask ``left`` is set, as Trajectory.eval; nothing on the history."""
-        blk, on_mesh = self.blocks[b], ts >= self.edges[0]
+    def _sample(self, b: int, ts: np.ndarray, orders, left=False):
+        """B's nonzeros for block b's derivatives of ``orders`` at ts: columns
+        (ncomp, points, width), then per order the basis of each point's
+        segment, zero on the history: at knots the right one, or the left where
+        the bool or per-point mask ``left`` is set, as Trajectory.eval."""
+        blk = self.blocks[b]
         seg = np.where(left, np.searchsorted(self.edges[1:-1], ts, side="left"),
-                       np.searchsorted(self.edges[1:-1], ts, side="right"))[on_mesh]
-        # columns (ncomp, points, width): on segment seg, component c, power j
+                       np.searchsorted(self.edges[1:-1], ts, side="right"))
         cols = (self.offsets[b] + blk.ncomp * blk.width * seg[None, :, None]
                 + blk.width * np.arange(blk.ncomp)[:, None, None] + np.arange(blk.width))
-        np.add.at(out, (rows[:, None, on_mesh, None], cols[None]),
-                  values[..., on_mesh, None] * self._basis(b, seg, ts[on_mesh], order))
+        on = (ts >= self.edges[0])[:, None]
+        return (cols, *(self._basis(b, seg, ts, order) * on for order in orders))
+
+    def _samples(self, ts, shifts, order: int, keys=frozenset()) -> dict:
+        """{(block, order, shift): (columns, basis, h)} for ``keys`` and what the
+        argument vectors at ts + each of ``shifts`` read with time jets of
+        ``order``; h (ncomp, npts) from one Trajectory.eval per (block, shift)."""
+        keys = keys | {(b, o + r, s + shift) for shift in shifts
+                       for b, o, s in self.argmap.values() for r in range(order + 1)}
+        out = {}
+        for b, shift in {(b, shift) for b, _, shift in keys}:
+            orders = sorted(o for c, o, s in keys if (c, s) == (b, shift))
+            cols, *bases = self._sample(b, ts + shift, orders)
+            for order, basis, h in zip(orders, bases, self._zero[b].eval(ts + shift, orders)):
+                out[b, order, shift] = (cols, basis, h.T)
+        return out
+
+    @staticmethod
+    def _values(samples: dict, x: np.ndarray) -> dict:
+        """B x + h, shape (ncomp, npts), for each of the samples."""
+        return {key: h + (x[cols] * basis).sum(axis=-1)
+                for key, (cols, basis, h) in samples.items()}
+
+    @staticmethod
+    def _scatter(out: np.ndarray, rows: np.ndarray, sample, values: np.ndarray) -> None:
+        """Add values[r, c, p] times the sample's B row (c, p) to out[rows[r, p]]."""
+        cols, basis = sample[:2]
+        np.add.at(out, (rows[:, None, :, None], cols[None]), values[..., None] * basis)
 
     def interpolate(self, guesses, lam) -> np.ndarray:
         """Unknowns from a start: each block's guess, a callable of the time
@@ -196,15 +229,73 @@ class _Collocation:
             trajs.append(Trajectory(blk.ncomp, blk.m, list(blk.history) + segs, validate=False))
         return trajs, x[self.ncoef:]
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        trajs, lam = self.build(x)
-        parts = [self.nonlinear(trajs, lam), self.A @ x - self.c]
-        if self.k:  # as problem.integrals assembles the integrand columns
-            values = self.args(trajs, self.nodes).values
-            parts.append(self.weights @ np.column_stack(
-                [np.broadcast_to(np.asarray(gj(values), dtype=float), self.nodes.shape)
-                 for gj in self.g]) - self.l)
-        return np.concatenate(parts)
+    def residual(self, x: np.ndarray, jacobian: bool = False):
+        """The rows at x; with ``jacobian``, (rows, Jacobian) from the same
+        evaluations, F's Hessian nested in the jets that give its gradient."""
+        top = self.nl + len(self.c)
+        r, jac = np.empty(top + self.k), np.zeros((top + self.k, len(x))) if jacobian else None
+        r[self.nl:top] = self.A @ x - self.c
+        if jacobian:
+            jac[self.nl:top] = self.A
+        for pts, shifts, samples in self.regimes:
+            self._collocation_rows(x, pts, shifts, samples, r, jac)
+        if self.k:  # int g - l on the panel rule, each g seeded once: value and partials
+            args = self._vector(self._values(self.at_nodes, x), self.nodes, 0.0, 0, x)
+            parts, grads = zip(*(calculus.derivatives(gj, args) for gj in self.g))
+            r[top:] = self.weights @ np.column_stack([part[0] for part in parts]) - self.l
+            rows = np.broadcast_to(top + np.arange(self.k)[:, None], (self.k, len(self.nodes)))
+            for arg, key in self.argmap.items() if jacobian else ():
+                self._scatter(jac, rows, self.at_nodes[key], np.stack(
+                    grads)[:, 0, self.layout.block_slice(arg)] * self.weights)
+        return (r, jac) if jacobian else r
+
+    def _vector(self, values: dict, ts, shift: float, order: int, x) -> ArgVector:
+        """The arguments at ts + shift: the time jet of ``order`` (the times at
+        order 0), each argmap block's samples as jets in t, the multipliers."""
+        slots = [jet.variable(ts + shift, order) if order else ts + shift]
+        for b, o, s in self.argmap.values():
+            coeffs = [values[b, o + r, s + shift] / math.factorial(r) for r in range(order + 1)]
+            slots += [jet.Jet([c[i] for c in coeffs]) if order else coeffs[0][i]
+                      for i in range(len(coeffs[0]))]
+        return ArgVector(slots + list(x[self.ncoef:]), self.layout)
+
+    def _collocation_rows(self, x, pts, shifts, samples, r, jac) -> None:
+        """Set the rows at the points pts of one regime, a term sign i! times the
+        t^i coefficient of d_k F at one argument vector per shift; given jac,
+        add their derivatives: sum_b sum_q i!/(i - q)! c_q times block b's
+        samples, the order raised by i - q, at t + shift + b's shift, c_q the
+        t^q coefficient of d_b d_k F (d_lam d_k F for the multipliers)."""
+        values, ts, layout, start = self._values(samples, x), self.times[pts], self.layout, 0
+        derivs = {shift: calculus.derivatives(  # F, its gradient and, given jac, its Hessian
+            self.F, self._vector(values, ts, shift, self.order, x), self.order,
+            1 if jac is None else 2) for shift in shifts}
+        for rows in self.rows:
+            index = start + rows.count * pts + np.arange(rows.count)[:, None]  # (count, pts)
+            start += rows.count * len(self.times)
+            out = np.zeros(index.shape)
+            for sign, b, order in rows.direct:
+                out += sign * values[b, order, 0.0]
+                if jac is not None:
+                    self._scatter(jac, index, samples[b, order, 0.0],
+                                  sign * np.eye(rows.count)[..., None] * np.ones(len(pts)))
+            for sign, k, shift, i in rows.terms:
+                if shift not in derivs:  # no advanced term on the second regime
+                    continue
+                _, grad, *hess = derivs[shift]
+                out += sign * math.factorial(i) * grad[i, layout.block_slice(k)]
+                if jac is None:
+                    continue
+                hess = hess[0][:i + 1, layout.block_slice(k)]
+                touched = np.any(hess, axis=(1, 3))  # (i + 1, slots): skip zero blocks
+                for arg, (b, order, arg_shift) in self.argmap.items():
+                    cols = layout.block_slice(arg)
+                    for q in np.flatnonzero(np.any(touched[:, cols], axis=1)):
+                        self._scatter(jac, index, samples[b, order + i - q, arg_shift + shift],
+                                      sign * math.perm(i, q) * hess[q, :, cols])
+                if self.k:
+                    jac[index[:, None], self.ncoef + np.arange(self.k)[:, None]] += \
+                        sign * math.factorial(i) * hess[i, :, layout.block_slice(layout.nblocks)]
+            r[index] = out
 
     @functools.cached_property  # built the first time a start violates A x = c
     def correction(self) -> np.ndarray:
@@ -218,80 +309,20 @@ class _Collocation:
         defect = self.A @ x - self.c
         return x if float(np.max(np.abs(defect))) <= 1e-13 else x - self.correction @ defect
 
-    def jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """A on the linear rows and every other row by the chain rule through
-        the basis."""
-        top = self.nl + len(self.c)
-        jac = np.zeros((len(r), len(x)))
-        jac[self.nl:top] = self.A
-        trajs, lam = self.build(x)
-        self._collocation_rows(trajs, lam, jac)
-        if self.k:
-            self._constraint_rows(trajs, jac, top)
-        return jac
-
-    def _constraint_rows(self, trajs, out: np.ndarray, top: int) -> None:
-        """Add d/dx int g to out[top:]: per argument block of g, its weighted
-        partials at the nodes times that block's basis."""
-        args = self.args(trajs, self.nodes)
-        rows = np.broadcast_to(top + np.arange(self.k)[:, None], (self.k, len(self.nodes)))
-        for arg, (b, order, shift) in self.argmap.items():
-            if arg > args.layout.nblocks:  # F reads it, g does not
-                continue
-            ncomp = self.blocks[b].ncomp
-            partials = np.stack([np.broadcast_to(np.reshape(  # (k, ncomp, nodes)
-                calculus.partial(gj, arg, args), (ncomp, -1)), (ncomp, len(self.nodes)))
-                for gj in self.g])
-            self._scatter(out, rows, b, self.nodes + shift, order, partials * self.weights)
-
-    def _collocation_rows(self, trajs, lam, out: np.ndarray) -> None:
-        """Add d/dx of each term d^i/dt^i d_k F: sum_b sum_r i!/(i - r)! c_r times
-        block b's basis, its order raised by i - r, at t + shift + b's shift,
-        c_r the t^r coefficient of d_b d_k F; the multiplier columns take
-        d^i/dt^i d_lam d_k F.  F's Hessian is taken once per argument vector,
-        at the highest term order; a term reads its first i + 1 coefficients."""
-        highest = max(i for rows in self.rows for *_, i in rows.terms)
-        # the second regime starts at the middle edge, t2 - tau, as in per_regime
-        second = self.times >= self.edges[(len(self.edges) - 1) // 2]
-        for regime, pts in ((Regime.FIRST, np.flatnonzero(~second)),
-                            (Regime.SECOND, np.flatnonzero(second))):
-            ts, start = self.times[pts], 0
-            vectors = self.at(trajs, lam, ts, regime, highest)
-            hessians = [a and calculus.hessian(self.F, a, highest) for a in vectors]
-            layout = vectors[0].layout
-            multipliers = layout.block_slice(layout.nblocks)
-            for rows in self.rows:
-                index = start + rows.count * pts + np.arange(rows.count)[:, None]  # (count, pts)
-                start += rows.count * len(self.times)
-                for sign, b, order in rows.direct:
-                    self._scatter(out, index, b, ts, order,
-                                  sign * np.eye(rows.count)[..., None] * np.ones(len(ts)))
-                for sign, k, shift, i in rows.terms:
-                    if hessians[shift > 0] is None:  # no advanced term on the second regime
-                        continue
-                    hess = hessians[shift > 0][:i + 1, layout.block_slice(k)]
-                    touched = np.any(hess, axis=(1, 3))  # (i + 1, slots): skip zero blocks
-                    for arg, (b, order, arg_shift) in self.argmap.items():
-                        cols = layout.block_slice(arg)
-                        for r in np.flatnonzero(np.any(touched[:, cols], axis=1)):
-                            self._scatter(out, index, b, ts + (shift + arg_shift), order + i - r,
-                                          sign * math.perm(i, r) * hess[r, :, cols])
-                    if self.k:
-                        out[index[:, None], self.ncoef + np.arange(self.k)[:, None]] += \
-                            sign * math.factorial(i) * hess[i, :, multipliers]
-
     def solve(self, x0: np.ndarray, scheme: CollocationScheme):
         """Damped Newton from x0: (trajectories, lambda, report), each step one
-        ``_newton_step``; the report keeps the last Jacobian for its condition."""
+        ``_newton_step``.  A line-search trial evaluates the rows alone, the
+        start and each point Newton goes on from their Jacobian too."""
         x = self.project(x0.copy())
-        r = self.residual(x)
-        norm, jac, iterations = float(np.max(np.abs(r))), None, 0
+        r, jac = self.residual(x, jacobian=True)
+        norm, last, iterations = float(np.max(np.abs(r))), None, 0
         reason = "max-iterations"
         while norm > scheme.tolerance and iterations < scheme.max_iterations:
             iterations += 1
-            jac = self.jacobian(x, r)
+            if jac is None:
+                r, jac = self.residual(x, jacobian=True)
             step, _ = _newton_step(jac, r)
-            alpha = 1.0
+            last, jac, alpha = jac, None, 1.0  # the report keeps the last one factorized
             while alpha >= 1e-6:
                 x_try = self.project(x + alpha * step)
                 r_try = self.residual(x_try)
@@ -305,7 +336,7 @@ class _Collocation:
             x, r, norm = x_try, r_try, norm_try
         trajs, lam = self.build(x)
         reason = "converged" if norm <= scheme.tolerance else reason
-        return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, reason, jac)
+        return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, reason, last)
 
 
 _U = np.finfo(float).eps / 2  # unit roundoff
@@ -420,19 +451,10 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
         return sum((-v[size + j] * calculus.jet_call(gj, args) for j, gj in enumerate(problem.g)),
                    calculus.jet_call(problem.L, args))
 
-    def at(trajs, lam, ts, regime, order):
-        record = PathRecord(problem.L, problem, trajs[0], ts, regime, momenta=(),
-                            along_order=order)
-        return [a and ArgVector(a.values + list(lam), ArgLayout(a.layout.blocks + (k,)))
-                for a in record.argument_jets(order)]
-
     record = _Collocation(
-        edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)],
-        nonlinear=lambda trajs, lam: el_residual(
-            AugmentedSetup(problem, lam), trajs[0], colloc_ts).ravel(),
-        boundary=boundary, F=lagrangian, rows=[_Rows(n, terms)], at=at,
-        times=colloc_ts, g=problem.g, l=problem.l,
-        args=lambda trajs, ts: args_at(trajs[0], ts, tau, m), argmap=argmap)
+        edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)], boundary, lagrangian,
+        [_Rows(n, terms)], colloc_ts, [lambda v, gj=gj: calculus.jet_call(gj, v[:size])
+                                       for gj in problem.g], problem.l, argmap)
 
     if initial is not None:
         return record, record.interpolate([lambda t: initial[0].eval(t).T], initial[1])
@@ -485,29 +507,13 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
     rows = [_Rows(n, [(-1.0, 6, 0.0, 0)], [(1.0, Q, 1)]),
             _Rows(n, [(1.0, 2, 0.0, 0), (1.0, 4, tau, 0)], [(1.0, P, 1)]),
             _Rows(mc, [(1.0, 3, 0.0, 0), (1.0, 5, tau, 0)])]
-    argmap = {2: (Q, 0, 0.0), 3: (U, 0, 0.0), 4: (Q, 0, -tau), 5: (U, 0, -tau)}  # of L, g, phi
-    nsub = 1 + 2 * (n + mc)
-
-    def triple(trajs) -> PontryaginTriple:
-        return PontryaginTriple(q=trajs[Q], u=trajs[U], p=trajs[P])
-
-    def args(trajs, ts) -> ArgVector:  # (t; q; u; q_tau; u_tau)
-        return ArgVector(control_args_at(cp, triple(trajs), (), ts).values[:nsub], cp.layout)
-
-    def nonlinear(trajs, lam):
-        res = pmp_residuals(cp, triple(trajs), lam, colloc_ts)
-        return np.concatenate([res.state.ravel(), res.costate.ravel(), res.stationarity.ravel()])
-
-    def at(trajs, lam, ts, regime, order):  # order 0: the rows take no time derivatives
-        return (control_args_at(cp, triple(trajs), lam, ts), control_args_at(
-            cp, triple(trajs), lam, ts + tau) if regime is Regime.FIRST else None)
-
+    # H's blocks; L, g and phi read the first five
+    argmap = {2: (Q, 0, 0.0), 3: (U, 0, 0.0), 4: (Q, 0, -tau), 5: (U, 0, -tau), 6: (P, 0, 0.0)}
     return _Collocation(
         edges, [_Block(n, degree + 1, 1, tuple(q_hist)), _Block(n, degree + 1),
                 _Block(mc, degree, 1, tuple(u_hist), 0)],
-        nonlinear=nonlinear, boundary=boundary, F=hamiltonian_integrand(cp), rows=rows,
-        at=at, times=colloc_ts, g=cp.g, l=cp.l, args=args,
-        argmap={**argmap, 6: (P, 0, 0.0)})
+        boundary, hamiltonian_integrand(cp), rows, colloc_ts,
+        [lambda v, gj=gj: calculus.jet_call(gj, v[:cp.layout.size]) for gj in cp.g], cp.l, argmap)
 
 
 # ---------------------------------------------------------------------------

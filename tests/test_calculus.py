@@ -238,21 +238,39 @@ def test_hessian_along_a_path():
     for k, b, coeffs in ((2, 2, [4 * ts, 4 * one, zero]), (2, 3, [2 * ts ** 2, 4 * ts, 2 * one]),
                          (1, 2, [one, zero, zero])):
         expected[:, k - 1, b - 1] = expected[:, b - 1, k - 1] = coeffs
-    got = calculus.hessian(f, args, 2)
+    value, grad, got = calculus.derivatives(f, args, 2, levels=2)
     assert got.shape == (3, 5, 5, 2)
     assert np.allclose(got, expected, rtol=0, atol=1e-14)
     assert np.max(np.abs(got - np.swapaxes(got, 1, 2))) <= 1e-14  # d_b d_k f = d_k d_b f
+    # the gradient from the same evaluation: d_t f = q = t^2, d_q f = 2 q qd + t
+    # = 4 t^3 + t and d_qd f = q^2 = t^4
+    expected = np.zeros((3, 5, 2))
+    expected[:, 0] = [ts ** 2, 2 * ts, one]
+    expected[:, 1] = [4 * ts ** 3 + ts, 12 * ts ** 2 + 1, 12 * ts]
+    expected[:, 2] = [ts ** 4, 4 * ts ** 3, 6 * ts ** 2]
+    assert grad.shape == (3, 5, 2)
+    assert np.allclose(grad, expected, rtol=0, atol=1e-14)
+    assert np.allclose(value, [2 * ts ** 5 + ts ** 3, 10 * ts ** 4 + 3 * ts ** 2,
+                               20 * ts ** 3 + 3 * ts], rtol=0, atol=1e-14)  # f = 2 t^5 + t^3
+    alone = calculus.derivatives(f, args, 2)  # one order-1 level: f and its gradient
+    assert all(np.max(np.abs(a - b)) <= 1e-14 for a, b in zip(alone, (value, grad)))
 
 
 def test_hessian_of_scalar_slots_and_untouched_maps():
     args = ArgVector([0.5, 0.3, -2.0, 0.0, 0.0], ArgLayout.variational(1, 1))
-    got = calculus.hessian(lambda v: v[1] * v[2] + v[0], args)
+    _, grad, got = calculus.derivatives(lambda v: v[1] * v[2] + v[0], args, levels=2)
     assert got.shape == (1, 5, 5)
     assert got[0, 1, 2] == got[0, 2, 1] == 1.0 and np.count_nonzero(got) == 2
-    assert np.array_equal(calculus.hessian(lambda v: 3.0, args, 1), np.zeros((2, 5, 5)))
-    assert np.array_equal(calculus.hessian(lambda v: 2.0 * v[1], args), np.zeros((1, 5, 5)))
-    with pytest.raises(NotJetCapable, match="array of jets"):
-        calculus.hessian(lambda v: np.array([v[1], v[2]]) ** 2, args)
+    assert np.array_equal(grad, [[1.0, -2.0, 0.3, 0.0, 0.0]])
+    for f, order, value, expected in ((lambda v: 3.0, 1, [3.0, 0.0], np.zeros((2, 5))),
+                                      (lambda v: 2.0 * v[1], 0, [0.6], [[0.0, 2.0, 0, 0, 0]])):
+        for levels in (1, 2):
+            found = calculus.derivatives(f, args, order, levels)
+            assert np.array_equal(found[0], value) and np.array_equal(found[1], expected)
+        assert np.array_equal(found[2], np.zeros((order + 1, 5, 5)))
+    for levels in (1, 2):
+        with pytest.raises(NotJetCapable, match="array of jets"):
+            calculus.derivatives(lambda v: np.array([v[1], v[2]]) ** 2, args, 0, levels)
 
 
 class TestFallbackLogging:

@@ -114,19 +114,6 @@ class TestPmpResiduals:
         assert res.sup <= 1e-5
 
 
-def test_pmp_residual_csv():
-    from delayvar.optimal_control import pmp_residual_csv
-
-    cp = _lq_problem()
-    triple = _const_triple(q=0.0, u=-0.5, p=1.0)
-    text = pmp_residual_csv(cp, triple, [], np.linspace(0.6, 0.9, 4))
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,state_0,costate_0,stationarity_0,H"
-    assert len(lines) == 5
-    cells = lines[1].split(",")
-    assert float(cells[3]) == pytest.approx(0.0, abs=1e-12)  # 2u + p = 0
-
-
 class TestHamiltonianNoether:
     def test_time_translation_gives_energy(self):
         cp = _lq_problem()

@@ -4,20 +4,24 @@ aggregate verification report."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from delayvar.euler_lagrange import el_residual
+from delayvar.optimal_control import PontryaginTriple, pmp_residuals
 from delayvar.problem import (
+    AugmentedSetup,
     ControlProblem,
     Integrand,
     IsoperimetricProblem,
     constraint_defect,
     integrand_from_expr,
 )
-from delayvar import problem as problem_module, solver
+from delayvar import expr, problem as problem_module, solver
 from delayvar.errors import NotJetCapable
 from delayvar.solver import CollocationScheme, solve_el, solve_pmp, verify
 from delayvar.trajectory import PolySegment, Trajectory
@@ -380,17 +384,27 @@ def _dense_central_jacobian(record, x):
     return np.stack(cols, axis=1)
 
 
-_RECORDS = {
-    "classical-16": lambda: _el_record(_classical_with_multiplier(4.0)[0], 16),
-    "classical-64": lambda: _el_record(_classical_with_multiplier(4.0)[0], 64),
-    "cubic-m2": lambda: _el_record(_cubic_m2(), 18),
-    "constrained-m2": lambda: _el_record(_constrained_m2(), 12),
-    "delayed-m1": lambda: _el_record(_delayed_m1(), 9),
-    "cancelling-m1": lambda: _el_record(_cancelling_m1(), 9),
-    "cancelling-g-is-L": lambda: _el_record(_cancelling_m1("q*q_tau"), 9),
-    "lq-terminal": lambda: _pmp_record(_lq(terminal=[1.0]), 16),
-    "constrained-control": lambda: _pmp_record(_constrained_control(), 16),
+# problem, collocation nodes
+_PROBLEMS = {
+    "classical-16": (lambda: _classical_with_multiplier(4.0)[0], 16),
+    "classical-64": (lambda: _classical_with_multiplier(4.0)[0], 64),
+    "cubic-m2": (_cubic_m2, 18),
+    "constrained-m2": (_constrained_m2, 12),
+    "delayed-m1": (_delayed_m1, 9),
+    "cancelling-m1": (_cancelling_m1, 9),
+    "cancelling-g-is-L": (lambda: _cancelling_m1("q*q_tau"), 9),
+    "lq-terminal": (lambda: _lq(terminal=[1.0]), 16),
+    "constrained-control": (_constrained_control, 16),
 }
+
+
+def _record(name):
+    make, nodes = _PROBLEMS[name]
+    problem = make()
+    return (_pmp_record if isinstance(problem, ControlProblem) else _el_record)(problem, nodes)
+
+
+_RECORDS = {name: functools.partial(_record, name) for name in _PROBLEMS}
 
 
 class TestStructuredJacobian:
@@ -407,16 +421,38 @@ class TestStructuredJacobian:
         F, calls = record.F, []
         record.F = lambda v: calls.append(1) or F(v)
         for x in (record.project(x0), record.project(x0 + 1e-2 * rng.standard_normal(len(x0)))):
-            r = record.residual(x)
             central = _dense_central_jacobian(record, x)
             calls.clear()
-            structured = record.jacobian(x, r)
+            r, structured = record.residual(x, jacobian=True)
             assert len(calls) <= 3
+            assert np.array_equal(r, record.residual(x))
             for rows in (slice(0, nl), slice(top, None)):
                 scale = max(1.0, float(np.max(np.abs(central[rows]), initial=0.0)))
                 assert (np.max(np.abs(structured[rows] - central[rows]), initial=0.0)
                         <= 1e-12 * scale)
             assert np.array_equal(structured[nl:top], record.A)
+
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_rows_are_the_residual_functions_at_the_collocation_times(self, name):
+        # the rows from the sampled paths, with or without the Jacobian, are
+        # el_residual / pmp_residuals on the record's trajectories
+        problem = _PROBLEMS[name][0]()
+        record, x0 = _RECORDS[name]()
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            x = record.project(x0 + 1e-1 * rng.standard_normal(len(x0)))
+            trajs, lam = record.build(x)
+            if isinstance(problem, ControlProblem):
+                res = pmp_residuals(problem, PontryaginTriple(q=trajs[0], u=trajs[2], p=trajs[1]),
+                                    lam, record.times)
+                expected = np.concatenate([res.state.ravel(), res.costate.ravel(),
+                                           res.stationarity.ravel()])
+            else:
+                expected = el_residual(AugmentedSetup(problem, lam), trajs[0],
+                                       record.times).ravel()
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            for rows in (record.residual(x), record.residual(x, jacobian=True)[0]):
+                assert np.max(np.abs(rows[:record.nl] - expected)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("name", sorted(_RECORDS))
     def test_basis_recurrence_matches_powers(self, monkeypatch, name):
@@ -429,10 +465,10 @@ class TestStructuredJacobian:
 
         record, x0 = _RECORDS[name]()
         x = record.project(x0 + 1e-2 * np.random.default_rng(11).standard_normal(len(x0)))
-        jac = record.jacobian(x, record.residual(x))
+        _, jac = record.residual(x, jacobian=True)
         monkeypatch.setattr(solver._Collocation, "_basis", powers)
         reference, _ = _RECORDS[name]()
-        expected = reference.jacobian(x, reference.residual(x))
+        _, expected = reference.residual(x, jacobian=True)
         for got, want in ((record.A, reference.A), (jac, expected)):
             scale = np.max(np.abs(want), axis=1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-15 * scale)
@@ -459,11 +495,11 @@ class TestStructuredJacobian:
             (traj,), _ = record.build(x)
             assert np.array_equal(record.residual(x)[top:], constraint_defect(problem, traj))
 
-    def test_jacobian_builds_one_path_per_evaluation(self, monkeypatch):
-        # the path at x itself: none per column
+    def test_jacobian_builds_no_path(self, monkeypatch):
+        # every path sample is B x + h, fixed when the record is built: an
+        # evaluation, with or without its Jacobian, builds no trajectory
         record, x0 = _RECORDS["classical-64"]()
         x = record.project(x0)
-        r = record.residual(x)
         built = []
         init = Trajectory.__init__
 
@@ -472,21 +508,24 @@ class TestStructuredJacobian:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Trajectory, "__init__", counted)
-        record.jacobian(x, r)
-        assert len(built) == len(record.blocks) == 1
+        record.residual(x, jacobian=True)
+        record.residual(x)
+        assert not built
 
     def test_evaluates_no_residual_per_column(self):
-        # every column is exact, so the residual is never evaluated
+        # every column is exact: the Jacobian comes from the one evaluation
+        # that gives the rows, F called once per argument vector and each g once
         for name in sorted(_RECORDS):
             record, x0 = _RECORDS[name]()
             x = record.project(x0)
-            r = record.residual(x)
-            calls = []
-            for attr in ("nonlinear", "residual"):
-                setattr(record, attr, lambda *args, f=getattr(record, attr):
-                        calls.append(1) or f(*args))
-            record.jacobian(x, r)
-            assert not calls, name
+            calls, F = [], record.F
+            record.residual = lambda *args, f=record.residual, **kwargs: \
+                calls.append("residual") or f(*args, **kwargs)
+            record.F = lambda v: calls.append("F") or F(v)
+            record.g = [lambda v, g=g: calls.append("g") or g(v) for g in record.g]
+            record.residual(x, jacobian=True)
+            assert calls.count("residual") == 1, name
+            assert calls.count("F") == 3 and calls.count("g") == record.k, name
 
     def test_numpy_constraint_gives_the_exact_jacobian(self, caplog, classical_problem):
         """A constraint written with a numpy ufunc: the chain-rule Jacobian,
@@ -494,9 +533,8 @@ class TestStructuredJacobian:
         g = Integrand(lambda v: np.multiply(v[1], 1.0), name="q by a ufunc")
         record, x0 = _el_record(dataclasses.replace(classical_problem, g=(g,)), 8)
         x = record.project(x0)
-        r = record.residual(x)
         with caplog.at_level(logging.DEBUG, logger="delayvar"):
-            jac = record.jacobian(x, r)
+            _, jac = record.residual(x, jacobian=True)
         assert not caplog.records
         scale = np.max(np.abs(jac))
         assert np.max(np.abs(jac - _dense_central_jacobian(record, x))) <= 1e-12 * scale
@@ -515,39 +553,52 @@ class TestStructuredJacobian:
         assert np.max(np.abs(c - record.c)) <= 1e-13
 
 
-def _counting(monkeypatch, name):
-    calls = []
-    original = getattr(solver, name)
+def _counting(monkeypatch):
+    """Count the collocation record's evaluations and the expression
+    integrands' bind_eval calls."""
+    calls = {"evaluations": 0, "jacobians": 0, "bind_eval": 0}
+    residual, bind_eval = solver._Collocation.residual, expr.bind_eval
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def evaluation(record, x, jacobian=False):
+        calls["evaluations"] += 1
+        calls["jacobians"] += jacobian
+        return residual(record, x, jacobian)
 
-    monkeypatch.setattr(solver, name, counted)
+    def bound(*args, **kwargs):
+        calls["bind_eval"] += 1
+        return bind_eval(*args, **kwargs)
+
+    monkeypatch.setattr(solver._Collocation, "residual", evaluation)
+    monkeypatch.setattr(expr, "bind_eval", bound)
     return calls
 
 
 class TestEvaluationBudget:
     # problems linear in their unknowns: the exact Jacobian's first step
-    # converges, with one residual at the start and one in the line search
+    # converges, with one evaluation at the start (rows and Jacobian) and one
+    # in the line search (rows alone, no Hessian at the accepted point), F
+    # called once per argument vector in each (3 on the EL records) and each
+    # g once
     def test_el_classical_64(self, monkeypatch, classical_problem):
-        calls = _counting(monkeypatch, "el_residual")
+        calls = _counting(monkeypatch)
         _, _, report = solve_el(classical_problem, scheme=CollocationScheme(nodes=64))
         assert report.converged and report.iterations == 1
-        assert len(calls) <= 2
+        assert calls["evaluations"] <= 2 and calls["jacobians"] == 1
+        assert calls["bind_eval"] <= 14  # per evaluation 3 F calls of L and g, 1 of g
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-9])
     def test_el_cubic_m2(self, monkeypatch, tol):
-        calls = _counting(monkeypatch, "el_residual")
+        calls = _counting(monkeypatch)
         _, _, report = solve_el(_cubic_m2(), scheme=CollocationScheme(nodes=18, tolerance=tol))
         assert report.converged and report.iterations == 1
-        assert len(calls) <= 2
+        assert calls["evaluations"] <= 2 and calls["jacobians"] == 1
+        assert calls["bind_eval"] <= 6
 
     def test_pmp_lq_terminal_48(self, monkeypatch):
-        calls = _counting(monkeypatch, "pmp_residuals")
+        calls = _counting(monkeypatch)
         _, _, report = solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48))
         assert report.converged and report.iterations == 1
-        assert len(calls) <= 2
+        assert calls["evaluations"] <= 2 and calls["jacobians"] == 1
 
 
 @pytest.mark.parametrize("case, expected", [("classical-64", 3), ("cubic-m2", 3), ("lq-48", 2)])
@@ -590,7 +641,7 @@ class TestReportedCondition:
             record = solver._pmp_collocation(_lq(terminal=[1.0]), scheme)
             x0 = np.zeros(record.ncoef + record.k)
         x = record.project(x0.copy())
-        expected = float(np.linalg.cond(record.jacobian(x, record.residual(x))))
+        expected = float(np.linalg.cond(record.residual(x, jacobian=True)[1]))
         _, _, report = _benchmark_solve(case, classical_problem)()
         calls = _count_linalg(monkeypatch, "cond")
         assert report.iterations == 1
