@@ -18,8 +18,7 @@ import numpy as np
 
 from . import expr, registry
 from .errors import DelayVarError
-from .euler_lagrange import PathRecord, Regime, csv_text, format_column, regime_of, \
-    residual_grids
+from .euler_lagrange import PathRecord, csv_text, format_column, residual_grids
 from .noether import constancy_report, invariance_defect, necessary_condition_defect, \
     noether_sweep
 from .problem import AugmentedSetup, Integrand, TransformationGroup, augmented_integrand, \
@@ -70,10 +69,10 @@ def _load_variational(args):
     else:
         problem = _read(args.problem, problem_from_json)
         traj, lam = None, np.zeros(problem.k)
-    if getattr(args, "trajectory", None):
+    if args.trajectory:
         traj = _read(args.trajectory, Trajectory.from_json)
     with _user_input():
-        if getattr(args, "lam", None) is not None:
+        if args.lam is not None:
             lam = np.asarray([float(v) for v in args.lam.split(",") if v.strip() != ""],
                              dtype=float)
         setup = AugmentedSetup(problem, lam)
@@ -102,7 +101,7 @@ def _group_from_exprs(args, problem):
         return [expr.bind_eval(a, binding, [t, *q]) for a in xi_asts]
 
     gauge = None
-    if getattr(args, "gauge", None):
+    if args.gauge:
         gauge_ast = expr.parse(args.gauge)
         gauge = Integrand(expr.compiled(gauge_ast, expr.Binding(problem.m, problem.n)),
                           name=args.gauge)
@@ -118,10 +117,10 @@ def cmd_residuals(args) -> int:
     problem, F = setup.problem, augmented_integrand(setup)
     grids = residual_grids(problem, traj, count=args.grid)
     parts = []
-    for regime in (Regime.FIRST, Regime.SECOND):
-        record = PathRecord(F, problem, traj, grids[regime].times, regime)
+    for grid in grids.values():
+        record = PathRecord(F, problem, traj, grid.times)
         # cdur(t) is defined on [t1 - tau, t2 - tau]: an empty cell on the second regime
-        cd = record.cdur_advanced if regime is Regime.FIRST else np.full(len(record.ts), np.nan)
+        cd = record.cdur_advanced if record.first else np.full(len(record.ts), np.nan)
         parts.append((record.ts, record.psi[0], record.dr_quantity, record.dr_residual, cd))
         del record  # released before the next regime's sweep
     ts, el, drq, drr, cd = (np.concatenate(part) for part in zip(*parts))
@@ -145,20 +144,18 @@ def cmd_conserved(args) -> int:
     cdur = []  # the hypothesis residual, from the first regime's records
 
     def quantity(ts):
-        regime = regime_of(problem, ts)
-        values, record = noether_sweep(setup, group, traj, ts, regime)
-        if regime is Regime.FIRST:
+        values, record = noether_sweep(setup, group, traj, ts)
+        if record.first:
             cdur.append(record.cdur_advanced)
         return values
 
     report = constancy_report(quantity, grids)
     report.hypothesis_violated = float(np.max(np.abs(np.concatenate(cdur)))) > args.tol
 
-    regimes = (Regime.FIRST, Regime.SECOND)
-    ts = np.concatenate([report.grids[r].times for r in regimes])
-    names = [r.value for r in regimes for _ in report.grids[r].times]
+    ts = np.concatenate([grid.times for grid in report.grids.values()])
+    names = [r.value for r, grid in report.grids.items() for _ in grid.times]
     flags = ["1" if report.hypothesis_violated else "0"] * len(ts)
-    values = np.concatenate([report.values[r] for r in regimes])
+    values = np.concatenate(list(report.values.values()))
     _write_out(csv_text(["t", "regime", "C", "cdur_flag"], [ts, names, values, flags]), args.out)
     summary = json.dumps({
         "mean": {r.value: report.means[r] for r in report.means},
@@ -253,31 +250,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "isoperimetric variational problems with time delay.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p, with_traj=True):
+    options = {  # each subcommand declares the ones it reads
+        "grid": dict(type=int, default=200, help="grid point count"),
+        "tol": dict(type=float, default=1e-6),
+        "out": dict(help="output path (default: standard output)"),
+        "json": dict(action="store_true", help="machine-readable summary"),
+    }
+
+    def add_source(p, *names):
         p.add_argument("--example", help="built-in problem name (see `delayvar list`)")
         p.add_argument("--problem", help="problem JSON file")
-        if with_traj:
-            p.add_argument("--trajectory", help="trajectory JSON file")
-            p.add_argument("--lambda", dest="lam",
-                           help="comma-separated multiplier values")
-        p.add_argument("--grid", type=int, default=200, help="grid point count")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--out", help="output path (default: standard output)")
-        p.add_argument("--json", action="store_true", help="machine-readable summary")
+        p.add_argument("--trajectory", help="trajectory JSON file")
+        p.add_argument("--lambda", dest="lam", help="comma-separated multiplier values")
+        for name in names:
+            p.add_argument(f"--{name}", **options[name])
 
     p = sub.add_parser("residuals", help="Euler-Lagrange / DuBois-Reymond residual sweep")
-    add_source(p)
+    add_source(p, "grid", "out", "json")
     p.set_defaults(fn=cmd_residuals)
 
     p = sub.add_parser("conserved", help="Noether conserved-quantity report")
-    add_source(p)
+    add_source(p, "grid", "tol", "out", "json")
     p.add_argument("--eta", default="0", help="time generator expression in t, q")
     p.add_argument("--xi", default="0", help="state generator expression(s), comma-separated")
     p.add_argument("--gauge", help="gauge-term expression over the integrand arguments")
     p.set_defaults(fn=cmd_conserved)
 
     p = sub.add_parser("invariance", help="invariance defect under a transformation group")
-    add_source(p)
+    add_source(p, "tol", "json")
     p.add_argument("--eta", default="0")
     p.add_argument("--xi", default="0")
     p.add_argument("--gauge")
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
     p.add_argument("--maxiter", type=int, default=50)
     p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="run a built-in example's verification suite")

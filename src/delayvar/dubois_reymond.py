@@ -24,20 +24,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import JOutOfRange, OutOfDomain
-from .euler_lagrange import PathRecord, Regime, per_regime
+from .euler_lagrange import PathRecord, per_regime
 from .problem import AugmentedSetup, augmented_integrand
 from .trajectory import Trajectory
 
 __all__ = ["psi", "cdur_residual", "dr_quantity", "dr_residual"]
 
 
-def psi(setup: AugmentedSetup, traj: Trajectory, j: int, t: float,
-        regime: Regime) -> np.ndarray:
-    """Generalized momentum psi_j at a single time; shape (n,)."""
-    problem = setup.problem
+def psi(setup: AugmentedSetup, traj: Trajectory, j: int, t) -> np.ndarray:
+    """Generalized momentum psi_j at a time, shape (n,), or at a time array,
+    shape (npts, n)."""
+    problem, F = setup.problem, augmented_integrand(setup)
     if not 1 <= j <= problem.m:
         raise JOutOfRange(f"j = {j} outside 1..{problem.m}")
-    return PathRecord(augmented_integrand(setup), problem, traj, [t], regime, momenta=[j]).psi[j][0]
+    return per_regime(problem, lambda ts: PathRecord(
+        F, problem, traj, ts, momenta=[j]).psi[j], t, (problem.n,))
 
 
 def cdur_residual(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndarray:
@@ -47,27 +48,27 @@ def cdur_residual(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndar
     gives it on its regime grids (``cdur_advanced``, ``cdur_delayed``); here it
     is the delayed-block sum of the records at t + tau."""
     problem, F, tau = setup.problem, augmented_integrand(setup), setup.problem.tau
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.asarray(t, dtype=float)
     lo, hi, slack = problem.t1 - tau, problem.t2 - tau, 1e-10 * max(1.0, problem.span)
     if np.any(ts < lo - slack) or np.any(ts > hi + slack):
         raise OutOfDomain(f"hypothesis residual is defined on [{lo}, {hi}]")
-    out = per_regime(problem, lambda us, regime: PathRecord(
-        F, problem, traj, us, regime, momenta=()).cdur_delayed, ts + tau)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return per_regime(problem, lambda us: PathRecord(
+        F, problem, traj, us, momenta=()).cdur_delayed, ts + tau)
 
 
-def dr_quantity(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> float | np.ndarray:
+def dr_quantity(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndarray:
     """F - sum_j psi_j . q^(j): the bracket whose total derivative the
-    DuBois-Reymond condition equates to d_1 F."""
-    problem = setup.problem
-    record = PathRecord(augmented_integrand(setup), problem, traj, t, regime,
-                        momenta=range(1, problem.m + 1))
-    return float(record.dr_quantity[0]) if np.ndim(t) == 0 else record.dr_quantity
+    DuBois-Reymond condition equates to d_1 F; a float at a time, an array
+    at a time array."""
+    problem, F = setup.problem, augmented_integrand(setup)
+    return per_regime(problem, lambda ts: PathRecord(
+        F, problem, traj, ts, momenta=range(1, problem.m + 1)).dr_quantity, t)
 
 
-def dr_residual(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> float | np.ndarray:
+def dr_residual(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndarray:
     """d/dt (F - sum psi_j . q^(j)) - d_1 F, zero along trajectories that
     satisfy the DuBois-Reymond condition; evaluated from the identity
     E . q' + cdur(t - tau) - [first regime] cdur(t) (module docstring)."""
-    record = PathRecord(augmented_integrand(setup), setup.problem, traj, t, regime, momenta=(0,))
-    return float(record.dr_residual[0]) if np.ndim(t) == 0 else record.dr_residual
+    problem, F = setup.problem, augmented_integrand(setup)
+    return per_regime(problem, lambda ts: PathRecord(
+        F, problem, traj, ts, momenta=(0,)).dr_residual, t)

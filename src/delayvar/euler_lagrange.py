@@ -6,12 +6,14 @@ on the second regime [t2 - tau, t2] it does not.  The stacked partials
 
     Lambda_i(t) = d_{i+2} F[q](t)  (+ d_{i+m+3} F[q](t + tau) on the first regime)
 
-and their rates come from one :class:`PathRecord` per (F, trajectory, regime,
-times): the differential residual E = psi_0, the momenta psi_j = sum_i (-1)^i
-d^i/dt^i Lambda_(i+j), the integral form, the DuBois-Reymond and Noether
-quantities all read from it.  It takes every rate from one forward pass of
-Taylor jets (:func:`delayvar.calculus.path_derivatives`), exact to roundoff,
-so residuals of exact extremals sit at roundoff.
+and their rates come from one :class:`PathRecord` per (F, trajectory, times
+inside one regime): the differential residual E = psi_0, the momenta
+psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j), the integral form, the
+DuBois-Reymond and Noether quantities all read from it.  A time's regime
+depends on the time alone, so no function given times takes a regime: each
+resolves it per point (:func:`per_regime`).  The record takes every rate
+from one forward pass of Taylor jets (:func:`delayvar.calculus.path_derivatives`),
+exact to roundoff, so residuals of exact extremals sit at roundoff.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def regime_of(problem: IsoperimetricProblem, t) -> Regime:
     """Regime of a time or of times inside one regime (ValueError if they
     straddle it); t = t2 - tau itself belongs to the second regime."""
     second = np.asarray(t) >= problem.t2 - problem.tau
-    if np.any(second) != np.all(second):
+    if np.any(second) and not np.all(second):
         raise ValueError("times lie in both regimes")
     return Regime.SECOND if np.all(second) else Regime.FIRST
 
@@ -82,8 +84,8 @@ def stencil_bounds(ts, breaks: np.ndarray, lo: float, hi: float):
 
 
 class PathRecord:
-    """F along a trajectory at times ``ts`` inside one regime: the one sweep
-    that every residual reads.
+    """F along a trajectory at times ``ts`` inside one regime (ValueError if
+    they straddle t2 - tau): the one sweep that every residual reads.
 
     The path is evaluated once at ts, at ts - tau and, when the advanced
     arguments are read, (first regime) at ts + tau; q^(j)(ts), q^(j)(ts - tau)
@@ -97,11 +99,12 @@ class PathRecord:
     """
 
     def __init__(self, F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, ts,
-                 regime: Regime, momenta=None, along=None, along_order: int = 0):
+                 momenta=None, along=None, along_order: int = 0):
         m, tau = problem.m, problem.tau
-        self.F, self.m, self.n, self.first = F, m, problem.n, regime is Regime.FIRST
-        self.traj, self.tau, self._along = traj, tau, along
         self.ts = ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        self.F, self.m, self.n = F, m, problem.n
+        self.first = regime_of(problem, ts) is Regime.FIRST
+        self.traj, self.tau, self._along = traj, tau, along
         momenta = range(m + 1) if momenta is None else momenta
         order = max([m - j for j in momenta] + [along_order])
         self._momenta, self._ks = tuple(momenta), range(min(momenta, default=m + 1), m + 1)
@@ -201,15 +204,17 @@ class PathRecord:
 
 
 def per_regime(problem: IsoperimetricProblem, fn, t, shape: tuple = ()) -> np.ndarray:
-    """fn(times, regime) at the times t, each regime's points in one call;
-    one row of ``shape`` per time, a scalar t giving one row."""
+    """fn(times) at the times t, each regime's points in one call; one row of
+    ``shape`` per time, a scalar t giving one row (a float if ``shape`` is ())."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty((len(ts),) + shape)
     second = ts >= problem.t2 - problem.tau
-    for regime, mask in ((Regime.FIRST, ~second), (Regime.SECOND, second)):
+    for mask in (~second, second):
         if np.any(mask):
-            out[mask] = fn(ts[mask], regime)
-    return out[0] if np.ndim(t) == 0 else out
+            out[mask] = fn(ts[mask])
+    if np.ndim(t):
+        return out
+    return out[0] if shape else float(out[0])
 
 
 def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
@@ -219,8 +224,8 @@ def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
     (returns (npts, n)); regimes are resolved per point.
     """
     problem, F = setup.problem, augmented_integrand(setup)
-    return per_regime(problem, lambda ts, regime: PathRecord(
-        F, problem, traj, ts, regime, momenta=(0,)).psi[0], t, (problem.n,))
+    return per_regime(problem, lambda ts: PathRecord(F, problem, traj, ts, momenta=(0,)).psi[0],
+                      t, (problem.n,))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +286,7 @@ def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime
     edges = np.array([lo, *(x for x in smooth_breaks(problem, traj) if lo < x < hi), hi])
     cheb = np.cos(np.pi * (2 * np.arange(25) + 1) / 50)  # 25 Chebyshev nodes per piece
     nodes = 0.5 * (edges[:-1, None] + edges[1:, None]) + 0.5 * np.diff(edges)[:, None] * cheb
-    record = PathRecord(augmented_integrand(setup), problem, traj, nodes.ravel(), regime,
-                        momenta=())
+    record = PathRecord(augmented_integrand(setup), problem, traj, nodes.ravel(), momenta=())
     terms = []
     for i in range(problem.m + 1):
         level = _PiecewiseCheb.fit(edges, nodes, record.rate(0, i).reshape(nodes.shape + (-1,)))
@@ -298,10 +302,10 @@ def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime
     return fn
 
 
-def el_integral_lhs(setup: AugmentedSetup, traj: Trajectory, t, regime: Regime) -> np.ndarray:
-    """Integral-form LHS at a single time; equals a degree-(m-1) polynomial
-    of t along extremals."""
-    return el_integral_function(setup, traj, regime)(np.array([float(t)]))[0]
+def el_integral_lhs(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
+    """Integral-form LHS at a single time, on the regime of t; equals a
+    degree-(m-1) polynomial of t along extremals."""
+    return el_integral_function(setup, traj, regime_of(setup.problem, t))(np.array([float(t)]))[0]
 
 
 @dataclass(frozen=True)
@@ -313,11 +317,12 @@ class PolynomialFit:
     residual_sup: float
 
 
-def el_integral_defect(setup: AugmentedSetup, traj: Trajectory, grid: Grid,
-                       regime: Regime) -> PolynomialFit:
+def el_integral_defect(setup: AugmentedSetup, traj: Trajectory, grid: Grid) -> PolynomialFit:
+    """The fit on the regime of the grid's times (ValueError if they straddle t2 - tau)."""
     problem = setup.problem
     if len(grid) < problem.m + 1:
         raise DegenerateGrid(f"need at least {problem.m + 1} samples, got {len(grid)}")
+    regime = regime_of(problem, grid.times)
     lo, hi = regime_interval(problem, regime)
     ts = np.asarray(grid.times)
     samples = el_integral_function(setup, traj, regime)(ts)  # (npts, n)
@@ -342,8 +347,8 @@ def residual_grids(problem: IsoperimetricProblem, traj: Trajectory, count: int =
     grid = Grid.build(problem.t1, problem.t2, count, exclude=exclude, eps_knot=eps_knot)
     split = problem.t2 - problem.tau
     return {
-        Regime.FIRST: Grid(grid.times[grid.times < split], eps_knot),
-        Regime.SECOND: Grid(grid.times[grid.times > split], eps_knot),
+        Regime.FIRST: Grid(grid.times[grid.times < split]),
+        Regime.SECOND: Grid(grid.times[grid.times > split]),
     }
 
 
@@ -356,8 +361,8 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
     grids = residual_grids(problem, traj, count=100)
     sup = 0.0
     for gj in problem.g:
-        for regime, grid in grids.items():
-            res = PathRecord(gj, problem, traj, grid.times, regime, momenta=(0,)).psi[0]
+        for grid in grids.values():
+            res = PathRecord(gj, problem, traj, grid.times, momenta=(0,)).psi[0]
             sup = max(sup, float(np.max(np.linalg.norm(res, axis=1))))
     return Classification.ABNORMAL if sup <= 1e-6 * (1.0 + sup) else Classification.NORMAL
 
@@ -370,8 +375,6 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
 class ResidualReport:
     """Per-grid-point residuals with regime sup-norms and hypothesis flags."""
 
-    times_first: np.ndarray
-    times_second: np.ndarray
     el_first: np.ndarray
     el_second: np.ndarray
     dr_first: np.ndarray | None = None
@@ -379,7 +382,6 @@ class ResidualReport:
     dr_quantity_first: np.ndarray | None = None  # F - sum_j psi_j . q^(j) on the grids
     dr_quantity_second: np.ndarray | None = None
     functional: float | None = None  # J, from the quadrature of the constraint defects
-    cdur_times: np.ndarray | None = None
     cdur: np.ndarray | None = None
     constraint_defect: np.ndarray | None = None
     hypothesis_violated: bool = False

@@ -66,7 +66,7 @@ def _along(group: TransformationGroup, args):
     them; shape (npts, n + 2).  A :class:`PathRecord` differentiates it for the lifts."""
     ts, n = args.values[0], args.layout.blocks[1]
     # a constant gauge expression evaluates to a scalar: 0 t broadcasts it
-    gauge = 0.0 * ts + (0.0 if group.gauge is None else group.gauge(args.values))
+    gauge = 0.0 * ts + (0.0 if group.gauge is None else calculus.jet_call(group.gauge, args.values))
     return jet.hstack([_generators(group, ts, jet.hstack(args.values[1:n + 1])), gauge])
 
 
@@ -97,20 +97,20 @@ def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
 
 
 def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
-                     t, regime: Regime) -> float | np.ndarray:
+                     t) -> float | np.ndarray:
     """sum_j psi_j . rho^(j-1) + (F - sum_j psi_j . q^(j)) eta - gauge at a
-    time (a float) or at an array of times inside ``regime`` (an array)."""
-    out, _ = noether_sweep(setup, group, traj, t, regime)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    time (a float) or at an array of times (an array)."""
+    return per_regime(setup.problem, lambda ts: noether_sweep(setup, group, traj, ts)[0], t)
 
 
 def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
-                  t, regime: Regime) -> tuple[np.ndarray, PathRecord]:
-    """The Noether quantity at the times t inside ``regime``, shape (npts,),
-    and the record it reads (its ``cdur_advanced`` on the first regime)."""
+                  t) -> tuple[np.ndarray, PathRecord]:
+    """The Noether quantity at the times t inside one regime (ValueError if
+    they straddle t2 - tau), shape (npts,), and the record it reads (its
+    ``cdur_advanced`` on the first regime)."""
     problem = setup.problem
     m, n = problem.m, problem.n
-    record = PathRecord(augmented_integrand(setup), problem, traj, t, regime,
+    record = PathRecord(augmented_integrand(setup), problem, traj, t,
                         momenta=range(1, m + 1), along=functools.partial(_along, group),
                         along_order=m - 1)
     rhos = _leibniz(record.along, record.q, n)
@@ -124,12 +124,12 @@ def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Traje
 
 
 def _group_record(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
-                  ts: np.ndarray, regime: Regime):
+                  ts: np.ndarray):
     """The record at ts with the generators' rates up to order max(m, 1), the
     lifts rho^0 .. rho^m there, and d_1 F eta + F eta' - (gauge)'."""
     problem = setup.problem
     m, n = problem.m, problem.n
-    record = PathRecord(augmented_integrand(setup), problem, traj, ts, regime, momenta=(),
+    record = PathRecord(augmented_integrand(setup), problem, traj, ts, momenta=(),
                         along=functools.partial(_along, group), along_order=max(m, 1))
     gens, rates = record.along[0], record.along[1]
     base = record.d1 * gens[:, n] + record.value * rates[:, n] - rates[:, n + 1]
@@ -154,8 +154,8 @@ def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: T
     m, tau = problem.m, problem.tau
     breaks = np.unique(np.append(smooth_breaks(problem, traj), problem.t1 + tau))
 
-    def integrand(ts, regime):
-        record, lifts, total = _group_record(setup, group, traj, ts, regime)
+    def integrand(ts):
+        record, lifts, total = _group_record(setup, group, traj, ts)
         for j in range(m + 1):
             total += np.sum(record.block_partial(j + 2).T * lifts[j], axis=1)
         past = ts - tau >= problem.t1  # the lifts vanish left of t1
@@ -174,15 +174,14 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
     functional is invariant up to the gauge term."""
     problem = setup.problem
 
-    def integrand(ts, regime: Regime):
-        record, lifts, total = _group_record(setup, group, traj, ts, regime)
+    def integrand(ts):  # the nodes of one regime's rule lie inside it
+        record, lifts, total = _group_record(setup, group, traj, ts)
         for k, lift in enumerate(lifts):
             total += np.sum(record.rate(0, k) * lift, axis=1)
         return total
 
     breaks = smooth_breaks(problem, traj)
-    return tuple(calculus.integrate(functools.partial(integrand, regime=regime),
-                                    *regime_interval(problem, regime), breaks)
+    return tuple(calculus.integrate(integrand, *regime_interval(problem, regime), breaks)
                  for regime in (Regime.FIRST, Regime.SECOND))
 
 

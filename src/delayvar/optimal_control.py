@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calculus
 from .errors import OutOfDomain, WrongOrder
-from .euler_lagrange import PathRecord, Regime
+from .euler_lagrange import PathRecord, per_regime
 from .noether import _generators, _on_points
 from .problem import (
     ArgLayout,
@@ -132,21 +132,24 @@ def hamiltonian_noether_quantity(cp: ControlProblem, group: TransformationGroup,
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def second_order_noether_quantity(setup: AugmentedSetup, traj: Trajectory, t,
-                                  regime: Regime, eta: float,
+def second_order_noether_quantity(setup: AugmentedSetup, traj: Trajectory, t, eta: float,
                                   xi0=None, xi1=None) -> float | np.ndarray:
     """Second-order conserved quantity F eta + psi_1 . (xi0 - qdot eta)
-    + psi_2 . (xi1 - qddot eta) at a time (a float) or at the times inside
-    ``regime`` (an array); eta is a constant, xi0 and xi1 (None: zero) take (t, q)."""
-    problem = setup.problem
+    + psi_2 . (xi1 - qddot eta) at a time (a float) or at a time array (an
+    array); eta is a constant, xi0 and xi1 (None: zero) take (t, q)."""
+    problem, F = setup.problem, augmented_integrand(setup)
     if problem.m != 2:
         raise WrongOrder(f"second-order quantity needs m = 2, problem has m = {problem.m}")
-    record = PathRecord(augmented_integrand(setup), problem, traj, t, regime, momenta=(1, 2))
-    out, shape = record.value * eta, record.q[0].T.shape
-    for j, xi in ((1, xi0), (2, xi1)):
-        gen = 0.0 if xi is None else _on_points(xi, shape, record.ts, record.q[0]).T
-        out = out + np.sum(record.psi[j] * (gen - eta * record.q[j]), axis=1)
-    return float(out[0]) if np.ndim(t) == 0 else out
+
+    def quantity(ts):
+        record = PathRecord(F, problem, traj, ts, momenta=(1, 2))
+        out, shape = record.value * eta, record.q[0].T.shape
+        for j, xi in ((1, xi0), (2, xi1)):
+            gen = 0.0 if xi is None else _on_points(xi, shape, record.ts, record.q[0]).T
+            out = out + np.sum(record.psi[j] * (gen - eta * record.q[j]), axis=1)
+        return out
+
+    return per_regime(problem, quantity, t)
 
 
 # ---------------------------------------------------------------------------

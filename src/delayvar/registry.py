@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .euler_lagrange import Regime, regime_of, residual_grids
+from .euler_lagrange import Regime, residual_grids
 from .noether import constancy_report, noether_quantity
 from .optimal_control import hamiltonian_noether_quantity, pmp_residuals
 from .problem import (
@@ -131,9 +131,8 @@ def _classical_checks() -> list[Check]:
     out.append(Check("dr residual sup", dr_sup, 1e-6, dr_sup <= 1e-6))
     group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
     setup = AugmentedSetup(problem, lam)
-    con = constancy_report(
-        lambda ts: noether_quantity(setup, group, traj, ts, regime_of(problem, ts)),
-        residual_grids(problem, traj, count=60))
+    con = constancy_report(functools.partial(noether_quantity, setup, group, traj),
+                           residual_grids(problem, traj, count=60))
     out.append(Check("noether constancy deviation", con.max_deviation, 1e-6,
                      con.max_deviation <= 1e-6))
     return out
@@ -150,7 +149,7 @@ def _lq_problem() -> ControlProblem:
         n=1, mc=1, tau=0.5, t1=0.0, t2=1.0,
         L=Integrand(L_fn, name="u^2"),
         phi=(Integrand(phi_fn, name="q_tau + u"),),
-        history=lambda t: np.zeros(1),
+        history=lambda t: np.ones(1),
     )
 
 
@@ -165,8 +164,8 @@ def _lq_checks() -> list[Check]:
     shift = TransformationGroup(eta=lambda t, q, u: 1.0, xi=lambda t, q, u: np.zeros(1))
     split = cp.t2 - cp.tau
     grids = {
-        Regime.FIRST: Grid(grid.times[grid.times < split], 1e-3),
-        Regime.SECOND: Grid(grid.times[grid.times > split], 1e-3),
+        Regime.FIRST: Grid(grid.times[grid.times < split]),
+        Regime.SECOND: Grid(grid.times[grid.times > split]),
     }
     con = constancy_report(
         functools.partial(hamiltonian_noether_quantity, cp, shift, triple, lam), grids)

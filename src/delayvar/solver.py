@@ -32,8 +32,7 @@ import numpy as np
 
 from . import calculus, jet
 from .errors import SingularJacobian
-from .euler_lagrange import Classification, PathRecord, Regime, ResidualReport, classify, \
-    residual_grids
+from .euler_lagrange import Classification, PathRecord, ResidualReport, classify, residual_grids
 from .optimal_control import PontryaginTriple, hamiltonian_integrand
 from .problem import ArgLayout, ArgVector, AugmentedSetup, ControlProblem, \
     IsoperimetricProblem, augmented_integrand, integrals
@@ -531,22 +530,18 @@ def verify(problem: IsoperimetricProblem, traj: Trajectory, lam,
     """
     F = augmented_integrand(AugmentedSetup(problem, lam))
     grids = residual_grids(problem, traj, count=grid_count)
-    def sweep(regime):  # one record per regime, released before the next is built
-        record = PathRecord(F, problem, traj, grids[regime].times, regime)
-        return (record.ts, record.psi[0], record.dr_residual, record.cdur_delayed,
-                record.dr_quantity)
+    def sweep(grid):  # one record per regime, released before the next is built
+        record = PathRecord(F, problem, traj, grid.times)
+        return record.psi[0], record.dr_residual, record.cdur_delayed, record.dr_quantity
 
-    (ts1, el1, dr1, cdur1, drq1), (ts2, el2, dr2, cdur2, drq2) = map(
-        sweep, (Regime.FIRST, Regime.SECOND))
+    (el1, dr1, cdur1, drq1), (el2, dr2, cdur2, drq2) = map(sweep, grids.values())
     # cdur(t - tau) over both regimes covers the hypothesis domain [t1 - tau, t2 - tau]
     cdur = np.concatenate([cdur1, cdur2])
     values = integrals(problem, traj, (problem.L, *problem.g))
     abnormal = classify(problem, traj) is Classification.ABNORMAL if problem.k else None
     return ResidualReport(
-        times_first=ts1, times_second=ts2, el_first=el1, el_second=el2,
-        dr_first=dr1, dr_second=dr2, dr_quantity_first=drq1, dr_quantity_second=drq2,
-        functional=float(values[0]), cdur_times=np.concatenate([ts1, ts2]) - problem.tau,
+        el_first=el1, el_second=el2, dr_first=dr1, dr_second=dr2,
+        dr_quantity_first=drq1, dr_quantity_second=drq2, functional=float(values[0]),
         cdur=cdur, constraint_defect=values[1:] - problem.l,
-        hypothesis_violated=bool(np.max(np.abs(cdur)) > 1e-6),
-        abnormal=abnormal,
+        hypothesis_violated=bool(np.max(np.abs(cdur)) > 1e-6), abnormal=abnormal,
     )

@@ -253,7 +253,6 @@ class Grid:
     """Strictly increasing sample times, kept clear of breakpoints."""
 
     times: np.ndarray
-    eps_knot: float = 1e-2
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -276,4 +275,4 @@ class Grid:
             times = times[np.abs(times - x) >= eps_knot]
         if times.size == 0:
             raise EmptyGrid("all grid candidates fell within excluded neighborhoods")
-        return cls(times, eps_knot)
+        return cls(times)

@@ -107,7 +107,7 @@ def test_criterion_3_example1_classification(ex1_problem, ex1_traj):
     grid = Grid.build(1.05, 1.95, 50, eps_knot=1e-3)
     from delayvar.euler_lagrange import PathRecord
 
-    g_res = PathRecord(ex1_problem.g[0], ex1_problem, ex1_traj, grid.times, Regime.SECOND,
+    g_res = PathRecord(ex1_problem.g[0], ex1_problem, ex1_traj, grid.times,
                        momenta=(0,)).psi[0]
     sup = float(np.max(np.abs(g_res)))
     ok = verdict is Classification.NORMAL and sup >= 24.0
@@ -117,8 +117,8 @@ def test_criterion_3_example1_classification(ex1_problem, ex1_traj):
 def test_criterion_4_dr_audit(ex1_problem, ex1_setup, ex1_traj):
     """The DuBois-Reymond constancy claim for this trajectory is not
     reproducible; the audit values that replace it are closed-form."""
-    v125 = dr_quantity(ex1_setup, ex1_traj, 1.25, Regime.SECOND)
-    v150 = dr_quantity(ex1_setup, ex1_traj, 1.5, Regime.SECOND)
+    v125 = dr_quantity(ex1_setup, ex1_traj, 1.25)
+    v150 = dr_quantity(ex1_setup, ex1_traj, 1.5)
     c05 = cdur_residual(ex1_setup, ex1_traj, 0.5)
     from delayvar import registry
 
@@ -144,7 +144,7 @@ def test_criterion_5_classical_solve(classical_problem):
     group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
     setup = AugmentedSetup(classical_problem, lam)
     con = constancy_report(
-        lambda t: noether_quantity(setup, group, traj, t, regime_of(classical_problem, t)),
+        lambda t: noether_quantity(setup, group, traj, t),
         residual_grids(classical_problem, traj, count=60))
     elapsed = time.perf_counter() - start
     ok = (report.converged and abs(lam[0] - 4.0) <= 1e-5 and sup_err <= 1e-5
@@ -266,16 +266,16 @@ def test_criterion_7a_m1_reduction_identities():
             general_el = el_residual(setup, traj, t)
             direct_el = _direct_m1_el(setup, traj, problem, t)
             worst = max(worst, float(np.max(np.abs(general_el + direct_el))))
-            general_psi = psi(setup, traj, 1, t, regime)
+            general_psi = psi(setup, traj, 1, t)
             worst = max(worst, float(np.max(np.abs(
                 general_psi - _direct_m1_psi(setup, traj, t, regime)))))
-            general_dr = dr_residual(setup, traj, t, regime)
+            general_dr = dr_residual(setup, traj, t)
             worst = max(worst, abs(general_dr - _direct_m1_dr(setup, traj, problem,
                                                               t, regime)))
             eta_c, beta = (float(x) for x in rng.uniform(-1, 1, size=2))
             group = TransformationGroup(eta=lambda tt, qq, e=eta_c: e,
                                         xi=lambda tt, qq, b=beta: b * qq)
-            general_c = noether_quantity(setup, group, traj, t, regime)
+            general_c = noether_quantity(setup, group, traj, t)
             worst = max(worst, abs(general_c - _direct_m1_noether(
                 setup, traj, t, regime, eta_c, beta)))
     ok = worst <= 1e-10
@@ -299,9 +299,9 @@ def test_criterion_7b_second_order_corollary():
                                     xi=lambda tt, qq, b=beta: b * qq)
         for t, regime in ((float(rng.uniform(0.08, 0.42)), Regime.FIRST),
                           (float(rng.uniform(0.58, 0.92)), Regime.SECOND)):
-            general = noether_quantity(setup, group, traj, t, regime)
+            general = noether_quantity(setup, group, traj, t)
             corollary = second_order_noether_quantity(
-                setup, traj, t, regime, eta=eta_c,
+                setup, traj, t, eta=eta_c,
                 xi0=lambda u, q, b=beta: b * q,
                 xi1=lambda u, q, g=group, tr=traj: rho(g, tr, 1, u))
             worst = max(worst, abs(corollary - general) / max(1.0, abs(general)))

@@ -175,7 +175,7 @@ class TestSolve:
             "m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": "qd^2",
             "g": ["q", "q"], "l": [1 / 6, 1 / 6], "history": "t * (1 - t)",
             "boundary": {"q": [0.0]}}))
-        assert main(["solve", "--problem", str(problem), "--nodes", "16", "--json"]) == 2
+        assert main(["solve", "--problem", str(problem), "--nodes", "16"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: collocation Jacobian is singular")
         assert "Traceback" not in err

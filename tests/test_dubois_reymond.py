@@ -38,9 +38,9 @@ def _line_setup():
 class TestPsi:
     def test_example1_values(self, ex1_setup, ex1_traj):
         # psi_2 = d4F = 2(qdd + qdd_tau) = -48 at t = 1.5
-        assert psi(ex1_setup, ex1_traj, 2, 1.5, Regime.SECOND)[0] == pytest.approx(-48.0, abs=1e-8)
+        assert psi(ex1_setup, ex1_traj, 2, 1.5)[0] == pytest.approx(-48.0, abs=1e-8)
         # psi_1 = d3F - d/dt d4F = 0 - (-48) = 48
-        assert psi(ex1_setup, ex1_traj, 1, 1.5, Regime.SECOND)[0] == pytest.approx(48.0, abs=1e-7)
+        assert psi(ex1_setup, ex1_traj, 1, 1.5)[0] == pytest.approx(48.0, abs=1e-7)
 
     def test_constant_integrand_gives_zero(self, ex1_traj):
         problem = IsoperimetricProblem(
@@ -49,14 +49,14 @@ class TestPsi:
         setup = AugmentedSetup(problem, [])
         for j in (1, 2):
             for regime in Regime:
-                assert abs(psi(setup, ex1_traj, j, 1.5 if regime is Regime.SECOND else 0.5,
-                               regime)[0]) <= 1e-12
+                assert abs(psi(setup, ex1_traj, j, 1.5 if regime is Regime.SECOND else 0.5
+                               )[0]) <= 1e-12
 
     def test_j_out_of_range(self, ex1_setup, ex1_traj):
         with pytest.raises(JOutOfRange):
-            psi(ex1_setup, ex1_traj, 3, 1.5, Regime.SECOND)
+            psi(ex1_setup, ex1_traj, 3, 1.5)
         with pytest.raises(JOutOfRange):
-            psi(ex1_setup, ex1_traj, 0, 1.5, Regime.SECOND)
+            psi(ex1_setup, ex1_traj, 0, 1.5)
 
     def test_m1_reduction(self):
         """psi_1 equals d3F + d5F(t+tau) (first regime) / d3F (second)."""
@@ -75,11 +75,11 @@ class TestPsi:
             F = augmented_integrand(setup)
             t = rng.uniform(0.55, 0.95)
             direct = calculus.partial(F, 3, args_at(traj, t, 0.5, 1))
-            assert psi(setup, traj, 1, t, Regime.SECOND) == pytest.approx(direct, abs=1e-10)
+            assert psi(setup, traj, 1, t) == pytest.approx(direct, abs=1e-10)
             t = rng.uniform(0.05, 0.45)
             direct = (calculus.partial(F, 3, args_at(traj, t, 0.5, 1))
                       + calculus.partial(F, 5, args_at(traj, t + 0.5, 0.5, 1)))
-            assert psi(setup, traj, 1, t, Regime.FIRST) == pytest.approx(direct, abs=1e-10)
+            assert psi(setup, traj, 1, t) == pytest.approx(direct, abs=1e-10)
 
 
 class TestCdur:
@@ -112,30 +112,30 @@ class TestDrQuantity:
         traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
         setup = AugmentedSetup(problem, [])
         for t, regime in ((0.2, Regime.FIRST), (0.8, Regime.SECOND)):
-            assert dr_quantity(setup, traj, t, regime) == pytest.approx(-1.0, abs=1e-10)
+            assert dr_quantity(setup, traj, t) == pytest.approx(-1.0, abs=1e-10)
 
     def test_example1_audit_values(self, ex1_setup, ex1_traj):
         # closed form on (1, 2): -384 t^3 + 864 t^2 - 576 t + 144
-        assert dr_quantity(ex1_setup, ex1_traj, 1.25, Regime.SECOND) == pytest.approx(24.0, abs=1e-6)
-        assert dr_quantity(ex1_setup, ex1_traj, 1.5, Regime.SECOND) == pytest.approx(-72.0, abs=1e-6)
+        assert dr_quantity(ex1_setup, ex1_traj, 1.25) == pytest.approx(24.0, abs=1e-6)
+        assert dr_quantity(ex1_setup, ex1_traj, 1.5) == pytest.approx(-72.0, abs=1e-6)
 
 
 class TestDrResidual:
     def test_classical_line_vanishes(self):
         setup, traj = _line_setup()
-        assert dr_residual(setup, traj, 0.7, Regime.SECOND) == pytest.approx(0.0, abs=1e-9)
+        assert dr_residual(setup, traj, 0.7) == pytest.approx(0.0, abs=1e-9)
 
     def test_embedded_classical_isoperimetric(self, classical_setup, classical_traj):
         # F = qd^2 - 4q along q = t(1-t): quantity is the constant -1
         for t, regime in ((0.2, Regime.FIRST), (0.31, Regime.FIRST),
                           (0.6, Regime.SECOND), (0.88, Regime.SECOND)):
-            assert dr_quantity(classical_setup, classical_traj, t, regime) == pytest.approx(
+            assert dr_quantity(classical_setup, classical_traj, t) == pytest.approx(
                 -1.0, abs=1e-9)
-            assert abs(dr_residual(classical_setup, classical_traj, t, regime)) <= 1e-6
+            assert abs(dr_residual(classical_setup, classical_traj, t)) <= 1e-6
 
     def test_example1_nonzero(self, ex1_setup, ex1_traj):
         # d/dt of the cubic at 1.5 is -576; the autonomous d1F term is 0
-        value = dr_residual(ex1_setup, ex1_traj, 1.5, Regime.SECOND)
+        value = dr_residual(ex1_setup, ex1_traj, 1.5)
         assert value == pytest.approx(-576.0, abs=1e-3)
         assert abs(value) > 10.0
 
@@ -145,7 +145,7 @@ class TestDrResidual:
         exact = {Regime.FIRST: lambda t: 2304.0 * t - 576.0,
                  Regime.SECOND: lambda t: -1152.0 * t ** 2 + 1728.0 * t - 576.0}
         for regime, grid in residual_grids(ex1_problem, ex1_traj, count=count).items():
-            got = dr_residual(ex1_setup, ex1_traj, grid.times, regime)
+            got = dr_residual(ex1_setup, ex1_traj, grid.times)
             assert np.max(np.abs(got - exact[regime](grid.times))) <= 3e-6
 
     def test_matches_definition(self):
@@ -165,10 +165,10 @@ class TestDrResidual:
             ts = grid.times
             los, his = stencil_bounds(ts, breaks, *regime_interval(problem, regime))
             rate = calculus.total_derivative_many(
-                lambda u: dr_quantity(setup, traj, u, regime), ts, 1, los, his,
+                lambda u: dr_quantity(setup, traj, u), ts, 1, los, his,
                 calculus.default_step(problem.span, 1))
             reference = rate - calculus.partial(F, 1, args_at(traj, ts, problem.tau, 1))[0]
-            got = dr_residual(setup, traj, ts, regime)
+            got = dr_residual(setup, traj, ts)
             assert np.max(np.abs(got - reference)) <= 1e-8
 
 
@@ -181,14 +181,14 @@ def test_verify_on_degree_m_extremal():
 def test_dr_linear_in_lambda(ex1_problem, ex1_traj):
     rng = np.random.default_rng(4)
     t = 1.4
-    q0 = dr_quantity(AugmentedSetup(ex1_problem, [0.0]), ex1_traj, t, Regime.SECOND)
-    q1 = dr_quantity(AugmentedSetup(ex1_problem, [1.0]), ex1_traj, t, Regime.SECOND)
-    r0 = dr_residual(AugmentedSetup(ex1_problem, [0.0]), ex1_traj, t, Regime.SECOND)
-    r1 = dr_residual(AugmentedSetup(ex1_problem, [1.0]), ex1_traj, t, Regime.SECOND)
+    q0 = dr_quantity(AugmentedSetup(ex1_problem, [0.0]), ex1_traj, t)
+    q1 = dr_quantity(AugmentedSetup(ex1_problem, [1.0]), ex1_traj, t)
+    r0 = dr_residual(AugmentedSetup(ex1_problem, [0.0]), ex1_traj, t)
+    r1 = dr_residual(AugmentedSetup(ex1_problem, [1.0]), ex1_traj, t)
     for _ in range(5):
         lam = rng.uniform(-3, 3)
         setup = AugmentedSetup(ex1_problem, [lam])
-        assert dr_quantity(setup, ex1_traj, t, Regime.SECOND) == pytest.approx(
+        assert dr_quantity(setup, ex1_traj, t) == pytest.approx(
             q0 + lam * (q1 - q0), rel=1e-9, abs=1e-9)
-        assert dr_residual(setup, ex1_traj, t, Regime.SECOND) == pytest.approx(
+        assert dr_residual(setup, ex1_traj, t) == pytest.approx(
             r0 + lam * (r1 - r0), rel=1e-6, abs=1e-5)

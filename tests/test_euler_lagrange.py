@@ -110,7 +110,7 @@ def test_stacked_partial_and_its_rate(ex1_setup, ex1_traj):
     F = augmented_integrand(ex1_setup)
     args = args_at(ex1_traj, 1.5, 1.0, 2)
     assert calculus.partial(F, 4, args)[0] == pytest.approx(-48.0, abs=1e-9)
-    record = PathRecord(F, ex1_setup.problem, ex1_traj, [1.5], Regime.SECOND)
+    record = PathRecord(F, ex1_setup.problem, ex1_traj, [1.5])
     assert record.rate(0, 2)[0, 0] == pytest.approx(-48.0, abs=1e-9)
     assert record.rate(1, 2)[0, 0] == pytest.approx(-48.0, abs=1e-7)
 
@@ -136,11 +136,11 @@ class TestIntegralForm:
         traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
         setup = AugmentedSetup(problem, [])
         for t in (0.55, 0.7, 0.95):
-            assert el_integral_lhs(setup, traj, t, Regime.SECOND)[0] == pytest.approx(-2.0, abs=1e-10)
+            assert el_integral_lhs(setup, traj, t)[0] == pytest.approx(-2.0, abs=1e-10)
         for t in (0.1, 0.3):
-            assert el_integral_lhs(setup, traj, t, Regime.FIRST)[0] == pytest.approx(-2.0, abs=1e-10)
+            assert el_integral_lhs(setup, traj, t)[0] == pytest.approx(-2.0, abs=1e-10)
         grid = Grid.build(0.52, 0.98, 9, eps_knot=1e-3)
-        fit = el_integral_defect(setup, traj, grid, Regime.SECOND)
+        fit = el_integral_defect(setup, traj, grid)
         assert fit.coefficients[0, 0] == pytest.approx(-2.0, abs=1e-9)
         assert fit.residual_sup <= 1e-9
 
@@ -151,19 +151,19 @@ class TestIntegralForm:
             history=ex1_problem.history, boundary=ex1_problem.boundary)
         setup = AugmentedSetup(zero_problem, [])
         grid = Grid.build(1.05, 1.95, 7, eps_knot=1e-3)
-        fit = el_integral_defect(setup, ex1_traj, grid, Regime.SECOND)
+        fit = el_integral_defect(setup, ex1_traj, grid)
         assert np.all(np.abs(fit.coefficients) <= 1e-12)
         assert fit.residual_sup <= 1e-12
 
     def test_example1_fits_degree_one(self, ex1_setup, ex1_traj):
         grid = Grid.build(1.05, 1.95, 15, eps_knot=1e-3)
-        fit = el_integral_defect(ex1_setup, ex1_traj, grid, Regime.SECOND)
+        fit = el_integral_defect(ex1_setup, ex1_traj, grid)
         assert fit.residual_sup <= 1e-6
 
     def test_degenerate_grid(self, ex1_setup, ex1_traj):
         grid = Grid.build(1.2, 1.4, 2, eps_knot=1e-4)
         with pytest.raises(DegenerateGrid):
-            el_integral_defect(ex1_setup, ex1_traj, grid, Regime.SECOND)
+            el_integral_defect(ex1_setup, ex1_traj, grid)
 
     def test_mth_derivative_recovers_differential_form(self, classical_setup, classical_traj):
         """d^m/dt^m of the integral form equals (-1)^(m-1) el_residual on a

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delayvar.dubois_reymond import dr_residual
-from delayvar.euler_lagrange import Regime, classify, el_residual, regime_of, residual_grids
+from delayvar.euler_lagrange import classify, el_residual, residual_grids
 from delayvar.noether import constancy_report, noether_quantity, rho
 from delayvar.optimal_control import pmp_residuals, reduce_to_control
 from delayvar.problem import (
@@ -77,8 +77,7 @@ class TestVectorState:
         setup = AugmentedSetup(vector_problem, [4.0])
         group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(2))
         con = constancy_report(
-            lambda t: noether_quantity(setup, group, vector_traj, t,
-                                       regime_of(vector_problem, t)),
+            lambda t: noether_quantity(setup, group, vector_traj, t),
             residual_grids(vector_problem, vector_traj, count=40))
         assert con.max_deviation <= 1e-6
         # rho with a component-mixing generator
@@ -116,7 +115,7 @@ class TestSecondOrderSolve:
         grids = residual_grids(cubic_m2_problem, traj, count=80)
         for regime, grid in grids.items():
             assert np.max(np.abs(el_residual(setup, traj, grid.times))) <= 1e-9
-            drr = np.atleast_1d(dr_residual(setup, traj, grid.times, regime))
+            drr = np.atleast_1d(dr_residual(setup, traj, grid.times))
             assert np.max(np.abs(drr)) <= 1e-9
 
     def test_control_route_agrees(self, cubic_m2_problem):

@@ -10,7 +10,7 @@ import pytest
 
 from delayvar.dubois_reymond import dr_quantity
 from delayvar.errors import EmptyGrid, IOutOfRange, NotJetCapable, TransformEscapesDomain
-from delayvar.euler_lagrange import Regime, regime_of, residual_grids
+from delayvar.euler_lagrange import Regime, residual_grids
 from delayvar.noether import (
     constancy_report,
     invariance_defect,
@@ -20,6 +20,7 @@ from delayvar.noether import (
 )
 from delayvar.problem import (
     AugmentedSetup,
+    Integrand,
     IsoperimetricProblem,
     TransformationGroup,
     integrand_from_expr,
@@ -148,16 +149,15 @@ class TestNoetherQuantity:
         traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
         setup = AugmentedSetup(problem, [])
         for t, regime in ((0.2, Regime.FIRST), (0.8, Regime.SECOND)):
-            assert noether_quantity(setup, TIME_SHIFT, traj, t, regime) == pytest.approx(
+            assert noether_quantity(setup, TIME_SHIFT, traj, t) == pytest.approx(
                 -1.0, abs=1e-10)
 
     def test_example1_matches_dr_quantity(self, ex1_setup, ex1_traj):
-        assert noether_quantity(ex1_setup, TIME_SHIFT, ex1_traj, 1.25,
-                                Regime.SECOND) == pytest.approx(24.0, abs=1e-6)
+        assert noether_quantity(ex1_setup, TIME_SHIFT, ex1_traj,
+                                1.25) == pytest.approx(24.0, abs=1e-6)
 
     def test_embedded_classical_constant(self, classical_setup, classical_traj):
-        values = [noether_quantity(classical_setup, TIME_SHIFT, classical_traj, t,
-                                   regime_of(classical_setup.problem, t))
+        values = [noether_quantity(classical_setup, TIME_SHIFT, classical_traj, t)
                   for t in (0.1, 0.33, 0.62, 0.9)]
         assert np.allclose(values, -1.0, atol=1e-9)
 
@@ -166,8 +166,8 @@ class TestNoetherQuantity:
         DuBois-Reymond bracket, exactly."""
         for t, regime in ((0.3, Regime.FIRST), (0.55, Regime.FIRST),
                           (1.2, Regime.SECOND), (1.83, Regime.SECOND)):
-            C = noether_quantity(ex1_setup, TIME_SHIFT, ex1_traj, t, regime)
-            D = dr_quantity(ex1_setup, ex1_traj, t, regime)
+            C = noether_quantity(ex1_setup, TIME_SHIFT, ex1_traj, t)
+            D = dr_quantity(ex1_setup, ex1_traj, t)
             assert abs(C - D) <= 1e-12
 
 
@@ -198,7 +198,7 @@ def test_m1_reduction_matches_direct_noether_form():
         q = traj.eval(t, 0)
         direct = (float(momentum @ (beta * q))
                   + (value - float(qd @ momentum)) * alpha)
-        general = noether_quantity(setup, group, traj, t, regime)
+        general = noether_quantity(setup, group, traj, t)
         assert general == pytest.approx(direct, abs=1e-10 * max(1.0, abs(direct)))
 
 
@@ -234,8 +234,8 @@ class TestArrayGenerators:
             setup, group, traj = _gauge_case() if case == "gauge" else _rotation_case()
         grids = residual_grids(setup.problem, traj, count=40)
         for regime, grid in grids.items():
-            swept = noether_quantity(setup, group, traj, grid.times, regime)
-            pointwise = [noether_quantity(setup, group, traj, float(t), regime)
+            swept = noether_quantity(setup, group, traj, grid.times)
+            pointwise = [noether_quantity(setup, group, traj, float(t))
                          for t in grid.times]
             assert all(isinstance(v, float) for v in pointwise)
             pointwise = np.array(pointwise)
@@ -267,6 +267,16 @@ class TestArrayGenerators:
         with pytest.raises(NotJetCapable, match="scalar_xi"):
             invariance_defect(classical_setup, scalar, classical_traj)
 
+    def test_gauge_rejecting_jets_is_named(self, ex1_setup, ex1_traj):
+        """A gauge that rejects jets raises NotJetCapable naming the gauge,
+        not the record's sampling method that calls it."""
+        group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1),
+                                    gauge=Integrand(lambda v: math.sin(v[0]), name="sin_gauge"))
+        with pytest.raises(NotJetCapable, match=r"^Integrand\(sin_gauge\) rejects"):
+            invariance_defect(ex1_setup, group, ex1_traj)
+        with pytest.raises(NotJetCapable, match=r"^Integrand\(sin_gauge\) rejects"):
+            noether_quantity(ex1_setup, group, ex1_traj, 1.5)
+
     @pytest.mark.parametrize("defect", [invariance_defect, necessary_condition_defect])
     def test_generator_that_does_not_broadcast_is_called_once(self, classical_setup,
                                                               classical_traj, defect):
@@ -287,8 +297,8 @@ class TestArrayGenerators:
         setup, _, traj = _rotation_case()
         group = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.array([1.0, 2.0]))
         ts = np.array([0.6, 0.8])  # npts == n: a 1-D xi is still per component
-        swept = noether_quantity(setup, group, traj, ts, Regime.SECOND)
-        pointwise = [noether_quantity(setup, group, traj, t, Regime.SECOND) for t in ts]
+        swept = noether_quantity(setup, group, traj, ts)
+        pointwise = [noether_quantity(setup, group, traj, t) for t in ts]
         assert swept == pytest.approx(pointwise, abs=1e-12)
         assert np.allclose(rho(group, traj, 0, 0.7), [1.0, 2.0])
 
@@ -309,8 +319,7 @@ class TestConstancyReport:
     def test_embedded_classical(self, classical_setup, classical_traj):
         grids = residual_grids(classical_setup.problem, classical_traj, count=60)
         report = constancy_report(
-            lambda t: noether_quantity(classical_setup, TIME_SHIFT, classical_traj, t,
-                                       regime_of(classical_setup.problem, t)), grids)
+            lambda t: noether_quantity(classical_setup, TIME_SHIFT, classical_traj, t), grids)
         assert report.max_deviation <= 1e-6
 
     def test_empty_grids_raise(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delayvar.errors import WrongOrder
-from delayvar.euler_lagrange import PathRecord, Regime
+from delayvar.euler_lagrange import PathRecord
 from delayvar.noether import noether_quantity
 from delayvar.optimal_control import (
     PontryaginTriple,
@@ -166,19 +166,19 @@ class TestHamiltonianNoether:
 
 class TestSecondOrderQuantity:
     def test_example1_values(self, ex1_setup, ex1_traj):
-        assert second_order_noether_quantity(ex1_setup, ex1_traj, 1.25, Regime.SECOND,
+        assert second_order_noether_quantity(ex1_setup, ex1_traj, 1.25,
                                              eta=1.0) == pytest.approx(24.0, abs=1e-6)
-        assert second_order_noether_quantity(ex1_setup, ex1_traj, 1.5, Regime.SECOND,
+        assert second_order_noether_quantity(ex1_setup, ex1_traj, 1.5,
                                              eta=1.0) == pytest.approx(-72.0, abs=1e-6)
 
     def test_zero_generators(self, ex1_setup, ex1_traj):
-        assert second_order_noether_quantity(ex1_setup, ex1_traj, 1.25, Regime.SECOND,
+        assert second_order_noether_quantity(ex1_setup, ex1_traj, 1.25,
                                              eta=0.0) == 0.0
 
     def test_wrong_order(self, classical_setup, classical_traj):
         with pytest.raises(WrongOrder):
             second_order_noether_quantity(classical_setup, classical_traj, 0.7,
-                                          Regime.SECOND, eta=1.0)
+                                          eta=1.0)
 
     def test_matches_general_quantity_with_lifted_generators(self, ex1_setup, ex1_traj):
         """Corollary quantity with xi1 the time-derivative lift of xi0 equals
@@ -191,9 +191,9 @@ class TestSecondOrderQuantity:
             group = TransformationGroup(eta=lambda t, q: eta_c,
                                         xi=lambda t, q, beta=beta: beta * q)
             ts = rng.uniform(1.05, 1.95, size=5)
-            general = noether_quantity(ex1_setup, group, ex1_traj, ts, Regime.SECOND)
+            general = noether_quantity(ex1_setup, group, ex1_traj, ts)
             corollary = second_order_noether_quantity(
-                ex1_setup, ex1_traj, ts, Regime.SECOND, eta=eta_c,
+                ex1_setup, ex1_traj, ts, eta=eta_c,
                 xi0=lambda u, q, beta=beta: beta * q,
                 xi1=lambda u, q, group=group: rho(group, ex1_traj, 1, u).T)  # (n, npts)
             assert corollary.shape == ts.shape
@@ -233,11 +233,11 @@ def test_both_quantities_take_arrays_with_one_call_per_generator(monkeypatch, ex
     xi0 = counted("xi0", lambda t, q: 0.7 * q)
     xi1 = counted("xi1", lambda t, q: np.array([t * q[0]]))
     ts = np.linspace(1.05, 1.95, 37)
-    pointwise = [second_order_noether_quantity(ex1_setup, ex1_traj, float(t), Regime.SECOND,
+    pointwise = [second_order_noether_quantity(ex1_setup, ex1_traj, float(t),
                                                eta=0.4, xi0=xi0, xi1=xi1) for t in ts]
     assert all(isinstance(v, float) for v in pointwise)
     calls.clear(), records.clear()
-    swept = second_order_noether_quantity(ex1_setup, ex1_traj, ts, Regime.SECOND,
+    swept = second_order_noether_quantity(ex1_setup, ex1_traj, ts,
                                           eta=0.4, xi0=xi0, xi1=xi1)
     assert sorted(calls) == ["xi0", "xi1"] and len(records) == 1
     assert np.all(np.abs(swept - pointwise) <= 1e-12 * np.abs(pointwise))
@@ -298,14 +298,14 @@ class TestReduceToControl:
         H = hamiltonian_integrand(cp)
         ts = np.array([1.2, 1.55, 1.85])
         record = PathRecord(augmented_integrand(ex1_setup), ex1_setup.problem, ex1_traj, ts,
-                            Regime.SECOND, momenta=(1, 2))
+                            momenta=(1, 2))
         current = [v[:, 0] for v in ex1_traj.eval(ts, [0, 1, 2])]
         delayed = [v[:, 0] for v in ex1_traj.eval(ts - 1.0, [0, 1, 2])]
         values = [ts, *current, *delayed,
                   -record.psi[1][:, 0], -record.psi[2][:, 0], 0.0 * ts]  # p0, p1, lambda
         energy = H(values)
         variational = second_order_noether_quantity(ex1_setup, ex1_traj, ts,
-                                                    Regime.SECOND, eta=1.0)
+                                                    eta=1.0)
         assert np.all(np.abs(energy - variational) <= 1e-8 * np.maximum(1.0, np.abs(variational)))
 
     def test_m1_momentum_identity(self):
