@@ -193,13 +193,16 @@ def integrate(fn: Callable, a: float, b: float, breaks=()):
     Panels never straddle a break and are at most (b - a)/64 wide; exact to
     roundoff for piecewise polynomials of degree <= 15.  fn is called once,
     on the array of every node, and returns shape (npts,) or (npts, k); the
-    result is a float or an array of shape (k,).
+    result is a float or an array of shape (k,).  Each column takes the dot
+    product a lone column would, so stacking integrands changes no value.
     """
     if b <= a:
         return 0.0
     nodes, weights = panel_rule(a, b, breaks)
-    out = weights @ np.asarray(fn(nodes), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    values = np.asarray(fn(nodes), dtype=float)
+    if values.ndim == 1:
+        return float(weights @ values)
+    return np.array([weights @ col for col in np.ascontiguousarray(values.T)])
 
 
 def panel_rule(a: float, b: float, breaks=()) -> tuple[np.ndarray, np.ndarray]:

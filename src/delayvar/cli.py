@@ -19,11 +19,10 @@ import numpy as np
 from . import expr, registry
 from .errors import DelayVarError
 from .euler_lagrange import PathRecord, csv_text, format_column, residual_grids
-from .noether import constancy_report, invariance_defect, necessary_condition_defect, \
-    noether_sweep
+from .noether import constancy_report, invariance_check, noether_sweep
 from .problem import AugmentedSetup, Integrand, TransformationGroup, augmented_integrand, \
     problem_from_json
-from .solver import CollocationScheme, solve_el, solve_pmp, verify
+from .solver import CollocationScheme, solve_el, solve_pmp
 from .trajectory import Trajectory
 
 FMT = "{:.17g}"
@@ -170,8 +169,7 @@ def cmd_conserved(args) -> int:
 def cmd_invariance(args) -> int:
     setup, traj = _load_variational(args)
     group = _group_from_exprs(args, setup.problem)
-    defect = invariance_defect(setup, group, traj)
-    nc1, nc2 = necessary_condition_defect(setup, group, traj)
+    defect, nc1, nc2 = invariance_check(setup, group, traj)
     payload = {
         "invariance_defect": defect,
         "necessary_condition_defect": {"first": nc1, "second": nc2},

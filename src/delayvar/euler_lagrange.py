@@ -274,7 +274,8 @@ class _PiecewiseCheb:
 
 
 def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime):
-    """The integral-form left-hand side as a callable of the regime's time array.
+    """The integral-form left-hand side as a callable of the regime's times,
+    (npts, n), or of one of them, (n,).
 
     Nested integrals all start at t2 - tau.  The i = m term is the bare
     integrand with sign -1, the convention under which applying d^m/dt^m
@@ -296,16 +297,17 @@ def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime
         terms.append((sign, level))
 
     def fn(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return sum(sign * level(ts) for sign, level in terms)
+        out = sum(sign * level(ts) for sign, level in terms)
+        return out if np.ndim(ts) else out[0]
 
     return fn
 
 
 def el_integral_lhs(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
-    """Integral-form LHS at a single time, on the regime of t; equals a
+    """Integral-form LHS at a time, shape (n,), or at times inside one regime
+    (ValueError if they straddle t2 - tau), shape (npts, n); equals a
     degree-(m-1) polynomial of t along extremals."""
-    return el_integral_function(setup, traj, regime_of(setup.problem, t))(np.array([float(t)]))[0]
+    return el_integral_function(setup, traj, regime_of(setup.problem, t))(t)
 
 
 @dataclass(frozen=True)

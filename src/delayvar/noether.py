@@ -10,10 +10,11 @@ where xi^(k) and eta^(k) are total derivatives along the path, all orders
 from one pass of the generators over Taylor jets
 (:func:`delayvar.calculus.path_derivatives`), and the q derivatives are
 exact; a constant generator therefore lifts to exact zeros.  The
-definition-level invariance check is the s-derivative at s = 0 of the
+definition-level invariance defect is the s-derivative at s = 0 of the
 transformed action, taken in closed form from the block partials and the
-lifts, so no symbolic variation calculus is needed.  Group generators are
-extended by zero on [t1 - tau, t1).
+lifts, so no symbolic variation calculus is needed; :func:`invariance_check`
+takes it and the invariance lemma's two regime integrals from one record per
+regime.  Group generators are extended by zero on [t1 - tau, t1).
 
 Each sweep calls eta(t, q) and xi(t, q) once, under the contract of
 :class:`delayvar.problem.TransformationGroup`, with t the time jet and q the
@@ -32,12 +33,12 @@ import numpy as np
 
 from . import calculus, jet
 from .errors import EmptyGrid, IOutOfRange, TransformEscapesDomain
-from .euler_lagrange import PathRecord, Regime, per_regime, regime_interval, smooth_breaks
+from .euler_lagrange import PathRecord, Regime, per_regime, smooth_breaks
 from .problem import AugmentedSetup, TransformationGroup, augmented_integrand
 from .trajectory import Grid, Trajectory
 
-__all__ = ["rho", "invariance_defect", "necessary_condition_defect", "noether_quantity",
-           "noether_sweep", "ConstancyReport", "constancy_report"]
+__all__ = ["rho", "invariance_check", "invariance_defect", "necessary_condition_defect",
+           "noether_quantity", "noether_sweep", "ConstancyReport", "constancy_report"]
 
 
 def _on_points(generator, shape: tuple, t, *blocks):
@@ -123,66 +124,64 @@ def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Traje
 # invariance
 
 
-def _group_record(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
-                  ts: np.ndarray):
-    """The record at ts with the generators' rates up to order max(m, 1), the
-    lifts rho^0 .. rho^m there, and d_1 F eta + F eta' - (gauge)'."""
-    problem = setup.problem
-    m, n = problem.m, problem.n
-    record = PathRecord(augmented_integrand(setup), problem, traj, ts, momenta=(),
-                        along=functools.partial(_along, group), along_order=max(m, 1))
-    gens, rates = record.along[0], record.along[1]
-    base = record.d1 * gens[:, n] + record.value * rates[:, n] - rates[:, n + 1]
-    return record, _leibniz(record.along, record.q, n)[: m + 1], base
+def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
+                     interval: tuple[float, float] | None = None) -> tuple[float, float, float]:
+    """The invariance defect on [a, b] (default [t1, t2]) and the lemma's
+    integrals over its first- and second-regime pieces, from one record per piece.
 
-
-def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
-                      interval: tuple[float, float] | None = None) -> float:
-    """d/ds at s = 0 of the transformed action minus the gauge allowance:
+    The defect is d/ds at s = 0 of the transformed action minus the gauge allowance,
 
         int_a^b [d_1 F eta + sum_j d_(j+2) F . rho^j(t) + sum_j d_(j+m+3) F . rho^j(t - tau)
                  + F eta' - (gauge)'] dt,
 
-    with rho^j(t - tau) = 0 left of t1.  Near zero means the functional is
-    invariant under the group on that interval (up to the gauge term).
+    with rho^j(t - tau) = 0 left of t1.  The lemma's integrand takes the
+    delayed-block terms at t + tau with rho^j(t) instead, on the first regime
+    only.  On [t1, t2] the defect is the sum of the two integrals; all three
+    vanish when the functional is invariant under the group up to the gauge.
     """
     problem = setup.problem
     a, b = interval if interval is not None else (problem.t1, problem.t2)
     slack = 1e-9 * max(1.0, problem.span)
     if a < problem.t1 - slack or b > problem.t2 + slack:
         raise TransformEscapesDomain(f"interval [{a}, {b}] leaves [{problem.t1}, {problem.t2}]")
-    m, tau = problem.m, problem.tau
+    m, n, tau = problem.m, problem.n, problem.tau
     breaks = np.unique(np.append(smooth_breaks(problem, traj), problem.t1 + tau))
 
-    def integrand(ts):
-        record, lifts, total = _group_record(setup, group, traj, ts)
-        for j in range(m + 1):
-            total += np.sum(record.block_partial(j + 2).T * lifts[j], axis=1)
+    def integrand(ts):  # the nodes of one piece's rule lie inside its regime
+        record = PathRecord(augmented_integrand(setup), problem, traj, ts, momenta=(),
+                            along=functools.partial(_along, group), along_order=max(m, 1))
+        gens, rates = record.along[0], record.along[1]
+        lifts = _leibniz(record.along, record.q, n)[: m + 1]
+        defect = record.d1 * gens[:, n] + record.value * rates[:, n] - rates[:, n + 1]
+        lemma = defect.copy()
+        for j, lift in enumerate(lifts):
+            defect += np.sum(record.block_partial(j + 2).T * lift, axis=1)
+            lemma += np.sum(record.rate(0, j) * lift, axis=1)
         past = ts - tau >= problem.t1  # the lifts vanish left of t1
         if np.any(past):
             delayed = _lifts(group, traj, ts[past] - tau, [q[past] for q in record.q_delayed], m)
             for j in range(m + 1):
-                total[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
-        return total
+                defect[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
+        return np.column_stack([defect, lemma])
 
-    return calculus.integrate(functools.partial(per_regime, problem, integrand), a, b, breaks)
+    split = problem.t2 - tau  # an empty piece integrates to 0.0
+    first, second = (np.zeros(2) + calculus.integrate(integrand, lo, hi, breaks)
+                     for lo, hi in ((a, min(b, split)), (max(a, split), b)))
+    return float(first[0] + second[0]), float(first[1]), float(second[1])
+
+
+def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
+                      interval: tuple[float, float] | None = None) -> float:
+    """The invariance defect on [a, b] (:func:`invariance_check`); near zero
+    means the functional is invariant under the group there, up to the gauge term."""
+    return invariance_check(setup, group, traj, interval)[0]
 
 
 def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup,
                                traj: Trajectory) -> tuple[float, float]:
-    """The two regime integrals of the invariance lemma; both vanish when the
-    functional is invariant up to the gauge term."""
-    problem = setup.problem
-
-    def integrand(ts):  # the nodes of one regime's rule lie inside it
-        record, lifts, total = _group_record(setup, group, traj, ts)
-        for k, lift in enumerate(lifts):
-            total += np.sum(record.rate(0, k) * lift, axis=1)
-        return total
-
-    breaks = smooth_breaks(problem, traj)
-    return tuple(calculus.integrate(integrand, *regime_interval(problem, regime), breaks)
-                 for regime in (Regime.FIRST, Regime.SECOND))
+    """The two regime integrals of the invariance lemma (:func:`invariance_check`);
+    both vanish when the functional is invariant up to the gauge term."""
+    return invariance_check(setup, group, traj)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,12 @@ class PolySegment:
 
     @classmethod
     def from_monomial(cls, a: float, b: float, coeffs) -> "PolySegment":
-        """Build from coefficients in plain powers of t (per component)."""
+        """Build from coefficients in plain powers of t (per component), by the
+        Taylor shift t^j = sum_k C(j, k) mid^(j-k) (t - mid)^k as one product."""
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        mid = 0.5 * (a + b)
-        deg = coeffs.shape[1] - 1
-        shifted = np.empty_like(coeffs)
-        for k in range(deg + 1):
-            shifted[:, k] = P.polyval(mid, P.polyder(coeffs.T, k)) / math.factorial(k)
-        return cls(a, b, shifted)
+        mid, powers = 0.5 * (a + b), range(coeffs.shape[1])
+        shift = np.array([[math.comb(j, k) * mid ** max(j - k, 0) for k in powers] for j in powers])
+        return cls(a, b, coeffs @ shift)
 
     def eval(self, t, order: int = 0) -> np.ndarray:
         """order-th derivative at t (scalar or array); shape t.shape + (n,)."""

@@ -187,6 +187,16 @@ class TestIntegrate:
             math.sin(1.0), abs=1e-15)
         assert len(calls) == 1
 
+    def test_stacked_columns_take_their_lone_values(self):
+        # each column's integral is the one it has alone, bit for bit
+        rng = np.random.default_rng(3)
+        coeffs = rng.uniform(-1, 1, size=(4, 9))
+        columns = [lambda t, c=c: np.polyval(c, t) * np.cos(3 * t) for c in coeffs]
+        stacked = integrate(lambda t: np.column_stack([f(t) for f in columns]), -0.4, 1.3,
+                            breaks=[0.5])
+        assert stacked.shape == (4,)
+        assert stacked.tolist() == [integrate(f, -0.4, 1.3, breaks=[0.5]) for f in columns]
+
     def test_cached_panel_rule_is_read_only_and_stable(self):
         seen = []
 

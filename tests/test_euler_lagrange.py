@@ -135,10 +135,11 @@ class TestIntegralForm:
                                        L=integrand_from_expr("qd^2", 1, 1))
         traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
         setup = AugmentedSetup(problem, [])
-        for t in (0.55, 0.7, 0.95):
-            assert el_integral_lhs(setup, traj, t)[0] == pytest.approx(-2.0, abs=1e-10)
-        for t in (0.1, 0.3):
-            assert el_integral_lhs(setup, traj, t)[0] == pytest.approx(-2.0, abs=1e-10)
+        for ts in ([0.55, 0.7, 0.95], [0.1, 0.3]):  # one call per regime
+            lhs = el_integral_lhs(setup, traj, ts)
+            assert lhs.shape == (len(ts), 1)
+            assert np.all(np.abs(lhs + 2.0) <= 1e-10)
+        assert el_integral_lhs(setup, traj, 0.7) == pytest.approx([-2.0], abs=1e-10)
         grid = Grid.build(0.52, 0.98, 9, eps_knot=1e-3)
         fit = el_integral_defect(setup, traj, grid)
         assert fit.coefficients[0, 0] == pytest.approx(-2.0, abs=1e-9)

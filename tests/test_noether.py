@@ -13,6 +13,7 @@ from delayvar.errors import EmptyGrid, IOutOfRange, NotJetCapable, TransformEsca
 from delayvar.euler_lagrange import Regime, residual_grids
 from delayvar.noether import (
     constancy_report,
+    invariance_check,
     invariance_defect,
     necessary_condition_defect,
     noether_quantity,
@@ -29,6 +30,16 @@ from delayvar.trajectory import Grid, PolySegment, Trajectory
 
 TIME_SHIFT = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
 IDENTITY = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.zeros(1))
+
+
+@pytest.fixture
+def scaled_setup(ex1_problem):
+    """example1 with the integrand scaled by t: not invariant under the time shift."""
+    return AugmentedSetup(IsoperimetricProblem(
+        m=2, n=1, tau=1.0, t1=0.0, t2=2.0,
+        L=integrand_from_expr("t * (qdd + qdd_tau)^2", 2, 1),
+        g=ex1_problem.g, l=ex1_problem.l,
+        history=ex1_problem.history, boundary=ex1_problem.boundary), [0.0])
 
 
 class TestRho:
@@ -73,13 +84,8 @@ class TestInvarianceDefect:
     def test_identity_group_is_exact(self, ex1_setup, ex1_traj):
         assert invariance_defect(ex1_setup, IDENTITY, ex1_traj) == 0.0
 
-    def test_explicit_time_factor_detected(self, ex1_problem, ex1_traj):
-        problem = IsoperimetricProblem(
-            m=2, n=1, tau=1.0, t1=0.0, t2=2.0,
-            L=integrand_from_expr("t * (qdd + qdd_tau)^2", 2, 1),
-            g=ex1_problem.g, l=ex1_problem.l,
-            history=ex1_problem.history, boundary=ex1_problem.boundary)
-        defect = invariance_defect(AugmentedSetup(problem, [0.0]), TIME_SHIFT, ex1_traj)
+    def test_explicit_time_factor_detected(self, scaled_setup, ex1_traj):
+        defect = invariance_defect(scaled_setup, TIME_SHIFT, ex1_traj)
         assert abs(defect) >= 0.1
         # the action rate is int d_1 F dt = int (qdd + qdd_tau)^2 dt = J = 672
         assert defect == pytest.approx(672.0, abs=1e-9)
@@ -128,18 +134,37 @@ class TestNecessaryCondition:
     def test_identity_group(self, ex1_setup, ex1_traj):
         assert necessary_condition_defect(ex1_setup, IDENTITY, ex1_traj) == (0.0, 0.0)
 
-    def test_non_invariant_detected(self, ex1_problem, ex1_traj):
-        problem = IsoperimetricProblem(
-            m=2, n=1, tau=1.0, t1=0.0, t2=2.0,
-            L=integrand_from_expr("t * (qdd + qdd_tau)^2", 2, 1),
-            g=ex1_problem.g, l=ex1_problem.l,
-            history=ex1_problem.history, boundary=ex1_problem.boundary)
-        r1, r2 = necessary_condition_defect(AugmentedSetup(problem, [0.0]),
-                                            TIME_SHIFT, ex1_traj)
+    def test_non_invariant_detected(self, scaled_setup, ex1_traj):
+        r1, r2 = necessary_condition_defect(scaled_setup, TIME_SHIFT, ex1_traj)
         # closed form: int of d1F per regime = 48 and 624
         assert abs(r1) >= 0.05 and abs(r2) >= 0.05
         assert r1 == pytest.approx(48.0, abs=1e-5)
         assert r2 == pytest.approx(624.0, abs=1e-5)
+
+
+class TestInvarianceCheck:
+    """The defect is taken at the level of the functional's definition, the
+    lemma's integrals from the stacked partials; on [t1, t2] the lemma
+    identity equates the defect with their sum, an independent cross-check."""
+
+    @pytest.mark.parametrize("group, expected", [
+        (TIME_SHIFT, (672.0, 48.0, 624.0)),
+        (TransformationGroup(eta=lambda t, q: t, xi=lambda t, q: 0.5 * q),
+         (-1048.8, 624.0, -1672.8)),
+    ], ids=["time-shift", "dilation"])
+    def test_defect_is_the_sum_of_the_lemma_integrals(self, scaled_setup, ex1_traj, group,
+                                                      expected):
+        defect, first, second = invariance_check(scaled_setup, group, ex1_traj)
+        assert abs(defect - (first + second)) <= 1e-9 * abs(defect)
+        assert (defect, first, second) == pytest.approx(expected, rel=1e-12)
+
+    def test_subinterval_keeps_its_value(self, scaled_setup, ex1_traj):
+        # int_a^b (qdd + qdd_tau)^2 dt = int_a^b 144 (2t - 1)^2 dt, on both sides of
+        # t2 - tau and inside the second regime
+        assert invariance_defect(scaled_setup, TIME_SHIFT, ex1_traj,
+                                 (0.25, 1.75)) == pytest.approx(378.0, rel=1e-12)
+        assert invariance_defect(scaled_setup, TIME_SHIFT, ex1_traj,
+                                 (1.25, 1.75)) == pytest.approx(294.0, rel=1e-12)
 
 
 class TestNoetherQuantity:

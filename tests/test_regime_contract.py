@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delayvar.dubois_reymond import dr_quantity, dr_residual
-from delayvar.euler_lagrange import PathRecord, el_integral_defect
+from delayvar.euler_lagrange import PathRecord, el_integral_defect, el_integral_lhs
 from delayvar.noether import noether_quantity
 from delayvar.optimal_control import second_order_noether_quantity
 from delayvar.problem import TransformationGroup, augmented_integrand
@@ -38,6 +38,11 @@ def test_one_call_spans_both_regimes(ex1_setup, ex1_traj, quantity, closed_form)
 def test_integral_defect_on_a_straddling_grid_raises(ex1_setup, ex1_traj):
     with pytest.raises(ValueError, match="both regimes"):
         el_integral_defect(ex1_setup, ex1_traj, Grid(np.linspace(0.5, 1.5, 9)))
+
+
+def test_integral_lhs_on_straddling_times_raises(ex1_setup, ex1_traj):
+    with pytest.raises(ValueError, match="both regimes"):
+        el_integral_lhs(ex1_setup, ex1_traj, np.linspace(0.5, 1.5, 9))
 
 
 def test_record_takes_its_regime_from_its_times(ex1_setup, ex1_traj):

@@ -1,7 +1,7 @@
 """One sweep per regime: no path evaluation is repeated within a call.
 
 Every residual reads the same record of path values, so within one
-``verify``, one ``delayvar residuals`` or one ``delayvar conserved`` run the
+``verify``, one ``delayvar residuals``, ``conserved`` or ``invariance`` run the
 trajectory is never asked twice for the same derivative orders at the same
 times, nor for values that nothing reads.
 """
@@ -14,8 +14,7 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from delayvar import cli
-from delayvar.noether import invariance_defect
-from delayvar.problem import AugmentedSetup, TransformationGroup
+from delayvar.euler_lagrange import PathRecord
 from delayvar.registry import get
 from delayvar.solver import verify
 from delayvar.trajectory import Trajectory
@@ -90,15 +89,34 @@ def test_conserved_command_evaluates_each_point_once(monkeypatch):
     assert repeated == 0
 
 
-def test_invariance_defect_evaluates_no_unread_advanced_path(monkeypatch):
-    """The invariance integrand reads no argument at t + tau, so its records
-    evaluate the path at t and t - tau only: 5 120 point-orders for example1
-    under the time shift, where evaluating t + tau on the first regime too
-    made 6 400."""
-    entry = get("example1")
-    problem, traj = entry.build(), entry.trajectory()
-    group = TransformationGroup(eta=lambda t, q: 1.0 + 0.0 * t, xi=lambda t, q: 0.0 * q)
-    repeated, total = _count_repeats(monkeypatch, lambda: invariance_defect(
-        AugmentedSetup(problem, entry.lam), group, traj))
+def test_invariance_command_evaluates_each_point_once(monkeypatch):
+    """``delayvar invariance`` reads the defect and both lemma integrals from
+    one record per regime, and only the lemma reads the advanced path: 12 800
+    point-orders for example1 (512 nodes and 5 orders at t and t - tau per
+    regime, at t + tau on the first), where separate defect and lemma records
+    made 17 920 and an advanced path on the second regime would add 2 560."""
+    def run():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["invariance", "--example", "example1", "--eta", "1",
+                             "--xi", "0"]) == 0
+
+    repeated, total = _count_repeats(monkeypatch, run)
     assert repeated == 0
-    assert 0 < total <= 5120
+    assert 0 < total <= 12800
+
+
+def test_invariance_command_builds_one_group_record_per_regime(monkeypatch):
+    """One record with the generator jets per regime serves the defect and the
+    lemma; the two reports each built one per regime before."""
+    original = PathRecord.__init__
+    groups = []
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if self._along is not None:
+            groups.append(self.first)
+
+    monkeypatch.setattr(PathRecord, "__init__", counting)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["invariance", "--example", "example1", "--eta", "1", "--xi", "0"]) == 0
+    assert sorted(groups) == [False, True]

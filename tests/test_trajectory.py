@@ -190,6 +190,35 @@ def test_eval_matches_analytic_differentiation():
             assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
 
+def _shift_by_derivatives(a: float, b: float, coeffs) -> np.ndarray:
+    """Reference Taylor shift: the k-th coefficient about the midpoint is the
+    k-th derivative of the monomial polynomial there over k!."""
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    mid = 0.5 * (a + b)
+    return np.stack([P.polyval(mid, P.polyder(coeffs.T, k)) / math.factorial(k)
+                     for k in range(coeffs.shape[1])], axis=1)
+
+
+class TestFromMonomial:
+    def test_example1_segments_are_bit_identical(self, ex1_traj):
+        # (t - 1/2 + 1/2)^4 = x^4 + 2x^3 + 3/2 x^2 + 1/2 x + 1/16 on [0, 1], and so on
+        monomial = ([[0.0, 0.0, 0.0, 0.0, -1.0]], [[0.0, 0.0, 0.0, 0.0, 1.0]],
+                    [[2.0, 0.0, 0.0, 0.0, -1.0]])
+        for seg, coeffs in zip(ex1_traj.segments, monomial):
+            assert np.array_equal(seg.coeffs, _shift_by_derivatives(seg.a, seg.b, coeffs))
+        assert np.array_equal(ex1_traj.segments[1].coeffs, [[0.0625, 0.5, 1.5, 2.0, 1.0]])
+
+    def test_matches_the_derivative_shift(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a = float(rng.uniform(-3.0, 3.0))
+            b = a + float(rng.uniform(0.1, 3.0))
+            coeffs = rng.uniform(-1.0, 1.0, size=(2, int(rng.integers(1, 8))))
+            expected = _shift_by_derivatives(a, b, coeffs)
+            got = PolySegment.from_monomial(a, b, coeffs).coeffs
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
 def test_shifted_eval_identity_property(ex1_traj):
     """The delayed slots of args_at hold eval at t - tau (here tau = -s)."""
     rng = np.random.default_rng(11)
