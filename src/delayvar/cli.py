@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -55,19 +56,34 @@ def _write_out(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def _example(name: str):
+    """The registry entry called ``name``."""
+    if name not in registry.names():
+        raise DelayVarError(f"unknown example {name!r}; known: {', '.join(registry.names())}")
+    return registry.get(name)
+
+
+def _source(args):
+    """(problem, registry entry) from --example, or (problem read from --problem, None)."""
+    if args.example is not None:
+        entry = _example(args.example)
+        return entry.build(), entry
+    if args.problem is None:
+        raise DelayVarError("need --example NAME or --problem FILE")
+    return _read(args.problem, problem_from_json), None
+
+
 def _load_variational(args):
     """Resolve (setup, trajectory) from the --example / --problem, --trajectory
     and --lambda flags."""
-    if args.example:
-        entry = registry.get(args.example)
-        if entry.kind != "variational":
-            raise DelayVarError(f"example {args.example!r} is a control problem")
-        problem = entry.build()
+    problem, entry = _source(args)
+    if entry is None:
+        traj, lam = None, np.zeros(problem.k)
+    elif entry.kind != "variational":
+        raise DelayVarError(f"example {args.example!r} is a control problem")
+    else:
         traj = entry.trajectory() if entry.trajectory else None
         lam = np.asarray(entry.lam, dtype=float)
-    else:
-        problem = _read(args.problem, problem_from_json)
-        traj, lam = None, np.zeros(problem.k)
     if args.trajectory:
         traj = _read(args.trajectory, Trajectory.from_json)
     with _user_input():
@@ -189,12 +205,8 @@ def cmd_solve(args) -> int:
     with _user_input():
         scheme = CollocationScheme(nodes=args.nodes, tolerance=args.tol,
                                    max_iterations=args.maxiter)
-    if args.example:
-        entry = registry.get(args.example)
-        problem = entry.build()
-        kind = entry.kind
-    else:
-        problem, kind = _read(args.problem, problem_from_json), "variational"
+    problem, entry = _source(args)
+    kind = "variational" if entry is None else entry.kind
     if kind == "variational" and problem.history is None:
         raise DelayVarError("problem has no history function")
     if kind == "control":
@@ -210,13 +222,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        entry = registry.get(args.name)
-    except KeyError:
-        print(f"unknown example {args.name!r}; known: {', '.join(registry.names())}",
-              file=sys.stderr)
-        return 2
-    checks = entry.checks()
+    checks = _example(args.name).checks()
     if args.json:
         print(json.dumps([{
             "check": c.name, "value": float(c.value), "threshold": float(c.threshold),
@@ -241,7 +247,9 @@ def cmd_list(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="delayvar",
         description="Residuals, conservation laws, and collocation solvers for "
@@ -301,17 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "example", None) is None and getattr(args, "problem", None) is None \
-            and args.command in ("residuals", "conserved", "invariance", "solve"):
-        print("need --example NAME or --problem FILE", file=sys.stderr)
-        return 2
-    if getattr(args, "example", None) is not None and args.command != "verify":
-        if args.example not in registry.names():
-            print(f"unknown example {args.example!r}; known: {', '.join(registry.names())}",
-                  file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DelayVarError as err:

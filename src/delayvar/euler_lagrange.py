@@ -19,15 +19,14 @@ exact to roundoff, so residuals of exact extremals sit at roundoff.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Legendre, Polynomial
+from numpy.polynomial import Legendre, Polynomial, chebyshev
 
 from . import calculus, jet
-from .errors import DegenerateGrid, NoConstraints
+from .errors import DegenerateGrid, NoConstraints, OutOfDomain
 from .problem import AugmentedSetup, Integrand, IsoperimetricProblem, augmented_integrand, \
     path_args
 from .trajectory import Grid, Trajectory
@@ -232,72 +231,52 @@ def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
 # integral form
 
 
-class _PiecewiseCheb:
-    """Chebyshev interpolants per smooth piece of a vector-valued map."""
-
-    def __init__(self, pieces):
-        self.pieces = pieces  # list of (a, b, [Chebyshev per component])
-        self._edges = np.array([p[0] for p in pieces] + [pieces[-1][1]])
-
-    @classmethod
-    def fit(cls, edges, nodes, vals):
-        """Fit ``vals`` (npieces, deg + 1, ncomp) at ``nodes``, piece by piece on ``edges``."""
-        return cls([(a, b, [Chebyshev.fit(x, v[:, c], len(x) - 1, domain=[a, b])
-                            for c in range(v.shape[1])])
-                    for a, b, x, v in zip(edges[:-1], edges[1:], nodes, vals)])
-
-    def __call__(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        idx = np.clip(np.searchsorted(self._edges, ts, side="right") - 1, 0, len(self.pieces) - 1)
-        out = np.empty((len(ts), len(self.pieces[0][2])))
-        for pi in np.unique(idx):
-            mask = idx == pi
-            for c, poly in enumerate(self.pieces[pi][2]):
-                out[mask, c] = poly(ts[mask])
-        return out
-
-    def antiderivative(self, base: float) -> "_PiecewiseCheb":
-        """Antiderivative vanishing at ``base`` (an endpoint of the domain)."""
-        ncomp = len(self.pieces[0][2])
-        raw = []
-        offsets = np.zeros(ncomp)
-        for a, b, polys in self.pieces:
-            ints = [p.integ(lbnd=a) for p in polys]
-            raw.append((a, b, ints, offsets.copy()))
-            offsets = offsets + np.array([float(p(b)) for p in ints])
-        pieces = [(a, b, [p + off for p, off in zip(ints, offs)])
-                  for a, b, ints, offs in raw]
-        out = _PiecewiseCheb(pieces)
-        shift = out(np.array([base]))[0]
-        return _PiecewiseCheb([(a, b, [p - s for p, s in zip(polys, shift)])
-                               for a, b, polys in out.pieces])
-
-
 def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime):
     """The integral-form left-hand side as a callable of the regime's times,
-    (npts, n), or of one of them, (n,).
+    (npts, n), or of one of them, (n,); OutOfDomain outside the regime.
 
     Nested integrals all start at t2 - tau.  The i = m term is the bare
     integrand with sign -1, the convention under which applying d^m/dt^m
     reproduces the differential form up to the overall factor (-1)^(m-1).
+    Each smooth piece of the regime holds one Chebyshev series per component,
+    interpolated at 25 Chebyshev points: one coefficient array, shape
+    (piece, power, n), carries every term.
     """
-    problem = setup.problem
+    problem, m = setup.problem, setup.problem.m
     lo, hi = regime_interval(problem, regime)
-    base = problem.t2 - problem.tau
     edges = np.array([lo, *(x for x in smooth_breaks(problem, traj) if lo < x < hi), hi])
-    cheb = np.cos(np.pi * (2 * np.arange(25) + 1) / 50)  # 25 Chebyshev nodes per piece
-    nodes = 0.5 * (edges[:-1, None] + edges[1:, None]) + 0.5 * np.diff(edges)[:, None] * cheb
+    half = 0.5 * np.diff(edges)
+    cheb = np.cos(np.pi * (2 * np.arange(25) + 1) / 50)  # 25 Chebyshev points per piece
+    nodes = 0.5 * (edges[:-1, None] + edges[1:, None]) + half[:, None] * cheb
     record = PathRecord(augmented_integrand(setup), problem, traj, nodes.ravel(), momenta=())
-    terms = []
-    for i in range(problem.m + 1):
-        level = _PiecewiseCheb.fit(edges, nodes, record.rate(0, i).reshape(nodes.shape + (-1,)))
-        for _ in range(problem.m - i):
-            level = level.antiderivative(base)
-        sign = -1.0 if i == problem.m else (-1.0) ** (problem.m - i - 1)
-        terms.append((sign, level))
+    rates = np.stack([record.rate(0, i) for i in range(m + 1)])
+    coeffs = np.linalg.inv(chebyshev.chebvander(cheb, len(cheb) - 1)) @ rates.reshape(
+        (m + 1,) + nodes.shape + (-1,))
+
+    def integral(c):
+        """Antiderivative vanishing at t2 - tau, continuous across the pieces."""
+        c = chebyshev.chebint(c, lbnd=-1, axis=1) * half[:, None, None]
+        rise = c.sum(axis=1)  # each piece's increment: its series at x = 1
+        ends = np.cumsum(rise, axis=0)
+        c[:, 0] += ends - rise - (ends[-1] if regime is Regime.FIRST else 0.0)
+        return c
+
+    # sum_i sign_i (m - i)-fold integrals of Lambda_i, by Horner's rule
+    signs = [(-1.0) ** (m - i - 1) for i in range(m)] + [-1.0]
+    total = signs[0] * coeffs[0]
+    for sign, c in zip(signs[1:], coeffs[1:]):
+        total = integral(total)
+        total[:, :c.shape[1]] += sign * c
+    slack = 1e-10 * (hi - lo)
 
     def fn(ts):
-        out = sum(sign * level(ts) for sign, level in terms)
+        t = np.atleast_1d(np.asarray(ts, dtype=float))
+        bad = t[(t < lo - slack) | (t > hi + slack)]
+        if len(bad):
+            raise OutOfDomain(f"t = {bad[0]} outside [{lo}, {hi}]")
+        p = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+        x = (2 * t - edges[p] - edges[p + 1]) / (edges[p + 1] - edges[p])
+        out = chebyshev.chebval(x, np.moveaxis(total[p], 0, -1), tensor=False).T
         return out if np.ndim(ts) else out[0]
 
     return fn
@@ -379,38 +358,26 @@ class ResidualReport:
 
     el_first: np.ndarray
     el_second: np.ndarray
-    dr_first: np.ndarray | None = None
-    dr_second: np.ndarray | None = None
-    dr_quantity_first: np.ndarray | None = None  # F - sum_j psi_j . q^(j) on the grids
-    dr_quantity_second: np.ndarray | None = None
-    functional: float | None = None  # J, from the quadrature of the constraint defects
-    cdur: np.ndarray | None = None
-    constraint_defect: np.ndarray | None = None
-    hypothesis_violated: bool = False
-    abnormal: bool | None = None
+    dr_first: np.ndarray
+    dr_second: np.ndarray
+    dr_quantity_first: np.ndarray  # F - sum_j psi_j . q^(j) on the grids
+    dr_quantity_second: np.ndarray
+    functional: float  # J, from the quadrature of the constraint defects
+    cdur: np.ndarray
+    constraint_defect: np.ndarray
+    hypothesis_violated: bool
+    abnormal: bool | None  # None without constraints
 
     @property
     def sup(self) -> dict[str, float]:
-        out = {
+        return {
             "el_first": float(np.max(np.linalg.norm(self.el_first, axis=1))),
             "el_second": float(np.max(np.linalg.norm(self.el_second, axis=1))),
+            "dr_first": float(np.max(np.abs(self.dr_first))),
+            "dr_second": float(np.max(np.abs(self.dr_second))),
+            "cdur": float(np.max(np.abs(self.cdur))),
+            "constraint_defect": float(np.max(np.abs(self.constraint_defect), initial=0.0)),
         }
-        if self.dr_first is not None:
-            out["dr_first"] = float(np.max(np.abs(self.dr_first)))
-            out["dr_second"] = float(np.max(np.abs(self.dr_second)))
-        if self.cdur is not None:
-            out["cdur"] = float(np.max(np.abs(self.cdur)))
-        if self.constraint_defect is not None:
-            out["constraint_defect"] = float(np.max(np.abs(self.constraint_defect), initial=0.0))
-        return out
-
-    def to_json(self) -> str:
-        payload = {"sup": self.sup, "hypothesis_violated": self.hypothesis_violated}
-        if self.abnormal is not None:
-            payload["abnormal"] = self.abnormal
-        if self.constraint_defect is not None:
-            payload["constraint_defect"] = list(self.constraint_defect)
-        return json.dumps(payload, indent=2)
 
 
 def format_column(values) -> list[str]:

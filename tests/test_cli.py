@@ -48,6 +48,48 @@ class TestResiduals:
         assert main(["residuals"]) == 2
 
 
+class TestInputErrors:
+    """Each input error exits 2 with one `error:` line on stderr."""
+
+    def _exits_2(self, argv, capsys, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_unknown_example(self, capsys):
+        self._exits_2(["residuals", "--example", "nonesuch"], capsys,
+                      "unknown example 'nonesuch'; known: ")
+
+    def test_unknown_verify_name(self, capsys):
+        self._exits_2(["verify", "nonesuch"], capsys, "unknown example 'nonesuch'")
+
+    def test_control_example_for_residuals(self, capsys):
+        self._exits_2(["residuals", "--example", "autonomous-lq"], capsys,
+                      "example 'autonomous-lq' is a control problem")
+
+    def test_no_source(self, capsys):
+        self._exits_2(["solve"], capsys, "need --example NAME or --problem FILE")
+
+    def test_problem_without_trajectory(self, classical_file, capsys):
+        self._exits_2(["residuals", "--problem", classical_file], capsys, "no trajectory")
+
+    def test_xi_components_mismatch(self, capsys):
+        self._exits_2(["invariance", "--example", "example1", "--eta", "0", "--xi", "1,2"],
+                      capsys, "xi needs 1 components, got 2")
+
+    def test_solve_without_history(self, tmp_path, capsys):
+        problem = tmp_path / "no_history.json"
+        problem.write_text(json.dumps({
+            "m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": "qd^2",
+            "boundary": {"q": [0.0]}}))
+        self._exits_2(["solve", "--problem", str(problem)], capsys,
+                      "problem has no history function")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 class TestConserved:
     def test_example1_time_translation(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

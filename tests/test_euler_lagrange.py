@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from delayvar import calculus
-from delayvar.errors import DegenerateGrid, NoConstraints
+from delayvar.errors import DegenerateGrid, NoConstraints, OutOfDomain
 from delayvar.euler_lagrange import (
     Classification,
+    PathRecord,
     Regime,
     classify,
     csv_text,
@@ -166,6 +167,60 @@ class TestIntegralForm:
         with pytest.raises(DegenerateGrid):
             el_integral_defect(ex1_setup, ex1_traj, grid)
 
+    def test_nonsmooth_pieces_match_the_cauchy_formula(self):
+        """m = 2, n = 2 along a path whose second derivative jumps at 0.9, so
+        each regime has several smooth pieces: the integral form equals
+        int_b^t [-(t - r) Lambda_0(r) + Lambda_1(r)] dr - Lambda_2(t), b = t2 - tau,
+        by Gauss-Legendre quadrature on each piece (Cauchy's formula for the
+        nested integral)."""
+        problem = IsoperimetricProblem(
+            m=2, n=2, tau=0.7, t1=0.0, t2=2.0,
+            L=integrand_from_expr("sin(d2q0) * d1q1 + d2q1^2 * d0q0 + d2q0_tau * d1q1", 2, 2))
+        first = [[1.0, 0.2, -0.3, 0.1], [0.0, 1.0, 0.5, -0.2]]
+        kink = [[1.0 + 0.5 * 0.81, 0.2 - 0.5 * 1.8, 0.2, 0.1],   # + 0.5 (t - 0.9)^2
+                [-0.4 * 0.81, 1.0 + 0.4 * 1.8, 0.1, -0.2]]       # - 0.4 (t - 0.9)^2
+        traj = Trajectory(2, 2, [PolySegment.from_monomial(-0.7, 0.9, first),
+                                 PolySegment.from_monomial(0.9, 2.0, kink)])
+        setup, base = AugmentedSetup(problem, []), 1.3
+        F = augmented_integrand(setup)
+        breaks = smooth_breaks(problem, traj)
+        x, w = np.polynomial.legendre.leggauss(30)
+        for regime, ts in ((Regime.FIRST, [0.1, 0.5, 0.95, 1.25]),
+                           (Regime.SECOND, [1.35, 1.7, 1.95])):
+            fn = el_integral_function(setup, traj, regime)
+            assert any(min(ts) < b < max(ts) for b in breaks)  # several pieces
+            for t in ts:
+                lo, hi = sorted((base, t))
+                edges = [lo, *(b for b in breaks if lo < b < hi), hi]
+                r = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x
+                                    for a, b in zip(edges[:-1], edges[1:])])
+                wr = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges[:-1], edges[1:])])
+                record = PathRecord(F, problem, traj, r, momenta=())
+                inner = -(t - r)[:, None] * record.rate(0, 0) + record.rate(0, 1)
+                integral = np.sign(t - base) * (wr @ inner)
+                bare = PathRecord(F, problem, traj, [t], momenta=()).rate(0, 2)[0]
+                expected = integral - bare
+                assert np.allclose(fn(t), expected, rtol=1e-12, atol=1e-12)
+
+    def test_times_outside_the_regime_raise(self, ex1_setup, ex1_traj):
+        """The integral form does not extrapolate: outside its regime it raises
+        as el_residual does, and it evaluates up to 1e-10 of the span past an end."""
+        for t in (5.0, -3.0):
+            with pytest.raises(OutOfDomain):
+                el_residual(ex1_setup, ex1_traj, t)
+            with pytest.raises(OutOfDomain):
+                el_integral_lhs(ex1_setup, ex1_traj, t)
+        with pytest.raises(OutOfDomain):
+            el_integral_lhs(ex1_setup, ex1_traj, [1.5, 2.01])
+        with pytest.raises(OutOfDomain):
+            el_integral_defect(ex1_setup, ex1_traj, Grid(np.linspace(1.2, 2.5, 9)))
+        first = el_integral_function(ex1_setup, ex1_traj, Regime.FIRST)
+        with pytest.raises(OutOfDomain):
+            first(1.5)  # inside the domain, past the first regime
+        ends = first(np.array([-0.5e-10, 0.0, 1.0, 1.0 + 0.5e-10]))
+        assert np.allclose(ends[:2], ends[1], rtol=1e-12)
+        assert np.allclose(ends[2:], ends[2], rtol=1e-12)
+
     def test_mth_derivative_recovers_differential_form(self, classical_setup, classical_traj):
         """d^m/dt^m of the integral form equals (-1)^(m-1) el_residual on a
         smooth trajectory (m = 1 here: equal with the same sign)."""
@@ -258,14 +313,6 @@ def test_el_residual_linear_in_lambda(ex1_problem, ex1_traj):
             rl = el_residual(AugmentedSetup(ex1_problem, [lam]), ex1_traj, t)
             expected = r0 + lam * (r1 - r0)
             assert np.allclose(rl, expected, atol=1e-7 * (1 + abs(lam)))
-
-
-def test_report_serialization(ex1_problem, ex1_traj):
-    from delayvar.solver import verify
-
-    report = verify(ex1_problem, ex1_traj, [0.0])
-    payload = report.to_json()
-    assert '"el_first"' in payload and '"hypothesis_violated": true' in payload
 
 
 def test_csv_text_formats_like_17_digit_format():

@@ -37,6 +37,13 @@ def test_classical_entry_ships_solution():
     assert entry.lam == (4.0,)
 
 
+def test_classical_checks_pass():
+    entry = registry.get("classical-iso")
+    assert entry.build().m == 1
+    gated = [c for c in entry.checks() if c.gated]
+    assert gated and all(c.passed for c in gated), [c.row() for c in gated]
+
+
 def test_check_rows_format():
     checks = registry.get("example1").checks()
     gated = [c for c in checks if c.gated]
