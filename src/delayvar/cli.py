@@ -73,6 +73,17 @@ def _source(args):
     return _read(args.problem, problem_from_json), None
 
 
+def _trajectory(text: str) -> Trajectory:
+    """A --trajectory file: a trajectory's JSON, or a variational ``solve --out``
+    file, whose "trajectory" key holds one."""
+    record = json.loads(text)
+    record = record.get("trajectory", record) if isinstance(record, dict) else record
+    if not (isinstance(record, dict) and "segments" in record):
+        raise ValueError("expected a trajectory JSON object (n, m, segments) or the output "
+                         "of `delayvar solve --out` on a variational problem")
+    return Trajectory.from_json(json.dumps(record))
+
+
 def _load_variational(args):
     """Resolve (setup, trajectory) from the --example / --problem, --trajectory
     and --lambda flags."""
@@ -85,7 +96,7 @@ def _load_variational(args):
         traj = entry.trajectory() if entry.trajectory else None
         lam = np.asarray(entry.lam, dtype=float)
     if args.trajectory:
-        traj = _read(args.trajectory, Trajectory.from_json)
+        traj = _read(args.trajectory, _trajectory)
     with _user_input():
         if args.lam is not None:
             lam = np.asarray([float(v) for v in args.lam.split(",") if v.strip() != ""],

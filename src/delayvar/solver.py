@@ -54,6 +54,10 @@ class CollocationScheme:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        if self.nodes < 1:
+            raise ValueError(f"nodes must be at least 1, got {self.nodes}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -91,10 +95,17 @@ def _mesh(t1: float, t2: float, tau: float, nodes: int, colloc: int):
     per_regime = max(1, math.ceil(nodes / colloc))
     edges = np.concatenate([np.linspace(t1, t2 - tau, per_regime + 1),
                             np.linspace(t2 - tau, t2, per_regime + 1)[1:]])
-    gauss, _ = np.polynomial.legendre.leggauss(colloc)
     times = (0.5 * (edges[:-1] + edges[1:])[:, None]
-             + 0.5 * np.diff(edges)[:, None] * gauss).ravel()
+             + 0.5 * np.diff(edges)[:, None] * _gauss(colloc)).ravel()
     return per_regime, edges, times
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss(count: int) -> np.ndarray:
+    """Read-only nodes of the ``count``-point Gauss-Legendre rule on (-1, 1)."""
+    nodes, _ = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = False
+    return nodes
 
 
 # a piecewise-polynomial unknown: components, coefficients per component and segment,
@@ -132,18 +143,26 @@ class _Collocation:
         knots, per_knot = edges[1:-1], sum(blk.ncomp * blk.matched for blk in blocks)
         self.c = np.concatenate([np.zeros(per_knot * len(knots))] + values)
         self.A, start = np.zeros((len(self.c), self.ncoef + self.k)), 0
-        # per knot, each (block, order) in turn: ncomp rows of +1 times that
-        # derivative on the knot's left segment and -1 times it on the right
+        # each block sampled once, at the knots (left limits, then right) and at
+        # its boundary times: per knot, each (block, order) in turn, ncomp rows
+        # of +1 times that derivative on the knot's left segment and -1 times it
+        # on the right; then the boundary rows
         twice, left = np.tile(knots, 2), np.arange(2 * len(knots)) < len(knots)
-        for b, order in [(b, o) for b, blk in enumerate(blocks) for o in range(blk.matched)]:
-            index = start + per_knot * np.arange(len(knots)) + np.arange(blocks[b].ncomp)[:, None]
-            self._scatter(self.A, np.tile(index, 2), self._sample(b, twice, [order], left),
-                          np.eye(blocks[b].ncomp)[..., None] * np.where(left, 1.0, -1.0))
-            start += blocks[b].ncomp
-        for ((b, t, order), _), value, start in zip(boundary, values, np.cumsum(
-                [per_knot * len(knots)] + [len(v) for v in values])):
-            self._scatter(self.A, start + np.arange(len(value))[:, None],
-                          self._sample(b, np.array([t]), [order]), np.eye(len(value))[..., None])
+        n, first = len(twice), np.cumsum([per_knot * len(knots)] + [len(v) for v in values])
+        for b, blk in enumerate(blocks):
+            ends = [(i, t, o) for i, ((c, t, o), _) in enumerate(boundary) if c == b]
+            cols, *bases = self._sample(b, np.append(twice, [t for _, t, _ in ends]),
+                                        range(max([blk.matched] + [o + 1 for *_, o in ends])),
+                                        np.append(left, [False] * len(ends)))
+            for basis in bases[:blk.matched]:
+                index = start + per_knot * np.arange(len(knots)) + np.arange(blk.ncomp)[:, None]
+                self._scatter(self.A, np.tile(index, 2), (cols[:, :n], basis[:n]),
+                              np.eye(blk.ncomp)[..., None] * np.where(left, 1.0, -1.0))
+                start += blk.ncomp
+            for p, (i, _, o) in enumerate(ends, n):
+                size = len(values[i])
+                self._scatter(self.A, first[i] + np.arange(size)[:, None],
+                              (cols[:, p:p + 1], bases[o][p:p + 1]), np.eye(size)[..., None])
         # the rule integrate uses on the paths' breakpoints and their images under
         # the argument shifts, so the constraint rows equal an integrate of g
         breaks = {seg.a for blk in blocks for seg in blk.history} | set(edges)
@@ -156,19 +175,12 @@ class _Collocation:
         second = times >= edges[(len(edges) - 1) // 2]  # the second regime starts at t2 - tau
         direct = {(b, o, 0.0) for row in rows for _, b, o in row.direct}
         first = sorted({t[2] for row in rows for t in row.terms})  # 0 and the advanced shift
-        self.regimes = [(pts, shifts, self._samples(times[pts], shifts, self.order, direct))
-                        for pts, shifts in ((np.flatnonzero(~second), first),
-                                            (np.flatnonzero(second), [0.0]))]
-        self.at_nodes = self._samples(self.nodes, [0.0], 0) if self.k else {}
-
-    def _basis(self, b: int, s, t, order: int) -> np.ndarray:
-        """d^order/dt^order (t - mid)^j on block b's segments s, j < its width,
-        mid computed as PolySegment does; shape t.shape + (width,)."""
-        dt = np.asarray(t - 0.5 * (self.edges[s] + self.edges[s + 1]))[..., None]
-        j = np.arange(self.blocks[b].width)
-        # dt^max(j - order, 0) as a running product: 1 up to j = order, then dt, dt^2, ...
-        powers = np.cumprod(np.where(j > order, dt, 1.0), axis=-1)
-        return np.array([math.perm(i, order) for i in j]) * powers
+        pts = np.flatnonzero(~second), np.flatnonzero(second)
+        samples = self._samples([(times[pts[0]], first, self.order, direct),
+                                 (times[pts[1]], [0.0], self.order, direct)]
+                                + [(self.nodes, [0.0], 0, frozenset())] * bool(self.k))
+        self.regimes = list(zip(pts, (first, [0.0]), samples))
+        self.at_nodes = samples[2] if self.k else {}
 
     def _sample(self, b: int, ts: np.ndarray, orders, left=False):
         """B's nonzeros for block b's derivatives of ``orders`` at ts: columns
@@ -180,21 +192,41 @@ class _Collocation:
                        np.searchsorted(self.edges[1:-1], ts, side="right"))
         cols = (self.offsets[b] + blk.ncomp * blk.width * seg[None, :, None]
                 + blk.width * np.arange(blk.ncomp)[:, None, None] + np.arange(blk.width))
+        dt = ts - 0.5 * (self.edges[seg] + self.edges[seg + 1])  # mid as PolySegment has it
         on = (ts >= self.edges[0])[:, None]
-        return (cols, *(self._basis(b, seg, ts, order) * on for order in orders))
+        return (cols, *(basis * on for basis in self._bases(dt, blk.width, orders)))
 
-    def _samples(self, ts, shifts, order: int, keys=frozenset()) -> dict:
-        """{(block, order, shift): (columns, basis, h)} for ``keys`` and what the
-        argument vectors at ts + each of ``shifts`` read with time jets of
-        ``order``; h (ncomp, npts) from one Trajectory.eval per (block, shift)."""
-        keys = keys | {(b, o + r, s + shift) for shift in shifts
-                       for b, o, s in self.argmap.values() for r in range(order + 1)}
-        out = {}
-        for b, shift in {(b, shift) for b, _, shift in keys}:
-            orders = sorted(o for c, o, s in keys if (c, s) == (b, shift))
-            cols, *bases = self._sample(b, ts + shift, orders)
-            for order, basis, h in zip(orders, bases, self._zero[b].eval(ts + shift, orders)):
-                out[b, order, shift] = (cols, basis, h.T)
+    @staticmethod
+    def _bases(dt: np.ndarray, width: int, orders) -> list[np.ndarray]:
+        """d^order/dt^order dt^j, j < width, per order: each (points, width),
+        the falling factorials j!/(j - order)! times columns of one power table
+        dt^0 .. dt^(width - 1), a running product."""
+        j = np.arange(width)
+        powers = np.cumprod(np.where(j > 0, dt[:, None], 1.0), axis=1)
+        return [np.array([math.perm(i, order) for i in j]) * powers[:, np.maximum(j - order, 0)]
+                for order in orders]
+
+    def _samples(self, groups) -> list[dict]:
+        """Per group (ts, shifts, order, keys): {(block, order, shift): (columns,
+        basis, h)} for ``keys`` and what the argument vectors at ts + each of
+        ``shifts`` read with time jets of ``order``, h (ncomp, npts).  Each
+        block takes one ``_sample`` and one Trajectory.eval of h, at every
+        time and order any group reads it at, sliced per (group, shift)."""
+        wanted = [keys | {(b, o + r, s + shift) for shift in shifts
+                          for b, o, s in self.argmap.values() for r in range(order + 1)}
+                  for _, shifts, order, keys in groups]
+        reads = sorted({(b, g, s) for g, keys in enumerate(wanted) for b, _, s in keys})
+        out = [{} for _ in groups]
+        for b in sorted({b for b, _, _ in reads}):
+            mine = [(g, s) for c, g, s in reads if c == b]
+            orders = sorted({o for keys in wanted for c, o, _ in keys if c == b})
+            ts = np.concatenate([groups[g][0] + s for g, s in mine])
+            cols, *bases = self._sample(b, ts, orders)
+            hs, end = self._zero[b].eval(ts, orders), 0
+            for g, s in mine:
+                at, end = slice(end, end + len(groups[g][0])), end + len(groups[g][0])
+                out[g].update({(b, o, s): (cols[:, at], basis[at], h[at].T) for o, basis, h
+                               in zip(orders, bases, hs) if (b, o, s) in wanted[g]})
         return out
 
     @staticmethod

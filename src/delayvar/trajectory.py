@@ -11,6 +11,7 @@ construction and evaluation is pure, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -214,8 +215,7 @@ def segments_from_callable(fn, n: int, a: float, b: float, panels: int = 4, degr
     """
     edges = np.linspace(a, b, panels + 1)
     mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    k = np.arange(degree + 1)
-    nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))  # Chebyshev, in (-1, 1)
+    nodes, inverse = _chebyshev_fit(degree)
     ts = (mids[:, None] + halves[:, None] * nodes).ravel()  # panel-major
     if len(ts) == n:  # an (n, n) value reads both ways: one more time, its value dropped
         ts = np.append(ts, a)
@@ -227,9 +227,20 @@ def segments_from_callable(fn, n: int, a: float, b: float, panels: int = 4, degr
     except ValueError:
         raise ValueError(f"{fn!r} returned shape {ys.shape} on {len(ts)} times; expected "
                          f"components first, ({n}, {len(ts)})") from None
-    coeffs = (np.linalg.inv(np.vander(nodes, increasing=True)) @ ys.reshape(panels, degree + 1, n)
-              / halves[:, None, None] ** k[:, None])  # (panels, degree + 1, n)
+    coeffs = (inverse @ ys.reshape(panels, degree + 1, n)
+              / halves[:, None, None] ** np.arange(degree + 1)[:, None])  # (panels, degree + 1, n)
     return [PolySegment(lo, hi, c.T) for lo, hi, c in zip(edges[:-1], edges[1:], coeffs)]
+
+
+@functools.lru_cache(maxsize=32)
+def _chebyshev_fit(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only: the degree + 1 Chebyshev points in (-1, 1) and the inverse of
+    their Vandermonde matrix, shared by every :func:`segments_from_callable`."""
+    nodes = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))
+    fit = nodes, np.linalg.inv(np.vander(nodes, increasing=True))
+    for arr in fit:
+        arr.flags.writeable = False
+    return fit
 
 
 def example1_trajectory() -> Trajectory:

@@ -86,6 +86,20 @@ class TestInputErrors:
                       "problem has no history function")
 
 
+    @pytest.mark.parametrize("flag, value", [("--nodes", "-5"), ("--nodes", "0"),
+                                             ("--maxiter", "-3")])
+    def test_impossible_scheme(self, classical_file, capsys, flag, value):
+        self._exits_2(["solve", "--problem", classical_file, flag, value], capsys, "must be")
+
+    def test_control_solve_output_as_trajectory(self, classical_file, tmp_path, capsys):
+        out = tmp_path / "lq.json"
+        assert main(["solve", "--example", "autonomous-lq", "--nodes", "16",
+                     "--out", str(out)]) == 0
+        self._exits_2(["residuals", "--problem", classical_file, "--trajectory", str(out)],
+                      capsys, "expected a trajectory JSON object (n, m, segments) or the output "
+                              "of `delayvar solve --out` on a variational problem")
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -197,6 +211,16 @@ class TestSolve:
 
         traj = Trajectory.from_json(json.dumps(payload["trajectory"]))
         assert traj.eval(0.5, 0)[0] == pytest.approx(0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("command", [["residuals"], ["conserved", "--eta", "1", "--xi", "0"],
+                                         ["invariance", "--eta", "1", "--xi", "0"]])
+    def test_solve_output_is_a_trajectory_file(self, classical_file, tmp_path, capsys, command):
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--problem", classical_file, "--nodes", "32",
+                     "--out", str(out)]) == 0
+        lam = ",".join(str(v) for v in json.loads(out.read_text())["lambda"])
+        assert main([*command, "--problem", classical_file, "--trajectory", str(out),
+                     "--lambda", lam]) == 0
 
     def test_maxiter_zero_exits_3(self, classical_file, tmp_path):
         out = tmp_path / "sol.json"

@@ -407,6 +407,59 @@ def _record(name):
 _RECORDS = {name: functools.partial(_record, name) for name in _PROBLEMS}
 
 
+def _reference_sample(record, b, t, order, left=False):
+    """(cols, basis) of block b's order-th derivative at the times t, as the
+    record lays out its unknowns: each point's segment by comparison with the
+    knots (right limit, or left with ``left``), d^order/dt^order of
+    (t - mid) ** j, zero left of the mesh."""
+    blk, edges = record.blocks[b], record.edges
+    seg = np.sum(t[:, None] > edges[1:-1] if left else t[:, None] >= edges[1:-1], axis=1)
+    j = np.arange(blk.width)
+    dt = t - 0.5 * (edges[seg] + edges[seg + 1])
+    basis = np.array([math.perm(i, order) for i in j]) * dt[:, None] ** np.maximum(j - order, 0)
+    basis[t < edges[0]] = 0.0
+    cols = (record.offsets[b] + blk.ncomp * blk.width * seg[None, :, None]
+            + blk.width * np.arange(blk.ncomp)[:, None, None] + j)
+    return cols, basis
+
+
+def _reference_rows(record, b, t, order, left=False):
+    """The dense rows (ncomp, nx) of block b's order-th derivative at one time t."""
+    cols, basis = _reference_sample(record, b, np.array([t]), order, left)
+    rows = np.zeros((len(cols), record.ncoef + record.k))
+    for row, col in zip(rows, cols[:, 0]):
+        row[col] = basis[0]
+    return rows
+
+
+def _reference_linear_rows(record, problem):
+    """(A, c) key by key: per knot and (block, order), that derivative's left
+    limit less its right one; then the last history segment's value at t1
+    and the terminal data (EL: orders below m; PMP: q(t2), else p(t2) = 0)."""
+    rows = [_reference_rows(record, b, knot, order, True) - _reference_rows(record, b, knot, order)
+            for knot in record.edges[1:-1] for b, blk in enumerate(record.blocks)
+            for order in range(blk.matched)]
+    t1, t2, last = record.edges[0], record.edges[-1], record.blocks[0].history[-1]
+    if isinstance(problem, ControlProblem):
+        boundary = [(0, t1, 0, last.eval(t1, 0))]
+        boundary += [(0, t2, 0, problem.terminal_state) if problem.terminal_state is not None
+                     else (1, t2, 0, np.zeros(problem.n))]
+    else:
+        boundary = [(0, t1, order, last.eval(t1, order)) for order in range(problem.m)]
+        boundary += [(0, t2, order, problem.boundary[order]) for order in range(problem.m)]
+    rows += [_reference_rows(record, b, t, order) for b, t, order, _ in boundary]
+    values = [np.zeros(len(row)) for row in rows[:len(rows) - len(boundary)]]
+    values += [np.asarray(value, dtype=float).reshape(-1) for *_, value in boundary]
+    return np.concatenate(rows), np.concatenate(values)
+
+
+def _assert_within_row_scale(got, want):
+    """Each entry within 1e-15 of the largest magnitude in its row of want."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
 class TestStructuredJacobian:
     @pytest.mark.parametrize("name", sorted(_RECORDS))
     def test_matches_dense_forward_differences(self, name):
@@ -458,20 +511,44 @@ class TestStructuredJacobian:
     def test_basis_recurrence_matches_powers(self, monkeypatch, name):
         # the basis takes dt^j by a running product: every entry of A and of
         # the Jacobian is within 1e-15 of its row's scale from the one with dt ** j
-        def powers(self, b, s, t, order):
-            dt = np.asarray(t - 0.5 * (self.edges[s] + self.edges[s + 1]))[..., None]
-            j = np.arange(self.blocks[b].width)
-            return np.array([math.perm(i, order) for i in j]) * dt ** np.maximum(j - order, 0)
+        def powers(dt, width, orders):
+            j = np.arange(width)
+            return [np.array([math.perm(i, order) for i in j])
+                    * dt[:, None] ** np.maximum(j - order, 0) for order in orders]
 
         record, x0 = _RECORDS[name]()
         x = record.project(x0 + 1e-2 * np.random.default_rng(11).standard_normal(len(x0)))
         _, jac = record.residual(x, jacobian=True)
-        monkeypatch.setattr(solver._Collocation, "_basis", powers)
+        monkeypatch.setattr(solver._Collocation, "_bases", staticmethod(powers))
         reference, _ = _RECORDS[name]()
         _, expected = reference.residual(x, jacobian=True)
         for got, want in ((record.A, reference.A), (jac, expected)):
             scale = np.max(np.abs(want), axis=1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_setup_tables_match_a_per_key_reference(self, monkeypatch, name):
+        # every (cols, basis, h) the rows read, and A and c, from a reference
+        # built key by key: the segment by comparison with the knots, the
+        # basis with dt ** j, h from its own Trajectory.eval; the record
+        # itself evaluates h once per unknown block
+        evals, plain = [], Trajectory.eval
+        monkeypatch.setattr(Trajectory, "eval",
+                            lambda *args, **kwargs: evals.append(1) or plain(*args, **kwargs))
+        record, _ = _RECORDS[name]()
+        monkeypatch.setattr(Trajectory, "eval", plain)
+        assert len(evals) <= len(record.blocks)
+        zero, _ = record.build(np.zeros(record.ncoef + record.k))
+        groups = [(record.times[pts], samples) for pts, _, samples in record.regimes]
+        for ts, samples in groups + [(record.nodes, record.at_nodes)]:
+            for (b, order, shift), (cols, basis, h) in samples.items():
+                want_cols, want = _reference_sample(record, b, ts + shift, order)
+                assert np.array_equal(cols, want_cols)
+                _assert_within_row_scale(basis, want)
+                _assert_within_row_scale(h, zero[b].eval(ts + shift, order).T)
+        A, c = _reference_linear_rows(record, _PROBLEMS[name][0]())
+        _assert_within_row_scale(record.A, A)
+        _assert_within_row_scale(record.c[:, None], c[:, None])
 
     @pytest.mark.parametrize("name", sorted(_RECORDS))
     def test_projector_is_the_min_norm_correction(self, name):
@@ -675,6 +752,12 @@ class TestSolveReason:
         _, _, report = solve_el(problem, initial=(exact, [3.0]), scheme=scheme)
         assert not report.converged and report.iterations == max_iterations
         assert report.reason == "max-iterations"
+
+    @pytest.mark.parametrize("field, value", [("nodes", 0), ("nodes", -5),
+                                              ("max_iterations", -3), ("tolerance", 0.0)])
+    def test_impossible_scheme_raises(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CollocationScheme(**{field: value})
 
     def test_tolerance_below_roundoff_stalls(self):
         # residual rows of size 1e6 settle at a roundoff floor near 1e-11, so
