@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr, registry
 from .errors import DelayVarError
-from .euler_lagrange import PathRecord, csv_text, format_column, residual_grids
+from .euler_lagrange import PathRecord, csv_text, residual_grids
 from .noether import constancy_report, invariance_check, noether_sweep
 from .problem import AugmentedSetup, Integrand, TransformationGroup, augmented_integrand, \
     problem_from_json
@@ -142,20 +142,22 @@ def cmd_residuals(args) -> int:
     setup, traj = _load_variational(args)
     problem, F = setup.problem, augmented_integrand(setup)
     grids = residual_grids(problem, traj, count=args.grid)
-    parts = []
+    blocks = []
     for grid in grids.values():
         record = PathRecord(F, problem, traj, grid.times)
-        # cdur(t) is defined on [t1 - tau, t2 - tau]: an empty cell on the second regime
-        cd = record.cdur_advanced if record.first else np.full(len(record.ts), np.nan)
-        parts.append((record.ts, record.psi[0], record.dr_quantity, record.dr_residual, cd))
+        block = [record.ts, record.psi[0], record.dr_quantity, record.dr_residual]
+        # cdur(t) is defined on [t1 - tau, t2 - tau]: the second regime's rows leave it empty
+        if record.first:
+            block.append(record.cdur_advanced)
+        blocks.append(block)
         del record  # released before the next regime's sweep
-    ts, el, drq, drr, cd = (np.concatenate(part) for part in zip(*parts))
+    el, drr = (np.concatenate([block[i] for block in blocks]) for i in (1, 3))
     sup = {"el": float(np.max(np.linalg.norm(el, axis=1))),
            "dr_residual": float(np.max(np.abs(drr))),
-           "cdur": float(np.max(np.abs(parts[0][4])))}
-    cdur = ["" if gap else cell for cell, gap in zip(format_column(cd), np.isnan(cd).tolist())]
+           "cdur": float(np.max(np.abs(blocks[0][4])))}
     text = csv_text(["t"] + [f"el_{i}" for i in range(problem.n)]
-                    + ["dr_quantity", "dr_residual", "cdur"], [ts, *el.T, drq, drr, cdur])
+                    + ["dr_quantity", "dr_residual", "cdur"],
+                    *([ts, *psi.T, *rest] for ts, psi, *rest in blocks))
     _write_out(text, args.out)
     if args.out not in (None, "-") or args.json:
         print(json.dumps({"sup": sup, "grid": args.grid}, indent=2))

@@ -34,7 +34,7 @@ from .trajectory import Grid, Trajectory
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
            "regime_interval", "smooth_breaks", "stencil_bounds", "PathRecord", "per_regime",
            "el_residual", "el_integral_function", "el_integral_lhs",
-           "el_integral_defect", "classify", "residual_grids", "format_column", "csv_text"]
+           "el_integral_defect", "classify", "residual_grids", "csv_text"]
 
 
 class Regime(Enum):
@@ -380,18 +380,24 @@ class ResidualReport:
         }
 
 
-def format_column(values) -> list[str]:
-    """Each value at 17 significant digits, formatted in one call."""
-    values = np.asarray(values, dtype=float).ravel().tolist()
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+def csv_text(header: list[str], *blocks) -> str:
+    """CSV text: the header row, then the rows of each block in turn.
 
-
-def csv_text(header: list[str], columns) -> str:
-    """CSV text: the header row, then row j holds entry j of every column.
-
-    A column is a list of str (written as given) or an array of numbers
-    (written by :func:`format_column`).  No cell needs CSV quoting: cells are
+    A block is a list of columns, and its row j holds entry j of every
+    column.  A column is a list of str (written as given) or an array of
+    numbers (written at 17 significant digits, ``%.17g``).  A block with
+    fewer columns than the header leaves the last cells of its rows empty.
+    The whole table is one ``%`` operation: a row template per row, applied
+    to the cells in row-major order.  No cell needs CSV quoting: cells are
     numbers, empty, or plain names.
     """
-    cells = [col if isinstance(col, list) else format_column(col) for col in columns]
-    return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)])
+    template, cells = [], []
+    for columns in blocks:
+        width, rows = len(columns), len(columns[0])
+        flat = [None] * (width * rows)
+        for j, col in enumerate(columns):
+            flat[j::width] = col if isinstance(col, list) else np.asarray(col, dtype=float).tolist()
+        row = ",".join("%s" if isinstance(col, list) else "%.17g" for col in columns)
+        template.append((row + "," * (len(header) - width) + "\n") * rows)
+        cells += flat
+    return ",".join(header) + "\n" + "".join(template) % tuple(cells)

@@ -58,8 +58,8 @@ class CollocationScheme:
             raise ValueError(f"nodes must be at least 1, got {self.nodes}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass

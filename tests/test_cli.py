@@ -8,8 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from delayvar import cli
+from delayvar import cli, registry
 from delayvar.cli import main
+from delayvar.euler_lagrange import PathRecord, Regime, residual_grids
+from delayvar.problem import AugmentedSetup, augmented_integrand
 
 CLASSICAL_JSON = """{
   "m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0,
@@ -36,6 +38,23 @@ class TestResiduals:
         summary = json.loads(capsys.readouterr().out)
         assert summary["sup"]["el"] <= 1e-7
         assert summary["sup"]["cdur"] >= 500.0
+
+    def test_cdur_cells_by_regime(self, tmp_path, capsys):
+        # cdur is written on the first regime's rows only, at 17 digits
+        out = tmp_path / "r.csv"
+        assert main(["residuals", "--example", "example1", "--grid", "2000",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = out.read_text().splitlines()[1:]
+        entry = registry.get("example1")
+        setup = AugmentedSetup(entry.build(), entry.lam)
+        grids = residual_grids(setup.problem, entry.trajectory(), count=2000)
+        first, second = (grids[r].times for r in (Regime.FIRST, Regime.SECOND))
+        assert len(rows) == len(first) + len(second) and len(first) > 900 and len(second) > 900
+        record = PathRecord(augmented_integrand(setup), setup.problem, entry.trajectory(), first)
+        assert [row.rsplit(",", 1)[1] for row in rows[:len(first)]] == [
+            "%.17g" % v for v in record.cdur_advanced]
+        assert all(row.endswith(",") and row.count(",") == 4 for row in rows[len(first):])
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["residuals", "--problem", str(tmp_path / "nope.json"),
@@ -87,7 +106,8 @@ class TestInputErrors:
 
 
     @pytest.mark.parametrize("flag, value", [("--nodes", "-5"), ("--nodes", "0"),
-                                             ("--maxiter", "-3")])
+                                             ("--maxiter", "-3"), ("--tol", "nan"),
+                                             ("--tol", "inf")])
     def test_impossible_scheme(self, classical_file, capsys, flag, value):
         self._exits_2(["solve", "--problem", classical_file, flag, value], capsys, "must be")
 

@@ -315,13 +315,40 @@ def test_el_residual_linear_in_lambda(ex1_problem, ex1_traj):
             assert np.allclose(rl, expected, atol=1e-7 * (1 + abs(lam)))
 
 
-def test_csv_text_formats_like_17_digit_format():
-    values = np.array([0.1, -0.0, 1.0 / 3.0, 1e-300, -2.5e17, np.nan, np.inf, 7.0])
-    text = csv_text(["t", "name", "v"], [np.arange(8.0), ["a", "b", "", "d", "e", "f", "g", "h"],
-                                         values])
-    rows = [line.split(",") for line in text.splitlines()]
-    assert rows[0] == ["t", "name", "v"] and text.endswith("\n")
-    assert [r[2] for r in rows[1:]] == [f"{v:.17g}" for v in values]
-    assert rows[3][1] == "" and len(rows) == 9
+def _mixed_table(rows):
+    """Three numeric columns (signed zeros, subnormals, exponents to +-300,
+    NaN and infinities among random values) and two str columns, with empty
+    cells."""
+    rng = np.random.default_rng(2022)
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e-300, -3.5e300, np.nan, np.inf, -np.inf])
+    numbers = []
+    for _ in range(3):
+        col = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 301, rows)
+        picks = rng.random(rows) < 0.2
+        col[picks] = rng.choice(special, int(np.sum(picks)))
+        numbers.append(col)
+    names = rng.choice(["first", "second", ""], rows).tolist()
+    flags = rng.choice(["0", "1", ""], rows).tolist()
+    return ["t", "regime", "a", "b", "flag"], [numbers[0], names, numbers[1], numbers[2], flags]
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["t", "name", "v"], [np.arange(8.0), ["a", "b", "", "d", "e", "f", "g", "h"],
+                          np.array([0.1, -0.0, 1.0 / 3.0, 1e-300, -2.5e17, np.nan, np.inf, 7.0])]),
+    _mixed_table(20_000),
+], ids=["small", "mixed-20k"])
+def test_csv_text_formats_like_17_digit_format(header, columns):
+    # compared as line lists: a failing comparison then names the first
+    # differing row at once, where a diff of the whole text takes minutes
+    cells = [col if isinstance(col, list) else [f"{v:.17g}" for v in col] for col in columns]
+    rows = [header, *(list(row) for row in zip(*cells))]
+    text = csv_text(header, columns)
+    assert text.endswith("\n") and text.split("\n")[:-1] == [",".join(row) for row in rows]
+    # two blocks, the second without the last column: its rows end in an empty cell
+    half = len(columns[0]) // 2
+    for row in rows[1 + half:]:
+        row[-1] = ""
+    text = csv_text(header, [col[:half] for col in columns], [col[half:] for col in columns[:-1]])
+    assert text.endswith("\n") and text.split("\n")[:-1] == [",".join(row) for row in rows]
     assert csv_text(["a", "b"], [np.zeros(0), []]) == "a,b\n"
 

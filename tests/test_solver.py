@@ -754,7 +754,8 @@ class TestSolveReason:
         assert report.reason == "max-iterations"
 
     @pytest.mark.parametrize("field, value", [("nodes", 0), ("nodes", -5),
-                                              ("max_iterations", -3), ("tolerance", 0.0)])
+                                              ("max_iterations", -3), ("tolerance", 0.0),
+                                              ("tolerance", math.nan), ("tolerance", math.inf)])
     def test_impossible_scheme_raises(self, field, value):
         with pytest.raises(ValueError, match=field):
             CollocationScheme(**{field: value})
