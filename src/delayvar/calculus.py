@@ -129,9 +129,11 @@ def path_derivatives(fn, ts, order: int) -> np.ndarray:
 def partial(f, block: int, args):
     """Gradient of integrand ``f`` with respect to one argument block, its
     slots seeded one at a time by an order-1 jet: exact for integrands built
-    from arithmetic, the jet-aware functions and their numpy ufuncs.  Shape
-    (block_len,) for scalar slots, (block_len, npts) for array slots, and a
-    jet in t of that shape for jet slots; NotJetCapable if f rejects jets.
+    from arithmetic, the jet-aware functions and their numpy ufuncs.  A slot
+    outside ``f.reads`` (:class:`delayvar.problem.Integrand`) is an exact zero,
+    f not called for it.  Shape (block_len,) for scalar slots, (block_len, npts)
+    for array slots, and a jet in t of that shape for jet slots (an array if no
+    slot is read); NotJetCapable if f rejects jets.
     """
     layout = args.layout
     if block < 1 or block > layout.nblocks:
@@ -139,8 +141,14 @@ def partial(f, block: int, args):
     sl = layout.block_slice(block)
     if sl.start == sl.stop:
         return np.zeros(0)
-    slots = [_split(*_seeded(f, args.values, [{i: 1.0}]))[1] for i in range(sl.start, sl.stop)]
-    return jet.stack([0.0 if d is None else d for d in slots], jet.value_of(args.values[sl.start]))
+    reads = getattr(f, "reads", None)
+    read = [i for i in range(sl.start, sl.stop) if reads is None or i in reads]
+    like = jet.value_of(args.values[sl.start])
+    if not read:
+        return np.zeros((sl.stop - sl.start,) + np.shape(like))
+    slots = [_split(*_seeded(f, args.values, [{i: 1.0}]))[1] if i in read else None
+             for i in range(sl.start, sl.stop)]
+    return jet.stack([0.0 if d is None else d for d in slots], like)
 
 
 def derivatives(f, args, order: int = 0, levels: int = 1) -> list[np.ndarray]:

@@ -21,8 +21,8 @@ from . import expr, registry
 from .errors import DelayVarError
 from .euler_lagrange import PathRecord, csv_text, residual_grids
 from .noether import constancy_report, invariance_check, noether_sweep
-from .problem import AugmentedSetup, Integrand, TransformationGroup, augmented_integrand, \
-    problem_from_json
+from .problem import AugmentedSetup, TransformationGroup, augmented_integrand, \
+    integrand_from_expr, problem_from_json
 from .solver import CollocationScheme, solve_el, solve_pmp
 from .trajectory import Trajectory
 
@@ -108,6 +108,13 @@ def _load_variational(args):
     return setup, traj
 
 
+def _tolerance(args) -> float:
+    """The --tol flag of a report: finite and >= 0."""
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise DelayVarError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    return args.tol
+
+
 def _group_from_exprs(args, problem):
     """eta/xi expressions over (t, q...) and an optional gauge expression."""
     table = {"t": 0, "q": 1}
@@ -126,11 +133,7 @@ def _group_from_exprs(args, problem):
     def xi(t, q):  # one entry per component; constants broadcast against the others
         return [expr.bind_eval(a, binding, [t, *q]) for a in xi_asts]
 
-    gauge = None
-    if args.gauge:
-        gauge_ast = expr.parse(args.gauge)
-        gauge = Integrand(expr.compiled(gauge_ast, expr.Binding(problem.m, problem.n)),
-                          name=args.gauge)
+    gauge = integrand_from_expr(args.gauge, problem.m, problem.n) if args.gauge else None
     return TransformationGroup(eta=eta, xi=xi, gauge=gauge)
 
 
@@ -165,6 +168,7 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_conserved(args) -> int:
+    tol = _tolerance(args)
     setup, traj = _load_variational(args)
     problem = setup.problem
     group = _group_from_exprs(args, problem)
@@ -178,7 +182,7 @@ def cmd_conserved(args) -> int:
         return values
 
     report = constancy_report(quantity, grids)
-    report.hypothesis_violated = float(np.max(np.abs(np.concatenate(cdur)))) > args.tol
+    report.hypothesis_violated = float(np.max(np.abs(np.concatenate(cdur)))) > tol
 
     ts = np.concatenate([grid.times for grid in report.grids.values()])
     names = [r.value for r, grid in report.grids.items() for _ in grid.times]
@@ -196,13 +200,14 @@ def cmd_conserved(args) -> int:
 
 
 def cmd_invariance(args) -> int:
+    tol = _tolerance(args)
     setup, traj = _load_variational(args)
     group = _group_from_exprs(args, setup.problem)
     defect, nc1, nc2 = invariance_check(setup, group, traj)
     payload = {
         "invariance_defect": defect,
         "necessary_condition_defect": {"first": nc1, "second": nc2},
-        "invariant_within_tol": abs(defect) <= args.tol,
+        "invariant_within_tol": abs(defect) <= tol,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -210,7 +215,7 @@ def cmd_invariance(args) -> int:
         print(f"invariance defect            {_fmt(defect)}")
         print(f"necessary condition (first)  {_fmt(nc1)}")
         print(f"necessary condition (second) {_fmt(nc2)}")
-        print(f"invariant within {_fmt(args.tol)}: {'yes' if payload['invariant_within_tol'] else 'no'}")
+        print(f"invariant within {_fmt(tol)}: {'yes' if payload['invariant_within_tol'] else 'no'}")
     return 0
 
 

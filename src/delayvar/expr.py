@@ -30,7 +30,7 @@ from .errors import (
 )
 
 __all__ = ["Ast", "Num", "Var", "Neg", "Bin", "Call", "Binding", "TableBinding",
-           "parse", "to_str", "bind_eval", "compiled"]
+           "parse", "to_str", "names", "bind_eval", "compiled"]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -242,6 +242,17 @@ def _render(node: Ast) -> tuple[str, int]:
 def to_str(node: Ast) -> str:
     """Render back to source text such that ``parse(to_str(ast)) == ast``."""
     return _render(node)[0]
+
+
+def names(node: Ast) -> frozenset[str]:
+    """The variable names ``node`` reads."""
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    if isinstance(node, Num):
+        return frozenset()
+    if isinstance(node, Bin):
+        return names(node.left) | names(node.right)
+    return names(node.operand if isinstance(node, Neg) else node.arg)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,18 @@ class Integrand:
     arithmetic, the jet-aware math functions and their numpy ufuncs do: jets
     give its block gradients and their time derivatives along a path exactly
     (:func:`delayvar.calculus.partial`); one that rejects them raises NotJetCapable.
+    ``reads`` is the frozenset of slots fn reads, derived for expression
+    integrands (:func:`integrand_from_expr`, :func:`augmented_integrand`), or
+    None, any slot, for a callable: partials in the other slots are exact
+    zeros that are not evaluated.
     """
 
-    __slots__ = ("fn", "name")
+    __slots__ = ("fn", "name", "reads")
 
     def __init__(self, fn: Callable, name: str = ""):
         self.fn = fn
         self.name = name or getattr(fn, "__name__", "integrand")
+        self.reads: frozenset[int] | None = None
 
     def __call__(self, values):
         return self.fn(values)
@@ -102,9 +107,12 @@ class Integrand:
 
 
 def integrand_from_expr(text: str, m: int, n: int) -> Integrand:
-    """Compile an expression over the variational argument names."""
-    ast = expr.parse(text)
-    return Integrand(expr.compiled(ast, expr.Binding(m, n)), name=text)
+    """Compile an expression over the variational argument names; it reads
+    the slots of the names it contains."""
+    ast, binding = expr.parse(text), expr.Binding(m, n)
+    integrand = Integrand(expr.compiled(ast, binding), name=text)
+    integrand.reads = frozenset(binding.slot_of(name) for name in expr.names(ast))
+    return integrand
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,8 @@ class AugmentedSetup:
         object.__setattr__(self, "lam", lam)
         if len(lam) != self.problem.k:
             raise ValueError(f"lambda has {len(lam)} entries for {self.problem.k} constraints")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError(f"lambda must be finite, got {lam.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -257,19 +267,23 @@ def path_args(t, current, delayed) -> ArgVector:
 
 
 def augmented_integrand(setup: AugmentedSetup) -> Integrand:
-    """F = L - lam . g."""
+    """F = L - lam . g, reading the slots that L and the g_j with lam_j != 0 read."""
     L, gs, lam = setup.problem.L, setup.problem.g, setup.lam
     if not len(lam):
         return L
+    terms = [(lj, gj) for lj, gj in zip(lam, gs) if lj != 0.0]
 
     def fn(values):  # a callable rejecting jets is named, not this wrapper
         out = calculus.jet_call(L, values)
-        for lj, gj in zip(lam, gs):
-            if lj != 0.0:
-                out = out - lj * calculus.jet_call(gj, values)
+        for lj, gj in terms:
+            out = out - lj * calculus.jet_call(gj, values)
         return out
 
-    return Integrand(fn, name=f"{L.name} - lam.g")
+    F = Integrand(fn, name=f"{L.name} - lam.g")
+    reads = [L.reads] + [gj.reads for _, gj in terms]
+    if None not in reads:
+        F.reads = frozenset().union(*reads)
+    return F
 
 
 def _quadrature_breaks(problem: IsoperimetricProblem, traj: Trajectory) -> list[float]:

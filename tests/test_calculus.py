@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayvar import calculus, jet
+from delayvar import calculus, expr, jet
 from delayvar.calculus import (
     default_step,
     derivative_in_parameter,
@@ -18,7 +20,7 @@ from delayvar.calculus import (
     total_derivative_many,
 )
 from delayvar.errors import BlockOutOfRange, NotJetCapable, StencilCrossesBreakpoint
-from delayvar.problem import ArgLayout, ArgVector, Integrand
+from delayvar.problem import ArgLayout, ArgVector, Integrand, integrand_from_expr
 
 
 def test_fd_weights_reproduce_classic_tables():
@@ -28,6 +30,24 @@ def test_fd_weights_reproduce_classic_tables():
 
 
 INF = np.inf
+
+# m = 2, n = 2: every block has two slots, and a name reads one of them
+_SLOT_NAMES = ["t", "d0q0", "d1q1", "d2q0", "d0q1_tau", "d1q0_tau", "d2q1_tau"]
+
+
+def _polynomials(depth: int):
+    """Random ``+ - * ^int`` expressions over m = 2, n = 2 names and constants."""
+    leaf = st.one_of(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(expr.Num),
+                     st.sampled_from(_SLOT_NAMES).map(expr.Var))
+    if depth == 0:
+        return leaf
+    sub = _polynomials(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*"), sub, sub).map(lambda t: expr.Bin(*t)),
+        st.tuples(sub, st.integers(min_value=0, max_value=3)).map(
+            lambda t: expr.Bin("^", t[0], expr.Num(float(t[1])))),
+    )
 
 
 class TestTotalDerivative:
@@ -127,6 +147,39 @@ class TestPartial:
                 dn[block - 1] -= h
                 approx = (smooth(up) - smooth(dn)) / (2.0 * h)
                 assert np.allclose(approx, exact, rtol=1e-6, atol=1e-6)
+
+    def test_unread_block_is_zero_without_a_call(self, monkeypatch):
+        calls = []
+        plain = expr.bind_eval
+        monkeypatch.setattr(expr, "bind_eval", lambda *a: calls.append(a) or plain(*a))
+        f = integrand_from_expr("qd^2", 1, 1)
+        args = ArgVector([np.zeros(3), np.full(3, np.nan), np.arange(3.0), np.zeros(3),
+                          np.zeros(3)], ArgLayout.variational(1, 1))
+        for block in (1, 2, 4, 5):
+            got = partial(f, block, args)
+            assert type(got) is np.ndarray and np.array_equal(got, np.zeros((1, 3)))
+        assert not calls
+        assert np.array_equal(partial(f, 3, args), [2.0 * np.arange(3.0)]) and len(calls) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(_polynomials(3), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_skipped_slots_change_no_bit(self, ast, seed, jets):
+        """partial of an expression integrand, which skips the slots it does not
+        name, equals bit for bit that of the same function as a plain callable,
+        every slot evaluated; on array slots and on time-jet slots."""
+        f = integrand_from_expr(expr.to_str(ast), 2, 2)
+        rng = np.random.default_rng(seed)
+        layout = ArgLayout.variational(2, 2)
+        if jets:
+            values = [jet.variable(rng.uniform(0, 1, 4), 2)] + [
+                jet.Jet(list(rng.uniform(-2, 2, (3, 4)))) for _ in range(layout.size - 1)]
+        else:
+            values = [rng.uniform(0, 1, 4)] + list(rng.uniform(-2, 2, (layout.size - 1, 4)))
+        args = ArgVector(values, layout)
+        for block in range(1, layout.nblocks + 1):
+            got, want = partial(f, block, args), partial(f.fn, block, args)  # fn: no reads
+            assert type(got) is type(want)
+            assert np.array_equal(jet.coefficients(got, 2), jet.coefficients(want, 2))
 
     def test_vectorized_partial(self):
         f = Integrand(lambda v: v[1] ** 3, name="q^3")

@@ -111,6 +111,17 @@ class TestInputErrors:
     def test_impossible_scheme(self, classical_file, capsys, flag, value):
         self._exits_2(["solve", "--problem", classical_file, flag, value], capsys, "must be")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_multiplier(self, capsys, value):
+        self._exits_2(["residuals", "--example", "example1", f"--lambda={value}"], capsys,
+                      "lambda must be finite")
+
+    @pytest.mark.parametrize("command", ["conserved", "invariance"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_impossible_report_tolerance(self, capsys, command, value):
+        self._exits_2([command, "--example", "example1", "--eta", "1", "--xi", "0",
+                       "--tol", value], capsys, "--tol must be finite and >= 0")
+
     def test_control_solve_output_as_trajectory(self, classical_file, tmp_path, capsys):
         out = tmp_path / "lq.json"
         assert main(["solve", "--example", "autonomous-lq", "--nodes", "16",

@@ -7,7 +7,7 @@ import pytest
 
 from delayvar import calculus
 from delayvar.dubois_reymond import cdur_residual, dr_quantity, dr_residual, psi
-from delayvar.errors import JOutOfRange, OutOfDomain
+from delayvar.errors import EvaluationDomain, JOutOfRange, OutOfDomain
 from delayvar.euler_lagrange import (
     Regime,
     regime_interval,
@@ -103,6 +103,20 @@ class TestCdur:
         # q^(m+1) of a degree-m path is zero, not an evaluation error
         setup, traj = _line_setup()
         assert np.all(cdur_residual(setup, traj, np.array([-0.4, 0.0, 0.3])) == 0.0)
+
+    def test_unread_delayed_blocks_are_not_evaluated(self):
+        """An L that names no delayed slot has exact-zero delayed partials, so
+        the hypothesis residual is 0 without evaluating L: log(q) along
+        q = t - 2 is non-finite everywhere, which raised EvaluationDomain when
+        every slot was evaluated.  L's value still raises where it is read."""
+        problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                       L=integrand_from_expr("log(q)", 1, 1))
+        traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[-2.0, 1.0]])])
+        setup = AugmentedSetup(problem, [])
+        got = cdur_residual(setup, traj, np.array([-0.4, 0.0, 0.3]))
+        assert np.array_equal(got, np.zeros(3))
+        with pytest.raises(EvaluationDomain):
+            dr_quantity(setup, traj, np.array([0.2, 0.7]))
 
 
 class TestDrQuantity:

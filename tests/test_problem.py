@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayvar.errors import OutOfDomain
+from delayvar.errors import OutOfDomain, UnknownVariable
 from delayvar.problem import (
     ArgLayout,
     AugmentedSetup,
@@ -49,6 +49,49 @@ def test_record_validation():
     with pytest.raises(ValueError, match="lambda"):
         AugmentedSetup(IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0, L=L),
                        [1.0])
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_non_finite_multiplier_is_rejected(lam):
+    L = integrand_from_expr("qd^2", 1, 1)
+    problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0, L=L, g=(L,), l=[1.0])
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        AugmentedSetup(problem, [lam])
+
+
+class TestReads:
+    """The argument slots an integrand reads: derived from an expression's
+    names, unknown (None) for a callable."""
+
+    @pytest.mark.parametrize("text, m, n, slots", [
+        ("(qdd + qdd_tau)^2", 2, 1, {3, 6}),             # sugar names
+        ("d1q1 * d0q0_tau - d1q1", 1, 2, {4, 5}),        # canonical names, n = 2
+        ("t * qd", 1, 1, {0, 2}),
+        ("2 * pi - e", 1, 1, set()),                     # constants only
+    ])
+    def test_expression(self, text, m, n, slots):
+        assert integrand_from_expr(text, m, n).reads == frozenset(slots)
+
+    def test_callable_is_unknown(self):
+        assert Integrand(lambda v: v[1]).reads is None
+
+    def test_unknown_name_fails_when_compiled(self):
+        with pytest.raises(UnknownVariable):
+            integrand_from_expr("q + zz", 1, 1)
+
+    def test_augmented_union_drops_zero_multipliers(self, ex1_problem):
+        assert augmented_integrand(AugmentedSetup(ex1_problem, [0.0])).reads == {3, 6}
+        assert augmented_integrand(AugmentedSetup(ex1_problem, [2.0])).reads == {2, 3, 5, 6}
+
+    def test_augmented_with_a_callable_part_is_unknown(self):
+        expr_part = integrand_from_expr("qd^2", 1, 1)
+        opaque = Integrand(lambda v: v[1], name="q")
+        for L, g, lam, reads in ((expr_part, opaque, 1.0, None),
+                                 (opaque, expr_part, 1.0, None),
+                                 (expr_part, opaque, 0.0, frozenset({2}))):
+            problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                           L=L, g=(g,), l=[0.0])
+            assert augmented_integrand(AugmentedSetup(problem, [lam])).reads == reads
 
 
 def test_args_at_evaluates_each_shift_once(ex1_traj, monkeypatch):

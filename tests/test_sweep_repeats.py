@@ -3,7 +3,8 @@
 Every residual reads the same record of path values, so within one
 ``verify``, one ``delayvar residuals``, ``conserved`` or ``invariance`` run the
 trajectory is never asked twice for the same derivative orders at the same
-times, nor for values that nothing reads.
+times, nor for values that nothing reads.  Nor is an expression evaluated for
+a partial in a slot it does not name: that partial is an exact zero.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import io
 from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 
-from delayvar import cli
+from delayvar import cli, expr
 from delayvar.euler_lagrange import PathRecord
 from delayvar.registry import get
 from delayvar.solver import verify
@@ -120,3 +122,29 @@ def test_invariance_command_builds_one_group_record_per_regime(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["invariance", "--example", "example1", "--eta", "1", "--xi", "0"]) == 0
     assert sorted(groups) == [False, True]
+
+
+def _run_cli(argv):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+def _verify_example1():
+    entry = get("example1")
+    verify(entry.build(), entry.trajectory(), entry.lam, grid_count=200)
+
+
+# example1's L = (qdd + qdd_tau)^2 and g = (qd + qd_tau)^2 read 2 of the 7 slots
+# each; evaluating every slot's partial made 31, 20, 15 and 22 calls
+@pytest.mark.parametrize("call, ceiling", [
+    (_verify_example1, 13),
+    (lambda: _run_cli(["residuals", "--example", "example1", "--grid", "200"]), 8),
+    (lambda: _run_cli(["conserved", "--example", "example1", "--eta", "1", "--xi", "0"]), 10),
+    (lambda: _run_cli(["invariance", "--example", "example1", "--eta", "1", "--xi", "0"]), 12),
+], ids=["verify", "residuals", "conserved", "invariance"])
+def test_expressions_are_evaluated_only_for_slots_they_read(monkeypatch, call, ceiling):
+    calls = []
+    plain = expr.bind_eval
+    monkeypatch.setattr(expr, "bind_eval", lambda *a: calls.append(a) or plain(*a))
+    call()
+    assert 0 < len(calls) <= ceiling
