@@ -26,9 +26,9 @@ import numpy as np
 from numpy.polynomial import Legendre, Polynomial, chebyshev
 
 from . import calculus, jet
-from .errors import DegenerateGrid, NoConstraints, OutOfDomain
-from .problem import AugmentedSetup, Integrand, IsoperimetricProblem, augmented_integrand, \
-    path_args
+from .errors import DegenerateGrid, EmptyGrid, NoConstraints, OutOfDomain
+from .problem import AugmentedSetup, ControlProblem, Integrand, IsoperimetricProblem, \
+    augmented_integrand, path_args
 from .trajectory import Grid, Trajectory
 
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
@@ -61,7 +61,8 @@ def regime_interval(problem: IsoperimetricProblem, regime: Regime) -> tuple[floa
     return (problem.t1, split) if regime is Regime.FIRST else (split, problem.t2)
 
 
-def smooth_breaks(problem: IsoperimetricProblem, traj: Trajectory) -> np.ndarray:
+def smooth_breaks(problem: IsoperimetricProblem | ControlProblem,
+                  traj: Trajectory) -> np.ndarray:
     """Times where any stacked-partial map can lose smoothness: trajectory
     breakpoints, their +-tau images, and the regime wall t2 - tau."""
     base = np.asarray(traj.breakpoints())
@@ -321,16 +322,18 @@ def el_integral_defect(setup: AugmentedSetup, traj: Trajectory, grid: Grid) -> P
 # grids + classification
 
 
-def residual_grids(problem: IsoperimetricProblem, traj: Trajectory, count: int = 200,
-                   eps_knot: float = 1e-2) -> dict[Regime, Grid]:
-    """Regime-respecting grids on [t1, t2], clear of breakpoints and t2 - tau."""
-    exclude = smooth_breaks(problem, traj)
-    grid = Grid.build(problem.t1, problem.t2, count, exclude=exclude, eps_knot=eps_knot)
+def residual_grids(problem: IsoperimetricProblem | ControlProblem, traj: Trajectory,
+                   count: int = 200) -> dict[Regime, Grid]:
+    """count uniform times on [t1, t2], split strictly at t2 - tau, without
+    those within 1 % of the trajectory's shortest segment of a smooth break."""
+    if count <= 0:
+        raise EmptyGrid(f"requested grid of {count} points")
+    times = np.linspace(problem.t1, problem.t2, count)
+    width = 1e-2 * np.min(np.diff(traj.breakpoints()))
+    for x in smooth_breaks(problem, traj):  # one break at a time: cheaper than a broadcast
+        times = times[np.abs(times - x) >= width]
     split = problem.t2 - problem.tau
-    return {
-        Regime.FIRST: Grid(grid.times[grid.times < split]),
-        Regime.SECOND: Grid(grid.times[grid.times > split]),
-    }
+    return {Regime.FIRST: Grid(times[times < split]), Regime.SECOND: Grid(times[times > split])}
 
 
 def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:

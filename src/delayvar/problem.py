@@ -115,6 +115,16 @@ def integrand_from_expr(text: str, m: int, n: int) -> Integrand:
     return integrand
 
 
+def _targets(g: tuple[Integrand, ...], l) -> np.ndarray:
+    """The constraint targets l as floats: one finite value per integrand in g."""
+    l = np.atleast_1d(np.asarray(l, dtype=float))
+    if len(g) != len(l):
+        raise ValueError(f"{len(g)} constraint integrands but {len(l)} targets")
+    if not np.all(np.isfinite(l)):
+        raise ValueError(f"constraint targets must be finite, got {l.tolist()}")
+    return l
+
+
 @dataclass(frozen=True)
 class IsoperimetricProblem:
     """Higher-order isoperimetric variational problem with one fixed delay."""
@@ -134,7 +144,7 @@ class IsoperimetricProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "g", tuple(self.g))
-        object.__setattr__(self, "l", np.atleast_1d(np.asarray(self.l, dtype=float)))
+        object.__setattr__(self, "l", _targets(self.g, self.l))
         if self.boundary is not None:
             b = np.asarray(self.boundary, dtype=float).reshape(self.m, self.n)
             object.__setattr__(self, "boundary", b)
@@ -142,8 +152,6 @@ class IsoperimetricProblem:
             raise ValueError("tau must be positive")
         if not self.tau < self.t2 - self.t1:
             raise ValueError("need tau < t2 - t1")
-        if len(self.g) != len(self.l):
-            raise ValueError(f"{len(self.g)} constraint integrands but {len(self.l)} targets")
 
     @property
     def k(self) -> int:
@@ -203,7 +211,7 @@ class ControlProblem:
     def __post_init__(self):
         object.__setattr__(self, "phi", tuple(self.phi))
         object.__setattr__(self, "g", tuple(self.g))
-        object.__setattr__(self, "l", np.atleast_1d(np.asarray(self.l, dtype=float)))
+        object.__setattr__(self, "l", _targets(self.g, self.l))
         if self.terminal_state is not None:
             q = np.atleast_1d(np.asarray(self.terminal_state, dtype=float))
             object.__setattr__(self, "terminal_state", q)
@@ -351,9 +359,9 @@ def problem_from_json(text: str) -> IsoperimetricProblem:
     """Parse the problem-file schema.
 
     Fields: m, n, tau, t1, t2, L (expression), g (list of expressions),
-    l (list of reals), history (expression in t, or a list for n > 1),
-    boundary {"q": [...], "qd": [...], ...} giving q^(i)(t2) by derivative
-    order (key "q" + "d" * i).
+    l (list of finite reals, one per g), history (expression in t for every
+    component, or a list of n), boundary {"q": [...], "qd": [...], ...}
+    giving q^(i)(t2) by derivative order (key "q" + "d" * i).
     """
     record = json.loads(text)
     m, n = int(record["m"]), int(record["n"])
@@ -362,6 +370,8 @@ def problem_from_json(text: str) -> IsoperimetricProblem:
     if "k" in record and int(record["k"]) != len(g):
         raise ValueError(f"k = {record['k']} but {len(g)} constraint expressions given")
     hist = record.get("history")
+    if isinstance(hist, list) and len(hist) != n:
+        raise ValueError(f"history lists {len(hist)} expressions for n = {n}")
     if hist is not None:
         hist = _history_from_exprs([hist] if isinstance(hist, str) else hist)
     boundary = None

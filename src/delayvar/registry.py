@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .euler_lagrange import Regime, residual_grids
+from .euler_lagrange import residual_grids
 from .noether import constancy_report, noether_quantity
 from .optimal_control import hamiltonian_noether_quantity, pmp_residuals
 from .problem import (
@@ -27,7 +27,7 @@ from .problem import (
     integrand_from_expr,
 )
 from .solver import CollocationScheme, solve_el, solve_pmp, verify
-from .trajectory import Grid, PolySegment, Trajectory, example1_trajectory
+from .trajectory import PolySegment, Trajectory, example1_trajectory
 
 __all__ = ["Check", "RegistryEntry", "get", "names", "EXAMPLE1_J", "EXAMPLE1_I"]
 
@@ -157,16 +157,10 @@ def _lq_checks() -> list[Check]:
     cp = _lq_problem()
     triple, lam, report = solve_pmp(cp, scheme=CollocationScheme(nodes=64))
     out = [Check("solver converged", report.residual_norm, 1e-9, report.converged)]
-    grid = Grid.build(cp.t1, cp.t2, 200,
-                      exclude=np.asarray(triple.q.breakpoints()), eps_knot=1e-3)
-    res = pmp_residuals(cp, triple, lam, grid.times)
+    grids = residual_grids(cp, triple.q, 200)
+    res = pmp_residuals(cp, triple, lam, np.concatenate([g.times for g in grids.values()]))
     out.append(Check("pmp residual sup", res.sup, 1e-6, res.sup <= 1e-6))
     shift = TransformationGroup(eta=lambda t, q, u: 1.0, xi=lambda t, q, u: np.zeros(1))
-    split = cp.t2 - cp.tau
-    grids = {
-        Regime.FIRST: Grid(grid.times[grid.times < split]),
-        Regime.SECOND: Grid(grid.times[grid.times > split]),
-    }
     con = constancy_report(
         functools.partial(hamiltonian_noether_quantity, cp, shift, triple, lam), grids)
     # the energy H, one expression on both regimes: deviation measured around the global mean

@@ -259,7 +259,7 @@ def example1_trajectory() -> Trajectory:
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing sample times, kept clear of breakpoints."""
+    """Strictly increasing sample times."""
 
     times: np.ndarray
 
@@ -272,16 +272,3 @@ class Grid:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @classmethod
-    def build(cls, a: float, b: float, count: int, exclude=(), eps_knot: float = 1e-2) -> "Grid":
-        """count uniform candidates on [a, b], dropping any within eps of an
-        excluded point (trajectory breakpoints, t2 - tau, ...)."""
-        if count <= 0:
-            raise EmptyGrid(f"requested grid of {count} points")
-        times = np.linspace(a, b, count)
-        for x in exclude:
-            times = times[np.abs(times - x) >= eps_knot]
-        if times.size == 0:
-            raise EmptyGrid("all grid candidates fell within excluded neighborhoods")
-        return cls(times)

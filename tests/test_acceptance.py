@@ -79,7 +79,7 @@ def closed_form_functionals():
 
 def test_criterion_1_example1_el_extremality(ex1_problem, ex1_setup, ex1_traj):
     start = time.perf_counter()
-    grids = residual_grids(ex1_problem, ex1_traj, count=200, eps_knot=1e-2)
+    grids = residual_grids(ex1_problem, ex1_traj, count=200)
     sups = {regime: float(np.max(np.abs(el_residual(ex1_setup, ex1_traj, grid.times))))
             for regime, grid in grids.items()}
     elapsed = time.perf_counter() - start
@@ -104,7 +104,7 @@ def test_criterion_3_example1_classification(ex1_problem, ex1_traj):
     # the g-residual on (1, 2) is 24(2t - 1) in closed form, so its sup is
     # far above any tolerance: a normal extremizer
     verdict = classify(ex1_problem, ex1_traj)
-    grid = Grid.build(1.05, 1.95, 50, eps_knot=1e-3)
+    grid = Grid(np.linspace(1.05, 1.95, 50))
     from delayvar.euler_lagrange import PathRecord
 
     g_res = PathRecord(ex1_problem.g[0], ex1_problem, ex1_traj, grid.times,
@@ -162,17 +162,15 @@ def test_criterion_6_delayed_lq_pmp():
         phi=(Integrand(lambda v: v[3] + v[2], name="q_tau + u"),),
         history=lambda t: np.zeros(1))
     triple, lam, report = solve_pmp(cp, scheme=CollocationScheme(nodes=64))
-    grid = Grid.build(0.0, 1.0, 200, exclude=np.asarray(triple.q.breakpoints()),
-                      eps_knot=1e-3)
-    res = pmp_residuals(cp, triple, lam, grid.times)
+    times = np.concatenate([g.times for g in residual_grids(cp, triple.q, 200).values()])
+    res = pmp_residuals(cp, triple, lam, times)
     # method-of-steps oracle: pdot = 0 on [0.5, 1] with p(1) = 0, then
     # pdot(t) = -p(t + tau) on [0, 0.5]: p = u = q = 0 identically
-    oracle_err = max(float(np.max(np.abs(tr.eval(grid.times, 0))))
+    oracle_err = max(float(np.max(np.abs(tr.eval(times, 0))))
                      for tr in (triple.q, triple.p, triple.u))
     H = hamiltonian_integrand(cp)
-    energies = np.asarray(H(control_args_at(cp, triple, lam, grid.times).values),
-                          dtype=float)
-    energies = np.broadcast_to(energies, grid.times.shape)
+    energies = np.asarray(H(control_args_at(cp, triple, lam, times).values), dtype=float)
+    energies = np.broadcast_to(energies, times.shape)
     dev = float(np.max(np.abs(energies - np.mean(energies))))
     elapsed = time.perf_counter() - start
     ok = (report.converged and res.sup <= 1e-6 and oracle_err <= 1e-6

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ CLASSICAL_JSON = """{
 }"""
 
 
+TWO_COMPONENT = Path(__file__).parent / "problems" / "classical_two_component.json"
+
+
 @pytest.fixture()
 def classical_file(tmp_path):
     path = tmp_path / "classical.json"
@@ -34,7 +38,9 @@ class TestResiduals:
                      "--out", str(out)]) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["t", "el_0", "dr_quantity", "dr_residual", "cdur"]
-        assert len(rows) > 150  # 200 candidates minus excluded neighborhoods
+        # the header and 196 times: of the 200 uniform ones, 0, 2 and the two
+        # next to 1 lie within 1 % of the shortest segment (1e-2) of a break
+        assert len(rows) > 150
         summary = json.loads(capsys.readouterr().out)
         assert summary["sup"]["el"] <= 1e-7
         assert summary["sup"]["cdur"] >= 500.0
@@ -104,6 +110,17 @@ class TestInputErrors:
         self._exits_2(["solve", "--problem", str(problem)], capsys,
                       "problem has no history function")
 
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("l", [float("nan")], "constraint targets must be finite"),
+        ("history", ["t", "t", "t"], "history lists 3 expressions for n = 2"),
+    ])
+    def test_bad_problem_file(self, tmp_path, capsys, field, value, message):
+        record = json.loads(TWO_COMPONENT.read_text())
+        record[field] = value
+        problem = tmp_path / "bad.json"
+        problem.write_text(json.dumps(record))
+        self._exits_2(["solve", "--problem", str(problem)], capsys, message)
 
     @pytest.mark.parametrize("flag, value", [("--nodes", "-5"), ("--nodes", "0"),
                                              ("--maxiter", "-3"), ("--tol", "nan"),
@@ -252,6 +269,21 @@ class TestSolve:
         lam = ",".join(str(v) for v in json.loads(out.read_text())["lambda"])
         assert main([*command, "--problem", classical_file, "--trajectory", str(out),
                      "--lambda", lam]) == 0
+
+    @pytest.mark.parametrize("nodes", ["96", "128"])
+    def test_fine_mesh_output_feeds_the_reports(self, tmp_path, capsys, nodes):
+        # the solution's segments are shorter than 2e-2, so a fixed 1e-2
+        # neighbourhood of every break left no grid time
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--problem", str(TWO_COMPONENT), "--nodes", nodes,
+                     "--out", str(out)]) == 0
+        source = ["--problem", str(TWO_COMPONENT), "--trajectory", str(out), "--lambda", "4"]
+        capsys.readouterr()
+        assert main(["residuals", *source, "--out", str(tmp_path / "r.csv"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sup"]["el"] <= 1e-12
+        assert main(["conserved", *source, "--eta", "1", "--xi", "0",
+                     "--out", str(tmp_path / "c.csv"), "--json"]) == 0
+        assert max(json.loads(capsys.readouterr().out)["deviation"].values()) <= 1e-12
 
     def test_maxiter_zero_exits_3(self, classical_file, tmp_path):
         out = tmp_path / "sol.json"

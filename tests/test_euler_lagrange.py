@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delayvar import calculus
-from delayvar.errors import DegenerateGrid, NoConstraints, OutOfDomain
+from delayvar.errors import DegenerateGrid, EmptyGrid, NoConstraints, OutOfDomain
 from delayvar.euler_lagrange import (
     Classification,
     PathRecord,
@@ -141,7 +141,7 @@ class TestIntegralForm:
             assert lhs.shape == (len(ts), 1)
             assert np.all(np.abs(lhs + 2.0) <= 1e-10)
         assert el_integral_lhs(setup, traj, 0.7) == pytest.approx([-2.0], abs=1e-10)
-        grid = Grid.build(0.52, 0.98, 9, eps_knot=1e-3)
+        grid = Grid(np.linspace(0.52, 0.98, 9))
         fit = el_integral_defect(setup, traj, grid)
         assert fit.coefficients[0, 0] == pytest.approx(-2.0, abs=1e-9)
         assert fit.residual_sup <= 1e-9
@@ -152,18 +152,18 @@ class TestIntegralForm:
             L=integrand_from_expr("0", 2, 1),
             history=ex1_problem.history, boundary=ex1_problem.boundary)
         setup = AugmentedSetup(zero_problem, [])
-        grid = Grid.build(1.05, 1.95, 7, eps_knot=1e-3)
+        grid = Grid(np.linspace(1.05, 1.95, 7))
         fit = el_integral_defect(setup, ex1_traj, grid)
         assert np.all(np.abs(fit.coefficients) <= 1e-12)
         assert fit.residual_sup <= 1e-12
 
     def test_example1_fits_degree_one(self, ex1_setup, ex1_traj):
-        grid = Grid.build(1.05, 1.95, 15, eps_knot=1e-3)
+        grid = Grid(np.linspace(1.05, 1.95, 15))
         fit = el_integral_defect(ex1_setup, ex1_traj, grid)
         assert fit.residual_sup <= 1e-6
 
     def test_degenerate_grid(self, ex1_setup, ex1_traj):
-        grid = Grid.build(1.2, 1.4, 2, eps_knot=1e-4)
+        grid = Grid(np.linspace(1.2, 1.4, 2))
         with pytest.raises(DegenerateGrid):
             el_integral_defect(ex1_setup, ex1_traj, grid)
 
@@ -229,6 +229,43 @@ class TestIntegralForm:
             d = calculus.total_derivative_many(fn, [t], 1, [0.5], [1.0], 1e-4)[0]
             r = el_residual(classical_setup, classical_traj, t)
             assert d[0] == pytest.approx(r[0], abs=1e-7)
+
+
+class TestResidualGrids:
+    def test_excludes_neighbourhoods_of_smooth_breaks(self, ex1_problem, ex1_traj):
+        # example1's segments have length 1, so the width is 1e-2
+        grids = residual_grids(ex1_problem, ex1_traj, count=200)
+        first, second = grids[Regime.FIRST].times, grids[Regime.SECOND].times
+        assert np.all(first < 1.0) and np.all(second > 1.0)
+        times = np.concatenate([first, second])
+        assert np.all(np.diff(times) > 0)
+        breaks = smooth_breaks(ex1_problem, ex1_traj)
+        assert np.min(np.abs(times[:, None] - breaks)) >= 1e-2
+
+    def test_example1_sweep_grid(self, ex1_problem, ex1_traj):
+        grids = residual_grids(ex1_problem, ex1_traj, count=20000)
+        assert (len(grids[Regime.FIRST]), len(grids[Regime.SECOND])) == (9800, 9800)
+
+    def test_width_is_relative_to_the_shortest_segment(self, classical_problem):
+        # 100 segments of length 0.015 on [-0.5, 1]: an absolute 1e-2 would
+        # drop every time; 1 % of 0.015 keeps most of them
+        edges = np.linspace(-0.5, 1.0, 101)
+        traj = Trajectory(1, 1, [PolySegment.from_monomial(a, b, [[0.0, 1.0, -1.0]])
+                                 for a, b in zip(edges[:-1], edges[1:])])
+        grids = residual_grids(classical_problem, traj, count=200)
+        times = np.concatenate([grid.times for grid in grids.values()])
+        gaps = np.min(np.abs(times[:, None] - smooth_breaks(classical_problem, traj)), axis=1)
+        assert len(times) > 150
+        assert np.all(gaps >= 1.5e-4) and np.any(gaps < 1e-2)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_zero_count_raises(self, ex1_problem, ex1_traj, count):
+        with pytest.raises(EmptyGrid):
+            residual_grids(ex1_problem, ex1_traj, count=count)
+
+    def test_everything_excluded_raises(self, ex1_problem, ex1_traj):
+        with pytest.raises(EmptyGrid):  # the times 0, 1, 2 are all breakpoints
+            residual_grids(ex1_problem, ex1_traj, count=3)
 
 
 class TestClassify:

@@ -12,6 +12,7 @@ from delayvar.errors import OutOfDomain, UnknownVariable
 from delayvar.problem import (
     ArgLayout,
     AugmentedSetup,
+    ControlProblem,
     Integrand,
     IsoperimetricProblem,
     TransformationGroup,
@@ -246,6 +247,34 @@ class TestProblemFiles:
         segs = classical_problem.stitched_history()
         hist = Trajectory(1, 1, segs, validate=False)
         assert hist.eval(0.0, 1)[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def _variational(g, l):
+    return IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                L=integrand_from_expr("qd^2", 1, 1), g=g, l=l)
+
+
+def _control(g, l):
+    return ControlProblem(n=1, mc=1, tau=0.5, t1=0.0, t2=1.0,
+                          L=Integrand(lambda v: v[2] * v[2], name="u^2"),
+                          phi=(Integrand(lambda v: v[2], name="u"),), g=g, l=l)
+
+
+@pytest.mark.parametrize("build", [_variational, _control])
+class TestConstraintTargets:
+    """Both problem kinds take one finite target per constraint integrand."""
+
+    G = (Integrand(lambda v: v[1], name="q"),)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target_raises(self, build, value):
+        with pytest.raises(ValueError, match="constraint targets must be finite"):
+            build(self.G, [value])
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_one_target_per_integrand(self, build, count):
+        with pytest.raises(ValueError, match=f"1 constraint integrands but {count} targets"):
+            build(self.G, [1.0] * count)
 
 
 def test_transformation_group_fields():

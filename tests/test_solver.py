@@ -919,6 +919,15 @@ class TestVerify:
         assert not report.hypothesis_violated
         assert report.abnormal is False
 
+    @pytest.mark.parametrize("nodes", [96, 128, 512])
+    def test_classical_solution_on_a_fine_mesh(self, classical_problem, nodes):
+        # segments shorter than 2e-2: the grid keeps clear of each break by
+        # 1 % of the shortest segment, so both regimes keep their times
+        traj, lam, _ = solve_el(classical_problem, scheme=CollocationScheme(nodes=nodes))
+        report = verify(classical_problem, traj, lam)
+        assert max(report.sup["el_first"], report.sup["el_second"]) <= 1e-12
+        assert max(report.sup["dr_first"], report.sup["dr_second"]) <= 1e-12
+
     def test_free_problem_zero_trajectory(self):
         problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
                                        L=integrand_from_expr("qd^2", 1, 1))

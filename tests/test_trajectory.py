@@ -361,16 +361,14 @@ class TestHistoryStitching:
 
 
 class TestGrid:
-    def test_build_excludes_neighborhoods(self):
-        grid = Grid.build(0.0, 2.0, 200, exclude=[0.0, 1.0, 2.0], eps_knot=1e-2)
-        assert np.all(np.abs(grid.times - 1.0) >= 1e-2)
-        assert np.all(grid.times >= 1e-2) and np.all(grid.times <= 2.0 - 1e-2)
-        assert np.all(np.diff(grid.times) > 0)
+    def test_uniform_times(self):
+        grid = Grid(np.linspace(0.0, 2.0, 200))
+        assert len(grid) == 200 and grid.times[0] == 0.0 and grid.times[-1] == 2.0
 
-    def test_zero_count_raises(self):
+    def test_no_times_raises(self):
         with pytest.raises(EmptyGrid):
-            Grid.build(0.0, 1.0, 0)
+            Grid(np.zeros(0))
 
-    def test_everything_excluded_raises(self):
-        with pytest.raises(EmptyGrid):
-            Grid.build(0.0, 1.0, 5, exclude=[0.5], eps_knot=2.0)
+    def test_times_must_increase(self):
+        with pytest.raises(ValueError):
+            Grid([0.0, 0.5, 0.5])
