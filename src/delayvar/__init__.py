@@ -27,7 +27,7 @@ from .errors import (
     UnknownVariable,
     WrongOrder,
 )
-from .trajectory import Grid, PolySegment, Trajectory, example1_trajectory
+from .trajectory import PolySegment, Trajectory, example1_trajectory
 from .problem import (
     ArgLayout,
     ArgVector,

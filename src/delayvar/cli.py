@@ -22,7 +22,7 @@ from .errors import DelayVarError
 from .euler_lagrange import PathRecord, csv_text, residual_grids
 from .noether import constancy_report, invariance_check, noether_sweep
 from .problem import AugmentedSetup, TransformationGroup, augmented_integrand, \
-    integrand_from_expr, problem_from_json
+    check_components, integrand_from_expr, problem_from_json
 from .solver import CollocationScheme, solve_el, solve_pmp
 from .trajectory import Trajectory
 
@@ -97,14 +97,15 @@ def _load_variational(args):
         lam = np.asarray(entry.lam, dtype=float)
     if args.trajectory:
         traj = _read(args.trajectory, _trajectory)
+    if traj is None:
+        raise DelayVarError("no trajectory: pass --trajectory FILE or use an example "
+                            "that ships one")
     with _user_input():
+        check_components(problem, traj)
         if args.lam is not None:
             lam = np.asarray([float(v) for v in args.lam.split(",") if v.strip() != ""],
                              dtype=float)
         setup = AugmentedSetup(problem, lam)
-    if traj is None:
-        raise DelayVarError("no trajectory: pass --trajectory FILE or use an example "
-                            "that ships one")
     return setup, traj
 
 
@@ -144,10 +145,9 @@ def _group_from_exprs(args, problem):
 def cmd_residuals(args) -> int:
     setup, traj = _load_variational(args)
     problem, F = setup.problem, augmented_integrand(setup)
-    grids = residual_grids(problem, traj, count=args.grid)
     blocks = []
-    for grid in grids.values():
-        record = PathRecord(F, problem, traj, grid.times)
+    for ts in residual_grids(problem, traj, count=args.grid).values():
+        record = PathRecord(F, problem, traj, ts)
         block = [record.ts, record.psi[0], record.dr_quantity, record.dr_residual]
         # cdur(t) is defined on [t1 - tau, t2 - tau]: the second regime's rows leave it empty
         if record.first:
@@ -182,17 +182,17 @@ def cmd_conserved(args) -> int:
         return values
 
     report = constancy_report(quantity, grids)
-    report.hypothesis_violated = float(np.max(np.abs(np.concatenate(cdur)))) > tol
+    violated = float(np.max(np.abs(np.concatenate(cdur)))) > tol
 
-    ts = np.concatenate([grid.times for grid in report.grids.values()])
-    names = [r.value for r, grid in report.grids.items() for _ in grid.times]
-    flags = ["1" if report.hypothesis_violated else "0"] * len(ts)
+    ts = np.concatenate(list(grids.values()))
+    names = [r.value for r, times in grids.items() for _ in times]
+    flags = ["1" if violated else "0"] * len(ts)
     values = np.concatenate(list(report.values.values()))
     _write_out(csv_text(["t", "regime", "C", "cdur_flag"], [ts, names, values, flags]), args.out)
     summary = json.dumps({
         "mean": {r.value: report.means[r] for r in report.means},
         "deviation": {r.value: report.deviations[r] for r in report.deviations},
-        "hypothesis_violated": report.hypothesis_violated,
+        "hypothesis_violated": violated,
     }, indent=2)
     if args.out not in (None, "-") or args.json:
         print(summary)

@@ -28,8 +28,8 @@ from numpy.polynomial import Legendre, Polynomial, chebyshev
 from . import calculus, jet
 from .errors import DegenerateGrid, EmptyGrid, NoConstraints, OutOfDomain
 from .problem import AugmentedSetup, ControlProblem, Integrand, IsoperimetricProblem, \
-    augmented_integrand, path_args
-from .trajectory import Grid, Trajectory
+    augmented_integrand, check_components, path_args
+from .trajectory import Trajectory
 
 __all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
            "regime_interval", "smooth_breaks", "stencil_bounds", "PathRecord", "per_regime",
@@ -101,6 +101,7 @@ class PathRecord:
     def __init__(self, F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, ts,
                  momenta=None, along=None, along_order: int = 0):
         m, tau = problem.m, problem.tau
+        check_components(problem, traj)
         self.ts = ts = np.atleast_1d(np.asarray(ts, dtype=float))
         self.F, self.m, self.n = F, m, problem.n
         self.first = regime_of(problem, ts) is Regime.FIRST
@@ -299,14 +300,15 @@ class PolynomialFit:
     residual_sup: float
 
 
-def el_integral_defect(setup: AugmentedSetup, traj: Trajectory, grid: Grid) -> PolynomialFit:
-    """The fit on the regime of the grid's times (ValueError if they straddle t2 - tau)."""
+def el_integral_defect(setup: AugmentedSetup, traj: Trajectory, ts) -> PolynomialFit:
+    """The fit on the regime of the times ts (ValueError if they straddle t2 - tau),
+    which need at least m + 1 distinct times."""
     problem = setup.problem
-    if len(grid) < problem.m + 1:
-        raise DegenerateGrid(f"need at least {problem.m + 1} samples, got {len(grid)}")
-    regime = regime_of(problem, grid.times)
+    distinct = len(np.unique(ts))
+    if distinct < problem.m + 1:
+        raise DegenerateGrid(f"need at least {problem.m + 1} distinct times, got {distinct}")
+    regime = regime_of(problem, ts)
     lo, hi = regime_interval(problem, regime)
-    ts = np.asarray(grid.times)
     samples = el_integral_function(setup, traj, regime)(ts)  # (npts, n)
     coeffs = np.zeros((problem.m, problem.n))
     resid = 0.0
@@ -323,9 +325,10 @@ def el_integral_defect(setup: AugmentedSetup, traj: Trajectory, grid: Grid) -> P
 
 
 def residual_grids(problem: IsoperimetricProblem | ControlProblem, traj: Trajectory,
-                   count: int = 200) -> dict[Regime, Grid]:
+                   count: int = 200) -> dict[Regime, np.ndarray]:
     """count uniform times on [t1, t2], split strictly at t2 - tau, without
-    those within 1 % of the trajectory's shortest segment of a smooth break."""
+    those within 1 % of the trajectory's shortest segment of a smooth break
+    (EmptyGrid if a regime keeps none)."""
     if count <= 0:
         raise EmptyGrid(f"requested grid of {count} points")
     times = np.linspace(problem.t1, problem.t2, count)
@@ -333,7 +336,11 @@ def residual_grids(problem: IsoperimetricProblem | ControlProblem, traj: Traject
     for x in smooth_breaks(problem, traj):  # one break at a time: cheaper than a broadcast
         times = times[np.abs(times - x) >= width]
     split = problem.t2 - problem.tau
-    return {Regime.FIRST: Grid(times[times < split]), Regime.SECOND: Grid(times[times > split])}
+    grids = {Regime.FIRST: times[times < split], Regime.SECOND: times[times > split]}
+    for regime, ts in grids.items():
+        if ts.size == 0:
+            raise EmptyGrid(f"no time of the {count}-point grid in the {regime.value} regime")
+    return grids
 
 
 def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
@@ -345,8 +352,8 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
     grids = residual_grids(problem, traj, count=100)
     sup = 0.0
     for gj in problem.g:
-        for grid in grids.values():
-            res = PathRecord(gj, problem, traj, grid.times, momenta=(0,)).psi[0]
+        for ts in grids.values():
+            res = PathRecord(gj, problem, traj, ts, momenta=(0,)).psi[0]
             sup = max(sup, float(np.max(np.linalg.norm(res, axis=1))))
     return Classification.ABNORMAL if sup <= 1e-6 * (1.0 + sup) else Classification.NORMAL
 

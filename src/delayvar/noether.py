@@ -35,7 +35,7 @@ from . import calculus, jet
 from .errors import EmptyGrid, IOutOfRange, TransformEscapesDomain
 from .euler_lagrange import PathRecord, Regime, per_regime, smooth_breaks
 from .problem import AugmentedSetup, TransformationGroup, augmented_integrand
-from .trajectory import Grid, Trajectory
+from .trajectory import Trajectory
 
 __all__ = ["rho", "invariance_check", "invariance_defect", "necessary_condition_defect",
            "noether_quantity", "noether_sweep", "ConstancyReport", "constancy_report"]
@@ -195,28 +195,24 @@ class ConstancyReport:
     means: dict[Regime, float]
     deviations: dict[Regime, float]
     values: dict[Regime, np.ndarray]
-    grids: dict[Regime, Grid]
-    hypothesis_violated: bool = False
 
     @property
     def max_deviation(self) -> float:
         return max(self.deviations.values())
 
 
-def constancy_report(quantity, grids: dict[Regime, Grid]) -> ConstancyReport:
+def constancy_report(quantity, grids: dict[Regime, np.ndarray]) -> ConstancyReport:
     """Mean and max |C - mean| per regime of a would-be constant C, called once
-    on each regime's time array (a scalar broadcasts); ``hypothesis_violated``
-    starts False for the caller to set."""
+    on each regime's time array (a scalar broadcasts)."""
     if not grids:
         raise EmptyGrid("constancy report needs at least one regime grid")
     means, devs, values = {}, {}, {}
-    for regime, grid in grids.items():
-        if len(grid.times) == 0:
+    for regime, ts in grids.items():
+        if np.size(ts) == 0:
             raise EmptyGrid(f"no samples in regime {regime}")
-        samples = np.asarray(quantity(grid.times), dtype=float)
-        samples = np.array(np.broadcast_to(samples, grid.times.shape))  # writable, its own
-        mean = float(np.mean(samples))
-        means[regime] = mean
+        samples = np.asarray(quantity(ts), dtype=float)
+        samples = np.array(np.broadcast_to(samples, np.shape(ts)))  # writable, its own
+        means[regime] = mean = float(np.mean(samples))
         devs[regime] = float(np.max(np.abs(samples - mean)))
         values[regime] = samples
-    return ConstancyReport(means, devs, values, dict(grids))
+    return ConstancyReport(means, devs, values)

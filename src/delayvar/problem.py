@@ -22,8 +22,8 @@ from .trajectory import Trajectory, segments_from_callable
 
 __all__ = ["ArgLayout", "ArgVector", "Integrand", "IsoperimetricProblem", "AugmentedSetup",
            "ControlProblem", "TransformationGroup", "args_at", "path_args", "augmented_integrand",
-           "integrals", "functional_value", "constraint_values", "constraint_defect",
-           "problem_from_json", "integrand_from_expr"]
+           "check_components", "integrals", "functional_value", "constraint_values",
+           "constraint_defect", "problem_from_json", "integrand_from_expr"]
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,8 @@ class IsoperimetricProblem:
     boundary: np.ndarray | None = None  # rows i = 0..m-1: q^(i)(t2)
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"need m >= 1 and n >= 1, got m = {self.m}, n = {self.n}")
         object.__setattr__(self, "g", tuple(self.g))
         object.__setattr__(self, "l", _targets(self.g, self.l))
         if self.boundary is not None:
@@ -301,7 +303,14 @@ def _quadrature_breaks(problem: IsoperimetricProblem, traj: Trajectory) -> list[
     return sorted(breaks)
 
 
+def check_components(problem: IsoperimetricProblem, traj: Trajectory) -> None:
+    """ValueError unless the trajectory has the problem's n components."""
+    if traj.n != problem.n:
+        raise ValueError(f"trajectory has {traj.n} components, problem has n = {problem.n}")
+
+
 def _check_coverage(problem: IsoperimetricProblem, traj: Trajectory) -> None:
+    check_components(problem, traj)
     lo, hi = traj.domain
     slack = 1e-9 * max(1.0, problem.span)
     if lo > problem.t1 - problem.tau + slack or hi < problem.t2 - slack:
@@ -364,16 +373,21 @@ def problem_from_json(text: str) -> IsoperimetricProblem:
     giving q^(i)(t2) by derivative order (key "q" + "d" * i).
     """
     record = json.loads(text)
-    m, n = int(record["m"]), int(record["n"])
+    m, n = record["m"], record["n"]
+    if not all(isinstance(v, (int, float)) and float(v).is_integer() for v in (m, n)):
+        raise ValueError(f"m and n must be integers, got m = {m!r}, n = {n!r}")
+    m, n = int(m), int(n)
     L = integrand_from_expr(record["L"], m, n)
     g = tuple(integrand_from_expr(s, m, n) for s in record.get("g", ()))
     if "k" in record and int(record["k"]) != len(g):
         raise ValueError(f"k = {record['k']} but {len(g)} constraint expressions given")
     hist = record.get("history")
+    texts = [hist] if isinstance(hist, str) else hist
+    if not (hist is None or isinstance(texts, list) and all(isinstance(s, str) for s in texts)):
+        raise ValueError(f"history must be an expression in t or a list of {n}, got {hist!r}")
     if isinstance(hist, list) and len(hist) != n:
         raise ValueError(f"history lists {len(hist)} expressions for n = {n}")
-    if hist is not None:
-        hist = _history_from_exprs([hist] if isinstance(hist, str) else hist)
+    hist = None if hist is None else _history_from_exprs(texts)
     boundary = None
     if "boundary" in record:
         boundary = np.zeros((m, n))

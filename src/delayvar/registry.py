@@ -158,7 +158,7 @@ def _lq_checks() -> list[Check]:
     triple, lam, report = solve_pmp(cp, scheme=CollocationScheme(nodes=64))
     out = [Check("solver converged", report.residual_norm, 1e-9, report.converged)]
     grids = residual_grids(cp, triple.q, 200)
-    res = pmp_residuals(cp, triple, lam, np.concatenate([g.times for g in grids.values()]))
+    res = pmp_residuals(cp, triple, lam, np.concatenate(list(grids.values())))
     out.append(Check("pmp residual sup", res.sup, 1e-6, res.sup <= 1e-6))
     shift = TransformationGroup(eta=lambda t, q, u: 1.0, xi=lambda t, q, u: np.zeros(1))
     con = constancy_report(

@@ -562,8 +562,8 @@ def verify(problem: IsoperimetricProblem, traj: Trajectory, lam,
     """
     F = augmented_integrand(AugmentedSetup(problem, lam))
     grids = residual_grids(problem, traj, count=grid_count)
-    def sweep(grid):  # one record per regime, released before the next is built
-        record = PathRecord(F, problem, traj, grid.times)
+    def sweep(ts):  # one record per regime, released before the next is built
+        record = PathRecord(F, problem, traj, ts)
         return record.psi[0], record.dr_residual, record.cdur_delayed, record.dr_quantity
 
     (el1, dr1, cdur1, drq1), (el2, dr2, cdur2, drq2) = map(sweep, grids.values())

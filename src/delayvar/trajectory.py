@@ -14,14 +14,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import EmptyGrid, OrderTooHigh, OutOfDomain
+from .errors import OrderTooHigh, OutOfDomain
 
-__all__ = ["PolySegment", "Trajectory", "Grid", "example1_trajectory", "segments_from_callable"]
+__all__ = ["PolySegment", "Trajectory", "example1_trajectory", "segments_from_callable"]
 
 
 class PolySegment:
@@ -255,20 +254,3 @@ def example1_trajectory() -> Trajectory:
         PolySegment.from_monomial(1.0, 2.0, [[2.0, 0.0, 0.0, 0.0, -1.0]]),
     ]
     return Trajectory(n=1, m=2, segments=segs, nonsmooth_knots=(1.0,))
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Strictly increasing sample times."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        if self.times.size == 0:
-            raise EmptyGrid("grid has no sample points")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("grid times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.times)

@@ -51,7 +51,7 @@ from delayvar.problem import (
     integrand_from_expr,
 )
 from delayvar.solver import CollocationScheme, solve_el, solve_pmp, verify
-from delayvar.trajectory import Grid, PolySegment, Trajectory
+from delayvar.trajectory import PolySegment, Trajectory
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -80,8 +80,8 @@ def closed_form_functionals():
 def test_criterion_1_example1_el_extremality(ex1_problem, ex1_setup, ex1_traj):
     start = time.perf_counter()
     grids = residual_grids(ex1_problem, ex1_traj, count=200)
-    sups = {regime: float(np.max(np.abs(el_residual(ex1_setup, ex1_traj, grid.times))))
-            for regime, grid in grids.items()}
+    sups = {regime: float(np.max(np.abs(el_residual(ex1_setup, ex1_traj, ts))))
+            for regime, ts in grids.items()}
     elapsed = time.perf_counter() - start
     ok = all(s <= 1e-10 for s in sups.values()) and elapsed < 1.0
     _report(1, ok, f"el sup first={sups[Regime.FIRST]:.3e} "
@@ -104,10 +104,10 @@ def test_criterion_3_example1_classification(ex1_problem, ex1_traj):
     # the g-residual on (1, 2) is 24(2t - 1) in closed form, so its sup is
     # far above any tolerance: a normal extremizer
     verdict = classify(ex1_problem, ex1_traj)
-    grid = Grid(np.linspace(1.05, 1.95, 50))
+    ts = np.linspace(1.05, 1.95, 50)
     from delayvar.euler_lagrange import PathRecord
 
-    g_res = PathRecord(ex1_problem.g[0], ex1_problem, ex1_traj, grid.times,
+    g_res = PathRecord(ex1_problem.g[0], ex1_problem, ex1_traj, ts,
                        momenta=(0,)).psi[0]
     sup = float(np.max(np.abs(g_res)))
     ok = verdict is Classification.NORMAL and sup >= 24.0
@@ -162,7 +162,7 @@ def test_criterion_6_delayed_lq_pmp():
         phi=(Integrand(lambda v: v[3] + v[2], name="q_tau + u"),),
         history=lambda t: np.zeros(1))
     triple, lam, report = solve_pmp(cp, scheme=CollocationScheme(nodes=64))
-    times = np.concatenate([g.times for g in residual_grids(cp, triple.q, 200).values()])
+    times = np.concatenate(list(residual_grids(cp, triple.q, 200).values()))
     res = pmp_residuals(cp, triple, lam, times)
     # method-of-steps oracle: pdot = 0 on [0.5, 1] with p(1) = 0, then
     # pdot(t) = -p(t + tau) on [0, 0.5]: p = u = q = 0 identically

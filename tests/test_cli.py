@@ -55,7 +55,7 @@ class TestResiduals:
         entry = registry.get("example1")
         setup = AugmentedSetup(entry.build(), entry.lam)
         grids = residual_grids(setup.problem, entry.trajectory(), count=2000)
-        first, second = (grids[r].times for r in (Regime.FIRST, Regime.SECOND))
+        first, second = grids[Regime.FIRST], grids[Regime.SECOND]
         assert len(rows) == len(first) + len(second) and len(first) > 900 and len(second) > 900
         record = PathRecord(augmented_integrand(setup), setup.problem, entry.trajectory(), first)
         assert [row.rsplit(",", 1)[1] for row in rows[:len(first)]] == [
@@ -114,6 +114,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("field, value, message", [
         ("l", [float("nan")], "constraint targets must be finite"),
         ("history", ["t", "t", "t"], "history lists 3 expressions for n = 2"),
+        ("history", 3, "history must be an expression in t or a list of 2"),
+        ("history", ["t", 0], "history must be an expression in t or a list of 2"),
+        ("m", 1.5, "m and n must be integers"),
     ])
     def test_bad_problem_file(self, tmp_path, capsys, field, value, message):
         record = json.loads(TWO_COMPONENT.read_text())
@@ -121,6 +124,25 @@ class TestInputErrors:
         problem = tmp_path / "bad.json"
         problem.write_text(json.dumps(record))
         self._exits_2(["solve", "--problem", str(problem)], capsys, message)
+
+    def test_zero_order_problem_file(self, tmp_path, capsys):
+        record = json.loads(TWO_COMPONENT.read_text())
+        record.update(m=0, L="d0q0^2 + d0q1^2")
+        problem = tmp_path / "m0.json"
+        problem.write_text(json.dumps(record))
+        self._exits_2(["solve", "--problem", str(problem)], capsys, "need m >= 1 and n >= 1")
+
+    @pytest.mark.parametrize("command", ["residuals", "invariance", "conserved"])
+    def test_trajectory_component_count(self, tmp_path, capsys, command):
+        # example1's path copied into two components: the problem has n = 1
+        record = json.loads(registry.get("example1").trajectory().to_json())
+        record["n"] = 2
+        for seg in record["segments"]:
+            seg["coeffs"] = seg["coeffs"] * 2
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(record))
+        self._exits_2([command, "--example", "example1", "--trajectory", str(path)], capsys,
+                      "trajectory has 2 components, problem has n = 1")
 
     @pytest.mark.parametrize("flag, value", [("--nodes", "-5"), ("--nodes", "0"),
                                              ("--maxiter", "-3"), ("--tol", "nan"),

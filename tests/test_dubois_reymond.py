@@ -158,9 +158,9 @@ class TestDrResidual:
         # d/dt of the DR bracket: 2304 t - 576 on (0, 1), -1152 t^2 + 1728 t - 576 on (1, 2)
         exact = {Regime.FIRST: lambda t: 2304.0 * t - 576.0,
                  Regime.SECOND: lambda t: -1152.0 * t ** 2 + 1728.0 * t - 576.0}
-        for regime, grid in residual_grids(ex1_problem, ex1_traj, count=count).items():
-            got = dr_residual(ex1_setup, ex1_traj, grid.times)
-            assert np.max(np.abs(got - exact[regime](grid.times))) <= 3e-6
+        for regime, ts in residual_grids(ex1_problem, ex1_traj, count=count).items():
+            got = dr_residual(ex1_setup, ex1_traj, ts)
+            assert np.max(np.abs(got - exact[regime](ts))) <= 3e-6
 
     def test_matches_definition(self):
         """The identity equals d/dt (F - psi_1 . q') - d_1 F by a stencil on a
@@ -175,8 +175,7 @@ class TestDrResidual:
         setup = AugmentedSetup(problem, [0.7])
         F = augmented_integrand(setup)
         breaks = smooth_breaks(problem, traj)
-        for regime, grid in residual_grids(problem, traj, count=60).items():
-            ts = grid.times
+        for regime, ts in residual_grids(problem, traj, count=60).items():
             los, his = stencil_bounds(ts, breaks, *regime_interval(problem, regime))
             rate = calculus.total_derivative_many(
                 lambda u: dr_quantity(setup, traj, u), ts, 1, los, his,

@@ -32,7 +32,7 @@ from delayvar.problem import (
     integrand_from_expr,
 )
 from delayvar.solver import verify
-from delayvar.trajectory import Grid, PolySegment, Trajectory
+from delayvar.trajectory import PolySegment, Trajectory
 
 
 def test_regime_split_convention(ex1_problem):
@@ -57,8 +57,8 @@ class TestDifferentialForm:
 
     def test_example1_full_sweep(self, ex1_problem, ex1_setup, ex1_traj):
         grids = residual_grids(ex1_problem, ex1_traj, count=200)
-        for grid in grids.values():
-            res = el_residual(ex1_setup, ex1_traj, grid.times)
+        for ts in grids.values():
+            res = el_residual(ex1_setup, ex1_traj, ts)
             assert np.max(np.abs(res)) <= 1e-10
 
     @pytest.mark.parametrize("count", [200, 20000])
@@ -141,8 +141,8 @@ class TestIntegralForm:
             assert lhs.shape == (len(ts), 1)
             assert np.all(np.abs(lhs + 2.0) <= 1e-10)
         assert el_integral_lhs(setup, traj, 0.7) == pytest.approx([-2.0], abs=1e-10)
-        grid = Grid(np.linspace(0.52, 0.98, 9))
-        fit = el_integral_defect(setup, traj, grid)
+        ts = np.linspace(0.52, 0.98, 9)
+        fit = el_integral_defect(setup, traj, ts)
         assert fit.coefficients[0, 0] == pytest.approx(-2.0, abs=1e-9)
         assert fit.residual_sup <= 1e-9
 
@@ -152,20 +152,27 @@ class TestIntegralForm:
             L=integrand_from_expr("0", 2, 1),
             history=ex1_problem.history, boundary=ex1_problem.boundary)
         setup = AugmentedSetup(zero_problem, [])
-        grid = Grid(np.linspace(1.05, 1.95, 7))
-        fit = el_integral_defect(setup, ex1_traj, grid)
+        ts = np.linspace(1.05, 1.95, 7)
+        fit = el_integral_defect(setup, ex1_traj, ts)
         assert np.all(np.abs(fit.coefficients) <= 1e-12)
         assert fit.residual_sup <= 1e-12
 
     def test_example1_fits_degree_one(self, ex1_setup, ex1_traj):
-        grid = Grid(np.linspace(1.05, 1.95, 15))
-        fit = el_integral_defect(ex1_setup, ex1_traj, grid)
+        ts = np.linspace(1.05, 1.95, 15)
+        fit = el_integral_defect(ex1_setup, ex1_traj, ts)
         assert fit.residual_sup <= 1e-6
 
     def test_degenerate_grid(self, ex1_setup, ex1_traj):
-        grid = Grid(np.linspace(1.2, 1.4, 2))
+        ts = np.linspace(1.2, 1.4, 2)
         with pytest.raises(DegenerateGrid):
-            el_integral_defect(ex1_setup, ex1_traj, grid)
+            el_integral_defect(ex1_setup, ex1_traj, ts)
+
+    def test_duplicate_times_count_once(self, ex1_setup, ex1_traj):
+        # m = 2 needs three distinct times: four samples at two times are degenerate
+        with pytest.raises(DegenerateGrid):
+            el_integral_defect(ex1_setup, ex1_traj, [1.2, 1.2, 1.4, 1.4])
+        fit = el_integral_defect(ex1_setup, ex1_traj, [1.2, 1.2, 1.4, 1.6])
+        assert fit.residual_sup <= 1e-6
 
     def test_nonsmooth_pieces_match_the_cauchy_formula(self):
         """m = 2, n = 2 along a path whose second derivative jumps at 0.9, so
@@ -213,7 +220,7 @@ class TestIntegralForm:
         with pytest.raises(OutOfDomain):
             el_integral_lhs(ex1_setup, ex1_traj, [1.5, 2.01])
         with pytest.raises(OutOfDomain):
-            el_integral_defect(ex1_setup, ex1_traj, Grid(np.linspace(1.2, 2.5, 9)))
+            el_integral_defect(ex1_setup, ex1_traj, np.linspace(1.2, 2.5, 9))
         first = el_integral_function(ex1_setup, ex1_traj, Regime.FIRST)
         with pytest.raises(OutOfDomain):
             first(1.5)  # inside the domain, past the first regime
@@ -235,7 +242,7 @@ class TestResidualGrids:
     def test_excludes_neighbourhoods_of_smooth_breaks(self, ex1_problem, ex1_traj):
         # example1's segments have length 1, so the width is 1e-2
         grids = residual_grids(ex1_problem, ex1_traj, count=200)
-        first, second = grids[Regime.FIRST].times, grids[Regime.SECOND].times
+        first, second = grids[Regime.FIRST], grids[Regime.SECOND]
         assert np.all(first < 1.0) and np.all(second > 1.0)
         times = np.concatenate([first, second])
         assert np.all(np.diff(times) > 0)
@@ -253,7 +260,7 @@ class TestResidualGrids:
         traj = Trajectory(1, 1, [PolySegment.from_monomial(a, b, [[0.0, 1.0, -1.0]])
                                  for a, b in zip(edges[:-1], edges[1:])])
         grids = residual_grids(classical_problem, traj, count=200)
-        times = np.concatenate([grid.times for grid in grids.values()])
+        times = np.concatenate(list(grids.values()))
         gaps = np.min(np.abs(times[:, None] - smooth_breaks(classical_problem, traj)), axis=1)
         assert len(times) > 150
         assert np.all(gaps >= 1.5e-4) and np.any(gaps < 1e-2)
@@ -262,6 +269,21 @@ class TestResidualGrids:
     def test_zero_count_raises(self, ex1_problem, ex1_traj, count):
         with pytest.raises(EmptyGrid):
             residual_grids(ex1_problem, ex1_traj, count=count)
+
+    def test_regimes_are_float_arrays(self, ex1_problem, ex1_traj):
+        grids = residual_grids(ex1_problem, ex1_traj, count=200)
+        assert list(grids) == [Regime.FIRST, Regime.SECOND]
+        for ts in grids.values():
+            assert isinstance(ts, np.ndarray) and ts.dtype == float and ts.ndim == 1
+            assert np.all(np.diff(ts) > 0)
+
+    def test_empty_regime_raises(self, classical_problem):
+        # the times 0, 1/3, 2/3, 1: a smooth knot at 2/3 and the breaks at 0 and 1
+        # leave 1/3 in the first regime and nothing in the second
+        traj = Trajectory(1, 1, [PolySegment.from_monomial(a, b, [[0.0, 1.0, -1.0]])
+                                 for a, b in ((-0.5, 2.0 / 3.0), (2.0 / 3.0, 1.0))])
+        with pytest.raises(EmptyGrid, match="second regime"):
+            residual_grids(classical_problem, traj, count=4)
 
     def test_everything_excluded_raises(self, ex1_problem, ex1_traj):
         with pytest.raises(EmptyGrid):  # the times 0, 1, 2 are all breakpoints

@@ -15,7 +15,7 @@ from delayvar.errors import (
     ExprSyntaxError,
     UnknownVariable,
 )
-from delayvar.expr import Bin, Binding, Call, Neg, Num, Var, bind_eval, parse, to_str
+from delayvar.expr import Bin, Binding, Call, Neg, Num, TableBinding, Var, bind_eval, parse, to_str
 
 
 def test_power_parses_right_associative():
@@ -46,6 +46,13 @@ def test_no_implicit_multiplication():
         parse("2t")
 
 
+@pytest.mark.parametrize("text", ["(q", "foo(q)", "q + *"])
+def test_malformed_expression_raises(text):
+    # an unclosed parenthesis, an unknown function, an operator with no operand
+    with pytest.raises(ExprSyntaxError):
+        parse(text)
+
+
 def test_constants_fold():
     assert parse("pi") == Num(math.pi)
     assert math.isclose(bind_eval(parse("cos(pi)"), Binding(1, 1), [0.0] * 5), -1.0)
@@ -67,6 +74,20 @@ def test_derivative_order_too_high():
 def test_unknown_variable():
     with pytest.raises(UnknownVariable):
         bind_eval(parse("zz"), Binding(1, 1), [0.0] * 5)
+
+
+@pytest.mark.parametrize("text, m, n, error", [
+    ("qdd", 1, 1, DerivativeOrderTooHigh),  # sugar for an order above m
+    ("d0q5", 1, 1, UnknownVariable),        # a component index past n
+])
+def test_name_outside_the_binding_raises(text, m, n, error):
+    with pytest.raises(error):
+        bind_eval(parse(text), Binding(m, n), [0.0] * (1 + 2 * (m + 1) * n))
+
+
+def test_table_binding_unknown_name():
+    with pytest.raises(UnknownVariable):
+        bind_eval(parse("t + s"), TableBinding({"t": 0}), [0.0])
 
 
 def test_canonical_names_and_sugar_agree():

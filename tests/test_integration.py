@@ -113,9 +113,9 @@ class TestSecondOrderSolve:
         traj, lam, report = solve_el(cubic_m2_problem, scheme=CollocationScheme(nodes=18))
         setup = AugmentedSetup(cubic_m2_problem, lam)
         grids = residual_grids(cubic_m2_problem, traj, count=80)
-        for regime, grid in grids.items():
-            assert np.max(np.abs(el_residual(setup, traj, grid.times))) <= 1e-9
-            drr = np.atleast_1d(dr_residual(setup, traj, grid.times))
+        for regime, ts in grids.items():
+            assert np.max(np.abs(el_residual(setup, traj, ts))) <= 1e-9
+            drr = np.atleast_1d(dr_residual(setup, traj, ts))
             assert np.max(np.abs(drr)) <= 1e-9
 
     def test_control_route_agrees(self, cubic_m2_problem):

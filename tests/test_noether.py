@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from delayvar.problem import (
     TransformationGroup,
     integrand_from_expr,
 )
-from delayvar.trajectory import Grid, PolySegment, Trajectory
+from delayvar.trajectory import PolySegment, Trajectory
 
 TIME_SHIFT = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
 IDENTITY = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.zeros(1))
@@ -258,13 +257,13 @@ class TestArrayGenerators:
         else:
             setup, group, traj = _gauge_case() if case == "gauge" else _rotation_case()
         grids = residual_grids(setup.problem, traj, count=40)
-        for regime, grid in grids.items():
-            swept = noether_quantity(setup, group, traj, grid.times)
+        for regime, ts in grids.items():
+            swept = noether_quantity(setup, group, traj, ts)
             pointwise = [noether_quantity(setup, group, traj, float(t))
-                         for t in grid.times]
+                         for t in ts]
             assert all(isinstance(v, float) for v in pointwise)
             pointwise = np.array(pointwise)
-            assert swept.shape == grid.times.shape
+            assert swept.shape == ts.shape
             scale = max(1.0, float(np.max(np.abs(pointwise))))
             assert np.max(np.abs(swept - pointwise)) <= 1e-12 * scale
 
@@ -330,14 +329,14 @@ class TestArrayGenerators:
 
 class TestConstancyReport:
     def test_constant_function(self):
-        grids = {Regime.FIRST: Grid(np.linspace(0.1, 0.4, 7)),
-                 Regime.SECOND: Grid(np.linspace(0.6, 0.9, 7))}
+        grids = {Regime.FIRST: np.linspace(0.1, 0.4, 7),
+                 Regime.SECOND: np.linspace(0.6, 0.9, 7)}
         report = constancy_report(lambda t: 5.0, grids)
         assert report.max_deviation == 0.0
         assert report.means[Regime.FIRST] == 5.0
 
     def test_linear_function_deviation(self):
-        grids = {Regime.SECOND: Grid(np.linspace(0.0, 1.0, 11))}
+        grids = {Regime.SECOND: np.linspace(0.0, 1.0, 11)}
         report = constancy_report(lambda t: t, grids)
         assert report.deviations[Regime.SECOND] == pytest.approx(0.5, abs=1e-12)
 
@@ -356,7 +355,7 @@ class TestConstancyReport:
             raise AssertionError("quantity called on an empty regime")
 
         with pytest.raises(EmptyGrid):
-            constancy_report(quantity, {Regime.FIRST: SimpleNamespace(times=np.zeros(0))})
+            constancy_report(quantity, {Regime.FIRST: np.zeros(0)})
 
     def test_one_array_call_per_regime(self):
         calls = []
@@ -365,8 +364,8 @@ class TestConstancyReport:
             calls.append(np.shape(ts))
             return 2.0 * ts
 
-        grids = {Regime.FIRST: Grid(np.linspace(0.1, 0.4, 7)),
-                 Regime.SECOND: Grid(np.linspace(0.6, 0.9, 5))}
+        grids = {Regime.FIRST: np.linspace(0.1, 0.4, 7),
+                 Regime.SECOND: np.linspace(0.6, 0.9, 5)}
         report = constancy_report(quantity, grids)
         assert calls == [(7,), (5,)]
         assert report.deviations[Regime.SECOND] == pytest.approx(0.3, abs=1e-12)
@@ -380,12 +379,12 @@ class TestConstancyReport:
             calls.append(t)
             return math.sin(t)
 
-        grids = {Regime.SECOND: Grid(np.linspace(0.0, 1.0, 11))}
+        grids = {Regime.SECOND: np.linspace(0.0, 1.0, 11)}
         with pytest.raises(TypeError):
             constancy_report(quantity, grids)
         assert len(calls) == 1 and np.shape(calls[0]) == (11,)
 
     def test_points_first_quantity_raises(self):
-        grids = {Regime.SECOND: Grid(np.linspace(0.0, 1.0, 11))}
+        grids = {Regime.SECOND: np.linspace(0.0, 1.0, 11)}
         with pytest.raises(ValueError):
             constancy_report(lambda t: t[:, None], grids)

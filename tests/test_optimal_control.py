@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from delayvar.errors import WrongOrder
+from delayvar.errors import OutOfDomain, WrongOrder
 from delayvar.euler_lagrange import PathRecord
 from delayvar.noether import noether_quantity
 from delayvar.optimal_control import (
@@ -102,6 +102,13 @@ class TestPmpResiduals:
         res = pmp_residuals(cp, triple, [], 0.2)  # first regime
         # costate: pdot + d2H + d4H(t+tau) = 0 + 0 + p(t+tau) = 3
         assert res.costate[0] == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-0.25, 1.25, np.array([0.5, 1.5])])
+    def test_outside_the_horizon_raises(self, t):
+        # the triple covers [-0.5, 1]: -0.25 is on it but before t1 = 0
+        cp = _lq_problem()
+        with pytest.raises(OutOfDomain, match="evaluated on"):
+            pmp_residuals(cp, _const_triple(), [], t)
 
     def test_solver_triple_passes(self):
         from delayvar.solver import CollocationScheme, solve_pmp

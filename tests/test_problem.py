@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from delayvar.errors import OutOfDomain, UnknownVariable
+from delayvar.euler_lagrange import PathRecord
 from delayvar.problem import (
     ArgLayout,
+    ArgVector,
     AugmentedSetup,
     ControlProblem,
     Integrand,
@@ -24,7 +27,7 @@ from delayvar.problem import (
     integrand_from_expr,
     problem_from_json,
 )
-from delayvar.solver import solve_el
+from delayvar.solver import solve_el, verify
 from delayvar.trajectory import PolySegment, Trajectory
 
 from conftest import EX1_I, EX1_J
@@ -50,6 +53,56 @@ def test_record_validation():
     with pytest.raises(ValueError, match="lambda"):
         AugmentedSetup(IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0, L=L),
                        [1.0])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"m": 0}, "need m >= 1 and n >= 1, got m = 0, n = 1"),
+    ({"n": 0}, "need m >= 1 and n >= 1, got m = 1, n = 0"),
+    ({"tau": 0.0}, "tau must be positive"),
+    ({"tau": -0.5}, "tau must be positive"),
+])
+def test_variational_fields_are_checked(fields, message):
+    L = integrand_from_expr("t", 1, 1)
+    with pytest.raises(ValueError, match=message):
+        IsoperimetricProblem(**{"m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": L,
+                                **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"tau": 0.0}, "need 0 < tau < t2 - t1"),
+    ({"tau": 1.0}, "need 0 < tau < t2 - t1"),
+    ({"phi": ()}, "phi must have one component per state dimension"),
+])
+def test_control_fields_are_checked(fields, message):
+    u = Integrand(lambda v: v[2], name="u")
+    with pytest.raises(ValueError, match=message):
+        ControlProblem(**{"n": 1, "mc": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": u,
+                          "phi": (u,), **fields})
+
+
+def test_arg_vector_size_is_checked():
+    with pytest.raises(ValueError, match="4 values for a layout of size 5"):
+        ArgVector([0.0] * 4, ArgLayout.variational(1, 1))
+
+
+def test_history_is_needed_to_stitch():
+    problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                   L=integrand_from_expr("qd^2", 1, 1))
+    with pytest.raises(ValueError, match="problem has no history function"):
+        problem.stitched_history()
+
+
+@pytest.mark.parametrize("use", [
+    lambda problem, traj: functional_value(problem, traj),
+    lambda problem, traj: PathRecord(problem.L, problem, traj, [0.5]),
+    lambda problem, traj: verify(problem, traj, [0.0]),
+], ids=["integrals", "PathRecord", "verify"])
+def test_trajectory_component_count_is_checked(ex1_problem, ex1_traj, use):
+    # example1's path copied into two components, on the n = 1 problem
+    two = Trajectory(2, 2, [PolySegment(s.a, s.b, np.vstack([s.coeffs] * 2))
+                            for s in ex1_traj.segments], ex1_traj.nonsmooth_knots)
+    with pytest.raises(ValueError, match="trajectory has 2 components, problem has n = 1"):
+        use(ex1_problem, two)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
@@ -242,6 +295,23 @@ class TestProblemFiles:
         """
         problem = problem_from_json(text)
         assert problem.boundary[1, 0] == -32.0
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"k": 2}, "k = 2 but 1 constraint expressions given"),
+        ({"history": 3}, "history must be an expression in t or a list of 1, got 3"),
+        ({"history": ["t", 0]}, "history must be an expression in t or a list of 1"),
+        ({"history": [["t"]]}, "history must be an expression in t or a list of 1"),
+        ({"m": 0, "L": "q^2"}, "need m >= 1 and n >= 1"),
+        ({"m": 1.5}, "m and n must be integers, got m = 1.5, n = 1"),
+        ({"n": "1"}, "m and n must be integers"),
+        ({"m": float("inf")}, "m and n must be integers"),
+    ])
+    def test_bad_field_raises(self, fields, message):
+        record = {"m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": "qd^2", "g": ["q"],
+                  "l": [1.0 / 6.0], "history": "t * (1 - t)", "boundary": {"q": [0.0]}}
+        record.update(fields)
+        with pytest.raises(ValueError, match=message):
+            problem_from_json(json.dumps(record))
 
     def test_stitched_history_derivatives(self, classical_problem):
         segs = classical_problem.stitched_history()

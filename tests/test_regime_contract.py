@@ -11,7 +11,6 @@ from delayvar.euler_lagrange import PathRecord, el_integral_defect, el_integral_
 from delayvar.noether import noether_quantity
 from delayvar.optimal_control import second_order_noether_quantity
 from delayvar.problem import TransformationGroup, augmented_integrand
-from delayvar.trajectory import Grid
 
 TIME_SHIFT = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
 BOTH_REGIMES = np.array([0.25, 0.5, 1.25, 1.5])  # example1: t2 - tau = 1
@@ -37,7 +36,7 @@ def test_one_call_spans_both_regimes(ex1_setup, ex1_traj, quantity, closed_form)
 
 def test_integral_defect_on_a_straddling_grid_raises(ex1_setup, ex1_traj):
     with pytest.raises(ValueError, match="both regimes"):
-        el_integral_defect(ex1_setup, ex1_traj, Grid(np.linspace(0.5, 1.5, 9)))
+        el_integral_defect(ex1_setup, ex1_traj, np.linspace(0.5, 1.5, 9))
 
 
 def test_integral_lhs_on_straddling_times_raises(ex1_setup, ex1_traj):

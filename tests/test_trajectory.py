@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from delayvar.errors import EmptyGrid, OrderTooHigh, OutOfDomain
+from delayvar.errors import OrderTooHigh, OutOfDomain
 from delayvar.problem import args_at
 from delayvar.trajectory import (
-    Grid,
     PolySegment,
     Trajectory,
     example1_trajectory,
@@ -162,6 +161,15 @@ class TestInvariants:
                 PolySegment.from_monomial(0.5, 1.0, [[-0.5, 2.0]])]
         traj = Trajectory(1, 2, segs, nonsmooth_knots=(0.5,))
         assert traj.eval(0.5, 0)[0] == pytest.approx(0.5)
+
+    def test_no_segments_rejected(self):
+        with pytest.raises(ValueError, match="at least one segment"):
+            Trajectory(1, 1, [])
+
+    def test_segment_component_count_rejected(self):
+        segs = [PolySegment(0.0, 0.5, [[0.0], [1.0]]), PolySegment(0.5, 1.0, [[0.0]])]
+        with pytest.raises(ValueError, match="segment has 1 components, trajectory has 2"):
+            Trajectory(2, 1, segs)
 
     def test_value_jump_rejected_even_at_nonsmooth_knot(self):
         segs = [PolySegment(0.0, 0.5, [[0.0]]), PolySegment(0.5, 1.0, [[1.0]])]
@@ -358,17 +366,3 @@ class TestHistoryStitching:
         ts = np.linspace(0.0, 1.0, 9)
         got = Trajectory(6, 1, segs, validate=False).eval(ts)
         assert np.allclose(got, np.outer(ts, np.arange(1, 7)), atol=1e-14)
-
-
-class TestGrid:
-    def test_uniform_times(self):
-        grid = Grid(np.linspace(0.0, 2.0, 200))
-        assert len(grid) == 200 and grid.times[0] == 0.0 and grid.times[-1] == 2.0
-
-    def test_no_times_raises(self):
-        with pytest.raises(EmptyGrid):
-            Grid(np.zeros(0))
-
-    def test_times_must_increase(self):
-        with pytest.raises(ValueError):
-            Grid([0.0, 0.5, 0.5])
