@@ -9,7 +9,6 @@ global collocation.  It never prints.
 
 from .errors import (
     BlockOutOfRange,
-    DegenerateGrid,
     DelayVarError,
     DerivativeOrderTooHigh,
     EmptyGrid,
@@ -47,13 +46,11 @@ from .problem import (
 from .calculus import derivative_in_parameter, integrate, partial
 from .euler_lagrange import (
     Classification,
-    PolynomialFit,
     Regime,
     ResidualReport,
     classify,
-    el_integral_defect,
-    el_integral_lhs,
     el_residual,
+    momentum_jumps,
     regime_of,
     residual_grids,
 )

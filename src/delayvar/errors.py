@@ -41,10 +41,6 @@ class WrongOrder(DelayVarError):
     """The operation requires a specific smoothness order m."""
 
 
-class DegenerateGrid(DelayVarError):
-    """Too few samples for the requested fit."""
-
-
 class EmptyGrid(DelayVarError):
     """A sample grid ended up with no usable points."""
 

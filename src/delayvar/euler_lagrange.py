@@ -8,7 +8,7 @@ on the second regime [t2 - tau, t2] it does not.  The stacked partials
 
 and their rates come from one :class:`PathRecord` per (F, trajectory, times
 inside one regime): the differential residual E = psi_0, the momenta
-psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j), the integral form, the
+psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j), their jumps at the breaks, the
 DuBois-Reymond and Noether quantities all read from it.  A time's regime
 depends on the time alone, so no function given times takes a regime: each
 resolves it per point (:func:`per_regime`).  The record takes every rate
@@ -23,18 +23,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import Legendre, Polynomial, chebyshev
 
 from . import calculus, jet
-from .errors import DegenerateGrid, EmptyGrid, NoConstraints, OutOfDomain
+from .errors import EmptyGrid, NoConstraints
 from .problem import AugmentedSetup, ControlProblem, Integrand, IsoperimetricProblem, \
     augmented_integrand, check_components, path_args
 from .trajectory import Trajectory
 
-__all__ = ["Regime", "Classification", "PolynomialFit", "ResidualReport", "regime_of",
-           "regime_interval", "smooth_breaks", "stencil_bounds", "PathRecord", "per_regime",
-           "el_residual", "el_integral_function", "el_integral_lhs",
-           "el_integral_defect", "classify", "residual_grids", "csv_text"]
+__all__ = ["Regime", "Classification", "ResidualReport", "regime_of", "smooth_breaks",
+           "stencil_bounds", "PathRecord", "per_regime", "el_residual", "momentum_jumps",
+           "classify", "residual_grids", "csv_text"]
 
 
 class Regime(Enum):
@@ -56,19 +54,18 @@ def regime_of(problem: IsoperimetricProblem, t) -> Regime:
     return Regime.SECOND if np.all(second) else Regime.FIRST
 
 
-def regime_interval(problem: IsoperimetricProblem, regime: Regime) -> tuple[float, float]:
-    split = problem.t2 - problem.tau
-    return (problem.t1, split) if regime is Regime.FIRST else (split, problem.t2)
-
-
 def smooth_breaks(problem: IsoperimetricProblem | ControlProblem,
                   traj: Trajectory) -> np.ndarray:
-    """Times where any stacked-partial map can lose smoothness: trajectory
-    breakpoints, their +-tau images, and the regime wall t2 - tau."""
+    """Times where any stacked-partial map can lose smoothness, ascending: the
+    regime wall t2 - tau, trajectory breakpoints and their +-tau images.  Times
+    within 1e-12 of the span of each other are one break, kept as the first
+    of them in that order: the wall, else the trajectory's own knot."""
     base = np.asarray(traj.breakpoints())
-    pts = np.concatenate([base, base + problem.tau, base - problem.tau,
-                          [problem.t2 - problem.tau]])
-    return np.unique(pts)
+    pts = np.concatenate([[problem.t2 - problem.tau], base, base + problem.tau,
+                          base - problem.tau])
+    order = np.argsort(pts, kind="stable")
+    firsts = np.flatnonzero(np.diff(pts[order], prepend=-np.inf) > 1e-12 * max(1.0, problem.span))
+    return pts[np.minimum.reduceat(order, firsts)]
 
 
 def stencil_bounds(ts, breaks: np.ndarray, lo: float, hi: float):
@@ -96,22 +93,24 @@ class PathRecord:
     Order-0 quantities are constant terms: the block partials at ts, F,
     d_1 F and the hypothesis sums are taken once each, when asked.  A point
     at the domain's right end is a left limit, and so is its delayed argument.
+    With ``left`` every point and its shifts are left limits, and the regime
+    is the one just left of ts: a left limit at t2 - tau is the first regime's.
     """
 
     def __init__(self, F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, ts,
-                 momenta=None, along=None, along_order: int = 0):
+                 momenta=None, along=None, along_order: int = 0, left: bool = False):
         m, tau = problem.m, problem.tau
         check_components(problem, traj)
         self.ts = ts = np.atleast_1d(np.asarray(ts, dtype=float))
         self.F, self.m, self.n = F, m, problem.n
-        self.first = regime_of(problem, ts) is Regime.FIRST
-        self.traj, self.tau, self._along = traj, tau, along
+        self.first = regime_of(problem, np.nextafter(ts, -np.inf) if left else ts) is Regime.FIRST
+        self.traj, self.tau, self._along, self._left = traj, tau, along, left
         momenta = range(m + 1) if momenta is None else momenta
         order = max([m - j for j in momenta] + [along_order])
         self._momenta, self._ks = tuple(momenta), range(min(momenta, default=m + 1), m + 1)
         self._count = m + 1 + max(order, 1)
-        self.q = traj.derivatives(ts, self._count)
-        self.q_delayed = traj.derivatives(ts - tau, self._count, left=ts >= traj.domain[1])
+        self.q = traj.derivatives(ts, self._count, left)
+        self.q_delayed = traj.derivatives(ts - tau, self._count, left or ts >= traj.domain[1])
         self._current = path_args(ts, self.q[: m + 1], self.q_delayed[: m + 1])
         self._partials, self.along = {}, []
         if not self._ks and along is None:
@@ -123,7 +122,7 @@ class PathRecord:
     @functools.cached_property
     def _advanced(self):
         """The path at ts + tau and the argument vector there (first regime)."""
-        path = self.traj.derivatives(self.ts + self.tau, self._count)
+        path = self.traj.derivatives(self.ts + self.tau, self._count, self._left)
         return path, path_args(self.ts + self.tau, path[: self.m + 1], self.q[: self.m + 1])
 
     def _sample(self, t):
@@ -229,95 +228,30 @@ def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
                       t, (problem.n,))
 
 
-# ---------------------------------------------------------------------------
-# integral form
+def momentum_jumps(setup: AugmentedSetup, traj: Trajectory):
+    """The breaks x of :func:`smooth_breaks` inside (t1, t2), shape (nb,); the
+    momentum jumps [psi_j](x) = psi_j(x+) - psi_j(x-), shape (nb, m, n), column
+    j - 1 for j = 1..m; and the path jumps [q^(i)](x), shape (nb, m, n), column i.
 
-
-def el_integral_function(setup: AugmentedSetup, traj: Trajectory, regime: Regime):
-    """The integral-form left-hand side as a callable of the regime's times,
-    (npts, n), or of one of them, (n,); OutOfDomain outside the regime.
-
-    Nested integrals all start at t2 - tau.  The i = m term is the bare
-    integrand with sign -1, the convention under which applying d^m/dt^m
-    reproduces the differential form up to the overall factor (-1)^(m-1).
-    Each smooth piece of the regime holds one Chebyshev series per component,
-    interpolated at 25 Chebyshev points: one coefficient array, shape
-    (piece, power, n), carries every term.
+    A path that satisfies the Euler-Lagrange equations on each smooth piece is
+    stationary iff every momentum jump vanishes (the Weierstrass-Erdmann corner
+    condition, with the advanced terms in psi_j on the first regime).  One
+    right-limit and one left-limit record per regime read them.
     """
-    problem, m = setup.problem, setup.problem.m
-    lo, hi = regime_interval(problem, regime)
-    edges = np.array([lo, *(x for x in smooth_breaks(problem, traj) if lo < x < hi), hi])
-    half = 0.5 * np.diff(edges)
-    cheb = np.cos(np.pi * (2 * np.arange(25) + 1) / 50)  # 25 Chebyshev points per piece
-    nodes = 0.5 * (edges[:-1, None] + edges[1:, None]) + half[:, None] * cheb
-    record = PathRecord(augmented_integrand(setup), problem, traj, nodes.ravel(), momenta=())
-    rates = np.stack([record.rate(0, i) for i in range(m + 1)])
-    coeffs = np.linalg.inv(chebyshev.chebvander(cheb, len(cheb) - 1)) @ rates.reshape(
-        (m + 1,) + nodes.shape + (-1,))
-
-    def integral(c):
-        """Antiderivative vanishing at t2 - tau, continuous across the pieces."""
-        c = chebyshev.chebint(c, lbnd=-1, axis=1) * half[:, None, None]
-        rise = c.sum(axis=1)  # each piece's increment: its series at x = 1
-        ends = np.cumsum(rise, axis=0)
-        c[:, 0] += ends - rise - (ends[-1] if regime is Regime.FIRST else 0.0)
-        return c
-
-    # sum_i sign_i (m - i)-fold integrals of Lambda_i, by Horner's rule
-    signs = [(-1.0) ** (m - i - 1) for i in range(m)] + [-1.0]
-    total = signs[0] * coeffs[0]
-    for sign, c in zip(signs[1:], coeffs[1:]):
-        total = integral(total)
-        total[:, :c.shape[1]] += sign * c
-    slack = 1e-10 * (hi - lo)
-
-    def fn(ts):
-        t = np.atleast_1d(np.asarray(ts, dtype=float))
-        bad = t[(t < lo - slack) | (t > hi + slack)]
-        if len(bad):
-            raise OutOfDomain(f"t = {bad[0]} outside [{lo}, {hi}]")
-        p = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
-        x = (2 * t - edges[p] - edges[p + 1]) / (edges[p + 1] - edges[p])
-        out = chebyshev.chebval(x, np.moveaxis(total[p], 0, -1), tensor=False).T
-        return out if np.ndim(ts) else out[0]
-
-    return fn
-
-
-def el_integral_lhs(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
-    """Integral-form LHS at a time, shape (n,), or at times inside one regime
-    (ValueError if they straddle t2 - tau), shape (npts, n); equals a
-    degree-(m-1) polynomial of t along extremals."""
-    return el_integral_function(setup, traj, regime_of(setup.problem, t))(t)
-
-
-@dataclass(frozen=True)
-class PolynomialFit:
-    """Least-squares degree-(m-1) fit of the integral form; near-zero residual
-    certifies the integral-form Euler-Lagrange equations."""
-
-    coefficients: np.ndarray  # (m, n), monomial coefficients in t, ascending
-    residual_sup: float
-
-
-def el_integral_defect(setup: AugmentedSetup, traj: Trajectory, ts) -> PolynomialFit:
-    """The fit on the regime of the times ts (ValueError if they straddle t2 - tau),
-    which need at least m + 1 distinct times."""
-    problem = setup.problem
-    distinct = len(np.unique(ts))
-    if distinct < problem.m + 1:
-        raise DegenerateGrid(f"need at least {problem.m + 1} distinct times, got {distinct}")
-    regime = regime_of(problem, ts)
-    lo, hi = regime_interval(problem, regime)
-    samples = el_integral_function(setup, traj, regime)(ts)  # (npts, n)
-    coeffs = np.zeros((problem.m, problem.n))
-    resid = 0.0
-    for c in range(problem.n):
-        fit = Legendre.fit(ts, samples[:, c], problem.m - 1, domain=[lo, hi])
-        resid = max(resid, float(np.max(np.abs(fit(ts) - samples[:, c]))))
-        mono = fit.convert(kind=Polynomial).coef
-        coeffs[: len(mono), c] = mono
-    return PolynomialFit(coeffs, resid)
+    problem, F, m = setup.problem, augmented_integrand(setup), setup.problem.m
+    xs = smooth_breaks(problem, traj)
+    xs = xs[(xs > problem.t1) & (xs < problem.t2)]
+    sides = []
+    for left in (False, True):
+        first = xs <= problem.t2 - problem.tau if left else xs < problem.t2 - problem.tau
+        side = np.empty((len(xs), 2 * m, problem.n))
+        for mask in (first, ~first):
+            if np.any(mask):
+                record = PathRecord(F, problem, traj, xs[mask], range(1, m + 1), left=left)
+                side[mask] = np.stack([*record.psi.values(), *record.q[:m]], axis=1)
+        sides.append(side)
+    jumps = sides[0] - sides[1]
+    return xs, jumps[:, :m], jumps[:, m:]
 
 
 # ---------------------------------------------------------------------------

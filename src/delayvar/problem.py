@@ -377,10 +377,13 @@ def problem_from_json(text: str) -> IsoperimetricProblem:
     if not all(isinstance(v, (int, float)) and float(v).is_integer() for v in (m, n)):
         raise ValueError(f"m and n must be integers, got m = {m!r}, n = {n!r}")
     m, n = int(m), int(n)
-    L = integrand_from_expr(record["L"], m, n)
-    g = tuple(integrand_from_expr(s, m, n) for s in record.get("g", ()))
-    if "k" in record and int(record["k"]) != len(g):
-        raise ValueError(f"k = {record['k']} but {len(g)} constraint expressions given")
+    L, gs = record["L"], record.get("g", [])
+    if not (isinstance(gs, list) and all(isinstance(s, str) for s in [L, *gs])):
+        raise ValueError(f"L must be an expression and g a list of them, got {L!r}, {gs!r}")
+    L = integrand_from_expr(L, m, n)
+    g = tuple(integrand_from_expr(s, m, n) for s in gs)
+    if record.get("k", len(g)) != len(g):
+        raise ValueError(f"k = {record['k']!r} but {len(g)} constraint expressions given")
     hist = record.get("history")
     texts = [hist] if isinstance(hist, str) else hist
     if not (hist is None or isinstance(texts, list) and all(isinstance(s, str) for s in texts)):
@@ -390,6 +393,8 @@ def problem_from_json(text: str) -> IsoperimetricProblem:
     hist = None if hist is None else _history_from_exprs(texts)
     boundary = None
     if "boundary" in record:
+        if not isinstance(record["boundary"], dict):
+            raise ValueError(f"boundary must be an object, got {record['boundary']!r}")
         boundary = np.zeros((m, n))
         for i in range(m):
             key = "q" + "d" * i

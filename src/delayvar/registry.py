@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .euler_lagrange import residual_grids
+from .euler_lagrange import momentum_jumps, residual_grids
 from .noether import constancy_report, noether_quantity
 from .optimal_control import hamiltonian_noether_quantity, pmp_residuals
 from .problem import (
@@ -98,6 +98,9 @@ def _example1_checks() -> list[Check]:
     out.append(Check("hypothesis violated (reported)",
                      1.0 if report.hypothesis_violated else 0.0, 1.0,
                      report.hypothesis_violated, gated=False))
+    # reported, NOT gated: the quartic satisfies EL piecewise, but psi_1 and psi_2 jump at t = 1
+    jump = float(np.max(np.abs(momentum_jumps(AugmentedSetup(problem, [0.0]), traj)[1])))
+    out.append(Check("momentum jump sup (not gated)", jump, 1e-9, jump <= 1e-9, gated=False))
     return out
 
 
@@ -129,8 +132,10 @@ def _classical_checks() -> list[Check]:
     report2 = verify(problem, traj, lam)
     dr_sup = max(report2.sup["dr_first"], report2.sup["dr_second"])
     out.append(Check("dr residual sup", dr_sup, 1e-6, dr_sup <= 1e-6))
-    group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
     setup = AugmentedSetup(problem, lam)
+    jump = float(np.max(np.abs(momentum_jumps(setup, traj)[1]), initial=0.0))
+    out.append(Check("momentum jump sup", jump, 1e-9, jump <= 1e-9))
+    group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
     con = constancy_report(functools.partial(noether_quantity, setup, group, traj),
                            residual_grids(problem, traj, count=60))
     out.append(Check("noether constancy deviation", con.max_deviation, 1e-6,

@@ -3,10 +3,11 @@
 Paths are stored segment-by-segment in the monomial basis shifted to each
 segment midpoint (better conditioned than global monomials).  Evaluation at a
 knot takes the right limit (the right-hand segment), except at the final
-endpoint where the last segment is used.  ``Trajectory.eval`` takes one
-derivative order or a sequence of them; a sequence shares one domain check,
-segment lookup and power table.  Trajectories are immutable after
-construction and evaluation is pure, so they are safe to share between threads.
+endpoint where the last segment is used; a time within 1e-12 of the span of
+a knot is at the knot.  ``Trajectory.eval`` takes one derivative order or a
+sequence of them; a sequence shares one domain check, segment lookup and
+power table.  Trajectories are immutable after construction and evaluation
+is pure, so they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class Trajectory:
         self.nonsmooth_knots = tuple(sorted(float(k) for k in nonsmooth_knots))
         if not self.segments:
             raise ValueError("trajectory needs at least one segment")
-        self._knots = np.array([s.a for s in self.segments[1:]])  # interior segment starts
+        self._slack = 1e-12 * max(1.0, self.domain[1] - self.domain[0])
+        starts = np.array([s.a for s in self.segments[1:]])  # interior, widened by the slack
+        self._right_of, self._left_of = starts - self._slack, starts + self._slack
         self._mids = np.array([s.mid for s in self.segments])
         self.max_degree = max(s.degree for s in self.segments)
         self._stacked_cache: dict[int, np.ndarray] = {}
@@ -104,12 +107,11 @@ class Trajectory:
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
-        span = self.domain[1] - self.domain[0]
         for seg in self.segments:
             if seg.n != self.n:
                 raise ValueError(f"segment has {seg.n} components, trajectory has {self.n}")
         for left, right in zip(self.segments, self.segments[1:]):
-            if abs(left.b - right.a) >= 1e-12 * max(1.0, span):
+            if abs(left.b - right.a) >= self._slack:
                 raise ValueError(f"gap/overlap at {left.b} vs {right.a}")
             self._check_knot(left, right)
 
@@ -156,9 +158,9 @@ class Trajectory:
             bad = t[(t < lo - slack) | (t > hi + slack)][0]
             raise OutOfDomain(f"t = {bad} outside [{lo}, {hi}]")
         t = t.clip(lo, hi)
-        idx = np.searchsorted(self._knots, t, side="right")  # a knot goes right
+        idx = np.searchsorted(self._right_of, t, side="right")  # a knot goes right
         if np.any(left):
-            idx = np.where(left, np.searchsorted(self._knots, t, side="left"), idx)
+            idx = np.where(left, np.searchsorted(self._left_of, t, side="left"), idx)
         x = t - self._mids[idx]
         powers = np.empty((self.max_degree + 1 - min(orders, default=0), len(x)))
         powers[0] = 1.0

@@ -117,6 +117,11 @@ class TestInputErrors:
         ("history", 3, "history must be an expression in t or a list of 2"),
         ("history", ["t", 0], "history must be an expression in t or a list of 2"),
         ("m", 1.5, "m and n must be integers"),
+        ("L", 3, "L must be an expression and g a list of them"),
+        ("g", "qd", "L must be an expression and g a list of them"),
+        ("k", None, "k = None but 1 constraint expressions given"),
+        ("k", 1.5, "k = 1.5 but 1 constraint expressions given"),
+        ("boundary", [0], "boundary must be an object"),
     ])
     def test_bad_problem_file(self, tmp_path, capsys, field, value, message):
         record = json.loads(TWO_COMPONENT.read_text())

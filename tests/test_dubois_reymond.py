@@ -10,7 +10,6 @@ from delayvar.dubois_reymond import cdur_residual, dr_quantity, dr_residual, psi
 from delayvar.errors import EvaluationDomain, JOutOfRange, OutOfDomain
 from delayvar.euler_lagrange import (
     Regime,
-    regime_interval,
     residual_grids,
     smooth_breaks,
     stencil_bounds,
@@ -174,9 +173,10 @@ class TestDrResidual:
         traj = Trajectory(2, 1, [PolySegment(-0.4, 1.0, rng.uniform(-1, 1, size=(2, 6)))])
         setup = AugmentedSetup(problem, [0.7])
         F = augmented_integrand(setup)
-        breaks = smooth_breaks(problem, traj)
+        breaks, split = smooth_breaks(problem, traj), problem.t2 - problem.tau
         for regime, ts in residual_grids(problem, traj, count=60).items():
-            los, his = stencil_bounds(ts, breaks, *regime_interval(problem, regime))
+            lo, hi = (problem.t1, split) if regime is Regime.FIRST else (split, problem.t2)
+            los, his = stencil_bounds(ts, breaks, lo, hi)
             rate = calculus.total_derivative_many(
                 lambda u: dr_quantity(setup, traj, u), ts, 1, los, his,
                 calculus.default_step(problem.span, 1))

@@ -1,5 +1,5 @@
-"""Delayed Euler-Lagrange residuals: differential and integral form,
-classification, and the m = 1 reduction property."""
+"""Delayed Euler-Lagrange residuals: differential form, classification, and
+the m = 1 reduction property."""
 
 from __future__ import annotations
 
@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from delayvar import calculus
-from delayvar.errors import DegenerateGrid, EmptyGrid, NoConstraints, OutOfDomain
+from delayvar.errors import EmptyGrid, NoConstraints, OutOfDomain
 from delayvar.euler_lagrange import (
     Classification,
     PathRecord,
     Regime,
     classify,
     csv_text,
-    el_integral_defect,
-    el_integral_function,
-    el_integral_lhs,
     el_residual,
     regime_of,
     residual_grids,
@@ -95,6 +92,11 @@ class TestDifferentialForm:
         for t in (0.2, 0.45, 0.6, 0.9):
             assert abs(el_residual(setup, traj, t)[0]) <= 1e-10
 
+    @pytest.mark.parametrize("t", [5.0, -3.0, [1.5, 2.01]])
+    def test_times_outside_the_domain_raise(self, ex1_setup, ex1_traj, t):
+        with pytest.raises(OutOfDomain):
+            el_residual(ex1_setup, ex1_traj, t)
+
     def test_nonextremal_is_flagged(self, classical_problem):
         # q = t^3 is not an extremal of the lambda = 0 problem
         traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 0.0, 0.0, 1.0]])])
@@ -114,128 +116,6 @@ def test_stacked_partial_and_its_rate(ex1_setup, ex1_traj):
     record = PathRecord(F, ex1_setup.problem, ex1_traj, [1.5])
     assert record.rate(0, 2)[0, 0] == pytest.approx(-48.0, abs=1e-9)
     assert record.rate(1, 2)[0, 0] == pytest.approx(-48.0, abs=1e-7)
-
-
-def test_m2_integral_form_sign_convention(ex1_problem):
-    """Applying d^m/dt^m to the integral form reproduces the differential
-    form up to the factor (-1)^(m-1); checked on a smooth non-extremal."""
-    traj = Trajectory(1, 2, [PolySegment.from_monomial(
-        -1.0, 2.0, [[0.1, -0.3, 0.2, 0.05, -0.02, 0.01]])])
-    setup = AugmentedSetup(ex1_problem, [0.3])
-    fn = el_integral_function(setup, traj, Regime.SECOND)
-    for t in (1.3, 1.6):
-        d2 = calculus.total_derivative_many(fn, [t], 2, [1.0], [2.0], 2e-3)[0]
-        r = el_residual(setup, traj, t)
-        assert d2[0] == pytest.approx(-r[0], abs=1e-4 * max(1.0, abs(r[0])))
-
-
-class TestIntegralForm:
-    def test_classical_constant(self):
-        """m = 1, F = qd^2 along q = t: integral LHS is the constant -2."""
-        problem = IsoperimetricProblem(m=1, n=1, tau=0.5, t1=0.0, t2=1.0,
-                                       L=integrand_from_expr("qd^2", 1, 1))
-        traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
-        setup = AugmentedSetup(problem, [])
-        for ts in ([0.55, 0.7, 0.95], [0.1, 0.3]):  # one call per regime
-            lhs = el_integral_lhs(setup, traj, ts)
-            assert lhs.shape == (len(ts), 1)
-            assert np.all(np.abs(lhs + 2.0) <= 1e-10)
-        assert el_integral_lhs(setup, traj, 0.7) == pytest.approx([-2.0], abs=1e-10)
-        ts = np.linspace(0.52, 0.98, 9)
-        fit = el_integral_defect(setup, traj, ts)
-        assert fit.coefficients[0, 0] == pytest.approx(-2.0, abs=1e-9)
-        assert fit.residual_sup <= 1e-9
-
-    def test_zero_integrand(self, ex1_problem, ex1_traj):
-        zero_problem = IsoperimetricProblem(
-            m=2, n=1, tau=1.0, t1=0.0, t2=2.0,
-            L=integrand_from_expr("0", 2, 1),
-            history=ex1_problem.history, boundary=ex1_problem.boundary)
-        setup = AugmentedSetup(zero_problem, [])
-        ts = np.linspace(1.05, 1.95, 7)
-        fit = el_integral_defect(setup, ex1_traj, ts)
-        assert np.all(np.abs(fit.coefficients) <= 1e-12)
-        assert fit.residual_sup <= 1e-12
-
-    def test_example1_fits_degree_one(self, ex1_setup, ex1_traj):
-        ts = np.linspace(1.05, 1.95, 15)
-        fit = el_integral_defect(ex1_setup, ex1_traj, ts)
-        assert fit.residual_sup <= 1e-6
-
-    def test_degenerate_grid(self, ex1_setup, ex1_traj):
-        ts = np.linspace(1.2, 1.4, 2)
-        with pytest.raises(DegenerateGrid):
-            el_integral_defect(ex1_setup, ex1_traj, ts)
-
-    def test_duplicate_times_count_once(self, ex1_setup, ex1_traj):
-        # m = 2 needs three distinct times: four samples at two times are degenerate
-        with pytest.raises(DegenerateGrid):
-            el_integral_defect(ex1_setup, ex1_traj, [1.2, 1.2, 1.4, 1.4])
-        fit = el_integral_defect(ex1_setup, ex1_traj, [1.2, 1.2, 1.4, 1.6])
-        assert fit.residual_sup <= 1e-6
-
-    def test_nonsmooth_pieces_match_the_cauchy_formula(self):
-        """m = 2, n = 2 along a path whose second derivative jumps at 0.9, so
-        each regime has several smooth pieces: the integral form equals
-        int_b^t [-(t - r) Lambda_0(r) + Lambda_1(r)] dr - Lambda_2(t), b = t2 - tau,
-        by Gauss-Legendre quadrature on each piece (Cauchy's formula for the
-        nested integral)."""
-        problem = IsoperimetricProblem(
-            m=2, n=2, tau=0.7, t1=0.0, t2=2.0,
-            L=integrand_from_expr("sin(d2q0) * d1q1 + d2q1^2 * d0q0 + d2q0_tau * d1q1", 2, 2))
-        first = [[1.0, 0.2, -0.3, 0.1], [0.0, 1.0, 0.5, -0.2]]
-        kink = [[1.0 + 0.5 * 0.81, 0.2 - 0.5 * 1.8, 0.2, 0.1],   # + 0.5 (t - 0.9)^2
-                [-0.4 * 0.81, 1.0 + 0.4 * 1.8, 0.1, -0.2]]       # - 0.4 (t - 0.9)^2
-        traj = Trajectory(2, 2, [PolySegment.from_monomial(-0.7, 0.9, first),
-                                 PolySegment.from_monomial(0.9, 2.0, kink)])
-        setup, base = AugmentedSetup(problem, []), 1.3
-        F = augmented_integrand(setup)
-        breaks = smooth_breaks(problem, traj)
-        x, w = np.polynomial.legendre.leggauss(30)
-        for regime, ts in ((Regime.FIRST, [0.1, 0.5, 0.95, 1.25]),
-                           (Regime.SECOND, [1.35, 1.7, 1.95])):
-            fn = el_integral_function(setup, traj, regime)
-            assert any(min(ts) < b < max(ts) for b in breaks)  # several pieces
-            for t in ts:
-                lo, hi = sorted((base, t))
-                edges = [lo, *(b for b in breaks if lo < b < hi), hi]
-                r = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x
-                                    for a, b in zip(edges[:-1], edges[1:])])
-                wr = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges[:-1], edges[1:])])
-                record = PathRecord(F, problem, traj, r, momenta=())
-                inner = -(t - r)[:, None] * record.rate(0, 0) + record.rate(0, 1)
-                integral = np.sign(t - base) * (wr @ inner)
-                bare = PathRecord(F, problem, traj, [t], momenta=()).rate(0, 2)[0]
-                expected = integral - bare
-                assert np.allclose(fn(t), expected, rtol=1e-12, atol=1e-12)
-
-    def test_times_outside_the_regime_raise(self, ex1_setup, ex1_traj):
-        """The integral form does not extrapolate: outside its regime it raises
-        as el_residual does, and it evaluates up to 1e-10 of the span past an end."""
-        for t in (5.0, -3.0):
-            with pytest.raises(OutOfDomain):
-                el_residual(ex1_setup, ex1_traj, t)
-            with pytest.raises(OutOfDomain):
-                el_integral_lhs(ex1_setup, ex1_traj, t)
-        with pytest.raises(OutOfDomain):
-            el_integral_lhs(ex1_setup, ex1_traj, [1.5, 2.01])
-        with pytest.raises(OutOfDomain):
-            el_integral_defect(ex1_setup, ex1_traj, np.linspace(1.2, 2.5, 9))
-        first = el_integral_function(ex1_setup, ex1_traj, Regime.FIRST)
-        with pytest.raises(OutOfDomain):
-            first(1.5)  # inside the domain, past the first regime
-        ends = first(np.array([-0.5e-10, 0.0, 1.0, 1.0 + 0.5e-10]))
-        assert np.allclose(ends[:2], ends[1], rtol=1e-12)
-        assert np.allclose(ends[2:], ends[2], rtol=1e-12)
-
-    def test_mth_derivative_recovers_differential_form(self, classical_setup, classical_traj):
-        """d^m/dt^m of the integral form equals (-1)^(m-1) el_residual on a
-        smooth trajectory (m = 1 here: equal with the same sign)."""
-        fn = el_integral_function(classical_setup, classical_traj, Regime.SECOND)
-        for t in (0.6, 0.75, 0.9):
-            d = calculus.total_derivative_many(fn, [t], 1, [0.5], [1.0], 1e-4)[0]
-            r = el_residual(classical_setup, classical_traj, t)
-            assert d[0] == pytest.approx(r[0], abs=1e-7)
 
 
 class TestResidualGrids:

@@ -305,6 +305,12 @@ class TestProblemFiles:
         ({"m": 1.5}, "m and n must be integers, got m = 1.5, n = 1"),
         ({"n": "1"}, "m and n must be integers"),
         ({"m": float("inf")}, "m and n must be integers"),
+        ({"L": 3}, "L must be an expression and g a list of them, got 3"),
+        ({"g": "q"}, "L must be an expression and g a list of them, got 'qd\\^2', 'q'"),
+        ({"g": ["q", 1]}, "L must be an expression and g a list of them"),
+        ({"k": None}, "k = None but 1 constraint expressions given"),
+        ({"k": 1.5}, "k = 1.5 but 1 constraint expressions given"),
+        ({"boundary": [0]}, "boundary must be an object, got \\[0\\]"),
     ])
     def test_bad_field_raises(self, fields, message):
         record = {"m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": "qd^2", "g": ["q"],

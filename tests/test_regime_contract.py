@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delayvar.dubois_reymond import dr_quantity, dr_residual
-from delayvar.euler_lagrange import PathRecord, el_integral_defect, el_integral_lhs
+from delayvar.euler_lagrange import PathRecord
 from delayvar.noether import noether_quantity
 from delayvar.optimal_control import second_order_noether_quantity
 from delayvar.problem import TransformationGroup, augmented_integrand
@@ -34,16 +34,6 @@ def test_one_call_spans_both_regimes(ex1_setup, ex1_traj, quantity, closed_form)
     assert swept == pytest.approx(closed_form, abs=1e-6)
 
 
-def test_integral_defect_on_a_straddling_grid_raises(ex1_setup, ex1_traj):
-    with pytest.raises(ValueError, match="both regimes"):
-        el_integral_defect(ex1_setup, ex1_traj, np.linspace(0.5, 1.5, 9))
-
-
-def test_integral_lhs_on_straddling_times_raises(ex1_setup, ex1_traj):
-    with pytest.raises(ValueError, match="both regimes"):
-        el_integral_lhs(ex1_setup, ex1_traj, np.linspace(0.5, 1.5, 9))
-
-
 def test_record_takes_its_regime_from_its_times(ex1_setup, ex1_traj):
     F, problem = augmented_integrand(ex1_setup), ex1_setup.problem
     assert PathRecord(F, problem, ex1_traj, [0.25, 0.5]).first
@@ -51,3 +41,12 @@ def test_record_takes_its_regime_from_its_times(ex1_setup, ex1_traj):
     with pytest.raises(ValueError, match="both regimes"):
         PathRecord(F, problem, ex1_traj, BOTH_REGIMES)
     assert PathRecord(F, problem, ex1_traj, []).dr_quantity.size == 0  # no times: no straddle
+
+
+def test_left_limit_record_takes_the_regime_left_of_its_times(ex1_setup, ex1_traj):
+    """A left limit at t2 - tau is the first regime's; one at t2 the second's."""
+    F, problem = augmented_integrand(ex1_setup), ex1_setup.problem
+    assert PathRecord(F, problem, ex1_traj, [0.5, 1.0], left=True).first
+    assert not PathRecord(F, problem, ex1_traj, [1.5, 2.0], left=True).first
+    with pytest.raises(ValueError, match="both regimes"):
+        PathRecord(F, problem, ex1_traj, [1.0, 1.5], left=True)
