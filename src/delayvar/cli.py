@@ -118,21 +118,19 @@ def _tolerance(args) -> float:
 
 def _group_from_exprs(args, problem):
     """eta/xi expressions over (t, q...) and an optional gauge expression."""
-    table = {"t": 0, "q": 1}
-    table.update({f"q{i}": 1 + i for i in range(problem.n)})
-    binding = expr.TableBinding(table)
-    eta_ast = expr.parse(args.eta)
-    xi_asts = [expr.parse(s) for s in args.xi.split(",")]
-    if len(xi_asts) == 1 and problem.n > 1:
-        xi_asts = xi_asts * problem.n
-    if len(xi_asts) != problem.n:
-        raise DelayVarError(f"xi needs {problem.n} components, got {len(xi_asts)}")
+    slots = {"t": 0, "q": 1, **{f"q{i}": 1 + i for i in range(problem.n)}}
+    eta_fn = expr.compiled(expr.parse(args.eta), slots)
+    xi_fns = [expr.compiled(expr.parse(s), slots) for s in args.xi.split(",")]
+    if len(xi_fns) == 1 and problem.n > 1:
+        xi_fns = xi_fns * problem.n
+    if len(xi_fns) != problem.n:
+        raise DelayVarError(f"xi needs {problem.n} components, got {len(xi_fns)}")
 
     def eta(t, q):
-        return expr.bind_eval(eta_ast, binding, [t, *q])
+        return eta_fn([t, *q])
 
     def xi(t, q):  # one entry per component; constants broadcast against the others
-        return [expr.bind_eval(a, binding, [t, *q]) for a in xi_asts]
+        return [fn([t, *q]) for fn in xi_fns]
 
     gauge = integrand_from_expr(args.gauge, problem.m, problem.n) if args.gauge else None
     return TransformationGroup(eta=eta, xi=xi, gauge=gauge)
@@ -279,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         "tol": dict(type=float, default=1e-6),
         "out": dict(help="output path (default: standard output)"),
         "json": dict(action="store_true", help="machine-readable summary"),
+        "eta": dict(default="0", help="time generator expression in t, q"),
+        "xi": dict(default="0", help="state generator expression(s), comma-separated"),
+        "gauge": dict(help="gauge-term expression over the integrand arguments"),
     }
 
     def add_source(p, *names):
@@ -294,17 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_residuals)
 
     p = sub.add_parser("conserved", help="Noether conserved-quantity report")
-    add_source(p, "grid", "tol", "out", "json")
-    p.add_argument("--eta", default="0", help="time generator expression in t, q")
-    p.add_argument("--xi", default="0", help="state generator expression(s), comma-separated")
-    p.add_argument("--gauge", help="gauge-term expression over the integrand arguments")
+    add_source(p, "grid", "tol", "out", "json", "eta", "xi", "gauge")
     p.set_defaults(fn=cmd_conserved)
 
     p = sub.add_parser("invariance", help="invariance defect under a transformation group")
-    add_source(p, "tol", "json")
-    p.add_argument("--eta", default="0")
-    p.add_argument("--xi", default="0")
-    p.add_argument("--gauge")
+    add_source(p, "tol", "json", "eta", "xi", "gauge")
     p.set_defaults(fn=cmd_invariance)
 
     p = sub.add_parser("solve", help="solve the delayed boundary-value problem")

@@ -10,7 +10,9 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
 
 ``^`` binds tighter than unary minus, which binds tighter than ``*``/``/``.
 Recognized functions: sin, cos, exp, log, sqrt, abs.  Constants pi and e are
-folded into numeric literals at parse time.
+folded into numeric literals at parse time.  Names mean nothing here: a plain
+name -> slot table, checked when the expression is compiled, maps each to a
+slot of the flat argument sequence the expression is evaluated on.
 """
 
 from __future__ import annotations
@@ -22,15 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jet
-from .errors import (
-    DerivativeOrderTooHigh,
-    EvaluationDomain,
-    ExprSyntaxError,
-    UnknownVariable,
-)
+from .errors import EvaluationDomain, ExprSyntaxError, UnknownVariable
 
-__all__ = ["Ast", "Num", "Var", "Neg", "Bin", "Call", "Binding", "TableBinding",
-           "parse", "to_str", "names", "bind_eval", "compiled"]
+__all__ = ["Ast", "Num", "Var", "Neg", "Bin", "Call", "parse", "to_str", "names", "bind_eval",
+           "compiled"]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -90,12 +87,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if at >= len(text):  # trailing whitespace only
                 break
             raise ExprSyntaxError(at, ("number", "name", "operator"), text[at])
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # the group's name is the token kind: num, name or op
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -131,25 +124,18 @@ class _Parser:
             self.fail(("operator", "end of input"))
         return node
 
+    def chain(self, ops: str, operand) -> Ast:
+        """operand ((one of ops) operand)*, left-associative."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = Bin(self.next()[1], node, operand())
+        return node
+
     def expr(self) -> Ast:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                node = Bin(value, node, self.term())
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self) -> Ast:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.next()
-                node = Bin(value, node, self.factor())
-            else:
-                return node
+        return self.chain("*/", self.factor)
 
     def factor(self) -> Ast:
         kind, value, _ = self.peek()
@@ -256,82 +242,24 @@ def names(node: Ast) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# bindings
-
-_DQ_RE = re.compile(r"^d(\d+)q(\d+)(_tau)?$")
-
-
-class Binding:
-    """Maps variable names to slots of the variational argument layout.
-
-    Canonical names are ``d{j}q{i}`` and ``d{j}q{i}_tau`` for derivative order
-    ``0 <= j <= m`` and component ``0 <= i < n``, plus ``t``.  For n = 1 and
-    m <= 2 the sugar names q, qd, qdd, q_tau, qd_tau, qdd_tau are accepted.
-    """
-
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
-
-    def slot_of(self, name: str) -> int:
-        m, n = self.m, self.n
-        if name == "t":
-            return 0
-        if n == 1:
-            sugar = {"q": (0, 0, False), "qd": (1, 0, False), "qdd": (2, 0, False),
-                     "q_tau": (0, 0, True), "qd_tau": (1, 0, True), "qdd_tau": (2, 0, True)}
-            if name in sugar:
-                j, i, delayed = sugar[name]
-                if j > m:
-                    raise DerivativeOrderTooHigh(name, j, m)
-                return self._slot(j, i, delayed)
-        match = _DQ_RE.match(name)
-        if match:
-            j, i = int(match.group(1)), int(match.group(2))
-            if i >= n:
-                raise UnknownVariable(name)
-            if j > m:
-                raise DerivativeOrderTooHigh(name, j, m)
-            return self._slot(j, i, match.group(3) is not None)
-        raise UnknownVariable(name)
-
-    def _slot(self, j: int, i: int, delayed: bool) -> int:
-        base = 1 + (self.m + 1) * self.n if delayed else 1
-        return base + j * self.n + i
-
-
-class TableBinding:
-    """Binding backed by an explicit name -> slot table (generators, controls)."""
-
-    def __init__(self, table: dict[str, int]):
-        self.table = dict(table)
-
-    def slot_of(self, name: str) -> int:
-        try:
-            return self.table[name]
-        except KeyError:
-            raise UnknownVariable(name) from None
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 _FN = {"sin": jet.sin, "cos": jet.cos, "exp": jet.exp, "log": jet.log,
        "sqrt": jet.sqrt, "abs": jet.fabs}
 
 
-def _ev(node: Ast, binding, args):
+def _ev(node: Ast, slots, args):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        return args[binding.slot_of(node.name)]
+        return args[slots[node.name]]
     if isinstance(node, Neg):
-        return -_ev(node.operand, binding, args)
+        return -_ev(node.operand, slots, args)
     if isinstance(node, Call):
-        return _FN[node.fn](_ev(node.arg, binding, args))
+        return _FN[node.fn](_ev(node.arg, slots, args))
     assert isinstance(node, Bin)
-    a = _ev(node.left, binding, args)
-    b = _ev(node.right, binding, args)
+    a = _ev(node.left, slots, args)
+    b = _ev(node.right, slots, args)
     if node.op == "+":
         return a + b
     if node.op == "-":
@@ -343,24 +271,31 @@ def _ev(node: Ast, binding, args):
     return a ** b
 
 
-def bind_eval(node: Ast, binding, args):
-    """Evaluate over a flat argument sequence (floats, arrays, or jets)."""
+def bind_eval(node: Ast, slots: dict[str, int], args):
+    """Evaluate over a flat argument sequence (floats, arrays, or jets), each
+    name read from ``args[slots[name]]``."""
     try:
         with np.errstate(all="ignore"):
-            result = _ev(node, binding, args)
+            result = _ev(node, slots, args)
     except ZeroDivisionError as err:
         raise EvaluationDomain(str(err)) from None
+    except KeyError as err:
+        raise UnknownVariable(err.args[0]) from None
     check = jet.value_of(result)
     if not np.all(np.isfinite(check)):
         raise EvaluationDomain(f"expression evaluated to a non-finite value: {check!r}")
     return result
 
 
-def compiled(node: Ast, binding):
-    """Close the AST over a binding, yielding a plain args -> value callable."""
+def compiled(node: Ast, slots: dict[str, int]):
+    """Close the AST over a name -> slot table, yielding a plain args -> value
+    callable; a name the table lacks raises UnknownVariable here, not when called."""
+    missing = names(node) - slots.keys()
+    if missing:
+        raise UnknownVariable(min(missing))
 
     def fn(args):
-        return bind_eval(node, binding, args)
+        return bind_eval(node, slots, args)
 
     fn.__name__ = f"expr<{to_str(node)}>"
     return fn

@@ -11,19 +11,20 @@ All records are immutable after construction and evaluation is pure.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import calculus, expr, jet
-from .errors import OutOfDomain
+from .errors import DerivativeOrderTooHigh, OutOfDomain
 from .trajectory import Trajectory, segments_from_callable
 
 __all__ = ["ArgLayout", "ArgVector", "Integrand", "IsoperimetricProblem", "AugmentedSetup",
            "ControlProblem", "TransformationGroup", "args_at", "path_args", "augmented_integrand",
            "check_components", "integrals", "functional_value", "constraint_values",
-           "constraint_defect", "problem_from_json", "integrand_from_expr"]
+           "constraint_defect", "problem_from_json", "integrand_from_expr", "variational_names"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,20 @@ class ArgLayout:
     def block_slice(self, block: int) -> slice:
         start = sum(self.blocks[: block - 1])
         return slice(start, start + self.blocks[block - 1])
+
+
+def variational_names(m: int, n: int) -> dict[str, int]:
+    """Expression names -> slots of :meth:`ArgLayout.variational`: t, then
+    d{j}q{i} and d{j}q{i}_tau for j <= m, i < n, and for n = 1 the sugar q, qd,
+    qdd (orders <= m) and q_tau, qd_tau, qdd_tau."""
+    layout, slots = ArgLayout.variational(m, n), {"t": 0}
+    for block in range(2, layout.nblocks + 1):
+        j, suffix = (block - 2) % (m + 1), "_tau" if block > m + 2 else ""
+        start = layout.block_slice(block).start
+        slots.update({f"d{j}q{i}{suffix}": start + i for i in range(n)})
+        if n == 1 and j <= 2:
+            slots["q" + "d" * j + suffix] = start
+    return slots
 
 
 class ArgVector:
@@ -107,11 +122,19 @@ class Integrand:
 
 
 def integrand_from_expr(text: str, m: int, n: int) -> Integrand:
-    """Compile an expression over the variational argument names; it reads
-    the slots of the names it contains."""
-    ast, binding = expr.parse(text), expr.Binding(m, n)
-    integrand = Integrand(expr.compiled(ast, binding), name=text)
-    integrand.reads = frozenset(binding.slot_of(name) for name in expr.names(ast))
+    """Compile an expression over :func:`variational_names`; it reads the slots
+    of the names it contains.  A name of a derivative order above m raises
+    DerivativeOrderTooHigh, any other name outside the table UnknownVariable."""
+    ast, slots = expr.parse(text), variational_names(m, n)
+    for name in sorted(expr.names(ast) - slots.keys()):
+        base = name.removesuffix("_tau")
+        canonical = re.fullmatch(r"d(\d+)q(\d+)", base)
+        order = (len(base) - 1 if n == 1 and base in ("qd", "qdd") else
+                 int(canonical[1]) if canonical and int(canonical[2]) < n else -1)
+        if order > m:
+            raise DerivativeOrderTooHigh(name, order, m)
+    integrand = Integrand(expr.compiled(ast, slots), name=text)
+    integrand.reads = frozenset(slots[name] for name in expr.names(ast))
     return integrand
 
 
@@ -354,29 +377,45 @@ def constraint_defect(problem: IsoperimetricProblem, traj: Trajectory) -> np.nda
 
 
 def _history_from_exprs(texts: Sequence[str]):
-    asts = [expr.parse(s) for s in texts]
-    binding = expr.TableBinding({"t": 0})
+    fns = [expr.compiled(expr.parse(s), {"t": 0}) for s in texts]
 
     def history(t):  # components first; constants broadcast against the others
-        return np.array(np.broadcast_arrays(*[expr.bind_eval(a, binding, [t]) for a in asts]),
-                        dtype=float)
+        return np.array(np.broadcast_arrays(*[fn([t]) for fn in fns]), dtype=float)
 
     return history
+
+
+def _reals(key: str, value, count: int) -> np.ndarray:
+    """A JSON list of ``count`` numbers as floats, else a ValueError naming ``key``."""
+    if not (isinstance(value, list) and len(value) == count
+            and all(type(v) in (int, float) for v in value)):
+        raise ValueError(f"{key} must be a list of {count} numbers, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def problem_from_json(text: str) -> IsoperimetricProblem:
     """Parse the problem-file schema.
 
-    Fields: m, n, tau, t1, t2, L (expression), g (list of expressions),
-    l (list of finite reals, one per g), history (expression in t for every
-    component, or a list of n), boundary {"q": [...], "qd": [...], ...}
-    giving q^(i)(t2) by derivative order (key "q" + "d" * i).
+    Fields: m, n, tau, t1, t2 (JSON numbers), L (expression), g (list of
+    expressions), k (optional, the number of g), l (list of finite reals, one
+    per g), history (expression in t for every component, or a list of n),
+    boundary {"q": [...], "qd": [...], ...} giving q^(i)(t2) under the key
+    "q" + "d" * i for every i < m: the solver has no rows that leave one free.
+    Any other key, or a field of another JSON type, raises ValueError.
     """
     record = json.loads(text)
+    unknown = set(record) - {"m", "n", "tau", "t1", "t2", "L", "g", "k", "l", "history",
+                             "boundary"}
+    if unknown:
+        raise ValueError(f"unknown problem-file keys {sorted(unknown)}")
     m, n = record["m"], record["n"]
-    if not all(isinstance(v, (int, float)) and float(v).is_integer() for v in (m, n)):
-        raise ValueError(f"m and n must be integers, got m = {m!r}, n = {n!r}")
+    if not all(type(v) in (int, float) and float(v).is_integer() and v >= 1 for v in (m, n)):
+        raise ValueError(f"m and n must be integers, got m = {m!r}, n = {n!r}; need m >= 1 "
+                         f"and n >= 1")
     m, n = int(m), int(n)
+    for key in ("tau", "t1", "t2"):
+        if type(record[key]) not in (int, float):
+            raise ValueError(f"{key} must be a number, got {record[key]!r}")
     L, gs = record["L"], record.get("g", [])
     if not (isinstance(gs, list) and all(isinstance(s, str) for s in [L, *gs])):
         raise ValueError(f"L must be an expression and g a list of them, got {L!r}, {gs!r}")
@@ -391,17 +430,15 @@ def problem_from_json(text: str) -> IsoperimetricProblem:
     if isinstance(hist, list) and len(hist) != n:
         raise ValueError(f"history lists {len(hist)} expressions for n = {n}")
     hist = None if hist is None else _history_from_exprs(texts)
-    boundary = None
+    boundary = record.get("boundary")
     if "boundary" in record:
-        if not isinstance(record["boundary"], dict):
-            raise ValueError(f"boundary must be an object, got {record['boundary']!r}")
-        boundary = np.zeros((m, n))
-        for i in range(m):
-            key = "q" + "d" * i
-            if key in record["boundary"]:
-                boundary[i] = np.atleast_1d(np.asarray(record["boundary"][key], dtype=float))
+        keys = ["q" + "d" * i for i in range(m)]
+        if not isinstance(boundary, dict):
+            raise ValueError(f"boundary must be an object, got {boundary!r}")
+        if sorted(boundary) != keys:
+            raise ValueError(f"boundary must list the keys {keys}, got {sorted(boundary)}")
+        boundary = [_reals(f"boundary {key}", boundary[key], n) for key in keys]
     return IsoperimetricProblem(
         m=m, n=n, tau=float(record["tau"]), t1=float(record["t1"]), t2=float(record["t2"]),
-        L=L, g=g, l=np.asarray(record.get("l", []), dtype=float),
-        history=hist, boundary=boundary,
+        L=L, g=g, l=_reals("l", record.get("l", []), len(g)), history=hist, boundary=boundary,
     )

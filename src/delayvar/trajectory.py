@@ -110,6 +110,8 @@ class Trajectory:
         for seg in self.segments:
             if seg.n != self.n:
                 raise ValueError(f"segment has {seg.n} components, trajectory has {self.n}")
+            if not np.isfinite(np.append(seg.coeffs, (seg.a, seg.b))).all():
+                raise ValueError(f"segment [{seg.a}, {seg.b}] has a non-finite end or coefficient")
         for left, right in zip(self.segments, self.segments[1:]):
             if abs(left.b - right.a) >= self._slack:
                 raise ValueError(f"gap/overlap at {left.b} vs {right.a}")
@@ -199,8 +201,23 @@ class Trajectory:
 
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
+        """Read :meth:`to_json`'s record; ValueError names a key it does not write,
+        an n or m not a JSON integer, or a segment not of JSON numbers a, b, coeffs."""
         record = json.loads(text)
-        segments = [PolySegment(s["a"], s["b"], s["coeffs"]) for s in record["segments"]]
+        unknown = set(record) - {"n", "m", "segments", "nonsmooth_knots"}
+        if unknown:
+            raise ValueError(f"unknown trajectory keys {sorted(unknown)}")
+        for key in ("n", "m"):
+            if type(record[key]) is not int:
+                raise ValueError(f"trajectory {key} must be an integer, got {record[key]!r}")
+        segments = record["segments"]
+        for s in segments if isinstance(segments, list) else [segments]:  # a non-list as is
+            if not (isinstance(s, dict) and sorted(s) == ["a", "b", "coeffs"]
+                    and all(type(s[key]) in (int, float) for key in "ab")
+                    and np.asarray(s["coeffs"]).dtype.kind in "if"):
+                raise ValueError(f"segments must be a list of objects of the numbers a, b and "
+                                 f"coeffs, got {s!r}")
+        segments = [PolySegment(s["a"], s["b"], s["coeffs"]) for s in segments]
         return cls(record["n"], record["m"], segments, record.get("nonsmooth_knots", ()))
 
 

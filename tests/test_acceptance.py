@@ -327,7 +327,8 @@ def test_criterion_8_invariance_detector(ex1_problem, ex1_setup, ex1_traj):
 
 def test_criterion_9_expression_layer():
     from hypothesis import given, settings
-    from delayvar.expr import Binding, bind_eval, parse, to_str
+    from delayvar.expr import bind_eval, parse, to_str
+    from delayvar.problem import variational_names
     from test_expr import _asts
 
     counter = {"n": 0}
@@ -340,7 +341,7 @@ def test_criterion_9_expression_layer():
 
     round_trip()
     args = [0.0, 0.0, 0.0, -27.0, 0.0, 0.0, 3.0]
-    value = bind_eval(parse("(qdd + qdd_tau)^2"), Binding(2, 1), args)
+    value = bind_eval(parse("(qdd + qdd_tau)^2"), variational_names(2, 1), args)
     ok = counter["n"] >= 1000 and abs(value - 576.0) <= 1e-12
     _report(9, ok, f"round-trip on {counter['n']} random expressions, "
                    f"(qdd+qdd_tau)^2 at (-27, 3) = {value} (576±1e-12)")

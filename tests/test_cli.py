@@ -13,6 +13,7 @@ from delayvar import cli, registry
 from delayvar.cli import main
 from delayvar.euler_lagrange import PathRecord, Regime, residual_grids
 from delayvar.problem import AugmentedSetup, augmented_integrand
+from delayvar.trajectory import PolySegment, Trajectory
 
 CLASSICAL_JSON = """{
   "m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0,
@@ -122,6 +123,15 @@ class TestInputErrors:
         ("k", None, "k = None but 1 constraint expressions given"),
         ("k", 1.5, "k = 1.5 but 1 constraint expressions given"),
         ("boundary", [0], "boundary must be an object"),
+        ("boundry", {"q": [1.0, 1.0]}, "unknown problem-file keys ['boundry']"),
+        ("tau", "0.5", "tau must be a number, got '0.5'"),
+        ("t2", True, "t2 must be a number, got True"),
+        ("l", 0.16666666666666666, "l must be a list of 1 numbers, got 0.16666666666666666"),
+        ("l", ["0.16666666666666666"], "l must be a list of 1 numbers"),
+        ("boundary", {"q": [0.0, 0.0], "qdd": [0.0, 0.0]},
+         "boundary must list the keys ['q'], got ['q', 'qdd']"),
+        ("m", 2, "boundary must list the keys ['q', 'qd'], got ['q']"),
+        ("boundary", {"q": [0.0]}, "boundary q must be a list of 2 numbers, got [0.0]"),
     ])
     def test_bad_problem_file(self, tmp_path, capsys, field, value, message):
         record = json.loads(TWO_COMPONENT.read_text())
@@ -129,6 +139,49 @@ class TestInputErrors:
         problem = tmp_path / "bad.json"
         problem.write_text(json.dumps(record))
         self._exits_2(["solve", "--problem", str(problem)], capsys, message)
+
+    def test_unknown_history_name_fails_when_read(self, tmp_path, capsys):
+        # a typo in history: the residual sweep does not read the history,
+        # but the problem file is rejected when its expressions are compiled
+        record = json.loads(TWO_COMPONENT.read_text())
+        record["history"] = ["tt", "0"]
+        problem, traj = tmp_path / "bad.json", tmp_path / "traj.json"
+        problem.write_text(json.dumps(record))
+        traj.write_text(Trajectory(2, 1, [PolySegment.from_monomial(
+            -0.5, 1.0, [[0.0, 1.0, -1.0], [0.0, 0.0, 0.0]])]).to_json())
+        self._exits_2(["residuals", "--problem", str(problem), "--trajectory", str(traj),
+                       "--lambda", "4"], capsys, "unknown variable 'tt'")
+
+    @pytest.mark.parametrize("command", ["conserved", "invariance"])
+    def test_unknown_generator_name_fails_before_any_record(self, monkeypatch, capsys,
+                                                             command):
+        made = []
+        init = PathRecord.__init__
+        monkeypatch.setattr(PathRecord, "__init__",
+                            lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+        self._exits_2([command, "--example", "example1", "--eta", "zz", "--xi", "0"], capsys,
+                      "unknown variable 'zz'")
+        assert made == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(segments=5), "segments must be a list of objects"),
+        (lambda r: r["segments"][0].update(a="-1"), "segments must be a list of objects"),
+        (lambda r: r["segments"][0].update(c=0), "segments must be a list of objects"),
+        (lambda r: r.update(n=1.5), "trajectory n must be an integer, got 1.5"),
+        (lambda r: r.update(n="1"), "trajectory n must be an integer, got '1'"),
+        (lambda r: r.update(m=True), "trajectory m must be an integer, got True"),
+        (lambda r: r["segments"][1]["coeffs"][0].__setitem__(2, float("nan")),
+         "segment [0.0, 1.0] has a non-finite end or coefficient"),
+        (lambda r: r.update(knots=[1.0]), "unknown trajectory keys ['knots']"),
+    ], ids=["segments-number", "a-string", "segment-key", "n-fraction", "n-string",
+            "m-bool", "nan-coefficient", "unknown-key"])
+    def test_bad_trajectory_file(self, tmp_path, capsys, edit, message):
+        record = json.loads(registry.get("example1").trajectory().to_json())
+        edit(record)
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps(record))
+        self._exits_2(["residuals", "--example", "example1", "--trajectory", str(path)],
+                      capsys, message)
 
     def test_zero_order_problem_file(self, tmp_path, capsys):
         record = json.loads(TWO_COMPONENT.read_text())

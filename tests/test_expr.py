@@ -15,7 +15,8 @@ from delayvar.errors import (
     ExprSyntaxError,
     UnknownVariable,
 )
-from delayvar.expr import Bin, Binding, Call, Neg, Num, TableBinding, Var, bind_eval, parse, to_str
+from delayvar.expr import Bin, Call, Neg, Num, Var, bind_eval, compiled, parse, to_str
+from delayvar.problem import ArgLayout, integrand_from_expr, variational_names
 
 
 def test_power_parses_right_associative():
@@ -55,59 +56,86 @@ def test_malformed_expression_raises(text):
 
 def test_constants_fold():
     assert parse("pi") == Num(math.pi)
-    assert math.isclose(bind_eval(parse("cos(pi)"), Binding(1, 1), [0.0] * 5), -1.0)
+    assert math.isclose(bind_eval(parse("cos(pi)"), variational_names(1, 1), [0.0] * 5), -1.0)
 
 
 def test_bind_eval_examples():
-    binding = Binding(2, 1)
+    slots = variational_names(2, 1)
     # slots: t, q, qd, qdd, q_tau, qd_tau, qdd_tau
     args = [0.0, 0.0, 0.0, -27.0, 0.0, 0.0, 3.0]
-    assert bind_eval(parse("(qdd + qdd_tau)^2"), binding, args) == pytest.approx(576.0, abs=1e-12)
-    assert bind_eval(parse("qd^2"), Binding(1, 1), [0.0, 0.0, 3.0, 0.0, 0.0]) == 9.0
+    assert bind_eval(parse("(qdd + qdd_tau)^2"), slots, args) == pytest.approx(576.0, abs=1e-12)
+    assert bind_eval(parse("qd^2"), variational_names(1, 1), [0.0, 0.0, 3.0, 0.0, 0.0]) == 9.0
 
 
 def test_derivative_order_too_high():
+    # the order is known when the text is compiled: no evaluation is needed
     with pytest.raises(DerivativeOrderTooHigh):
-        bind_eval(parse("d3q0"), Binding(2, 1), [0.0] * 7)
+        integrand_from_expr("d3q0", 2, 1)
 
 
 def test_unknown_variable():
     with pytest.raises(UnknownVariable):
-        bind_eval(parse("zz"), Binding(1, 1), [0.0] * 5)
+        bind_eval(parse("zz"), variational_names(1, 1), [0.0] * 5)
 
 
 @pytest.mark.parametrize("text, m, n, error", [
     ("qdd", 1, 1, DerivativeOrderTooHigh),  # sugar for an order above m
     ("d0q5", 1, 1, UnknownVariable),        # a component index past n
+    ("qdd_tau", 1, 1, DerivativeOrderTooHigh),   # delayed sugar above m
+    ("d2q1_tau", 1, 2, DerivativeOrderTooHigh),  # delayed canonical name above m
+    ("d17q0", 3, 2, DerivativeOrderTooHigh),     # any order above m, not only the sugar's
+    ("d3q2", 3, 2, UnknownVariable),             # a component past n at an order above m
 ])
 def test_name_outside_the_binding_raises(text, m, n, error):
     with pytest.raises(error):
-        bind_eval(parse(text), Binding(m, n), [0.0] * (1 + 2 * (m + 1) * n))
+        integrand_from_expr(text, m, n)
 
 
 def test_table_binding_unknown_name():
-    with pytest.raises(UnknownVariable):
-        bind_eval(parse("t + s"), TableBinding({"t": 0}), [0.0])
+    # a name the table lacks fails when compiled, and when evaluated directly
+    with pytest.raises(UnknownVariable, match="'s'"):
+        compiled(parse("t + s"), {"t": 0})
+    with pytest.raises(UnknownVariable, match="'s'"):
+        bind_eval(parse("t + s"), {"t": 0}, [0.0])
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (3, 2)])
+def test_variational_names_land_in_their_layout_blocks(m, n):
+    """Every name's slot lies in the ArgLayout.variational block its name
+    says: t in block 1, order j undelayed in block 2 + j, delayed in block
+    m + 3 + j, component i at offset i."""
+    layout, slots = ArgLayout.variational(m, n), variational_names(m, n)
+    sugar = {"q": 0, "qd": 1, "qdd": 2}
+    assert slots.pop("t") == layout.block_slice(1).start
+    for name, slot in slots.items():
+        base, delayed = name.removesuffix("_tau"), name.endswith("_tau")
+        j, i = (sugar[base], 0) if base in sugar else map(int, base[1:].split("q"))
+        assert j <= m and i < n
+        block = layout.block_slice(2 + j + delayed * (m + 1))
+        assert slot == block.start + i, name
+    expected = 2 * (m + 1) * n + (2 * (min(m, 2) + 1) if n == 1 else 0)
+    assert len(slots) == expected
+    assert sorted(set(slots.values())) == list(range(1, layout.size))
 
 
 def test_canonical_names_and_sugar_agree():
-    binding = Binding(2, 1)
+    slots = variational_names(2, 1)
     args = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    assert bind_eval(parse("d2q0_tau"), binding, args) == bind_eval(parse("qdd_tau"), binding, args)
-    assert bind_eval(parse("d0q0"), binding, args) == 1.0
+    assert bind_eval(parse("d2q0_tau"), slots, args) == bind_eval(parse("qdd_tau"), slots, args)
+    assert bind_eval(parse("d0q0"), slots, args) == 1.0
 
 
 def test_evaluation_domain_error():
     with pytest.raises(EvaluationDomain):
-        bind_eval(parse("log(q)"), Binding(1, 1), [0.0, -1.0, 0.0, 0.0, 0.0])
+        bind_eval(parse("log(q)"), variational_names(1, 1), [0.0, -1.0, 0.0, 0.0, 0.0])
     with pytest.raises(EvaluationDomain):
-        bind_eval(parse("1/q"), Binding(1, 1), [0.0, 0.0, 0.0, 0.0, 0.0])
+        bind_eval(parse("1/q"), variational_names(1, 1), [0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_array_evaluation():
-    binding = Binding(1, 1)
+    slots = variational_names(1, 1)
     args = [np.zeros(3), np.array([1.0, 2.0, 3.0]), np.ones(3), np.zeros(3), np.zeros(3)]
-    out = bind_eval(parse("q^2 + qd"), binding, args)
+    out = bind_eval(parse("q^2 + qd"), slots, args)
     assert np.allclose(out, [2.0, 5.0, 10.0])
 
 
@@ -172,7 +200,7 @@ def _reference_eval(node, env):
 @given(_asts(3), st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
                           min_size=5, max_size=5))
 def test_agrees_with_reference_evaluator(ast, values):
-    binding = Binding(1, 1)
+    slots = variational_names(1, 1)
     env = dict(zip(_NAMES, values))
     args = [env["t"], env["q"], env["qd"], env["q_tau"], env["qd_tau"]]
     try:
@@ -181,5 +209,5 @@ def test_agrees_with_reference_evaluator(ast, values):
         return
     if not math.isfinite(expected) or abs(expected) > 1e12:
         return
-    got = bind_eval(ast, binding, args)
+    got = bind_eval(ast, slots, args)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)

@@ -311,6 +311,16 @@ class TestProblemFiles:
         ({"k": None}, "k = None but 1 constraint expressions given"),
         ({"k": 1.5}, "k = 1.5 but 1 constraint expressions given"),
         ({"boundary": [0]}, "boundary must be an object, got \\[0\\]"),
+        ({"boundry": {"q": [1.0]}}, "unknown problem-file keys \\['boundry'\\]"),
+        ({"tau": "0.5"}, "tau must be a number, got '0.5'"),
+        ({"t2": True}, "t2 must be a number, got True"),
+        ({"m": True}, "m and n must be integers, got m = True"),
+        ({"l": 1.0 / 6.0}, "l must be a list of 1 numbers, got 0.1666"),
+        ({"l": ["0.16666666666666666"]}, "l must be a list of 1 numbers, got \\['0.1666"),
+        ({"boundary": {"q": [0.0], "qdd": [0.0]}},
+         "boundary must list the keys \\['q'\\], got \\['q', 'qdd'\\]"),
+        ({"m": 2}, "boundary must list the keys \\['q', 'qd'\\], got \\['q'\\]"),
+        ({"boundary": {"q": 0.0}}, "boundary q must be a list of 1 numbers, got 0.0"),
     ])
     def test_bad_field_raises(self, fields, message):
         record = {"m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0, "L": "qd^2", "g": ["q"],

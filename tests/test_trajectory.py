@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -245,6 +246,29 @@ class TestJson:
         ts = np.linspace(-1, 2, 31)
         for order in range(3):
             assert np.allclose(clone.eval(ts, order), ex1_traj.eval(ts, order), atol=1e-13)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 1.0, "trajectory n must be an integer"),  # integral, but not a JSON integer
+        ("segments", {"a": 0}, "segments must be a list of objects"),
+        ("nonsmooth", [1.0], "unknown trajectory keys \\['nonsmooth'\\]"),
+    ])
+    def test_bad_record_raises(self, ex1_traj, key, value, message):
+        record = json.loads(ex1_traj.to_json())
+        record[key] = value
+        with pytest.raises(ValueError, match=message):
+            Trajectory.from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("field", ["a", "b", "coeffs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_raise(self, ex1_traj, field, value):
+        record = json.loads(ex1_traj.to_json())
+        segment = record["segments"][0]
+        if field == "coeffs":
+            segment["coeffs"][0][0] = value
+        else:
+            segment[field] = value
+        with pytest.raises(ValueError):
+            Trajectory.from_json(json.dumps(record))
 
 
 class TestHistoryStitching:
