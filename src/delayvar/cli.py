@@ -223,8 +223,9 @@ def cmd_solve(args) -> int:
                                    max_iterations=args.maxiter)
     problem, entry = _source(args)
     kind = "variational" if entry is None else entry.kind
-    if kind == "variational" and problem.history is None:
-        raise DelayVarError("problem has no history function")
+    if kind == "variational" and (problem.history is None or problem.boundary is None):
+        raise DelayVarError("problem has no " + (
+            "history function" if problem.history is None else "boundary"))
     if kind == "control":
         triple, lam, report = solve_pmp(problem, scheme=scheme)
         paths = {"state": triple.q, "control": triple.u, "costate": triple.p}

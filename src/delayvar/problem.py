@@ -194,8 +194,8 @@ class IsoperimetricProblem:
         """History callable interpolated into polynomial segments on [t1-tau, t1]."""
         if self.history is None:
             raise ValueError("problem has no history function")
-        return segments_from_callable(self.history, self.n, self.t1 - self.tau, self.t1,
-                                      panels=panels, degree=self.m + 2)
+        return segments_from_callable(self.history, self.n, np.linspace(
+            self.t1 - self.tau, self.t1, panels + 1), degree=self.m + 2)
 
 
 @dataclass(frozen=True)
@@ -401,9 +401,11 @@ def problem_from_json(text: str) -> IsoperimetricProblem:
     per g), history (expression in t for every component, or a list of n),
     boundary {"q": [...], "qd": [...], ...} giving q^(i)(t2) under the key
     "q" + "d" * i for every i < m: the solver has no rows that leave one free.
-    Any other key, or a field of another JSON type, raises ValueError.
+    Any other key, a field of another JSON type or a non-object file raises ValueError.
     """
     record = json.loads(text)
+    if not isinstance(record, dict):
+        raise ValueError(f"a problem file must hold a JSON object, got {record!r}")
     unknown = set(record) - {"m", "n", "tau", "t1", "t2", "L", "g", "k", "l", "history",
                              "boundary"}
     if unknown:

@@ -89,23 +89,14 @@ class SolveReport:
         }
 
 
-def _mesh(t1: float, t2: float, tau: float, nodes: int, colloc: int):
-    """Segments per regime, the edges of the uniform two-regime mesh split at
-    t2 - tau, and ``colloc`` Gauss collocation times per segment."""
-    per_regime = max(1, math.ceil(nodes / colloc))
-    edges = np.concatenate([np.linspace(t1, t2 - tau, per_regime + 1),
-                            np.linspace(t2 - tau, t2, per_regime + 1)[1:]])
-    times = (0.5 * (edges[:-1] + edges[1:])[:, None]
-             + 0.5 * np.diff(edges)[:, None] * _gauss(colloc)).ravel()
-    return per_regime, edges, times
+_GAUSS = np.polynomial.legendre.leggauss(3)[0]  # each segment's collocation times on (-1, 1)
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss(count: int) -> np.ndarray:
-    """Read-only nodes of the ``count``-point Gauss-Legendre rule on (-1, 1)."""
-    nodes, _ = np.polynomial.legendre.leggauss(count)
-    nodes.flags.writeable = False
-    return nodes
+def _mesh(t1: float, t2: float, tau: float, nodes: int):
+    """History panels (segments per regime, at least 2) and mesh edges, split at t2 - tau."""
+    per_regime = max(1, math.ceil(nodes / len(_GAUSS)))
+    return max(2, per_regime), np.concatenate([np.linspace(t1, t2 - tau, per_regime + 1),
+                                               np.linspace(t2 - tau, t2, per_regime + 1)[1:]])
 
 
 # a piecewise-polynomial unknown: components, coefficients per component and segment,
@@ -125,16 +116,19 @@ class _Collocation:
     one multiplier per g.  F and each g read t, the ``argmap`` blocks in turn
     ({argument block 2, 3, ...: (unknown block, derivative order, time
     shift)}), then the multipliers.  Rows: the ``rows`` types in turn,
-    point-major at the collocation ``times``; A x - c (continuity at knots,
-    then ``boundary``: (block, t, order) with that derivative's value);
+    point-major at the Gauss nodes of each segment of ``edges`` (first regime
+    while t + tau is on the mesh); A x - c (continuity at knots, then
+    ``boundary``: (block, t, order) with that derivative's value);
     int g dt - l.  Every path sample a row reads is fixed here, so it is
     B x + h: B by its nonzeros (``_sample``), h the path at x = 0, the history
     left of the mesh and zero on it.
     """
 
-    def __init__(self, edges, blocks, boundary, F, rows, times, g, l, argmap):
+    def __init__(self, edges, blocks, boundary, F, rows, g, l, argmap):
         self.edges, self.blocks, self.k = edges, blocks, len(g)
-        self.F, self.rows, self.times, self.g, self.l, self.argmap = F, rows, times, g, l, argmap
+        self.F, self.rows, self.g, self.l, self.argmap = F, rows, g, l, argmap
+        self.times = times = (0.5 * (edges[:-1] + edges[1:])[:, None]
+                              + 0.5 * np.diff(edges)[:, None] * _GAUSS).ravel()
         self.layout = ArgLayout((1, *(blocks[b].ncomp for b, _, _ in argmap.values()), self.k))
         self.offsets = np.cumsum([0] + [(len(edges) - 1) * b.ncomp * b.width for b in blocks])
         self.ncoef = int(self.offsets[-1])
@@ -172,9 +166,9 @@ class _Collocation:
         # t + tau and the direct terms; at the nodes, g's; h from the path at 0
         self._zero, _ = self.build(np.zeros(self.ncoef + self.k))
         self.order = max(i for row in rows for *_, i in row.terms)  # of the time jets
-        second = times >= edges[(len(edges) - 1) // 2]  # the second regime starts at t2 - tau
         direct = {(b, o, 0.0) for row in rows for _, b, o in row.direct}
         first = sorted({t[2] for row in rows for t in row.terms})  # 0 and the advanced shift
+        second = times + first[-1] > edges[-1]  # t + tau past t2: the second regime
         pts = np.flatnonzero(~second), np.flatnonzero(second)
         samples = self._samples([(times[pts[0]], first, self.order, direct),
                                  (times[pts[1]], [0.0], self.order, direct)]
@@ -244,12 +238,10 @@ class _Collocation:
     def interpolate(self, guesses, lam) -> np.ndarray:
         """Unknowns from a start: each block's guess, a callable of the time
         array read as :func:`segments_from_callable` does, interpolated on the
-        mesh segments of each regime in turn, then the multipliers lam."""
-        mid = (len(self.edges) - 1) // 2  # the second regime starts at edges[mid], t2 - tau
+        mesh segments, then the multipliers lam."""
         return np.concatenate(
             [seg.coeffs.ravel() for guess, blk in zip(guesses, self.blocks)
-             for a, b in ((self.edges[0], self.edges[mid]), (self.edges[mid], self.edges[-1]))
-             for seg in segments_from_callable(guess, blk.ncomp, a, b, mid, blk.width - 1)]
+             for seg in segments_from_callable(guess, blk.ncomp, self.edges, blk.width - 1)]
             + [np.atleast_1d(np.asarray(lam, dtype=float))])
 
     def build(self, x: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
@@ -462,13 +454,14 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
     """The EL collocation record and its initial iterate: the supplied guess
     interpolated segment-wise, else the line from the history endpoint to the
     terminal value."""
+    if problem.boundary is None:  # no rows impose natural end conditions
+        raise ValueError("problem has no boundary")
     m, n, k, tau, t1, t2 = problem.m, problem.n, problem.k, problem.tau, problem.t1, problem.t2
     degree = 2 * m + 2  # 2m + 3 coefficients, 2m fixed by the knot rows: 3 Gauss points
-    per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, 3)
-    hist = problem.stitched_history(panels=max(2, per_regime))
-    boundary = [((0, t1, order), hist[-1].eval(t1, order)) for order in range(m)]
-    if problem.boundary is not None:
-        boundary += [((0, t2, order), problem.boundary[order]) for order in range(m)]
+    panels, edges = _mesh(t1, t2, tau, scheme.nodes)
+    hist = problem.stitched_history(panels)
+    boundary = ([((0, t1, order), hist[-1].eval(t1, order)) for order in range(m)]
+                + [((0, t2, order), problem.boundary[order]) for order in range(m)])
     # E = sum_i (-1)^i d^i/dt^i Lambda_i, Lambda_i = d_{i+2} F at t + advanced d_{i+m+3} F
     # at t + tau; current argument blocks hold q^(i) at that time, delayed ones tau before
     argmap = {b: (0, (b - 2) % (m + 1), 0.0 if b <= m + 2 else -tau)
@@ -484,14 +477,13 @@ def _el_collocation(problem: IsoperimetricProblem, initial, scheme: CollocationS
 
     record = _Collocation(
         edges, [_Block(n, degree + 1, m, tuple(hist), 2 * m)], boundary, lagrangian,
-        [_Rows(n, terms)], colloc_ts, [lambda v, gj=gj: calculus.jet_call(gj, v[:size])
-                                       for gj in problem.g], problem.l, argmap)
+        [_Rows(n, terms)], [lambda v, gj=gj: calculus.jet_call(gj, v[:size]) for gj in problem.g],
+        problem.l, argmap)
 
     if initial is not None:
         return record, record.interpolate([lambda t: initial[0].eval(t).T], initial[1])
     q_left = hist[-1].eval(t1, 0)[:, None]
-    q_right = q_left if problem.boundary is None else problem.boundary[0][:, None]
-    slope = (q_right - q_left) / problem.span
+    slope = (problem.boundary[0][:, None] - q_left) / problem.span
     return record, record.interpolate([lambda t: q_left + slope * (t - t1)], np.zeros(k))
 
 
@@ -521,13 +513,12 @@ def solve_pmp(cp: ControlProblem, initial=None, scheme: CollocationScheme | None
 def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
     """The Pontryagin collocation record; its unknown blocks are q, p, u."""
     n, mc, tau, t1, t2 = cp.n, cp.mc, cp.tau, cp.t1, cp.t2
-    degree = 3
-    # first-order system: d Gauss points per degree-d segment
-    per_regime, edges, colloc_ts = _mesh(t1, t2, tau, scheme.nodes, degree)
+    degree = 3  # first-order system: 4 coefficients, 1 fixed by the knot rows: 3 Gauss points
+    panels, edges = _mesh(t1, t2, tau, scheme.nodes)
     q_hist = [PolySegment(t1 - tau, t1, np.zeros((n, 1)))] if cp.history is None else \
-        segments_from_callable(cp.history, n, t1 - tau, t1, panels=max(2, per_regime), degree=3)
+        segments_from_callable(cp.history, n, np.linspace(t1 - tau, t1, panels + 1), degree)
     u_hist = segments_from_callable(cp.control_history or (lambda t: 0.0), mc,
-                                    t1 - tau, t1, panels=2, degree=2)
+                                    np.linspace(t1 - tau, t1, 3), degree=2)
 
     Q, P, U = 0, 1, 2  # unknown blocks, in the order of the unknown vector
     boundary = [((Q, t1, 0), q_hist[-1].eval(t1, 0)),
@@ -543,7 +534,7 @@ def _pmp_collocation(cp: ControlProblem, scheme: CollocationScheme):
     return _Collocation(
         edges, [_Block(n, degree + 1, 1, tuple(q_hist)), _Block(n, degree + 1),
                 _Block(mc, degree, 1, tuple(u_hist), 0)],
-        boundary, hamiltonian_integrand(cp), rows, colloc_ts,
+        boundary, hamiltonian_integrand(cp), rows,
         [lambda v, gj=gj: calculus.jet_call(gj, v[:cp.layout.size]) for gj in cp.g], cp.l, argmap)
 
 

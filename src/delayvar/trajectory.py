@@ -201,9 +201,12 @@ class Trajectory:
 
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
-        """Read :meth:`to_json`'s record; ValueError names a key it does not write,
-        an n or m not a JSON integer, or a segment not of JSON numbers a, b, coeffs."""
+        """Read :meth:`to_json`'s record; ValueError names a non-object record, a key
+        it does not write, an n or m not a JSON integer, a segment not of JSON
+        numbers a, b, coeffs, or nonsmooth_knots not a list of finite numbers."""
         record = json.loads(text)
+        if not isinstance(record, dict):
+            raise ValueError(f"a trajectory file must hold a JSON object, got {record!r}")
         unknown = set(record) - {"n", "m", "segments", "nonsmooth_knots"}
         if unknown:
             raise ValueError(f"unknown trajectory keys {sorted(unknown)}")
@@ -217,35 +220,38 @@ class Trajectory:
                     and np.asarray(s["coeffs"]).dtype.kind in "if"):
                 raise ValueError(f"segments must be a list of objects of the numbers a, b and "
                                  f"coeffs, got {s!r}")
+        knots = record.get("nonsmooth_knots", [])
+        if not (isinstance(knots, list) and all(type(k) in (int, float) and math.isfinite(k)
+                                                for k in knots)):
+            raise ValueError(f"nonsmooth_knots must be a list of finite numbers, got {knots!r}")
         segments = [PolySegment(s["a"], s["b"], s["coeffs"]) for s in segments]
-        return cls(record["n"], record["m"], segments, record.get("nonsmooth_knots", ()))
+        return cls(record["n"], record["m"], segments, knots)
 
 
-def segments_from_callable(fn, n: int, a: float, b: float, panels: int = 4, degree: int = 4):
-    """Interpolate an n-component callable of time at the degree + 1 Chebyshev
-    points of each of ``panels`` equal panels of [a, b], so polynomials of
-    degree <= ``degree`` are reproduced exactly: closed-form histories as a list
-    of :class:`PolySegment`.  ``fn`` is called once, on the array of every node,
-    its value read components first, broadcast to (n, npts): a 1-D value of
-    length n is a constant vector, a points-first (npts, n) one a ValueError.
-    All panels share one inverse Vandermonde matrix on the nodes in (-1, 1); a
-    panel's coefficients in powers of (t - mid) are its row times half^-j.
+def segments_from_callable(fn, n: int, edges, degree: int = 4):
+    """A list of :class:`PolySegment` interpolating an n-component callable of
+    time at the degree + 1 Chebyshev points of each panel between consecutive
+    entries of the array ``edges``, exact for polynomials of degree <=
+    ``degree``.  ``fn`` is called once, on every node, its value read
+    components first, broadcast to (n, npts): a 1-D value of length n is a
+    constant vector, a points-first (npts, n) one a ValueError.  All panels
+    share one inverse Vandermonde matrix on the nodes in (-1, 1); a panel's
+    coefficients in powers of (t - mid) are its row times half^-j.
     """
-    edges = np.linspace(a, b, panels + 1)
     mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     nodes, inverse = _chebyshev_fit(degree)
     ts = (mids[:, None] + halves[:, None] * nodes).ravel()  # panel-major
     if len(ts) == n:  # an (n, n) value reads both ways: one more time, its value dropped
-        ts = np.append(ts, a)
+        ts = np.append(ts, edges[0])
     ys = np.asarray(fn(ts), dtype=float)
     if ys.shape == (n,):  # constant vector
         ys = ys[:, None]
     try:
-        ys = np.broadcast_to(ys, (n, len(ts))).T[:panels * (degree + 1)]
+        ys = np.broadcast_to(ys, (n, len(ts))).T[:mids.size * (degree + 1)]
     except ValueError:
         raise ValueError(f"{fn!r} returned shape {ys.shape} on {len(ts)} times; expected "
                          f"components first, ({n}, {len(ts)})") from None
-    coeffs = (inverse @ ys.reshape(panels, degree + 1, n)
+    coeffs = (inverse @ ys.reshape(mids.size, degree + 1, n)
               / halves[:, None, None] ** np.arange(degree + 1)[:, None])  # (panels, degree + 1, n)
     return [PolySegment(lo, hi, c.T) for lo, hi, c in zip(edges[:-1], edges[1:], coeffs)]
 

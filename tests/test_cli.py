@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayvar import cli, registry
+from delayvar import cli, registry, solver
 from delayvar.cli import main
 from delayvar.euler_lagrange import PathRecord, Regime, residual_grids
 from delayvar.problem import AugmentedSetup, augmented_integrand
@@ -111,6 +111,22 @@ class TestInputErrors:
         self._exits_2(["solve", "--problem", str(problem)], capsys,
                       "problem has no history function")
 
+    def test_solve_without_boundary(self, monkeypatch, tmp_path, capsys):
+        # no terminal data: the record would have m n fewer rows than unknowns
+        monkeypatch.setattr(solver, "_mesh", lambda *args: pytest.fail("collocation work"))
+        record = json.loads(TWO_COMPONENT.read_text())
+        del record["boundary"]
+        problem = tmp_path / "no_boundary.json"
+        problem.write_text(json.dumps(record))
+        self._exits_2(["solve", "--problem", str(problem)], capsys, "problem has no boundary")
+
+    @pytest.mark.parametrize("text", ["5", '"x"', "[1, 2]"])
+    def test_problem_file_not_an_object(self, tmp_path, capsys, text):
+        problem = tmp_path / "bad.json"
+        problem.write_text(text)
+        self._exits_2(["solve", "--problem", str(problem)], capsys,
+                      "a problem file must hold a JSON object")
+
 
     @pytest.mark.parametrize("field, value, message", [
         ("l", [float("nan")], "constraint targets must be finite"),
@@ -173,8 +189,10 @@ class TestInputErrors:
         (lambda r: r["segments"][1]["coeffs"][0].__setitem__(2, float("nan")),
          "segment [0.0, 1.0] has a non-finite end or coefficient"),
         (lambda r: r.update(knots=[1.0]), "unknown trajectory keys ['knots']"),
+        (lambda r: r.update(nonsmooth_knots=5), "nonsmooth_knots must be a list of finite"),
+        (lambda r: r.update(nonsmooth_knots=["1"]), "nonsmooth_knots must be a list of finite"),
     ], ids=["segments-number", "a-string", "segment-key", "n-fraction", "n-string",
-            "m-bool", "nan-coefficient", "unknown-key"])
+            "m-bool", "nan-coefficient", "unknown-key", "knots-number", "knots-string"])
     def test_bad_trajectory_file(self, tmp_path, capsys, edit, message):
         record = json.loads(registry.get("example1").trajectory().to_json())
         edit(record)

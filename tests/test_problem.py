@@ -329,6 +329,11 @@ class TestProblemFiles:
         with pytest.raises(ValueError, match=message):
             problem_from_json(json.dumps(record))
 
+    @pytest.mark.parametrize("text", ["5", '"x"', "[1, 2]", "null"])
+    def test_top_level_not_an_object_raises(self, text):
+        with pytest.raises(ValueError, match="a problem file must hold a JSON object"):
+            problem_from_json(text)
+
     def test_stitched_history_derivatives(self, classical_problem):
         segs = classical_problem.stitched_history()
         hist = Trajectory(1, 1, segs, validate=False)

@@ -88,6 +88,13 @@ class TestSolveEl:
         ts = np.linspace(0.0, 1.0, 201)
         assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - ts * (1 - ts))) <= 1e-5
 
+    def test_missing_boundary_raises_before_collocation(self, monkeypatch, classical_problem):
+        # natural end conditions have no rows: the record would have m n fewer
+        # rows than unknowns
+        monkeypatch.setattr(solver, "_mesh", lambda *args: pytest.fail("collocation work"))
+        with pytest.raises(ValueError, match="problem has no boundary"):
+            solve_el(dataclasses.replace(classical_problem, boundary=None))
+
     def test_deterministic(self, classical_problem):
         out1 = solve_el(classical_problem, scheme=CollocationScheme(nodes=24))
         out2 = solve_el(classical_problem, scheme=CollocationScheme(nodes=24))
@@ -133,6 +140,33 @@ class TestMeshRefinement:
         order = math.log2(errors[0] / errors[2]) / 2
         assert order >= 2.0
         assert abs(lam[0] - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("first, second", [((0.3,), (0.6,)), ((0.3,), (0.2, 0.45, 0.7))])
+    def test_extra_knots_inside_the_regimes(self, monkeypatch, classical_problem, first,
+                                            second):
+        # the record reads its mesh from the edges alone: knots off the uniform
+        # grid and, in the second case, regimes of unequal segment counts, so
+        # that t2 - tau is not the middle edge
+        plain = solver._mesh
+        knots = [0.5 * f for f in first] + [0.5 + 0.5 * f for f in second]  # t2 - tau = 0.5
+
+        def uneven(*args):
+            panels, edges = plain(*args)
+            return panels, np.sort(np.concatenate([edges, knots]))
+
+        monkeypatch.setattr(solver, "_mesh", uneven)
+        traj, lam, report = solve_el(classical_problem, scheme=CollocationScheme(nodes=16))
+        assert report.converged and report.iterations == 1
+        assert abs(lam[0] - 4.0) <= 1e-9
+        # 6 history panels, then 6 segments per regime and one more per knot
+        assert len(traj.segments) == 6 + 12 + len(knots)
+        assert set(knots) <= set(traj.breakpoints())
+        ts = np.linspace(-0.5, 1.0, 301)
+        assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - ts * (1 - ts))) <= 1e-9
+        # the solution interpolated on the same mesh is a start that has converged
+        _, _, again = solve_el(classical_problem, initial=(traj, lam),
+                               scheme=CollocationScheme(nodes=16))
+        assert again.converged and again.iterations == 0
 
     def test_classical_error_stays_at_roundoff(self, classical_problem):
         # the quadratic solution is represented exactly at every mesh, so the
@@ -218,7 +252,7 @@ class TestSolvePmp:
             assert np.max(np.abs(getattr(again, name).eval(ts, 0)
                                  - getattr(triple, name).eval(ts, 0))) <= 1e-12, name
 
-    def test_warm_start_calls_each_guess_once_per_regime(self, monkeypatch):
+    def test_warm_start_calls_each_guess_once(self, monkeypatch):
         scheme = CollocationScheme(nodes=48)
         triple, lam, _ = solve_pmp(_lq(terminal=[1.0]), scheme=scheme)
         guesses, calls = {id(triple.q): "q", id(triple.p): "p", id(triple.u): "u"}, []
@@ -232,9 +266,8 @@ class TestSolvePmp:
         monkeypatch.setattr(Trajectory, "eval", counted)
         _, _, report = solve_pmp(_lq(terminal=[1.0]), initial=(triple, lam), scheme=scheme)
         assert report.converged and report.iterations == 0
-        # 16 segments per regime, 4 (q, p) or 3 (u) Chebyshev nodes each
-        assert calls == [(name, (16 * width,)) for name, width in
-                         (("q", 4), ("q", 4), ("p", 4), ("p", 4), ("u", 3), ("u", 3))]
+        # one call over all 32 segments, 4 (q, p) or 3 (u) Chebyshev nodes each
+        assert calls == [(name, (32 * width,)) for name, width in (("q", 4), ("p", 4), ("u", 3))]
 
     def test_perturbed_start_converges_to_the_same_multiplier(self):
         cp, scheme = _constrained_control(), CollocationScheme(nodes=16)
@@ -678,11 +711,11 @@ class TestEvaluationBudget:
         assert calls["evaluations"] <= 2 and calls["jacobians"] == 1
 
 
-@pytest.mark.parametrize("case, expected", [("classical-64", 3), ("cubic-m2", 3), ("lq-48", 2)])
+@pytest.mark.parametrize("case, expected", [("classical-64", 2), ("cubic-m2", 2), ("lq-48", 2)])
 def test_histories_and_start_are_called_once_each(monkeypatch, classical_problem, case,
                                                    expected):
-    # EL: the history, then the straight-line start once per regime; PMP: the
-    # state and the (default zero) control history, from a zero start
+    # EL: the history, then the straight-line start once over every segment;
+    # PMP: the state and the (default zero) control history, from a zero start
     calls = []
     plain = solver.segments_from_callable
 

@@ -55,8 +55,8 @@ def _mixed_degree_trajectory(m: int = 2) -> Trajectory:
     """History of degree m + 2 next to mesh segments of degree 2m + 2 (n = 2);
     the random mesh coefficients are not smooth, so validation is off."""
     rng = np.random.default_rng(3)
-    hist = segments_from_callable(lambda t: np.array([np.sin(t), t ** 3]), 2, -0.5, 0.0,
-                                  panels=2, degree=m + 2)
+    hist = segments_from_callable(lambda t: np.array([np.sin(t), t ** 3]), 2,
+                                  np.linspace(-0.5, 0.0, 3), degree=m + 2)
     edges = np.linspace(0.0, 1.0, 4)
     mesh = [PolySegment(a, b, rng.uniform(-2, 2, size=(2, 2 * m + 3)))
             for a, b in zip(edges[:-1], edges[1:])]
@@ -251,10 +251,18 @@ class TestJson:
         ("n", 1.0, "trajectory n must be an integer"),  # integral, but not a JSON integer
         ("segments", {"a": 0}, "segments must be a list of objects"),
         ("nonsmooth", [1.0], "unknown trajectory keys \\['nonsmooth'\\]"),
+        ("nonsmooth_knots", 5, "nonsmooth_knots must be a list of finite numbers, got 5"),
+        ("nonsmooth_knots", ["1"], "nonsmooth_knots must be a list of finite numbers"),
+        ("nonsmooth_knots", [float("nan")], "nonsmooth_knots must be a list of finite numbers"),
+        ("nonsmooth_knots", [True], "nonsmooth_knots must be a list of finite numbers"),
+        # key None: the value replaces the whole record
+        (None, 5, "a trajectory file must hold a JSON object, got 5"),
+        (None, "x", "a trajectory file must hold a JSON object, got 'x'"),
+        (None, [1, 2], "a trajectory file must hold a JSON object"),
     ])
     def test_bad_record_raises(self, ex1_traj, key, value, message):
         record = json.loads(ex1_traj.to_json())
-        record[key] = value
+        record = value if key is None else {**record, key: value}
         with pytest.raises(ValueError, match=message):
             Trajectory.from_json(json.dumps(record))
 
@@ -273,16 +281,16 @@ class TestJson:
 
 class TestHistoryStitching:
     def test_polynomial_history_is_exact(self):
-        segs = segments_from_callable(lambda t: np.array([t * (1 - t)]), 1, -0.5, 0.0,
-                                      panels=3, degree=3)
+        segs = segments_from_callable(lambda t: np.array([t * (1 - t)]), 1,
+                                      np.linspace(-0.5, 0.0, 4), degree=3)
         traj = Trajectory(1, 1, segs, validate=False)
         ts = np.linspace(-0.5, 0.0, 17)
         assert np.allclose(traj.eval(ts, 0)[:, 0], ts * (1 - ts), atol=1e-12)
         assert np.allclose(traj.eval(ts, 1)[:, 0], 1 - 2 * ts, atol=1e-10)
 
     def test_transcendental_history_is_accurate(self):
-        segs = segments_from_callable(lambda t: np.array([np.sin(t)]), 1, -1.0, 0.0,
-                                      panels=4, degree=6)
+        segs = segments_from_callable(lambda t: np.array([np.sin(t)]), 1,
+                                      np.linspace(-1.0, 0.0, 5), degree=6)
         traj = Trajectory(1, 1, segs, validate=False)
         ts = np.linspace(-1.0, 0.0, 23)
         assert np.max(np.abs(traj.eval(ts, 0)[:, 0] - np.sin(ts))) < 1e-8
@@ -296,7 +304,7 @@ class TestHistoryStitching:
         def fn(t):
             return P.polyval(t, coeffs.T)
 
-        segs = segments_from_callable(fn, 2, -0.5, 1.7, panels=22, degree=degree)
+        segs = segments_from_callable(fn, 2, np.linspace(-0.5, 1.7, 23), degree=degree)
         assert len(segs) == 22 and all(seg.coeffs.shape == (2, degree + 1) for seg in segs)
         traj = Trajectory(2, 1, segs, validate=False)
         ts = np.linspace(-0.5, 1.7, 301)
@@ -310,7 +318,7 @@ class TestHistoryStitching:
         # the reference: one least-squares fit of that degree per panel, at the
         # panel's Chebyshev points
         a, b, panels, degree = -1.0, 0.0, 5, 6
-        segs = segments_from_callable(np.sin, 1, a, b, panels=panels, degree=degree)
+        segs = segments_from_callable(np.sin, 1, np.linspace(a, b, panels + 1), degree=degree)
         k = np.arange(degree + 1)
         nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))
         edges = np.linspace(a, b, panels + 1)
@@ -332,7 +340,7 @@ class TestHistoryStitching:
             return math.sin(t)
 
         with pytest.raises(TypeError):
-            segments_from_callable(fn, 1, -1.0, 0.0, panels=4, degree=6)
+            segments_from_callable(fn, 1, np.linspace(-1.0, 0.0, 5), degree=6)
         assert len(calls) == 1
 
     def test_one_call_on_the_node_array(self):
@@ -342,7 +350,7 @@ class TestHistoryStitching:
             calls.append(np.array(t))
             return np.array([t * (1 - t), 2.0 * t])
 
-        segs = segments_from_callable(fn, 2, -0.5, 1.0, panels=3, degree=4)
+        segs = segments_from_callable(fn, 2, np.linspace(-0.5, 1.0, 4), degree=4)
         assert len(calls) == 1 and calls[0].shape == (15,)
         # the nodes: each panel's five Chebyshev points, panel by panel
         edges = np.linspace(-0.5, 1.0, 4)
@@ -361,7 +369,7 @@ class TestHistoryStitching:
         (1, lambda t: np.array([3.0]), lambda ts: np.full((1, len(ts)), 3.0)),
     ])
     def test_value_shapes(self, n, value, expected):
-        segs = segments_from_callable(value, n, 0.0, 1.0, panels=2, degree=3)
+        segs = segments_from_callable(value, n, np.linspace(0.0, 1.0, 3), degree=3)
         assert all(seg.coeffs.shape == (n, 4) for seg in segs)
         ts = np.linspace(0.0, 1.0, 17)
         got = Trajectory(n, 1, segs, validate=False).eval(ts).T
@@ -371,8 +379,8 @@ class TestHistoryStitching:
     def test_points_first_value_raises(self, n):
         # (npts, n), (npts, 1) included, is not read as n components
         with pytest.raises(ValueError, match="components first"):
-            segments_from_callable(lambda t: np.column_stack([t] * n), n, 0.0, 1.0,
-                                   panels=2, degree=3)
+            segments_from_callable(lambda t: np.column_stack([t] * n), n,
+                                   np.linspace(0.0, 1.0, 3), degree=3)
 
     def test_as_many_nodes_as_components(self):
         # a control history with mc = 6 on the solver's 2 panels of 3 nodes:
@@ -384,8 +392,9 @@ class TestHistoryStitching:
             return np.array([k * t for k in range(1, 7)])
 
         with pytest.raises(ValueError, match="components first"):
-            segments_from_callable(lambda t: components(t).T, 6, 0.0, 1.0, panels=2, degree=2)
-        segs = segments_from_callable(components, 6, 0.0, 1.0, panels=2, degree=2)
+            segments_from_callable(lambda t: components(t).T, 6, np.linspace(0.0, 1.0, 3),
+                                   degree=2)
+        segs = segments_from_callable(components, 6, np.linspace(0.0, 1.0, 3), degree=2)
         assert calls == [(7,), (7,)]
         ts = np.linspace(0.0, 1.0, 9)
         got = Trajectory(6, 1, segs, validate=False).eval(ts)
