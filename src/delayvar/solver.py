@@ -12,19 +12,23 @@ history, terminal data) as they are, the collocation rows from the
 integrand's gradient along the path and its Hessian, nested in the same jets
 in t under vector-mode seeds (Griewank & Walther, *Evaluating Derivatives*,
 3.1 and ch. 13), the isoperimetric rows from g and its partials at the
-quadrature nodes.  A callable that rejects jets raises NotJetCapable naming
-it.  NonConvergence is a returned state (report.converged = False); a
-numerically singular Jacobian raises.  Each Newton iteration is one
-single-column solve for the step and one Cholesky factorization of J^T J
-less a shift, whose success certifies kappa_2 <= 1e12 without J^-1 (Rump,
-*BIT* 46 (2006); Higham, *Accuracy and Stability of Numerical Algorithms*,
-Thm 10.5); the exact kappa_2, an SVD, runs only when that certificate fails.
+quadrature nodes.  F is evaluated once per residual, on one points axis: the
+collocation times at t, then the first regime's at t + tau.  A callable that
+rejects jets raises NotJetCapable naming it.  NonConvergence is a returned
+state (report.converged = False); a numerically singular Jacobian raises.
+Each Newton iteration is one single-column solve for the step and one
+Cholesky factorization of J^T J less a shift, whose success certifies
+kappa_2 <= 1e12 without J^-1 (Rump, *BIT* 46 (2006); Higham, *Accuracy and
+Stability of Numerical Algorithms*, Thm 10.5); the exact kappa_2, an SVD,
+runs only when that certificate fails.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -54,6 +58,10 @@ class CollocationScheme:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        for name in ("nodes", "max_iterations"):  # numpy integers pass, bools do not
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nodes < 1:
             raise ValueError(f"nodes must be at least 1, got {self.nodes}")
         if self.max_iterations < 0:
@@ -69,6 +77,8 @@ class SolveReport:
     residual_norm: float
     lam: np.ndarray
     reason: str  # "converged", "max-iterations" or "line-search-stall"
+    evaluations: int  # residual evaluations, with or without the Jacobian
+    jacobians: int  # of them, those that also built the Jacobian
     jacobian: np.ndarray | None = field(default=None, repr=False)  # the last one factorized
 
     @functools.cached_property
@@ -83,6 +93,8 @@ class SolveReport:
             "reason": self.reason,
             "iterations": self.iterations,
             "residual_norm": self.residual_norm,
+            "evaluations": self.evaluations,
+            "jacobians": self.jacobians,
             "lambda": [float(v) for v in np.atleast_1d(self.lam)],
             # no Jacobian is ever factorized when the start already converges
             "condition": None if math.isnan(self.condition) else self.condition,
@@ -162,19 +174,22 @@ class _Collocation:
         breaks = {seg.a for blk in blocks for seg in blk.history} | set(edges)
         self.nodes, self.weights = calculus.panel_rule(
             edges[0], edges[-1], {x - shift for x in breaks for _, _, shift in argmap.values()})
-        # the samples: per regime, the argument vectors at t and (first regime)
-        # t + tau and the direct terms; at the nodes, g's; h from the path at 0
-        self._zero, _ = self.build(np.zeros(self.ncoef + self.k))
+        # the samples: F's argument vectors on one points axis, the collocation
+        # times at each term shift (0, then the advanced shift while t + tau is
+        # on the mesh) end to end, with the direct terms; g's at the nodes
         self.order = max(i for row in rows for *_, i in row.terms)  # of the time jets
-        direct = {(b, o, 0.0) for row in rows for _, b, o in row.direct}
-        first = sorted({t[2] for row in rows for t in row.terms})  # 0 and the advanced shift
-        second = times + first[-1] > edges[-1]  # t + tau past t2: the second regime
-        pts = np.flatnonzero(~second), np.flatnonzero(second)
-        samples = self._samples([(times[pts[0]], first, self.order, direct),
-                                 (times[pts[1]], [0.0], self.order, direct)]
-                                + [(self.nodes, [0.0], 0, frozenset())] * bool(self.k))
-        self.regimes = list(zip(pts, (first, [0.0]), samples))
-        self.at_nodes = samples[2] if self.k else {}
+        shifts = sorted({0.0} | {t[2] for row in rows for t in row.terms})
+        sets = [(int(np.count_nonzero(times + shift <= edges[-1])), shift) for shift in shifts]
+        ends = np.cumsum([0] + [n for n, _ in sets])
+        # per term shift, its span of the points axis and the n times it covers:
+        # times ascend, so those with t + shift on the mesh are times[:n]
+        self.sets = {shift: (slice(a, e), n) for (n, shift), a, e in zip(sets, ends, ends[1:])}
+        reads = {(b, o + r, s) for b, o, s in argmap.values() for r in range(self.order + 1)}
+        groups = [(times, sets, reads | {(b, o, 0.0) for row in rows for _, b, o in row.direct})]
+        if self.k:
+            groups.append((self.nodes, [(len(self.nodes), 0.0)], set(argmap.values())))
+        (self.points, self.table, self.samples), *at_nodes = self._samples(groups)
+        self.at_nodes = at_nodes[0] if self.k else None
 
     def _sample(self, b: int, ts: np.ndarray, orders, left=False):
         """B's nonzeros for block b's derivatives of ``orders`` at ts: columns
@@ -200,40 +215,63 @@ class _Collocation:
         return [np.array([math.perm(i, order) for i in j]) * powers[:, np.maximum(j - order, 0)]
                 for order in orders]
 
-    def _samples(self, groups) -> list[dict]:
-        """Per group (ts, shifts, order, keys): {(block, order, shift): (columns,
-        basis, h)} for ``keys`` and what the argument vectors at ts + each of
-        ``shifts`` read with time jets of ``order``, h (ncomp, npts).  Each
-        block takes one ``_sample`` and one Trajectory.eval of h, at every
-        time and order any group reads it at, sliced per (group, shift)."""
-        wanted = [keys | {(b, o + r, s + shift) for shift in shifts
-                          for b, o, s in self.argmap.values() for r in range(order + 1)}
-                  for _, shifts, order, keys in groups]
-        reads = sorted({(b, g, s) for g, keys in enumerate(wanted) for b, _, s in keys})
-        out = [{} for _ in groups]
-        for b in sorted({b for b, _, _ in reads}):
-            mine = [(g, s) for c, g, s in reads if c == b]
-            orders = sorted({o for keys in wanted for c, o, _ in keys if c == b})
-            ts = np.concatenate([groups[g][0] + s for g, s in mine])
+    def _samples(self, groups) -> list[tuple]:
+        """Per group (ts, sets, keys), (points, table, samples): the points are
+        ts[:n] + shift for each (n, shift) of ``sets`` end to end, read-only,
+        and a key (block, order, shift) is sampled at ts[:n] + (set shift +
+        its shift); the table holds per block (keys, columns (K, ncomp, P,
+        width), basis (K, 1, P, width), h (K, ncomp, P)) for one gather, and
+        samples maps each key to its (columns, basis).  Each block takes one
+        ``_sample`` over the times it is read at, each time once."""
+        tables = [[] for _ in groups]
+        for b in sorted({key[0] for *_, keys in groups for key in keys}):
+            reach = {}  # (group, time shift): how many of the group's ts are read
+            for g, (_, sets, keys) in enumerate(groups):
+                for (*_, s), (n, shift) in itertools.product([k for k in keys if k[0] == b], sets):
+                    reach[g, s + shift] = max(n, reach.get((g, s + shift), 0))
+            start = dict(zip(reach, np.cumsum([0, *reach.values()])))
+            ts = np.concatenate([groups[g][0][:n] + s for (g, s), n in reach.items()])
+            orders = sorted({o for *_, keys in groups for c, o, _ in keys if c == b})
             cols, *bases = self._sample(b, ts, orders)
-            hs, end = self._zero[b].eval(ts, orders), 0
-            for g, s in mine:
-                at, end = slice(end, end + len(groups[g][0])), end + len(groups[g][0])
-                out[g].update({(b, o, s): (cols[:, at], basis[at], h[at].T) for o, basis, h
-                               in zip(orders, bases, hs) if (b, o, s) in wanted[g]})
+            blk, left = self.blocks[b], ts < self.edges[0]
+            hs = np.zeros((len(orders), len(ts), blk.ncomp))
+            if left.any():  # h: the history left of the mesh, zero on it
+                history = Trajectory(blk.ncomp, blk.m, blk.history, validate=False)
+                hs[:, left] = np.take(history.derivatives(ts[left], orders[-1] + 1), orders, 0)
+            bases, hs = np.concatenate(bases), hs.reshape(-1, hs.shape[-1])  # order-major rows
+            for g, (_, sets, keys) in enumerate(groups):
+                keys = sorted(key for key in keys if key[0] == b)
+                if not keys:
+                    continue
+                at = np.array([np.concatenate([start[g, s + shift] + np.arange(n)
+                                               for n, shift in sets]) for *_, s in keys])
+                rows = at + len(ts) * np.array([[orders.index(o)] for _, o, _ in keys])
+                tables[g].append((keys, np.ascontiguousarray(cols.take(at, 1).swapaxes(0, 1)),
+                                  bases.take(rows, 0)[:, None],
+                                  np.ascontiguousarray(hs.take(rows, 0).swapaxes(1, 2))))
+        out = []
+        for (ts, sets, _), table in zip(groups, tables):
+            points = np.concatenate([ts[:n] + shift for n, shift in sets])
+            points.flags.writeable = False
+            out.append((points, table, {key: (cols[k], basis[k, 0]) for keys, cols, basis, _
+                                        in table for k, key in enumerate(keys)}))
         return out
 
     @staticmethod
-    def _values(samples: dict, x: np.ndarray) -> dict:
-        """B x + h, shape (ncomp, npts), for each of the samples."""
-        return {key: h + (x[cols] * basis).sum(axis=-1)
-                for key, (cols, basis, h) in samples.items()}
+    def _values(table: list, x: np.ndarray) -> dict:
+        """B x + h, shape (ncomp, npts), per key of the table: a gather per block."""
+        values = {}
+        for keys, cols, basis, h in table:
+            values.update(zip(keys, h + (x[cols] * basis).sum(axis=-1)))
+        return values
 
     @staticmethod
     def _scatter(out: np.ndarray, rows: np.ndarray, sample, values: np.ndarray) -> None:
-        """Add values[r, c, p] times the sample's B row (c, p) to out[rows[r, p]]."""
+        """Add values[r, c, p] times the sample's B row (c, p) to out[rows[r, p]]
+        (out C-contiguous: its flat view takes add.at 3 times faster)."""
         cols, basis = sample[:2]
-        np.add.at(out, (rows[:, None, :, None], cols[None]), values[..., None] * basis)
+        index = rows[:, None, :, None] * out.shape[1] + cols[None]
+        np.add.at(out.reshape(-1), index.ravel(), (values[..., None] * basis).ravel())
 
     def interpolate(self, guesses, lam) -> np.ndarray:
         """Unknowns from a start: each block's guess, a callable of the time
@@ -260,64 +298,69 @@ class _Collocation:
         r[self.nl:top] = self.A @ x - self.c
         if jacobian:
             jac[self.nl:top] = self.A
-        for pts, shifts, samples in self.regimes:
-            self._collocation_rows(x, pts, shifts, samples, r, jac)
+        self._collocation_rows(x, r, jac)
         if self.k:  # int g - l on the panel rule, each g seeded once: value and partials
-            args = self._vector(self._values(self.at_nodes, x), self.nodes, 0.0, 0, x)
+            points, table, samples = self.at_nodes
+            args = self._vector(self._values(table, x), points, 0, x)
             parts, grads = zip(*(calculus.derivatives(gj, args) for gj in self.g))
             r[top:] = self.weights @ np.column_stack([part[0] for part in parts]) - self.l
-            rows = np.broadcast_to(top + np.arange(self.k)[:, None], (self.k, len(self.nodes)))
+            rows = np.broadcast_to(top + np.arange(self.k)[:, None], (self.k, len(points)))
             for arg, key in self.argmap.items() if jacobian else ():
-                self._scatter(jac, rows, self.at_nodes[key], np.stack(
+                self._scatter(jac, rows, samples[key], np.stack(
                     grads)[:, 0, self.layout.block_slice(arg)] * self.weights)
         return (r, jac) if jacobian else r
 
-    def _vector(self, values: dict, ts, shift: float, order: int, x) -> ArgVector:
-        """The arguments at ts + shift: the time jet of ``order`` (the times at
-        order 0), each argmap block's samples as jets in t, the multipliers."""
-        slots = [jet.variable(ts + shift, order) if order else ts + shift]
+    def _vector(self, values: dict, ts: np.ndarray, order: int, x) -> ArgVector:
+        """The arguments at the times ts: the time jet of ``order`` (the times
+        at order 0), each argmap block's samples as jets in t, the multipliers."""
+        slots = [jet.variable(ts, order) if order else ts]
         for b, o, s in self.argmap.values():
-            coeffs = [values[b, o + r, s + shift] / math.factorial(r) for r in range(order + 1)]
+            coeffs = [values[b, o + r, s] / math.factorial(r) for r in range(order + 1)]
             slots += [jet.Jet([c[i] for c in coeffs]) if order else coeffs[0][i]
                       for i in range(len(coeffs[0]))]
         return ArgVector(slots + list(x[self.ncoef:]), self.layout)
 
-    def _collocation_rows(self, x, pts, shifts, samples, r, jac) -> None:
-        """Set the rows at the points pts of one regime, a term sign i! times the
-        t^i coefficient of d_k F at one argument vector per shift; given jac,
-        add their derivatives: sum_b sum_q i!/(i - q)! c_q times block b's
-        samples, the order raised by i - q, at t + shift + b's shift, c_q the
-        t^q coefficient of d_b d_k F (d_lam d_k F for the multipliers)."""
-        values, ts, layout, start = self._values(samples, x), self.times[pts], self.layout, 0
-        derivs = {shift: calculus.derivatives(  # F, its gradient and, given jac, its Hessian
-            self.F, self._vector(values, ts, shift, self.order, x), self.order,
-            1 if jac is None else 2) for shift in shifts}
+    def _collocation_rows(self, x, r, jac) -> None:
+        """Set the collocation rows, a term sign i! times the t^i coefficient of
+        d_k F on its shift's span of the points axis; given jac, add their
+        derivatives: sum_b sum_q i!/(i - q)! c_q times block b's samples, the
+        order raised by i - q, at t + shift + b's shift, c_q the t^q
+        coefficient of d_b d_k F (d_lam d_k F for the multipliers)."""
+        values, layout, start, size = self._values(self.table, x), self.layout, 0, len(self.times)
+        now, _ = self.sets[0.0]  # every time at t
+        _, grad, *hess = calculus.derivatives(  # F, its gradient and, given jac, its Hessian
+            self.F, self._vector(values, self.points, self.order, x), self.order,
+            1 if jac is None else 2)
+        if jac is not None:  # per shift, (order, slot, slot): the Hessian blocks not all zero
+            hess, blocks = hess[0], [layout.block_slice(arg) for arg in self.argmap]
+            touched = {shift: np.any(hess[..., span], axis=-1).tolist()
+                       for shift, (span, _) in self.sets.items()}
         for rows in self.rows:
-            index = start + rows.count * pts + np.arange(rows.count)[:, None]  # (count, pts)
-            start += rows.count * len(self.times)
-            out = np.zeros(index.shape)
+            index = start + rows.count * np.arange(size) + np.arange(rows.count)[:, None]
+            start += rows.count * size
+            out = np.zeros(index.shape)  # (count, points)
             for sign, b, order in rows.direct:
-                out += sign * values[b, order, 0.0]
+                out += sign * values[b, order, 0.0][:, now]
                 if jac is not None:
-                    self._scatter(jac, index, samples[b, order, 0.0],
-                                  sign * np.eye(rows.count)[..., None] * np.ones(len(pts)))
+                    cols, basis = self.samples[b, order, 0.0]
+                    self._scatter(jac, index, (cols[:, now], basis[now]),
+                                  sign * np.eye(rows.count)[..., None] * np.ones(size))
             for sign, k, shift, i in rows.terms:
-                if shift not in derivs:  # no advanced term on the second regime
-                    continue
-                _, grad, *hess = derivs[shift]
-                out += sign * math.factorial(i) * grad[i, layout.block_slice(k)]
+                (span, n), own = self.sets[shift], layout.block_slice(k)
+                out[:, :n] += sign * math.factorial(i) * grad[i, own, span]
                 if jac is None:
                     continue
-                hess = hess[0][:i + 1, layout.block_slice(k)]
-                touched = np.any(hess, axis=(1, 3))  # (i + 1, slots): skip zero blocks
-                for arg, (b, order, arg_shift) in self.argmap.items():
-                    cols = layout.block_slice(arg)
-                    for q in np.flatnonzero(np.any(touched[:, cols], axis=1)):
-                        self._scatter(jac, index, samples[b, order + i - q, arg_shift + shift],
-                                      sign * math.perm(i, q) * hess[q, :, cols])
+                for cols, (b, order, arg_shift) in zip(blocks, self.argmap.values()):
+                    for q in range(i + 1):
+                        if not any(any(row[cols]) for row in touched[shift][q][own]):
+                            continue
+                        sample_cols, basis = self.samples[b, order + i - q, arg_shift]
+                        self._scatter(jac, index[:, :n], (sample_cols[:, span], basis[span]),
+                                      sign * math.perm(i, q) * hess[q, own, cols, span])
                 if self.k:
-                    jac[index[:, None], self.ncoef + np.arange(self.k)[:, None]] += \
-                        sign * math.factorial(i) * hess[i, :, layout.block_slice(layout.nblocks)]
+                    lam = layout.block_slice(layout.nblocks)
+                    jac[index[:, None, :n], self.ncoef + np.arange(self.k)[:, None]] += \
+                        sign * math.factorial(i) * hess[i, own, lam, span]
             r[index] = out
 
     @functools.cached_property  # built the first time a start violates A x = c
@@ -339,16 +382,18 @@ class _Collocation:
         x = self.project(x0.copy())
         r, jac = self.residual(x, jacobian=True)
         norm, last, iterations = float(np.max(np.abs(r))), None, 0
-        reason = "max-iterations"
+        reason, evaluations, jacobians = "max-iterations", 1, 1
         while norm > scheme.tolerance and iterations < scheme.max_iterations:
             iterations += 1
             if jac is None:
                 r, jac = self.residual(x, jacobian=True)
+                evaluations, jacobians = evaluations + 1, jacobians + 1
             step, _ = _newton_step(jac, r)
             last, jac, alpha = jac, None, 1.0  # the report keeps the last one factorized
             while alpha >= 1e-6:
                 x_try = self.project(x + alpha * step)
                 r_try = self.residual(x_try)
+                evaluations += 1
                 norm_try = float(np.max(np.abs(r_try)))
                 if norm_try <= (1.0 - 1e-4 * alpha) * norm or norm_try <= scheme.tolerance:
                     break
@@ -359,7 +404,8 @@ class _Collocation:
             x, r, norm = x_try, r_try, norm_try
         trajs, lam = self.build(x)
         reason = "converged" if norm <= scheme.tolerance else reason
-        return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, reason, last)
+        return trajs, lam, SolveReport(reason == "converged", iterations, norm, lam, reason,
+                                       evaluations, jacobians, last)
 
 
 _U = np.finfo(float).eps / 2  # unit roundoff

@@ -352,6 +352,8 @@ class TestSolve:
         payload = json.loads(out.read_text())
         assert payload["report"]["converged"] is True
         assert payload["report"]["reason"] == "converged"
+        # linear in its unknowns: the start with its Jacobian, then the full step
+        assert (payload["report"]["evaluations"], payload["report"]["jacobians"]) == (2, 1)
         assert payload["lambda"][0] == pytest.approx(4.0, abs=1e-5)
         from delayvar.trajectory import Trajectory
 

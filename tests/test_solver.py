@@ -7,19 +7,23 @@ import dataclasses
 import functools
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from delayvar import calculus, jet
 from delayvar.euler_lagrange import el_residual
 from delayvar.optimal_control import PontryaginTriple, pmp_residuals
 from delayvar.problem import (
+    ArgVector,
     AugmentedSetup,
     ControlProblem,
     Integrand,
     IsoperimetricProblem,
     constraint_defect,
     integrand_from_expr,
+    problem_from_json,
 )
 from delayvar import expr, problem as problem_module, solver
 from delayvar.errors import NotJetCapable
@@ -440,6 +444,29 @@ def _record(name):
 _RECORDS = {name: functools.partial(_record, name) for name in _PROBLEMS}
 
 
+def _file_record(name):
+    """The EL record of a problem file of tests/problems, at nodes 24."""
+    path = Path(__file__).parent / "problems" / f"{name}.json"
+    return _el_record(problem_from_json(path.read_text()), 24)
+
+
+_STACKING_RECORDS = {
+    "classical-64": _RECORDS["classical-64"],
+    "cubic-m2": _RECORDS["cubic-m2"],
+    "lq-48": lambda: _pmp_record(_lq(terminal=[1.0]), 48),
+    **{name: functools.partial(_file_record, name)
+       for name in ("wall_corner", "breaking_point", "classical_two_component")},
+}
+
+
+def _points(value, span):
+    """An argument slot on the points in span: a jet's coefficients, an
+    array, or a scalar (a multiplier) as it is."""
+    if isinstance(value, jet.Jet):
+        return jet.Jet([c[span] for c in value.c], value.level)
+    return value[span] if np.ndim(value) else value
+
+
 def _reference_sample(record, b, t, order, left=False):
     """(cols, basis) of block b's order-th derivative at the times t, as the
     record lays out its unknowns: each point's segment by comparison with the
@@ -499,8 +526,9 @@ class TestStructuredJacobian:
         # the reference is a dense central difference, exact to roundoff on
         # these records, so the exact rows meet it without forward-difference
         # roundoff
-        # F's Hessian comes from one nested evaluation per argument vector:
-        # the current ones on both regimes and the advanced one on the first
+        # F's Hessian comes from one nested evaluation on the points axis that
+        # holds the current argument vectors of both regimes and the advanced
+        # one of the first
         record, x0 = _RECORDS[name]()
         rng = np.random.default_rng(7)
         nl, top = record.nl, record.nl + len(record.c)
@@ -510,7 +538,7 @@ class TestStructuredJacobian:
             central = _dense_central_jacobian(record, x)
             calls.clear()
             r, structured = record.residual(x, jacobian=True)
-            assert len(calls) <= 3
+            assert len(calls) == 1
             assert np.array_equal(r, record.residual(x))
             for rows in (slice(0, nl), slice(top, None)):
                 scale = max(1.0, float(np.max(np.abs(central[rows]), initial=0.0)))
@@ -564,21 +592,32 @@ class TestStructuredJacobian:
         # every (cols, basis, h) the rows read, and A and c, from a reference
         # built key by key: the segment by comparison with the knots, the
         # basis with dt ** j, h from its own Trajectory.eval; the record
-        # itself evaluates h once per unknown block
+        # itself evaluates h at most once per unknown block, left of the mesh
         evals, plain = [], Trajectory.eval
-        monkeypatch.setattr(Trajectory, "eval",
-                            lambda *args, **kwargs: evals.append(1) or plain(*args, **kwargs))
+        monkeypatch.setattr(Trajectory, "eval", lambda self, t, *args, **kwargs:
+                            evals.append(np.asarray(t)) or plain(self, t, *args, **kwargs))
         record, _ = _RECORDS[name]()
         monkeypatch.setattr(Trajectory, "eval", plain)
         assert len(evals) <= len(record.blocks)
+        assert all(np.all(t < record.edges[0]) for t in evals)  # h is zero on the mesh
         zero, _ = record.build(np.zeros(record.ncoef + record.k))
-        groups = [(record.times[pts], samples) for pts, _, samples in record.regimes]
-        for ts, samples in groups + [(record.nodes, record.at_nodes)]:
-            for (b, order, shift), (cols, basis, h) in samples.items():
-                want_cols, want = _reference_sample(record, b, ts + shift, order)
-                assert np.array_equal(cols, want_cols)
-                _assert_within_row_scale(basis, want)
-                _assert_within_row_scale(h, zero[b].eval(ts + shift, order).T)
+        # the points axis: the collocation times at each term shift end to end,
+        # a key (block, order, shift) read at those times + (term shift + shift)
+        sets = [(record.times[:n], term) for term, (_, n) in record.sets.items()]
+        tables = [(sets, record.points, record.table, record.samples)]
+        if record.k:
+            tables.append(([(record.nodes, 0.0)], *record.at_nodes))
+        for sets, points, table, samples in tables:
+            assert np.array_equal(points, np.concatenate([ts + term for ts, term in sets]))
+            for keys, cols, basis, h in table:
+                for key, key_cols, key_basis, key_h in zip(keys, cols, basis[:, 0], h):
+                    b, order, shift = key
+                    ts = np.concatenate([ts + (shift + term) for ts, term in sets])
+                    want_cols, want = _reference_sample(record, b, ts, order)
+                    assert np.array_equal(key_cols, want_cols)
+                    _assert_within_row_scale(key_basis, want)
+                    _assert_within_row_scale(key_h, zero[b].eval(ts, order).T)
+                    assert all(np.shares_memory(a, c) for a, c in zip(samples[key], (cols, basis)))
         A, c = _reference_linear_rows(record, _PROBLEMS[name][0]())
         _assert_within_row_scale(record.A, A)
         _assert_within_row_scale(record.c[:, None], c[:, None])
@@ -624,7 +663,8 @@ class TestStructuredJacobian:
 
     def test_evaluates_no_residual_per_column(self):
         # every column is exact: the Jacobian comes from the one evaluation
-        # that gives the rows, F called once per argument vector and each g once
+        # that gives the rows, F called once on the points axis that holds
+        # every argument vector, and each g once
         for name in sorted(_RECORDS):
             record, x0 = _RECORDS[name]()
             x = record.project(x0)
@@ -635,7 +675,40 @@ class TestStructuredJacobian:
             record.g = [lambda v, g=g: calls.append("g") or g(v) for g in record.g]
             record.residual(x, jacobian=True)
             assert calls.count("residual") == 1, name
-            assert calls.count("F") == 3 and calls.count("g") == record.k, name
+            assert calls.count("F") == 1 and calls.count("g") == record.k, name
+
+    @pytest.mark.parametrize("name", ["classical-64", "cubic-m2", "lq-48", "wall_corner",
+                                      "breaking_point", "classical_two_component"])
+    def test_stacked_evaluation_matches_one_evaluation_per_set(self, monkeypatch, name):
+        # F once on the points axis gives, bit for bit, the rows and Jacobian of
+        # one evaluation per (regime, shift) set: the first regime at t, the
+        # second at t, the first at t + tau
+        record, x0 = _STACKING_RECORDS[name]()
+        rng = np.random.default_rng(17)
+        xs = [record.project(x0), record.project(x0 + 1e-1 * rng.standard_normal(len(x0)))]
+        stacked = [*record.residual(xs[0], jacobian=True), *record.residual(xs[1], jacobian=True),
+                   record.residual(xs[1])]
+        (_, n), (full, _) = record.sets[max(record.sets)], record.sets[0.0]
+        spans = [slice(0, n), slice(n, full.stop), slice(full.stop, full.stop + n)]
+        plain, advanced = calculus.derivatives, []
+        delayed = [record.layout.block_slice(k) for rows in record.rows
+                   for _, k, shift, _ in rows.terms if shift]  # the advanced terms' blocks
+
+        def per_set(f, args, order=0, levels=1):
+            if f is not record.F:
+                return plain(f, args, order, levels)
+            parts = [plain(f, ArgVector([_points(v, span) for v in args.values], args.layout),
+                           order, levels) for span in spans]
+            advanced.append(any(np.any(parts[-1][1][:, slots]) for slots in delayed))
+            return [np.concatenate(part, axis=-1) for part in zip(*parts)]
+
+        monkeypatch.setattr(calculus, "derivatives", per_set)
+        reference = [*record.residual(xs[0], jacobian=True),
+                     *record.residual(xs[1], jacobian=True), record.residual(xs[1])]
+        assert len(advanced) == 3
+        assert all(np.array_equal(got, want) for got, want in zip(stacked, reference))
+        # where F reads a delayed slot, the advanced terms read nonzero partials
+        assert any(advanced) == (name in ("lq-48", "wall_corner", "breaking_point"))
 
     def test_numpy_constraint_gives_the_exact_jacobian(self, caplog, classical_problem):
         """A constraint written with a numpy ufunc: the chain-rule Jacobian,
@@ -687,14 +760,14 @@ class TestEvaluationBudget:
     # problems linear in their unknowns: the exact Jacobian's first step
     # converges, with one evaluation at the start (rows and Jacobian) and one
     # in the line search (rows alone, no Hessian at the accepted point), F
-    # called once per argument vector in each (3 on the EL records) and each
-    # g once
+    # called once in each and each g once; the report counts the same
     def test_el_classical_64(self, monkeypatch, classical_problem):
         calls = _counting(monkeypatch)
         _, _, report = solve_el(classical_problem, scheme=CollocationScheme(nodes=64))
         assert report.converged and report.iterations == 1
         assert calls["evaluations"] <= 2 and calls["jacobians"] == 1
-        assert calls["bind_eval"] <= 14  # per evaluation 3 F calls of L and g, 1 of g
+        assert (report.evaluations, report.jacobians) == (calls["evaluations"], 1) == (2, 1)
+        assert calls["bind_eval"] <= 6  # per evaluation 1 F call of L and g, 1 of g
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-9])
     def test_el_cubic_m2(self, monkeypatch, tol):
@@ -702,13 +775,24 @@ class TestEvaluationBudget:
         _, _, report = solve_el(_cubic_m2(), scheme=CollocationScheme(nodes=18, tolerance=tol))
         assert report.converged and report.iterations == 1
         assert calls["evaluations"] <= 2 and calls["jacobians"] == 1
-        assert calls["bind_eval"] <= 6
+        assert (report.evaluations, report.jacobians) == (calls["evaluations"], 1) == (2, 1)
+        assert calls["bind_eval"] <= 2
 
     def test_pmp_lq_terminal_48(self, monkeypatch):
-        calls = _counting(monkeypatch)
+        # H is a plain callable, so its calls are counted at the record
+        calls, plain = _counting(monkeypatch), solver.hamiltonian_integrand
+        calls["F"] = 0
+
+        def counted(cp):
+            H = plain(cp)
+            return lambda v: calls.__setitem__("F", calls["F"] + 1) or H(v)
+
+        monkeypatch.setattr(solver, "hamiltonian_integrand", counted)
         _, _, report = solve_pmp(_lq(terminal=[1.0]), scheme=CollocationScheme(nodes=48))
         assert report.converged and report.iterations == 1
         assert calls["evaluations"] <= 2 and calls["jacobians"] == 1
+        assert (report.evaluations, report.jacobians) == (calls["evaluations"], 1) == (2, 1)
+        assert calls["F"] == calls["evaluations"]
 
 
 @pytest.mark.parametrize("case, expected", [("classical-64", 2), ("cubic-m2", 2), ("lq-48", 2)])
@@ -786,12 +870,24 @@ class TestSolveReason:
         assert not report.converged and report.iterations == max_iterations
         assert report.reason == "max-iterations"
 
-    @pytest.mark.parametrize("field, value", [("nodes", 0), ("nodes", -5),
-                                              ("max_iterations", -3), ("tolerance", 0.0),
-                                              ("tolerance", math.nan), ("tolerance", math.inf)])
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", 0), ("nodes", -5), ("max_iterations", -3), ("tolerance", 0.0),
+        ("tolerance", math.nan), ("tolerance", math.inf),
+        # sizes are integers (numpy ones too), not floats, bools or strings
+        ("nodes", 64.7), ("nodes", 64.0), ("nodes", True), ("nodes", "64"), ("nodes", None),
+        ("nodes", np.float64(16.0)), ("nodes", np.bool_(True)), ("max_iterations", 2.5),
+        ("max_iterations", False), ("max_iterations", "3")])
     def test_impossible_scheme_raises(self, field, value):
         with pytest.raises(ValueError, match=field):
             CollocationScheme(**{field: value})
+
+    def test_numpy_integer_sizes_are_sizes(self, classical_problem):
+        scheme = CollocationScheme(nodes=np.int64(16), max_iterations=np.int32(1))
+        _, lam, report = solve_el(classical_problem, scheme=scheme)
+        _, want, _ = solve_el(classical_problem, scheme=CollocationScheme(nodes=16,
+                                                                          max_iterations=1))
+        assert report.converged and report.iterations == 1
+        assert np.array_equal(lam, want)
 
     def test_tolerance_below_roundoff_stalls(self):
         # residual rows of size 1e6 settle at a roundoff floor near 1e-11, so
