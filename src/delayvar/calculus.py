@@ -123,7 +123,8 @@ def path_derivatives(fn, ts, order: int) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     coeffs = jet.coefficients(jet_call(fn, jet.variable(ts, order)), order)
     scale = [float(math.factorial(i)) for i in range(order + 1)]
-    return coeffs * np.reshape(scale, (-1,) + (1,) * (coeffs.ndim - 1))
+    coeffs *= np.reshape(scale, (-1,) + (1,) * (coeffs.ndim - 1))  # its own array: no copy
+    return coeffs
 
 
 def partial(f, block: int, args):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import JOutOfRange, OutOfDomain
-from .euler_lagrange import PathRecord, per_regime
+from .euler_lagrange import PathRecord
 from .problem import AugmentedSetup, augmented_integrand
 from .trajectory import Trajectory
 
@@ -37,38 +37,38 @@ def psi(setup: AugmentedSetup, traj: Trajectory, j: int, t) -> np.ndarray:
     problem, F = setup.problem, augmented_integrand(setup)
     if not 1 <= j <= problem.m:
         raise JOutOfRange(f"j = {j} outside 1..{problem.m}")
-    return per_regime(problem, lambda ts: PathRecord(
-        F, problem, traj, ts, momenta=[j]).psi[j], t, (problem.n,))
+    record = PathRecord(F, problem, traj, t, momenta=[j])
+    return record.as_given(record.psi[j])
 
 
 def cdur_residual(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndarray:
     """Advanced-term hypothesis residual
     sum_{j=0}^m d_{j+m+3} F[q](t + tau) . q^(j+1)(t); zero means the
     DuBois-Reymond / Noether hypothesis holds at t.  A :class:`PathRecord`
-    gives it on its regime grids (``cdur_advanced``, ``cdur_delayed``); here it
-    is the delayed-block sum of the records at t + tau."""
+    gives it at its first regime's points (``cdur_advanced``) and at its times
+    less tau (``cdur_delayed``); here it is the delayed-block sum of the record
+    at t + tau."""
     problem, F, tau = setup.problem, augmented_integrand(setup), setup.problem.tau
     ts = np.asarray(t, dtype=float)
     lo, hi, slack = problem.t1 - tau, problem.t2 - tau, 1e-10 * max(1.0, problem.span)
     if np.any(ts < lo - slack) or np.any(ts > hi + slack):
         raise OutOfDomain(f"hypothesis residual is defined on [{lo}, {hi}]")
-    return per_regime(problem, lambda us: PathRecord(
-        F, problem, traj, us, momenta=()).cdur_delayed, ts + tau)
+    record = PathRecord(F, problem, traj, ts + tau, momenta=())
+    return record.as_given(record.cdur_delayed)
 
 
 def dr_quantity(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndarray:
     """F - sum_j psi_j . q^(j): the bracket whose total derivative the
     DuBois-Reymond condition equates to d_1 F; a float at a time, an array
     at a time array."""
-    problem, F = setup.problem, augmented_integrand(setup)
-    return per_regime(problem, lambda ts: PathRecord(
-        F, problem, traj, ts, momenta=range(1, problem.m + 1)).dr_quantity, t)
+    record = PathRecord(augmented_integrand(setup), setup.problem, traj, t,
+                        momenta=range(1, setup.problem.m + 1))
+    return record.as_given(record.dr_quantity)
 
 
 def dr_residual(setup: AugmentedSetup, traj: Trajectory, t) -> float | np.ndarray:
     """d/dt (F - sum psi_j . q^(j)) - d_1 F, zero along trajectories that
     satisfy the DuBois-Reymond condition; evaluated from the identity
     E . q' + cdur(t - tau) - [first regime] cdur(t) (module docstring)."""
-    problem, F = setup.problem, augmented_integrand(setup)
-    return per_regime(problem, lambda ts: PathRecord(
-        F, problem, traj, ts, momenta=(0,)).dr_residual, t)
+    record = PathRecord(augmented_integrand(setup), setup.problem, traj, t, momenta=(0,))
+    return record.as_given(record.dr_residual)

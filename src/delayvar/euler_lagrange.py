@@ -6,14 +6,15 @@ on the second regime [t2 - tau, t2] it does not.  The stacked partials
 
     Lambda_i(t) = d_{i+2} F[q](t)  (+ d_{i+m+3} F[q](t + tau) on the first regime)
 
-and their rates come from one :class:`PathRecord` per (F, trajectory, times
-inside one regime): the differential residual E = psi_0, the momenta
+and their rates come from one :class:`PathRecord` per (F, trajectory, times):
+the differential residual E = psi_0, the momenta
 psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j), their jumps at the breaks, the
 DuBois-Reymond and Noether quantities all read from it.  A time's regime
-depends on the time alone, so no function given times takes a regime: each
-resolves it per point (:func:`per_regime`).  The record takes every rate
-from one forward pass of Taylor jets (:func:`delayvar.calculus.path_derivatives`),
-exact to roundoff, so residuals of exact extremals sit at roundoff.
+depends on the time alone, so no function given times takes a regime: the
+record resolves it per point, and one time array may span both regimes.  The
+record takes every rate from one forward pass of Taylor jets
+(:func:`delayvar.calculus.path_derivatives`), exact to roundoff, so residuals
+of exact extremals sit at roundoff.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .problem import AugmentedSetup, ControlProblem, Integrand, IsoperimetricPro
 from .trajectory import Trajectory
 
 __all__ = ["Regime", "Classification", "ResidualReport", "regime_of", "smooth_breaks",
-           "stencil_bounds", "PathRecord", "per_regime", "el_residual", "momentum_jumps",
+           "stencil_bounds", "PathRecord", "el_residual", "momentum_jumps",
            "classify", "residual_grids", "csv_text"]
 
 
@@ -81,29 +82,34 @@ def stencil_bounds(ts, breaks: np.ndarray, lo: float, hi: float):
 
 
 class PathRecord:
-    """F along a trajectory at times ``ts`` inside one regime (ValueError if
-    they straddle t2 - tau): the one sweep that every residual reads.
+    """F along a trajectory at times ``ts``: the one sweep that every residual reads.
 
-    The path is evaluated once at ts, at ts - tau and, when the advanced
-    arguments are read, (first regime) at ts + tau; q^(j)(ts), q^(j)(ts - tau)
+    ``first`` marks the first regime's points, ts < t2 - tau.  The path is
+    evaluated once at ts, at ts - tau and, when the advanced arguments are
+    read, at ts + tau on the first regime's points; q^(j)(ts), q^(j)(ts - tau)
     are kept (zero past the degree).  One call of the derivative provider on
     their jets gives d^i/dt^i Lambda_k(ts) for k >= min(momenta) and i up to
-    the highest rate that the momenta psi_j, j in ``momenta``, need, and the
-    rates of ``along(args)`` (the Noether generators) up to ``along_order``.
+    the highest rate that the momenta psi_j, j in ``momenta``, need (the
+    advanced partials enter the first regime's rows alone), and the rates of
+    ``along(args)`` (the Noether generators) up to ``along_order``.
     Order-0 quantities are constant terms: the block partials at ts, F,
     d_1 F and the hypothesis sums are taken once each, when asked.  A point
     at the domain's right end is a left limit, and so is its delayed argument.
-    With ``left`` every point and its shifts are left limits, and the regime
-    is the one just left of ts: a left limit at t2 - tau is the first regime's.
+    With ``left`` every point and its shifts are left limits, and a point's
+    regime is the one just left of it: a left limit at t2 - tau is the first's.
     """
 
     def __init__(self, F: Integrand, problem: IsoperimetricProblem, traj: Trajectory, ts,
                  momenta=None, along=None, along_order: int = 0, left: bool = False):
         m, tau = problem.m, problem.tau
         check_components(problem, traj)
+        self._scalar = np.ndim(ts) == 0
         self.ts = ts = np.atleast_1d(np.asarray(ts, dtype=float))
         self.F, self.m, self.n = F, m, problem.n
-        self.first = regime_of(problem, np.nextafter(ts, -np.inf) if left else ts) is Regime.FIRST
+        self.first = (np.nextafter(ts, -np.inf) if left else ts) < problem.t2 - tau
+        rows = np.flatnonzero(self.first)  # a slice when they are contiguous: views, not copies
+        self._rows = slice(rows[0], rows[-1] + 1) if len(rows) and rows[-1] - rows[0] < len(rows) \
+            else rows
         self.traj, self.tau, self._along, self._left = traj, tau, along, left
         momenta = range(m + 1) if momenta is None else momenta
         order = max([m - j for j in momenta] + [along_order])
@@ -121,27 +127,37 @@ class PathRecord:
 
     @functools.cached_property
     def _advanced(self):
-        """The path at ts + tau and the argument vector there (first regime)."""
-        path = self.traj.derivatives(self.ts + self.tau, self._count, self._left)
-        return path, path_args(self.ts + self.tau, path[: self.m + 1], self.q[: self.m + 1])
+        """The path at ts + tau and the argument vector there, on the first regime's points."""
+        ts = self.ts[self._rows] + self.tau
+        path = self.traj.derivatives(ts, self._count, self._left)
+        return path, path_args(ts, path[: self.m + 1],
+                               [q[self._rows] for q in self.q[: self.m + 1]])
 
     def _sample(self, t):
         """Lambda_k for k in ks, then ``along``, side by side, at the time jet t,
-        from the kept path values (at t + tau too on the first regime)."""
+        from the kept path values (at t + tau too on the first regime's points)."""
         current, delayed = (jet.path(p, self.m + 1, t.order) for p in (self.q, self.q_delayed))
         args = path_args(t, current, delayed)
         cols = [calculus.partial(self.F, k + 2, args).T for k in self._ks]
-        if self.first and self._ks:
-            advanced = path_args(t + self.tau, jet.path(self._advanced[0], self.m + 1, t.order),
-                                 current)
-            cols = [col + calculus.partial(self.F, k + self.m + 3, advanced).T
-                    for col, k in zip(cols, self._ks)]
         if self._along is not None:
             cols.append(self._along(args))
-        return jet.hstack(cols)
+        table = jet.hstack(cols)
+        if self._ks and self.first.any():
+            first, n = self._rows, self.n
+            advanced = path_args(t[first] + self.tau,
+                                 jet.path(self._advanced[0], self.m + 1, t.order),
+                                 [c[first] for c in current])
+            if not isinstance(table, jet.Jet):
+                table = jet.Jet(jet.coefficients(table, t.order))
+            for i, k in enumerate(self._ks):  # each coefficient of the partial, into its rows
+                extra = calculus.partial(self.F, k + self.m + 3, advanced).T
+                for c, e in zip(table.c, extra.c if isinstance(extra, jet.Jet) else [extra]):
+                    c[first, i * n:(i + 1) * n] += e
+        return table
 
     def block_partial(self, block: int, advanced: bool = False) -> np.ndarray:
-        """d_block F at ts, or at ts + tau if ``advanced``, taken once; shape (len, npts)."""
+        """d_block F at ts, or if ``advanced`` at ts + tau on the first regime's
+        points, taken once; shape (len, npts)."""
         if (advanced, block) not in self._partials:
             args = self._advanced[1] if advanced else self._current
             self._partials[advanced, block] = calculus.partial(self.F, block, args)
@@ -153,9 +169,16 @@ class PathRecord:
             c = (k - self._ks.start) * self.n
             return self._rates[i, :, c:c + self.n]
         out = self.block_partial(k + 2).T
-        if self.first:
-            out = out + self.block_partial(k + self.m + 3, advanced=True).T
+        if self.first.any():
+            out = out.copy()
+            out[self._rows] += self.block_partial(k + self.m + 3, advanced=True).T
         return out
+
+    def as_given(self, values):
+        """values, a row per point, as the times came: a scalar time's row (a float if scalar)."""
+        if not self._scalar:
+            return values
+        return values[0] if np.ndim(values) > 1 else float(values[0])
 
     @functools.cached_property
     def psi(self) -> dict:
@@ -178,7 +201,7 @@ class PathRecord:
         # terms past the trajectory's degree vanish
         return sum((np.sum(self.block_partial(j + self.m + 3, advanced).T * qs[j + 1], axis=1)
                     for j in range(min(self.m + 1, self.traj.max_degree))),
-                   np.zeros(len(self.ts)))
+                   np.zeros(len(qs[0])))
 
     @functools.cached_property
     def cdur_delayed(self) -> np.ndarray:
@@ -187,8 +210,9 @@ class PathRecord:
 
     @functools.cached_property
     def cdur_advanced(self) -> np.ndarray:
-        """The hypothesis residual at ts (first regime), from the advanced partials."""
-        return self._hypothesis(True, self.q)
+        """The hypothesis residual at the first regime's points, ts[first], from
+        the advanced partials; shape (count of first,)."""
+        return self._hypothesis(True, [q[self._rows] for q in self.q[: self.m + 2]])
 
     @functools.cached_property
     def dr_quantity(self) -> np.ndarray:
@@ -200,21 +224,9 @@ class PathRecord:
     def dr_residual(self) -> np.ndarray:
         """E . q' + cdur(t - tau) - [first regime] cdur(t) (:mod:`delayvar.dubois_reymond`)."""
         out = np.sum(self.psi[0] * self.q[1], axis=1) + self.cdur_delayed
-        return out - self.cdur_advanced if self.first else out
-
-
-def per_regime(problem: IsoperimetricProblem, fn, t, shape: tuple = ()) -> np.ndarray:
-    """fn(times) at the times t, each regime's points in one call; one row of
-    ``shape`` per time, a scalar t giving one row (a float if ``shape`` is ())."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((len(ts),) + shape)
-    second = ts >= problem.t2 - problem.tau
-    for mask in (~second, second):
-        if np.any(mask):
-            out[mask] = fn(ts[mask])
-    if np.ndim(t):
+        if self.first.any():
+            out[self._rows] -= self.cdur_advanced
         return out
-    return out[0] if shape else float(out[0])
 
 
 def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
@@ -223,9 +235,8 @@ def el_residual(setup: AugmentedSetup, traj: Trajectory, t) -> np.ndarray:
     Zero along extremals.  Accepts scalar t (returns shape (n,)) or an array
     (returns (npts, n)); regimes are resolved per point.
     """
-    problem, F = setup.problem, augmented_integrand(setup)
-    return per_regime(problem, lambda ts: PathRecord(F, problem, traj, ts, momenta=(0,)).psi[0],
-                      t, (problem.n,))
+    record = PathRecord(augmented_integrand(setup), setup.problem, traj, t, momenta=(0,))
+    return record.as_given(record.psi[0])
 
 
 def momentum_jumps(setup: AugmentedSetup, traj: Trajectory):
@@ -236,21 +247,13 @@ def momentum_jumps(setup: AugmentedSetup, traj: Trajectory):
     A path that satisfies the Euler-Lagrange equations on each smooth piece is
     stationary iff every momentum jump vanishes (the Weierstrass-Erdmann corner
     condition, with the advanced terms in psi_j on the first regime).  One
-    right-limit and one left-limit record per regime read them.
+    right-limit and one left-limit record read them.
     """
     problem, F, m = setup.problem, augmented_integrand(setup), setup.problem.m
     xs = smooth_breaks(problem, traj)
     xs = xs[(xs > problem.t1) & (xs < problem.t2)]
-    sides = []
-    for left in (False, True):
-        first = xs <= problem.t2 - problem.tau if left else xs < problem.t2 - problem.tau
-        side = np.empty((len(xs), 2 * m, problem.n))
-        for mask in (first, ~first):
-            if np.any(mask):
-                record = PathRecord(F, problem, traj, xs[mask], range(1, m + 1), left=left)
-                side[mask] = np.stack([*record.psi.values(), *record.q[:m]], axis=1)
-        sides.append(side)
-    jumps = sides[0] - sides[1]
+    sides = [PathRecord(F, problem, traj, xs, range(1, m + 1), left=left) for left in (False, True)]
+    jumps = np.subtract(*(np.stack([*r.psi.values(), *r.q[:m]], axis=1) for r in sides))
     return xs, jumps[:, :m], jumps[:, m:]
 
 
@@ -283,12 +286,11 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
     most 1e-6 (1 + sup)."""
     if problem.k == 0:
         raise NoConstraints("classification needs at least one constraint")
-    grids = residual_grids(problem, traj, count=100)
+    ts = np.concatenate(list(residual_grids(problem, traj, count=100).values()))
     sup = 0.0
     for gj in problem.g:
-        for ts in grids.values():
-            res = PathRecord(gj, problem, traj, ts, momenta=(0,)).psi[0]
-            sup = max(sup, float(np.max(np.linalg.norm(res, axis=1))))
+        res = PathRecord(gj, problem, traj, ts, momenta=(0,)).psi[0]
+        sup = max(sup, float(np.max(np.linalg.norm(res, axis=1))))
     return Classification.ABNORMAL if sup <= 1e-6 * (1.0 + sup) else Classification.NORMAL
 
 

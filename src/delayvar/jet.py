@@ -219,16 +219,20 @@ def stack(items, like=0.0):
     if order < 0:
         return np.stack([np.asarray(v, dtype=float) if np.ndim(v) else np.full(np.shape(like), v)
                          for v in items])
-    return Jet(coefficients([like, *items], order)[:, 1:])
+    series = [v.c[: order + 1] if isinstance(v, Jet) else [v] for v in items]
+    out = np.zeros((order + 1, len(items)) + np.broadcast_shapes(
+        np.shape(like), *(np.shape(c) for cs in series for c in cs)))
+    for i, cs in enumerate(series):  # written in place: no stacked copies
+        for r, c in enumerate(cs):
+            out[r, i] = c
+    return Jet(out)
 
 
 def hstack(blocks):
     """np.column_stack of (npts,) or (npts, w) blocks; a jet if any block is one."""
-    order = _order(blocks)
-    if order < 0:
+    if _order(blocks) < 0:
         return np.column_stack(blocks)
-    parts = [coefficients(b, order) for b in blocks]
-    return Jet(np.concatenate([p if p.ndim == 3 else p[..., None] for p in parts], axis=2))
+    return stack([c for b in blocks for c in (b.T if np.ndim(value_of(b)) == 2 else [b])]).T
 
 
 def _sincos(x: Jet) -> tuple[Jet, Jet]:

@@ -13,8 +13,9 @@ exact; a constant generator therefore lifts to exact zeros.  The
 definition-level invariance defect is the s-derivative at s = 0 of the
 transformed action, taken in closed form from the block partials and the
 lifts, so no symbolic variation calculus is needed; :func:`invariance_check`
-takes it and the invariance lemma's two regime integrals from one record per
-regime.  Group generators are extended by zero on [t1 - tau, t1).
+takes it and the invariance lemma's two regime integrals from one record on
+both regimes' quadrature nodes.  Group generators are extended by zero on
+[t1 - tau, t1).
 
 Each sweep calls eta(t, q) and xi(t, q) once, under the contract of
 :class:`delayvar.problem.TransformationGroup`, with t the time jet and q the
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import calculus, jet
 from .errors import EmptyGrid, IOutOfRange, TransformEscapesDomain
-from .euler_lagrange import PathRecord, Regime, per_regime, smooth_breaks
+from .euler_lagrange import PathRecord, Regime, smooth_breaks
 from .problem import AugmentedSetup, TransformationGroup, augmented_integrand
 from .trajectory import Trajectory
 
@@ -101,14 +102,15 @@ def noether_quantity(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
                      t) -> float | np.ndarray:
     """sum_j psi_j . rho^(j-1) + (F - sum_j psi_j . q^(j)) eta - gauge at a
     time (a float) or at an array of times (an array)."""
-    return per_regime(setup.problem, lambda ts: noether_sweep(setup, group, traj, ts)[0], t)
+    out, record = noether_sweep(setup, group, traj, t)
+    return record.as_given(out)
 
 
 def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
                   t) -> tuple[np.ndarray, PathRecord]:
-    """The Noether quantity at the times t inside one regime (ValueError if
-    they straddle t2 - tau), shape (npts,), and the record it reads (its
-    ``cdur_advanced`` on the first regime)."""
+    """The Noether quantity at the times t, shape (npts,), and the record it
+    reads (its ``cdur_delayed`` at every point, ``cdur_advanced`` at the first
+    regime's)."""
     problem = setup.problem
     m, n = problem.m, problem.n
     record = PathRecord(augmented_integrand(setup), problem, traj, t,
@@ -127,7 +129,8 @@ def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Traje
 def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
                      interval: tuple[float, float] | None = None) -> tuple[float, float, float]:
     """The invariance defect on [a, b] (default [t1, t2]) and the lemma's
-    integrals over its first- and second-regime pieces, from one record per piece.
+    integrals over its first- and second-regime pieces, from one record on both
+    pieces' quadrature nodes.
 
     The defect is d/ds at s = 0 of the transformed action minus the gauge allowance,
 
@@ -147,7 +150,7 @@ def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
     m, n, tau = problem.m, problem.n, problem.tau
     breaks = np.unique(np.append(smooth_breaks(problem, traj), problem.t1 + tau))
 
-    def integrand(ts):  # the nodes of one piece's rule lie inside its regime
+    def integrand(ts):
         record = PathRecord(augmented_integrand(setup), problem, traj, ts, momenta=(),
                             along=functools.partial(_along, group), along_order=max(m, 1))
         gens, rates = record.along[0], record.along[1]
@@ -164,9 +167,13 @@ def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
                 defect[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
         return np.column_stack([defect, lemma])
 
-    split = problem.t2 - tau  # an empty piece integrates to 0.0
-    first, second = (np.zeros(2) + calculus.integrate(integrand, lo, hi, breaks)
-                     for lo, hi in ((a, min(b, split)), (max(a, split), b)))
+    split = problem.t2 - tau  # an empty piece has no nodes and integrates to 0.0
+    rules = [calculus.panel_rule(lo, hi, breaks) if lo < hi else (np.zeros(0),) * 2
+             for lo, hi in ((a, min(b, split)), (max(a, split), b))]
+    values = integrand(np.concatenate([nodes for nodes, _ in rules]))
+    # each piece summed by its own weights, column by column, as calculus.integrate sums it
+    first, second = (np.zeros(2) + [weights @ col for col in np.ascontiguousarray(piece.T)]
+                     for (_, weights), piece in zip(rules, np.split(values, [len(rules[0][0])])))
     return float(first[0] + second[0]), float(first[1]), float(second[1])
 
 
@@ -203,16 +210,17 @@ class ConstancyReport:
 
 def constancy_report(quantity, grids: dict[Regime, np.ndarray]) -> ConstancyReport:
     """Mean and max |C - mean| per regime of a would-be constant C, called once
-    on each regime's time array (a scalar broadcasts)."""
+    on every regime's times end to end (a scalar broadcasts)."""
     if not grids:
         raise EmptyGrid("constancy report needs at least one regime grid")
+    for regime in (regime for regime, ts in grids.items() if np.size(ts) == 0):
+        raise EmptyGrid(f"no samples in regime {regime}")
+    ts = np.concatenate([np.atleast_1d(ts) for ts in grids.values()])
+    samples = np.broadcast_to(np.asarray(quantity(ts), dtype=float), ts.shape)
+    sizes = np.cumsum([np.size(ts) for ts in grids.values()])[:-1]
     means, devs, values = {}, {}, {}
-    for regime, ts in grids.items():
-        if np.size(ts) == 0:
-            raise EmptyGrid(f"no samples in regime {regime}")
-        samples = np.asarray(quantity(ts), dtype=float)
-        samples = np.array(np.broadcast_to(samples, np.shape(ts)))  # writable, its own
-        means[regime] = mean = float(np.mean(samples))
-        devs[regime] = float(np.max(np.abs(samples - mean)))
-        values[regime] = samples
+    for regime, part in zip(grids, np.split(samples, sizes)):
+        values[regime] = part = part.copy()  # writable, its own
+        means[regime] = mean = float(np.mean(part))
+        devs[regime] = float(np.max(np.abs(part - mean)))
     return ConstancyReport(means, devs, values)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calculus
 from .errors import OutOfDomain, WrongOrder
-from .euler_lagrange import PathRecord, per_regime
+from .euler_lagrange import PathRecord
 from .noether import _generators, _on_points
 from .problem import (
     ArgLayout,
@@ -141,15 +141,12 @@ def second_order_noether_quantity(setup: AugmentedSetup, traj: Trajectory, t, et
     if problem.m != 2:
         raise WrongOrder(f"second-order quantity needs m = 2, problem has m = {problem.m}")
 
-    def quantity(ts):
-        record = PathRecord(F, problem, traj, ts, momenta=(1, 2))
-        out, shape = record.value * eta, record.q[0].T.shape
-        for j, xi in ((1, xi0), (2, xi1)):
-            gen = 0.0 if xi is None else _on_points(xi, shape, record.ts, record.q[0]).T
-            out = out + np.sum(record.psi[j] * (gen - eta * record.q[j]), axis=1)
-        return out
-
-    return per_regime(problem, quantity, t)
+    record = PathRecord(F, problem, traj, t, momenta=(1, 2))
+    out, shape = record.value * eta, record.q[0].T.shape
+    for j, xi in ((1, xi0), (2, xi1)):
+        gen = 0.0 if xi is None else _on_points(xi, shape, record.ts, record.q[0]).T
+        out = out + np.sum(record.psi[j] * (gen - eta * record.q[j]), axis=1)
+    return record.as_given(out)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def _lq_checks() -> list[Check]:
 _ENTRIES = {
     "example1": RegistryEntry(
         name="example1", kind="variational",
-        summary="second-order nonsmooth delayed problem with the piecewise-quartic extremal",
+        summary="second-order nonsmooth delayed problem with a piecewise-quartic candidate",
         build=_example1_problem, trajectory=example1_trajectory, lam=(0.0,),
         checks=_example1_checks),
     "classical-iso": RegistryEntry(

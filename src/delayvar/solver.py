@@ -106,9 +106,9 @@ _GAUSS = np.polynomial.legendre.leggauss(3)[0]  # each segment's collocation tim
 
 def _mesh(t1: float, t2: float, tau: float, nodes: int):
     """History panels (segments per regime, at least 2) and mesh edges, split at t2 - tau."""
-    per_regime = max(1, math.ceil(nodes / len(_GAUSS)))
-    return max(2, per_regime), np.concatenate([np.linspace(t1, t2 - tau, per_regime + 1),
-                                               np.linspace(t2 - tau, t2, per_regime + 1)[1:]])
+    segments = max(1, math.ceil(nodes / len(_GAUSS)))
+    return max(2, segments), np.concatenate([np.linspace(t1, t2 - tau, segments + 1),
+                                             np.linspace(t2 - tau, t2, segments + 1)[1:]])
 
 
 # a piecewise-polynomial unknown: components, coefficients per component and segment,
@@ -599,18 +599,15 @@ def verify(problem: IsoperimetricProblem, traj: Trajectory, lam,
     """
     F = augmented_integrand(AugmentedSetup(problem, lam))
     grids = residual_grids(problem, traj, count=grid_count)
-    def sweep(ts):  # one record per regime, released before the next is built
-        record = PathRecord(F, problem, traj, ts)
-        return record.psi[0], record.dr_residual, record.cdur_delayed, record.dr_quantity
-
-    (el1, dr1, cdur1, drq1), (el2, dr2, cdur2, drq2) = map(sweep, grids.values())
+    record = PathRecord(F, problem, traj, np.concatenate(list(grids.values())))
     # cdur(t - tau) over both regimes covers the hypothesis domain [t1 - tau, t2 - tau]
-    cdur = np.concatenate([cdur1, cdur2])
+    el, dr, drq, cdur = record.psi[0], record.dr_residual, record.dr_quantity, record.cdur_delayed
+    first = record.first
     values = integrals(problem, traj, (problem.L, *problem.g))
     abnormal = classify(problem, traj) is Classification.ABNORMAL if problem.k else None
     return ResidualReport(
-        el_first=el1, el_second=el2, dr_first=dr1, dr_second=dr2,
-        dr_quantity_first=drq1, dr_quantity_second=drq2, functional=float(values[0]),
+        el_first=el[first], el_second=el[~first], dr_first=dr[first], dr_second=dr[~first],
+        dr_quantity_first=drq[first], dr_quantity_second=drq[~first], functional=float(values[0]),
         cdur=cdur, constraint_defect=values[1:] - problem.l,
         hypothesis_violated=bool(np.max(np.abs(cdur)) > 1e-6), abnormal=abnormal,
     )

@@ -12,7 +12,7 @@ import pytest
 from delayvar import cli, registry, solver
 from delayvar.cli import main
 from delayvar.euler_lagrange import PathRecord, Regime, residual_grids
-from delayvar.problem import AugmentedSetup, augmented_integrand
+from delayvar.problem import AugmentedSetup, augmented_integrand, problem_from_json
 from delayvar.trajectory import PolySegment, Trajectory
 
 CLASSICAL_JSON = """{
@@ -299,6 +299,47 @@ class TestConserved:
                      "--gauge", "0", "--out", str(tmp_path / "c.csv"), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert "deviation" in summary
+
+
+@pytest.fixture()
+def hypothesis_files(tmp_path):
+    """L = qd^2 + q_tau^2, tau = 0.5, history t, q(1) = 0, and the path q = t
+    on [-0.5, 0], 0 on [0, 1].  The hypothesis residual, defined on
+    [t1 - tau, t2 - tau], is cdur(s) = 2 q(s) q'(s): 2s left of t1, 0 on
+    [0, 0.5], so it fails only where the first regime's grid does not reach."""
+    problem, traj = tmp_path / "p.json", tmp_path / "t.json"
+    problem.write_text(json.dumps({"m": 1, "n": 1, "tau": 0.5, "t1": 0.0, "t2": 1.0,
+                                   "L": "qd^2 + q_tau^2", "history": "t",
+                                   "boundary": {"q": [0.0]}}))
+    traj.write_text(Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 0.0, [[0.0, 1.0]]),
+                                      PolySegment.from_monomial(0.0, 1.0, [[0.0]])]).to_json())
+    return ["--problem", str(problem), "--trajectory", str(traj)]
+
+
+class TestHypothesisOnItsDomain:
+    def test_residuals_sup_is_verifys(self, hypothesis_files, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["residuals", *hypothesis_files, "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        problem = problem_from_json(Path(hypothesis_files[1]).read_text())
+        traj = Trajectory.from_json(Path(hypothesis_files[3]).read_text())
+        report = solver.verify(problem, traj, [])
+        assert summary["sup"]["cdur"] == report.sup["cdur"]
+        assert summary["sup"]["cdur"] == pytest.approx(0.98995, abs=5e-6)
+        # the cdur column stays cdur(t) on the first regime's rows: zero here
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0][-1] == "cdur"
+        cells = [row[-1] for row in rows[1:] if float(row[0]) < 0.5]
+        assert cells and set(cells) == {"0"}
+
+    def test_conserved_flags_the_hypothesis(self, hypothesis_files, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["conserved", *hypothesis_files, "--eta", "1", "--xi", "0", "--json",
+                     "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["hypothesis_violated"] is True
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert {row[3] for row in rows[1:]} == {"1"}
 
 
 class TestInvariance:

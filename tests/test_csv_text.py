@@ -115,7 +115,7 @@ def test_residuals_file_is_the_record_in_17_digit_format(tmp_path):
     for ts in residual_grids(problem, traj, count=20000).values():
         record = PathRecord(F, problem, traj, ts)
         block = [record.ts, *record.psi[0].T, record.dr_quantity, record.dr_residual]
-        if record.first:
+        if record.first.all():  # the first regime's grid: cdur(t) on every row
             block.append(record.cdur_advanced)
         blocks.append(block)
     header = ["t", "el_0", "dr_quantity", "dr_residual", "cdur"]

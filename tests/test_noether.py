@@ -357,7 +357,7 @@ class TestConstancyReport:
         with pytest.raises(EmptyGrid):
             constancy_report(quantity, {Regime.FIRST: np.zeros(0)})
 
-    def test_one_array_call_per_regime(self):
+    def test_one_array_call_over_every_regime(self):
         calls = []
 
         def quantity(ts):
@@ -367,8 +367,11 @@ class TestConstancyReport:
         grids = {Regime.FIRST: np.linspace(0.1, 0.4, 7),
                  Regime.SECOND: np.linspace(0.6, 0.9, 5)}
         report = constancy_report(quantity, grids)
-        assert calls == [(7,), (5,)]
+        assert calls == [(12,)]  # the regimes' times end to end, split afterwards
         assert report.deviations[Regime.SECOND] == pytest.approx(0.3, abs=1e-12)
+        assert report.deviations[Regime.FIRST] == pytest.approx(0.3, abs=1e-12)
+        for regime, ts in grids.items():
+            assert np.array_equal(report.values[regime], 2.0 * ts)
 
     def test_scalar_only_quantity(self):
         # called once on the regime's time array, a scalar-only quantity raises
