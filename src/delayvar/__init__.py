@@ -46,12 +46,10 @@ from .problem import (
 from .calculus import derivative_in_parameter, integrate, partial
 from .euler_lagrange import (
     Classification,
-    Regime,
     ResidualReport,
     classify,
     el_residual,
     momentum_jumps,
-    regime_of,
     residual_grids,
 )
 from .dubois_reymond import cdur_residual, dr_quantity, dr_residual, psi

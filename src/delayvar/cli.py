@@ -143,8 +143,7 @@ def _group_from_exprs(args, problem):
 def cmd_residuals(args) -> int:
     setup, traj = _load_variational(args)
     problem, F = setup.problem, augmented_integrand(setup)
-    grids = residual_grids(problem, traj, count=args.grid)
-    record = PathRecord(F, problem, traj, np.concatenate(list(grids.values())))
+    record = PathRecord(F, problem, traj, residual_grids(problem, traj, count=args.grid))
     columns = [record.ts, *record.psi[0].T, record.dr_quantity, record.dr_residual]
     split = np.count_nonzero(record.first)  # the first regime's times come first
     # cdur(t) is defined on [t1 - tau, t2 - tau]: the second regime's rows leave it empty
@@ -168,20 +167,16 @@ def cmd_conserved(args) -> int:
     setup, traj = _load_variational(args)
     problem = setup.problem
     group = _group_from_exprs(args, problem)
-    grids = residual_grids(problem, traj, count=args.grid)
-    ts = np.concatenate(list(grids.values()))
+    ts = residual_grids(problem, traj, count=args.grid)
     values, record = noether_sweep(setup, group, traj, ts)
-    report = constancy_report(lambda _: values, grids)
+    report = constancy_report(lambda _: values, problem, ts)
     # the hypothesis on its whole domain: cdur(t - tau) at every time
     violated = float(np.max(np.abs(record.cdur_delayed))) > tol
-    names = [r.value for r, times in grids.items() for _ in times]
+    names = np.where(record.first, "first", "second").tolist()
     flags = ["1" if violated else "0"] * len(ts)
     _write_out(csv_text(["t", "regime", "C", "cdur_flag"], [ts, names, values, flags]), args.out)
-    summary = json.dumps({
-        "mean": {r.value: report.means[r] for r in report.means},
-        "deviation": {r.value: report.deviations[r] for r in report.deviations},
-        "hypothesis_violated": violated,
-    }, indent=2)
+    summary = json.dumps({"mean": report.means, "deviation": report.deviations,
+                          "hypothesis_violated": violated}, indent=2)
     if args.out not in (None, "-") or args.json:
         print(summary)
     return 0

@@ -9,9 +9,9 @@ on the second regime [t2 - tau, t2] it does not.  The stacked partials
 and their rates come from one :class:`PathRecord` per (F, trajectory, times):
 the differential residual E = psi_0, the momenta
 psi_j = sum_i (-1)^i d^i/dt^i Lambda_(i+j), their jumps at the breaks, the
-DuBois-Reymond and Noether quantities all read from it.  A time's regime
-depends on the time alone, so no function given times takes a regime: the
-record resolves it per point, and one time array may span both regimes.  The
+DuBois-Reymond and Noether quantities all read from it.  A regime is the
+mask t < t2 - tau, which the record resolves per point, so no function takes
+a regime and one time array (a :func:`residual_grids` grid) spans both.  The
 record takes every rate from one forward pass of Taylor jets
 (:func:`delayvar.calculus.path_derivatives`), exact to roundoff, so residuals
 of exact extremals sit at roundoff.
@@ -31,28 +31,13 @@ from .problem import AugmentedSetup, ControlProblem, Integrand, IsoperimetricPro
     augmented_integrand, check_components, path_args
 from .trajectory import Trajectory
 
-__all__ = ["Regime", "Classification", "ResidualReport", "regime_of", "smooth_breaks",
-           "stencil_bounds", "PathRecord", "el_residual", "momentum_jumps",
-           "classify", "residual_grids", "csv_text"]
-
-
-class Regime(Enum):
-    FIRST = "first"    # t1 <= t <= t2 - tau: advanced terms present
-    SECOND = "second"  # t2 - tau <= t <= t2
+__all__ = ["Classification", "ResidualReport", "smooth_breaks", "stencil_bounds", "PathRecord",
+           "el_residual", "momentum_jumps", "classify", "residual_grids", "csv_text"]
 
 
 class Classification(Enum):
     NORMAL = "normal"
     ABNORMAL = "abnormal"
-
-
-def regime_of(problem: IsoperimetricProblem, t) -> Regime:
-    """Regime of a time or of times inside one regime (ValueError if they
-    straddle it); t = t2 - tau itself belongs to the second regime."""
-    second = np.asarray(t) >= problem.t2 - problem.tau
-    if np.any(second) and not np.all(second):
-        raise ValueError("times lie in both regimes")
-    return Regime.SECOND if np.all(second) else Regime.FIRST
 
 
 def smooth_breaks(problem: IsoperimetricProblem | ControlProblem,
@@ -262,10 +247,11 @@ def momentum_jumps(setup: AugmentedSetup, traj: Trajectory):
 
 
 def residual_grids(problem: IsoperimetricProblem | ControlProblem, traj: Trajectory,
-                   count: int = 200) -> dict[Regime, np.ndarray]:
-    """count uniform times on [t1, t2], split strictly at t2 - tau, without
-    those within 1 % of the trajectory's shortest segment of a smooth break
-    (EmptyGrid if a regime keeps none)."""
+                   count: int = 200) -> np.ndarray:
+    """count uniform times on [t1, t2], ascending, without those within 1 % of
+    the trajectory's shortest segment of a smooth break, t2 - tau among them;
+    the first regime's times are those below t2 - tau (EmptyGrid if a regime
+    keeps none)."""
     if count <= 0:
         raise EmptyGrid(f"requested grid of {count} points")
     times = np.linspace(problem.t1, problem.t2, count)
@@ -273,11 +259,10 @@ def residual_grids(problem: IsoperimetricProblem | ControlProblem, traj: Traject
     for x in smooth_breaks(problem, traj):  # one break at a time: cheaper than a broadcast
         times = times[np.abs(times - x) >= width]
     split = problem.t2 - problem.tau
-    grids = {Regime.FIRST: times[times < split], Regime.SECOND: times[times > split]}
-    for regime, ts in grids.items():
-        if ts.size == 0:
-            raise EmptyGrid(f"no time of the {count}-point grid in the {regime.value} regime")
-    return grids
+    for regime, kept in (("first", times < split), ("second", times > split)):
+        if not kept.any():
+            raise EmptyGrid(f"no time of the {count}-point grid in the {regime} regime")
+    return times
 
 
 def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
@@ -286,7 +271,7 @@ def classify(problem: IsoperimetricProblem, traj: Trajectory) -> Classification:
     most 1e-6 (1 + sup)."""
     if problem.k == 0:
         raise NoConstraints("classification needs at least one constraint")
-    ts = np.concatenate(list(residual_grids(problem, traj, count=100).values()))
+    ts = residual_grids(problem, traj, count=100)
     sup = 0.0
     for gj in problem.g:
         res = PathRecord(gj, problem, traj, ts, momenta=(0,)).psi[0]

@@ -34,8 +34,9 @@ import numpy as np
 
 from . import calculus, jet
 from .errors import EmptyGrid, IOutOfRange, TransformEscapesDomain
-from .euler_lagrange import PathRecord, Regime, smooth_breaks
-from .problem import AugmentedSetup, TransformationGroup, augmented_integrand
+from .euler_lagrange import PathRecord, smooth_breaks
+from .problem import AugmentedSetup, ControlProblem, IsoperimetricProblem, TransformationGroup, \
+    augmented_integrand
 from .trajectory import Trajectory
 
 __all__ = ["rho", "invariance_check", "invariance_defect", "necessary_condition_defect",
@@ -128,7 +129,7 @@ def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Traje
 
 def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
                      interval: tuple[float, float] | None = None) -> tuple[float, float, float]:
-    """The invariance defect on [a, b] (default [t1, t2]) and the lemma's
+    """The invariance defect on [a, b] (default [t1, t2], a <= b) and the lemma's
     integrals over its first- and second-regime pieces, from one record on both
     pieces' quadrature nodes.
 
@@ -144,6 +145,8 @@ def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
     """
     problem = setup.problem
     a, b = interval if interval is not None else (problem.t1, problem.t2)
+    if a > b:
+        raise ValueError(f"interval [{a}, {b}] is reversed: it needs a <= b")
     slack = 1e-9 * max(1.0, problem.span)
     if a < problem.t1 - slack or b > problem.t2 + slack:
         raise TransformEscapesDomain(f"interval [{a}, {b}] leaves [{problem.t1}, {problem.t2}]")
@@ -197,30 +200,31 @@ def necessary_condition_defect(setup: AugmentedSetup, group: TransformationGroup
 
 @dataclass
 class ConstancyReport:
-    """Per-regime mean and worst deviation of a would-be constant of motion."""
+    """Mean and worst deviation of a would-be constant of motion on each regime
+    its times reach, keyed "first" (t < t2 - tau) then "second", and its
+    values in the times' order."""
 
-    means: dict[Regime, float]
-    deviations: dict[Regime, float]
-    values: dict[Regime, np.ndarray]
+    means: dict[str, float]
+    deviations: dict[str, float]
+    values: np.ndarray
 
     @property
     def max_deviation(self) -> float:
         return max(self.deviations.values())
 
 
-def constancy_report(quantity, grids: dict[Regime, np.ndarray]) -> ConstancyReport:
+def constancy_report(quantity, problem: IsoperimetricProblem | ControlProblem,
+                     ts) -> ConstancyReport:
     """Mean and max |C - mean| per regime of a would-be constant C, called once
-    on every regime's times end to end (a scalar broadcasts)."""
-    if not grids:
-        raise EmptyGrid("constancy report needs at least one regime grid")
-    for regime in (regime for regime, ts in grids.items() if np.size(ts) == 0):
-        raise EmptyGrid(f"no samples in regime {regime}")
-    ts = np.concatenate([np.atleast_1d(ts) for ts in grids.values()])
-    samples = np.broadcast_to(np.asarray(quantity(ts), dtype=float), ts.shape)
-    sizes = np.cumsum([np.size(ts) for ts in grids.values()])[:-1]
-    means, devs, values = {}, {}, {}
-    for regime, part in zip(grids, np.split(samples, sizes)):
-        values[regime] = part = part.copy()  # writable, its own
-        means[regime] = mean = float(np.mean(part))
-        devs[regime] = float(np.max(np.abs(part - mean)))
+    on the times ts (a scalar broadcasts); the regimes split at t2 - tau."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.size == 0:
+        raise EmptyGrid("constancy report needs at least one time")
+    values = np.broadcast_to(np.asarray(quantity(ts), dtype=float), ts.shape).copy()
+    first = ts < problem.t2 - problem.tau
+    means, devs = {}, {}
+    for regime, part in (("first", values[first]), ("second", values[~first])):
+        if part.size:
+            means[regime] = mean = float(np.mean(part))
+            devs[regime] = float(np.max(np.abs(part - mean)))
     return ConstancyReport(means, devs, values)

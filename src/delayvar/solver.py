@@ -598,8 +598,7 @@ def verify(problem: IsoperimetricProblem, traj: Trajectory, lam,
     reported even when the advanced-term hypothesis fails.
     """
     F = augmented_integrand(AugmentedSetup(problem, lam))
-    grids = residual_grids(problem, traj, count=grid_count)
-    record = PathRecord(F, problem, traj, np.concatenate(list(grids.values())))
+    record = PathRecord(F, problem, traj, residual_grids(problem, traj, count=grid_count))
     # cdur(t - tau) over both regimes covers the hypothesis domain [t1 - tau, t2 - tau]
     el, dr, drq, cdur = record.psi[0], record.dr_residual, record.dr_quantity, record.cdur_delayed
     first = record.first

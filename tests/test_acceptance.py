@@ -17,10 +17,8 @@ from delayvar import calculus
 from delayvar.dubois_reymond import cdur_residual, dr_quantity, dr_residual, psi
 from delayvar.euler_lagrange import (
     Classification,
-    Regime,
     classify,
     el_residual,
-    regime_of,
     residual_grids,
     smooth_breaks,
     stencil_bounds,
@@ -79,13 +77,13 @@ def closed_form_functionals():
 
 def test_criterion_1_example1_el_extremality(ex1_problem, ex1_setup, ex1_traj):
     start = time.perf_counter()
-    grids = residual_grids(ex1_problem, ex1_traj, count=200)
+    times = residual_grids(ex1_problem, ex1_traj, count=200)
     sups = {regime: float(np.max(np.abs(el_residual(ex1_setup, ex1_traj, ts))))
-            for regime, ts in grids.items()}
+            for regime, ts in (("first", times[times < 1.0]), ("second", times[times > 1.0]))}
     elapsed = time.perf_counter() - start
     ok = all(s <= 1e-10 for s in sups.values()) and elapsed < 1.0
-    _report(1, ok, f"el sup first={sups[Regime.FIRST]:.3e} "
-                   f"second={sups[Regime.SECOND]:.3e} (<=1e-10), {elapsed:.3f}s (<1s)")
+    _report(1, ok, f"el sup first={sups['first']:.3e} "
+                   f"second={sups['second']:.3e} (<=1e-10), {elapsed:.3f}s (<1s)")
 
 
 def test_criterion_2_example1_functionals(ex1_problem, ex1_traj, closed_form_functionals):
@@ -144,7 +142,7 @@ def test_criterion_5_classical_solve(classical_problem):
     group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
     setup = AugmentedSetup(classical_problem, lam)
     con = constancy_report(
-        lambda t: noether_quantity(setup, group, traj, t),
+        lambda t: noether_quantity(setup, group, traj, t), classical_problem,
         residual_grids(classical_problem, traj, count=60))
     elapsed = time.perf_counter() - start
     ok = (report.converged and abs(lam[0] - 4.0) <= 1e-5 and sup_err <= 1e-5
@@ -162,7 +160,7 @@ def test_criterion_6_delayed_lq_pmp():
         phi=(Integrand(lambda v: v[3] + v[2], name="q_tau + u"),),
         history=lambda t: np.zeros(1))
     triple, lam, report = solve_pmp(cp, scheme=CollocationScheme(nodes=64))
-    times = np.concatenate(list(residual_grids(cp, triple.q, 200).values()))
+    times = residual_grids(cp, triple.q, 200)
     res = pmp_residuals(cp, triple, lam, times)
     # method-of-steps oracle: pdot = 0 on [0.5, 1] with p(1) = 0, then
     # pdot(t) = -p(t + tau) on [0, 0.5]: p = u = q = 0 identically
@@ -197,36 +195,37 @@ def _random_m1_setup(rng):
 
 def _direct_m1_el(setup, traj, problem, t):
     F = augmented_integrand(setup)
-    regime = regime_of(problem, t)
-    lo, hi = (0.0, 0.5) if regime is Regime.FIRST else (0.5, 1.0)
+    first = t < problem.t2 - problem.tau
+    lo, hi = (0.0, 0.5) if first else (0.5, 1.0)
     breaks = smooth_breaks(problem, traj)
     los, his = stencil_bounds([t], breaks, lo, hi)
 
     def momentum(us):
         out = calculus.partial(F, 3, args_at(traj, us, 0.5, 1)).T
-        if regime is Regime.FIRST:
+        if first:
             out = out + calculus.partial(F, 5, args_at(traj, us + 0.5, 0.5, 1)).T
         return out
 
     dm = calculus.total_derivative_many(momentum, [t], 1, los, his,
                                         calculus.default_step(1.0, 1))[0]
     force = calculus.partial(F, 2, args_at(traj, t, 0.5, 1))
-    if regime is Regime.FIRST:
+    if first:
         force = force + calculus.partial(F, 4, args_at(traj, t + 0.5, 0.5, 1))
     return dm - force
 
 
-def _direct_m1_psi(setup, traj, t, regime):
+def _direct_m1_psi(setup, traj, t):
     F = augmented_integrand(setup)
     out = calculus.partial(F, 3, args_at(traj, t, 0.5, 1))
-    if regime is Regime.FIRST:
+    if t < setup.problem.t2 - setup.problem.tau:
         out = out + calculus.partial(F, 5, args_at(traj, t + 0.5, 0.5, 1))
     return out
 
 
-def _direct_m1_dr(setup, traj, problem, t, regime):
+def _direct_m1_dr(setup, traj, problem, t):
     F = augmented_integrand(setup)
-    lo, hi = (0.0, 0.5) if regime is Regime.FIRST else (0.5, 1.0)
+    first = t < problem.t2 - problem.tau
+    lo, hi = (0.0, 0.5) if first else (0.5, 1.0)
     breaks = smooth_breaks(problem, traj)
     los, his = stencil_bounds([t], breaks, lo, hi)
 
@@ -234,7 +233,7 @@ def _direct_m1_dr(setup, traj, problem, t, regime):
         value = np.asarray(F(args_at(traj, us, 0.5, 1).values), dtype=float)
         qd = traj.eval(us, 1)[:, 0]
         mom = calculus.partial(F, 3, args_at(traj, us, 0.5, 1))[0]
-        if regime is Regime.FIRST:
+        if first:
             mom = mom + calculus.partial(F, 5, args_at(traj, us + 0.5, 0.5, 1))[0]
         return (value - qd * mom)[:, None]
 
@@ -243,9 +242,9 @@ def _direct_m1_dr(setup, traj, problem, t, regime):
     return d - calculus.partial(F, 1, args_at(traj, t, 0.5, 1))[0]
 
 
-def _direct_m1_noether(setup, traj, t, regime, eta_c, beta):
+def _direct_m1_noether(setup, traj, t, eta_c, beta):
     F = augmented_integrand(setup)
-    mom = _direct_m1_psi(setup, traj, t, regime)
+    mom = _direct_m1_psi(setup, traj, t)
     value = float(F(args_at(traj, t, 0.5, 1).values))
     q = traj.eval(t, 0)
     qd = traj.eval(t, 1)
@@ -259,23 +258,22 @@ def test_criterion_7a_m1_reduction_identities():
         setup, traj, problem = _random_m1_setup(rng)
         t_first = float(rng.uniform(0.06, 0.44))
         t_second = float(rng.uniform(0.56, 0.94))
-        for t, regime in ((t_first, Regime.FIRST), (t_second, Regime.SECOND)):
+        for t in (t_first, t_second):
             scale = 1.0
             general_el = el_residual(setup, traj, t)
             direct_el = _direct_m1_el(setup, traj, problem, t)
             worst = max(worst, float(np.max(np.abs(general_el + direct_el))))
             general_psi = psi(setup, traj, 1, t)
             worst = max(worst, float(np.max(np.abs(
-                general_psi - _direct_m1_psi(setup, traj, t, regime)))))
+                general_psi - _direct_m1_psi(setup, traj, t)))))
             general_dr = dr_residual(setup, traj, t)
-            worst = max(worst, abs(general_dr - _direct_m1_dr(setup, traj, problem,
-                                                              t, regime)))
+            worst = max(worst, abs(general_dr - _direct_m1_dr(setup, traj, problem, t)))
             eta_c, beta = (float(x) for x in rng.uniform(-1, 1, size=2))
             group = TransformationGroup(eta=lambda tt, qq, e=eta_c: e,
                                         xi=lambda tt, qq, b=beta: b * qq)
             general_c = noether_quantity(setup, group, traj, t)
             worst = max(worst, abs(general_c - _direct_m1_noether(
-                setup, traj, t, regime, eta_c, beta)))
+                setup, traj, t, eta_c, beta)))
     ok = worst <= 1e-10
     _report(7, ok, f"(a) m=1 EL/psi/DR/Noether vs direct first-order forms: "
                    f"worst |diff|={worst:.2e} (<=1e-10) over 100 random cases")
@@ -295,8 +293,7 @@ def test_criterion_7b_second_order_corollary():
         eta_c, beta = (float(x) for x in rng.uniform(-1, 1, size=2))
         group = TransformationGroup(eta=lambda tt, qq, e=eta_c: e,
                                     xi=lambda tt, qq, b=beta: b * qq)
-        for t, regime in ((float(rng.uniform(0.08, 0.42)), Regime.FIRST),
-                          (float(rng.uniform(0.58, 0.92)), Regime.SECOND)):
+        for t in (float(rng.uniform(0.08, 0.42)), float(rng.uniform(0.58, 0.92))):
             general = noether_quantity(setup, group, traj, t)
             corollary = second_order_noether_quantity(
                 setup, traj, t, eta=eta_c,

@@ -11,7 +11,7 @@ import pytest
 
 from delayvar import cli, registry, solver
 from delayvar.cli import main
-from delayvar.euler_lagrange import PathRecord, Regime, residual_grids
+from delayvar.euler_lagrange import PathRecord, residual_grids
 from delayvar.problem import AugmentedSetup, augmented_integrand, problem_from_json
 from delayvar.trajectory import PolySegment, Trajectory
 
@@ -55,8 +55,8 @@ class TestResiduals:
         rows = out.read_text().splitlines()[1:]
         entry = registry.get("example1")
         setup = AugmentedSetup(entry.build(), entry.lam)
-        grids = residual_grids(setup.problem, entry.trajectory(), count=2000)
-        first, second = grids[Regime.FIRST], grids[Regime.SECOND]
+        times = residual_grids(setup.problem, entry.trajectory(), count=2000)
+        first, second = times[times < 1.0], times[times > 1.0]
         assert len(rows) == len(first) + len(second) and len(first) > 900 and len(second) > 900
         record = PathRecord(augmented_integrand(setup), setup.problem, entry.trajectory(), first)
         assert [row.rsplit(",", 1)[1] for row in rows[:len(first)]] == [
@@ -267,6 +267,18 @@ class TestConserved:
         cubic = -384 * ts ** 3 + 864 * ts ** 2 - 576 * ts + 144
         second = ts > 1.0
         assert np.max(np.abs(cs[second] - cubic[second])) <= 1e-5
+
+    def test_regime_column_is_the_split(self, tmp_path, capsys):
+        # the regime of a row is t < t2 - tau (= 1 on example1), with every time a row
+        out = tmp_path / "c.csv"
+        assert main(["conserved", "--example", "example1", "--eta", "1", "--xi", "0",
+                     "--grid", "500", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        ts = np.array([float(r[0]) for r in rows])
+        entry = registry.get("example1")
+        assert np.array_equal(ts, residual_grids(entry.build(), entry.trajectory(), 500))
+        assert [r[1] for r in rows] == np.where(ts < 1.0, "first", "second").tolist()
 
     def test_classical_constant(self, classical_file, tmp_path, capsys):
         traj_file = tmp_path / "traj.json"

@@ -112,7 +112,8 @@ def test_residuals_file_is_the_record_in_17_digit_format(tmp_path):
     setup, traj = _example1()
     problem, F = setup.problem, augmented_integrand(setup)
     blocks = []
-    for ts in residual_grids(problem, traj, count=20000).values():
+    times, split = residual_grids(problem, traj, count=20000), problem.t2 - problem.tau
+    for ts in (times[times < split], times[times > split]):
         record = PathRecord(F, problem, traj, ts)
         block = [record.ts, *record.psi[0].T, record.dr_quantity, record.dr_residual]
         if record.first.all():  # the first regime's grid: cdur(t) on every row

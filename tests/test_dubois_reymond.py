@@ -9,7 +9,6 @@ from delayvar import calculus
 from delayvar.dubois_reymond import cdur_residual, dr_quantity, dr_residual, psi
 from delayvar.errors import EvaluationDomain, JOutOfRange, OutOfDomain
 from delayvar.euler_lagrange import (
-    Regime,
     residual_grids,
     smooth_breaks,
     stencil_bounds,
@@ -47,9 +46,8 @@ class TestPsi:
             L=Integrand(lambda v: 0.0 * v[0] + 1.0, name="1"))
         setup = AugmentedSetup(problem, [])
         for j in (1, 2):
-            for regime in Regime:
-                assert abs(psi(setup, ex1_traj, j, 1.5 if regime is Regime.SECOND else 0.5
-                               )[0]) <= 1e-12
+            for t in (0.5, 1.5):  # one time in each regime
+                assert abs(psi(setup, ex1_traj, j, t)[0]) <= 1e-12
 
     def test_j_out_of_range(self, ex1_setup, ex1_traj):
         with pytest.raises(JOutOfRange):
@@ -124,7 +122,7 @@ class TestDrQuantity:
                                        L=integrand_from_expr("qd^2", 1, 1))
         traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
         setup = AugmentedSetup(problem, [])
-        for t, regime in ((0.2, Regime.FIRST), (0.8, Regime.SECOND)):
+        for t in (0.2, 0.8):
             assert dr_quantity(setup, traj, t) == pytest.approx(-1.0, abs=1e-10)
 
     def test_example1_audit_values(self, ex1_setup, ex1_traj):
@@ -140,8 +138,7 @@ class TestDrResidual:
 
     def test_embedded_classical_isoperimetric(self, classical_setup, classical_traj):
         # F = qd^2 - 4q along q = t(1-t): quantity is the constant -1
-        for t, regime in ((0.2, Regime.FIRST), (0.31, Regime.FIRST),
-                          (0.6, Regime.SECOND), (0.88, Regime.SECOND)):
+        for t in (0.2, 0.31, 0.6, 0.88):
             assert dr_quantity(classical_setup, classical_traj, t) == pytest.approx(
                 -1.0, abs=1e-9)
             assert abs(dr_residual(classical_setup, classical_traj, t)) <= 1e-6
@@ -155,11 +152,10 @@ class TestDrResidual:
     @pytest.mark.parametrize("count", [200, 20000])
     def test_example1_closed_form(self, ex1_problem, ex1_setup, ex1_traj, count):
         # d/dt of the DR bracket: 2304 t - 576 on (0, 1), -1152 t^2 + 1728 t - 576 on (1, 2)
-        exact = {Regime.FIRST: lambda t: 2304.0 * t - 576.0,
-                 Regime.SECOND: lambda t: -1152.0 * t ** 2 + 1728.0 * t - 576.0}
-        for regime, ts in residual_grids(ex1_problem, ex1_traj, count=count).items():
-            got = dr_residual(ex1_setup, ex1_traj, ts)
-            assert np.max(np.abs(got - exact[regime](ts))) <= 3e-6
+        ts = residual_grids(ex1_problem, ex1_traj, count=count)
+        exact = np.where(ts < 1.0, 2304.0 * ts - 576.0, -1152.0 * ts ** 2 + 1728.0 * ts - 576.0)
+        got = dr_residual(ex1_setup, ex1_traj, ts)
+        assert np.max(np.abs(got - exact)) <= 3e-6
 
     def test_matches_definition(self):
         """The identity equals d/dt (F - psi_1 . q') - d_1 F by a stencil on a
@@ -174,8 +170,9 @@ class TestDrResidual:
         setup = AugmentedSetup(problem, [0.7])
         F = augmented_integrand(setup)
         breaks, split = smooth_breaks(problem, traj), problem.t2 - problem.tau
-        for regime, ts in residual_grids(problem, traj, count=60).items():
-            lo, hi = (problem.t1, split) if regime is Regime.FIRST else (split, problem.t2)
+        times = residual_grids(problem, traj, count=60)
+        for ts in (times[times < split], times[times > split]):
+            lo, hi = (problem.t1, split) if ts[0] < split else (split, problem.t2)
             los, his = stencil_bounds(ts, breaks, lo, hi)
             rate = calculus.total_derivative_many(
                 lambda u: dr_quantity(setup, traj, u), ts, 1, los, his,

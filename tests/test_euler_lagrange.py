@@ -11,11 +11,9 @@ from delayvar.errors import EmptyGrid, NoConstraints, OutOfDomain
 from delayvar.euler_lagrange import (
     Classification,
     PathRecord,
-    Regime,
     classify,
     csv_text,
     el_residual,
-    regime_of,
     residual_grids,
     smooth_breaks,
     stencil_bounds,
@@ -32,17 +30,10 @@ from delayvar.solver import verify
 from delayvar.trajectory import PolySegment, Trajectory
 
 
-def test_regime_split_convention(ex1_problem):
-    assert regime_of(ex1_problem, 0.99) is Regime.FIRST
-    assert regime_of(ex1_problem, 1.0) is Regime.SECOND  # t2 - tau itself
-    assert regime_of(ex1_problem, 1.5) is Regime.SECOND
-
-
-def test_regime_of_time_arrays(ex1_problem):
-    assert regime_of(ex1_problem, np.array([0.1, 0.99])) is Regime.FIRST
-    assert regime_of(ex1_problem, np.array([1.0, 1.9])) is Regime.SECOND
-    with pytest.raises(ValueError):
-        regime_of(ex1_problem, np.array([0.5, 1.5]))
+def test_regime_split_convention(ex1_problem, ex1_setup, ex1_traj):
+    F = augmented_integrand(ex1_setup)
+    first = PathRecord(F, ex1_problem, ex1_traj, [0.99, 1.0, 1.5]).first
+    assert first.tolist() == [True, False, False]  # t2 - tau itself is the second regime's
 
 
 class TestDifferentialForm:
@@ -53,10 +44,8 @@ class TestDifferentialForm:
         assert abs(el_residual(ex1_setup, ex1_traj, 0.5)[0]) <= 1e-10
 
     def test_example1_full_sweep(self, ex1_problem, ex1_setup, ex1_traj):
-        grids = residual_grids(ex1_problem, ex1_traj, count=200)
-        for ts in grids.values():
-            res = el_residual(ex1_setup, ex1_traj, ts)
-            assert np.max(np.abs(res)) <= 1e-10
+        res = el_residual(ex1_setup, ex1_traj, residual_grids(ex1_problem, ex1_traj, count=200))
+        assert np.max(np.abs(res)) <= 1e-10
 
     @pytest.mark.parametrize("count", [200, 20000])
     def test_example1_verify_is_exact(self, ex1_problem, ex1_traj, count):
@@ -121,17 +110,23 @@ def test_stacked_partial_and_its_rate(ex1_setup, ex1_traj):
 class TestResidualGrids:
     def test_excludes_neighbourhoods_of_smooth_breaks(self, ex1_problem, ex1_traj):
         # example1's segments have length 1, so the width is 1e-2
-        grids = residual_grids(ex1_problem, ex1_traj, count=200)
-        first, second = grids[Regime.FIRST], grids[Regime.SECOND]
+        times = residual_grids(ex1_problem, ex1_traj, count=200)
+        first, second = times[times < 1.0], times[times >= 1.0]
         assert np.all(first < 1.0) and np.all(second > 1.0)
-        times = np.concatenate([first, second])
         assert np.all(np.diff(times) > 0)
         breaks = smooth_breaks(ex1_problem, ex1_traj)
         assert np.min(np.abs(times[:, None] - breaks)) >= 1e-2
 
     def test_example1_sweep_grid(self, ex1_problem, ex1_traj):
-        grids = residual_grids(ex1_problem, ex1_traj, count=20000)
-        assert (len(grids[Regime.FIRST]), len(grids[Regime.SECOND])) == (9800, 9800)
+        times = residual_grids(ex1_problem, ex1_traj, count=20000)
+        assert (np.count_nonzero(times < 1.0), np.count_nonzero(times >= 1.0)) == (9800, 9800)
+
+    def test_example1_sweep_grid_is_one_ascending_array(self, ex1_problem, ex1_traj):
+        # both regimes end to end: 19 600 times, 9 800 below t2 - tau = 1, and 1 itself absent
+        times = residual_grids(ex1_problem, ex1_traj, count=20000)
+        assert times.shape == (19600,) and np.all(np.diff(times) > 0)
+        assert np.count_nonzero(times < 1.0) == 9800
+        assert 1.0 not in times
 
     def test_width_is_relative_to_the_shortest_segment(self, classical_problem):
         # 100 segments of length 0.015 on [-0.5, 1]: an absolute 1e-2 would
@@ -139,8 +134,7 @@ class TestResidualGrids:
         edges = np.linspace(-0.5, 1.0, 101)
         traj = Trajectory(1, 1, [PolySegment.from_monomial(a, b, [[0.0, 1.0, -1.0]])
                                  for a, b in zip(edges[:-1], edges[1:])])
-        grids = residual_grids(classical_problem, traj, count=200)
-        times = np.concatenate(list(grids.values()))
+        times = residual_grids(classical_problem, traj, count=200)
         gaps = np.min(np.abs(times[:, None] - smooth_breaks(classical_problem, traj)), axis=1)
         assert len(times) > 150
         assert np.all(gaps >= 1.5e-4) and np.any(gaps < 1e-2)
@@ -151,9 +145,9 @@ class TestResidualGrids:
             residual_grids(ex1_problem, ex1_traj, count=count)
 
     def test_regimes_are_float_arrays(self, ex1_problem, ex1_traj):
-        grids = residual_grids(ex1_problem, ex1_traj, count=200)
-        assert list(grids) == [Regime.FIRST, Regime.SECOND]
-        for ts in grids.values():
+        times = residual_grids(ex1_problem, ex1_traj, count=200)
+        assert times[0] < 1.0 < times[-1]  # the first regime's times come first
+        for ts in (times[times < 1.0], times[times > 1.0]):
             assert isinstance(ts, np.ndarray) and ts.dtype == float and ts.ndim == 1
             assert np.all(np.diff(ts) > 0)
 
@@ -219,20 +213,20 @@ def test_m1_reduction_matches_direct_form():
         breaks = smooth_breaks(problem, traj)
 
         def direct(t):
-            regime = regime_of(problem, t)
-            lo, hi = (0.0, 0.5) if regime is Regime.FIRST else (0.5, 1.0)
+            first = t < problem.t2 - problem.tau
+            lo, hi = (0.0, 0.5) if first else (0.5, 1.0)
             los, his = stencil_bounds([t], breaks, lo, hi)
 
             def momentum(us):
                 out = calculus.partial(F, 3, args_at(traj, us, 0.5, 1)).T
-                if regime is Regime.FIRST:
+                if first:
                     out = out + calculus.partial(F, 5, args_at(traj, us + 0.5, 0.5, 1)).T
                 return out
 
             dm = calculus.total_derivative_many(momentum, [t], 1, los, his,
                                                 calculus.default_step(1.0, 1))[0]
             force = calculus.partial(F, 2, args_at(traj, t, 0.5, 1))
-            if regime is Regime.FIRST:
+            if first:
                 force = force + calculus.partial(F, 4, args_at(traj, t + 0.5, 0.5, 1))
             return dm - force
 

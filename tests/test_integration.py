@@ -77,7 +77,7 @@ class TestVectorState:
         setup = AugmentedSetup(vector_problem, [4.0])
         group = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(2))
         con = constancy_report(
-            lambda t: noether_quantity(setup, group, vector_traj, t),
+            lambda t: noether_quantity(setup, group, vector_traj, t), vector_problem,
             residual_grids(vector_problem, vector_traj, count=40))
         assert con.max_deviation <= 1e-6
         # rho with a component-mixing generator
@@ -112,11 +112,10 @@ class TestSecondOrderSolve:
     def test_solution_passes_residual_sweep(self, cubic_m2_problem):
         traj, lam, report = solve_el(cubic_m2_problem, scheme=CollocationScheme(nodes=18))
         setup = AugmentedSetup(cubic_m2_problem, lam)
-        grids = residual_grids(cubic_m2_problem, traj, count=80)
-        for regime, ts in grids.items():
-            assert np.max(np.abs(el_residual(setup, traj, ts))) <= 1e-9
-            drr = np.atleast_1d(dr_residual(setup, traj, ts))
-            assert np.max(np.abs(drr)) <= 1e-9
+        ts = residual_grids(cubic_m2_problem, traj, count=80)
+        assert np.max(np.abs(el_residual(setup, traj, ts))) <= 1e-9
+        drr = np.atleast_1d(dr_residual(setup, traj, ts))
+        assert np.max(np.abs(drr)) <= 1e-9
 
     def test_control_route_agrees(self, cubic_m2_problem):
         """Reduce to the chain control form and solve the Pontryagin system:

@@ -9,7 +9,7 @@ import pytest
 
 from delayvar.dubois_reymond import dr_quantity
 from delayvar.errors import EmptyGrid, IOutOfRange, NotJetCapable, TransformEscapesDomain
-from delayvar.euler_lagrange import Regime, residual_grids
+from delayvar.euler_lagrange import residual_grids
 from delayvar.noether import (
     constancy_report,
     invariance_check,
@@ -157,6 +157,15 @@ class TestInvarianceCheck:
         assert abs(defect - (first + second)) <= 1e-9 * abs(defect)
         assert (defect, first, second) == pytest.approx(expected, rel=1e-12)
 
+    def test_reversed_interval_raises(self, ex1_setup, ex1_traj):
+        # eta = t is not a symmetry of example1: the defect on [0.2, 1.6] is far from 0
+        dilation = TransformationGroup(eta=lambda t, q: t, xi=lambda t, q: np.zeros(1))
+        defect, first, second = invariance_check(ex1_setup, dilation, ex1_traj, (0.2, 1.6))
+        assert min(abs(defect), abs(first), abs(second)) >= 100.0
+        with pytest.raises(ValueError, match=r"\[1\.6, 0\.2\]"):
+            invariance_check(ex1_setup, dilation, ex1_traj, (1.6, 0.2))
+        assert invariance_check(ex1_setup, dilation, ex1_traj, (0.7, 0.7)) == (0.0, 0.0, 0.0)
+
     def test_subinterval_keeps_its_value(self, scaled_setup, ex1_traj):
         # int_a^b (qdd + qdd_tau)^2 dt = int_a^b 144 (2t - 1)^2 dt, on both sides of
         # t2 - tau and inside the second regime
@@ -172,7 +181,7 @@ class TestNoetherQuantity:
                                        L=integrand_from_expr("qd^2", 1, 1))
         traj = Trajectory(1, 1, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
         setup = AugmentedSetup(problem, [])
-        for t, regime in ((0.2, Regime.FIRST), (0.8, Regime.SECOND)):
+        for t in (0.2, 0.8):
             assert noether_quantity(setup, TIME_SHIFT, traj, t) == pytest.approx(
                 -1.0, abs=1e-10)
 
@@ -188,8 +197,7 @@ class TestNoetherQuantity:
     def test_time_shift_identity_with_dr_quantity(self, ex1_setup, ex1_traj):
         """With eta = 1, xi = 0, gauge = 0 the conserved quantity IS the
         DuBois-Reymond bracket, exactly."""
-        for t, regime in ((0.3, Regime.FIRST), (0.55, Regime.FIRST),
-                          (1.2, Regime.SECOND), (1.83, Regime.SECOND)):
+        for t in (0.3, 0.55, 1.2, 1.83):
             C = noether_quantity(ex1_setup, TIME_SHIFT, ex1_traj, t)
             D = dr_quantity(ex1_setup, ex1_traj, t)
             assert abs(C - D) <= 1e-12
@@ -214,8 +222,7 @@ def test_m1_reduction_matches_direct_noether_form():
         alpha, beta = (float(x) for x in rng.uniform(-1, 1, size=2))
         group = TransformationGroup(eta=lambda t, q: alpha,
                                     xi=lambda t, q, beta=beta: beta * q)
-        t = float(rng.uniform(0.55, 0.95))
-        regime = Regime.SECOND
+        t = float(rng.uniform(0.55, 0.95))  # the second regime: no advanced term
         momentum = calculus.partial(F, 3, args_at(traj, t, 0.5, 1))
         value = float(F(args_at(traj, t, 0.5, 1).values))
         qd = traj.eval(t, 1)
@@ -256,8 +263,9 @@ class TestArrayGenerators:
             setup, group, traj = ex1_setup, TIME_SHIFT, ex1_traj
         else:
             setup, group, traj = _gauge_case() if case == "gauge" else _rotation_case()
-        grids = residual_grids(setup.problem, traj, count=40)
-        for regime, ts in grids.items():
+        times = residual_grids(setup.problem, traj, count=40)
+        split = setup.problem.t2 - setup.problem.tau
+        for ts in (times[times < split], times[times > split]):
             swept = noether_quantity(setup, group, traj, ts)
             pointwise = [noether_quantity(setup, group, traj, float(t))
                          for t in ts]
@@ -328,66 +336,77 @@ class TestArrayGenerators:
 
 
 class TestConstancyReport:
-    def test_constant_function(self):
-        grids = {Regime.FIRST: np.linspace(0.1, 0.4, 7),
-                 Regime.SECOND: np.linspace(0.6, 0.9, 7)}
-        report = constancy_report(lambda t: 5.0, grids)
-        assert report.max_deviation == 0.0
-        assert report.means[Regime.FIRST] == 5.0
+    # classical_problem splits its regimes at t2 - tau = 0.5
 
-    def test_linear_function_deviation(self):
-        grids = {Regime.SECOND: np.linspace(0.0, 1.0, 11)}
-        report = constancy_report(lambda t: t, grids)
-        assert report.deviations[Regime.SECOND] == pytest.approx(0.5, abs=1e-12)
+    def test_constant_function(self, classical_problem):
+        ts = np.concatenate([np.linspace(0.1, 0.4, 7), np.linspace(0.6, 0.9, 7)])
+        report = constancy_report(lambda t: 5.0, classical_problem, ts)
+        assert report.max_deviation == 0.0
+        assert report.means["first"] == 5.0
+
+    def test_linear_function_deviation(self, classical_problem):
+        report = constancy_report(lambda t: t, classical_problem, np.linspace(0.5, 1.5, 11))
+        assert report.deviations["second"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("ts, regime", [(np.linspace(0.1, 0.4, 7), "first"),
+                                            (np.linspace(0.5, 0.9, 5), "second")])
+    def test_one_regime_reports_only_its_key(self, classical_problem, ts, regime):
+        report = constancy_report(lambda t: 3.0 * t, classical_problem, ts)
+        assert list(report.means) == list(report.deviations) == [regime]
+        assert np.array_equal(report.values, 3.0 * ts)
+
+    def test_first_regime_keyed_first(self, classical_problem):
+        ts = np.array([0.9, 0.2, 0.7, 0.1])  # the second regime's times lead
+        report = constancy_report(lambda t: t, classical_problem, ts)
+        assert list(report.means) == list(report.deviations) == ["first", "second"]
+        assert report.means == {"first": pytest.approx(0.15), "second": pytest.approx(0.8)}
+        assert np.array_equal(report.values, ts)
 
     def test_embedded_classical(self, classical_setup, classical_traj):
-        grids = residual_grids(classical_setup.problem, classical_traj, count=60)
+        problem = classical_setup.problem
         report = constancy_report(
-            lambda t: noether_quantity(classical_setup, TIME_SHIFT, classical_traj, t), grids)
+            lambda t: noether_quantity(classical_setup, TIME_SHIFT, classical_traj, t), problem,
+            residual_grids(problem, classical_traj, count=60))
         assert report.max_deviation <= 1e-6
 
-    def test_empty_grids_raise(self):
+    def test_empty_grids_raise(self, classical_problem):
         with pytest.raises(EmptyGrid):
-            constancy_report(lambda t: 1.0, {})
+            constancy_report(lambda t: 1.0, classical_problem, [])
 
-    def test_empty_regime_raises_before_sampling(self):
+    def test_empty_regime_raises_before_sampling(self, classical_problem):
         def quantity(t):
-            raise AssertionError("quantity called on an empty regime")
+            raise AssertionError("quantity called on no times")
 
         with pytest.raises(EmptyGrid):
-            constancy_report(quantity, {Regime.FIRST: np.zeros(0)})
+            constancy_report(quantity, classical_problem, np.zeros(0))
 
-    def test_one_array_call_over_every_regime(self):
+    def test_one_array_call_over_every_regime(self, classical_problem):
         calls = []
 
         def quantity(ts):
             calls.append(np.shape(ts))
             return 2.0 * ts
 
-        grids = {Regime.FIRST: np.linspace(0.1, 0.4, 7),
-                 Regime.SECOND: np.linspace(0.6, 0.9, 5)}
-        report = constancy_report(quantity, grids)
-        assert calls == [(12,)]  # the regimes' times end to end, split afterwards
-        assert report.deviations[Regime.SECOND] == pytest.approx(0.3, abs=1e-12)
-        assert report.deviations[Regime.FIRST] == pytest.approx(0.3, abs=1e-12)
-        for regime, ts in grids.items():
-            assert np.array_equal(report.values[regime], 2.0 * ts)
+        ts = np.concatenate([np.linspace(0.1, 0.4, 7), np.linspace(0.6, 0.9, 5)])
+        report = constancy_report(quantity, classical_problem, ts)
+        assert calls == [(12,)]  # every regime's times at once, split afterwards
+        assert report.deviations["second"] == pytest.approx(0.3, abs=1e-12)
+        assert report.deviations["first"] == pytest.approx(0.3, abs=1e-12)
+        assert np.array_equal(report.values, 2.0 * ts)
 
-    def test_scalar_only_quantity(self):
-        # called once on the regime's time array, a scalar-only quantity raises
-        # its own TypeError there: no per-point retry
+    def test_scalar_only_quantity(self, classical_problem):
+        # called once on the time array, a scalar-only quantity raises its own
+        # TypeError there: no per-point retry
         calls = []
 
         def quantity(t):
             calls.append(t)
             return math.sin(t)
 
-        grids = {Regime.SECOND: np.linspace(0.0, 1.0, 11)}
         with pytest.raises(TypeError):
-            constancy_report(quantity, grids)
+            constancy_report(quantity, classical_problem, np.linspace(0.5, 1.5, 11))
         assert len(calls) == 1 and np.shape(calls[0]) == (11,)
 
-    def test_points_first_quantity_raises(self):
-        grids = {Regime.SECOND: np.linspace(0.0, 1.0, 11)}
+    def test_points_first_quantity_raises(self, classical_problem):
         with pytest.raises(ValueError):
-            constancy_report(lambda t: t[:, None], grids)
+            constancy_report(lambda t: t[:, None], classical_problem, np.linspace(0.5, 1.5, 11))
