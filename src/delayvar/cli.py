@@ -3,8 +3,9 @@
 Subcommands: residuals, conserved, invariance, solve, verify, list.
 Exit codes: 0 success, 1 gated verification failure, 2 invalid input (bad
 files and flags, caught where they are read) or a DelayVarError, 3 solver
-non-convergence; any other exception keeps its traceback.  All numbers are
-printed with 17 significant digits so runs are reproducible and diffable.
+non-convergence; any other exception keeps its traceback.  CSV cells and text
+reports print numbers as ``%.17g``, JSON (``--json`` summaries, ``solve`` files)
+as Python's shortest round-trip repr, so runs are reproducible and diffable.
 """
 
 from __future__ import annotations
@@ -291,9 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the delayed boundary-value problem")
     p.add_argument("--example")
     p.add_argument("--problem")
-    p.add_argument("--nodes", type=int, default=64, help="collocation nodes per regime")
+    p.add_argument("--nodes", type=int, default=CollocationScheme.nodes,
+                   help="collocation nodes per regime")
     p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
-    p.add_argument("--maxiter", type=int, default=50)
+    p.add_argument("--maxiter", type=int, default=CollocationScheme.max_iterations)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
 

@@ -12,7 +12,8 @@ class OutOfDomain(DelayVarError):
 
 
 class OrderTooHigh(DelayVarError):
-    """A derivative order exceeds what the representation supports."""
+    """A derivative order is negative.  An order past a path's degree is not
+    an error: that derivative is zero."""
 
 
 class BlockOutOfRange(DelayVarError):

@@ -100,8 +100,8 @@ class PathRecord:
         order = max([m - j for j in momenta] + [along_order])
         self._momenta, self._ks = tuple(momenta), range(min(momenta, default=m + 1), m + 1)
         self._count = m + 1 + max(order, 1)
-        self.q = traj.derivatives(ts, self._count, left)
-        self.q_delayed = traj.derivatives(ts - tau, self._count, left or ts >= traj.domain[1])
+        self.q = traj.eval(ts, range(self._count), left)
+        self.q_delayed = traj.eval(ts - tau, range(self._count), left or ts >= traj.domain[1])
         self._current = path_args(ts, self.q[: m + 1], self.q_delayed[: m + 1])
         self._partials, self.along = {}, []
         if not self._ks and along is None:
@@ -114,7 +114,7 @@ class PathRecord:
     def _advanced(self):
         """The path at ts + tau and the argument vector there, on the first regime's points."""
         ts = self.ts[self._rows] + self.tau
-        path = self.traj.derivatives(ts, self._count, self._left)
+        path = self.traj.eval(ts, range(self._count), self._left)
         return path, path_args(ts, path[: self.m + 1],
                                [q[self._rows] for q in self.q[: self.m + 1]])
 

@@ -95,7 +95,7 @@ def rho(group: TransformationGroup, traj: Trajectory, i: int, t) -> np.ndarray:
     if not 0 <= i <= traj.m:
         raise IOutOfRange(f"i = {i} outside 0..{traj.m}")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _lifts(group, traj, ts, traj.derivatives(ts, i + 1), i)[i]
+    out = _lifts(group, traj, ts, traj.eval(ts, range(i + 1)), i)[i]
     return out[0] if np.ndim(t) == 0 else out
 
 

@@ -237,7 +237,7 @@ class _Collocation:
             hs = np.zeros((len(orders), len(ts), blk.ncomp))
             if left.any():  # h: the history left of the mesh, zero on it
                 history = Trajectory(blk.ncomp, blk.m, blk.history, validate=False)
-                hs[:, left] = np.take(history.derivatives(ts[left], orders[-1] + 1), orders, 0)
+                hs[:, left] = history.eval(ts[left], orders)
             bases, hs = np.concatenate(bases), hs.reshape(-1, hs.shape[-1])  # order-major rows
             for g, (_, sets, keys) in enumerate(groups):
                 keys = sorted(key for key in keys if key[0] == b)

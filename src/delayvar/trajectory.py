@@ -146,12 +146,12 @@ class Trajectory:
         ``order`` may also be a sequence of orders: the result is then a list
         with one array per order, from one domain check, segment lookup and
         power table.  Each array has shape t.shape + (n,) for scalar or 1-D t.
+        An order past ``max_degree`` is zero, as in :meth:`PolySegment.eval`.
         """
         batched = np.ndim(order) > 0
         orders = list(order) if batched else [order]
-        for o in orders:
-            if o < 0 or o > self.max_degree:
-                raise OrderTooHigh(f"order {o} exceeds max segment degree {self.max_degree}")
+        if min(orders, default=0) < 0:
+            raise OrderTooHigh(f"derivative order {min(orders)} is negative")
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.domain
@@ -164,27 +164,22 @@ class Trajectory:
         if np.any(left):
             idx = np.where(left, np.searchsorted(self._left_of, t, side="left"), idx)
         x = t - self._mids[idx]
-        powers = np.empty((self.max_degree + 1 - min(orders, default=0), len(x)))
+        powers = np.empty((max(self.max_degree + 1 - min(orders, default=0), 1), len(x)))
         powers[0] = 1.0
         for k in range(1, len(powers)):
             np.multiply(powers[k - 1], x, out=powers[k])
         outs = []
         term = np.empty((len(x), self.n))
         for o in orders:
-            table = self._stacked(o)  # (K, nseg, n)
+            table = self._stacked(min(o, self.max_degree + 1))  # (K, nseg, n), K = 0 past it
             # idx is in range by construction; mode="clip" skips the buffered copy
-            out = table[0].take(idx, axis=0, mode="clip")
+            out = table[0].take(idx, axis=0, mode="clip") if len(table) else np.zeros_like(term)
             for k in range(1, len(table)):
                 table[k].take(idx, axis=0, out=term, mode="clip")
                 term *= powers[k][:, None]
                 out += term
             outs.append(out[0] if scalar else out)
         return outs if batched else outs[0]
-
-    def derivatives(self, t, count: int, left=False) -> list[np.ndarray]:
-        """q, q', ..., q^(count - 1) at t from one :meth:`eval`, zero past the degree."""
-        out = self.eval(t, range(min(count, self.max_degree + 1)), left)
-        return out + [np.zeros_like(out[0])] * (count - len(out))
 
     # -- serialization ------------------------------------------------------
 

@@ -117,6 +117,13 @@ class TestPartial:
         f = Integrand(lambda v: v[1] * v[3], name="q*q_tau")
         assert partial(f, 1, self._args([0.7, 2.0, 0.0, 5.0, 0.0]))[0] == 0.0
 
+    def test_empty_multiplier_block(self):
+        # the control layout's block 7 holds the k multipliers: none when k = 0
+        H = Integrand(lambda v: v[2] ** 2, name="u^2")
+        args = ArgVector([0.0, 1.0, 2.0, 1.0, 2.0, 0.5], ArgLayout.control(1, 1, 0))
+        got = partial(H, 7, args)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     def test_block_out_of_range(self):
         f = Integrand(lambda v: v[1], name="q")
         with pytest.raises(BlockOutOfRange):

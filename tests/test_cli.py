@@ -250,6 +250,12 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_solve_defaults_are_the_scheme_defaults():
+    args = cli.build_parser().parse_args(["solve"])
+    scheme = solver.CollocationScheme()
+    assert (args.nodes, args.maxiter, args.tol) == (scheme.nodes, scheme.max_iterations, 1e-6)
+
+
 class TestConserved:
     def test_example1_time_translation(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -36,6 +36,17 @@ def test_parenthesized_round_trip():
     assert parse(to_str(ast)) == ast
 
 
+def test_trailing_whitespace_is_ignored():
+    assert parse("q + 1  ") == parse("q + 1")
+
+
+@pytest.mark.parametrize("text", ["q^(t + 1)", "q^(2*t)", "q^sin(t)", "(-q)^2"])
+def test_compound_power_round_trip(text):
+    # the random ASTs draw integer exponents only; these are compound operands of ^
+    ast = parse(text)
+    assert parse(to_str(ast)) == ast
+
+
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse("q@2")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from delayvar import registry
 from delayvar.errors import OutOfDomain, WrongOrder
 from delayvar.euler_lagrange import PathRecord
 from delayvar.noether import noether_quantity
@@ -102,6 +103,20 @@ class TestPmpResiduals:
         res = pmp_residuals(cp, triple, [], 0.2)  # first regime
         # costate: pdot + d2H + d4H(t+tau) = 0 + 0 + p(t+tau) = 3
         assert res.costate[0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_constant_paths_of_degree_zero(self):
+        # q = 1 (its history), u = 0, p = 0 as degree-0 segments: qdot and pdot are
+        # zero past the degree, so state = 0 - (q_tau + u) = -1 and the rest is 0
+        cp = registry.get("autonomous-lq").build()
+
+        def flat(value, lo):
+            return Trajectory(1, 1, [PolySegment(lo, 1.0, [[value]])])
+
+        triple = PontryaginTriple(q=flat(1.0, -0.5), u=flat(0.0, -0.5), p=flat(0.0, 0.0))
+        res = pmp_residuals(cp, triple, [], np.linspace(0.0, 1.0, 9))  # both regimes
+        assert np.array_equal(res.state, np.full((9, 1), -1.0))
+        assert np.array_equal(res.costate, np.zeros((9, 1)))
+        assert np.array_equal(res.stationarity, np.zeros((9, 1)))
 
     @pytest.mark.parametrize("t", [-0.25, 1.25, np.array([0.5, 1.5])])
     def test_outside_the_horizon_raises(self, t):

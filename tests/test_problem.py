@@ -235,7 +235,37 @@ class TestFunctionalValue:
         assert split == pytest.approx(base, abs=1e-10)
 
 
+class TestLowDegreeCandidate:
+    """A path of degree below the order a problem reads: past its degree a
+    derivative is zero, so q = t is audited at m = 2 rather than refused."""
+
+    PROBLEM = IsoperimetricProblem(m=2, n=1, tau=0.5, t1=0.0, t2=1.0,
+                                   L=integrand_from_expr("qdd^2 + qd^2", 2, 1),
+                                   g=(integrand_from_expr("q", 2, 1),), l=[0.5])
+    LINE = Trajectory(1, 2, [PolySegment.from_monomial(-0.5, 1.0, [[0.0, 1.0]])])
+
+    def test_functional_and_constraint(self):
+        assert functional_value(self.PROBLEM, self.LINE) == pytest.approx(1.0, abs=1e-12)
+        assert constraint_values(self.PROBLEM, self.LINE) == pytest.approx([0.5], abs=1e-12)
+
+    def test_args_at(self):
+        # t, q, qd, qdd, then the same at t - tau
+        assert args_at(self.LINE, 0.7, 0.5, 2).values == pytest.approx(
+            [0.7, 0.7, 1.0, 0.0, 0.2, 1.0, 0.0], abs=1e-12)
+
+    def test_verify(self):
+        # L's EL expression 0 - (2 qd)' + (2 qdd)'' vanishes on the line, as does DR
+        sup = verify(self.PROBLEM, self.LINE, (0.0,)).sup
+        assert max(sup["el_first"], sup["el_second"], sup["dr_first"], sup["dr_second"]) <= 1e-12
+        assert sup["constraint_defect"] <= 1e-12
+
+
 class TestConstraints:
+    def test_no_constraints(self, ex1_traj):
+        problem = IsoperimetricProblem(m=2, n=1, tau=1.0, t1=0.0, t2=2.0,
+                                       L=integrand_from_expr("qdd^2", 2, 1))
+        assert constraint_values(problem, ex1_traj).shape == (0,)
+
     def test_example1_oracle(self, ex1_problem, ex1_traj):
         # oracle: 16 int_0^2 (3t^2-3t+1)^2 dt = 16 * 15.6 = 249.6
         values = constraint_values(ex1_problem, ex1_traj)

@@ -41,8 +41,11 @@ class TestEval:
             ex1_traj.eval(-1.5, 0)
 
     def test_order_too_high(self, ex1_traj):
-        with pytest.raises(OrderTooHigh):
-            ex1_traj.eval(0.5, 5)
+        # past the quartic's degree a derivative is zero; only a negative order raises
+        assert np.array_equal(ex1_traj.eval(0.5, 5), np.zeros(1))
+        assert np.array_equal(ex1_traj.eval(np.array([0.5, 1.5]), 9), np.zeros((2, 1)))
+        with pytest.raises(OrderTooHigh, match="negative"):
+            ex1_traj.eval(0.5, -1)
 
     def test_vectorized(self, ex1_traj):
         ts = np.array([-0.5, 0.5, 1.5])
@@ -102,10 +105,33 @@ class TestBatchedEval:
     def test_batched_errors(self, ex1_traj):
         with pytest.raises(OutOfDomain):
             ex1_traj.eval(np.array([0.5, 2.5]), range(3))
-        with pytest.raises(OrderTooHigh):
-            ex1_traj.eval(0.5, [0, 1, 5])
-        with pytest.raises(OrderTooHigh):
+        value, slope, fifth = ex1_traj.eval(0.5, [0, 1, 5])  # order 5 > degree 4: zero
+        assert (value[0], slope[0]) == pytest.approx((0.0625, 0.5), abs=1e-12)
+        assert np.array_equal(fifth, np.zeros(1))
+        with pytest.raises(OrderTooHigh, match="negative"):
             ex1_traj.eval(0.5, [-1, 0])
+
+    @pytest.mark.parametrize("t", [0.3, np.array([-0.5, 0.0, 0.25, 1.0])])
+    @pytest.mark.parametrize("left", [False, True])
+    def test_past_the_degree_is_segment_eval(self, t, left):
+        """Orders past max_degree are PolySegment.eval's zeros, shaped as order
+        0 is, batched between orders within it, with or without a left mask."""
+        traj = _mixed_degree_trajectory()  # every segment has degree <= 6
+        mask = np.asarray(t) > 0.1 if left else False
+        orders = [0, traj.max_degree + 3, 2, traj.max_degree + 1]
+        got = traj.eval(t, orders, mask)
+        for order, out in zip(orders, got):
+            assert np.array_equal(out, traj.eval(t, order, mask))
+        for order, out in zip(orders[1::2], got[1::2]):  # the orders past the degree
+            for seg in traj.segments:
+                assert np.array_equal(out, seg.eval(t, order))
+        assert got[1].shape == got[0].shape == np.shape(t) + (2,)
+
+    def test_only_orders_past_the_degree(self):
+        traj = Trajectory(1, 1, [PolySegment(0.0, 1.0, [[2.0]])])  # a constant
+        assert traj.eval(0.5, 0) == pytest.approx([2.0])
+        low, high = traj.eval(np.array([0.0, 0.5, 1.0]), [1, 5], left=True)
+        assert np.array_equal(low, np.zeros((3, 1))) and np.array_equal(high, np.zeros((3, 1)))
 
 
 class TestShiftedEval:
