@@ -29,7 +29,6 @@ from .errors import EvaluationDomain, ExprSyntaxError, UnknownVariable
 __all__ = ["Ast", "Num", "Var", "Neg", "Bin", "Call", "parse", "to_str", "names", "bind_eval",
            "compiled"]
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -161,7 +160,7 @@ class _Parser:
             self.next()
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
-                if value not in FUNCTIONS:
+                if value not in _FN:
                     raise ExprSyntaxError(pos, ("function name",), value)
                 self.next()
                 arg = self.expr()
@@ -297,5 +296,4 @@ def compiled(node: Ast, slots: dict[str, int]):
     def fn(args):
         return bind_eval(node, slots, args)
 
-    fn.__name__ = f"expr<{to_str(node)}>"
     return fn

@@ -13,9 +13,9 @@ exact; a constant generator therefore lifts to exact zeros.  The
 definition-level invariance defect is the s-derivative at s = 0 of the
 transformed action, taken in closed form from the block partials and the
 lifts, so no symbolic variation calculus is needed; :func:`invariance_check`
-takes it and the invariance lemma's two regime integrals from one record on
-both regimes' quadrature nodes.  Group generators are extended by zero on
-[t1 - tau, t1).
+takes it and the invariance lemma's two regime integrals as the three columns
+of one :func:`delayvar.calculus.integrate` call.  Group generators are
+extended by zero on [t1 - tau, t1).
 
 Each sweep calls eta(t, q) and xi(t, q) once, under the contract of
 :class:`delayvar.problem.TransformationGroup`, with t the time jet and q the
@@ -130,8 +130,8 @@ def noether_sweep(setup: AugmentedSetup, group: TransformationGroup, traj: Traje
 def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,
                      interval: tuple[float, float] | None = None) -> tuple[float, float, float]:
     """The invariance defect on [a, b] (default [t1, t2], a <= b) and the lemma's
-    integrals over its first- and second-regime pieces, from one record on both
-    pieces' quadrature nodes.
+    integrals over its first- and second-regime pieces: the three columns of one
+    :func:`delayvar.calculus.integrate` call, each lemma column zero off its regime.
 
     The defect is d/ds at s = 0 of the transformed action minus the gauge allowance,
 
@@ -168,16 +168,12 @@ def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
             delayed = _lifts(group, traj, ts[past] - tau, [q[past] for q in record.q_delayed], m)
             for j in range(m + 1):
                 defect[past] += np.sum(record.block_partial(j + m + 3).T[past] * delayed[j], axis=1)
-        return np.column_stack([defect, lemma])
+        return np.column_stack([defect, np.where(record.first, lemma, 0.0),
+                                np.where(record.first, 0.0, lemma)])
 
-    split = problem.t2 - tau  # an empty piece has no nodes and integrates to 0.0
-    rules = [calculus.panel_rule(lo, hi, breaks) if lo < hi else (np.zeros(0),) * 2
-             for lo, hi in ((a, min(b, split)), (max(a, split), b))]
-    values = integrand(np.concatenate([nodes for nodes, _ in rules]))
-    # each piece summed by its own weights, column by column, as calculus.integrate sums it
-    first, second = (np.zeros(2) + [weights @ col for col in np.ascontiguousarray(piece.T)]
-                     for (_, weights), piece in zip(rules, np.split(values, [len(rules[0][0])])))
-    return float(first[0] + second[0]), float(first[1]), float(second[1])
+    if a == b:  # integrate gives a bare 0.0 on an empty interval
+        return 0.0, 0.0, 0.0
+    return tuple(map(float, calculus.integrate(integrand, a, b, breaks)))  # breaks hold t2 - tau
 
 
 def invariance_defect(setup: AugmentedSetup, group: TransformationGroup, traj: Trajectory,

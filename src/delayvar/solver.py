@@ -241,8 +241,6 @@ class _Collocation:
             bases, hs = np.concatenate(bases), hs.reshape(-1, hs.shape[-1])  # order-major rows
             for g, (_, sets, keys) in enumerate(groups):
                 keys = sorted(key for key in keys if key[0] == b)
-                if not keys:
-                    continue
                 at = np.array([np.concatenate([start[g, s + shift] + np.arange(n)
                                                for n, shift in sets]) for *_, s in keys])
                 rows = at + len(ts) * np.array([[orders.index(o)] for _, o, _ in keys])
@@ -276,11 +274,14 @@ class _Collocation:
     def interpolate(self, guesses, lam) -> np.ndarray:
         """Unknowns from a start: each block's guess, a callable of the time
         array read as :func:`segments_from_callable` does, interpolated on the
-        mesh segments, then the multipliers lam."""
+        mesh segments, then the multipliers lam, shape (k,) and finite."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        if lam.shape != (self.k,) or not np.all(np.isfinite(lam)):
+            raise ValueError(f"initial multipliers {lam.tolist()}: need shape ({self.k},), finite")
         return np.concatenate(
             [seg.coeffs.ravel() for guess, blk in zip(guesses, self.blocks)
              for seg in segments_from_callable(guess, blk.ncomp, self.edges, blk.width - 1)]
-            + [np.atleast_1d(np.asarray(lam, dtype=float))])
+            + [lam])
 
     def build(self, x: np.ndarray) -> tuple[list[Trajectory], np.ndarray]:
         trajs = []

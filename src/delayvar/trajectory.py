@@ -59,6 +59,8 @@ class PolySegment:
 
     def eval(self, t, order: int = 0) -> np.ndarray:
         """order-th derivative at t (scalar or array); shape t.shape + (n,)."""
+        if order < 0:
+            raise OrderTooHigh(f"derivative order {order} is negative")
         t = np.asarray(t, dtype=float)
         if order > self.degree:
             return np.zeros(t.shape + (self.n,))

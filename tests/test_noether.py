@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from delayvar import calculus
 from delayvar.dubois_reymond import dr_quantity
 from delayvar.errors import EmptyGrid, IOutOfRange, NotJetCapable, TransformEscapesDomain
-from delayvar.euler_lagrange import residual_grids
+from delayvar.euler_lagrange import PathRecord, residual_grids
 from delayvar.noether import (
     constancy_report,
     invariance_check,
@@ -29,6 +30,8 @@ from delayvar.trajectory import PolySegment, Trajectory
 
 TIME_SHIFT = TransformationGroup(eta=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
 IDENTITY = TransformationGroup(eta=lambda t, q: 0.0, xi=lambda t, q: np.zeros(1))
+NON_POLYNOMIAL = TransformationGroup(eta=lambda t, q: 0.7 * np.exp(0.3 * t),
+                                     xi=lambda t, q: -0.4 * q + 1.3 * np.sin(t))
 
 
 @pytest.fixture
@@ -173,6 +176,48 @@ class TestInvarianceCheck:
                                  (0.25, 1.75)) == pytest.approx(378.0, rel=1e-12)
         assert invariance_defect(scaled_setup, TIME_SHIFT, ex1_traj,
                                  (1.25, 1.75)) == pytest.approx(294.0, rel=1e-12)
+
+    def test_one_integrate_call_on_one_record(self, monkeypatch, scaled_setup, ex1_traj):
+        # integrate's rule for [0, 2] split at the wall t2 - tau = 1: 64 panels of 8 nodes
+        calls, records = [], []
+        integrate, init = calculus.integrate, PathRecord.__init__
+
+        def counted_integrate(*args, **kwargs):
+            calls.append(args[1:3])
+            return integrate(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            records.append(len(self.ts))
+
+        monkeypatch.setattr(calculus, "integrate", counted_integrate)
+        monkeypatch.setattr(PathRecord, "__init__", counted_init)
+        invariance_check(scaled_setup, TIME_SHIFT, ex1_traj)
+        assert calls == [(0.0, 2.0)] and records == [512]
+
+    @pytest.mark.parametrize("interval, empty", [((1.25, 1.75), 1), ((0.25, 0.75), 2)],
+                             ids=["second-regime", "first-regime"])
+    def test_other_regime_integral_is_exactly_zero(self, ex1_setup, ex1_traj, interval, empty):
+        values = invariance_check(ex1_setup, NON_POLYNOMIAL, ex1_traj, interval)
+        assert values[empty] == 0.0 and values[3 - empty] != 0.0
+
+    # (lam, interval): (defect, first, second) as the per-regime panel rules gave them
+    NON_POLYNOMIAL_VALUES = [
+        (0.0, None, (-1220.184103916293, 222.27940186912917, -1442.4635057854223)),
+        (0.0, (0.25, 1.75), (-667.4396740443202, 213.25112491163358, -717.4472961064998)),
+        (0.0, (1.25, 1.75), (-531.6882791241406, 0.0, -624.0789318340976)),
+        (0.0, (0.25, 0.75), (-4.809368167927952, 87.58128454202908, 0.0)),
+        (0.4, None, (-1096.1601137204723, 221.04752126980048, -1317.2076349902727)),
+        (0.4, (0.25, 1.75), (-612.5178852227659, 211.43321676089317, -667.2403168006795)),
+    ]
+
+    @pytest.mark.parametrize("lam, interval, expected", NON_POLYNOMIAL_VALUES)
+    def test_non_polynomial_group_keeps_its_values(self, ex1_problem, ex1_traj, lam, interval,
+                                                   expected):
+        got = invariance_check(AugmentedSetup(ex1_problem, [lam]), NON_POLYNOMIAL, ex1_traj,
+                               interval)
+        for value, want in zip(got, expected):
+            assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestNoetherQuantity:

@@ -60,6 +60,14 @@ class TestSolveEl:
         assert report.iterations <= 2
         assert abs(lam[0] - 4.0) <= 1e-8
 
+    @pytest.mark.parametrize("lam", [[1.0, 2.0], [], [float("nan")], [[4.0]]],
+                             ids=["two", "none", "nan", "nested"])
+    def test_malformed_initial_multipliers_are_named(self, classical_problem, classical_traj,
+                                                      lam):
+        with pytest.raises(ValueError, match=r"initial multipliers .*need shape \(1,\)"):
+            solve_el(classical_problem, initial=(classical_traj, lam),
+                     scheme=CollocationScheme(nodes=16))
+
     def test_solution_is_valid_trajectory(self, classical_problem):
         traj, _, report = solve_el(classical_problem, scheme=CollocationScheme(nodes=24))
         assert report.converged
@@ -276,6 +284,14 @@ class TestSolvePmp:
         for name in ("q", "p", "u"):
             assert np.max(np.abs(getattr(again, name).eval(ts, 0)
                                  - getattr(triple, name).eval(ts, 0))) <= 1e-12, name
+
+    @pytest.mark.parametrize("lam", [[1.0], [float("inf")]], ids=["one", "inf"])
+    def test_malformed_initial_multipliers_are_named(self, lam):
+        # the LQ problem has no constraint: only an empty multiplier vector fits
+        scheme = CollocationScheme(nodes=16)
+        triple, _, _ = solve_pmp(_lq(terminal=[1.0]), scheme=scheme)
+        with pytest.raises(ValueError, match=r"initial multipliers .*need shape \(0,\)"):
+            solve_pmp(_lq(terminal=[1.0]), initial=(triple, lam), scheme=scheme)
 
     def test_warm_start_calls_each_guess_once(self, monkeypatch):
         scheme = CollocationScheme(nodes=48)

@@ -93,11 +93,11 @@ def test_conserved_command_evaluates_each_point_once(monkeypatch):
 
 def test_invariance_command_evaluates_each_point_once(monkeypatch):
     """``delayvar invariance`` reads the defect and both lemma integrals from
-    one record on both regimes' nodes, and only the lemma reads the advanced
-    path: 12 800 point-orders for example1 (1 024 nodes and 5 orders at t and
-    t - tau, 512 nodes at t + tau on the first regime), where separate defect
-    and lemma records made 17 920 and an advanced path on the second regime's
-    nodes would add 2 560."""
+    one record on the nodes of one integrate rule for [t1, t2], and only the
+    lemma reads the advanced path: 6 400 point-orders for example1 (512 nodes
+    and 5 orders at t and t - tau, 256 nodes at t + tau on the first regime),
+    where 64 panels per regime made 12 800 and separate defect and lemma
+    records 17 920."""
     def run():
         with redirect_stdout(io.StringIO()):
             assert cli.main(["invariance", "--example", "example1", "--eta", "1",
@@ -105,7 +105,7 @@ def test_invariance_command_evaluates_each_point_once(monkeypatch):
 
     repeated, total = _count_repeats(monkeypatch, run)
     assert repeated == 0
-    assert 0 < total <= 12800
+    assert 0 < total <= 6400
 
 
 def test_invariance_command_builds_one_group_record(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from delayvar.errors import OrderTooHigh, OutOfDomain
+from delayvar.errors import DelayVarError, OrderTooHigh, OutOfDomain
 from delayvar.problem import args_at
 from delayvar.trajectory import (
     PolySegment,
@@ -45,6 +45,14 @@ class TestEval:
         assert np.array_equal(ex1_traj.eval(0.5, 5), np.zeros(1))
         assert np.array_equal(ex1_traj.eval(np.array([0.5, 1.5]), 9), np.zeros((2, 1)))
         with pytest.raises(OrderTooHigh, match="negative"):
+            ex1_traj.eval(0.5, -1)
+
+    def test_segment_names_a_negative_order_as_the_path_does(self, ex1_traj):
+        # one rule, one error: a caller catches DelayVarError on either reader
+        with pytest.raises(DelayVarError, match="derivative order -1 is negative") as info:
+            ex1_traj.segments[0].eval(0.5, -1)
+        assert isinstance(info.value, OrderTooHigh)
+        with pytest.raises(DelayVarError, match="derivative order -1 is negative"):
             ex1_traj.eval(0.5, -1)
 
     def test_vectorized(self, ex1_traj):
