@@ -71,7 +71,12 @@ class ExprError(DelayVarError):
 
 
 class ExprSyntaxError(ExprError):
-    """Parse failure, with byte offset and the token set that was expected."""
+    """Parse failure: where it failed, what was expected there, and what was found.
+
+    ``position`` is a character index into the text as given, not a byte
+    offset: the start of the offending token, or ``len(text)`` at the end of
+    input.  ``found`` is that token's text (``"end of input"`` at the end).
+    """
 
     def __init__(self, position: int, expected: tuple[str, ...], found: str):
         self.position = position

@@ -9,14 +9,19 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 ``^`` binds tighter than unary minus, which binds tighter than ``*``/``/``.
-Recognized functions: sin, cos, exp, log, sqrt, abs.  Constants pi and e are
-folded into numeric literals at parse time.  Names mean nothing here: a plain
-name -> slot table, checked when the expression is compiled, maps each to a
-slot of the flat argument sequence the expression is evaluated on.
+This is Python's expression grammar with ``^`` for ``**``, narrowed to these
+forms, and Python's parser reads it: a NAME is an ASCII identifier that is not
+a Python keyword.  Recognized functions: sin, cos, exp, log, sqrt, abs.
+Constants pi and e are folded into numeric literals at parse time.  Names mean
+nothing here: a plain name -> slot table, checked when the expression is
+compiled, maps each to a slot of the flat argument sequence the expression is
+evaluated on.
 """
 
 from __future__ import annotations
 
+import ast
+import keyword
 import math
 import re
 from dataclasses import dataclass
@@ -30,6 +35,8 @@ __all__ = ["Ast", "Num", "Var", "Neg", "Bin", "Call", "parse", "to_str", "names"
            "compiled"]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
+_FN = {"sin": jet.sin, "cos": jet.cos, "exp": jet.exp, "log": jet.log,
+       "sqrt": jet.sqrt, "abs": jet.fabs}
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ Ast = Num | Var | Neg | Bin | Call
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# tokenizer / parser: the tokenizer decides what a token is, Python's parser the rest
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -93,140 +100,79 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: tuple[str, ...]):
-        kind, value, pos = self.peek()
-        raise ExprSyntaxError(pos, expected, value if kind != "end" else "end of input")
-
-    def expect_op(self, op: str):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == op:
-            return self.next()
-        self.fail((repr(op),))
-
-    def parse(self) -> Ast:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            self.fail(("operator", "end of input"))
-        return node
-
-    def chain(self, ops: str, operand) -> Ast:
-        """operand ((one of ops) operand)*, left-associative."""
-        node = operand()
-        while self.peek()[0] == "op" and self.peek()[1] in ops:
-            node = Bin(self.next()[1], node, operand())
-        return node
-
-    def expr(self) -> Ast:
-        return self.chain("+-", self.term)
-
-    def term(self) -> Ast:
-        return self.chain("*/", self.factor)
-
-    def factor(self) -> Ast:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Ast:
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            return Bin("^", base, self.factor())
-        return base
-
-    def atom(self) -> Ast:
-        kind, value, pos = self.peek()
-        if kind == "num":
-            self.next()
-            return Num(float(value))
-        if kind == "name":
-            self.next()
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "(":
-                if value not in _FN:
-                    raise ExprSyntaxError(pos, ("function name",), value)
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg)
-            if value in CONSTANTS:
-                return Num(CONSTANTS[value])
-            return Var(value)
-        if kind == "op" and value == "(":
-            self.next()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        self.fail(("number", "name", "'('"))
+_PY_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div, "^": ast.Pow}
+_OPS = {py: op for op, py in _PY_OPS.items()}
+_GRAMMAR = ("number", "name", "operator + - * / ^", "call of " + ", ".join(_FN))
 
 
 def parse(text: str) -> Ast:
-    """Parse an expression; raises :class:`ExprSyntaxError` with a byte offset."""
-    return _Parser(text).parse()
+    """Parse an expression; raises :class:`ExprSyntaxError` at the offending token.
+
+    Python's parser reads the tokens, joined by spaces, with ``^`` as ``**``
+    and each number as the float literal Python reads to the same value
+    (``1e999`` for inf); one walk narrows its tree to the grammar above.
+    """
+    tokens = _tokenize(text)
+    source = " ".join(repr(float(value)).replace("inf", "1e999") if kind == "num"
+                      else "**" if value == "^" else value for kind, value, _ in tokens)
+
+    def at(col: int) -> int:  # no token holds a space: token i follows i of them
+        return source.count(" ", 0, col)
+
+    def error(i: int, expected: tuple[str, ...]) -> ExprSyntaxError:
+        kind, value, pos = tokens[i]
+        return ExprSyntaxError(pos, expected, value if kind != "end" else "end of input")
+
+    def walk(node: ast.expr) -> Ast:
+        match node:
+            case ast.Constant(float() as value):
+                return Num(value)
+            case ast.Name(name):
+                return Num(CONSTANTS[name]) if name in CONSTANTS else Var(name)
+            case ast.UnaryOp(ast.USub(), operand):
+                return Neg(walk(operand))
+            case ast.BinOp(left, op, right) if type(op) in _OPS:
+                return Bin(_OPS[type(op)], walk(left), walk(right))
+            # Python drops the parentheses of (sin)(q): the name must precede its '('
+            case ast.Call(ast.Name(fn) as f, [arg], []) if (
+                    fn in _FN and source.startswith(" (", f.end_col_offset)):
+                return Call(fn, walk(arg))
+        # at a keyword inside the node (if, and, None, ...), else at its first token
+        first, last = at(node.col_offset), at(node.end_col_offset)
+        raise error(next((i for i in range(first, last + 1) if keyword.iskeyword(tokens[i][1])),
+                         first), _GRAMMAR)
+
+    try:
+        return walk(ast.parse(source, mode="eval").body)
+    except SyntaxError as err:  # offset 0 is the end of input
+        raise error(at(err.offset - 1 if err.offset else len(source)),
+                    (f"a well-formed expression ({err.msg})",)) from None
+    except (MemoryError, RecursionError):  # nested too deeply for the parser or the walk
+        raise error(0, ("an expression nested less deeply",)) from None
 
 
 # ---------------------------------------------------------------------------
-# pretty-printer (precedence-aware; parse(to_str(ast)) == ast)
+# printer: Python's own, so parse(to_str(ast)) == ast
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _render(node: Ast) -> tuple[str, int]:
-    if isinstance(node, Num):
-        if node.value < 0:  # render as negation so the text re-parses
-            return f"-{-node.value!r}", _PREC["neg"]
-        return repr(node.value), _PREC["atom"]
-    if isinstance(node, Var):
-        return node.name, _PREC["atom"]
-    if isinstance(node, Call):
-        inner, _ = _render(node.arg)
-        return f"{node.fn}({inner})", _PREC["atom"]
-    if isinstance(node, Neg):
-        inner, prec = _render(node.operand)
-        if prec < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC["neg"]
-    assert isinstance(node, Bin)
-    lhs, lp = _render(node.left)
-    rhs, rp = _render(node.right)
-    prec = _PREC[node.op]
-    if node.op == "^":
-        # left operand of ^ must be a bare atom; right side re-parses at factor level
-        if lp < _PREC["atom"]:
-            lhs = f"({lhs})"
-        if rp < _PREC["neg"]:
-            rhs = f"({rhs})"
-    else:
-        if lp < prec:
-            lhs = f"({lhs})"
-        # -, / are left-associative: right operand needs strictly higher precedence
-        if rp < prec or (rp == prec and node.op in "-/"):
-            rhs = f"({rhs})"
-        if node.op in "+*" and rp == prec:
-            rhs = f"({rhs})"
-    return f"{lhs} {node.op} {rhs}", prec
+def _to_python(node: Ast) -> ast.expr:
+    match node:
+        case Num(value) if value < 0:  # as a negation, so the text re-parses
+            return ast.UnaryOp(ast.USub(), ast.Constant(-value))
+        case Num(value):
+            return ast.Constant(value)
+        case Var(name):
+            return ast.Name(name)
+        case Neg(operand):
+            return ast.UnaryOp(ast.USub(), _to_python(operand))
+        case Bin(op, left, right):
+            return ast.BinOp(_to_python(left), _PY_OPS[op](), _to_python(right))
+        case Call(fn, arg):
+            return ast.Call(ast.Name(fn), [_to_python(arg)], [])
 
 
 def to_str(node: Ast) -> str:
     """Render back to source text such that ``parse(to_str(ast)) == ast``."""
-    return _render(node)[0]
+    return ast.unparse(_to_python(node)).replace("**", "^")
 
 
 def names(node: Ast) -> frozenset[str]:
@@ -242,9 +188,6 @@ def names(node: Ast) -> frozenset[str]:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-_FN = {"sin": jet.sin, "cos": jet.cos, "exp": jet.exp, "log": jet.log,
-       "sqrt": jet.sqrt, "abs": jet.fabs}
 
 
 def _ev(node: Ast, slots, args):

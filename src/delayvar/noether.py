@@ -145,8 +145,8 @@ def invariance_check(setup: AugmentedSetup, group: TransformationGroup, traj: Tr
     """
     problem = setup.problem
     a, b = interval if interval is not None else (problem.t1, problem.t2)
-    if a > b:
-        raise ValueError(f"interval [{a}, {b}] is reversed: it needs a <= b")
+    if not a <= b:  # reversed, or an end is NaN
+        raise ValueError(f"interval [{a}, {b}] is reversed or not a number: it needs a <= b")
     slack = 1e-9 * max(1.0, problem.span)
     if a < problem.t1 - slack or b > problem.t2 + slack:
         raise TransformEscapesDomain(f"interval [{a}, {b}] leaves [{problem.t1}, {problem.t2}]")

@@ -103,6 +103,13 @@ class TestInputErrors:
         self._exits_2(["invariance", "--example", "example1", "--eta", "0", "--xi", "1,2"],
                       capsys, "xi needs 1 components, got 2")
 
+    @pytest.mark.parametrize("eta", ["(" * 400 + "t" + ")" * 400, "q**2", "None"],
+                             ids=["400-nested-parens", "python-power", "python-keyword"])
+    def test_generator_outside_the_grammar(self, capsys, eta):
+        # too deep for Python's parser, a Python operator the grammar lacks, a keyword
+        self._exits_2(["invariance", "--example", "example1", "--eta", eta, "--xi", "0"],
+                      capsys, "syntax error at offset")
+
     def test_solve_without_history(self, tmp_path, capsys):
         problem = tmp_path / "no_history.json"
         problem.write_text(json.dumps({

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import keyword
 import math
 import sys
 
@@ -15,8 +16,10 @@ from delayvar.errors import (
     ExprSyntaxError,
     UnknownVariable,
 )
-from delayvar.expr import Bin, Call, Neg, Num, Var, bind_eval, compiled, parse, to_str
+from delayvar.expr import Bin, Call, Neg, Num, Var, bind_eval, compiled, names, parse, to_str
 from delayvar.problem import ArgLayout, integrand_from_expr, variational_names
+
+import expr_reference
 
 
 def test_power_parses_right_associative():
@@ -222,3 +225,104 @@ def test_agrees_with_reference_evaluator(ast, values):
         return
     got = bind_eval(ast, slots, args)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the grammar's boundary, deep nesting, and agreement with the hand-written parser
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ExprSyntaxError:
+        return ExprSyntaxError
+
+
+@pytest.mark.parametrize("text", [
+    "0x10", "1_000", "1j", "q**2", "q # c", "q.real", "q[0]", "q < 1", "q == 1", "+q", "~q",
+    "'q'", "α", "(q, t)", "sin(q, t)", "sin()", "sin(x=q)", "q(t)", "2(q)", "(sin)(q)",
+    "q if t else 1",
+])
+def test_python_forms_outside_the_grammar_raise(text):
+    with pytest.raises(ExprSyntaxError):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("01", Num(1.0)),
+    ("007.5", Num(7.5)),
+    (" q", Var("q")),
+    ("q\n+ 1", Bin("+", Var("q"), Num(1.0))),
+    ("q\v+ 1", Bin("+", Var("q"), Num(1.0))),
+    ("q\u00a0+ 1", Bin("+", Var("q"), Num(1.0))),  # no-break space
+    ("q\u2003+ 1", Bin("+", Var("q"), Num(1.0))),  # em space
+    ("1e999", Num(math.inf)),
+], ids=["leading-zero", "leading-zeros-float", "leading-space", "newline", "vertical-tab",
+        "no-break-space", "em-space", "inf"])
+def test_grammar_forms_python_alone_refuses_are_accepted(text, expected):
+    assert parse(text) == expected
+
+
+def test_syntax_error_points_at_the_offending_token():
+    # a character index into the text as given, or len(text) at the end of input
+    for text, position, found in [("q if t else 1", 2, "if"), ("q +", 3, "end of input"),
+                                  ("foo(q)", 0, "foo"), ("sin(q) + None", 9, "None")]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert (err.value.position, err.value.found) == (position, found), text
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(" * 150 + "t" + ")" * 150, Var("t")),  # within Python's 200 nested parentheses
+    ("(" * 400 + "t" + ")" * 400, ExprSyntaxError),
+    ("-" * 3000 + "t", ExprSyntaxError),
+    ("-" * 100_000 + "t", ExprSyntaxError),  # past the parser's own stack
+    ("q" + "^q" * 600, None),  # either outcome, but no RecursionError
+    ("q" + "^q" * 5000, ExprSyntaxError),
+    ("+".join(["q"] * 5000), ExprSyntaxError),
+], ids=["parens-150", "parens-400", "minus-3000", "minus-100000", "power-600", "power-5000",
+        "sum-5000"])
+def test_deep_nesting_gives_a_tree_or_a_syntax_error(text, expected):
+    got = _outcome(parse, text)
+    assert got == expected or expected is None and (got is ExprSyntaxError or names(got) == {"q"})
+
+
+def test_nesting_past_the_recursion_limit_is_a_syntax_error():
+    # Python's parser or the walk runs out of stack: a syntax error, not a RecursionError
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        with pytest.raises(ExprSyntaxError):
+            parse("-" * 400 + "t")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("text", ["None", "True", "if", "and", "lambda", "not", "in",
+                                  "None + q", "sin(lambda)"])
+def test_python_keywords_are_not_names(text):
+    # the hand-written parser read a keyword as a Var, which failed only when compiled
+    assert any(keyword.iskeyword(name) for name in names(expr_reference.parse(text)))
+    with pytest.raises(ExprSyntaxError):
+        parse(text)
+
+
+_FRAGMENTS = [
+    "q", "t", "qd", "q_tau", "sin", "exp", "abs", "pi", "e", "0", "1", "01", "2.5", ".5", "1e3",
+    "1e999", "+", "-", "*", "/", "^", "(", ")", " ", "\n", "\u00a0",
+    "**", "0x", "_", "j", "#", ".", "[", "]", ",", "=", "<",
+    "None", "True", "if", "else", "and", "not", "lambda", "for", "in", "is", "await", "yield",
+    "α", "é",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@example("(exp)(q)")
+@example("q if t else 1")
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+def test_agrees_with_the_hand_written_parser(text):
+    expected = _outcome(expr_reference.parse, text)
+    got = _outcome(parse, text)
+    if expected is not ExprSyntaxError and any(map(keyword.iskeyword, names(expected))):
+        assert got is ExprSyntaxError, text  # the one intended difference
+    else:
+        assert got == expected, text

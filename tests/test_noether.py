@@ -169,6 +169,11 @@ class TestInvarianceCheck:
             invariance_check(ex1_setup, dilation, ex1_traj, (1.6, 0.2))
         assert invariance_check(ex1_setup, dilation, ex1_traj, (0.7, 0.7)) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("interval", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_interval_end_is_named(self, ex1_setup, ex1_traj, interval):
+        with pytest.raises(ValueError, match=r"interval \[.*nan.*\] is reversed or not a number"):
+            invariance_check(ex1_setup, TIME_SHIFT, ex1_traj, interval)
+
     def test_subinterval_keeps_its_value(self, scaled_setup, ex1_traj):
         # int_a^b (qdd + qdd_tau)^2 dt = int_a^b 144 (2t - 1)^2 dt, on both sides of
         # t2 - tau and inside the second regime
